@@ -3,7 +3,7 @@
 // core runs the complete two-SP workflow serially for its partition.
 //
 // This bench runs on the Cluster API: one Cluster owns the shared-nothing
-// partitions, one DeploymentPlan puts the identical Linear Road workflow on
+// partitions, one Topology puts the identical Linear Road workflow on
 // every partition, and a keyed ClusterInjector routes each position report
 // by its x-way column. Modulo routing gives the paper's exactly balanced
 // x-way assignment (x-way w -> partition w % cores).

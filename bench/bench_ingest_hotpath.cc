@@ -46,7 +46,7 @@
 
 #include "cluster/cluster.h"
 #include "cluster/cluster_injector.h"
-#include "cluster/deployment.h"
+#include "cluster/topology.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "streaming/injector.h"
@@ -58,7 +58,6 @@ using sstore::BackpressureMode;
 using sstore::BatchTicketPtr;
 using sstore::Cluster;
 using sstore::ClusterInjector;
-using sstore::DeploymentPlan;
 using sstore::Invocation;
 using sstore::LambdaProcedure;
 using sstore::ProcContext;
@@ -67,6 +66,7 @@ using sstore::SStore;
 using sstore::Status;
 using sstore::StreamInjector;
 using sstore::TicketPtr;
+using sstore::Topology;
 using sstore::Tuple;
 using sstore::Value;
 
@@ -204,9 +204,9 @@ void BM_ClusterIngest(benchmark::State& state) {
   for (auto _ : state) {
     state.PauseTiming();
     Cluster cluster(partitions);
-    DeploymentPlan plan;
-    plan.RegisterProcedure("nop", SpKind::kBorder, NopProc());
-    if (!cluster.Deploy(plan).ok()) {
+    Topology topo("nop");
+    topo.RegisterProcedure("nop", SpKind::kBorder, NopProc());
+    if (!cluster.Deploy(topo).ok()) {
       state.SkipWithError("deployment failed");
       return;
     }

@@ -49,9 +49,8 @@ Schema KeyValSchema() {
 
 /// 3-stage pipeline with bounded state: ingest emits into sA, "xform" adds
 /// one and re-emits into sB, "fold" upserts a per-key running total.
-Result<Topology> BuildPipeline(Placement ingest, Placement xform,
-                               Placement fold) {
-  TopologyBuilder topo("bench_pipeline");
+Topology BuildPipeline(Placement ingest, Placement xform, Placement fold) {
+  Topology topo("bench_pipeline");
   topo.DefineStream("sA", KeyValSchema())
       .DefineStream("sB", KeyValSchema())
       .CreateTable("totals", KeyValSchema())
@@ -115,7 +114,7 @@ Result<Topology> BuildPipeline(Placement ingest, Placement xform,
   n3.kind = SpKind::kInterior;
   n3.input_streams = {"sB"};
   topo.AddStage(n1, ingest).AddStage(n2, xform).AddStage(n3, fold);
-  return topo.Build();
+  return topo;
 }
 
 void ReportChannelCounters(benchmark::State& state, Cluster& cluster) {
@@ -141,10 +140,10 @@ void BM_ReplicatedPipeline(benchmark::State& state) {
   opts.num_partitions = partitions;
   opts.routing = PartitionMap::Mode::kModulo;
   Cluster cluster(opts);
-  Result<Topology> topo =
+  Topology topo =
       BuildPipeline(Placement::Everywhere(), Placement::Everywhere(),
                     Placement::Everywhere());
-  cluster.Deploy(*topo).ok();
+  cluster.Deploy(topo).ok();
   cluster.Start();
   ClusterInjector::Options inj_opts;
   inj_opts.key_column = 0;
@@ -168,9 +167,9 @@ BENCHMARK(BM_ReplicatedPipeline)->Arg(1)->Arg(3);
 
 void BM_PlacedPipeline(benchmark::State& state) {
   Cluster cluster(3);
-  Result<Topology> topo = BuildPipeline(
+  Topology topo = BuildPipeline(
       Placement::Pinned(0), Placement::Pinned(1), Placement::Pinned(2));
-  cluster.Deploy(*topo).ok();
+  cluster.Deploy(topo).ok();
   cluster.Start();
   StreamInjector injector(&cluster.partition(0), "ingest",
                           StreamInjector::Options{4096,
@@ -247,9 +246,9 @@ void BM_LinearRoadPlaced(benchmark::State& state) {
   opts.num_partitions = partitions;
   opts.routing = PartitionMap::Mode::kModulo;
   Cluster cluster(opts);
-  Result<Topology> topo = BuildPlacedLinearRoadTopology(
+  Topology topo = BuildPlacedLinearRoadTopology(
       config, static_cast<size_t>(partitions - 1));
-  cluster.Deploy(*topo).ok();
+  cluster.Deploy(topo).ok();
   RunLinearRoad(state, cluster, config);
 }
 BENCHMARK(BM_LinearRoadPlaced)->Arg(2)->Arg(4);

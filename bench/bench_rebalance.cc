@@ -56,9 +56,9 @@ Schema KeyValSchema() {
 
 /// Keyed upsert workload: bounded state (one row per key), so long benchmark
 /// runs neither grow memory nor skew migration volume.
-DeploymentPlan UpsertPlan() {
-  DeploymentPlan plan;
-  plan.CreateTable("kv", KeyValSchema())
+Topology UpsertTopology() {
+  Topology topo("upsert");
+  topo.CreateTable("kv", KeyValSchema())
       .CreateIndex("kv", "pk", {"key"}, /*unique=*/true)
       .RegisterProcedure(
           "put", SpKind::kBorder,
@@ -82,7 +82,7 @@ DeploymentPlan UpsertPlan() {
             }
             return Status::OK();
           }));
-  return plan;
+  return topo;
 }
 
 void SeedKeys(ClusterInjector& injector) {
@@ -117,7 +117,7 @@ void IngestLoop(benchmark::State& state, Cluster& cluster) {
 
 void BM_KeyedIngest(benchmark::State& state) {
   Cluster cluster(static_cast<int>(state.range(0)));
-  if (!cluster.Deploy(UpsertPlan()).ok()) {
+  if (!cluster.Deploy(UpsertTopology()).ok()) {
     state.SkipWithError("deploy failed");
     return;
   }
@@ -136,7 +136,7 @@ void BM_SplitCutover(benchmark::State& state) {
   for (auto _ : state) {
     state.PauseTiming();
     Cluster cluster(2);
-    if (!cluster.Deploy(UpsertPlan()).ok()) {
+    if (!cluster.Deploy(UpsertTopology()).ok()) {
       state.SkipWithError("deploy failed");
       return;
     }
@@ -183,7 +183,7 @@ BENCHMARK(BM_SplitCutover)->Arg(1024)->Arg(8192)->Unit(benchmark::kMillisecond);
 
 void BM_PostSplitIngest(benchmark::State& state) {
   Cluster cluster(2);
-  if (!cluster.Deploy(UpsertPlan()).ok()) {
+  if (!cluster.Deploy(UpsertTopology()).ok()) {
     state.SkipWithError("deploy failed");
     return;
   }

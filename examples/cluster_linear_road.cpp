@@ -1,6 +1,6 @@
 // Linear Road on a multi-partition cluster (paper §4.7 / Figure 11).
 //
-// One Cluster owns N shared-nothing partitions; one DeploymentPlan installs
+// One Cluster owns N shared-nothing partitions; one Topology installs
 // the identical two-SP workflow on every partition; a keyed ClusterInjector
 // routes each position report by its x-way column, so x-way w always lands
 // on partition w % N and per-x-way report order is preserved end to end.
@@ -68,7 +68,7 @@ int main(int argc, char** argv) {
   }
   if (partitions > xways) partitions = xways;
 
-  // --- One cluster, one plan, N identical shared-nothing partitions. ---
+  // --- One cluster, one topology, N identical shared-nothing partitions. ---
   Cluster::Options opts;
   opts.num_partitions = partitions;
   opts.routing = PartitionMap::Mode::kModulo;  // x-way w -> partition w % N
@@ -80,27 +80,18 @@ int main(int argc, char** argv) {
   config.duration_sec = sim_seconds;
   config.stop_probability = 0.002;
   config.seed = 42;
-  Status deployed;
-  if (placed) {
-    // Placement-aware topology: ingest keyed by x-way, rollup pinned to the
-    // last partition, s_minute crossing partitions as a stream channel.
-    Result<Topology> topo = BuildPlacedLinearRoadTopology(
-        config, static_cast<size_t>(partitions - 1));
-    deployed = topo.ok() ? cluster.Deploy(*topo) : topo.status();
-  } else {
-    deployed = cluster.Deploy(BuildLinearRoadDeployment(config));
-  }
-  if (!deployed.ok()) {
-    std::fprintf(stderr, "deployment failed: %s\n",
-                 deployed.ToString().c_str());
-    return 1;
-  }
-
+  // Replicated: every stage on every partition. Placed: ingest keyed by
+  // x-way, rollup pinned to the last partition, s_minute crossing
+  // partitions as a stream channel.
+  Topology topo =
+      placed ? BuildPlacedLinearRoadTopology(
+                   config, static_cast<size_t>(partitions - 1))
+             : BuildLinearRoadDeployment(config);
   // Supplemental OLTP procedure for the multi-partition probe: counts this
   // partition's tracked vehicles. ExecuteOnAll runs it atomically on every
-  // partition; the client sums the fragments for a network-wide total.
-  DeploymentPlan probe_plan;
-  probe_plan.RegisterProcedure(
+  // partition; the client sums the fragments for a network-wide total. It is
+  // part of the one deployed topology, so partitions added later get it too.
+  topo.RegisterProcedure(
       "xway_probe", SpKind::kOltp,
       std::make_shared<LambdaProcedure>([](ProcContext& ctx) {
         SSTORE_ASSIGN_OR_RETURN(Table * vehicles, ctx.table("lr_vehicles"));
@@ -108,7 +99,12 @@ int main(int argc, char** argv) {
             static_cast<int64_t>(vehicles->row_count()))});
         return Status::OK();
       }));
-  if (!cluster.Deploy(probe_plan).ok()) return 1;
+  Status deployed = cluster.Deploy(topo);
+  if (!deployed.ok()) {
+    std::fprintf(stderr, "deployment failed: %s\n",
+                 deployed.ToString().c_str());
+    return 1;
+  }
   cluster.Start();
 
   // --- Keyed injection: column 2 of a position report is the x-way. ---

@@ -10,7 +10,7 @@
 #include <cstring>
 #include <memory>
 
-#include "cluster/deployment.h"
+#include "cluster/topology.h"
 #include "query/expr.h"
 #include "streaming/injector.h"
 #include "streaming/sstore.h"
@@ -20,19 +20,19 @@ using namespace sstore;  // NOLINT: example brevity
 namespace {
 
 // A tiny bank-deposit pipeline: deposits stream in; the interior SP applies
-// them to an accounts table. One plan describes the app; recovery re-applies
-// it to a blank store before replay — exactly why the builder records steps
-// instead of executing them ad hoc.
-DeploymentPlan BuildBankPlan() {
+// them to an accounts table. One topology describes the app; recovery
+// re-applies it to a blank store before replay — exactly why the builder
+// records steps instead of executing them ad hoc.
+Topology BuildBankTopology() {
   Schema deposit({{"account", ValueType::kBigInt}, {"amount", ValueType::kBigInt}});
-  DeploymentPlan plan;
-  plan.DefineStream("deposits", deposit)
+  Topology topo("bank");
+  topo.DefineStream("deposits", deposit)
       .CreateTable("accounts", deposit)
       .CreateIndex("accounts", "pk", {"account"}, /*unique=*/true);
   for (int64_t a = 0; a < 4; ++a) {
-    plan.InsertRow("accounts", {Value::BigInt(a), Value::BigInt(0)});
+    topo.InsertRow("accounts", {Value::BigInt(a), Value::BigInt(0)});
   }
-  plan.RegisterProcedure(
+  topo.RegisterProcedure(
           "ingest", SpKind::kBorder,
           std::make_shared<LambdaProcedure>([](ProcContext& ctx) {
             return ctx.EmitToStream("deposits", {ctx.params()});
@@ -56,7 +56,6 @@ DeploymentPlan BuildBankPlan() {
               return Status::OK();
             });
           });
-  Workflow wf("bank");
   WorkflowNode n1, n2;
   n1.proc = "ingest";
   n1.kind = SpKind::kBorder;
@@ -64,13 +63,13 @@ DeploymentPlan BuildBankPlan() {
   n2.proc = "apply";
   n2.kind = SpKind::kInterior;
   n2.input_streams = {"deposits"};
-  (void)wf.AddNode(n1);
-  (void)wf.AddNode(n2);
-  plan.DeployWorkflow(std::move(wf));
-  return plan;
+  topo.AddStage(n1).AddStage(n2);
+  return topo;
 }
 
-Status SetupApp(SStore& store) { return BuildBankPlan().ApplyTo(store); }
+Status SetupApp(SStore& store) {
+  return BuildBankTopology().ApplyTo(store, /*p=*/0);
+}
 
 int64_t TotalBalance(SStore& store) {
   Table* accounts = *store.catalog().GetTable("accounts");

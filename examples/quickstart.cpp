@@ -9,18 +9,17 @@
 //                               ^
 //        [lookup (OLTP SP)] ----+   (clients query totals transactionally)
 //
-// The DeploymentPlan built below applies unchanged to a single store
-// (here) or to every partition of a Cluster; swap it for a TopologyBuilder
-// (cluster/topology.h — same fluent steps plus per-stage placements) to
-// pin or key stages across partitions, and see docs/ARCHITECTURE.md for
-// where the cluster, coordinator, channel, and rebalancing layers pick up
-// from this program.
+// The Topology built below applies unchanged to a single store (here) or to
+// every partition of a Cluster; give its stages placements (cluster/
+// topology.h) to pin or key them across partitions, and see
+// docs/ARCHITECTURE.md for where the cluster, coordinator, channel, and
+// rebalancing layers pick up from this program.
 //
 // Build: cmake --build build && ./build/examples/quickstart
 
 #include <cstdio>
 
-#include "cluster/deployment.h"
+#include "cluster/topology.h"
 #include "query/expr.h"
 #include "streaming/injector.h"
 #include "streaming/sstore.h"
@@ -28,16 +27,16 @@
 using namespace sstore;  // NOLINT: example brevity
 
 int main() {
-  // One DeploymentPlan describes the whole application — DDL, stored
-  // procedures, and workflow wiring. The same plan applies unchanged to a
-  // single store (here), to every partition of a Cluster, or — placed stage
-  // by stage — through cluster/topology.h.
+  // One Topology describes the whole application — DDL, stored procedures,
+  // and workflow stages. The same value applies unchanged to a single store
+  // (here) or to every partition of a Cluster; its stages default to
+  // kEverywhere and can be pinned or keyed per stage.
   Schema reading({{"sensor", ValueType::kBigInt}, {"value", ValueType::kBigInt}});
   Schema totals({{"sensor", ValueType::kBigInt}, {"sum", ValueType::kBigInt}});
 
-  DeploymentPlan plan;
+  Topology app("quickstart");
   // --- DDL: one public table, one stream. ---
-  plan.DefineStream("readings", reading)
+  app.DefineStream("readings", reading)
       .CreateTable("totals", totals)
       .CreateIndex("totals", "pk", {"sensor"}, /*unique=*/true)
       // --- Border SP: ingest one reading per atomic batch. ---
@@ -89,7 +88,6 @@ int main() {
           }));
 
   // --- Wire the workflow: PE trigger readings -> rollup. ---
-  Workflow wf("quickstart");
   WorkflowNode n1, n2;
   n1.proc = "ingest";
   n1.kind = SpKind::kBorder;
@@ -97,12 +95,11 @@ int main() {
   n2.proc = "rollup";
   n2.kind = SpKind::kInterior;
   n2.input_streams = {"readings"};
-  (void)wf.AddNode(n1);
-  (void)wf.AddNode(n2);
-  plan.DeployWorkflow(std::move(wf));
+  app.AddStage(n1).AddStage(n2);
 
+  // A standalone store is partition 0 of a one-partition deployment.
   SStore store;
-  if (!plan.ApplyTo(store).ok()) return 1;
+  if (!app.ApplyTo(store, /*p=*/0).ok()) return 1;
 
   // --- Run: push readings, interleave OLTP lookups. ---
   store.Start();

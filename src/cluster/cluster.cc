@@ -177,21 +177,13 @@ std::unique_ptr<SStore> Cluster::MakeStore(size_t p, bool attach_log) const {
   return std::make_unique<SStore>(store_opts);
 }
 
-Status Cluster::Deploy(const DeploymentPlan& plan) {
-  for (size_t p = 0; p < stores_.size(); ++p) {
-    Status s = plan.ApplyTo(*stores_[p]);
-    if (!s.ok()) {
-      return Status(s.code(),
-                    "partition " + std::to_string(p) + ": " + s.message());
-    }
-  }
-  // Retained so a partition added by Rebalance (or re-created by Recover
-  // after a split) receives the identical application.
-  deployed_plan_ = plan;
-  return Status::OK();
-}
-
 Status Cluster::Deploy(const Topology& topology) {
+  if (deployed_.has_value()) {
+    return Status::AlreadyExists("cluster already deployed topology '" +
+                                 deployed_->name() + "'");
+  }
+  SSTORE_ASSIGN_OR_RETURN(std::vector<ChannelSpec> channels,
+                          topology.Channels());
   for (const WorkflowNode& node : topology.workflow().nodes()) {
     Result<Placement> placement = topology.placement_of(node.proc);
     if (placement.ok() && placement->kind == Placement::Kind::kPinned &&
@@ -209,11 +201,13 @@ Status Cluster::Deploy(const Topology& topology) {
                     "partition " + std::to_string(p) + ": " + s.message());
     }
   }
-  for (const ChannelSpec& spec : topology.channels()) {
+  for (const ChannelSpec& spec : channels) {
     channels_.push_back(std::make_unique<StreamChannel>(this, spec));
     channels_.back()->InstallHooks();
   }
-  deployed_topology_ = topology;
+  // Retained so a partition added by Rebalance (or re-created by Recover
+  // after a split) receives the identical slice.
+  deployed_ = topology;
   return Status::OK();
 }
 
@@ -712,12 +706,9 @@ Status Cluster::Rebalance(const RebalancePlan& plan,
         return Status::InvalidArgument("cluster is at its partition ceiling");
       }
       new_store = MakeStore(target, /*attach_log=*/true);
-      Status deployed = Status::OK();
-      if (deployed_topology_.has_value()) {
-        deployed = deployed_topology_->ApplyTo(*new_store, target);
-      } else if (deployed_plan_.has_value()) {
-        deployed = deployed_plan_->ApplyTo(*new_store);
-      }
+      Status deployed = deployed_.has_value()
+                            ? deployed_->ApplyTo(*new_store, target)
+                            : Status::OK();
       if (!deployed.ok()) {
         return Status(deployed.code(), "deploying split target partition " +
                                            std::to_string(target) + ": " +
@@ -900,16 +891,13 @@ Status Cluster::Recover(const std::string& dir, const std::string& log_dir) {
           "checkpoint grew to " + std::to_string(manifest_partitions) +
           " partitions but records no partition map");
     }
-    if (!deployed_topology_.has_value() && !deployed_plan_.has_value()) {
+    if (!deployed_.has_value()) {
       return Status::InvalidArgument(
           "recovering a grown cluster needs Deploy() before Recover()");
     }
     for (size_t p = stores_.size(); p < manifest_partitions; ++p) {
       std::unique_ptr<SStore> store = MakeStore(p, /*attach_log=*/false);
-      Status deployed =
-          deployed_topology_.has_value()
-              ? deployed_topology_->ApplyTo(*store, p)
-              : deployed_plan_->ApplyTo(*store);
+      Status deployed = deployed_->ApplyTo(*store, p);
       if (!deployed.ok()) {
         return Status(deployed.code(), "deploying recovered partition " +
                                            std::to_string(p) + ": " +

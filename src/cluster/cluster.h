@@ -12,7 +12,6 @@
 #include <vector>
 
 #include "cluster/checkpointer.h"
-#include "cluster/deployment.h"
 #include "cluster/partition_map.h"
 #include "cluster/topology.h"
 #include "common/status.h"
@@ -130,8 +129,8 @@ struct ClusterStats {
 /// Typical use:
 ///
 ///   Cluster cluster(Cluster::Options{4});
-///   DeploymentPlan plan = BuildMyAppDeployment();
-///   cluster.Deploy(plan);            // identical DDL/SPs on every partition
+///   Topology app = BuildMyAppDeployment();
+///   cluster.Deploy(app);             // identical DDL/SPs on every partition
 ///   cluster.Start();
 ///   ClusterInjector injector(&cluster, "ingest", {.key_column = 0});
 ///   injector.InjectAsync(tuple);     // routed by tuple[0]
@@ -219,24 +218,22 @@ class Cluster {
   const SStore& store(size_t p) const { return *stores_[p]; }
   Partition& partition(size_t p) { return stores_[p]->partition(); }
 
-  /// Applies one deployment plan to every partition, in partition order.
-  /// Fails fast on the first partition that rejects a step; partitions are
-  /// either all deployed or the cluster should be discarded (deployment is
-  /// not transactional across partitions). This is the kEverywhere special
-  /// case of the topology deploy below: every partition runs the whole
-  /// application.
-  Status Deploy(const DeploymentPlan& plan);
-
-  /// Applies a *placed* topology: each partition receives its slice (shared
-  /// DDL, the stage procedures and PE triggers whose placement runs there,
-  /// channel plumbing where a boundary touches it), and one StreamChannel
-  /// per placement-boundary stream is installed to transport batches from
-  /// producer partitions to the consumer stage's partition. Same
-  /// fail-fast/discard semantics as the plan overload.
+  /// Applies the application, in partition order: each partition receives
+  /// its slice (shared DDL, the stage procedures and PE triggers whose
+  /// placement runs there, channel plumbing where a boundary touches it),
+  /// and one StreamChannel per placement-boundary stream is installed to
+  /// transport batches from producer partitions to the consumer stage's
+  /// partition. An all-kEverywhere topology puts the whole application on
+  /// every partition. Fails with the topology's validation error, or fast
+  /// on the first partition that rejects a step; partitions are then either
+  /// all deployed or the cluster should be discarded (deployment is not
+  /// transactional across partitions). A cluster deploys once: Rebalance
+  /// and Recover rebuild partitions from the one retained topology, so a
+  /// second Deploy returns kAlreadyExists.
   Status Deploy(const Topology& topology);
 
   /// The live cross-partition stream transports of the deployed topology
-  /// (empty for plan deploys and channel-free topologies).
+  /// (empty for channel-free topologies).
   const std::vector<std::unique_ptr<StreamChannel>>& channels() const {
     return channels_;
   }
@@ -371,14 +368,14 @@ class Cluster {
   /// from `log_dir`, resolving in-doubt multi-partition transactions
   /// against the coordinator's decision log (the rotation epoch's file, per
   /// the manifest). Call on a freshly constructed cluster (the *original*
-  /// partition count, same Deploy()ed plan or topology, *no* log_dir in its
+  /// partition count, same Deploy()ed topology, *no* log_dir in its
   /// Options — attaching logs would truncate the files being replayed)
   /// before Start(). An empty `log_dir` restores the snapshots only. The
   /// manifest's log epoch selects which rotation's files are replayed.
   ///
   /// When the checkpoint was cut after a Rebalance split grew the cluster,
   /// the manifest records more partitions than were constructed: Recover
-  /// spins the missing ones up from the deployed plan/topology and adopts
+  /// spins the missing ones up from the deployed topology and adopts
   /// the manifest's partition map, so the cluster restarts on exactly the
   /// routing table the cutover published.
   ///
@@ -403,7 +400,7 @@ class Cluster {
   /// cluster and live-migrates the moving slice. The protocol:
   ///
   ///  1. Prepare: for a split onto a new partition, a complete store is
-  ///     constructed and the deployed plan/topology slice applied to it —
+  ///     constructed and the deployed topology slice applied to it —
   ///     outside any pause.
   ///  2. The coordinator quiesces (in-flight multi-partition transactions
   ///     drain; new ones block at the admission gate).
@@ -560,8 +557,7 @@ class Cluster {
   std::vector<std::unique_ptr<SStore>> stores_;
   /// What Deploy() applied — retained so Rebalance and Recover can stamp
   /// the identical slice onto partitions added later.
-  std::optional<DeploymentPlan> deployed_plan_;
-  std::optional<Topology> deployed_topology_;
+  std::optional<Topology> deployed_;
   /// Declared after stores_ so participant closures (which reference the
   /// coordinator) are drained by Stop() while it is still alive.
   std::unique_ptr<TxnCoordinator> coordinator_;

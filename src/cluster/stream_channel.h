@@ -76,7 +76,7 @@ Status InstallChannelConsumerSupport(SStore& store, const ChannelSpec& spec);
 ///
 /// Cascades (a channel consumer feeding another channel) are supported only
 /// when the upstream channel is single-lane (all its producers pinned to
-/// one partition) — enforced by TopologyBuilder::Build — because a stage
+/// one partition) — enforced by Topology::Channels — because a stage
 /// fed by interleaved multi-lane deliveries would emit non-monotonic ids
 /// downstream and defeat the cursor's duplicate detection.
 class StreamChannel {

@@ -1,14 +1,19 @@
 #ifndef SSTORE_CLUSTER_TOPOLOGY_H_
 #define SSTORE_CLUSTER_TOPOLOGY_H_
 
+#include <functional>
 #include <map>
 #include <memory>
 #include <string>
 #include <vector>
 
-#include "cluster/deployment.h"
 #include "common/status.h"
+#include "common/value.h"
+#include "engine/execution_engine.h"
+#include "engine/procedure.h"
+#include "storage/schema.h"
 #include "streaming/sstore.h"
+#include "streaming/window.h"
 #include "streaming/workflow.h"
 
 namespace sstore {
@@ -19,8 +24,8 @@ namespace sstore {
 struct Placement {
   enum class Kind {
     /// The stage is deployed and triggered on every partition; it consumes
-    /// whatever its upstream produces locally. Today's replicate-everything
-    /// deployment is this placement for every node.
+    /// whatever its upstream produces locally. The default: a topology
+    /// with every stage here replicates the whole application.
     kEverywhere,
     /// The stage runs on exactly one partition. Streams feeding it from any
     /// other partition become channels.
@@ -58,7 +63,7 @@ struct Placement {
 /// One stream edge of a placed workflow that crosses a placement boundary:
 /// batches emitted into `stream` on a producer partition must be transported
 /// to the consumer stage's partition (cluster/stream_channel.h implements
-/// the transport). Derived by TopologyBuilder::Build, never hand-built.
+/// the transport). Derived by Topology::Channels, never hand-built.
 struct ChannelSpec {
   std::string stream;
   std::vector<std::string> producers;
@@ -71,117 +76,124 @@ struct ChannelSpec {
   bool ProducerRunsOn(size_t p) const;
 };
 
-/// A placed application: a workflow DAG plus a Placement for every node,
-/// the DDL/fragments/OLTP procedures around it, and the channels derived
-/// from placement boundaries. `Cluster::Deploy(topology)` applies each
-/// partition's *slice* — shared DDL everywhere, stage procedures and PE
-/// triggers only where the stage runs, channel plumbing on the partitions a
-/// boundary touches — where the legacy `Cluster::Deploy(plan)` stamps the
-/// identical application onto every partition (the all-kEverywhere special
-/// case).
-class Topology {
- public:
-  const std::string& name() const { return workflow_.name(); }
-  const Workflow& workflow() const { return workflow_; }
-  /// The non-procedure, non-workflow steps (DDL, seed rows, fragments),
-  /// applied identically to every partition.
-  const DeploymentPlan& plan() const { return plan_; }
-  const std::vector<ChannelSpec>& channels() const { return channels_; }
-
-  Result<Placement> placement_of(const std::string& proc) const;
-
-  /// Applies partition `p`'s slice of this topology to a freshly
-  /// constructed store: every plan step, the procedures whose stage (or
-  /// OLTP registration) runs on `p`, channel consumer support (cursor table
-  /// + delivery procedure), and the workflow slice's PE triggers. The slice
-  /// is a pure function of `p`, so Cluster::Rebalance can apply it to a
-  /// partition spun up long after the original deploy.
-  Status ApplyTo(SStore& store, size_t p) const;
-
-  /// One line per plan step, procedure, stage (with placement annotation),
-  /// and channel — the placed counterpart of DeploymentPlan::Describe, for
-  /// logs and deployment diffing.
-  std::string Describe() const;
-
- private:
-  friend class TopologyBuilder;
-
-  struct ProcedureSpec {
-    std::string name;
-    SpKind kind;
-    DeploymentPlan::ProcedureFactory factory;
-    bool is_stage = false;  // stages deploy per placement; the rest everywhere
-  };
-
-  Workflow workflow_{""};
-  DeploymentPlan plan_;
-  std::vector<ProcedureSpec> procedures_;
-  std::map<std::string, Placement> placements_;
-  std::vector<ChannelSpec> channels_;
-};
-
-/// Fluent builder for a Topology. Subsumes the DeploymentPlan builder: the
-/// DDL steps chain exactly as there, `RegisterProcedure` declares OLTP/
-/// helper procedures (deployed everywhere), and `AddStage` declares a
-/// workflow node together with where it runs. `Build()` validates the DAG
-/// and every placement, and derives the channels.
+/// A deployable application: the DDL, seed rows, streams, windows, EE
+/// fragments and stored procedures that turn a blank SStore partition into
+/// the application, plus a workflow DAG with a Placement for every node.
+/// The same value deploys a single store (`ApplyTo(store, 0)`) or a whole
+/// cluster (`Cluster::Deploy`), and the cluster retains it so Recover and
+/// Rebalance can stamp the identical slice onto partitions they create.
 ///
-///   TopologyBuilder topo("pipeline");
+/// `Topology` is its own fluent builder. Errors are deferred so the chain
+/// stays unconditional: `Channels()` validates the DAG and every placement
+/// and derives the cross-partition channels, and `ApplyTo` and
+/// `Cluster::Deploy` report its error.
+///
+///   Topology topo("pipeline");
 ///   topo.DefineStream("sA", schema).DefineStream("sB", schema)
 ///       .CreateTable("sink", schema)
 ///       .RegisterProcedure("ingest", SpKind::kBorder, ingest_proc)
 ///       .RegisterProcedure("transform", SpKind::kInterior, transform_factory)
 ///       .AddStage(ingest_node, Placement::Pinned(0))
 ///       .AddStage(transform_node, Placement::Pinned(1));
-///   SSTORE_ASSIGN_OR_RETURN(Topology t, topo.Build());
-///   cluster.Deploy(t);
-class TopologyBuilder {
+///   cluster.Deploy(topo);
+///
+/// Stages default to kEverywhere; a topology whose stages are all
+/// kEverywhere stamps the identical application onto every partition and
+/// derives no channels.
+///
+/// Stored procedures are added through a *factory* taking the target store:
+/// procedure bodies frequently capture their partition's StreamManager or
+/// tables, and a per-store factory lets each partition bind its own instance
+/// instead of sharing state across partitions.
+class Topology {
  public:
-  explicit TopologyBuilder(std::string name);
+  using ProcedureFactory =
+      std::function<std::shared_ptr<StoredProcedure>(SStore&)>;
 
-  // ---- DeploymentPlan-compatible steps (applied on every partition) ----
+  explicit Topology(std::string name) : workflow_(std::move(name)) {}
 
-  TopologyBuilder& CreateTable(std::string name, Schema schema);
-  TopologyBuilder& CreateIndex(std::string table, std::string index,
-                               std::vector<std::string> columns, bool unique);
-  TopologyBuilder& InsertRow(std::string table, Tuple row);
-  TopologyBuilder& DefineStream(std::string name, Schema schema);
-  TopologyBuilder& DefineWindow(WindowSpec spec);
-  TopologyBuilder& RegisterFragment(std::string name, FragmentFn fn);
-  TopologyBuilder& Custom(std::string description,
-                          std::function<Status(SStore&)> fn);
+  // ---- Shared steps: applied on every partition, in the order added ----
 
-  /// Registers a procedure. Stage procedures (named by a later AddStage)
-  /// are deployed only where their placement runs; others deploy everywhere.
-  TopologyBuilder& RegisterProcedure(std::string name, SpKind kind,
-                                     DeploymentPlan::ProcedureFactory factory);
-  TopologyBuilder& RegisterProcedure(std::string name, SpKind kind,
-                                     std::shared_ptr<StoredProcedure> proc);
+  Topology& CreateTable(std::string name, Schema schema);
+  /// Unique/non-unique hash index on an existing table.
+  Topology& CreateIndex(std::string table, std::string index,
+                        std::vector<std::string> columns, bool unique);
+  /// Seed row inserted at deployment time (e.g. metadata singletons).
+  Topology& InsertRow(std::string table, Tuple row);
+  Topology& DefineStream(std::string name, Schema schema);
+  Topology& DefineWindow(WindowSpec spec);
+  Topology& RegisterFragment(std::string name, FragmentFn fn);
+  /// Escape hatch for setup the typed steps don't cover.
+  Topology& Custom(std::string description, std::function<Status(SStore&)> fn);
+
+  // ---- Procedures ----
+
+  /// Registers a procedure; the factory is called once per partition at
+  /// apply time. Stage procedures (named by an AddStage) are deployed only
+  /// where their placement runs; the rest deploy everywhere.
+  Topology& RegisterProcedure(std::string name, SpKind kind,
+                              ProcedureFactory factory);
+  /// Convenience for stateless procedures safe to share across partitions.
+  Topology& RegisterProcedure(std::string name, SpKind kind,
+                              std::shared_ptr<StoredProcedure> proc);
 
   // ---- Stages and placement ----
 
   /// Adds a workflow node with its placement.
-  TopologyBuilder& AddStage(WorkflowNode node,
-                            Placement placement = Placement::Everywhere());
-
-  /// Adopts every node of an existing workflow at kEverywhere — the legacy
-  /// replicated deployment, re-expressed as a topology. Combine with
+  Topology& AddStage(WorkflowNode node,
+                     Placement placement = Placement::Everywhere());
+  /// Adopts every node of an existing workflow at kEverywhere. Combine with
   /// Place() to pin individual stages afterwards.
-  TopologyBuilder& AddWorkflow(const Workflow& workflow);
-
+  Topology& AddWorkflow(const Workflow& workflow);
   /// Overrides the placement of an already-added stage.
-  TopologyBuilder& Place(const std::string& proc, Placement placement);
+  Topology& Place(const std::string& proc, Placement placement);
 
-  /// Validates (DAG structure, placements, channel constraints) and derives
-  /// the channels. Build errors are deferred here so the fluent chain stays
-  /// unconditional, like DeploymentPlan's.
-  Result<Topology> Build() const;
+  // ---- Inspection and deployment ----
+
+  const std::string& name() const { return workflow_.name(); }
+  const Workflow& workflow() const { return workflow_; }
+  Result<Placement> placement_of(const std::string& proc) const;
+
+  /// Validates the topology (the first deferred builder error, DAG
+  /// structure, placements, channel constraints) and derives one channel
+  /// per stream edge that crosses a placement boundary.
+  Result<std::vector<ChannelSpec>> Channels() const;
+
+  /// Applies partition `p`'s slice to a freshly constructed store: every
+  /// shared step in the order added, the procedures whose stage (or OLTP
+  /// registration) runs on `p`, channel consumer support (cursor table +
+  /// delivery procedure), and the workflow slice's PE triggers. The slice is
+  /// a pure function of `p`, so Cluster::Rebalance can apply it to a
+  /// partition spun up long after the original deploy. Applying twice to one
+  /// store fails (kAlreadyExists from the first DDL step); the first failing
+  /// step aborts the apply and its error names the step.
+  Status ApplyTo(SStore& store, size_t p) const;
+
+  /// One line per shared step, procedure, stage (with placement annotation)
+  /// and channel, for logs and deployment diffing.
+  std::string Describe() const;
 
  private:
-  std::string name_;
-  Topology topology_;
-  std::vector<std::pair<WorkflowNode, Placement>> stages_;
-  Status deferred_error_;  // first AddStage/Place error, reported by Build
+  struct Step {
+    const char* kind;         // "CreateTable", "DefineStream", ...
+    std::string description;  // "table lr_vehicles"
+    std::function<Status(SStore&)> apply;
+  };
+
+  struct ProcedureSpec {
+    std::string name;
+    SpKind kind;
+    ProcedureFactory factory;
+  };
+
+  Topology& AddStep(const char* kind, std::string description,
+                    std::function<Status(SStore&)> apply);
+
+  Workflow workflow_;
+  std::vector<Step> steps_;
+  std::vector<ProcedureSpec> procedures_;
+  std::map<std::string, Placement> placements_;
+  Status deferred_error_;  // first AddStage/Place error, reported by Channels
 };
 
 }  // namespace sstore

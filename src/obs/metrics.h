@@ -53,9 +53,8 @@ class Gauge {
 /// log2-scale buckets (bucket b covers [2^b, 2^(b+1))), spread over a small
 /// set of cache-line-sized per-thread shards so concurrent recorders never
 /// share a line. Record() is a handful of relaxed atomic adds — no mutex, no
-/// allocation, no sort — which is what lets it live where LatencyRecorder
-/// (sort-per-read, single-threaded) could not: inside the partition worker
-/// and across many producer threads at once. Percentiles are reconstructed
+/// allocation, no sort — which is what lets it live inside the partition
+/// worker and across many producer threads at once. Percentiles are reconstructed
 /// from the merged buckets with linear interpolation inside the winning
 /// bucket, so they are approximate (bounded by the bucket's 2x width); Max
 /// is exact.

@@ -20,19 +20,17 @@ namespace sstore {
 /// modes. This is the building block everything above assembles: a Cluster
 /// owns N of these, and docs/ARCHITECTURE.md tours the layers.
 ///
-/// Typical use — describe the application once with TopologyBuilder
-/// (cluster/topology.h; it subsumes the DeploymentPlan builder and adds
-/// per-stage placements, and the same description scales out through
-/// Cluster::Deploy and follows the cluster through Recover and Rebalance).
-/// For a standalone single partition, the plan builder remains the direct
-/// path:
+/// Typical use — describe the application once as a Topology
+/// (cluster/topology.h). The same value deploys one standalone store, as
+/// here, or scales out through Cluster::Deploy, where per-stage placements
+/// apply and it follows the cluster through Recover and Rebalance:
 ///
-///   DeploymentPlan plan;
-///   plan.DefineStream("s1", schema)
+///   Topology app("app");
+///   app.DefineStream("s1", schema)
 ///       .RegisterProcedure("ingest", SpKind::kBorder, proc)
-///       .DeployWorkflow(workflow);   // every stage local — the
-///   SStore store;                    // all-kEverywhere special case of a
-///   plan.ApplyTo(store);             // placed Topology
+///       .AddWorkflow(workflow);      // every stage kEverywhere
+///   SStore store;
+///   app.ApplyTo(store, /*p=*/0);     // partition 0's slice: everything
 ///   store.Start();
 ///   StreamInjector injector(&store.partition(), "ingest");
 ///   injector.InjectSync(tuple);

@@ -65,11 +65,9 @@ std::vector<PositionReport> LinearRoadGenerator::NextSecond() {
 
 namespace {
 
-/// The DDL shared by the replicated plan and the placed topology; both
-/// builders expose the same fluent steps.
-template <typename Builder>
-Builder& AddLinearRoadDdl(Builder& b) {
-  b.CreateTable("lr_vehicles", VehicleSchema())
+/// The DDL shared by the replicated and the placed topology.
+void AddLinearRoadDdl(Topology& topo) {
+  topo.CreateTable("lr_vehicles", VehicleSchema())
       .CreateIndex("lr_vehicles", "pk", {"vid"}, /*unique=*/true)
       .CreateTable("lr_segstats", Schema({{"xway", ValueType::kBigInt},
                                           {"seg", ValueType::kBigInt},
@@ -94,7 +92,6 @@ Builder& AddLinearRoadDdl(Builder& b) {
                             {"seg", ValueType::kBigInt},
                             {"toll", ValueType::kDouble},
                             {"accident_ahead", ValueType::kBigInt}}));
-  return b;
 }
 
 /// The two workflow nodes; placement is the deployment's choice.
@@ -247,7 +244,7 @@ std::shared_ptr<StoredProcedure> MakePositionReportProc(
 // where every ingest partition's channel lane delivers its own marker for
 // the same minute), already-rolled-up minutes commit as no-ops against the
 // rollup partition's lr_rollup_meta row.
-DeploymentPlan::ProcedureFactory MakeMinuteRollupFactory(
+Topology::ProcedureFactory MakeMinuteRollupFactory(
     const LinearRoadConfig& config, bool dedupe_minutes) {
   return [config, dedupe_minutes](
              SStore& store) -> std::shared_ptr<StoredProcedure> {
@@ -323,28 +320,24 @@ DeploymentPlan::ProcedureFactory MakeMinuteRollupFactory(
 
 }  // namespace
 
-DeploymentPlan BuildLinearRoadDeployment(const LinearRoadConfig& config) {
-  DeploymentPlan plan;
-  AddLinearRoadDdl(plan);
-  plan.RegisterProcedure("position_report", SpKind::kBorder,
-                         MakePositionReportProc(config));
-  plan.RegisterProcedure("minute_rollup", SpKind::kInterior,
-                         MakeMinuteRollupFactory(config,
-                                                 /*dedupe_minutes=*/false));
-
-  // ---- Workflow wiring (every stage everywhere — the replicated shape) ----
-  Workflow wf("linear_road");
+Topology BuildLinearRoadDeployment(const LinearRoadConfig& config) {
+  Topology topo("linear_road");
+  AddLinearRoadDdl(topo);
+  // Every stage everywhere — the replicated shape.
   auto [n1, n2] = LinearRoadNodes();
-  (void)wf.AddNode(n1);
-  (void)wf.AddNode(n2);
-  plan.DeployWorkflow(std::move(wf));
-
-  return plan;
+  topo.RegisterProcedure("position_report", SpKind::kBorder,
+                         MakePositionReportProc(config))
+      .RegisterProcedure("minute_rollup", SpKind::kInterior,
+                         MakeMinuteRollupFactory(config,
+                                                 /*dedupe_minutes=*/false))
+      .AddStage(n1)
+      .AddStage(n2);
+  return topo;
 }
 
-Result<Topology> BuildPlacedLinearRoadTopology(const LinearRoadConfig& config,
-                                               size_t rollup_partition) {
-  TopologyBuilder topo("linear_road_placed");
+Topology BuildPlacedLinearRoadTopology(const LinearRoadConfig& config,
+                                       size_t rollup_partition) {
+  Topology topo("linear_road_placed");
   AddLinearRoadDdl(topo);
   topo.CreateTable("lr_rollup_meta",
                    Schema({{"last_minute", ValueType::kBigInt}}))
@@ -360,11 +353,12 @@ Result<Topology> BuildPlacedLinearRoadTopology(const LinearRoadConfig& config,
   // rollup is pinned downstream, fed through the s_minute channel.
   topo.AddStage(n1, Placement::Keyed(2))
       .AddStage(n2, Placement::Pinned(rollup_partition));
-  return topo.Build();
+  return topo;
 }
 
 Status LinearRoadApp::Setup() {
-  SSTORE_RETURN_NOT_OK(BuildLinearRoadDeployment(config_).ApplyTo(*store_));
+  SSTORE_RETURN_NOT_OK(
+      BuildLinearRoadDeployment(config_).ApplyTo(*store_, /*p=*/0));
   injector_ = std::make_unique<StreamInjector>(&store_->partition(),
                                                "position_report");
   return Status::OK();

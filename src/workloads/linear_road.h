@@ -4,7 +4,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "cluster/deployment.h"
 #include "cluster/topology.h"
 #include "common/rng.h"
 #include "common/status.h"
@@ -90,11 +89,11 @@ class LinearRoadGenerator {
 /// "s_notifications", drained by the client.
 ///
 /// The complete deployment — tables, streams, both SPs, and the workflow —
-/// as a replayable plan. `Cluster::Deploy` applies it identically to every
-/// shared-nothing partition (paper §4.7: the stream is partitioned by x-way
-/// and each partition runs the whole workflow for its x-ways);
+/// with every stage kEverywhere. `Cluster::Deploy` applies it identically to
+/// every shared-nothing partition (paper §4.7: the stream is partitioned by
+/// x-way and each partition runs the whole workflow for its x-ways);
 /// `LinearRoadApp` applies it to its single store.
-DeploymentPlan BuildLinearRoadDeployment(const LinearRoadConfig& config);
+Topology BuildLinearRoadDeployment(const LinearRoadConfig& config);
 
 /// The *placed* Linear Road variant (paper §4.7's distributed direction):
 /// the ingest stage `position_report` stays on the border partitions —
@@ -109,8 +108,8 @@ DeploymentPlan BuildLinearRoadDeployment(const LinearRoadConfig& config);
 /// this variant trades the replicated deployment's per-partition toll
 /// lookups for a single consolidated rollup — the topology the benchmark
 /// compares against replicating every stage everywhere.
-Result<Topology> BuildPlacedLinearRoadTopology(const LinearRoadConfig& config,
-                                               size_t rollup_partition);
+Topology BuildPlacedLinearRoadTopology(const LinearRoadConfig& config,
+                                       size_t rollup_partition);
 
 class LinearRoadApp {
  public:

@@ -39,20 +39,20 @@ Status AdjustCount(ProcContext& ctx, const Value& contestant, int64_t delta) {
 
 }  // namespace
 
-DeploymentPlan BuildVoterClusterDeployment(const VoterClusterConfig& config) {
-  DeploymentPlan plan;
-  plan.CreateTable("vc_contestants", ContestantSchema())
+Topology BuildVoterClusterDeployment(const VoterClusterConfig& config) {
+  Topology topo("voter_cluster");
+  topo.CreateTable("vc_contestants", ContestantSchema())
       .CreateIndex("vc_contestants", "pk", {"contestant_id"}, /*unique=*/true);
   // Every partition seeds every row; only the owner's copy receives writes,
   // so non-owned copies stay at the seed and reads consult the owner.
   for (int64_t c = 0; c < config.num_contestants; ++c) {
-    plan.InsertRow("vc_contestants",
+    topo.InsertRow("vc_contestants",
                    {Value::BigInt(c), Value::BigInt(config.initial_votes)});
   }
-  plan.CreateTable("vc_stats", StatsSchema())
+  topo.CreateTable("vc_stats", StatsSchema())
       .InsertRow("vc_stats", {Value::BigInt(0)});
 
-  plan.RegisterProcedure(
+  topo.RegisterProcedure(
       "vc_vote", SpKind::kOltp,
       std::make_shared<LambdaProcedure>([](ProcContext& ctx) {
         SSTORE_RETURN_NOT_OK(AdjustCount(ctx, ctx.params()[0], 1));
@@ -66,12 +66,12 @@ DeploymentPlan BuildVoterClusterDeployment(const VoterClusterConfig& config) {
         return Status::OK();
       }));
 
-  plan.RegisterProcedure(
+  topo.RegisterProcedure(
       "vc_adjust", SpKind::kOltp,
       std::make_shared<LambdaProcedure>([](ProcContext& ctx) {
         return AdjustCount(ctx, ctx.params()[0], ctx.params()[1].as_int64());
       }));
-  return plan;
+  return topo;
 }
 
 bool VoterClusterApp::PickCrossPartitionPair(int64_t* a, int64_t* b) const {

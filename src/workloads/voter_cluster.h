@@ -7,7 +7,6 @@
 #include <vector>
 
 #include "cluster/cluster.h"
-#include "cluster/deployment.h"
 #include "common/status.h"
 
 namespace sstore {
@@ -39,7 +38,7 @@ struct VoterClusterConfig {
 /// - `vc_adjust` (contestant_id, delta): vote_count += delta; aborts on an
 ///   unknown contestant or a balance that would go negative — the abort the
 ///   coordinator tests inject to prove all-or-nothing.
-DeploymentPlan BuildVoterClusterDeployment(const VoterClusterConfig& config);
+Topology BuildVoterClusterDeployment(const VoterClusterConfig& config);
 
 /// Client-side driver binding the workload to a Cluster.
 class VoterClusterApp {

@@ -27,10 +27,10 @@
 namespace sstore {
 namespace chaos {
 
-DeploymentPlan ChaosVoterDeployment(const VoterClusterConfig& config) {
-  DeploymentPlan plan = BuildVoterClusterDeployment(config);
+Topology ChaosVoterDeployment(const VoterClusterConfig& config) {
+  Topology topo = BuildVoterClusterDeployment(config);
   Schema kv({{"key", ValueType::kBigInt}, {"val", ValueType::kBigInt}});
-  plan.CreateTable("chaos_kv", kv).RegisterProcedure(
+  topo.CreateTable("chaos_kv", kv).RegisterProcedure(
       "chaos_put", SpKind::kBorder,
       std::make_shared<LambdaProcedure>([](ProcContext& ctx) -> Status {
         SSTORE_ASSIGN_OR_RETURN(Table * t, ctx.table("chaos_kv"));
@@ -38,7 +38,7 @@ DeploymentPlan ChaosVoterDeployment(const VoterClusterConfig& config) {
         (void)rid;
         return Status::OK();
       }));
-  return plan;
+  return topo;
 }
 
 namespace {
@@ -291,9 +291,9 @@ Status RunWireSchedule(const Schedule& s, const std::string& tag) {
 /// Pinned border on partition 0 feeding a keyed consumer through a channel:
 /// the randomized channel faults hit the forward/ack/GC path while the
 /// exactly-once contract must hold across crash/recover generations.
-Result<Topology> ChaosChannelTopology() {
+Topology ChaosChannelTopology() {
   Schema kv({{"key", ValueType::kBigInt}, {"val", ValueType::kBigInt}});
-  TopologyBuilder topo("chaos_pipeline");
+  Topology topo("chaos_pipeline");
   WorkflowNode ingest_node;
   ingest_node.proc = "ingest";
   ingest_node.kind = SpKind::kBorder;
@@ -329,7 +329,7 @@ Result<Topology> ChaosChannelTopology() {
           })
       .AddStage(ingest_node, Placement::Pinned(0))
       .AddStage(apply_node, Placement::Keyed(0));
-  return topo.Build();
+  return topo;
 }
 
 /// sink keys across all partitions; Internal if any key appears twice.
@@ -372,7 +372,7 @@ Status ExpectSinkEquals(Cluster& cluster,
 Status RunChannelSchedule(const Schedule& s, const std::string& tag) {
   std::string ckpt_dir = TempDirFor(tag, "ckpt");
   std::string log_dir = TempDirFor(tag, "logs");
-  SSTORE_ASSIGN_OR_RETURN(Topology topo, ChaosChannelTopology());
+  Topology topo = ChaosChannelTopology();
 
   Cluster::Options opts;
   opts.num_partitions = 2;

@@ -23,7 +23,7 @@
 #include <string>
 #include <vector>
 
-#include "cluster/deployment.h"
+#include "cluster/topology.h"
 #include "common/status.h"
 #include "workloads/voter_cluster.h"
 
@@ -35,7 +35,7 @@ namespace chaos {
 /// chaos_kv: vc_contestants is replicated by design (every partition seeds
 /// every row, so a migration insert would collide with the target's unique
 /// pk), while chaos_kv rows live only on their owning partition.
-DeploymentPlan ChaosVoterDeployment(const VoterClusterConfig& config);
+Topology ChaosVoterDeployment(const VoterClusterConfig& config);
 
 /// One armed failpoint in a schedule.
 struct FaultPick {

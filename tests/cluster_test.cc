@@ -23,11 +23,25 @@ Tuple KeyVal(int64_t key, int64_t seq) {
   return {Value::BigInt(key), Value::BigInt(seq)};
 }
 
+Workflow KeyedChainWorkflow() {
+  Workflow wf("keyed_chain");
+  WorkflowNode n1, n2;
+  n1.proc = "ingest";
+  n1.kind = SpKind::kBorder;
+  n1.output_streams = {"in"};
+  n2.proc = "apply";
+  n2.kind = SpKind::kInterior;
+  n2.input_streams = {"in"};
+  (void)wf.AddNode(n1);
+  (void)wf.AddNode(n2);
+  return wf;
+}
+
 /// Border "ingest" emits (key, seq) to stream "in"; interior "apply" copies
 /// the batch into table "sink". The canonical keyed chain used below.
-DeploymentPlan BuildKeyedChainPlan() {
-  DeploymentPlan plan;
-  plan.DefineStream("in", KeyValSchema())
+Topology BuildKeyedChain() {
+  Topology topo("keyed_chain");
+  topo.DefineStream("in", KeyValSchema())
       .CreateTable("sink", KeyValSchema())
       .RegisterProcedure(
           "ingest", SpKind::kBorder,
@@ -49,34 +63,9 @@ DeploymentPlan BuildKeyedChainPlan() {
               }
               return Status::OK();
             });
-          });
-
-  Workflow wf("keyed_chain");
-  WorkflowNode n1, n2;
-  n1.proc = "ingest";
-  n1.kind = SpKind::kBorder;
-  n1.output_streams = {"in"};
-  n2.proc = "apply";
-  n2.kind = SpKind::kInterior;
-  n2.input_streams = {"in"};
-  (void)wf.AddNode(n1);
-  (void)wf.AddNode(n2);
-  plan.DeployWorkflow(std::move(wf));
-  return plan;
-}
-
-Workflow KeyedChainWorkflow() {
-  Workflow wf("keyed_chain");
-  WorkflowNode n1, n2;
-  n1.proc = "ingest";
-  n1.kind = SpKind::kBorder;
-  n1.output_streams = {"in"};
-  n2.proc = "apply";
-  n2.kind = SpKind::kInterior;
-  n2.input_streams = {"in"};
-  (void)wf.AddNode(n1);
-  (void)wf.AddNode(n2);
-  return wf;
+          })
+      .AddWorkflow(KeyedChainWorkflow());
+  return topo;
 }
 
 std::vector<Tuple> SinkRows(SStore& store) {
@@ -128,16 +117,17 @@ TEST(PartitionMapTest, ZeroPartitionsClampsToOne) {
   EXPECT_EQ(map.PartitionOf(Value::BigInt(123)), 0u);
 }
 
-// ---- DeploymentPlan ----
+// ---- Topology::ApplyTo on standalone stores ----
 
-TEST(DeploymentPlanTest, AppliesIdenticallyToFreshStores) {
-  DeploymentPlan plan = BuildKeyedChainPlan();
-  EXPECT_EQ(plan.steps().size(), 5u);
-  EXPECT_FALSE(plan.Describe().empty());
+// A standalone SStore is partition 0 of a one-partition deployment: the
+// path LinearRoadApp::Setup and examples/quickstart.cpp take.
+TEST(TopologyApplyTest, AppliesIdenticallyToFreshStores) {
+  Topology topo = BuildKeyedChain();
+  EXPECT_FALSE(topo.Describe().empty());
 
   SStore a, b;
-  ASSERT_TRUE(plan.ApplyTo(a).ok());
-  ASSERT_TRUE(plan.ApplyTo(b).ok());
+  ASSERT_TRUE(topo.ApplyTo(a, 0).ok());
+  ASSERT_TRUE(topo.ApplyTo(b, 0).ok());
   for (SStore* store : {&a, &b}) {
     EXPECT_TRUE(store->streams().HasStream("in"));
     EXPECT_TRUE(store->catalog().HasTable("sink"));
@@ -148,31 +138,31 @@ TEST(DeploymentPlanTest, AppliesIdenticallyToFreshStores) {
   }
 }
 
-TEST(DeploymentPlanTest, ReapplyToSameStoreFails) {
-  DeploymentPlan plan = BuildKeyedChainPlan();
+TEST(TopologyApplyTest, ReapplyToSameStoreFails) {
+  Topology topo = BuildKeyedChain();
   SStore store;
-  ASSERT_TRUE(plan.ApplyTo(store).ok());
-  Status again = plan.ApplyTo(store);
+  ASSERT_TRUE(topo.ApplyTo(store, 0).ok());
+  Status again = topo.ApplyTo(store, 0);
   EXPECT_EQ(again.code(), StatusCode::kAlreadyExists);
 }
 
-TEST(DeploymentPlanTest, FailingStepReportsItsDescription) {
-  DeploymentPlan plan;
-  plan.CreateIndex("no_such_table", "pk", {"x"}, true);
+TEST(TopologyApplyTest, FailingStepReportsItsDescription) {
+  Topology topo("t");
+  topo.CreateIndex("no_such_table", "pk", {"x"}, true);
   SStore store;
-  Status s = plan.ApplyTo(store);
+  Status s = topo.ApplyTo(store, 0);
   ASSERT_FALSE(s.ok());
   EXPECT_NE(s.message().find("no_such_table"), std::string::npos);
 }
 
-TEST(DeploymentPlanTest, NullProcedureFactoryRejected) {
-  DeploymentPlan plan;
-  plan.RegisterProcedure("ghost", SpKind::kBorder,
+TEST(TopologyApplyTest, NullProcedureFactoryRejected) {
+  Topology topo("t");
+  topo.RegisterProcedure("ghost", SpKind::kBorder,
                          [](SStore&) -> std::shared_ptr<StoredProcedure> {
                            return nullptr;
                          });
   SStore store;
-  EXPECT_EQ(plan.ApplyTo(store).code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(topo.ApplyTo(store, 0).code(), StatusCode::kInvalidArgument);
 }
 
 // ---- Cluster ----
@@ -180,7 +170,7 @@ TEST(DeploymentPlanTest, NullProcedureFactoryRejected) {
 TEST(ClusterTest, DeployPutsIdenticalWorkflowOnEveryPartition) {
   Cluster cluster(4);
   ASSERT_EQ(cluster.num_partitions(), 4u);
-  ASSERT_TRUE(cluster.Deploy(BuildKeyedChainPlan()).ok());
+  ASSERT_TRUE(cluster.Deploy(BuildKeyedChain()).ok());
   for (size_t p = 0; p < cluster.num_partitions(); ++p) {
     SStore& store = cluster.store(p);
     EXPECT_EQ(store.partition().partition_id(), static_cast<int>(p));
@@ -195,7 +185,7 @@ TEST(ClusterTest, DeployPutsIdenticalWorkflowOnEveryPartition) {
 
 TEST(ClusterTest, DeployFailureNamesThePartition) {
   Cluster cluster(2);
-  DeploymentPlan bad;
+  Topology bad("bad");
   bad.CreateIndex("missing", "pk", {"x"}, true);
   Status s = cluster.Deploy(bad);
   ASSERT_FALSE(s.ok());
@@ -204,7 +194,7 @@ TEST(ClusterTest, DeployFailureNamesThePartition) {
 
 TEST(ClusterTest, ExecuteSyncRoutesToTheKeyOwner) {
   Cluster cluster(4);
-  ASSERT_TRUE(cluster.Deploy(BuildKeyedChainPlan()).ok());
+  ASSERT_TRUE(cluster.Deploy(BuildKeyedChain()).ok());
   cluster.Start();
   Value key = Value::BigInt(42);
   size_t owner = cluster.PartitionOf(key);
@@ -220,7 +210,7 @@ TEST(ClusterTest, ExecuteSyncRoutesToTheKeyOwner) {
 
 TEST(ClusterTest, ExecuteOnAllScattersToEveryPartition) {
   Cluster cluster(3);
-  ASSERT_TRUE(cluster.Deploy(BuildKeyedChainPlan()).ok());
+  ASSERT_TRUE(cluster.Deploy(BuildKeyedChain()).ok());
   cluster.Start();
   std::vector<TxnOutcome> outs = cluster.ExecuteOnAll("ingest", KeyVal(0, 0));
   ASSERT_EQ(outs.size(), 3u);
@@ -241,7 +231,7 @@ TEST(ClusterTest, KeyedWorkloadPreservesPerKeyOrdering) {
   constexpr int kSeqsPerKey = 50;
 
   Cluster cluster(4);
-  ASSERT_TRUE(cluster.Deploy(BuildKeyedChainPlan()).ok());
+  ASSERT_TRUE(cluster.Deploy(BuildKeyedChain()).ok());
 
   // Record each partition's commit schedule (hooks run on that partition's
   // single worker thread; read only after Stop()).
@@ -312,7 +302,7 @@ TEST(ClusterInjectorTest, ConcurrentProducersKeepPerPartitionBatchIdsInOrder) {
   constexpr int kSeqsPerKey = 25;
 
   Cluster cluster(4);
-  ASSERT_TRUE(cluster.Deploy(BuildKeyedChainPlan()).ok());
+  ASSERT_TRUE(cluster.Deploy(BuildKeyedChain()).ok());
   std::vector<std::vector<int64_t>> border_batch_ids(cluster.num_partitions());
   for (size_t p = 0; p < cluster.num_partitions(); ++p) {
     cluster.partition(p).AddCommitHook(
@@ -363,7 +353,7 @@ TEST(ClusterInjectorTest, ConcurrentProducersKeepPerPartitionBatchIdsInOrder) {
 
 TEST(ClusterStatsTest, AggregationSumsPerPartitionAndResetClears) {
   Cluster cluster(4);
-  ASSERT_TRUE(cluster.Deploy(BuildKeyedChainPlan()).ok());
+  ASSERT_TRUE(cluster.Deploy(BuildKeyedChain()).ok());
   cluster.Start();
   ClusterInjector::Options opts;
   opts.key_column = 0;
@@ -402,7 +392,7 @@ TEST(ClusterStatsTest, AggregationSumsPerPartitionAndResetClears) {
 }
 
 TEST(ClusterTest, LinearRoadDeploymentRoutesByXway) {
-  // The paper's partitioning scheme end to end: the Linear Road plan on a
+  // The paper's partitioning scheme end to end: the Linear Road topology on a
   // 2-partition cluster, reports routed by the x-way column.
   Cluster::Options opts;
   opts.num_partitions = 2;

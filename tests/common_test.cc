@@ -2,7 +2,6 @@
 
 #include "common/bytes.h"
 #include "common/clock.h"
-#include "common/latency.h"
 #include "common/rng.h"
 #include "common/status.h"
 #include "common/value.h"
@@ -217,26 +216,6 @@ TEST(RngTest, SeedsDiverge) {
     if (a.Next() == b.Next()) ++same;
   }
   EXPECT_LT(same, 4);
-}
-
-TEST(LatencyTest, Percentiles) {
-  LatencyRecorder rec;
-  for (int i = 1; i <= 100; ++i) rec.Record(i);
-  EXPECT_EQ(rec.count(), 100u);
-  EXPECT_EQ(rec.Percentile(0), 1);
-  EXPECT_EQ(rec.Percentile(100), 100);
-  EXPECT_NEAR(static_cast<double>(rec.Percentile(50)), 50.0, 2.0);
-  EXPECT_EQ(rec.Max(), 100);
-  EXPECT_DOUBLE_EQ(rec.Mean(), 50.5);
-}
-
-TEST(LatencyTest, EmptyAndMerge) {
-  LatencyRecorder a, b;
-  EXPECT_EQ(a.Percentile(99), 0);
-  b.Record(5);
-  a.Merge(b);
-  EXPECT_EQ(a.count(), 1u);
-  EXPECT_EQ(a.Percentile(50), 5);
 }
 
 }  // namespace

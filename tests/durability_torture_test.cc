@@ -24,7 +24,6 @@
 #include <vector>
 
 #include "cluster/cluster.h"
-#include "cluster/deployment.h"
 #include "cluster/topology.h"
 #include "common/failpoint.h"
 #include "log/command_log.h"
@@ -503,9 +502,9 @@ TEST_F(FailpointGuard, CrashAfterManifestCommitBeforeRotation) {
 
 // ---- Delta snapshots ----
 
-DeploymentPlan HotColdPlan() {
-  DeploymentPlan plan;
-  plan.CreateTable("hot", KeyValSchema())
+Topology HotColdTopology() {
+  Topology topo("hot_cold");
+  topo.CreateTable("hot", KeyValSchema())
       .CreateTable("cold", KeyValSchema())
       .RegisterProcedure(
           "bump", SpKind::kBorder,
@@ -516,8 +515,8 @@ DeploymentPlan HotColdPlan() {
             (void)rid;
             return Status::OK();
           }));
-  for (int i = 0; i < 4; ++i) plan.InsertRow("cold", KeyVal(i, i * 10));
-  return plan;
+  for (int i = 0; i < 4; ++i) topo.InsertRow("cold", KeyVal(i, i * 10));
+  return topo;
 }
 
 TEST_F(FailpointGuard, DeltaSnapshotSkipsUnchangedTablesAndRecovers) {
@@ -525,7 +524,7 @@ TEST_F(FailpointGuard, DeltaSnapshotSkipsUnchangedTablesAndRecovers) {
   Cluster::Options opts;
   opts.num_partitions = 1;
   Cluster cluster(opts);
-  ASSERT_TRUE(cluster.Deploy(HotColdPlan()).ok());
+  ASSERT_TRUE(cluster.Deploy(HotColdTopology()).ok());
   cluster.Start();
 
   // First checkpoint of this directory: everything is written full.
@@ -555,7 +554,7 @@ TEST_F(FailpointGuard, DeltaSnapshotSkipsUnchangedTablesAndRecovers) {
 
   // Recovery resolves the reference chain back to the base epoch's bytes.
   Cluster recovered(opts);
-  ASSERT_TRUE(recovered.Deploy(HotColdPlan()).ok());
+  ASSERT_TRUE(recovered.Deploy(HotColdTopology()).ok());
   Status st = recovered.Recover(dir, "");
   ASSERT_TRUE(st.ok()) << st.ToString();
   std::vector<Tuple> cold = TableRows(recovered.store(0), "cold");
@@ -568,7 +567,7 @@ TEST_F(FailpointGuard, DeltaSnapshotSkipsUnchangedTablesAndRecovers) {
   // A delta snapshot is not self-contained: restoring it without a base
   // resolver must refuse rather than silently produce empty tables.
   SStore ref_store;
-  ASSERT_TRUE(HotColdPlan().ApplyTo(ref_store).ok());
+  ASSERT_TRUE(HotColdTopology().ApplyTo(ref_store, 0).ok());
   Status bare = SnapshotManager::RestoreSnapshot(
       dir + "/ckpt-3-partition-0.snap", &ref_store.catalog());
   EXPECT_FALSE(bare.ok());
@@ -576,8 +575,8 @@ TEST_F(FailpointGuard, DeltaSnapshotSkipsUnchangedTablesAndRecovers) {
 
 // ---- Composed recovery of a placed topology (exactly-once channels) ----
 
-TopologyBuilder TwoStageBuilder() {
-  TopologyBuilder topo("dur_pipe");
+Topology TwoStageTopology() {
+  Topology topo("dur_pipe");
   topo.DefineStream("sA", KeyValSchema())
       .CreateTable("sink", KeyValSchema())
       .RegisterProcedure(
@@ -619,8 +618,7 @@ TopologyBuilder TwoStageBuilder() {
 TEST_F(FailpointGuard, PlacedChannelStaysExactlyOnceAcrossTwoKills) {
   std::string ckpt_dir = MakeDir("pipe_ckpt");
   std::string log_dir = MakeDir("pipe_logs");
-  Result<Topology> topo = TwoStageBuilder().Build();
-  ASSERT_TRUE(topo.ok()) << topo.status().ToString();
+  Topology topo = TwoStageTopology();
 
   Cluster::Options opts;
   opts.num_partitions = 2;
@@ -631,7 +629,7 @@ TEST_F(FailpointGuard, PlacedChannelStaysExactlyOnceAcrossTwoKills) {
     Cluster::Options live_opts = opts;
     live_opts.log_dir = log_dir;
     Cluster cluster(live_opts);
-    ASSERT_TRUE(cluster.Deploy(*topo).ok());
+    ASSERT_TRUE(cluster.Deploy(topo).ok());
     cluster.Start();
     StreamInjector inject(&cluster.partition(0), "ingest");
     for (int i = 0; i < 20; ++i) inject.InjectAsync(KeyVal(i, i));
@@ -646,7 +644,7 @@ TEST_F(FailpointGuard, PlacedChannelStaysExactlyOnceAcrossTwoKills) {
   // the placed channel, die again WITHOUT any manual checkpoint.
   {
     Cluster cluster(opts);
-    ASSERT_TRUE(cluster.Deploy(*topo).ok());
+    ASSERT_TRUE(cluster.Deploy(topo).ok());
     Status st = cluster.Recover(ckpt_dir, log_dir);
     ASSERT_TRUE(st.ok()) << st.ToString();
     cluster.Start();
@@ -662,7 +660,7 @@ TEST_F(FailpointGuard, PlacedChannelStaysExactlyOnceAcrossTwoKills) {
   // Generation 3: the composed cut must hold every batch exactly once —
   // no channel delivery lost at either kill, none applied twice.
   Cluster cluster(opts);
-  ASSERT_TRUE(cluster.Deploy(*topo).ok());
+  ASSERT_TRUE(cluster.Deploy(topo).ok());
   Status st = cluster.Recover(ckpt_dir, log_dir);
   ASSERT_TRUE(st.ok()) << st.ToString();
   cluster.Start();
@@ -732,8 +730,7 @@ TEST_F(FailpointGuard, CheckpointAfterRecoverRotatesFreshEpochLogs) {
 TEST_F(FailpointGuard, ObsCountersSurviveRotationAndRecoverNoDoubleCount) {
   std::string ckpt_dir = MakeDir("obs_ckpt");
   std::string log_dir = MakeDir("obs_logs");
-  Result<Topology> topo = TwoStageBuilder().Build();
-  ASSERT_TRUE(topo.ok()) << topo.status().ToString();
+  Topology topo = TwoStageTopology();
 
   Cluster::Options opts;
   opts.num_partitions = 2;
@@ -746,7 +743,7 @@ TEST_F(FailpointGuard, ObsCountersSurviveRotationAndRecoverNoDoubleCount) {
     Cluster::Options live_opts = opts;
     live_opts.log_dir = log_dir;
     Cluster cluster(live_opts);
-    ASSERT_TRUE(cluster.Deploy(*topo).ok());
+    ASSERT_TRUE(cluster.Deploy(topo).ok());
     cluster.Start();
     StreamInjector inject(&cluster.partition(0), "ingest");
     for (int i = 0; i < 20; ++i) inject.InjectAsync(KeyVal(i, i));
@@ -783,7 +780,7 @@ TEST_F(FailpointGuard, ObsCountersSurviveRotationAndRecoverNoDoubleCount) {
   // recovered cursor must suppress every one (already applied downstream),
   // and a fresh wave must account exactly like wave 1 did.
   Cluster cluster(opts);
-  ASSERT_TRUE(cluster.Deploy(*topo).ok());
+  ASSERT_TRUE(cluster.Deploy(topo).ok());
   Status st = cluster.Recover(ckpt_dir, log_dir);
   ASSERT_TRUE(st.ok()) << st.ToString();
   cluster.Start();
@@ -968,7 +965,7 @@ TEST_F(FailpointGuard, CheckpointerDefersWithBackoffWhileCoordinatorBusy) {
 
 TEST_F(FailpointGuard, StartCheckpointerValidatesOptions) {
   Cluster cluster(1);
-  ASSERT_TRUE(cluster.Deploy(DeploymentPlan()).ok());
+  ASSERT_TRUE(cluster.Deploy(Topology("empty")).ok());
   Checkpointer::Options no_dir;
   no_dir.interval_ms = 10;
   EXPECT_TRUE(cluster.StartCheckpointer(no_dir).code() == StatusCode::kInvalidArgument);

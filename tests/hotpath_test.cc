@@ -13,7 +13,7 @@
 
 #include "cluster/cluster.h"
 #include "cluster/cluster_injector.h"
-#include "cluster/deployment.h"
+#include "cluster/topology.h"
 #include "engine/mpsc_queue.h"
 #include "engine/partition.h"
 #include "streaming/injector.h"
@@ -390,11 +390,11 @@ TEST(BatchInjectTest, StreamInjectorBatchAssignsConsecutiveIds) {
 
 TEST(BatchInjectTest, ClusterInjectorBatchRoutesByKeyAndKeepsLaneOrder) {
   Cluster cluster(4);
-  DeploymentPlan plan;
+  Topology topo("ingest");
   std::vector<std::vector<std::pair<int64_t, int64_t>>> seen(4);
-  plan.RegisterProcedure(
+  topo.RegisterProcedure(
       "ingest", SpKind::kBorder,
-      DeploymentPlan::ProcedureFactory([&seen](SStore& s) {
+      Topology::ProcedureFactory([&seen](SStore& s) {
         size_t p = static_cast<size_t>(s.partition().partition_id());
         return std::make_shared<LambdaProcedure>([&seen, p](ProcContext& ctx) {
           seen[p].push_back(
@@ -402,7 +402,7 @@ TEST(BatchInjectTest, ClusterInjectorBatchRoutesByKeyAndKeepsLaneOrder) {
           return Status::OK();
         });
       }));
-  ASSERT_TRUE(cluster.Deploy(plan).ok());
+  ASSERT_TRUE(cluster.Deploy(topo).ok());
   cluster.Start();
 
   ClusterInjector::Options opts;
@@ -447,14 +447,14 @@ TEST(ClusterStatsTest, QueueWatermarksAndBlocksSurfaceAndReset) {
   copts.num_partitions = 2;
   copts.queue_capacity = 8;
   Cluster cluster(copts);
-  DeploymentPlan plan;
-  plan.RegisterProcedure("nap", SpKind::kOltp,
+  Topology topo("nap");
+  topo.RegisterProcedure("nap", SpKind::kOltp,
                          std::make_shared<LambdaProcedure>([](ProcContext&) {
                            std::this_thread::sleep_for(
                                std::chrono::microseconds(50));
                            return Status::OK();
                          }));
-  ASSERT_TRUE(cluster.Deploy(plan).ok());
+  ASSERT_TRUE(cluster.Deploy(topo).ok());
   cluster.Start();
   std::vector<BatchTicketPtr> tickets;
   for (size_t p = 0; p < cluster.num_partitions(); ++p) {

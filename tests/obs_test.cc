@@ -2,8 +2,7 @@
 // correctness under concurrency, registry snapshot/exposition round trips,
 // provider/reset-hook lifecycles, the golden metric-name contract, the kStats
 // wire round trip (live counters must match client-observed commits), trace
-// span dumps, LatencyRecorder sort memoization, and the one-sweep
-// Cluster::ResetStats semantics. Run in isolation with `ctest -L obs`.
+// span dumps, and the one-sweep Cluster::ResetStats semantics. Run in isolation with `ctest -L obs`.
 
 #include <gtest/gtest.h>
 
@@ -18,7 +17,6 @@
 #include <vector>
 
 #include "cluster/cluster.h"
-#include "common/latency.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "server/client.h"
@@ -156,32 +154,6 @@ TEST(MetricsRegistryTest, ResetZeroesInstrumentsAndRunsHooks) {
   reg.RemoveResetHook(handle);
   reg.Reset();
   EXPECT_EQ(hook_runs, 1);
-}
-
-// ---- LatencyRecorder memoized sort (satellite) ----
-
-TEST(LatencyRecorderTest, PercentileMemoizesSortUntilNextSample) {
-  LatencyRecorder r;
-  for (int64_t v : {50, 10, 40, 30, 20}) r.Record(v);
-  EXPECT_EQ(r.Percentile(0), 10);
-  EXPECT_EQ(r.Percentile(100), 50);
-  EXPECT_EQ(r.Max(), 50);
-
-  // New samples must invalidate the memoized order.
-  r.Record(5);
-  EXPECT_EQ(r.Percentile(0), 5);
-  EXPECT_EQ(r.Max(), 50);
-
-  LatencyRecorder other;
-  other.Record(99);
-  r.Percentile(50);  // memoize again...
-  r.Merge(other);    // ...then invalidate via Merge
-  EXPECT_EQ(r.Percentile(100), 99);
-  EXPECT_EQ(r.Max(), 99);
-
-  r.Clear();
-  EXPECT_EQ(r.Percentile(50), 0);
-  EXPECT_EQ(r.count(), 0u);
 }
 
 // ---- Trace ring & JSON ----

@@ -63,22 +63,24 @@ Tuple KeyVal(int64_t key, int64_t val) {
   return {Value::BigInt(key), Value::BigInt(val)};
 }
 
-/// Minimal keyed workload: a border SP inserting its (key, val) params into
-/// table "kv". Injected through ClusterInjector with key_column 0, so rows
-/// land on the key's owning partition.
-DeploymentPlan KvPlan() {
-  DeploymentPlan plan;
-  plan.CreateTable("kv", KeyValSchema())
-      .RegisterProcedure(
-          "put", SpKind::kBorder,
-          std::make_shared<LambdaProcedure>([](ProcContext& ctx) -> Status {
-            SSTORE_ASSIGN_OR_RETURN(Table * kv, ctx.table("kv"));
-            SSTORE_ASSIGN_OR_RETURN(RowId rid,
-                                    ctx.exec().Insert(kv, ctx.params()));
-            (void)rid;
-            return Status::OK();
-          }));
-  return plan;
+/// Border SP "put": inserts its (key, val) params into table "kv".
+std::shared_ptr<StoredProcedure> PutProc() {
+  return std::make_shared<LambdaProcedure>([](ProcContext& ctx) -> Status {
+    SSTORE_ASSIGN_OR_RETURN(Table * kv, ctx.table("kv"));
+    SSTORE_ASSIGN_OR_RETURN(RowId rid, ctx.exec().Insert(kv, ctx.params()));
+    (void)rid;
+    return Status::OK();
+  });
+}
+
+/// Minimal keyed workload: table "kv" and its "put" SP. Injected through
+/// ClusterInjector with key_column 0, so rows land on the key's owning
+/// partition.
+Topology KvTopology() {
+  Topology topo("kv");
+  topo.CreateTable("kv", KeyValSchema())
+      .RegisterProcedure("put", SpKind::kBorder, PutProc());
+  return topo;
 }
 
 std::vector<std::pair<int64_t, int64_t>> AllRows(Cluster& cluster,
@@ -243,7 +245,7 @@ TEST(RebalanceTest, SplitPreservesEveryCommittedRow) {
 
   // Reference: the same input stream into an unsplit 2-partition cluster.
   Cluster reference(2);
-  ASSERT_TRUE(reference.Deploy(KvPlan()).ok());
+  ASSERT_TRUE(reference.Deploy(KvTopology()).ok());
   reference.Start();
   ClusterInjector ref_injector(&reference, "put");
   for (int r = 0; r < kRoundsBefore + kRoundsAfter; ++r) {
@@ -253,7 +255,7 @@ TEST(RebalanceTest, SplitPreservesEveryCommittedRow) {
   reference.Stop();
 
   Cluster cluster(2);
-  ASSERT_TRUE(cluster.Deploy(KvPlan()).ok());
+  ASSERT_TRUE(cluster.Deploy(KvTopology()).ok());
   cluster.Start();
   ClusterInjector injector(&cluster, "put");
   for (int r = 0; r < kRoundsBefore; ++r) inject_round(injector, r);
@@ -294,7 +296,7 @@ TEST(RebalanceTest, SplitUnderConcurrentKeyedLoad) {
   std::string ckpt_dir = MakeDir("split_load_ckpt");
 
   Cluster cluster(2);
-  ASSERT_TRUE(cluster.Deploy(KvPlan()).ok());
+  ASSERT_TRUE(cluster.Deploy(KvTopology()).ok());
   cluster.Start();
   ClusterInjector::Options opts;
   opts.key_column = 0;
@@ -334,7 +336,7 @@ TEST(RebalanceTest, SplitUnderConcurrentKeyedLoad) {
 
 TEST(RebalanceTest, BadPlanFailsBeforeTheFlip) {
   Cluster cluster(2);
-  ASSERT_TRUE(cluster.Deploy(KvPlan()).ok());
+  ASSERT_TRUE(cluster.Deploy(KvTopology()).ok());
   cluster.Start();
 
   // A typo'd table or an out-of-range key column must be rejected while
@@ -359,7 +361,7 @@ TEST(RebalanceTest, StoppedClusterExecuteSyncStillRunsInline) {
   // seeding pattern Partition::ExecuteSync supports) instead of queueing
   // forever behind a worker that does not exist.
   Cluster cluster(2);
-  ASSERT_TRUE(cluster.Deploy(KvPlan()).ok());
+  ASSERT_TRUE(cluster.Deploy(KvTopology()).ok());
   TxnOutcome out = cluster.ExecuteSync("put", KeyVal(7, 70), Value::BigInt(7));
   EXPECT_TRUE(out.committed()) << out.status.ToString();
   EXPECT_EQ(AllRows(cluster, "kv").size(), 1u);
@@ -371,7 +373,7 @@ TEST(RebalanceTest, MergeDrainsAndRetiresThePartition) {
   std::string merge_dir = MakeDir("merge_merge_ckpt");
 
   Cluster cluster(2);
-  ASSERT_TRUE(cluster.Deploy(KvPlan()).ok());
+  ASSERT_TRUE(cluster.Deploy(KvTopology()).ok());
   cluster.Start();
   ClusterInjector injector(&cluster, "put");
   std::vector<Tuple> batch;
@@ -424,7 +426,7 @@ TEST(RebalanceTest, KillAroundCutoverRecoversToExactlyOneSideOfTheManifest) {
     opts.log_dir = log_dir;
     opts.log_sync = false;
     Cluster cluster(opts);
-    ASSERT_TRUE(cluster.Deploy(KvPlan()).ok());
+    ASSERT_TRUE(cluster.Deploy(KvTopology()).ok());
     cluster.Start();
     ClusterInjector injector(&cluster, "put");
     std::vector<Tuple> batch;
@@ -461,7 +463,7 @@ TEST(RebalanceTest, KillAroundCutoverRecoversToExactlyOneSideOfTheManifest) {
     Cluster::Options opts;
     opts.num_partitions = 2;
     Cluster recovered(opts);
-    ASSERT_TRUE(recovered.Deploy(KvPlan()).ok());
+    ASSERT_TRUE(recovered.Deploy(KvTopology()).ok());
     Status st = recovered.Recover(old_ckpt_copy, old_log_copy);
     ASSERT_TRUE(st.ok()) << st.ToString();
     EXPECT_EQ(recovered.num_partitions(), 2u);
@@ -478,7 +480,7 @@ TEST(RebalanceTest, KillAroundCutoverRecoversToExactlyOneSideOfTheManifest) {
     Cluster::Options opts;
     opts.num_partitions = 2;  // the original construction, as the runbook says
     Cluster recovered(opts);
-    ASSERT_TRUE(recovered.Deploy(KvPlan()).ok());
+    ASSERT_TRUE(recovered.Deploy(KvTopology()).ok());
     Status st = recovered.Recover(ckpt_dir, log_dir);
     ASSERT_TRUE(st.ok()) << st.ToString();
     EXPECT_EQ(recovered.num_partitions(), 3u);
@@ -562,7 +564,7 @@ TEST(RebalanceTest, CrashAtEverySiteRecoversToExactlyOneSideOfTheCutover) {
       opts.log_dir = log_dir;
       opts.log_sync = false;
       Cluster cluster(opts);
-      ASSERT_TRUE(cluster.Deploy(KvPlan()).ok());
+      ASSERT_TRUE(cluster.Deploy(KvTopology()).ok());
       cluster.Start();
 
       // Acked first wave: these rows must survive whichever side of the
@@ -598,7 +600,7 @@ TEST(RebalanceTest, CrashAtEverySiteRecoversToExactlyOneSideOfTheCutover) {
     Cluster::Options opts;
     opts.num_partitions = 2;
     Cluster recovered(opts);
-    ASSERT_TRUE(recovered.Deploy(KvPlan()).ok());
+    ASSERT_TRUE(recovered.Deploy(KvTopology()).ok());
     Status st = recovered.Recover(ckpt_dir, log_dir);
     ASSERT_TRUE(st.ok()) << st.ToString();
     if (step.cutover_committed) {
@@ -642,8 +644,8 @@ WorkflowNode Node(std::string proc, SpKind kind,
 /// "ingest" emits into sA, "apply" runs on the key's owner and inserts into
 /// "sink". The channel must keep delivering exactly-once while the key
 /// space is re-partitioned under it.
-Result<Topology> KeyedConsumerTopology() {
-  TopologyBuilder topo("split_pipeline");
+Topology KeyedConsumerTopology() {
+  Topology topo("split_pipeline");
   topo.DefineStream("sA", KeyValSchema())
       .CreateTable("sink", KeyValSchema())
       .RegisterProcedure(
@@ -673,7 +675,7 @@ Result<Topology> KeyedConsumerTopology() {
                 Placement::Pinned(0))
       .AddStage(Node("apply", SpKind::kInterior, {"sA"}, {}),
                 Placement::Keyed(0));
-  return topo.Build();
+  return topo;
 }
 
 TEST(RebalanceTest, PlacedChannelsStayExactlyOnceAcrossSplitAndRecover) {
@@ -682,8 +684,7 @@ TEST(RebalanceTest, PlacedChannelsStayExactlyOnceAcrossSplitAndRecover) {
   std::string ckpt_dir = MakeDir("chan_ckpt");
   std::string log_dir = MakeDir("chan_logs");
 
-  Result<Topology> topo = KeyedConsumerTopology();
-  ASSERT_TRUE(topo.ok()) << topo.status().ToString();
+  Topology topo = KeyedConsumerTopology();
 
   std::vector<std::pair<int64_t, int64_t>> live_rows;
   {
@@ -693,7 +694,7 @@ TEST(RebalanceTest, PlacedChannelsStayExactlyOnceAcrossSplitAndRecover) {
     opts.log_dir = log_dir;
     opts.log_sync = false;
     Cluster cluster(opts);
-    ASSERT_TRUE(cluster.Deploy(*topo).ok());
+    ASSERT_TRUE(cluster.Deploy(topo).ok());
     cluster.Start();
     StreamInjector inject(&cluster.partition(0), "ingest");
     for (int i = 0; i < kBefore; ++i) inject.InjectAsync(KeyVal(i, i));
@@ -730,7 +731,7 @@ TEST(RebalanceTest, PlacedChannelsStayExactlyOnceAcrossSplitAndRecover) {
   opts.num_partitions = 2;
   opts.routing = PartitionMap::Mode::kModulo;
   Cluster recovered(opts);
-  ASSERT_TRUE(recovered.Deploy(*topo).ok());
+  ASSERT_TRUE(recovered.Deploy(topo).ok());
   Status st = recovered.Recover(ckpt_dir, log_dir);
   ASSERT_TRUE(st.ok()) << st.ToString();
   EXPECT_EQ(recovered.num_partitions(), 3u);
@@ -739,6 +740,58 @@ TEST(RebalanceTest, PlacedChannelsStayExactlyOnceAcrossSplitAndRecover) {
   recovered.Stop();
   EXPECT_EQ(AllRows(recovered, "sink"), live_rows);
   ExpectOwnershipConsistent(recovered, "sink");
+}
+
+// ---- One deployment per cluster ----
+
+TEST(DeployOnceTest, SecondDeployIsRejected) {
+  Cluster cluster(2);
+  ASSERT_TRUE(cluster.Deploy(KvTopology()).ok());
+  EXPECT_EQ(cluster.Deploy(KvTopology()).code(), StatusCode::kAlreadyExists);
+  // A second deploy adding new procedures is rejected before it touches a
+  // partition: Rebalance and Recover rebuild partitions from the first
+  // topology only, so accepting it would leave new partitions without them.
+  Topology probe("probe");
+  probe.RegisterProcedure("probe", SpKind::kOltp, PutProc());
+  EXPECT_EQ(cluster.Deploy(probe).code(), StatusCode::kAlreadyExists);
+  for (size_t p = 0; p < cluster.num_partitions(); ++p) {
+    EXPECT_FALSE(cluster.partition(p).HasProcedure("probe")) << p;
+  }
+}
+
+TEST(DeployOnceTest, SplitTargetRunsEveryProcedureOfTheExtendedWorkload) {
+  // A workload topology extended before its one deploy — the chaos
+  // harness's voter pattern — reaches a partition spun up by a split whole.
+  VoterClusterConfig config;
+  config.num_contestants = 32;
+  config.initial_votes = 10;
+  Topology topo = BuildVoterClusterDeployment(config);
+  topo.CreateTable("kv", KeyValSchema())
+      .RegisterProcedure("put", SpKind::kBorder, PutProc());
+
+  Cluster cluster(2);
+  ASSERT_TRUE(cluster.Deploy(topo).ok());
+  cluster.Start();
+  Status st = cluster.Rebalance(SplitPlan(0, MakeDir("deploy_once_ckpt")));
+  ASSERT_TRUE(st.ok()) << st.ToString();
+  ASSERT_EQ(cluster.num_partitions(), 3u);
+  for (const char* proc : {"vc_vote", "vc_adjust", "put"}) {
+    EXPECT_TRUE(cluster.partition(2).HasProcedure(proc)) << proc;
+  }
+
+  // Both the workload's own procedures and the extension commit there.
+  int64_t key = 0;
+  while (cluster.PartitionOf(Value::BigInt(key)) != 2) ++key;
+  EXPECT_TRUE(cluster.ExecuteSync("put", KeyVal(key, 1), Value::BigInt(key), 1)
+                  .committed());
+  int64_t contestant = 0;
+  while (cluster.PartitionOf(Value::BigInt(contestant)) != 2) ++contestant;
+  ASSERT_LT(contestant, config.num_contestants);
+  EXPECT_TRUE(cluster.ExecuteSync("vc_vote", {Value::BigInt(contestant)},
+                                  Value::BigInt(contestant))
+                  .committed());
+  cluster.WaitIdle();
+  cluster.Stop();
 }
 
 // ---- Decision-log rotation at the coordinated checkpoint ----

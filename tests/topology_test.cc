@@ -1,7 +1,7 @@
-// Placement-aware topology deployment (ISSUE 4): TopologyBuilder validation
-// and channel derivation, sliced deployment, cross-partition stream channels
-// (ordering per paper §2.2, exactly-once across kill-and-recover), Describe
-// goldens, and command-log rotation at the coordinated checkpoint.
+// Placement-aware topology deployment: Topology validation and channel
+// derivation, sliced deployment, cross-partition stream channels (ordering
+// per paper §2.2, exactly-once across kill-and-recover), Describe goldens,
+// and command-log rotation at the coordinated checkpoint.
 
 #include <gtest/gtest.h>
 
@@ -62,8 +62,8 @@ WorkflowNode Node(std::string proc, SpKind kind,
 /// Three-stage pipeline: ingest (border) emits into sA; "middle" adds 100 to
 /// the value and re-emits into sB; "last" copies the batch into table "sink"
 /// and the terminal stream "sOut". The canonical placed workflow under test.
-TopologyBuilder PipelineBuilder() {
-  TopologyBuilder topo("pipeline");
+Topology PipelineTopology() {
+  Topology topo("pipeline");
   topo.DefineStream("sA", KeyValSchema())
       .DefineStream("sB", KeyValSchema())
       .DefineStream("sOut", KeyValSchema())
@@ -107,13 +107,18 @@ TopologyBuilder PipelineBuilder() {
   return topo;
 }
 
-Result<Topology> BuildPipeline(Placement ingest, Placement middle,
-                               Placement last) {
-  TopologyBuilder topo = PipelineBuilder();
+Topology BuildPipeline(Placement ingest, Placement middle, Placement last) {
+  Topology topo = PipelineTopology();
   topo.AddStage(Node("ingest", SpKind::kBorder, {}, {"sA"}), ingest)
       .AddStage(Node("middle", SpKind::kInterior, {"sA"}, {"sB"}), middle)
       .AddStage(Node("last", SpKind::kInterior, {"sB"}, {"sOut"}), last);
-  return topo.Build();
+  return topo;
+}
+
+Result<std::vector<ChannelSpec>> PipelineChannels(Placement ingest,
+                                                  Placement middle,
+                                                  Placement last) {
+  return BuildPipeline(ingest, middle, last).Channels();
 }
 
 std::vector<Tuple> SinkRows(SStore& store) {
@@ -124,66 +129,65 @@ std::vector<Tuple> SinkRows(SStore& store) {
   return *exec.Scan(spec);
 }
 
-// ---- Builder validation & channel derivation ----
+// ---- Validation & channel derivation ----
 
-TEST(TopologyBuilderTest, EverywherePlacementDerivesNoChannels) {
-  Result<Topology> topo =
-      BuildPipeline(Placement::Everywhere(), Placement::Everywhere(),
-                    Placement::Everywhere());
-  ASSERT_TRUE(topo.ok()) << topo.status().ToString();
-  EXPECT_TRUE(topo->channels().empty());
+TEST(TopologyChannelsTest, EverywherePlacementDerivesNoChannels) {
+  Result<std::vector<ChannelSpec>> channels =
+      PipelineChannels(Placement::Everywhere(), Placement::Everywhere(),
+                       Placement::Everywhere());
+  ASSERT_TRUE(channels.ok()) << channels.status().ToString();
+  EXPECT_TRUE(channels->empty());
 }
 
-TEST(TopologyBuilderTest, PinnedChainDerivesOneChannelPerBoundary) {
-  Result<Topology> topo = BuildPipeline(
+TEST(TopologyChannelsTest, PinnedChainDerivesOneChannelPerBoundary) {
+  Result<std::vector<ChannelSpec>> channels = PipelineChannels(
       Placement::Pinned(0), Placement::Pinned(1), Placement::Pinned(2));
-  ASSERT_TRUE(topo.ok()) << topo.status().ToString();
-  ASSERT_EQ(topo->channels().size(), 2u);
-  EXPECT_EQ(topo->channels()[0].stream, "sA");
-  EXPECT_EQ(topo->channels()[0].consumer, "middle");
-  EXPECT_EQ(topo->channels()[0].producers, std::vector<std::string>{"ingest"});
-  EXPECT_EQ(topo->channels()[1].stream, "sB");
-  EXPECT_EQ(topo->channels()[1].consumer, "last");
+  ASSERT_TRUE(channels.ok()) << channels.status().ToString();
+  ASSERT_EQ(channels->size(), 2u);
+  EXPECT_EQ((*channels)[0].stream, "sA");
+  EXPECT_EQ((*channels)[0].consumer, "middle");
+  EXPECT_EQ((*channels)[0].producers, std::vector<std::string>{"ingest"});
+  EXPECT_EQ((*channels)[1].stream, "sB");
+  EXPECT_EQ((*channels)[1].consumer, "last");
   // Co-located pinned stages need no channel.
-  Result<Topology> colocated = BuildPipeline(
+  Result<std::vector<ChannelSpec>> colocated = PipelineChannels(
       Placement::Pinned(1), Placement::Pinned(1), Placement::Pinned(2));
   ASSERT_TRUE(colocated.ok());
-  ASSERT_EQ(colocated->channels().size(), 1u);
-  EXPECT_EQ(colocated->channels()[0].stream, "sB");
+  ASSERT_EQ(colocated->size(), 1u);
+  EXPECT_EQ((*colocated)[0].stream, "sB");
 }
 
-TEST(TopologyBuilderTest, KeyPreservingKeyedStagesStayLocal) {
-  Result<Topology> topo = BuildPipeline(Placement::Keyed(0),
-                                        Placement::Keyed(0),
-                                        Placement::Keyed(0));
-  ASSERT_TRUE(topo.ok()) << topo.status().ToString();
-  EXPECT_TRUE(topo->channels().empty());
+TEST(TopologyChannelsTest, KeyPreservingKeyedStagesStayLocal) {
+  Result<std::vector<ChannelSpec>> channels = PipelineChannels(
+      Placement::Keyed(0), Placement::Keyed(0), Placement::Keyed(0));
+  ASSERT_TRUE(channels.ok()) << channels.status().ToString();
+  EXPECT_TRUE(channels->empty());
   // Different key columns cross the boundary.
-  Result<Topology> rekeyed = BuildPipeline(
+  Result<std::vector<ChannelSpec>> rekeyed = PipelineChannels(
       Placement::Keyed(0), Placement::Keyed(1), Placement::Keyed(1));
   ASSERT_TRUE(rekeyed.ok());
-  ASSERT_EQ(rekeyed->channels().size(), 1u);
-  EXPECT_EQ(rekeyed->channels()[0].stream, "sA");
+  ASSERT_EQ(rekeyed->size(), 1u);
+  EXPECT_EQ((*rekeyed)[0].stream, "sA");
 }
 
-TEST(TopologyBuilderTest, BuildRejectsInvalidPlacements) {
+TEST(TopologyChannelsTest, RejectsInvalidPlacements) {
   // Place() on an unknown stage.
   {
-    TopologyBuilder topo = PipelineBuilder();
+    Topology topo = PipelineTopology();
     topo.AddStage(Node("ingest", SpKind::kBorder, {}, {"sA"}));
     topo.Place("ghost", Placement::Pinned(1));
-    EXPECT_EQ(topo.Build().status().code(), StatusCode::kNotFound);
+    EXPECT_EQ(topo.Channels().status().code(), StatusCode::kNotFound);
   }
   // Stage without a registered procedure.
   {
-    TopologyBuilder topo("t");
+    Topology topo("t");
     topo.DefineStream("sA", KeyValSchema());
     topo.AddStage(Node("ingest", SpKind::kBorder, {}, {"sA"}));
-    EXPECT_EQ(topo.Build().status().code(), StatusCode::kInvalidArgument);
+    EXPECT_EQ(topo.Channels().status().code(), StatusCode::kInvalidArgument);
   }
   // A boundary stream feeding two consumers is not transportable (v1).
   {
-    TopologyBuilder topo = PipelineBuilder();
+    Topology topo = PipelineTopology();
     topo.RegisterProcedure(
         "middle2", SpKind::kInterior,
         std::make_shared<LambdaProcedure>(
@@ -196,66 +200,80 @@ TEST(TopologyBuilderTest, BuildRejectsInvalidPlacements) {
                   Placement::Pinned(2))
         .AddStage(Node("last", SpKind::kInterior, {"sB"}, {"sOut"}),
                   Placement::Pinned(1));
-    EXPECT_EQ(topo.Build().status().code(), StatusCode::kInvalidArgument);
+    EXPECT_EQ(topo.Channels().status().code(), StatusCode::kInvalidArgument);
   }
   // A multi-input join cannot sit behind a channel (v1).
   {
-    TopologyBuilder topo = PipelineBuilder();
+    Topology topo = PipelineTopology();
     topo.AddStage(Node("ingest", SpKind::kBorder, {}, {"sA", "sB"}),
                   Placement::Pinned(0))
         .AddStage(Node("last", SpKind::kInterior, {"sA", "sB"}, {"sOut"}),
                   Placement::Pinned(1));
-    EXPECT_EQ(topo.Build().status().code(), StatusCode::kInvalidArgument);
+    EXPECT_EQ(topo.Channels().status().code(), StatusCode::kInvalidArgument);
+  }
+  // Every deploy path reports the deferred error: a cluster deploy and a
+  // standalone apply both refuse the topology and touch no partition.
+  {
+    Topology topo = PipelineTopology();
+    topo.Place("ghost", Placement::Pinned(1));
+    Cluster cluster(2);
+    EXPECT_EQ(cluster.Deploy(topo).code(), StatusCode::kNotFound);
+    EXPECT_FALSE(cluster.store(0).streams().HasStream("sA"));
+    SStore store;
+    EXPECT_EQ(topo.ApplyTo(store, 0).code(), StatusCode::kNotFound);
+    EXPECT_FALSE(store.streams().HasStream("sA"));
   }
 }
 
-TEST(TopologyBuilderTest, MultiLaneCascadeRejected) {
+TEST(TopologyChannelsTest, MultiLaneCascadeRejected) {
   // A keyed (multi-lane) channel feeding a stage whose output crosses
   // another boundary would interleave lanes at the middle stage and emit
-  // non-monotonic ids into the second channel — rejected at build time.
-  Result<Topology> cascade = BuildPipeline(
+  // non-monotonic ids into the second channel — rejected before deploy.
+  Result<std::vector<ChannelSpec>> cascade = PipelineChannels(
       Placement::Keyed(0), Placement::Pinned(1), Placement::Pinned(2));
   EXPECT_EQ(cascade.status().code(), StatusCode::kInvalidArgument);
   // A single-lane (pinned-producer) upstream keeps the cascade legal.
-  Result<Topology> single_lane = BuildPipeline(
+  Result<std::vector<ChannelSpec>> single_lane = PipelineChannels(
       Placement::Pinned(0), Placement::Pinned(1), Placement::Pinned(2));
   EXPECT_TRUE(single_lane.ok());
 }
 
-TEST(TopologyBuilderTest, DeployRejectsPinningOutsideCluster) {
-  Result<Topology> topo = BuildPipeline(
+TEST(TopologyChannelsTest, DeployRejectsPinningOutsideCluster) {
+  Topology topo = BuildPipeline(
       Placement::Pinned(0), Placement::Pinned(1), Placement::Pinned(5));
-  ASSERT_TRUE(topo.ok());
+  ASSERT_TRUE(topo.Channels().ok());
   Cluster cluster(3);
-  EXPECT_EQ(cluster.Deploy(*topo).code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(cluster.Deploy(topo).code(), StatusCode::kInvalidArgument);
 }
 
 // ---- Describe goldens (deployment diffing relies on this exact shape) ----
 
-TEST(DescribeGoldenTest, DeploymentPlanOneLinePerStep) {
-  DeploymentPlan plan;
-  plan.DefineStream("in", KeyValSchema())
+TEST(DescribeGoldenTest, EverywhereTopologyOneLinePerStep) {
+  Topology topo("chain");
+  topo.DefineStream("in", KeyValSchema())
       .CreateTable("sink", KeyValSchema())
       .CreateIndex("sink", "pk", {"key"}, /*unique=*/true)
       .InsertRow("sink", KeyVal(0, 0))
       .RegisterProcedure("ingest", SpKind::kBorder,
                          std::make_shared<LambdaProcedure>(
-                             [](ProcContext&) { return Status::OK(); }));
-  Workflow wf("chain");
-  (void)wf.AddNode(Node("ingest", SpKind::kBorder, {}, {"in"}));
-  plan.DeployWorkflow(std::move(wf));
+                             [](ProcContext&) { return Status::OK(); }))
+      .RegisterProcedure("lookup", SpKind::kOltp,
+                         std::make_shared<LambdaProcedure>(
+                             [](ProcContext&) { return Status::OK(); }))
+      .AddStage(Node("ingest", SpKind::kBorder, {}, {"in"}));
 
-  EXPECT_EQ(plan.Describe(),
+  EXPECT_EQ(topo.Describe(),
             "0: DefineStream stream in\n"
             "1: CreateTable table sink\n"
             "2: CreateIndex index sink.pk\n"
             "3: InsertRow seed row in sink\n"
-            "4: RegisterProcedure procedure ingest (BORDER)\n"
-            "5: DeployWorkflow workflow chain\n");
+            "stage-procedure ingest (BORDER)\n"
+            "procedure lookup (OLTP)\n"
+            "stage ingest placement=everywhere outputs=[in]\n");
 }
 
 TEST(DescribeGoldenTest, TopologyAnnotatesPlacementsAndChannels) {
-  TopologyBuilder topo("two_stage");
+  Topology topo("two_stage");
   topo.DefineStream("sA", KeyValSchema())
       .CreateTable("sink", KeyValSchema())
       .RegisterProcedure("ingest", SpKind::kBorder,
@@ -268,10 +286,9 @@ TEST(DescribeGoldenTest, TopologyAnnotatesPlacementsAndChannels) {
                 Placement::Pinned(0))
       .AddStage(Node("apply", SpKind::kInterior, {"sA"}, {}),
                 Placement::Pinned(1));
-  Result<Topology> built = topo.Build();
-  ASSERT_TRUE(built.ok()) << built.status().ToString();
+  ASSERT_TRUE(topo.Channels().ok()) << topo.Channels().status().ToString();
 
-  EXPECT_EQ(built->Describe(),
+  EXPECT_EQ(topo.Describe(),
             "0: DefineStream stream sA\n"
             "1: CreateTable table sink\n"
             "stage-procedure ingest (BORDER)\n"
@@ -284,11 +301,10 @@ TEST(DescribeGoldenTest, TopologyAnnotatesPlacementsAndChannels) {
 // ---- Sliced deployment ----
 
 TEST(PlacedDeployTest, SlicesStagesAndChannelPlumbingPerPartition) {
-  Result<Topology> topo = BuildPipeline(
+  Topology topo = BuildPipeline(
       Placement::Pinned(0), Placement::Pinned(1), Placement::Pinned(2));
-  ASSERT_TRUE(topo.ok());
   Cluster cluster(3);
-  ASSERT_TRUE(cluster.Deploy(*topo).ok());
+  ASSERT_TRUE(cluster.Deploy(topo).ok());
   ASSERT_EQ(cluster.channels().size(), 2u);
 
   // Stage procedures exist only where their placement runs.
@@ -323,11 +339,10 @@ TEST(PlacedDeployTest, PlacedPipelineMatchesReplicatedSinglePartition) {
 
   // Baseline: the same topology, every stage everywhere, one partition.
   Cluster baseline(1);
-  Result<Topology> everywhere =
+  Topology everywhere =
       BuildPipeline(Placement::Everywhere(), Placement::Everywhere(),
                     Placement::Everywhere());
-  ASSERT_TRUE(everywhere.ok());
-  ASSERT_TRUE(baseline.Deploy(*everywhere).ok());
+  ASSERT_TRUE(baseline.Deploy(everywhere).ok());
   baseline.Start();
   StreamInjector base_inject(&baseline.partition(0), "ingest");
   for (int i = 0; i < kBatches; ++i) base_inject.InjectAsync(KeyVal(i, i));
@@ -335,11 +350,10 @@ TEST(PlacedDeployTest, PlacedPipelineMatchesReplicatedSinglePartition) {
   baseline.Stop();
 
   // Placed: one stage per partition, streams as the transport.
-  Result<Topology> placed = BuildPipeline(
+  Topology placed = BuildPipeline(
       Placement::Pinned(0), Placement::Pinned(1), Placement::Pinned(2));
-  ASSERT_TRUE(placed.ok());
   Cluster cluster(3);
-  ASSERT_TRUE(cluster.Deploy(*placed).ok());
+  ASSERT_TRUE(cluster.Deploy(placed).ok());
 
   // Per-partition commit schedules: the stream-order constraint (§2.2) must
   // hold per channel lane — each stage and each delivery procedure sees
@@ -414,7 +428,7 @@ TEST(PlacedDeployTest, PlacedPipelineMatchesReplicatedSinglePartition) {
 
 TEST(PlacedDeployTest, KeyedConsumerSplitsDeliveriesByKeyColumn) {
   constexpr int kBatches = 16;
-  TopologyBuilder topo("keyed_fan");
+  Topology topo("keyed_fan");
   topo.DefineStream("sA", KeyValSchema())
       .CreateTable("sink", KeyValSchema())
       .RegisterProcedure(
@@ -443,15 +457,15 @@ TEST(PlacedDeployTest, KeyedConsumerSplitsDeliveriesByKeyColumn) {
                 Placement::Pinned(0))
       .AddStage(Node("apply", SpKind::kInterior, {"sA"}, {}),
                 Placement::Keyed(0));
-  Result<Topology> built = topo.Build();
-  ASSERT_TRUE(built.ok()) << built.status().ToString();
-  ASSERT_EQ(built->channels().size(), 1u);
+  Result<std::vector<ChannelSpec>> channels = topo.Channels();
+  ASSERT_TRUE(channels.ok()) << channels.status().ToString();
+  ASSERT_EQ(channels->size(), 1u);
 
   Cluster::Options opts;
   opts.num_partitions = 2;
   opts.routing = PartitionMap::Mode::kModulo;
   Cluster cluster(opts);
-  ASSERT_TRUE(cluster.Deploy(*built).ok());
+  ASSERT_TRUE(cluster.Deploy(topo).ok());
   cluster.Start();
   StreamInjector inject(&cluster.partition(0), "ingest");
   for (int i = 0; i < kBatches; ++i) inject.InjectAsync(KeyVal(i, i));
@@ -478,9 +492,8 @@ TEST(PlacedRecoveryTest, KillAndRecoverReplaysPlacedTopologyToSameCut) {
   std::string ckpt_dir = MakeDir("placed_ckpt");
   std::string log_dir = MakeDir("placed_logs");
 
-  Result<Topology> placed = BuildPipeline(
+  Topology placed = BuildPipeline(
       Placement::Pinned(0), Placement::Pinned(1), Placement::Pinned(2));
-  ASSERT_TRUE(placed.ok());
 
   std::vector<Tuple> live_sink;
   {
@@ -489,7 +502,7 @@ TEST(PlacedRecoveryTest, KillAndRecoverReplaysPlacedTopologyToSameCut) {
     opts.log_dir = log_dir;
     opts.log_sync = false;
     Cluster cluster(opts);
-    ASSERT_TRUE(cluster.Deploy(*placed).ok());
+    ASSERT_TRUE(cluster.Deploy(placed).ok());
     cluster.Start();
     StreamInjector inject(&cluster.partition(0), "ingest");
     for (int i = 0; i < kBefore; ++i) inject.InjectAsync(KeyVal(i, i));
@@ -508,7 +521,7 @@ TEST(PlacedRecoveryTest, KillAndRecoverReplaysPlacedTopologyToSameCut) {
   ASSERT_EQ(live_sink.size(), static_cast<size_t>(kBefore + kAfter));
 
   Cluster recovered(3);
-  ASSERT_TRUE(recovered.Deploy(*placed).ok());
+  ASSERT_TRUE(recovered.Deploy(placed).ok());
   Status st = recovered.Recover(ckpt_dir, log_dir);
   ASSERT_TRUE(st.ok()) << st.ToString();
   recovered.Start();
@@ -527,15 +540,8 @@ TEST(PlacedRecoveryTest, KillAndRecoverReplaysPlacedTopologyToSameCut) {
 
 TEST(PlacedRecoveryTest, ReconciliationReforwardsUndeliveredBatches) {
   std::string ckpt_dir = MakeDir("reconcile_ckpt");
-  TopologyBuilder builder = PipelineBuilder();
-  builder.AddStage(Node("ingest", SpKind::kBorder, {}, {"sA"}),
-                   Placement::Pinned(0))
-      .AddStage(Node("middle", SpKind::kInterior, {"sA"}, {"sB"}),
-                Placement::Pinned(1))
-      .AddStage(Node("last", SpKind::kInterior, {"sB"}, {"sOut"}),
-                Placement::Pinned(1));
-  Result<Topology> topo = builder.Build();
-  ASSERT_TRUE(topo.ok());
+  Topology topo = BuildPipeline(Placement::Pinned(0), Placement::Pinned(1),
+                                Placement::Pinned(1));
 
   {
     // Inline (never started): the border transaction commits and the
@@ -543,7 +549,7 @@ TEST(PlacedRecoveryTest, ReconciliationReforwardsUndeliveredBatches) {
     // the checkpoint captures a pending raw batch and an empty cursor, and
     // the queued delivery dies with the cluster.
     Cluster cluster(2);
-    ASSERT_TRUE(cluster.Deploy(*topo).ok());
+    ASSERT_TRUE(cluster.Deploy(topo).ok());
     TxnOutcome out = cluster.partition(0).RunInline(
         Invocation{"ingest", KeyVal(7, 7), /*batch_id=*/1});
     ASSERT_TRUE(out.committed());
@@ -552,7 +558,7 @@ TEST(PlacedRecoveryTest, ReconciliationReforwardsUndeliveredBatches) {
   }
 
   Cluster recovered(2);
-  ASSERT_TRUE(recovered.Deploy(*topo).ok());
+  ASSERT_TRUE(recovered.Deploy(topo).ok());
   Status st = recovered.Recover(ckpt_dir, "");
   ASSERT_TRUE(st.ok()) << st.ToString();
   recovered.Start();
@@ -573,16 +579,17 @@ TEST(PlacedLinearRoadTest, KeyedIngestFeedsPinnedRollupThroughChannel) {
   config.num_xways = 4;
   config.vehicles_per_xway = 10;
   config.duration_sec = 130;  // crosses two minute boundaries
-  Result<Topology> topo = BuildPlacedLinearRoadTopology(config, 1);
-  ASSERT_TRUE(topo.ok()) << topo.status().ToString();
-  ASSERT_EQ(topo->channels().size(), 1u);
-  EXPECT_EQ(topo->channels()[0].stream, std::string(kLinearRoadMinuteStream));
+  Topology topo = BuildPlacedLinearRoadTopology(config, 1);
+  Result<std::vector<ChannelSpec>> channels = topo.Channels();
+  ASSERT_TRUE(channels.ok()) << channels.status().ToString();
+  ASSERT_EQ(channels->size(), 1u);
+  EXPECT_EQ((*channels)[0].stream, std::string(kLinearRoadMinuteStream));
 
   Cluster::Options opts;
   opts.num_partitions = 2;
   opts.routing = PartitionMap::Mode::kModulo;
   Cluster cluster(opts);
-  ASSERT_TRUE(cluster.Deploy(*topo).ok());
+  ASSERT_TRUE(cluster.Deploy(topo).ok());
   cluster.Start();
 
   ClusterInjector::Options inj_opts;
@@ -626,10 +633,9 @@ TEST(LogRotationTest, CheckpointRotatesLogsAndRecoveryFollowsTheEpoch) {
   std::string ckpt_dir = MakeDir("rot_ckpt");
   std::string log_dir = MakeDir("rot_logs");
 
-  Result<Topology> everywhere =
+  Topology everywhere =
       BuildPipeline(Placement::Everywhere(), Placement::Everywhere(),
                     Placement::Everywhere());
-  ASSERT_TRUE(everywhere.ok());
 
   std::vector<Tuple> live_sink;
   {
@@ -638,7 +644,7 @@ TEST(LogRotationTest, CheckpointRotatesLogsAndRecoveryFollowsTheEpoch) {
     opts.log_dir = log_dir;
     opts.log_sync = false;
     Cluster cluster(opts);
-    ASSERT_TRUE(cluster.Deploy(*everywhere).ok());
+    ASSERT_TRUE(cluster.Deploy(everywhere).ok());
     cluster.Start();
     StreamInjector inject(&cluster.partition(0), "ingest");
     for (int i = 0; i < 10; ++i) inject.InjectAsync(KeyVal(i, i));
@@ -671,7 +677,7 @@ TEST(LogRotationTest, CheckpointRotatesLogsAndRecoveryFollowsTheEpoch) {
   }
 
   Cluster recovered(2);
-  ASSERT_TRUE(recovered.Deploy(*everywhere).ok());
+  ASSERT_TRUE(recovered.Deploy(everywhere).ok());
   Status st = recovered.Recover(ckpt_dir, log_dir);
   ASSERT_TRUE(st.ok()) << st.ToString();
   std::vector<Tuple> recovered_sink = SinkRows(recovered.store(0));

@@ -116,9 +116,9 @@ TEST(TxnCoordTest, AbortOnOneParticipantRollsBackAll) {
 /// A probe procedure that *first mutates* and then aborts on one designated
 /// partition — the rollback-visible abort injection of the acceptance
 /// criteria. params = (abort_partition); -1 never aborts.
-DeploymentPlan ProbePlan() {
-  DeploymentPlan plan;
-  plan.CreateTable("probe_log", Schema({{"p", ValueType::kBigInt}}))
+Topology ProbeTopology() {
+  Topology topo("probe");
+  topo.CreateTable("probe_log", Schema({{"p", ValueType::kBigInt}}))
       .RegisterProcedure(
           "probe", SpKind::kOltp,
           std::make_shared<LambdaProcedure>([](ProcContext& ctx) {
@@ -135,7 +135,7 @@ DeploymentPlan ProbePlan() {
             ctx.EmitOutput({Value::BigInt(self)});
             return Status::OK();
           }));
-  return plan;
+  return topo;
 }
 
 size_t ProbeLogRows(Cluster& cluster, size_t p) {
@@ -144,7 +144,7 @@ size_t ProbeLogRows(Cluster& cluster, size_t p) {
 
 TEST(TxnCoordTest, ExecuteOnAllIsAtomicAndIndexedByPartition) {
   Cluster cluster(ClusterOpts(3, CoordinationMode::kTwoPhase));
-  ASSERT_TRUE(cluster.Deploy(ProbePlan()).ok());
+  ASSERT_TRUE(cluster.Deploy(ProbeTopology()).ok());
   cluster.Start();
 
   // Commit case: outcomes indexed by partition id, deterministically.
@@ -176,7 +176,7 @@ TEST(TxnCoordTest, ExecuteOnAllIsAtomicAndIndexedByPartition) {
 
 TEST(TxnCoordTest, InlineModeWorksBeforeStart) {
   Cluster cluster(ClusterOpts(2, CoordinationMode::kTwoPhase));
-  ASSERT_TRUE(cluster.Deploy(ProbePlan()).ok());
+  ASSERT_TRUE(cluster.Deploy(ProbeTopology()).ok());
   // No Start(): the coordinator runs the sequential inline protocol.
   std::vector<TxnOutcome> outs =
       cluster.ExecuteOnAll("probe", {Value::BigInt(-1)});
@@ -368,7 +368,7 @@ TEST(TxnCoordTest, KillAndRecoverRestoresConsistentCut) {
     // "Crash": the cluster object dies; only checkpoint + logs survive.
   }
 
-  // Recovery cluster: same plan, no log_dir (attaching logs would truncate
+  // Recovery cluster: same topology, no log_dir (attaching logs would truncate
   // the very files being replayed).
   Cluster recovered(ClusterOpts(4, CoordinationMode::kTwoPhase));
   ASSERT_TRUE(recovered.Deploy(BuildVoterClusterDeployment(config)).ok());

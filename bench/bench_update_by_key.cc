@@ -1,0 +1,91 @@
+// Point-write layer benchmark: `Executor::Update` with a `col = literal`
+// predicate — the shape of the voter's per-vote count bump — against a
+// table with and without a unique hash index on the key column.
+//
+// Benchmarks:
+//   BM_UpdateByKey/<rows>/<indexed>
+//     rows     64 (the voter's contestant table) or 4096.
+//     indexed  1: the executor probes the table's `pk` index for the
+//              matching row; 0: no index, so every update scans the table.
+//
+// With the index the cost per update is flat in the row count; without it
+// the cost grows linearly with the table.
+//
+//   BENCH=bench_update_by_key bench/run_bench.sh
+// `--smoke` (CI) maps to a short --benchmark_min_time run.
+
+#include <benchmark/benchmark.h>
+
+#include <cstdint>
+#include <string>
+#include <vector>
+
+#include "query/executor.h"
+#include "query/expr.h"
+#include "storage/table.h"
+
+namespace {
+
+using sstore::Add;
+using sstore::Col;
+using sstore::Eq;
+using sstore::Executor;
+using sstore::LitInt;
+using sstore::Schema;
+using sstore::Table;
+using sstore::Value;
+using sstore::ValueType;
+
+void BM_UpdateByKey(benchmark::State& state) {
+  const int64_t rows = state.range(0);
+  const bool indexed = state.range(1) != 0;
+  Table table("contestants", Schema({{"contestant_id", ValueType::kBigInt},
+                                     {"vote_count", ValueType::kBigInt}}));
+  if (indexed && !table.CreateIndex("pk", {"contestant_id"}, true).ok()) {
+    state.SkipWithError("index creation failed");
+    return;
+  }
+  for (int64_t r = 0; r < rows; ++r) {
+    if (!table.Insert({Value::BigInt(r), Value::BigInt(0)}).ok()) {
+      state.SkipWithError("seed insert failed");
+      return;
+    }
+  }
+  Executor exec;
+  int64_t key = 0;
+  for (auto _ : state) {
+    auto n = exec.Update(&table, Eq(Col(0), LitInt(key)),
+                         {{1, Add(Col(1), LitInt(1))}});
+    benchmark::DoNotOptimize(n);
+    if (!n.ok() || *n != 1) {
+      state.SkipWithError("update did not hit exactly one row");
+      return;
+    }
+    key = key + 1 == rows ? 0 : key + 1;
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_UpdateByKey)->ArgsProduct({{64, 4096}, {0, 1}});
+
+}  // namespace
+
+// Custom main so CI can ask for a smoke run without knowing google-benchmark
+// flag syntax: `bench_update_by_key --smoke` == a short min_time run.
+int main(int argc, char** argv) {
+  std::vector<char*> args;
+  bool smoke = false;
+  for (int i = 0; i < argc; ++i) {
+    if (std::string(argv[i]) == "--smoke") {
+      smoke = true;
+      continue;
+    }
+    args.push_back(argv[i]);
+  }
+  static char min_time[] = "--benchmark_min_time=0.05";
+  if (smoke) args.push_back(min_time);
+  int new_argc = static_cast<int>(args.size());
+  benchmark::Initialize(&new_argc, args.data());
+  if (benchmark::ReportUnrecognizedArguments(new_argc, args.data())) return 1;
+  benchmark::RunSpecifiedBenchmarks();
+  return 0;
+}

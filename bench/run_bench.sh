@@ -44,6 +44,9 @@
 #     (jitter bounded by max_barrier_pause_us, not snapshot-write time);
 #     BM_CheckpointPause/delta:1 pause_us below /delta:0 with
 #     tables_delta_per_cut > 0 (unchanged tables ride as references).
+#   bench_update_by_key:  BM_UpdateByKey/<rows>/1 (pk index) items_per_second
+#     about flat from 64 to 4096 rows and far above BM_UpdateByKey/4096/0
+#     (no index: every update scans the table).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 

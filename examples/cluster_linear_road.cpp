@@ -17,8 +17,7 @@
 // so the demo shows single- and multi-partition traffic side by side.
 //
 // Run: ./build/examples/cluster_linear_road [xways] [partitions] [sim_seconds]
-//      ./build/examples/cluster_linear_road --xways 8 --partitions 4 \
-//          --seconds 130 --mp-ratio 0.1
+//      ./build/examples/cluster_linear_road --xways 8 --partitions 4 --seconds 130 --mp-ratio 0.1
 //      ./build/examples/cluster_linear_road --xways 8 --partitions 4 --placed
 
 #include <algorithm>

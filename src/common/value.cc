@@ -19,10 +19,6 @@ size_t FnvHash(const void* data, size_t len, size_t seed = 1469598103934665603ul
   return h;
 }
 
-bool IsIntLike(ValueType t) {
-  return t == ValueType::kBigInt || t == ValueType::kTimestamp;
-}
-
 }  // namespace
 
 const char* ValueTypeToString(ValueType type) {

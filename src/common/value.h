@@ -24,6 +24,12 @@ enum class ValueType : uint8_t {
 /// Returns a stable name ("BIGINT", "DOUBLE", ...) for a ValueType.
 const char* ValueTypeToString(ValueType type);
 
+/// BIGINT and TIMESTAMP share one int64 representation and compare as one
+/// type; a column of either accepts values of both.
+inline bool IsIntLike(ValueType t) {
+  return t == ValueType::kBigInt || t == ValueType::kTimestamp;
+}
+
 /// A dynamically typed SQL value. Values are ordered and hashable within the
 /// same type; cross-type comparison between kBigInt/kTimestamp and kDouble is
 /// performed numerically, any other cross-type comparison orders by type tag.

@@ -28,6 +28,69 @@ Status ValidateProjection(const Table& table,
   return Status::OK();
 }
 
+/// The hash index that answers `predicate` as a point lookup, or null. That
+/// takes a `col = literal` predicate whose literal has the column's declared
+/// type (BIGINT and TIMESTAMP count as one; a NULL literal never does), and
+/// an index keyed on exactly {col}. DOUBLE columns always scan: NaN compares
+/// equal to every number, which no hash probe can reproduce.
+const HashIndex* PointIndex(const Table& table, const ExprPtr& predicate,
+                            const Value** key) {
+  size_t col = 0;
+  if (predicate == nullptr || !predicate->AsColumnEquality(&col, key) ||
+      col >= table.schema().num_columns()) {
+    return nullptr;
+  }
+  ValueType declared = table.schema().column(col).type;
+  ValueType actual = (*key)->type();
+  if (declared == ValueType::kDouble ||
+      (actual != declared && !(IsIntLike(declared) && IsIntLike(actual)))) {
+    return nullptr;
+  }
+  for (const auto& idx : table.indexes()) {
+    const std::vector<size_t>& cols = idx->key_columns();
+    if (cols.size() == 1 && cols[0] == col) return idx.get();
+  }
+  return nullptr;
+}
+
+/// Ids of the live rows matching `predicate` (all rows if null), in slot
+/// order: through PointIndex when one applies, by a full scan otherwise.
+/// Index candidates are sorted and re-checked against the whole predicate,
+/// so both paths return the same ids in the same order, and the mutations
+/// built on them log the same undo records.
+Result<std::vector<RowId>> MatchingRows(const Table& table,
+                                        const ExprPtr& predicate,
+                                        bool include_staged) {
+  std::vector<RowId> out;
+  const Value* key = nullptr;
+  if (const HashIndex* idx = PointIndex(table, predicate, &key)) {
+    std::vector<RowId> candidates = idx->Lookup({*key});
+    std::sort(candidates.begin(), candidates.end());
+    for (RowId rid : candidates) {
+      SSTORE_ASSIGN_OR_RETURN(const RowMeta* meta, table.GetMeta(rid));
+      if (!include_staged && !meta->active) continue;
+      SSTORE_ASSIGN_OR_RETURN(const Tuple* row, table.Get(rid));
+      SSTORE_ASSIGN_OR_RETURN(bool match, EvalPredicate(predicate, *row));
+      if (match) out.push_back(rid);
+    }
+    return out;
+  }
+  Status err = Status::OK();
+  table.ForEach(
+      [&](RowId rid, const Tuple& row, const RowMeta&) {
+        Result<bool> match = EvalPredicate(predicate, row);
+        if (!match.ok()) {
+          err = match.status();
+          return false;
+        }
+        if (*match) out.push_back(rid);
+        return true;
+      },
+      include_staged);
+  SSTORE_RETURN_NOT_OK(err);
+  return out;
+}
+
 }  // namespace
 
 void SortTuples(std::vector<Tuple>* rows,
@@ -172,8 +235,7 @@ Result<std::vector<Tuple>> Executor::Aggregate(const AggregateSpec& spec) const 
           }
           if (num.ok()) {
             st.sum += *num;
-            if (v.type() == ValueType::kBigInt ||
-                v.type() == ValueType::kTimestamp) {
+            if (IsIntLike(v.type())) {
               st.isum += v.as_int64();
             } else {
               st.sum_is_int = false;
@@ -279,20 +341,8 @@ Result<size_t> Executor::Delete(Table* table, const ExprPtr& predicate,
   if (table == nullptr) {
     return Status::InvalidArgument("delete requires a table");
   }
-  std::vector<RowId> victims;
-  Status err = Status::OK();
-  table->ForEach(
-      [&](RowId rid, const Tuple& row, const RowMeta&) {
-        Result<bool> match = EvalPredicate(predicate, row);
-        if (!match.ok()) {
-          err = match.status();
-          return false;
-        }
-        if (*match) victims.push_back(rid);
-        return true;
-      },
-      include_staged);
-  SSTORE_RETURN_NOT_OK(err);
+  SSTORE_ASSIGN_OR_RETURN(std::vector<RowId> victims,
+                          MatchingRows(*table, predicate, include_staged));
   for (RowId rid : victims) {
     SSTORE_RETURN_NOT_OK(DeleteRow(table, rid));
   }
@@ -321,20 +371,8 @@ Result<size_t> Executor::Update(Table* table, const ExprPtr& predicate,
       return Status::OutOfRange("SET column out of range");
     }
   }
-  std::vector<RowId> victims;
-  Status err = Status::OK();
-  table->ForEach(
-      [&](RowId rid, const Tuple& row, const RowMeta&) {
-        Result<bool> match = EvalPredicate(predicate, row);
-        if (!match.ok()) {
-          err = match.status();
-          return false;
-        }
-        if (*match) victims.push_back(rid);
-        return true;
-      },
-      include_staged);
-  SSTORE_RETURN_NOT_OK(err);
+  SSTORE_ASSIGN_OR_RETURN(std::vector<RowId> victims,
+                          MatchingRows(*table, predicate, include_staged));
   for (RowId rid : victims) {
     SSTORE_ASSIGN_OR_RETURN(const Tuple* cur, table->Get(rid));
     Tuple next = *cur;

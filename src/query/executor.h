@@ -38,6 +38,12 @@ class Executor {
   Result<std::vector<Tuple>> Aggregate(const AggregateSpec& spec) const;
 
   // ---- Writes ----
+  //
+  // Delete and Update find their rows through a hash index keyed on exactly
+  // {col} when the predicate is `col = literal` with a non-NULL literal of
+  // the column's declared type (BIGINT and TIMESTAMP alike; DOUBLE columns
+  // excluded); otherwise they scan. Either way they touch the same rows in
+  // slot order and log the same undo records.
 
   /// Inserts one row; `batch_id` tags stream rows with their atomic batch,
   /// `active=false` stages the row (windows).

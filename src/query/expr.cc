@@ -6,7 +6,7 @@ namespace sstore {
 
 namespace {
 
-class ColExpr : public Expr {
+class ColExpr final : public Expr {
  public:
   explicit ColExpr(size_t index) : index_(index) {}
   Result<Value> Eval(const Tuple& row) const override {
@@ -20,16 +20,18 @@ class ColExpr : public Expr {
   std::string ToString() const override {
     return "col" + std::to_string(index_);
   }
+  size_t index() const { return index_; }
 
  private:
   size_t index_;
 };
 
-class LitExpr : public Expr {
+class LitExpr final : public Expr {
  public:
   explicit LitExpr(Value v) : value_(std::move(v)) {}
   Result<Value> Eval(const Tuple&) const override { return value_; }
   std::string ToString() const override { return value_.ToString(); }
+  const Value& value() const { return value_; }
 
  private:
   Value value_;
@@ -92,6 +94,20 @@ class CmpExpr : public Expr {
            rhs_->ToString() + ")";
   }
 
+  bool AsColumnEquality(size_t* col, const Value** lit) const override {
+    if (op_ != CmpOp::kEq) return false;
+    const auto* c = dynamic_cast<const ColExpr*>(lhs_.get());
+    const auto* v = dynamic_cast<const LitExpr*>(rhs_.get());
+    if (c == nullptr || v == nullptr) {
+      c = dynamic_cast<const ColExpr*>(rhs_.get());
+      v = dynamic_cast<const LitExpr*>(lhs_.get());
+    }
+    if (c == nullptr || v == nullptr) return false;
+    *col = c->index();
+    *lit = &v->value();
+    return true;
+  }
+
  private:
   CmpOp op_;
   ExprPtr lhs_;
@@ -123,11 +139,7 @@ class ArithExpr : public Expr {
     SSTORE_ASSIGN_OR_RETURN(Value l, lhs_->Eval(row));
     SSTORE_ASSIGN_OR_RETURN(Value r, rhs_->Eval(row));
     if (l.is_null() || r.is_null()) return Value::Null();
-    bool both_int = (l.type() == ValueType::kBigInt ||
-                     l.type() == ValueType::kTimestamp) &&
-                    (r.type() == ValueType::kBigInt ||
-                     r.type() == ValueType::kTimestamp);
-    if (both_int) {
+    if (IsIntLike(l.type()) && IsIntLike(r.type())) {
       int64_t a = l.as_int64(), b = r.as_int64();
       switch (op_) {
         case ArithOp::kAdd:

@@ -25,6 +25,13 @@ class Expr {
   virtual ~Expr() = default;
   virtual Result<Value> Eval(const Tuple& row) const = 0;
   virtual std::string ToString() const = 0;
+
+  /// Access-path hook: true when this expression is `column = literal` in
+  /// either operand order, with `*col` and `*lit` set to its parts. `*lit`
+  /// points into this expression and lives as long as it does.
+  virtual bool AsColumnEquality(size_t* /*col*/, const Value** /*lit*/) const {
+    return false;
+  }
 };
 
 using ExprPtr = std::shared_ptr<const Expr>;

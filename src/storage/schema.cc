@@ -19,10 +19,7 @@ Status Schema::ValidateTuple(const Tuple& tuple) const {
     if (tuple[i].is_null()) continue;
     ValueType declared = columns_[i].type;
     ValueType actual = tuple[i].type();
-    bool int_like_ok =
-        (declared == ValueType::kBigInt || declared == ValueType::kTimestamp) &&
-        (actual == ValueType::kBigInt || actual == ValueType::kTimestamp);
-    if (actual != declared && !int_like_ok) {
+    if (actual != declared && !(IsIntLike(declared) && IsIntLike(actual))) {
       return Status::InvalidArgument(
           "column '" + columns_[i].name + "' expects " +
           ValueTypeToString(declared) + " but got " +

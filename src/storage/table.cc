@@ -56,6 +56,28 @@ void HashIndex::OnDelete(const Tuple& row, RowId rid) {
   }
 }
 
+namespace {
+
+/// Whether rows `a` and `b` agree on every key column of `idx`. By value,
+/// BIGINT 5 equals TIMESTAMP 5. `exact` also demands the same type, and for
+/// DOUBLE `==` equality (NaN compares equal to every number under
+/// Value::Equals): only an exact match lets an index entry stand as is.
+bool SameKey(const HashIndex& idx, const Tuple& a, const Tuple& b, bool exact) {
+  for (size_t c : idx.key_columns()) {
+    const Value& x = a[c];
+    const Value& y = b[c];
+    if (!x.Equals(y)) return false;
+    if (!exact) continue;
+    if (x.type() != y.type()) return false;
+    if (x.type() == ValueType::kDouble && !(x.as_double() == y.as_double())) {
+      return false;
+    }
+  }
+  return true;
+}
+
+}  // namespace
+
 Table::Table(std::string name, Schema schema, TableKind kind)
     : name_(std::move(name)), schema_(std::move(schema)), kind_(kind) {}
 
@@ -123,21 +145,23 @@ Result<Tuple> Table::Update(RowId rid, Tuple row) {
   Slot& slot = slots_[rid];
   // Unique check must ignore this row's own current key.
   for (const auto& idx : indexes_) {
-    if (!idx->unique()) continue;
-    Tuple new_key = idx->ExtractKey(row);
-    Tuple old_key = idx->ExtractKey(*slot.row);
-    if (!(new_key == old_key) && idx->Contains(new_key)) {
+    if (!idx->unique() || SameKey(*idx, *slot.row, row, /*exact=*/false)) {
+      continue;
+    }
+    if (idx->Contains(idx->ExtractKey(row))) {
       return Status::ConstraintViolation("unique index '" + idx->name() +
                                          "' rejects duplicate key in table '" +
                                          name_ + "'");
     }
   }
-  for (const auto& idx : indexes_) idx->OnDelete(*slot.row, rid);
-  Tuple before = std::move(*slot.row);
+  // An index whose key the update leaves untouched keeps its entry.
   for (const auto& idx : indexes_) {
+    if (SameKey(*idx, *slot.row, row, /*exact=*/true)) continue;
+    idx->OnDelete(*slot.row, rid);
     Status st = idx->OnInsert(row, rid);
     (void)st;
   }
+  Tuple before = std::move(*slot.row);
   slot.row = std::move(row);
   ++version_;
   return before;

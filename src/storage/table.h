@@ -104,6 +104,7 @@ class Table {
   Result<Tuple> Delete(RowId rid);
 
   /// Replaces a row in place; returns the before-image (for undo logging).
+  /// Indexes whose key columns keep the same type and value are not touched.
   Result<Tuple> Update(RowId rid, Tuple row);
 
   /// Re-inserts a previously deleted row at a specific slot; used only by

@@ -3,11 +3,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <optional>
+#include <string>
 #include <vector>
 
 #include "common/rng.h"
+#include "engine/txn.h"
 #include "query/executor.h"
 #include "query/expr.h"
 #include "storage/table.h"
@@ -158,6 +161,193 @@ TEST_P(RandomOpsTest, AbortedTransactionsLeaveNoTrace) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, RandomOpsTest,
                          ::testing::Values(1ull, 42ull, 1337ull, 0xdeadbeefull));
+
+// ---- Index-backed point writes vs full scans ---------------------------
+
+/// An UndoLog that also keeps every record it receives as text, so two
+/// executions can be compared for the same undo sequence.
+class RecordingLog : public MutationLog {
+ public:
+  void RecordInsert(Table* table, RowId rid) override {
+    trail.push_back("ins " + std::to_string(rid));
+    undo.RecordInsert(table, rid);
+  }
+  void RecordDelete(Table* table, RowId rid, Tuple before,
+                    RowMeta meta) override {
+    trail.push_back("del " + std::to_string(rid) + " " +
+                    TupleToString(before) + (meta.active ? "" : " staged"));
+    undo.RecordDelete(table, rid, std::move(before), meta);
+  }
+  void RecordUpdate(Table* table, RowId rid, Tuple before) override {
+    trail.push_back("upd " + std::to_string(rid) + " " +
+                    TupleToString(before));
+    undo.RecordUpdate(table, rid, std::move(before));
+  }
+  void RecordActivate(Table* table, RowId rid, bool was_active) override {
+    trail.push_back("act " + std::to_string(rid) + (was_active ? " 1" : " 0"));
+    undo.RecordActivate(table, rid, was_active);
+  }
+
+  UndoLog undo;
+  std::vector<std::string> trail;
+};
+
+/// Every live row, staged ones included, in slot order with its RowId and
+/// staging flag. TupleToString keeps BIGINT 5 and TIMESTAMP 5 apart.
+std::vector<std::string> SlotContents(const Table& table) {
+  std::vector<std::string> out;
+  table.ForEach(
+      [&](RowId rid, const Tuple& row, const RowMeta& meta) {
+        out.push_back(std::to_string(rid) + " " + TupleToString(row) +
+                      (meta.active ? "" : " staged"));
+        return true;
+      },
+      /*include_staged=*/true);
+  return out;
+}
+
+/// Every live row of `table` must be reachable through each of its indexes.
+void ExpectIndexesResolve(const Table& table, const std::string& where) {
+  table.ForEach(
+      [&](RowId rid, const Tuple& row, const RowMeta&) {
+        for (const auto& idx : table.indexes()) {
+          std::vector<RowId> hits = idx->Lookup(idx->ExtractKey(row));
+          EXPECT_NE(std::find(hits.begin(), hits.end(), rid), hits.end())
+              << where << ": row " << TupleToString(row) << " missing from "
+              << idx->name();
+        }
+        return true;
+      },
+      /*include_staged=*/true);
+  for (const auto& idx : table.indexes()) {
+    EXPECT_EQ(idx->EntryCount(), table.row_count()) << where << " " << idx->name();
+  }
+}
+
+class PointWriteDifferentialTest : public ::testing::TestWithParam<uint64_t> {
+};
+
+TEST_P(PointWriteDifferentialTest, IndexedTwinMatchesScanOnlyTwin) {
+  // Columns: pk (unique index), grp (non-unique index), v (no index).
+  Schema schema({{"pk", ValueType::kBigInt},
+                 {"grp", ValueType::kBigInt},
+                 {"v", ValueType::kBigInt}});
+  Table indexed("indexed", schema);
+  Table plain("plain", schema);
+  ASSERT_TRUE(indexed.CreateIndex("pk", {"pk"}, true).ok());
+  ASSERT_TRUE(indexed.CreateIndex("by_grp", {"grp"}, false).ok());
+
+  Rng rng(GetParam());
+  int64_t fresh_pk = 1000;  // never collides with the random keys below
+  for (int txn = 0; txn < 150; ++txn) {
+    RecordingLog indexed_log;
+    RecordingLog plain_log;
+    Executor ix(&indexed_log);
+    Executor px(&plain_log);
+    std::string at = "seed " + std::to_string(GetParam()) + " txn " +
+                     std::to_string(txn);
+    int ops = static_cast<int>(rng.NextRange(1, 12));
+    for (int op = 0; op < ops; ++op) {
+      std::string where = at + " op " + std::to_string(op);
+      int64_t k = rng.NextRange(0, 29);
+      int64_t g = rng.NextRange(0, 3);
+      double dice = rng.NextDouble();
+      if (dice < 0.35) {
+        // pk stays unique in both twins: the plain twin inserts only what
+        // the indexed twin accepted.
+        Tuple row = {Value::BigInt(k), Value::BigInt(g),
+                     Value::BigInt(rng.NextRange(0, 9))};
+        bool active = rng.NextBool(0.7);
+        Result<RowId> a = ix.Insert(&indexed, row, 0, active);
+        if (a.ok()) {
+          Result<RowId> b = px.Insert(&plain, row, 0, active);
+          ASSERT_TRUE(b.ok()) << where;
+          EXPECT_EQ(*a, *b) << where;
+        }
+        continue;
+      }
+
+      ExprPtr pred;
+      bool point = false;  // matches at most one row: may rewrite pk
+      switch (rng.NextBounded(8)) {
+        case 0:
+          pred = Eq(Col(0), LitInt(k));
+          point = true;
+          break;
+        case 1:
+          pred = Eq(LitInt(k), Col(0));
+          point = true;
+          break;
+        case 2:
+          pred = Eq(Col(0), Lit(Value::Timestamp(k)));
+          point = true;
+          break;
+        case 3:
+          pred = Eq(Col(0), LitDouble(static_cast<double>(k)));
+          point = true;
+          break;
+        case 4:
+          pred = Eq(Col(0), Lit(Value::Null()));
+          break;
+        case 5:
+          pred = Eq(Col(1), LitInt(g));
+          break;
+        case 6:
+          pred = And(Eq(Col(1), LitInt(g)), Gt(Col(2), LitInt(4)));
+          break;
+        default:
+          pred = Eq(Col(2), LitInt(rng.NextRange(0, 9)));
+          break;
+      }
+      bool include_staged = rng.NextBool(0.5);
+
+      Result<size_t> a = Status::OK();
+      Result<size_t> b = Status::OK();
+      if (dice < 0.55) {
+        a = ix.Delete(&indexed, pred, include_staged);
+        b = px.Delete(&plain, pred, include_staged);
+      } else {
+        std::vector<SetClause> sets;
+        switch (rng.NextBounded(point ? 4 : 3)) {
+          case 0:
+            sets = {{2, Add(Col(2), LitInt(1))}};
+            break;
+          case 1:
+            sets = {{1, LitInt(g)}};  // the non-unique key column
+            break;
+          case 2:
+            sets = {{1, Add(Col(1), LitInt(1))}, {2, LitInt(0)}};
+            break;
+          default:
+            // The unique key column itself, alternating BIGINT / TIMESTAMP.
+            ++fresh_pk;
+            sets = {{0, Lit(fresh_pk % 2 == 0 ? Value::BigInt(fresh_pk)
+                                              : Value::Timestamp(fresh_pk))}};
+            break;
+        }
+        a = ix.Update(&indexed, pred, sets, include_staged);
+        b = px.Update(&plain, pred, sets, include_staged);
+      }
+      ASSERT_TRUE(a.ok()) << where << ": " << a.status().ToString();
+      ASSERT_TRUE(b.ok()) << where << ": " << b.status().ToString();
+      EXPECT_EQ(*a, *b) << where << " " << pred->ToString();
+      ASSERT_EQ(SlotContents(indexed), SlotContents(plain)) << where;
+    }
+    ASSERT_EQ(indexed_log.trail, plain_log.trail) << at;
+    ExpectIndexesResolve(indexed, at);
+
+    if (rng.NextBool(0.4)) {
+      ASSERT_TRUE(indexed_log.undo.Rollback().ok()) << at;
+      ASSERT_TRUE(plain_log.undo.Rollback().ok()) << at;
+      ASSERT_EQ(SlotContents(indexed), SlotContents(plain)) << at;
+      ExpectIndexesResolve(indexed, at + " after rollback");
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, PointWriteDifferentialTest,
+                         ::testing::Values(1ull, 7ull, 42ull, 1337ull,
+                                           0xdeadbeefull));
 
 class RandomAggTest : public ::testing::TestWithParam<uint64_t> {};
 

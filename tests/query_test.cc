@@ -106,6 +106,29 @@ TEST(ExprTest, ToStringIsReadable) {
   EXPECT_EQ(Eq(Col(0), LitInt(5))->ToString(), "(col0 = 5)");
 }
 
+TEST(ExprTest, ColumnEqualityShapes) {
+  size_t col = 99;
+  const Value* lit = nullptr;
+  // `lit` points into the expression, so each one is held while it is read.
+  ExprPtr col_first = Eq(Col(2), LitInt(5));
+  ASSERT_TRUE(col_first->AsColumnEquality(&col, &lit));
+  EXPECT_EQ(col, 2u);
+  EXPECT_EQ(*lit, Value::BigInt(5));
+  ExprPtr lit_first = Eq(LitString("x"), Col(1));
+  ASSERT_TRUE(lit_first->AsColumnEquality(&col, &lit));
+  EXPECT_EQ(col, 1u);
+  EXPECT_EQ(*lit, Value::String("x"));
+  EXPECT_FALSE(Ne(Col(0), LitInt(5))->AsColumnEquality(&col, &lit));
+  EXPECT_FALSE(Le(Col(0), LitInt(5))->AsColumnEquality(&col, &lit));
+  EXPECT_FALSE(Eq(Col(0), Col(1))->AsColumnEquality(&col, &lit));
+  EXPECT_FALSE(Eq(LitInt(1), LitInt(1))->AsColumnEquality(&col, &lit));
+  EXPECT_FALSE(
+      Eq(Col(0), Add(LitInt(1), LitInt(2)))->AsColumnEquality(&col, &lit));
+  EXPECT_FALSE(And(Eq(Col(0), LitInt(1)), LitInt(1))
+                   ->AsColumnEquality(&col, &lit));
+  EXPECT_FALSE(Col(0)->AsColumnEquality(&col, &lit));
+}
+
 TEST_F(QueryTest, FullScan) {
   ScanSpec spec;
   spec.table = table_.get();
@@ -287,6 +310,24 @@ TEST_F(QueryTest, MutationLogReceivesBeforeImages) {
   EXPECT_EQ(capture.deletes, 1);
   EXPECT_EQ(capture.updates, 1);
   EXPECT_EQ(capture.last_delete_before[0], Value::BigInt(1));
+}
+
+TEST_F(QueryTest, PointWritesSkipStagedRowsUnlessAsked) {
+  Executor exec;
+  ASSERT_TRUE(exec.Insert(table_.get(),
+                          {Value::BigInt(2000), Value::BigInt(7),
+                           Value::String("NH")},
+                          0, /*active=*/false)
+                  .ok());
+  auto by_phone = Eq(Col(0), LitInt(2000));
+  EXPECT_EQ(*exec.Update(table_.get(), by_phone, {{1, LitInt(8)}}), 0u);
+  EXPECT_EQ(*exec.Update(table_.get(), by_phone, {{1, LitInt(8)}},
+                         /*include_staged=*/true),
+            1u);
+  EXPECT_EQ(*exec.Delete(table_.get(), by_phone), 0u);
+  EXPECT_EQ(*exec.Delete(table_.get(), by_phone, /*include_staged=*/true), 1u);
+  EXPECT_TRUE((*table_->IndexLookup("by_phone", {Value::BigInt(2000)})).empty());
+  EXPECT_EQ(table_->row_count(), 10u);
 }
 
 TEST_F(QueryTest, SortTuplesStableMultiKey) {

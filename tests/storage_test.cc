@@ -179,6 +179,59 @@ TEST(TableTest, UniqueUpdateConflict) {
   EXPECT_TRUE(t.Update(rid, Row(2, "c")).ok());
 }
 
+TEST(TableTest, NonKeyUpdateKeepsIndexesAndReturnsBeforeImage) {
+  Table t("t", Schema({{"id", ValueType::kBigInt},
+                       {"name", ValueType::kString},
+                       {"n", ValueType::kBigInt}}));
+  ASSERT_TRUE(t.CreateIndex("pk", {"id"}, true).ok());
+  ASSERT_TRUE(t.CreateIndex("by_name", {"name"}, false).ok());
+  ASSERT_TRUE(t.Insert({Value::BigInt(1), Value::String("x"), Value::BigInt(0)})
+                  .ok());
+  RowId rid = *t.Insert(
+      {Value::BigInt(2), Value::String("x"), Value::BigInt(0)});
+  uint64_t version = t.version();
+
+  Result<Tuple> before =
+      t.Update(rid, {Value::BigInt(2), Value::String("x"), Value::BigInt(5)});
+  ASSERT_TRUE(before.ok());
+  EXPECT_EQ((*before)[2], Value::BigInt(0));
+  EXPECT_GT(t.version(), version);
+  EXPECT_EQ((**t.Get(rid))[2], Value::BigInt(5));
+  EXPECT_EQ(*t.IndexLookup("pk", {Value::BigInt(2)}), std::vector<RowId>{rid});
+  EXPECT_EQ((*t.IndexLookup("by_name", {Value::String("x")})).size(), 2u);
+  EXPECT_EQ((*t.GetIndex("pk"))->EntryCount(), 2u);
+  EXPECT_EQ((*t.GetIndex("by_name"))->EntryCount(), 2u);
+  // An invalid row is still rejected and leaves the row as it was.
+  EXPECT_EQ(t.Update(rid, {Value::BigInt(2), Value::BigInt(3),
+                           Value::BigInt(6)})
+                .status()
+                .code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ((**t.Get(rid))[2], Value::BigInt(5));
+}
+
+TEST(TableTest, KeyChangingUpdateReindexesRow) {
+  Table t("t", TwoColSchema());
+  ASSERT_TRUE(t.CreateIndex("pk", {"id"}, true).ok());
+  ASSERT_TRUE(t.CreateIndex("by_name", {"name"}, false).ok());
+  RowId rid = *t.Insert(Row(1, "a"));
+  ASSERT_TRUE(t.Update(rid, Row(7, "a")).ok());
+  EXPECT_TRUE((*t.IndexLookup("pk", {Value::BigInt(1)})).empty());
+  EXPECT_EQ(*t.IndexLookup("pk", {Value::BigInt(7)}), std::vector<RowId>{rid});
+  EXPECT_EQ(*t.IndexLookup("by_name", {Value::String("a")}),
+            std::vector<RowId>{rid});
+  // The old key is free again.
+  EXPECT_TRUE(t.Insert(Row(1, "b")).ok());
+
+  // Same value, other int-like type: not a conflict with the row itself,
+  // and lookups by either type still find the row.
+  ASSERT_TRUE(t.Update(rid, {Value::Timestamp(7), Value::String("a")}).ok());
+  EXPECT_EQ(*t.IndexLookup("pk", {Value::Timestamp(7)}),
+            std::vector<RowId>{rid});
+  EXPECT_EQ(*t.IndexLookup("pk", {Value::BigInt(7)}), std::vector<RowId>{rid});
+  EXPECT_EQ((*t.GetIndex("pk"))->EntryCount(), 2u);
+}
+
 TEST(TableTest, BackfillIndexOnExistingData) {
   Table t("t", TwoColSchema());
   ASSERT_TRUE(t.Insert(Row(1, "a")).ok());

@@ -410,7 +410,9 @@ TEST(PlacedDeployTest, PlacedPipelineMatchesReplicatedSinglePartition) {
     }
   }
   for (const ScheduleEvent& e : schedules[1]) {
-    if (e.proc == "middle") EXPECT_GE(e.batch_id, kChannelBatchIdBase);
+    if (e.proc == "middle") {
+      EXPECT_GE(e.batch_id, kChannelBatchIdBase);
+    }
   }
 
   // 5 commits per batch on the placed cluster (ingest, delivery, middle,

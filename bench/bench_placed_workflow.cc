@@ -118,13 +118,10 @@ Topology BuildPipeline(Placement ingest, Placement xform, Placement fold) {
 }
 
 void ReportChannelCounters(benchmark::State& state, Cluster& cluster) {
-  uint64_t deliveries = 0, rows = 0;
-  for (const auto& channel : cluster.channels()) {
-    deliveries += channel->stats().deliveries;
-    rows += channel->stats().rows_forwarded;
-  }
-  state.counters["channel_deliveries"] = static_cast<double>(deliveries);
-  state.counters["channel_rows"] = static_cast<double>(rows);
+  const StreamChannel::Stats channels = cluster.GatherStats().channel;
+  state.counters["channel_deliveries"] =
+      static_cast<double>(channels.deliveries);
+  state.counters["channel_rows"] = static_cast<double>(channels.rows_forwarded);
 }
 
 void DrainWindow(std::deque<TicketPtr>& window, size_t limit) {

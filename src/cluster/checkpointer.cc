@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <utility>
 
 #include "cluster/cluster.h"
 
@@ -9,6 +10,18 @@ namespace sstore {
 
 namespace {
 using SteadyClock = std::chrono::steady_clock;
+
+/// Each partition's cumulative command-log bytes, the bytes trigger's only
+/// input. Read straight off the partitions rather than through
+/// Cluster::GatherStats, which reads this checkpointer's stats() and so
+/// must not be called while holding mu_.
+std::vector<uint64_t> LogBytesPerPartition(Cluster& cluster) {
+  std::vector<uint64_t> out(cluster.num_partitions());
+  for (size_t p = 0; p < out.size(); ++p) {
+    out[p] = cluster.partition(p).log_stats().bytes_written;
+  }
+  return out;
+}
 }  // namespace
 
 Checkpointer::Checkpointer(Cluster* cluster, const Options& options)
@@ -23,12 +36,9 @@ void Checkpointer::Start() {
   {
     // Seed the bytes baseline at "now" so pre-Start log traffic (seeding,
     // recovery replay) does not immediately fire the bytes trigger.
+    std::vector<uint64_t> bytes = LogBytesPerPartition(*cluster_);
     std::lock_guard<std::mutex> lock(mu_);
-    ClusterStats stats = cluster_->GatherStats();
-    bytes_baseline_.clear();
-    for (const LogStats& ls : stats.per_partition_log) {
-      bytes_baseline_.push_back(ls.bytes_written);
-    }
+    bytes_baseline_ = std::move(bytes);
   }
   running_.store(true, std::memory_order_release);
   thread_ = std::thread([this] { Loop(); });
@@ -72,14 +82,11 @@ Status Checkpointer::last_error() const {
 }
 
 bool Checkpointer::BytesTriggerFired() {
-  ClusterStats stats = cluster_->GatherStats();
+  std::vector<uint64_t> bytes = LogBytesPerPartition(*cluster_);
   std::lock_guard<std::mutex> lock(mu_);
-  for (size_t p = 0; p < stats.per_partition_log.size(); ++p) {
+  for (size_t p = 0; p < bytes.size(); ++p) {
     uint64_t base = p < bytes_baseline_.size() ? bytes_baseline_[p] : 0;
-    if (stats.per_partition_log[p].bytes_written - base >=
-        options_.log_bytes_threshold) {
-      return true;
-    }
+    if (bytes[p] - base >= options_.log_bytes_threshold) return true;
   }
   return false;
 }
@@ -139,7 +146,7 @@ void Checkpointer::Loop() {
     backoff_ms = options_.initial_backoff_ms;
     cadence_anchor = SteadyClock::now();
 
-    ClusterStats stats = cluster_->GatherStats();
+    std::vector<uint64_t> bytes = LogBytesPerPartition(*cluster_);
     std::lock_guard<std::mutex> lock(mu_);
     if (st.ok()) {
       ++stats_.completed;
@@ -150,10 +157,7 @@ void Checkpointer::Loop() {
       stats_.tables_full_total += report.tables_full;
       stats_.tables_delta_total += report.tables_delta;
       last_error_ = Status::OK();
-      bytes_baseline_.clear();
-      for (const LogStats& ls : stats.per_partition_log) {
-        bytes_baseline_.push_back(ls.bytes_written);
-      }
+      bytes_baseline_ = std::move(bytes);
       cv_.notify_all();
     } else {
       // A real checkpoint failure (I/O error, failpoint) is sticky in

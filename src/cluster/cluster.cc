@@ -9,7 +9,6 @@
 #include <thread>
 #include <utility>
 
-#include "cluster/stream_channel.h"
 #include "common/clock.h"
 #include "common/failpoint.h"
 #include "log/snapshot.h"
@@ -131,10 +130,9 @@ Cluster::Cluster(const Options& options)
                                             options.num_partitions),
            options.routing) {
   size_t n = map_.num_partitions();
-  // Observability substrate: one registry-owned sharded histogram serves
-  // every partition, and the trace-ring vector — like stores_ — is reserved
-  // to the ceiling so runtime growth never reallocates under readers.
-  txn_latency_ = metrics_.AddHistogram("sstore_txn_latency_us");
+  // Observability substrate: the trace-ring vector — like stores_ — is
+  // reserved to the ceiling so runtime growth never reallocates under
+  // readers.
   trace_rings_.reserve(kMaxClusterPartitions);
   // Reserved to the ceiling so Rebalance's push_back never reallocates the
   // slot array under concurrent partition(p) readers.
@@ -144,8 +142,6 @@ Cluster::Cluster(const Options& options)
     InstrumentStore(*stores_.back(), p);
   }
   num_partitions_.store(n, std::memory_order_release);
-  metrics_.AddProvider(
-      [this](std::vector<MetricSample>* out) { CollectMetrics(out); });
   TxnCoordinator::Options coord_opts;
   coord_opts.mode = options_.coordination;
   if (!options_.log_dir.empty()) {
@@ -1083,7 +1079,12 @@ Status Cluster::StartCheckpointer(const Checkpointer::Options& options) {
   if (checkpointer_ != nullptr && checkpointer_->running()) {
     return Status::AlreadyExists("checkpointer already running");
   }
-  checkpointer_ = std::make_unique<Checkpointer>(this, options);
+  {
+    // The previous (stopped) checkpointer dies here, under the lock, so a
+    // concurrent GatherStats never reads it after it is freed.
+    std::lock_guard<std::mutex> lock(stats_mu_);
+    checkpointer_ = std::make_unique<Checkpointer>(this, options);
+  }
   checkpointer_->Start();
   return Status::OK();
 }
@@ -1166,6 +1167,15 @@ ClusterStats Cluster::GatherStats() const {
     out.engine.ee_trigger_firings += es.ee_trigger_firings;
     out.engine.gc_deleted_rows += es.gc_deleted_rows;
   }
+  for (const auto& channel : channels_) {
+    const StreamChannel::Stats one = channel->stats();
+    out.channel.deliveries += one.deliveries;
+    out.channel.rows_forwarded += one.rows_forwarded;
+    out.channel.redeliveries_suppressed += one.redeliveries_suppressed;
+    out.channel.delivery_failures += one.delivery_failures;
+  }
+  std::lock_guard<std::mutex> lock(stats_mu_);
+  if (checkpointer_ != nullptr) out.checkpoint = checkpointer_->stats();
   return out;
 }
 
@@ -1176,19 +1186,38 @@ void Cluster::ResetStats() {
     stores_[p]->ee().ResetStats();
   }
   coordinator_->ResetStats();
-  // One consistent reset epoch: the channel and checkpointer counters reset
-  // in the same sweep (they used to be skipped, leaving GatherStats mixing
-  // epochs), and the registry reset covers its owned instruments (the
-  // latency histogram) plus externally hooked subsystems (WireServer).
-  // LogStats deliberately stay cumulative — see the header.
+  // One consistent reset epoch: the channel and checkpointer counters, the
+  // latency histogram and the hooked subsystems (WireServer) reset in the
+  // same sweep. LogStats deliberately stay cumulative — see the header.
   for (auto& channel : channels_) channel->ResetStats();
-  if (checkpointer_ != nullptr) checkpointer_->ResetStats();
-  metrics_.Reset();
+  txn_latency_.Reset();
+  // Copy the hooks under the lock but run them outside it, so a hook is
+  // free to re-enter the cluster.
+  std::vector<std::function<void()>> hooks;
+  {
+    std::lock_guard<std::mutex> lock(stats_mu_);
+    if (checkpointer_ != nullptr) checkpointer_->ResetStats();
+    hooks.reserve(reset_hooks_.size());
+    for (const auto& entry : reset_hooks_) hooks.push_back(entry.second);
+  }
+  for (const auto& hook : hooks) hook();
+}
+
+uint64_t Cluster::AddResetHook(std::function<void()> hook) {
+  std::lock_guard<std::mutex> lock(stats_mu_);
+  uint64_t handle = next_reset_hook_++;
+  reset_hooks_.emplace(handle, std::move(hook));
+  return handle;
+}
+
+void Cluster::RemoveResetHook(uint64_t handle) {
+  std::lock_guard<std::mutex> lock(stats_mu_);
+  reset_hooks_.erase(handle);
 }
 
 void Cluster::InstrumentStore(SStore& store, size_t p) {
   PartitionInstruments ins;
-  ins.latency_us = txn_latency_;
+  ins.latency_us = &txn_latency_;
   ins.latency_sample_every = options_.latency_sample_every;
   if (options_.trace_sample_every != 0 && options_.trace_ring_capacity != 0) {
     while (trace_rings_.size() <= p) {
@@ -1201,114 +1230,104 @@ void Cluster::InstrumentStore(SStore& store, size_t p) {
   store.partition().SetInstruments(ins);
 }
 
-void Cluster::CollectMetrics(std::vector<MetricSample>* out) const {
-  auto add = [out](std::string name, MetricKind kind, double value) {
-    MetricSample s;
-    s.name = std::move(name);
-    s.kind = kind;
-    s.value = value;
-    out->push_back(std::move(s));
+MetricsSnapshot Cluster::SnapshotMetrics() const {
+  MetricsSnapshot out;
+  MetricSample latency;
+  latency.name = "sstore_txn_latency_us";
+  latency.kind = MetricKind::kHistogram;
+  latency.hist = txn_latency_.snapshot();
+  latency.value = static_cast<double>(latency.hist.count);
+  out.samples.push_back(std::move(latency));
+
+  auto add = [&out](std::string name, MetricKind kind, uint64_t value) {
+    out.Add(std::move(name), kind, static_cast<double>(value));
   };
   const ClusterStats cs = GatherStats();
-  const size_t n = num_partitions();
-
-  add("sstore_partitions", MetricKind::kGauge, static_cast<double>(n));
-
-  // Transaction-engine totals.
-  add("sstore_txn_committed_total", MetricKind::kCounter,
-      static_cast<double>(cs.txn.committed));
-  add("sstore_txn_aborted_total", MetricKind::kCounter,
-      static_cast<double>(cs.txn.aborted));
-  add("sstore_txn_client_requests_total", MetricKind::kCounter,
-      static_cast<double>(cs.txn.client_requests));
-  add("sstore_txn_internal_requests_total", MetricKind::kCounter,
-      static_cast<double>(cs.txn.internal_requests));
-  add("sstore_txn_nested_groups_total", MetricKind::kCounter,
-      static_cast<double>(cs.txn.nested_groups));
-  add("sstore_producer_blocks_total", MetricKind::kCounter,
-      static_cast<double>(cs.txn.producer_blocks));
-  add("sstore_queue_high_watermark", MetricKind::kGauge,
-      static_cast<double>(cs.txn.queue_high_watermark));
+  const size_t n = cs.per_partition.size();
+  std::vector<size_t> depths(n);
   size_t depth = 0;
   for (size_t p = 0; p < n; ++p) {
-    depth += const_cast<SStore&>(*stores_[p]).partition().QueueDepth();
+    depths[p] = const_cast<SStore&>(*stores_[p]).partition().QueueDepth();
+    depth += depths[p];
   }
-  add("sstore_queue_depth", MetricKind::kGauge, static_cast<double>(depth));
+
+  add("sstore_partitions", MetricKind::kGauge, n);
+
+  // Transaction-engine totals.
+  add("sstore_txn_committed_total", MetricKind::kCounter, cs.txn.committed);
+  add("sstore_txn_aborted_total", MetricKind::kCounter, cs.txn.aborted);
+  add("sstore_txn_client_requests_total", MetricKind::kCounter,
+      cs.txn.client_requests);
+  add("sstore_txn_internal_requests_total", MetricKind::kCounter,
+      cs.txn.internal_requests);
+  add("sstore_txn_nested_groups_total", MetricKind::kCounter,
+      cs.txn.nested_groups);
+  add("sstore_producer_blocks_total", MetricKind::kCounter,
+      cs.txn.producer_blocks);
+  add("sstore_queue_high_watermark", MetricKind::kGauge,
+      cs.txn.queue_high_watermark);
+  add("sstore_queue_depth", MetricKind::kGauge, depth);
 
   // Execution-engine totals.
   add("sstore_engine_fragments_executed_total", MetricKind::kCounter,
-      static_cast<double>(cs.engine.fragments_executed));
+      cs.engine.fragments_executed);
   add("sstore_engine_ee_trigger_firings_total", MetricKind::kCounter,
-      static_cast<double>(cs.engine.ee_trigger_firings));
+      cs.engine.ee_trigger_firings);
   add("sstore_engine_boundary_crossings_total", MetricKind::kCounter,
-      static_cast<double>(cs.engine.boundary_crossings));
+      cs.engine.boundary_crossings);
   add("sstore_engine_boundary_bytes_total", MetricKind::kCounter,
-      static_cast<double>(cs.engine.boundary_bytes));
+      cs.engine.boundary_bytes);
   add("sstore_engine_gc_deleted_rows_total", MetricKind::kCounter,
-      static_cast<double>(cs.engine.gc_deleted_rows));
+      cs.engine.gc_deleted_rows);
 
   // Cross-partition coordinator.
   add("sstore_coord_multi_txns_total", MetricKind::kCounter,
-      static_cast<double>(cs.coord.multi_txns));
-  add("sstore_coord_prepares_total", MetricKind::kCounter,
-      static_cast<double>(cs.coord.prepares));
-  add("sstore_coord_commits_total", MetricKind::kCounter,
-      static_cast<double>(cs.coord.commits));
-  add("sstore_coord_aborts_total", MetricKind::kCounter,
-      static_cast<double>(cs.coord.aborts));
-  add("sstore_coord_round_latency_us_avg", MetricKind::kGauge,
-      cs.coord.rounds == 0
-          ? 0.0
-          : static_cast<double>(cs.coord.round_latency_us_total) /
-                static_cast<double>(cs.coord.rounds));
+      cs.coord.multi_txns);
+  add("sstore_coord_prepares_total", MetricKind::kCounter, cs.coord.prepares);
+  add("sstore_coord_commits_total", MetricKind::kCounter, cs.coord.commits);
+  add("sstore_coord_aborts_total", MetricKind::kCounter, cs.coord.aborts);
+  out.Add("sstore_coord_round_latency_us_avg", MetricKind::kGauge,
+          cs.coord.rounds == 0
+              ? 0.0
+              : static_cast<double>(cs.coord.round_latency_us_total) /
+                    static_cast<double>(cs.coord.rounds));
 
   // Durability (lifetime-cumulative; survives ResetStats by design).
   add("sstore_log_records_appended_total", MetricKind::kCounter,
-      static_cast<double>(cs.log.records_appended));
-  add("sstore_log_flushes_total", MetricKind::kCounter,
-      static_cast<double>(cs.log.flush_count));
+      cs.log.records_appended);
+  add("sstore_log_flushes_total", MetricKind::kCounter, cs.log.flush_count);
   add("sstore_log_bytes_written_total", MetricKind::kCounter,
-      static_cast<double>(cs.log.bytes_written));
+      cs.log.bytes_written);
   // Realized group-commit amortization (§4.4): records per durable flush.
-  add("sstore_log_group_commit_ratio", MetricKind::kGauge,
-      cs.log.flush_count == 0
-          ? 0.0
-          : static_cast<double>(cs.log.records_appended) /
-                static_cast<double>(cs.log.flush_count));
+  out.Add("sstore_log_group_commit_ratio", MetricKind::kGauge,
+          cs.log.flush_count == 0
+              ? 0.0
+              : static_cast<double>(cs.log.records_appended) /
+                    static_cast<double>(cs.log.flush_count));
 
   // Stream channels (zeros when the deploy has none).
-  StreamChannel::Stats ch;
-  for (const auto& channel : channels_) {
-    StreamChannel::Stats one = channel->stats();
-    ch.deliveries += one.deliveries;
-    ch.rows_forwarded += one.rows_forwarded;
-    ch.redeliveries_suppressed += one.redeliveries_suppressed;
-    ch.delivery_failures += one.delivery_failures;
-  }
   add("sstore_channel_deliveries_total", MetricKind::kCounter,
-      static_cast<double>(ch.deliveries));
+      cs.channel.deliveries);
   add("sstore_channel_rows_forwarded_total", MetricKind::kCounter,
-      static_cast<double>(ch.rows_forwarded));
+      cs.channel.rows_forwarded);
   add("sstore_channel_redeliveries_suppressed_total", MetricKind::kCounter,
-      static_cast<double>(ch.redeliveries_suppressed));
+      cs.channel.redeliveries_suppressed);
   add("sstore_channel_delivery_failures_total", MetricKind::kCounter,
-      static_cast<double>(ch.delivery_failures));
+      cs.channel.delivery_failures);
 
   // Background checkpointer (zeros until StartCheckpointer).
-  Checkpointer::Stats cp;
-  if (checkpointer_ != nullptr) cp = checkpointer_->stats();
   add("sstore_checkpoint_completed_total", MetricKind::kCounter,
-      static_cast<double>(cp.completed));
+      cs.checkpoint.completed);
   add("sstore_checkpoint_failed_total", MetricKind::kCounter,
-      static_cast<double>(cp.failed));
+      cs.checkpoint.failed);
   add("sstore_checkpoint_busy_deferred_total", MetricKind::kCounter,
-      static_cast<double>(cp.busy_deferred));
+      cs.checkpoint.busy_deferred);
   add("sstore_checkpoint_last_barrier_pause_us", MetricKind::kGauge,
-      static_cast<double>(cp.last_barrier_pause_us));
+      cs.checkpoint.last_barrier_pause_us);
   add("sstore_checkpoint_max_barrier_pause_us", MetricKind::kGauge,
-      static_cast<double>(cp.max_barrier_pause_us));
+      cs.checkpoint.max_barrier_pause_us);
   add("sstore_checkpoint_tables_delta_total", MetricKind::kCounter,
-      static_cast<double>(cp.tables_delta_total));
+      cs.checkpoint.tables_delta_total);
 
   // Per-partition samples for skew analysis (sstore_top's table).
   for (size_t p = 0; p < n; ++p) {
@@ -1316,25 +1335,24 @@ void Cluster::CollectMetrics(std::vector<MetricSample>* out) const {
     const Partition::Stats& ps = cs.per_partition[p];
     const LogStats& ls = cs.per_partition_log[p];
     add(LabeledMetric("sstore_partition_committed_total", "partition", label),
-        MetricKind::kCounter, static_cast<double>(ps.committed));
+        MetricKind::kCounter, ps.committed);
     add(LabeledMetric("sstore_partition_aborted_total", "partition", label),
-        MetricKind::kCounter, static_cast<double>(ps.aborted));
+        MetricKind::kCounter, ps.aborted);
     add(LabeledMetric("sstore_partition_queue_depth", "partition", label),
-        MetricKind::kGauge,
-        static_cast<double>(
-            const_cast<SStore&>(*stores_[p]).partition().QueueDepth()));
+        MetricKind::kGauge, depths[p]);
     add(LabeledMetric("sstore_partition_queue_high_watermark", "partition",
                       label),
-        MetricKind::kGauge, static_cast<double>(ps.queue_high_watermark));
+        MetricKind::kGauge, ps.queue_high_watermark);
     add(LabeledMetric("sstore_partition_log_records_total", "partition",
                       label),
-        MetricKind::kCounter, static_cast<double>(ls.records_appended));
+        MetricKind::kCounter, ls.records_appended);
     add(LabeledMetric("sstore_partition_log_flushes_total", "partition",
                       label),
-        MetricKind::kCounter, static_cast<double>(ls.flush_count));
+        MetricKind::kCounter, ls.flush_count);
     add(LabeledMetric("sstore_partition_log_bytes_total", "partition", label),
-        MetricKind::kCounter, static_cast<double>(ls.bytes_written));
+        MetricKind::kCounter, ls.bytes_written);
   }
+  return out;
 }
 
 std::string Cluster::DumpTraceJson() const {

@@ -2,6 +2,7 @@
 #define SSTORE_CLUSTER_CLUSTER_H_
 
 #include <atomic>
+#include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -13,6 +14,7 @@
 
 #include "cluster/checkpointer.h"
 #include "cluster/partition_map.h"
+#include "cluster/stream_channel.h"
 #include "cluster/topology.h"
 #include "common/status.h"
 #include "engine/partition.h"
@@ -22,8 +24,6 @@
 #include "txn_coord/txn_coordinator.h"
 
 namespace sstore {
-
-class StreamChannel;
 
 /// One live rebalancing step (see Cluster::Rebalance): split an overloaded
 /// partition's key range in two and migrate the moving half onto a freshly
@@ -81,10 +81,12 @@ struct CheckpointReport {
   uint64_t snapshot_bytes = 0;
 };
 
-/// Aggregate statistics snapshot over every partition of a Cluster: the
+/// Aggregate statistics snapshot of a Cluster — the one typed read API for
+/// its counters, and what Cluster::SnapshotMetrics renders: the
 /// partition-engine counters (Partition::Stats) and the execution-engine
 /// counters (EngineStats), both summed into cluster totals and kept
-/// per-partition for skew analysis.
+/// per-partition for skew analysis, plus the coordinator, command-log,
+/// stream-channel and background-checkpointer counters.
 ///
 /// Snapshots are consistent when taken while the cluster is idle (after
 /// WaitIdle() or Stop()); under load they are a live approximation, same as
@@ -103,6 +105,11 @@ struct ClusterStats {
   /// log.records_appended is the realized group-commit amortization of
   /// Options::group_commit_size (paper §4.4).
   LogStats log;
+  /// Stream-channel delivery counters summed across the deployed channels
+  /// (all zero when the deploy has none).
+  StreamChannel::Stats channel;
+  /// Background checkpointer counters (all zero until StartCheckpointer).
+  Checkpointer::Stats checkpoint;
   std::vector<Partition::Stats> per_partition;
   std::vector<EngineStats> per_partition_engine;
   std::vector<LogStats> per_partition_log;
@@ -360,7 +367,8 @@ class Cluster {
   /// so a barrier never races shutdown.
   Status StartCheckpointer(const Checkpointer::Options& options);
   void StopCheckpointer();
-  /// Null when StartCheckpointer was never called.
+  /// Null when StartCheckpointer was never called. The pointer changes on
+  /// each StartCheckpointer; like Start/Stop, for the owning thread.
   Checkpointer* checkpointer() { return checkpointer_.get(); }
 
   /// Restores every partition to the consistent cut of the last checkpoint
@@ -449,33 +457,38 @@ class Cluster {
 
   // ---- Stats ----
 
-  /// Aggregates Partition::Stats and EngineStats across partitions.
+  /// Aggregates every subsystem's counters (see ClusterStats). Any thread.
   ClusterStats GatherStats() const;
 
   /// Resets *every* stats epoch the cluster knows about in one sweep: the
-  /// partition-engine, execution-engine, and coordinator counters (as
-  /// before), plus the stream-channel and checkpointer counters and — via
-  /// the registry's reset hooks — externally registered subsystems such as
-  /// an attached WireServer. Registry-owned histograms reset too. The one
+  /// partition-engine, execution-engine, coordinator, stream-channel and
+  /// checkpointer counters, the latency histogram, and — via the reset
+  /// hooks — external subsystems such as an attached WireServer. The one
   /// deliberate exception: LogStats stay lifetime-cumulative (the
   /// checkpointer's log-bytes trigger and rotation-epoch accounting depend
   /// on monotonic totals), so a GatherStats() after a quiesced ResetStats()
   /// reflects only work submitted in between for everything *except* `log`.
   void ResetStats();
 
+  /// Reset hook: ResetStats() runs it after the cluster's own counters, so
+  /// a component outside the cluster (WireServer) resets in the same sweep.
+  /// A component that can die before the cluster must remove its hook
+  /// first. Returns the handle for RemoveResetHook.
+  uint64_t AddResetHook(std::function<void()> hook);
+  void RemoveResetHook(uint64_t handle);
+
   // ---- Observability ----
 
-  /// The cluster's metrics registry: owns the hot-path latency histogram,
-  /// pulls every subsystem's counters at Snapshot()/RenderText() time, and
-  /// is what the wire server's kStats endpoint serves. External components
-  /// (WireServer) register providers/reset hooks here.
-  MetricsRegistry& metrics() { return metrics_; }
-  const MetricsRegistry& metrics() const { return metrics_; }
+  /// The cluster's metrics as named samples: the latency histogram, then
+  /// the cluster families rendered from one GatherStats() (the
+  /// `sstore_*` names pinned by tools/golden_metrics.txt). The wire
+  /// server's kStats answer is this plus its own `sstore_wire_*` samples.
+  MetricsSnapshot SnapshotMetrics() const;
 
   /// The shared submit→complete latency histogram every partition records
   /// into (sampled per Options::latency_sample_every).
   const LatencyHistogram* txn_latency_histogram() const {
-    return txn_latency_;
+    return &txn_latency_;
   }
 
   /// Partition p's ring of recent pipeline spans; nullptr when tracing is
@@ -520,23 +533,18 @@ class Cluster {
   /// or stopped.
   Status MigrateKeyedRows(const RebalancePlan& plan, uint64_t* rows_moved);
 
-  /// Attaches the registry's histogram and partition p's trace ring to a
+  /// Attaches the cluster's histogram and partition p's trace ring to a
   /// store's partition (growing trace_rings_ on demand). Called wherever a
   /// store is created: construction, Rebalance split, Recover regrow.
   void InstrumentStore(SStore& store, size_t p);
-  /// The registry provider: emits cluster totals, per-partition samples,
-  /// channel/checkpointer/coordinator counters.
-  void CollectMetrics(std::vector<MetricSample>* out) const;
 
   Options options_;
 
   /// Observability substrate. Declared before stores_ so partitions (whose
   /// workers record into the histogram/rings until Stop()) are destroyed
-  /// first.
-  MetricsRegistry metrics_;
-  /// Registry-owned; cache-line-sharded, so one histogram serves every
-  /// partition without contention.
-  LatencyHistogram* txn_latency_ = nullptr;
+  /// first. Cache-line-sharded, so one histogram serves every partition
+  /// without contention.
+  LatencyHistogram txn_latency_;
   /// Per-partition span rings; reserved to kMaxClusterPartitions so runtime
   /// growth never reallocates under concurrent trace_ring() readers.
   std::vector<std::unique_ptr<TraceRing>> trace_rings_;
@@ -589,6 +597,13 @@ class Cluster {
   /// parked, for Checkpoint and Rebalance alike; the wire server sheds
   /// kBusy while it is up instead of queueing behind the barrier.
   std::atomic<bool> checkpoint_gate_closed_{false};
+
+  /// Guards the reset hooks, and checkpointer_ against the off-thread stats
+  /// readers (a kStats request on a wire I/O thread) while StartCheckpointer
+  /// replaces it. The owning thread reads checkpointer_ without it.
+  mutable std::mutex stats_mu_;
+  uint64_t next_reset_hook_ = 1;
+  std::map<uint64_t, std::function<void()>> reset_hooks_;
 
   /// Background checkpoint thread; declared last so it is destroyed first
   /// (its loop references everything above). Stop() halts it before the

@@ -40,7 +40,7 @@ struct Invocation {
 
 /// Hot-path observability hooks a partition records into (src/obs/). All
 /// pointers are borrowed and must outlive the partition's running worker;
-/// Cluster wires its registry-owned histogram and per-partition trace rings
+/// Cluster wires its latency histogram and per-partition trace rings
 /// here. Sampling is 1-in-N at submit time: an unsampled invocation pays one
 /// thread-local countdown, a sampled one adds two clock reads and a
 /// histogram Record, and 1-in-(N*M) additionally captures per-stage trace

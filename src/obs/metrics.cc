@@ -88,6 +88,14 @@ int64_t LatencyHistogram::Snapshot::Percentile(double p) const {
 
 // ---- Snapshot & exposition -------------------------------------------------
 
+void MetricsSnapshot::Add(std::string name, MetricKind kind, double value) {
+  MetricSample s;
+  s.name = std::move(name);
+  s.kind = kind;
+  s.value = value;
+  samples.push_back(std::move(s));
+}
+
 const MetricSample* MetricsSnapshot::Find(const std::string& name) const {
   for (const MetricSample& s : samples) {
     if (s.name == name) return &s;
@@ -201,107 +209,6 @@ std::vector<std::pair<std::string, double>> ParseMetricsText(
 std::string LabeledMetric(const std::string& base, const std::string& label,
                           const std::string& value) {
   return base + "{" + label + "=\"" + value + "\"}";
-}
-
-// ---- MetricsRegistry -------------------------------------------------------
-
-Counter* MetricsRegistry::AddCounter(const std::string& name) {
-  std::lock_guard<std::mutex> lock(mu_);
-  instruments_.emplace_back(name, MetricKind::kCounter);
-  return &instruments_.back().counter;
-}
-
-Gauge* MetricsRegistry::AddGauge(const std::string& name) {
-  std::lock_guard<std::mutex> lock(mu_);
-  instruments_.emplace_back(name, MetricKind::kGauge);
-  return &instruments_.back().gauge;
-}
-
-LatencyHistogram* MetricsRegistry::AddHistogram(const std::string& name) {
-  std::lock_guard<std::mutex> lock(mu_);
-  instruments_.emplace_back(name, MetricKind::kHistogram);
-  return &instruments_.back().histogram;
-}
-
-uint64_t MetricsRegistry::AddProvider(Provider provider) {
-  std::lock_guard<std::mutex> lock(mu_);
-  uint64_t handle = next_handle_++;
-  providers_.emplace(handle, std::move(provider));
-  return handle;
-}
-
-void MetricsRegistry::RemoveProvider(uint64_t handle) {
-  std::lock_guard<std::mutex> lock(mu_);
-  providers_.erase(handle);
-}
-
-uint64_t MetricsRegistry::AddResetHook(std::function<void()> hook) {
-  std::lock_guard<std::mutex> lock(mu_);
-  uint64_t handle = next_handle_++;
-  reset_hooks_.emplace(handle, std::move(hook));
-  return handle;
-}
-
-void MetricsRegistry::RemoveResetHook(uint64_t handle) {
-  std::lock_guard<std::mutex> lock(mu_);
-  reset_hooks_.erase(handle);
-}
-
-MetricsSnapshot MetricsRegistry::Snapshot() const {
-  MetricsSnapshot out;
-  std::lock_guard<std::mutex> lock(mu_);
-  for (const Instrument& ins : instruments_) {
-    MetricSample s;
-    s.name = ins.name;
-    s.kind = ins.kind;
-    switch (ins.kind) {
-      case MetricKind::kCounter:
-        s.value = static_cast<double>(ins.counter.value());
-        break;
-      case MetricKind::kGauge:
-        s.value = static_cast<double>(ins.gauge.value());
-        break;
-      case MetricKind::kHistogram:
-        s.hist = ins.histogram.snapshot();
-        s.value = static_cast<double>(s.hist.count);
-        break;
-    }
-    out.samples.push_back(std::move(s));
-  }
-  for (const auto& entry : providers_) {
-    entry.second(&out.samples);
-  }
-  return out;
-}
-
-std::string MetricsRegistry::RenderText() const {
-  return RenderPrometheusText(Snapshot());
-}
-
-void MetricsRegistry::Reset() {
-  // Snapshot the hooks under the lock but run them outside it, so a hook is
-  // free to re-enter (e.g. a WireServer hook that removes itself on Stop
-  // while a reset is in flight merely races benignly).
-  std::vector<std::function<void()>> hooks;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    for (Instrument& ins : instruments_) {
-      switch (ins.kind) {
-        case MetricKind::kCounter:
-          ins.counter.Reset();
-          break;
-        case MetricKind::kGauge:
-          ins.gauge.Reset();
-          break;
-        case MetricKind::kHistogram:
-          ins.histogram.Reset();
-          break;
-      }
-    }
-    hooks.reserve(reset_hooks_.size());
-    for (const auto& entry : reset_hooks_) hooks.push_back(entry.second);
-  }
-  for (const auto& hook : hooks) hook();
 }
 
 }  // namespace sstore

@@ -4,50 +4,18 @@
 #include <array>
 #include <atomic>
 #include <cstdint>
-#include <deque>
-#include <functional>
-#include <map>
-#include <mutex>
 #include <string>
 #include <utility>
 #include <vector>
 
 namespace sstore {
 
-/// The observability substrate (docs/ARCHITECTURE.md "Observability"): one
-/// process-wide registry of named metrics behind a single snapshot +
-/// Prometheus-style text exposition API. Every subsystem that used to hide
-/// counters in its own Stats struct (Partition, ExecutionEngine,
-/// TxnCoordinator, CommandLog, StreamChannel, Checkpointer, WireServer)
-/// surfaces here — either as registry-owned instruments updated on the hot
-/// path, or through pull-style providers that read the legacy structs at
-/// snapshot time. The legacy structs stay for in-process callers; the
-/// registry is the one pane of glass.
-
-// ---- Instruments -----------------------------------------------------------
-
-/// Monotonic counter. Add() is one relaxed fetch_add — safe on any path.
-class Counter {
- public:
-  void Add(uint64_t n = 1) { v_.fetch_add(n, std::memory_order_relaxed); }
-  uint64_t value() const { return v_.load(std::memory_order_relaxed); }
-  void Reset() { v_.store(0, std::memory_order_relaxed); }
-
- private:
-  std::atomic<uint64_t> v_{0};
-};
-
-/// Last-write-wins gauge.
-class Gauge {
- public:
-  void Set(int64_t v) { v_.store(v, std::memory_order_relaxed); }
-  void Add(int64_t n) { v_.fetch_add(n, std::memory_order_relaxed); }
-  int64_t value() const { return v_.load(std::memory_order_relaxed); }
-  void Reset() { v_.store(0, std::memory_order_relaxed); }
-
- private:
-  std::atomic<int64_t> v_{0};
-};
+/// The observability substrate (docs/ARCHITECTURE.md "Observability"): the
+/// hot-path latency histogram plus the Prometheus-style text exposition.
+/// Counters live in each subsystem's typed Stats struct (ClusterStats,
+/// WireServer::Stats, ...); a MetricsSnapshot is a plain list of named
+/// samples built from those structs at read time (Cluster::SnapshotMetrics)
+/// and rendered with RenderPrometheusText.
 
 /// Lock-free fixed-bucket histogram for hot-path latencies: values land in
 /// log2-scale buckets (bucket b covers [2^b, 2^(b+1))), spread over a small
@@ -122,6 +90,8 @@ struct MetricSample {
 struct MetricsSnapshot {
   std::vector<MetricSample> samples;
 
+  /// Appends a counter or gauge sample.
+  void Add(std::string name, MetricKind kind, double value);
   const MetricSample* Find(const std::string& name) const;
   /// Value of `name`, or `fallback` when absent.
   double Value(const std::string& name, double fallback = 0) const;
@@ -141,67 +111,6 @@ std::vector<std::pair<std::string, double>> ParseMetricsText(
 /// `base{label="<v>"}` helper for per-partition metric names.
 std::string LabeledMetric(const std::string& base, const std::string& label,
                           const std::string& value);
-
-// ---- Registry --------------------------------------------------------------
-
-/// Named-metric registry: owns hot-path instruments (stable pointers for
-/// recorders) and pull-providers that contribute samples at snapshot time.
-/// Registration is mutex-guarded and expected at deploy/start time; the
-/// instruments themselves are wait-free to update.
-class MetricsRegistry {
- public:
-  MetricsRegistry() = default;
-  MetricsRegistry(const MetricsRegistry&) = delete;
-  MetricsRegistry& operator=(const MetricsRegistry&) = delete;
-
-  /// Registered instruments live as long as the registry; the returned
-  /// pointers are stable and safe to cache on hot paths.
-  Counter* AddCounter(const std::string& name);
-  Gauge* AddGauge(const std::string& name);
-  LatencyHistogram* AddHistogram(const std::string& name);
-
-  /// Pull-provider: called under the registry lock by Snapshot() to append
-  /// samples (this is how the legacy Stats structs are absorbed without
-  /// rewriting their counters). Must not call back into this registry.
-  /// Returns a handle for RemoveProvider — components with a lifetime
-  /// shorter than the registry (e.g. WireServer) must remove themselves.
-  using Provider = std::function<void(std::vector<MetricSample>*)>;
-  uint64_t AddProvider(Provider provider);
-  void RemoveProvider(uint64_t handle);
-
-  /// Reset hook: invoked by Reset() so external subsystems' counters reset
-  /// in the same sweep as the registry-owned instruments — the one
-  /// consistent reset epoch Cluster::ResetStats promises.
-  uint64_t AddResetHook(std::function<void()> hook);
-  void RemoveResetHook(uint64_t handle);
-
-  /// Owned instruments first (registration order), then each provider's
-  /// samples (registration order).
-  MetricsSnapshot Snapshot() const;
-  /// RenderPrometheusText(Snapshot()).
-  std::string RenderText() const;
-
-  /// Zeroes every owned counter/gauge/histogram, then runs the reset hooks.
-  void Reset();
-
- private:
-  struct Instrument {
-    std::string name;
-    MetricKind kind;
-    // Exactly one is used, per kind. deque-stored so pointers are stable.
-    Counter counter;
-    Gauge gauge;
-    LatencyHistogram histogram;
-    explicit Instrument(std::string n, MetricKind k)
-        : name(std::move(n)), kind(k) {}
-  };
-
-  mutable std::mutex mu_;
-  std::deque<Instrument> instruments_;
-  uint64_t next_handle_ = 1;
-  std::map<uint64_t, Provider> providers_;
-  std::map<uint64_t, std::function<void()>> reset_hooks_;
-};
 
 }  // namespace sstore
 

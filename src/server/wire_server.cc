@@ -338,14 +338,17 @@ class EventLoop {
             Busy(conn, req.request_id);
             break;
           }
-          // Answered in-line like kPong: RenderText snapshots the registry
-          // (legacy Stats structs are pulled by providers at this moment),
-          // so the reply is a consistent live view without touching any
-          // partition ring. Counted before rendering so the snapshot
-          // includes the request it is answering.
+          // Answered in-line like kPong: the cluster's typed stats and
+          // then the server's are read at this moment, so the reply is a
+          // live view without touching any partition ring. Counted before
+          // rendering so the snapshot includes the request it is answering.
           server_->stats_requests_.fetch_add(1, std::memory_order_relaxed);
-          EncodeStatsText(&conn->wrbuf, req.request_id,
-                          server_->cluster_->metrics().RenderText());
+          {
+            MetricsSnapshot snap = server_->cluster_->SnapshotMetrics();
+            server_->AppendMetrics(&snap);
+            EncodeStatsText(&conn->wrbuf, req.request_id,
+                            RenderPrometheusText(snap));
+          }
           server_->responses_sent_.fetch_add(1, std::memory_order_relaxed);
           break;
         case WireRequestType::kSubmit:
@@ -685,11 +688,8 @@ Status WireServer::Start() {
   running_.store(true, std::memory_order_release);
   for (auto& loop : loops_) loop->StartThread();
   acceptor_ = std::thread([this] { AcceptLoop(); });
-  // Publish sstore_wire_* through the cluster's registry and join the
-  // one-sweep reset semantics of Cluster::ResetStats while serving.
-  metrics_provider_handle_ = cluster_->metrics().AddProvider(
-      [this](std::vector<MetricSample>* out) { CollectMetrics(out); });
-  reset_hook_handle_ = cluster_->metrics().AddResetHook([this] { ResetStats(); });
+  // Join the one-sweep reset semantics of Cluster::ResetStats while serving.
+  reset_hook_handle_ = cluster_->AddResetHook([this] { ResetStats(); });
   return Status::OK();
 }
 
@@ -720,10 +720,9 @@ void WireServer::AcceptLoop() {
 
 void WireServer::Stop() {
   if (!running_.exchange(false, std::memory_order_acq_rel)) return;
-  // Unregister before tearing anything down: the registry must never call
-  // into a stopping server's provider/hook once Stop returns.
-  cluster_->metrics().RemoveProvider(metrics_provider_handle_);
-  cluster_->metrics().RemoveResetHook(reset_hook_handle_);
+  // Unregister before tearing anything down: the cluster must never call
+  // into a stopping server's hook once Stop returns.
+  cluster_->RemoveResetHook(reset_hook_handle_);
   if (acceptor_.joinable()) acceptor_.join();
   if (listen_fd_ >= 0) {
     ::close(listen_fd_);
@@ -783,32 +782,28 @@ void WireServer::ResetStats() {
   max_conn_inflight_.store(0, std::memory_order_relaxed);
 }
 
-void WireServer::CollectMetrics(std::vector<MetricSample>* out) const {
+void WireServer::AppendMetrics(MetricsSnapshot* out) const {
+  const Stats st = stats();
   auto add = [out](const char* name, MetricKind kind, uint64_t value) {
-    MetricSample s;
-    s.name = name;
-    s.kind = kind;
-    s.value = static_cast<double>(value);
-    out->push_back(std::move(s));
+    out->Add(name, kind, static_cast<double>(value));
   };
   add("sstore_wire_connections_active", MetricKind::kGauge,
-      connections_active_.load(std::memory_order_relaxed));
+      st.connections_active);
   add("sstore_wire_connections_accepted_total", MetricKind::kCounter,
-      connections_accepted_.load(std::memory_order_relaxed));
+      st.connections_accepted);
   add("sstore_wire_frames_received_total", MetricKind::kCounter,
-      frames_received_.load(std::memory_order_relaxed));
+      st.frames_received);
   add("sstore_wire_responses_sent_total", MetricKind::kCounter,
-      responses_sent_.load(std::memory_order_relaxed));
+      st.responses_sent);
   add("sstore_wire_requests_submitted_total", MetricKind::kCounter,
-      requests_submitted_.load(std::memory_order_relaxed));
+      st.requests_submitted);
   add("sstore_wire_batches_submitted_total", MetricKind::kCounter,
-      batches_submitted_.load(std::memory_order_relaxed));
-  add("sstore_wire_busy_shed_total", MetricKind::kCounter,
-      busy_shed_.load(std::memory_order_relaxed));
+      st.batches_submitted);
+  add("sstore_wire_busy_shed_total", MetricKind::kCounter, st.busy_shed);
   add("sstore_wire_protocol_errors_total", MetricKind::kCounter,
-      protocol_errors_.load(std::memory_order_relaxed));
+      st.protocol_errors);
   add("sstore_wire_stats_requests_total", MetricKind::kCounter,
-      stats_requests_.load(std::memory_order_relaxed));
+      st.stats_requests);
 }
 
 }  // namespace sstore

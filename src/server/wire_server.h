@@ -82,7 +82,9 @@ class WireServer {
     int drain_timeout_ms = 5000;
   };
 
-  /// Counters are cumulative since Start (monotonic, readable live).
+  /// Counters accumulate from construction until ResetStats() — which
+  /// Cluster::ResetStats() also runs while the server is up — and are
+  /// readable live. connections_active is live occupancy and never resets.
   struct Stats {
     uint64_t connections_accepted = 0;
     uint64_t connections_active = 0;
@@ -127,17 +129,17 @@ class WireServer {
 
   Stats stats() const;
 
-  /// Zeroes every counter. Registered as a reset hook with the cluster's
-  /// MetricsRegistry while running, so Cluster::ResetStats() (and
-  /// registry.Reset()) sweep these too.
+  /// Zeroes every counter. Registered as a reset hook with the cluster
+  /// while running, so Cluster::ResetStats() sweeps these too.
   void ResetStats();
 
  private:
   friend class server_internal::EventLoop;
 
   void AcceptLoop();
-  /// Metrics provider: appends sstore_wire_* samples to a registry snapshot.
-  void CollectMetrics(std::vector<MetricSample>* out) const;
+  /// Appends the sstore_wire_* samples, built from stats(), to the
+  /// cluster's snapshot for a kStats answer.
+  void AppendMetrics(MetricsSnapshot* out) const;
 
   Cluster* cluster_;
   Options options_;
@@ -163,10 +165,8 @@ class WireServer {
   std::atomic<uint64_t> overload_closed_{0};
   std::atomic<uint64_t> max_conn_inflight_{0};
 
-  /// Registry registration handles, valid only while running (Start
-  /// registers, Stop removes — the registry must not call into a dead
-  /// server).
-  uint64_t metrics_provider_handle_ = 0;
+  /// Cluster reset-hook handle, valid only while running (Start adds, Stop
+  /// removes — the cluster must not call into a dead server).
   uint64_t reset_hook_handle_ = 0;
 };
 

@@ -786,7 +786,7 @@ TEST_F(FailpointGuard, ObsCountersSurviveRotationAndRecoverNoDoubleCount) {
   cluster.Start();
   cluster.WaitIdle();
 
-  MetricsSnapshot replayed = cluster.metrics().Snapshot();
+  MetricsSnapshot replayed = cluster.SnapshotMetrics();
   EXPECT_GE(replayed.Value("sstore_channel_redeliveries_suppressed_total"),
             1.0)
       << "replay should have re-offered already-applied batches";

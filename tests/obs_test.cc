@@ -1,12 +1,17 @@
 // Observability layer (src/obs/ + its cluster/server integration): histogram
-// correctness under concurrency, registry snapshot/exposition round trips,
-// provider/reset-hook lifecycles, the golden metric-name contract, the kStats
-// wire round trip (live counters must match client-observed commits), trace
-// span dumps, and the one-sweep Cluster::ResetStats semantics. Run in isolation with `ctest -L obs`.
+// correctness under concurrency, snapshot/exposition round trips, the golden
+// metric-name contract, the kStats wire round trip (live counters must match
+// client-observed commits), trace span dumps, the one-sweep
+// Cluster::ResetStats semantics and its reset-hook lifecycle, and kStats
+// polls racing a checkpointer restart. Run in isolation with `ctest -L obs`.
 
 #include <gtest/gtest.h>
+#include <sys/stat.h>
+#include <unistd.h>
 
 #include <algorithm>
+#include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <fstream>
 #include <map>
@@ -88,19 +93,21 @@ TEST(LatencyHistogramTest, ConcurrentRecordersLoseNothing) {
   EXPECT_EQ(bucket_total, s.count);
 }
 
-// ---- Registry, exposition, parsing ----
+// ---- Exposition, parsing ----
 
-TEST(MetricsRegistryTest, SnapshotRenderParseRoundTrip) {
-  MetricsRegistry reg;
-  Counter* c = reg.AddCounter("demo_ops_total");
-  Gauge* g = reg.AddGauge("demo_depth");
-  LatencyHistogram* h = reg.AddHistogram("demo_latency_us");
-  c->Add(41);
-  c->Add();
-  g->Set(-7);
-  for (int i = 0; i < 100; ++i) h->Record(32);
+TEST(MetricsExpositionTest, SnapshotRenderParseRoundTrip) {
+  LatencyHistogram h;
+  for (int i = 0; i < 100; ++i) h.Record(32);
+  MetricsSnapshot snap;
+  snap.Add("demo_ops_total", MetricKind::kCounter, 42);
+  snap.Add("demo_depth", MetricKind::kGauge, -7);
+  MetricSample latency;
+  latency.name = "demo_latency_us";
+  latency.kind = MetricKind::kHistogram;
+  latency.hist = h.snapshot();
+  latency.value = static_cast<double>(latency.hist.count);
+  snap.samples.push_back(latency);
 
-  MetricsSnapshot snap = reg.Snapshot();
   EXPECT_EQ(snap.Value("demo_ops_total"), 42.0);
   EXPECT_EQ(snap.Value("demo_depth"), -7.0);
   EXPECT_EQ(snap.Value("absent_metric", 123.0), 123.0);
@@ -108,7 +115,7 @@ TEST(MetricsRegistryTest, SnapshotRenderParseRoundTrip) {
   ASSERT_NE(hist, nullptr);
   EXPECT_EQ(hist->hist.count, 100u);
 
-  std::string text = reg.RenderText();
+  std::string text = RenderPrometheusText(snap);
   EXPECT_NE(text.find("# TYPE demo_ops_total counter"), std::string::npos);
   EXPECT_NE(text.find("# TYPE demo_latency_us summary"), std::string::npos);
 
@@ -121,39 +128,6 @@ TEST(MetricsRegistryTest, SnapshotRenderParseRoundTrip) {
   EXPECT_GE(p50, 32.0);
   EXPECT_LT(p50, 64.0);
   EXPECT_EQ(parsed.at("demo_latency_us{quantile=\"1\"}"), 32.0);
-}
-
-TEST(MetricsRegistryTest, ProvidersAppendAndRemoveCleanly) {
-  MetricsRegistry reg;
-  reg.AddCounter("owned_total")->Add(5);
-  uint64_t handle = reg.AddProvider([](std::vector<MetricSample>* out) {
-    MetricSample s;
-    s.name = "pulled_total";
-    s.kind = MetricKind::kCounter;
-    s.value = 9;
-    out->push_back(std::move(s));
-  });
-  EXPECT_EQ(reg.Snapshot().Value("pulled_total"), 9.0);
-  reg.RemoveProvider(handle);
-  EXPECT_EQ(reg.Snapshot().Find("pulled_total"), nullptr);
-  EXPECT_EQ(reg.Snapshot().Value("owned_total"), 5.0);
-}
-
-TEST(MetricsRegistryTest, ResetZeroesInstrumentsAndRunsHooks) {
-  MetricsRegistry reg;
-  Counter* c = reg.AddCounter("reset_me_total");
-  LatencyHistogram* h = reg.AddHistogram("reset_me_us");
-  c->Add(10);
-  h->Record(10);
-  int hook_runs = 0;
-  uint64_t handle = reg.AddResetHook([&hook_runs] { ++hook_runs; });
-  reg.Reset();
-  EXPECT_EQ(c->value(), 0u);
-  EXPECT_EQ(h->snapshot().count, 0u);
-  EXPECT_EQ(hook_runs, 1);
-  reg.RemoveResetHook(handle);
-  reg.Reset();
-  EXPECT_EQ(hook_runs, 1);
 }
 
 // ---- Trace ring & JSON ----
@@ -240,6 +214,12 @@ struct ObsHarness {
   VoterClusterApp app;
   WireServer server;
 };
+
+std::vector<std::string> MetricNames(const std::string& text) {
+  std::vector<std::string> names;
+  for (auto& [name, value] : ParseMetricsText(text)) names.push_back(name);
+  return names;
+}
 
 std::map<std::string, double> FetchParsed(WireClient* client) {
   auto text = client->FetchStats();
@@ -364,6 +344,110 @@ TEST(ClusterObsTest, ResetStatsSweepsRegistryWireAndHistogram) {
   std::map<std::string, double> m = FetchParsed(client.get());
   EXPECT_EQ(m.at("sstore_txn_committed_total"), 0.0);
   EXPECT_EQ(m.at("sstore_wire_requests_submitted_total"), 0.0);
+}
+
+TEST(ClusterObsTest, ResetHooksRunOncePerSweepUntilRemoved) {
+  Cluster cluster(ObsClusterOpts(1));
+  int hook_runs = 0;
+  uint64_t handle = cluster.AddResetHook([&hook_runs] { ++hook_runs; });
+  cluster.ResetStats();
+  EXPECT_EQ(hook_runs, 1);
+  cluster.RemoveResetHook(handle);
+  cluster.ResetStats();
+  EXPECT_EQ(hook_runs, 1);
+}
+
+// A stopped and destroyed WireServer has removed its reset hook: the next
+// sweep and snapshot must not touch it (ASan turns a stale hook into a
+// heap-use-after-free here).
+TEST(ClusterObsTest, ResetAndSnapshotAfterWireServerDestroyed) {
+  Cluster cluster(ObsClusterOpts(2));
+  VoterClusterConfig config{16, 1000};
+  ASSERT_TRUE(cluster.Deploy(BuildVoterClusterDeployment(config)).ok());
+  cluster.Start();
+  auto server = std::make_unique<WireServer>(&cluster, WireServer::Options{});
+  ASSERT_TRUE(server->Start().ok());
+  {
+    auto client = WireClient::Connect({"127.0.0.1", server->port()});
+    ASSERT_TRUE(client.ok()) << client.status().ToString();
+    ASSERT_TRUE((*client)->FetchStats().ok());
+  }
+  server->Stop();
+  server.reset();
+
+  cluster.ResetStats();
+  MetricsSnapshot snap = cluster.SnapshotMetrics();
+  EXPECT_EQ(snap.Find("sstore_wire_frames_received_total"), nullptr);
+  EXPECT_EQ(snap.Value("sstore_partitions"), 2.0);
+  EXPECT_EQ(snap.Value("sstore_txn_committed_total", -1), 0.0);
+  cluster.Stop();
+}
+
+// The kStats answer is the in-process snapshot with the server's own
+// samples appended: same names, same order, then sstore_wire_*.
+TEST(ClusterObsTest, SnapshotNamesAreStatsNamesMinusWire) {
+  ObsHarness h(2);
+  auto client = h.Connect();
+  h.Vote(client.get(), 50);
+  h.cluster.WaitIdle();
+  auto text = client->FetchStats();
+  ASSERT_TRUE(text.ok()) << text.status().ToString();
+
+  auto is_wire = [](const std::string& name) {
+    return name.rfind("sstore_wire_", 0) == 0;
+  };
+  std::vector<std::string> wire = MetricNames(*text);
+  auto first_wire = std::find_if(wire.begin(), wire.end(), is_wire);
+  ASSERT_NE(first_wire, wire.end());
+  EXPECT_TRUE(std::all_of(first_wire, wire.end(), is_wire))
+      << "sstore_wire_* samples must follow every cluster sample";
+  std::vector<std::string> cluster_part(wire.begin(), first_wire);
+
+  std::vector<std::string> local =
+      MetricNames(RenderPrometheusText(h.cluster.SnapshotMetrics()));
+  EXPECT_EQ(local, cluster_part);
+  EXPECT_GT(local.size(), 30u);
+}
+
+// StartCheckpointer replaces the checkpointer a kStats request on a wire
+// I/O thread reads; polls racing Stop/Start cycles must never see a freed
+// one (TSan reports an unguarded pointer as a data race).
+TEST(ClusterObsTest, StatsPollsSurviveCheckpointerRestarts) {
+  ObsHarness h(2);
+  std::string dir = ::testing::TempDir() + "/sstore_obs_" +
+                    std::to_string(::getpid()) + "_restart_ckpt";
+  ::mkdir(dir.c_str(), 0755);
+  Checkpointer::Options copts;
+  copts.dir = dir;
+  copts.interval_ms = 1;
+  copts.poll_ms = 1;
+
+  std::atomic<bool> done{false};
+  std::atomic<int> polls{0};
+  std::thread poller([&] {
+    auto client = h.Connect();
+    while (!done.load()) {
+      std::map<std::string, double> m = FetchParsed(client.get());
+      EXPECT_EQ(m.count("sstore_checkpoint_completed_total"), 1u);
+      polls.fetch_add(1);
+    }
+  });
+  // Cycle until both enough restarts ran and the poller overlapped them.
+  constexpr int kCycles = 40;
+  auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  int cycles = 0;
+  while (cycles < kCycles || (polls.load() < kCycles &&
+                               std::chrono::steady_clock::now() < deadline)) {
+    Status st = h.cluster.StartCheckpointer(copts);
+    EXPECT_TRUE(st.ok()) << st.ToString();
+    if (!st.ok()) break;
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    h.cluster.StopCheckpointer();
+    ++cycles;
+  }
+  done.store(true);
+  poller.join();
+  EXPECT_GE(polls.load(), kCycles);
 }
 
 }  // namespace

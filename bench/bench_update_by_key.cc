@@ -1,15 +1,21 @@
-// Point-write layer benchmark: `Executor::Update` with a `col = literal`
-// predicate — the shape of the voter's per-vote count bump — against a
-// table with and without a unique hash index on the key column.
+// Query-layer benchmark for the shapes the voter runs on every vote.
 //
 // Benchmarks:
 //   BM_UpdateByKey/<rows>/<indexed>
+//     `Executor::Update` with a `col = literal` predicate, the per-vote
+//     count bump.
 //     rows     64 (the voter's contestant table) or 4096.
 //     indexed  1: the executor probes the table's `pk` index for the
 //              matching row; 0: no index, so every update scans the table.
-//
-// With the index the cost per update is flat in the row count; without it
-// the cost grows linearly with the table.
+//     With the index the cost per update is flat in the row count; without
+//     it the cost grows linearly with the table.
+//   BM_TopNScan
+//     The leaderboard's top-3: `Scan` of 64 contestants with a predicate,
+//     a projection and `ORDER BY cnt DESC, id LIMIT 3`.
+//   BM_GroupByTopN
+//     The trending board: `Aggregate` over a 100-row window with ~50
+//     distinct contestants, `GROUP BY id`, COUNT, `ORDER BY cnt DESC, id
+//     LIMIT 3`.
 //
 //   BENCH=bench_update_by_key bench/run_bench.sh
 // `--smoke` (CI) maps to a short --benchmark_min_time run.
@@ -20,17 +26,23 @@
 #include <string>
 #include <vector>
 
+#include "common/rng.h"
 #include "query/executor.h"
 #include "query/expr.h"
+#include "query/plan.h"
 #include "storage/table.h"
 
 namespace {
 
 using sstore::Add;
+using sstore::AggFunc;
+using sstore::AggregateSpec;
 using sstore::Col;
 using sstore::Eq;
 using sstore::Executor;
 using sstore::LitInt;
+using sstore::Rng;
+using sstore::ScanSpec;
 using sstore::Schema;
 using sstore::Table;
 using sstore::Value;
@@ -66,6 +78,70 @@ void BM_UpdateByKey(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_UpdateByKey)->ArgsProduct({{64, 4096}, {0, 1}});
+
+void BM_TopNScan(benchmark::State& state) {
+  Table table("contestants", Schema({{"contestant_id", ValueType::kBigInt},
+                                     {"name", ValueType::kString},
+                                     {"active", ValueType::kBigInt},
+                                     {"vote_count", ValueType::kBigInt}}));
+  Rng rng(7);
+  for (int64_t c = 0; c < 64; ++c) {
+    // Counts with ties, as a running vote has.
+    if (!table
+             .Insert({Value::BigInt(c),
+                      Value::String("contestant_" + std::to_string(c)),
+                      Value::BigInt(1), Value::BigInt(rng.NextRange(0, 40))})
+             .ok()) {
+      state.SkipWithError("seed insert failed");
+      return;
+    }
+  }
+  Executor exec;
+  ScanSpec spec;
+  spec.table = &table;
+  spec.predicate = Eq(Col(2), LitInt(1));
+  spec.projection = {0, 3};
+  spec.order_by = {{1, /*descending=*/true}, {0, false}};
+  spec.limit = 3;
+  for (auto _ : state) {
+    auto rows = exec.Scan(spec);
+    benchmark::DoNotOptimize(rows);
+    if (!rows.ok() || rows->size() != 3) {
+      state.SkipWithError("top-3 scan did not return 3 rows");
+      return;
+    }
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_TopNScan);
+
+void BM_GroupByTopN(benchmark::State& state) {
+  Table window("w_trending", Schema({{"contestant_id", ValueType::kBigInt}}));
+  Rng rng(11);
+  for (int r = 0; r < 100; ++r) {
+    if (!window.Insert({Value::BigInt(rng.NextRange(0, 63))}).ok()) {
+      state.SkipWithError("seed insert failed");
+      return;
+    }
+  }
+  Executor exec;
+  AggregateSpec spec;
+  spec.table = &window;
+  spec.group_by = {0};
+  spec.aggregates = {{AggFunc::kCount, 0}};
+  spec.order_by = {{1, /*descending=*/true}, {0, false}};
+  spec.limit = 3;
+  for (auto _ : state) {
+    auto rows = exec.Aggregate(spec);
+    benchmark::DoNotOptimize(rows);
+    if (!rows.ok() || rows->size() != 3) {
+      state.SkipWithError("trending top-3 did not return 3 rows");
+      return;
+    }
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_GroupByTopN);
 
 }  // namespace
 

@@ -46,7 +46,9 @@
 #     tables_delta_per_cut > 0 (unchanged tables ride as references).
 #   bench_update_by_key:  BM_UpdateByKey/<rows>/1 (pk index) items_per_second
 #     about flat from 64 to 4096 rows and far above BM_UpdateByKey/4096/0
-#     (no index: every update scans the table).
+#     (no index: every update scans the table). BM_TopNScan (64 rows,
+#     LIMIT 3) and BM_GroupByTopN (100 rows, ~50 groups, LIMIT 3) time the
+#     leaderboard's two per-vote queries; both complete with 3 rows.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 

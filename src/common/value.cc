@@ -138,11 +138,8 @@ std::string Value::ToString() const {
 }
 
 size_t HashTuple(const Tuple& tuple) {
-  size_t h = 14695981039346656037ull;
-  for (const Value& v : tuple) {
-    size_t vh = v.Hash();
-    h ^= vh + 0x9e3779b97f4a7c15ull + (h << 6) + (h >> 2);
-  }
+  size_t h = kTupleHashSeed;
+  for (const Value& v : tuple) h = HashCombine(h, v);
   return h;
 }
 

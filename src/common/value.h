@@ -100,21 +100,19 @@ class Value {
 /// storage::Schema; Tuple itself is schema-agnostic.
 using Tuple = std::vector<Value>;
 
+/// Seed and step of HashTuple's order-sensitive combination, exposed so a
+/// hash index can hash a row's key columns in place, without copying them
+/// into a key Tuple.
+constexpr size_t kTupleHashSeed = 14695981039346656037ull;
+inline size_t HashCombine(size_t h, const Value& v) {
+  return h ^ (v.Hash() + 0x9e3779b97f4a7c15ull + (h << 6) + (h >> 2));
+}
+
 /// Hash of a full tuple (order-sensitive combination of per-value hashes).
 size_t HashTuple(const Tuple& tuple);
 
 /// Renders "(v1, v2, ...)" for debugging and error messages.
 std::string TupleToString(const Tuple& tuple);
-
-/// Functor for using Value as a hash-map key.
-struct ValueHasher {
-  size_t operator()(const Value& v) const { return v.Hash(); }
-};
-
-/// Functor for using Tuple as a hash-map key.
-struct TupleHasher {
-  size_t operator()(const Tuple& t) const { return HashTuple(t); }
-};
 
 }  // namespace sstore
 

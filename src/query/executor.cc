@@ -1,15 +1,17 @@
 #include "query/executor.h"
 
 #include <algorithm>
-#include <map>
-#include <unordered_map>
+#include <cmath>
+#include <numeric>
 
 namespace sstore {
 
 namespace {
 
-Tuple Project(const Tuple& row, const std::vector<size_t>& projection) {
-  if (projection.empty()) return row;
+/// The output row for a stored row of `width` values starting at `row`.
+Tuple Project(const Value* row, size_t width,
+              const std::vector<size_t>& projection) {
+  if (projection.empty()) return Tuple(row, row + width);
   Tuple out;
   out.reserve(projection.size());
   for (size_t c : projection) out.push_back(row[c]);
@@ -26,6 +28,101 @@ Status ValidateProjection(const Table& table,
     }
   }
   return Status::OK();
+}
+
+Status ValidateOrderBy(const std::vector<OrderBySpec>& order_by,
+                       size_t width) {
+  for (const OrderBySpec& ob : order_by) {
+    if (ob.column >= width) {
+      return Status::OutOfRange("ORDER BY column " +
+                                std::to_string(ob.column) +
+                                " out of range for a " +
+                                std::to_string(width) + "-column output row");
+    }
+  }
+  return Status::OK();
+}
+
+bool IsNaN(const Value& v) {
+  return v.type() == ValueType::kDouble && std::isnan(v.as_double());
+}
+
+/// Value::Compare, except that NaN sorts after every other number and level
+/// with any other NaN. Value::Compare finds NaN equal to every number, which
+/// is no strict weak order; this one is, so heap selection and a stable sort
+/// agree on it.
+int OrderCompare(const Value& a, const Value& b) {
+  bool a_nan = IsNaN(a);
+  bool b_nan = IsNaN(b);
+  if (a_nan == b_nan) return a_nan ? 0 : a.Compare(b);
+  const Value& other = a_nan ? b : a;
+  if (other.is_null() || other.type() == ValueType::kString) {
+    return a.Compare(b);  // NULL first; a string orders by type tag
+  }
+  return a_nan ? 1 : -1;
+}
+
+/// Three-way comparison of two rows, given by their first values, on `keys`
+/// in turn.
+int RowCompare(const Value* a, const Value* b,
+               const std::vector<OrderBySpec>& keys) {
+  for (const OrderBySpec& k : keys) {
+    int c = OrderCompare(a[k.column], b[k.column]);
+    if (c != 0) return k.descending ? -c : c;
+  }
+  return 0;
+}
+
+/// The one ordering step of Scan and Aggregate: orders `rows` (pointers to
+/// each row's first value) by `keys`, ties kept in input order, and keeps
+/// the first `limit` of them (all when unset). When the limit cuts, a heap
+/// selection over positions finds the survivors; its output equals a stable
+/// sort truncated to `limit`, row for row.
+void OrderRows(std::vector<const Value*>* rows,
+               const std::vector<OrderBySpec>& keys,
+               std::optional<size_t> limit) {
+  size_t n = rows->size();
+  size_t keep = limit.has_value() ? std::min(*limit, n) : n;
+  if (keys.empty() || keep == 0) {
+    rows->resize(keep);
+    return;
+  }
+  if (keep == n) {
+    std::stable_sort(rows->begin(), rows->end(),
+                     [&](const Value* a, const Value* b) {
+                       return RowCompare(a, b, keys) < 0;
+                     });
+    return;
+  }
+  std::vector<size_t> pos(n);
+  std::iota(pos.begin(), pos.end(), size_t{0});
+  std::partial_sort(pos.begin(), pos.begin() + keep, pos.end(),
+                    [&](size_t i, size_t j) {
+                      int c = RowCompare((*rows)[i], (*rows)[j], keys);
+                      return c != 0 ? c < 0 : i < j;
+                    });
+  std::vector<const Value*> top(keep);
+  for (size_t r = 0; r < keep; ++r) top[r] = (*rows)[pos[r]];
+  rows->swap(top);
+}
+
+/// Calls `fn(rid, row)` on each live row matching `predicate` (every row if
+/// null), in slot order, until `fn` returns false.
+template <typename Fn>
+Status ForEachMatch(const Table& table, const ExprPtr& predicate,
+                    bool include_staged, Fn fn) {
+  Status err = Status::OK();
+  table.ForEach(
+      [&](RowId rid, const Tuple& row, const RowMeta&) {
+        Result<bool> match = EvalPredicate(predicate, row);
+        if (!match.ok()) {
+          err = match.status();
+          return false;
+        }
+        return !*match || fn(rid, row);
+      },
+      include_staged);
+  return err;
 }
 
 /// The hash index that answers `predicate` as a point lookup, or null. That
@@ -75,62 +172,46 @@ Result<std::vector<RowId>> MatchingRows(const Table& table,
     }
     return out;
   }
-  Status err = Status::OK();
-  table.ForEach(
-      [&](RowId rid, const Tuple& row, const RowMeta&) {
-        Result<bool> match = EvalPredicate(predicate, row);
-        if (!match.ok()) {
-          err = match.status();
-          return false;
-        }
-        if (*match) out.push_back(rid);
+  SSTORE_RETURN_NOT_OK(
+      ForEachMatch(table, predicate, include_staged, [&](RowId rid, const Tuple&) {
+        out.push_back(rid);
         return true;
-      },
-      include_staged);
-  SSTORE_RETURN_NOT_OK(err);
+      }));
   return out;
 }
 
 }  // namespace
-
-void SortTuples(std::vector<Tuple>* rows,
-                const std::vector<OrderBySpec>& order_by) {
-  if (order_by.empty()) return;
-  std::stable_sort(rows->begin(), rows->end(),
-                   [&](const Tuple& a, const Tuple& b) {
-                     for (const OrderBySpec& ob : order_by) {
-                       int c = a[ob.column].Compare(b[ob.column]);
-                       if (c != 0) return ob.descending ? c > 0 : c < 0;
-                     }
-                     return false;
-                   });
-}
 
 Result<std::vector<Tuple>> Executor::Scan(const ScanSpec& spec) const {
   if (spec.table == nullptr) {
     return Status::InvalidArgument("scan requires a table");
   }
   SSTORE_RETURN_NOT_OK(ValidateProjection(*spec.table, spec.projection));
+  size_t width = spec.projection.empty()
+                     ? spec.table->schema().num_columns()
+                     : spec.projection.size();
+  SSTORE_RETURN_NOT_OK(ValidateOrderBy(spec.order_by, width));
+  // Order keys name output columns; map them onto the stored row, so rows
+  // are ordered before any of them is projected.
+  std::vector<OrderBySpec> keys = spec.order_by;
+  if (!spec.projection.empty()) {
+    for (OrderBySpec& k : keys) k.column = spec.projection[k.column];
+  }
+  // Without ordering the limit can stop the scan early.
+  bool early_limit = keys.empty() && spec.limit.has_value();
+  std::vector<const Value*> rows;
+  SSTORE_RETURN_NOT_OK(ForEachMatch(
+      *spec.table, spec.predicate, spec.include_staged,
+      [&](RowId, const Tuple& row) {
+        rows.push_back(row.data());
+        return !(early_limit && rows.size() >= *spec.limit);
+      }));
+  OrderRows(&rows, keys, spec.limit);
   std::vector<Tuple> out;
-  Status err = Status::OK();
-  // With ordering we must collect everything before applying the limit.
-  bool early_limit = spec.order_by.empty() && spec.limit.has_value();
-  spec.table->ForEach(
-      [&](RowId, const Tuple& row, const RowMeta&) {
-        Result<bool> match = EvalPredicate(spec.predicate, row);
-        if (!match.ok()) {
-          err = match.status();
-          return false;
-        }
-        if (!*match) return true;
-        out.push_back(Project(row, spec.projection));
-        return !(early_limit && out.size() >= *spec.limit);
-      },
-      spec.include_staged);
-  SSTORE_RETURN_NOT_OK(err);
-  SortTuples(&out, spec.order_by);
-  if (spec.limit.has_value() && out.size() > *spec.limit) {
-    out.resize(*spec.limit);
+  out.reserve(rows.size());
+  size_t arity = spec.table->schema().num_columns();
+  for (const Value* row : rows) {
+    out.push_back(Project(row, arity, spec.projection));
   }
   return out;
 }
@@ -151,17 +232,22 @@ Result<std::vector<Tuple>> Executor::IndexScan(
     SSTORE_ASSIGN_OR_RETURN(const Tuple* row, table->Get(rid));
     SSTORE_ASSIGN_OR_RETURN(bool match, EvalPredicate(residual, *row));
     if (!match) continue;
-    out.push_back(Project(*row, projection));
+    out.push_back(Project(row->data(), row->size(), projection));
   }
   return out;
 }
 
 Result<size_t> Executor::Count(Table* table, const ExprPtr& predicate) const {
-  ScanSpec spec;
-  spec.table = table;
-  spec.predicate = predicate;
-  SSTORE_ASSIGN_OR_RETURN(std::vector<Tuple> rows, Scan(spec));
-  return rows.size();
+  if (table == nullptr) {
+    return Status::InvalidArgument("count requires a table");
+  }
+  size_t n = 0;
+  SSTORE_RETURN_NOT_OK(ForEachMatch(*table, predicate, /*include_staged=*/false,
+                                    [&](RowId, const Tuple&) {
+                                      ++n;
+                                      return true;
+                                    }));
+  return n;
 }
 
 Result<std::vector<Tuple>> Executor::Aggregate(const AggregateSpec& spec) const {
@@ -179,6 +265,16 @@ Result<std::vector<Tuple>> Executor::Aggregate(const AggregateSpec& spec) const 
       return Status::OutOfRange("aggregate column out of range");
     }
   }
+  size_t width = spec.group_by.size() + spec.aggregates.size();
+  SSTORE_RETURN_NOT_OK(ValidateOrderBy(spec.order_by, width));
+
+  std::vector<const Value*> rows;
+  SSTORE_RETURN_NOT_OK(ForEachMatch(*spec.table, spec.predicate,
+                                    spec.include_staged,
+                                    [&](RowId, const Tuple& row) {
+                                      rows.push_back(row.data());
+                                      return true;
+                                    }));
 
   struct AggState {
     int64_t count = 0;         // rows seen (for COUNT / AVG denominators)
@@ -188,113 +284,108 @@ Result<std::vector<Tuple>> Executor::Aggregate(const AggregateSpec& spec) const 
     int64_t isum = 0;
     Value min, max;
   };
-  struct GroupState {
-    Tuple key;
-    std::vector<AggState> aggs;
-  };
+  std::vector<AggState> states(spec.aggregates.size());
+  // Group g's output row is cells[g * width, (g + 1) * width).
+  std::vector<Value> cells;
+  size_t groups = 0;
 
-  std::unordered_map<Tuple, GroupState, TupleHasher> groups;
-  // Global aggregation gets one implicit group keyed by the empty tuple.
-  if (spec.group_by.empty()) {
-    GroupState g;
-    g.aggs.resize(spec.aggregates.size());
-    groups.emplace(Tuple{}, std::move(g));
-  }
-
-  Status err = Status::OK();
-  spec.table->ForEach(
-      [&](RowId, const Tuple& row, const RowMeta&) {
-        Result<bool> match = EvalPredicate(spec.predicate, row);
-        if (!match.ok()) {
-          err = match.status();
-          return false;
+  // Folds rows[begin, end) — one group, in slot order — into an output row.
+  auto fold = [&](size_t begin, size_t end) -> Status {
+    std::fill(states.begin(), states.end(), AggState{});
+    for (size_t r = begin; r < end; ++r) {
+      for (size_t i = 0; i < spec.aggregates.size(); ++i) {
+        const AggExpr& a = spec.aggregates[i];
+        AggState& st = states[i];
+        ++st.count;
+        if (a.func == AggFunc::kCount) continue;
+        const Value& v = rows[r][a.column];
+        if (v.is_null()) continue;
+        ++st.non_null;
+        Result<double> num = v.ToNumeric();
+        if (!num.ok() &&
+            (a.func == AggFunc::kSum || a.func == AggFunc::kAvg)) {
+          return num.status();
         }
-        if (!*match) return true;
-        Tuple key;
-        key.reserve(spec.group_by.size());
-        for (size_t c : spec.group_by) key.push_back(row[c]);
-        auto [it, inserted] = groups.try_emplace(key);
-        GroupState& g = it->second;
-        if (inserted) {
-          g.key = std::move(key);
-          g.aggs.resize(spec.aggregates.size());
-        }
-        for (size_t i = 0; i < spec.aggregates.size(); ++i) {
-          const AggExpr& a = spec.aggregates[i];
-          AggState& st = g.aggs[i];
-          ++st.count;
-          if (a.func == AggFunc::kCount) continue;
-          const Value& v = row[a.column];
-          if (v.is_null()) continue;
-          ++st.non_null;
-          Result<double> num = v.ToNumeric();
-          if (!num.ok() &&
-              (a.func == AggFunc::kSum || a.func == AggFunc::kAvg)) {
-            err = num.status();
-            return false;
-          }
-          if (num.ok()) {
-            st.sum += *num;
-            if (IsIntLike(v.type())) {
-              st.isum += v.as_int64();
-            } else {
-              st.sum_is_int = false;
-            }
-          }
-          if (st.non_null == 1) {
-            st.min = v;
-            st.max = v;
+        if (num.ok()) {
+          st.sum += *num;
+          if (IsIntLike(v.type())) {
+            st.isum += v.as_int64();
           } else {
-            if (v.Compare(st.min) < 0) st.min = v;
-            if (v.Compare(st.max) > 0) st.max = v;
+            st.sum_is_int = false;
           }
         }
-        return true;
-      },
-      spec.include_staged);
-  SSTORE_RETURN_NOT_OK(err);
-
-  std::vector<Tuple> out;
-  out.reserve(groups.size());
-  for (auto& [key, g] : groups) {
-    Tuple row = g.key;
+        if (st.non_null == 1) {
+          st.min = v;
+          st.max = v;
+        } else {
+          if (v.Compare(st.min) < 0) st.min = v;
+          if (v.Compare(st.max) > 0) st.max = v;
+        }
+      }
+    }
+    for (size_t c : spec.group_by) cells.push_back(rows[begin][c]);
     for (size_t i = 0; i < spec.aggregates.size(); ++i) {
-      const AggExpr& a = spec.aggregates[i];
-      const AggState& st = g.aggs[i];
-      switch (a.func) {
+      const AggState& st = states[i];
+      switch (spec.aggregates[i].func) {
         case AggFunc::kCount:
-          row.push_back(Value::BigInt(st.count));
+          cells.push_back(Value::BigInt(st.count));
           break;
         case AggFunc::kSum:
           if (st.non_null == 0) {
-            row.push_back(Value::Null());
+            cells.push_back(Value::Null());
           } else if (st.sum_is_int) {
-            row.push_back(Value::BigInt(st.isum));
+            cells.push_back(Value::BigInt(st.isum));
           } else {
-            row.push_back(Value::Double(st.sum));
+            cells.push_back(Value::Double(st.sum));
           }
           break;
         case AggFunc::kAvg:
-          row.push_back(st.non_null == 0
-                            ? Value::Null()
-                            : Value::Double(st.sum /
-                                            static_cast<double>(st.non_null)));
+          cells.push_back(st.non_null == 0
+                              ? Value::Null()
+                              : Value::Double(
+                                    st.sum / static_cast<double>(st.non_null)));
           break;
         case AggFunc::kMin:
-          row.push_back(st.non_null == 0 ? Value::Null() : st.min);
+          cells.push_back(st.non_null == 0 ? Value::Null() : st.min);
           break;
         case AggFunc::kMax:
-          row.push_back(st.non_null == 0 ? Value::Null() : st.max);
+          cells.push_back(st.non_null == 0 ? Value::Null() : st.max);
           break;
       }
     }
-    out.push_back(std::move(row));
+    ++groups;
+    return Status::OK();
+  };
+
+  if (spec.group_by.empty()) {
+    // Global aggregation: one group, even over no rows.
+    SSTORE_RETURN_NOT_OK(fold(0, rows.size()));
+  } else {
+    // Sort-based grouping: a stable sort on the group-by columns makes each
+    // group one run of rows, still in slot order within the run.
+    std::vector<OrderBySpec> group_keys;
+    group_keys.reserve(spec.group_by.size());
+    for (size_t c : spec.group_by) group_keys.push_back({c, false});
+    std::stable_sort(rows.begin(), rows.end(),
+                     [&](const Value* a, const Value* b) {
+                       return RowCompare(a, b, group_keys) < 0;
+                     });
+    size_t end = 0;
+    for (size_t begin = 0; begin < rows.size(); begin = end) {
+      for (end = begin + 1;
+           end < rows.size() && RowCompare(rows[begin], rows[end], group_keys) == 0;
+           ++end) {
+      }
+      SSTORE_RETURN_NOT_OK(fold(begin, end));
+    }
   }
 
-  SortTuples(&out, spec.order_by);
-  if (spec.limit.has_value() && out.size() > *spec.limit) {
-    out.resize(*spec.limit);
-  }
+  std::vector<const Value*> order(groups);
+  for (size_t g = 0; g < groups; ++g) order[g] = cells.data() + g * width;
+  OrderRows(&order, spec.order_by, spec.limit);
+  std::vector<Tuple> out;
+  out.reserve(order.size());
+  for (const Value* row : order) out.emplace_back(row, row + width);
   return out;
 }
 

@@ -82,10 +82,6 @@ class Executor {
   MutationLog* mlog_;
 };
 
-/// Sorts rows in place according to `order_by` (stable).
-void SortTuples(std::vector<Tuple>* rows,
-                const std::vector<OrderBySpec>& order_by);
-
 }  // namespace sstore
 
 #endif  // SSTORE_QUERY_EXECUTOR_H_

@@ -11,7 +11,12 @@
 namespace sstore {
 
 /// Ordering key for scan/aggregate output: column index within the *output*
-/// row (after projection / aggregate layout).
+/// row (after projection / aggregate layout); a column past the output row
+/// fails the query with kOutOfRange. Keys order by Value::Compare (NULL
+/// first), except that NaN sorts after every other number and ties with
+/// any other NaN. Ordering is stable: rows tied on every key keep their
+/// input order (slot order for a scan). `ORDER BY ... LIMIT n` is a stable
+/// top-n: exactly the first n rows of the full stable order.
 struct OrderBySpec {
   size_t column;
   bool descending = false;
@@ -41,8 +46,14 @@ struct AggExpr {
 
 /// GROUP BY aggregation over a table. Output rows are laid out as
 /// [group_by columns..., aggregate results...]; order_by/limit apply to that
-/// layout. With no group_by columns, exactly one row is produced (even over
-/// an empty input, SQL-style: COUNT=0, SUM/MIN/MAX/AVG=NULL).
+/// layout. Rows fall in one group when their group-by values tie under the
+/// OrderBySpec ordering (so BIGINT 5 and TIMESTAMP 5 share a group, and so do
+/// all NaNs); a group's key values are those of its first row in slot order,
+/// and its aggregates fold its rows in slot order. Without order_by the
+/// output is ascending by group key; with it, groups tied on every ORDER BY
+/// key keep that ascending order, and a limit keeps the first rows of it.
+/// With no group_by columns, exactly one row is produced (even over an empty
+/// input, SQL-style: COUNT=0, SUM/MIN/MAX/AVG=NULL).
 struct AggregateSpec {
   Table* table = nullptr;
   ExprPtr predicate;

@@ -23,31 +23,53 @@ Tuple HashIndex::ExtractKey(const Tuple& row) const {
   return key;
 }
 
+size_t HashIndex::KeyHash(const Tuple& row) const {
+  size_t h = kTupleHashSeed;
+  for (size_t c : key_columns_) h = HashCombine(h, row[c]);
+  return h;
+}
+
+bool HashIndex::RowHasKey(RowId rid, const Tuple& key, bool key_is_row) const {
+  const Tuple& stored = *table_->slots_[rid].row;
+  for (size_t i = 0; i < key_columns_.size(); ++i) {
+    size_t c = key_columns_[i];
+    if (!stored[c].Equals(key[key_is_row ? c : i])) return false;
+  }
+  return true;
+}
+
 std::vector<RowId> HashIndex::Lookup(const Tuple& key) const {
   std::vector<RowId> out;
-  auto [lo, hi] = map_.equal_range(key);
-  for (auto it = lo; it != hi; ++it) out.push_back(it->second);
+  if (key.size() != key_columns_.size()) return out;
+  auto [lo, hi] = map_.equal_range(HashTuple(key));
+  for (auto it = lo; it != hi; ++it) {
+    if (RowHasKey(it->second, key, /*key_is_row=*/false)) {
+      out.push_back(it->second);
+    }
+  }
   return out;
 }
 
-bool HashIndex::Contains(const Tuple& key) const {
-  return map_.find(key) != map_.end();
-}
-
-Status HashIndex::OnInsert(const Tuple& row, RowId rid) {
-  Tuple key = ExtractKey(row);
-  if (unique_ && map_.find(key) != map_.end()) {
-    return Status::ConstraintViolation("unique index '" + name_ +
-                                       "' rejects duplicate key " +
-                                       TupleToString(key));
+bool HashIndex::AnyRowHasKey(size_t hash, const Tuple& key,
+                             bool key_is_row) const {
+  auto [lo, hi] = map_.equal_range(hash);
+  for (auto it = lo; it != hi; ++it) {
+    if (RowHasKey(it->second, key, key_is_row)) return true;
   }
-  map_.emplace(std::move(key), rid);
-  return Status::OK();
+  return false;
 }
 
-void HashIndex::OnDelete(const Tuple& row, RowId rid) {
-  Tuple key = ExtractKey(row);
-  auto [lo, hi] = map_.equal_range(key);
+bool HashIndex::Contains(const Tuple& key) const {
+  return key.size() == key_columns_.size() &&
+         AnyRowHasKey(HashTuple(key), key, /*key_is_row=*/false);
+}
+
+bool HashIndex::ContainsKeyOf(const Tuple& row) const {
+  return AnyRowHasKey(KeyHash(row), row, /*key_is_row=*/true);
+}
+
+void HashIndex::Remove(const Tuple& row, RowId rid) {
+  auto [lo, hi] = map_.equal_range(KeyHash(row));
   for (auto it = lo; it != hi; ++it) {
     if (it->second == rid) {
       map_.erase(it);
@@ -84,7 +106,7 @@ Table::Table(std::string name, Schema schema, TableKind kind)
 Status Table::CheckUniqueForInsert(const Tuple& row) const {
   for (const auto& idx : indexes_) {
     if (!idx->unique()) continue;
-    if (idx->Contains(idx->ExtractKey(row))) {
+    if (idx->ContainsKeyOf(row)) {
       return Status::ConstraintViolation("unique index '" + idx->name() +
                                          "' rejects duplicate key in table '" +
                                          name_ + "'");
@@ -107,11 +129,7 @@ Result<RowId> Table::Insert(Tuple row, RowMeta meta) {
     slots_.emplace_back();
   }
   Slot& slot = slots_[rid];
-  // Uniqueness pre-checked above, so per-index inserts cannot fail.
-  for (const auto& idx : indexes_) {
-    Status st = idx->OnInsert(row, rid);
-    (void)st;
-  }
+  for (const auto& idx : indexes_) idx->Add(row, rid);
   slot.row = std::move(row);
   slot.meta = meta;
   ++live_count_;
@@ -126,7 +144,7 @@ Result<Tuple> Table::Delete(RowId rid) {
                             name_ + "'");
   }
   Slot& slot = slots_[rid];
-  for (const auto& idx : indexes_) idx->OnDelete(*slot.row, rid);
+  for (const auto& idx : indexes_) idx->Remove(*slot.row, rid);
   Tuple out = std::move(*slot.row);
   slot.row.reset();
   --live_count_;
@@ -148,7 +166,7 @@ Result<Tuple> Table::Update(RowId rid, Tuple row) {
     if (!idx->unique() || SameKey(*idx, *slot.row, row, /*exact=*/false)) {
       continue;
     }
-    if (idx->Contains(idx->ExtractKey(row))) {
+    if (idx->ContainsKeyOf(row)) {
       return Status::ConstraintViolation("unique index '" + idx->name() +
                                          "' rejects duplicate key in table '" +
                                          name_ + "'");
@@ -157,9 +175,8 @@ Result<Tuple> Table::Update(RowId rid, Tuple row) {
   // An index whose key the update leaves untouched keeps its entry.
   for (const auto& idx : indexes_) {
     if (SameKey(*idx, *slot.row, row, /*exact=*/true)) continue;
-    idx->OnDelete(*slot.row, rid);
-    Status st = idx->OnInsert(row, rid);
-    (void)st;
+    idx->Remove(*slot.row, rid);
+    idx->Add(row, rid);
   }
   Tuple before = std::move(*slot.row);
   slot.row = std::move(row);
@@ -179,10 +196,7 @@ Status Table::UndoDeleteAt(RowId rid, Tuple row, RowMeta meta) {
     return Status::Internal("undo targets a slot missing from the free list");
   }
   free_list_.erase(it);
-  for (const auto& idx : indexes_) {
-    Status st = idx->OnInsert(row, rid);
-    (void)st;
-  }
+  for (const auto& idx : indexes_) idx->Add(row, rid);
   Slot& slot = slots_[rid];
   slot.row = std::move(row);
   slot.meta = meta;
@@ -277,13 +291,20 @@ Status Table::CreateIndex(const std::string& index_name,
   if (cols.empty()) {
     return Status::InvalidArgument("index requires at least one column");
   }
-  auto idx = std::make_unique<HashIndex>(index_name, std::move(cols), unique);
+  auto idx =
+      std::make_unique<HashIndex>(this, index_name, std::move(cols), unique);
   // Backfill; a uniqueness violation aborts creation.
   Status backfill = Status::OK();
   ForEach(
       [&](RowId rid, const Tuple& row, const RowMeta&) {
-        backfill = idx->OnInsert(row, rid);
-        return backfill.ok();
+        if (unique && idx->ContainsKeyOf(row)) {
+          backfill = Status::ConstraintViolation(
+              "unique index '" + index_name + "' rejects duplicate key " +
+              TupleToString(idx->ExtractKey(row)));
+          return false;
+        }
+        idx->Add(row, rid);
+        return true;
       },
       /*include_staged=*/true);
   SSTORE_RETURN_NOT_OK(backfill);

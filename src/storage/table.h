@@ -41,13 +41,22 @@ struct RowMeta {
   bool active = true;   // false == staged (windows only)
 };
 
+class Table;
+
 /// A secondary hash index over a subset of columns. Maintained inline by the
 /// owning table on every mutation. Unique indexes reject duplicate keys with
 /// kConstraintViolation before the table is modified.
+///
+/// An entry holds only the key's hash (HashTuple of the key columns) and the
+/// RowId; the key itself stays in the table's row. Every probe re-checks each
+/// candidate's key columns in its slot with Value::Equals, so a hash
+/// collision never yields a wrong row.
 class HashIndex {
  public:
-  HashIndex(std::string name, std::vector<size_t> key_columns, bool unique)
-      : name_(std::move(name)),
+  HashIndex(const Table* table, std::string name,
+            std::vector<size_t> key_columns, bool unique)
+      : table_(table),
+        name_(std::move(name)),
         key_columns_(std::move(key_columns)),
         unique_(unique) {}
 
@@ -62,16 +71,29 @@ class HashIndex {
   bool Contains(const Tuple& key) const;
   size_t EntryCount() const { return map_.size(); }
 
-  // Mutation hooks called by Table.
-  Status OnInsert(const Tuple& row, RowId rid);
-  void OnDelete(const Tuple& row, RowId rid);
+ private:
+  friend class Table;
+
+  /// HashTuple(ExtractKey(row)), computed in place.
+  size_t KeyHash(const Tuple& row) const;
+  /// Whether the row at `rid` (which must be live) agrees with `key`, given
+  /// as a key tuple (`key_is_row` false) or as a full row.
+  bool RowHasKey(RowId rid, const Tuple& key, bool key_is_row) const;
+  /// Whether an entry under `hash` is a row that has `key` (as above).
+  bool AnyRowHasKey(size_t hash, const Tuple& key, bool key_is_row) const;
+  /// Whether an indexed row agrees with `row` on every key column.
+  bool ContainsKeyOf(const Tuple& row) const;
+
+  // Mutation hooks called by Table; neither checks uniqueness.
+  void Add(const Tuple& row, RowId rid) { map_.emplace(KeyHash(row), rid); }
+  void Remove(const Tuple& row, RowId rid);
   void Clear() { map_.clear(); }
 
- private:
+  const Table* table_;
   std::string name_;
   std::vector<size_t> key_columns_;
   bool unique_;
-  std::unordered_multimap<Tuple, RowId, TupleHasher> map_;
+  std::unordered_multimap<size_t, RowId> map_;  // key hash -> row
 };
 
 /// In-memory row store with stable slots, free-list reuse, inline-maintained
@@ -171,6 +193,8 @@ class Table {
   uint64_t version() const { return version_; }
 
  private:
+  friend class HashIndex;  // reads candidate rows straight from slots_
+
   struct Slot {
     std::optional<Tuple> row;
     RowMeta meta;

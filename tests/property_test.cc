@@ -4,6 +4,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
+#include <limits>
 #include <map>
 #include <optional>
 #include <string>
@@ -390,6 +392,425 @@ TEST_P(RandomAggTest, AggregatesMatchReferenceComputation) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, RandomAggTest,
                          ::testing::Values(3ull, 7ull, 1001ull, 424242ull));
+
+// ---- Top-N ordering and sort-based grouping vs reference sorts --------
+
+bool IsNaNValue(const Value& v) {
+  return v.type() == ValueType::kDouble && std::isnan(v.as_double());
+}
+
+/// Reference ORDER BY / GROUP BY comparison: NULL first, then numbers by
+/// value, then NaN, with all NaNs tied.
+int RefCompare(const Value& a, const Value& b) {
+  auto rank = [](const Value& v) {
+    return v.is_null() ? 0 : IsNaNValue(v) ? 2 : 1;
+  };
+  if (rank(a) != rank(b)) return rank(a) < rank(b) ? -1 : 1;
+  return rank(a) == 1 ? a.Compare(b) : 0;
+}
+
+bool RefLess(const Tuple& a, const Tuple& b,
+             const std::vector<OrderBySpec>& order_by) {
+  for (const OrderBySpec& ob : order_by) {
+    int c = RefCompare(a[ob.column], b[ob.column]);
+    if (c != 0) return ob.descending ? c > 0 : c < 0;
+  }
+  return false;
+}
+
+/// The reference's stable sort + truncate.
+void RefOrder(std::vector<Tuple>* rows, const std::vector<OrderBySpec>& order_by,
+              std::optional<size_t> limit) {
+  std::stable_sort(rows->begin(), rows->end(),
+                   [&](const Tuple& a, const Tuple& b) {
+                     return RefLess(a, b, order_by);
+                   });
+  if (limit.has_value() && rows->size() > *limit) rows->resize(*limit);
+}
+
+/// Rows rendered exactly: TupleToString keeps BIGINT 5 and TIMESTAMP 5,
+/// 0.0 and -0.0, NaN and every number apart, which Value::Equals does not.
+std::vector<std::string> Render(const std::vector<Tuple>& rows) {
+  std::vector<std::string> out;
+  for (const Tuple& row : rows) out.push_back(TupleToString(row));
+  return out;
+}
+
+/// Columns: a BIGINT with ties, t BIGINT/TIMESTAMP mix, d DOUBLE with NaN
+/// and signed zeros, s STRING; every column takes NULLs.
+Schema MixedSchema() {
+  return Schema({{"a", ValueType::kBigInt},
+                 {"t", ValueType::kTimestamp},
+                 {"d", ValueType::kDouble},
+                 {"s", ValueType::kString}});
+}
+
+Value RandomCell(Rng& rng, size_t column) {
+  if (rng.NextBool(0.12)) return Value::Null();
+  int64_t small = rng.NextRange(-2, 3);
+  switch (column) {
+    case 0:
+      return Value::BigInt(small);
+    case 1:
+      return rng.NextBool(0.5) ? Value::Timestamp(small) : Value::BigInt(small);
+    case 2: {
+      double pick[] = {std::numeric_limits<double>::quiet_NaN(), -0.0, 0.0,
+                       1.5, -2.25, 3.0};
+      return Value::Double(pick[rng.NextBounded(6)]);
+    }
+    default:
+      return Value::String(std::string(1, static_cast<char>('a' + rng.NextBounded(3))));
+  }
+}
+
+std::vector<OrderBySpec> RandomOrderBy(Rng& rng, size_t width) {
+  std::vector<OrderBySpec> out;
+  if (width == 0) return out;
+  size_t n = rng.NextBounded(4);  // 0..3 keys
+  for (size_t i = 0; i < n; ++i) {
+    out.push_back({static_cast<size_t>(rng.NextBounded(width)), rng.NextBool(0.5)});
+  }
+  return out;
+}
+
+ExprPtr RandomFilter(Rng& rng) {
+  switch (rng.NextBounded(4)) {
+    case 0:
+      return Ge(Col(0), LitInt(0));
+    case 1:
+      return Ne(Col(3), LitString("b"));
+    default:
+      return nullptr;
+  }
+}
+
+/// Every live row the spec's filter admits, in slot order.
+std::vector<Tuple> RefMatches(const Table& table, const ExprPtr& predicate,
+                              bool include_staged) {
+  std::vector<Tuple> out;
+  table.ForEach(
+      [&](RowId, const Tuple& row, const RowMeta&) {
+        Result<bool> match = EvalPredicate(predicate, row);
+        EXPECT_TRUE(match.ok());
+        if (match.ok() && *match) out.push_back(row);
+        return true;
+      },
+      include_staged);
+  return out;
+}
+
+/// Reference GROUP BY: groups in first-seen order, keyed by the first row's
+/// values, then listed ascending by key; aggregates fold rows in slot order.
+std::vector<Tuple> RefAggregate(const std::vector<Tuple>& rows,
+                                const std::vector<size_t>& group_by,
+                                const std::vector<AggExpr>& aggregates) {
+  std::vector<std::vector<const Tuple*>> groups;
+  for (const Tuple& row : rows) {
+    auto same = [&](const std::vector<const Tuple*>& g) {
+      for (size_t c : group_by) {
+        if (RefCompare((*g[0])[c], row[c]) != 0) return false;
+      }
+      return true;
+    };
+    auto it = std::find_if(groups.begin(), groups.end(), same);
+    if (it == groups.end()) {
+      groups.push_back({&row});
+    } else {
+      it->push_back(&row);
+    }
+  }
+  if (group_by.empty() && groups.empty()) groups.emplace_back();
+  std::vector<Tuple> out;
+  for (const auto& g : groups) {
+    Tuple row;
+    for (size_t c : group_by) row.push_back((*g[0])[c]);
+    for (const AggExpr& a : aggregates) {
+      if (a.func == AggFunc::kCount) {
+        row.push_back(Value::BigInt(static_cast<int64_t>(g.size())));
+        continue;
+      }
+      std::vector<Value> vals;
+      for (const Tuple* r : g) {
+        if (!(*r)[a.column].is_null()) vals.push_back((*r)[a.column]);
+      }
+      if (vals.empty()) {
+        row.push_back(Value::Null());
+        continue;
+      }
+      bool all_int = true;
+      int64_t isum = 0;
+      double sum = 0;
+      Value mn = vals[0], mx = vals[0];
+      for (const Value& v : vals) {
+        if (IsIntLike(v.type())) {
+          isum += v.as_int64();
+        } else {
+          all_int = false;
+        }
+        if (v.ToNumeric().ok()) sum += *v.ToNumeric();
+        if (v.Compare(mn) < 0) mn = v;
+        if (v.Compare(mx) > 0) mx = v;
+      }
+      switch (a.func) {
+        case AggFunc::kSum:
+          row.push_back(all_int ? Value::BigInt(isum) : Value::Double(sum));
+          break;
+        case AggFunc::kAvg:
+          row.push_back(Value::Double(sum / static_cast<double>(vals.size())));
+          break;
+        case AggFunc::kMin:
+          row.push_back(mn);
+          break;
+        default:
+          row.push_back(mx);
+          break;
+      }
+    }
+    out.push_back(std::move(row));
+  }
+  std::vector<OrderBySpec> by_key;
+  for (size_t i = 0; i < group_by.size(); ++i) by_key.push_back({i, false});
+  RefOrder(&out, by_key, std::nullopt);
+  return out;
+}
+
+class TopNDifferentialTest : public ::testing::TestWithParam<uint64_t> {};
+
+TEST_P(TopNDifferentialTest, ScanAndAggregateMatchReferenceSorts) {
+  Rng rng(GetParam());
+  Executor exec;
+  for (int round = 0; round < 60; ++round) {
+    Table table("t", MixedSchema());
+    size_t n = rng.NextBounded(40);
+    for (size_t i = 0; i < n; ++i) {
+      Tuple row;
+      for (size_t c = 0; c < 4; ++c) row.push_back(RandomCell(rng, c));
+      ASSERT_TRUE(exec.Insert(&table, row, 0, rng.NextBool(0.8)).ok());
+    }
+    std::string at = "seed " + std::to_string(GetParam()) + " round " +
+                     std::to_string(round);
+
+    for (int q = 0; q < 8; ++q) {
+      ScanSpec spec;
+      spec.table = &table;
+      spec.predicate = RandomFilter(rng);
+      spec.include_staged = rng.NextBool(0.3);
+      size_t width = 4;
+      if (rng.NextBool(0.5)) {
+        width = 1 + rng.NextBounded(4);
+        for (size_t i = 0; i < width; ++i) {
+          spec.projection.push_back(rng.NextBounded(4));
+        }
+      }
+      spec.order_by = RandomOrderBy(rng, width);
+      if (rng.NextBool(0.7)) spec.limit = rng.NextBounded(n + 2);
+
+      std::vector<Tuple> expected;
+      for (const Tuple& row :
+           RefMatches(table, spec.predicate, spec.include_staged)) {
+        if (spec.projection.empty()) {
+          expected.push_back(row);
+          continue;
+        }
+        Tuple projected;
+        for (size_t c : spec.projection) projected.push_back(row[c]);
+        expected.push_back(std::move(projected));
+      }
+      RefOrder(&expected, spec.order_by, spec.limit);
+      Result<std::vector<Tuple>> got = exec.Scan(spec);
+      ASSERT_TRUE(got.ok()) << at << ": " << got.status().ToString();
+      EXPECT_EQ(Render(*got), Render(expected)) << at << " scan " << q;
+    }
+
+    for (int q = 0; q < 8; ++q) {
+      AggregateSpec spec;
+      spec.table = &table;
+      spec.predicate = RandomFilter(rng);
+      spec.include_staged = rng.NextBool(0.3);
+      size_t groups = rng.NextBounded(3);
+      for (size_t i = 0; i < groups; ++i) {
+        spec.group_by.push_back(rng.NextBounded(4));
+      }
+      size_t aggs = rng.NextBounded(4);
+      for (size_t i = 0; i < aggs; ++i) {
+        auto func = static_cast<AggFunc>(rng.NextBounded(5));
+        // SUM / AVG need a numeric column; the rest take any.
+        bool numeric = func == AggFunc::kSum || func == AggFunc::kAvg;
+        size_t column = rng.NextBounded(numeric ? 3 : 4);
+        spec.aggregates.push_back({func, column});
+      }
+      std::vector<Tuple> expected = RefAggregate(
+          RefMatches(table, spec.predicate, spec.include_staged),
+          spec.group_by, spec.aggregates);
+
+      // Without ORDER BY the output is ascending by group key.
+      Result<std::vector<Tuple>> all = exec.Aggregate(spec);
+      ASSERT_TRUE(all.ok()) << at << ": " << all.status().ToString();
+      EXPECT_EQ(Render(*all), Render(expected)) << at << " aggregate " << q;
+
+      spec.order_by = RandomOrderBy(rng, groups + aggs);
+      spec.limit = rng.NextBounded(expected.size() + 2);
+      RefOrder(&expected, spec.order_by, spec.limit);
+      Result<std::vector<Tuple>> top = exec.Aggregate(spec);
+      ASSERT_TRUE(top.ok()) << at << ": " << top.status().ToString();
+      EXPECT_EQ(Render(*top), Render(expected))
+          << at << " aggregate top-N " << q;
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, TopNDifferentialTest,
+                         ::testing::Values(2ull, 11ull, 97ull, 4242ull));
+
+// ---- Key-free hash index entries vs a linear reference -----------------
+
+/// Reference probe: the live rows whose key columns hash like `key` and are
+/// Value::Equals to it, ascending by RowId.
+std::vector<RowId> RefLookup(const Table& table, const HashIndex& idx,
+                             const Tuple& key) {
+  std::vector<RowId> out;
+  table.ForEach(
+      [&](RowId rid, const Tuple& row, const RowMeta&) {
+        Tuple row_key = idx.ExtractKey(row);
+        bool equal = HashTuple(row_key) == HashTuple(key);
+        for (size_t i = 0; equal && i < key.size(); ++i) {
+          equal = row_key[i].Equals(key[i]);
+        }
+        if (equal) out.push_back(rid);
+        return true;
+      },
+      /*include_staged=*/true);
+  return out;
+}
+
+void ExpectIndexesMatchReference(const Table& table,
+                                 const std::vector<Tuple>& probes,
+                                 const std::string& where) {
+  for (const auto& idx : table.indexes()) {
+    EXPECT_EQ(idx->EntryCount(), table.row_count()) << where << " " << idx->name();
+    for (const Tuple& probe : probes) {
+      Tuple key(probe.begin(), probe.begin() + idx->key_columns().size());
+      std::vector<RowId> want = RefLookup(table, *idx, key);
+      std::vector<RowId> got = idx->Lookup(key);
+      std::sort(got.begin(), got.end());
+      EXPECT_EQ(got, want) << where << " " << idx->name() << " "
+                           << TupleToString(key);
+      EXPECT_EQ(idx->Contains(key), !want.empty())
+          << where << " " << idx->name() << " " << TupleToString(key);
+    }
+  }
+}
+
+class IndexTwinTest : public ::testing::TestWithParam<uint64_t> {};
+
+TEST_P(IndexTwinTest, ProbesMatchLinearReferenceThroughMutationsAndUndo) {
+  // k: unique, BIGINT/TIMESTAMP mix; g: non-unique; (d, g): composite over
+  // a DOUBLE with NaN and signed zeros. No key starts at column 0, so a
+  // probe that mixes up key positions and row columns shows.
+  Table table("t", Schema({{"g", ValueType::kBigInt},
+                           {"d", ValueType::kDouble},
+                           {"k", ValueType::kBigInt}}));
+  ASSERT_TRUE(table.CreateIndex("pk", {"k"}, true).ok());
+  ASSERT_TRUE(table.CreateIndex("by_g", {"g"}, false).ok());
+  ASSERT_TRUE(table.CreateIndex("by_dg", {"d", "g"}, false).ok());
+
+  std::vector<Value> doubles = {Value::Double(std::numeric_limits<double>::quiet_NaN()),
+                                Value::Double(-0.0), Value::Double(0.0),
+                                Value::Double(2.0), Value::Null()};
+  std::vector<Tuple> probes;
+  for (int64_t v = 0; v < 8; ++v) {
+    probes.push_back({Value::BigInt(v), Value::BigInt(v % 3)});
+    probes.push_back({Value::Timestamp(v), Value::BigInt(v % 3)});
+    probes.push_back({Value::Double(static_cast<double>(v)), Value::BigInt(v % 3)});
+  }
+  for (const Value& d : doubles) {
+    for (int64_t g = 0; g < 3; ++g) probes.push_back({d, Value::BigInt(g)});
+  }
+  probes.push_back({Value::Null(), Value::Null()});
+
+  auto int_like = [](Rng& rng, int64_t v) {
+    return rng.NextBool(0.5) ? Value::Timestamp(v) : Value::BigInt(v);
+  };
+
+  Rng rng(GetParam());
+  for (int txn = 0; txn < 120; ++txn) {
+    UndoLog undo;
+    Executor exec(&undo);
+    std::string at = "seed " + std::to_string(GetParam()) + " txn " +
+                     std::to_string(txn);
+    int ops = static_cast<int>(rng.NextRange(1, 8));
+    for (int op = 0; op < ops; ++op) {
+      int64_t k = rng.NextRange(0, 7);
+      Value g = rng.NextBool(0.1) ? Value::Null() : Value::BigInt(rng.NextRange(0, 2));
+      Value d = doubles[rng.NextBounded(doubles.size())];
+      double dice = rng.NextDouble();
+      if (dice < 0.45) {
+        bool taken = !RefLookup(table, **table.GetIndex("pk"),
+                                {Value::BigInt(k)}).empty();
+        Result<RowId> rid = exec.Insert(&table, {g, d, int_like(rng, k)}, 0,
+                                        rng.NextBool(0.8));
+        EXPECT_EQ(rid.ok(), !taken) << at;
+        if (!rid.ok()) {
+          EXPECT_EQ(rid.status().code(), StatusCode::kConstraintViolation) << at;
+        }
+      } else if (dice < 0.65) {
+        ASSERT_TRUE(exec.Delete(&table, Eq(Col(2), LitInt(k)), true).ok()) << at;
+      } else if (dice < 0.8) {
+        // Same key value, possibly a new type: BIGINT 5 <-> TIMESTAMP 5
+        // keeps the hash but must keep every probe right.
+        ASSERT_TRUE(exec.Update(&table, Eq(Col(2), LitInt(k)),
+                                {{2, Lit(int_like(rng, k))}, {1, Lit(d)}}, true)
+                        .ok())
+            << at;
+      } else {
+        // Moves a row to another key; a taken key is a violation.
+        int64_t to = rng.NextRange(0, 7);
+        Result<size_t> n = exec.Update(&table, Eq(Col(2), LitInt(k)),
+                                       {{2, Lit(int_like(rng, to))}, {0, Lit(g)}},
+                                       true);
+        if (!n.ok()) {
+          EXPECT_EQ(n.status().code(), StatusCode::kConstraintViolation) << at;
+        }
+      }
+      ExpectIndexesMatchReference(table, probes, at + " op " + std::to_string(op));
+    }
+    if (rng.NextBool(0.4)) {
+      ASSERT_TRUE(undo.Rollback().ok()) << at;
+      ExpectIndexesMatchReference(table, probes, at + " after rollback");
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, IndexTwinTest,
+                         ::testing::Values(5ull, 77ull, 2024ull));
+
+TEST(UniqueIndexTest, RejectsEqualKeysOfOtherTypes) {
+  Table t("t", Schema({{"k", ValueType::kBigInt}, {"v", ValueType::kBigInt}}));
+  ASSERT_TRUE(t.CreateIndex("pk", {"k"}, true).ok());
+  RowId five = *t.Insert({Value::BigInt(5), Value::BigInt(0)});
+  RowId six = *t.Insert({Value::BigInt(6), Value::BigInt(0)});
+
+  Result<RowId> ts = t.Insert({Value::Timestamp(5), Value::BigInt(1)});
+  EXPECT_EQ(ts.status().code(), StatusCode::kConstraintViolation);
+  Result<Tuple> moved = t.Update(six, {Value::Timestamp(5), Value::BigInt(1)});
+  EXPECT_EQ(moved.status().code(), StatusCode::kConstraintViolation);
+  // DOUBLE 5.0 is the same key: the index finds BIGINT 5 under it (the
+  // column's type already keeps a DOUBLE out of the table).
+  const HashIndex* pk = *t.GetIndex("pk");
+  EXPECT_TRUE(pk->Contains({Value::Double(5.0)}));
+  EXPECT_EQ(pk->Lookup({Value::Double(5.0)}), std::vector<RowId>{five});
+  EXPECT_FALSE(t.Insert({Value::Double(5.0), Value::BigInt(1)}).ok());
+  EXPECT_FALSE(pk->Contains({Value::Double(5.5)}));
+  EXPECT_EQ(pk->EntryCount(), 2u);
+
+  // A DOUBLE key column: -0.0 and 0.0 are one key, and BIGINT 0 finds it.
+  Table d("d", Schema({{"x", ValueType::kDouble}}));
+  ASSERT_TRUE(d.CreateIndex("pk", {"x"}, true).ok());
+  RowId zero = *d.Insert({Value::Double(-0.0)});
+  EXPECT_EQ(d.Insert({Value::Double(0.0)}).status().code(),
+            StatusCode::kConstraintViolation);
+  EXPECT_EQ(*d.IndexLookup("pk", {Value::BigInt(0)}), std::vector<RowId>{zero});
+}
 
 TEST(RandomWorkflowScheduleTest, RandomDagsAlwaysProduceCorrectSchedules) {
   // Generate random 4-node DAGs, deploy them with pass-through procedures,

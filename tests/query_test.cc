@@ -330,14 +330,61 @@ TEST_F(QueryTest, PointWritesSkipStagedRowsUnlessAsked) {
   EXPECT_EQ(table_->row_count(), 10u);
 }
 
-TEST_F(QueryTest, SortTuplesStableMultiKey) {
-  std::vector<Tuple> rows = {{Value::BigInt(1), Value::String("b")},
-                             {Value::BigInt(2), Value::String("a")},
-                             {Value::BigInt(1), Value::String("a")}};
-  SortTuples(&rows, {{0, false}, {1, false}});
-  EXPECT_EQ(rows[0][1], Value::String("a"));
-  EXPECT_EQ(rows[0][0], Value::BigInt(1));
-  EXPECT_EQ(rows[2][0], Value::BigInt(2));
+TEST_F(QueryTest, ScanOrderByStableMultiKey) {
+  Table t("t", Schema({{"k", ValueType::kBigInt},
+                       {"s", ValueType::kString},
+                       {"pos", ValueType::kBigInt}}));
+  Executor exec;
+  for (const Tuple& row :
+       std::vector<Tuple>{{Value::BigInt(1), Value::String("b"), Value::BigInt(0)},
+                          {Value::BigInt(2), Value::String("a"), Value::BigInt(1)},
+                          {Value::BigInt(1), Value::String("a"), Value::BigInt(2)},
+                          {Value::BigInt(1), Value::String("a"), Value::BigInt(3)}}) {
+    ASSERT_TRUE(exec.Insert(&t, row).ok());
+  }
+  ScanSpec spec;
+  spec.table = &t;
+  spec.order_by = {{0, false}, {1, false}};
+  std::vector<Tuple> rows = *exec.Scan(spec);
+  ASSERT_EQ(rows.size(), 4u);
+  // Ties on (k, s) keep insertion order; the limited top-N agrees.
+  std::vector<int64_t> order;
+  for (const Tuple& r : rows) order.push_back(r[2].as_int64());
+  EXPECT_EQ(order, (std::vector<int64_t>{2, 3, 0, 1}));
+  spec.limit = 2;
+  rows = *exec.Scan(spec);
+  ASSERT_EQ(rows.size(), 2u);
+  EXPECT_EQ(rows[0][2], Value::BigInt(2));
+  EXPECT_EQ(rows[1][2], Value::BigInt(3));
+}
+
+TEST_F(QueryTest, ScanOrderByColumnOutOfRangeFails) {
+  ScanSpec spec;
+  spec.table = table_.get();
+  spec.order_by = {{3, false}};  // the table has 3 columns
+  EXPECT_EQ(exec_.Scan(spec).status().code(), StatusCode::kOutOfRange);
+  // With a projection the bound is the projected width, not the table's.
+  spec.projection = {0, 2};
+  spec.order_by = {{2, true}};
+  spec.limit = 1;
+  EXPECT_EQ(exec_.Scan(spec).status().code(), StatusCode::kOutOfRange);
+  spec.order_by = {{1, true}};
+  Result<std::vector<Tuple>> rows = exec_.Scan(spec);
+  ASSERT_TRUE(rows.ok());
+  EXPECT_EQ((*rows)[0][1], Value::String("RI"));
+}
+
+TEST_F(QueryTest, AggregateOrderByColumnOutOfRangeFails) {
+  AggregateSpec spec;
+  spec.table = table_.get();
+  spec.group_by = {1};
+  spec.aggregates = {{AggFunc::kCount, 0}};
+  spec.order_by = {{2, false}};  // output rows are [contestant, count]
+  spec.limit = 1;
+  EXPECT_EQ(exec_.Aggregate(spec).status().code(), StatusCode::kOutOfRange);
+  spec.group_by.clear();
+  spec.order_by = {{1, false}};  // a global aggregate is [count]
+  EXPECT_EQ(exec_.Aggregate(spec).status().code(), StatusCode::kOutOfRange);
 }
 
 }  // namespace

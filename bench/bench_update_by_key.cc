@@ -16,6 +16,11 @@
 //     The trending board: `Aggregate` over a 100-row window with ~50
 //     distinct contestants, `GROUP BY id`, COUNT, `ORDER BY cnt DESC, id
 //     LIMIT 3`.
+//   BM_TupleWindowSlide
+//     The trending window's per-vote step: `WindowManager::Insert` of one
+//     row into a full tuple-based window of 100 rows sliding by 1, so every
+//     iteration stages a row, expires the oldest and activates the new one,
+//     undo-logged as in a transaction.
 //
 //   BENCH=bench_update_by_key bench/run_bench.sh
 // `--smoke` (CI) maps to a short --benchmark_min_time run.
@@ -27,10 +32,12 @@
 #include <vector>
 
 #include "common/rng.h"
+#include "engine/txn.h"
 #include "query/executor.h"
 #include "query/expr.h"
 #include "query/plan.h"
 #include "storage/table.h"
+#include "streaming/sstore.h"
 
 namespace {
 
@@ -44,9 +51,14 @@ using sstore::LitInt;
 using sstore::Rng;
 using sstore::ScanSpec;
 using sstore::Schema;
+using sstore::SStore;
 using sstore::Table;
+using sstore::Tuple;
+using sstore::UndoLog;
 using sstore::Value;
 using sstore::ValueType;
+using sstore::WindowKind;
+using sstore::WindowSpec;
 
 void BM_UpdateByKey(benchmark::State& state) {
   const int64_t rows = state.range(0);
@@ -142,6 +154,48 @@ void BM_GroupByTopN(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_GroupByTopN);
+
+void BM_TupleWindowSlide(benchmark::State& state) {
+  SStore store;
+  WindowSpec spec;
+  spec.name = "w_trending";
+  spec.schema = Schema({{"contestant_id", ValueType::kBigInt}});
+  spec.kind = WindowKind::kTupleBased;
+  spec.size = 100;
+  spec.slide = 1;
+  if (!store.windows().DefineWindow(spec).ok()) {
+    state.SkipWithError("window definition failed");
+    return;
+  }
+  Rng rng(13);
+  Executor fill;
+  for (int r = 0; r < 100; ++r) {
+    if (!store.windows()
+             .Insert(fill, "w_trending", {{Value::BigInt(rng.NextRange(0, 63))}})
+             .ok()) {
+      state.SkipWithError("seed insert failed");
+      return;
+    }
+  }
+  for (auto _ : state) {
+    UndoLog undo;
+    Executor exec(&undo);
+    std::vector<Tuple> row = {{Value::BigInt(rng.NextRange(0, 63))}};
+    sstore::Status st = store.windows().Insert(exec, "w_trending", row);
+    if (!st.ok()) {
+      state.SkipWithError("window insert failed");
+      return;
+    }
+    undo.Release();
+  }
+  auto slides = store.windows().SlideCount("w_trending");
+  if (!slides.ok() || *slides != state.iterations() + 1) {
+    state.SkipWithError("the window did not slide once per insert");
+    return;
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_TupleWindowSlide);
 
 }  // namespace
 

@@ -49,6 +49,8 @@
 #     (no index: every update scans the table). BM_TopNScan (64 rows,
 #     LIMIT 3) and BM_GroupByTopN (100 rows, ~50 groups, LIMIT 3) time the
 #     leaderboard's two per-vote queries; both complete with 3 rows.
+#     BM_TupleWindowSlide (100-row window, slide 1) times the trending
+#     window's per-vote insert+slide; it slides once per iteration.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 

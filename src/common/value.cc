@@ -38,7 +38,7 @@ const char* ValueTypeToString(ValueType type) {
 }
 
 Result<double> Value::ToNumeric() const {
-  switch (type_) {
+  switch (type()) {
     case ValueType::kBigInt:
     case ValueType::kTimestamp:
       return static_cast<double>(as_int64());
@@ -49,35 +49,27 @@ Result<double> Value::ToNumeric() const {
   }
 }
 
-int Value::Compare(const Value& other) const {
-  if (is_null() || other.is_null()) {
-    if (is_null() && other.is_null()) return 0;
-    return is_null() ? -1 : 1;
+int Value::CompareMixed(const Value& other) const {
+  ValueType t = type(), o = other.type();
+  if (t == ValueType::kNull || o == ValueType::kNull) {
+    if (t == o) return 0;
+    return t == ValueType::kNull ? -1 : 1;
   }
-  // Numeric cross-type comparison.
-  if (type_ != other.type_) {
-    bool numeric =
-        (IsIntLike(type_) || type_ == ValueType::kDouble) &&
-        (IsIntLike(other.type_) || other.type_ == ValueType::kDouble);
+  // Numeric cross-type comparison (two int-like values never get here).
+  if (t != o) {
+    bool numeric = (IsIntLike(t) || t == ValueType::kDouble) &&
+                   (IsIntLike(o) || o == ValueType::kDouble);
     if (numeric) {
-      double a = IsIntLike(type_) ? static_cast<double>(as_int64())
-                                  : as_double();
-      double b = IsIntLike(other.type_) ? static_cast<double>(other.as_int64())
-                                        : other.as_double();
+      double a = IsIntLike(t) ? static_cast<double>(as_int64()) : as_double();
+      double b = IsIntLike(o) ? static_cast<double>(other.as_int64())
+                              : other.as_double();
       if (a < b) return -1;
       if (a > b) return 1;
       return 0;
     }
-    return static_cast<int>(type_) < static_cast<int>(other.type_) ? -1 : 1;
+    return static_cast<int>(t) < static_cast<int>(o) ? -1 : 1;
   }
-  switch (type_) {
-    case ValueType::kBigInt:
-    case ValueType::kTimestamp: {
-      int64_t a = as_int64(), b = other.as_int64();
-      if (a < b) return -1;
-      if (a > b) return 1;
-      return 0;
-    }
+  switch (t) {
     case ValueType::kDouble: {
       double a = as_double(), b = other.as_double();
       if (a < b) return -1;
@@ -94,7 +86,7 @@ int Value::Compare(const Value& other) const {
 }
 
 size_t Value::Hash() const {
-  switch (type_) {
+  switch (type()) {
     case ValueType::kNull:
       return 0x9e3779b97f4a7c15ull;
     case ValueType::kBigInt:
@@ -122,7 +114,7 @@ size_t Value::Hash() const {
 }
 
 std::string Value::ToString() const {
-  switch (type_) {
+  switch (type()) {
     case ValueType::kNull:
       return "NULL";
     case ValueType::kBigInt:

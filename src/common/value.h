@@ -2,7 +2,10 @@
 #define SSTORE_COMMON_VALUE_H_
 
 #include <cstdint>
+#include <memory>
 #include <string>
+#include <type_traits>
+#include <utility>
 #include <variant>
 #include <vector>
 
@@ -33,44 +36,55 @@ inline bool IsIntLike(ValueType t) {
 /// A dynamically typed SQL value. Values are ordered and hashable within the
 /// same type; cross-type comparison between kBigInt/kTimestamp and kDouble is
 /// performed numerically, any other cross-type comparison orders by type tag.
+///
+/// A Value is 24 bytes: a std::variant whose alternative index *is* the
+/// ValueType (kTimestamp is its own alternative, so no separate tag byte).
+/// A STRING holds an immutable, shared buffer: copying a string value copies
+/// a pointer, and no copy can change what another one reads.
 class Value {
  public:
   /// Constructs a NULL value.
-  Value() : type_(ValueType::kNull) {}
+  Value() = default;
 
   static Value Null() { return Value(); }
-  static Value BigInt(int64_t v) { return Value(ValueType::kBigInt, v); }
-  static Value Double(double v) {
-    Value out;
-    out.type_ = ValueType::kDouble;
-    out.data_ = v;
-    return out;
+  static Value BigInt(int64_t v) {
+    return Value(std::in_place_type<int64_t>, v);
   }
+  static Value Double(double v) { return Value(std::in_place_type<double>, v); }
   static Value String(std::string v) {
-    Value out;
-    out.type_ = ValueType::kString;
-    out.data_ = std::move(v);
-    return out;
+    return Value(std::in_place_type<StringPtr>,
+                 std::make_shared<const std::string>(std::move(v)));
   }
   static Value Timestamp(int64_t micros) {
-    return Value(ValueType::kTimestamp, micros);
+    return Value(std::in_place_type<Micros>, Micros{micros});
   }
 
-  ValueType type() const { return type_; }
-  bool is_null() const { return type_ == ValueType::kNull; }
+  ValueType type() const { return static_cast<ValueType>(data_.index()); }
+  bool is_null() const { return std::holds_alternative<std::monostate>(data_); }
 
   /// Accessors. Calling the wrong accessor for the stored type is a
   /// programming error; as_int64 works for both kBigInt and kTimestamp.
-  int64_t as_int64() const { return std::get<int64_t>(data_); }
+  int64_t as_int64() const {
+    if (const auto* v = std::get_if<int64_t>(&data_)) return *v;
+    return std::get<Micros>(data_).v;
+  }
   double as_double() const { return std::get<double>(data_); }
-  const std::string& as_string() const { return std::get<std::string>(data_); }
+  const std::string& as_string() const { return *std::get<StringPtr>(data_); }
 
   /// Numeric view: kBigInt/kTimestamp widened to double, kDouble as-is.
   /// Returns an error for strings and NULL.
   Result<double> ToNumeric() const;
 
   /// Three-way comparison: negative, zero, positive (NULL sorts first).
-  int Compare(const Value& other) const;
+  /// Two BIGINT/TIMESTAMP values compare as int64, inline; every other
+  /// pair goes to CompareMixed.
+  int Compare(const Value& other) const {
+    if (IsIntLike(type()) && IsIntLike(other.type())) {
+      int64_t a = IntBits(), b = other.IntBits();
+      return (a > b) - (a < b);
+    }
+    return CompareMixed(other);
+  }
 
   bool Equals(const Value& other) const { return Compare(other) == 0; }
 
@@ -90,10 +104,34 @@ class Value {
   }
 
  private:
-  Value(ValueType type, int64_t v) : type_(type), data_(v) {}
+  /// The TIMESTAMP alternative: an int64 that is a distinct variant type.
+  struct Micros {
+    int64_t v;
+  };
+  using StringPtr = std::shared_ptr<const std::string>;
+  // Alternative i holds ValueType i, so type() is the variant's index.
+  using Rep = std::variant<std::monostate, int64_t, double, StringPtr, Micros>;
+  template <ValueType t>
+  using Alt = std::variant_alternative_t<static_cast<size_t>(t), Rep>;
+  static_assert(std::is_same_v<Alt<ValueType::kNull>, std::monostate> &&
+                std::is_same_v<Alt<ValueType::kBigInt>, int64_t> &&
+                std::is_same_v<Alt<ValueType::kDouble>, double> &&
+                std::is_same_v<Alt<ValueType::kString>, StringPtr> &&
+                std::is_same_v<Alt<ValueType::kTimestamp>, Micros>);
 
-  ValueType type_;
-  std::variant<std::monostate, int64_t, double, std::string> data_;
+  template <typename T, typename Arg>
+  Value(std::in_place_type_t<T> alt, Arg&& v)
+      : data_(alt, std::forward<Arg>(v)) {}
+
+  /// The int64 of a value known to be BIGINT or TIMESTAMP.
+  int64_t IntBits() const {
+    return std::holds_alternative<int64_t>(data_)
+               ? *std::get_if<int64_t>(&data_)
+               : std::get_if<Micros>(&data_)->v;
+  }
+  int CompareMixed(const Value& other) const;
+
+  Rep data_;
 };
 
 /// A row: a flat sequence of values. Schema interpretation lives in

@@ -52,6 +52,7 @@ bool IsNaN(const Value& v) {
 /// is no strict weak order; this one is, so heap selection and a stable sort
 /// agree on it.
 int OrderCompare(const Value& a, const Value& b) {
+  if (IsIntLike(a.type()) && IsIntLike(b.type())) return a.Compare(b);
   bool a_nan = IsNaN(a);
   bool b_nan = IsNaN(b);
   if (a_nan == b_nan) return a_nan ? 0 : a.Compare(b);
@@ -104,6 +105,11 @@ void OrderRows(std::vector<const Value*>* rows,
   std::vector<const Value*> top(keep);
   for (size_t r = 0; r < keep; ++r) top[r] = (*rows)[pos[r]];
   rows->swap(top);
+}
+
+/// How many rows a scan of `table` visits: the upper bound on its matches.
+size_t VisibleRows(const Table& table, bool include_staged) {
+  return include_staged ? table.row_count() : table.active_count();
 }
 
 /// Calls `fn(rid, row)` on each live row matching `predicate` (every row if
@@ -200,6 +206,8 @@ Result<std::vector<Tuple>> Executor::Scan(const ScanSpec& spec) const {
   // Without ordering the limit can stop the scan early.
   bool early_limit = keys.empty() && spec.limit.has_value();
   std::vector<const Value*> rows;
+  size_t visible = VisibleRows(*spec.table, spec.include_staged);
+  rows.reserve(early_limit ? std::min(*spec.limit, visible) : visible);
   SSTORE_RETURN_NOT_OK(ForEachMatch(
       *spec.table, spec.predicate, spec.include_staged,
       [&](RowId, const Tuple& row) {
@@ -269,6 +277,7 @@ Result<std::vector<Tuple>> Executor::Aggregate(const AggregateSpec& spec) const 
   SSTORE_RETURN_NOT_OK(ValidateOrderBy(spec.order_by, width));
 
   std::vector<const Value*> rows;
+  rows.reserve(VisibleRows(*spec.table, spec.include_staged));
   SSTORE_RETURN_NOT_OK(ForEachMatch(*spec.table, spec.predicate,
                                     spec.include_staged,
                                     [&](RowId, const Tuple& row) {
@@ -285,8 +294,10 @@ Result<std::vector<Tuple>> Executor::Aggregate(const AggregateSpec& spec) const 
     Value min, max;
   };
   std::vector<AggState> states(spec.aggregates.size());
-  // Group g's output row is cells[g * width, (g + 1) * width).
+  // Group g's output row is cells[g * width, (g + 1) * width). There is at
+  // most one group per row, and one even over no rows.
   std::vector<Value> cells;
+  cells.reserve(std::max<size_t>(rows.size(), 1) * width);
   size_t groups = 0;
 
   // Folds rows[begin, end) — one group, in slot order — into an output row.

@@ -1,20 +1,23 @@
 #include "query/expr.h"
 
 #include <cmath>
+#include <utility>
 
 namespace sstore {
 
 namespace {
 
+Status ColumnOutOfRange(size_t index, const Tuple& row) {
+  return Status::OutOfRange("column " + std::to_string(index) +
+                            " out of range for row of arity " +
+                            std::to_string(row.size()));
+}
+
 class ColExpr final : public Expr {
  public:
   explicit ColExpr(size_t index) : index_(index) {}
   Result<Value> Eval(const Tuple& row) const override {
-    if (index_ >= row.size()) {
-      return Status::OutOfRange("column " + std::to_string(index_) +
-                                " out of range for row of arity " +
-                                std::to_string(row.size()));
-    }
+    if (index_ >= row.size()) return ColumnOutOfRange(index_, row);
     return row[index_];
   }
   std::string ToString() const override {
@@ -55,63 +58,105 @@ const char* CmpOpName(CmpOp op) {
   return "?";
 }
 
+/// Whether `op` holds between two values that Value::Compare ranks `c`.
+bool Holds(CmpOp op, int c) {
+  switch (op) {
+    case CmpOp::kEq:
+      return c == 0;
+    case CmpOp::kNe:
+      return c != 0;
+    case CmpOp::kLt:
+      return c < 0;
+    case CmpOp::kLe:
+      return c <= 0;
+    case CmpOp::kGt:
+      return c > 0;
+    case CmpOp::kGe:
+      return c >= 0;
+  }
+  return false;
+}
+
 class CmpExpr : public Expr {
  public:
   CmpExpr(CmpOp op, ExprPtr lhs, ExprPtr rhs)
-      : op_(op), lhs_(std::move(lhs)), rhs_(std::move(rhs)) {}
+      : op_(op),
+        lhs_(Classify(std::move(lhs))),
+        rhs_(Classify(std::move(rhs))) {}
 
   Result<Value> Eval(const Tuple& row) const override {
-    SSTORE_ASSIGN_OR_RETURN(Value l, lhs_->Eval(row));
-    SSTORE_ASSIGN_OR_RETURN(Value r, rhs_->Eval(row));
-    if (l.is_null() || r.is_null()) return Value::BigInt(0);
-    int c = l.Compare(r);
-    bool out = false;
-    switch (op_) {
-      case CmpOp::kEq:
-        out = c == 0;
-        break;
-      case CmpOp::kNe:
-        out = c != 0;
-        break;
-      case CmpOp::kLt:
-        out = c < 0;
-        break;
-      case CmpOp::kLe:
-        out = c <= 0;
-        break;
-      case CmpOp::kGt:
-        out = c > 0;
-        break;
-      case CmpOp::kGe:
-        out = c >= 0;
-        break;
-    }
+    SSTORE_ASSIGN_OR_RETURN(bool out, Test(row));
     return Value::BigInt(out ? 1 : 0);
   }
 
+  /// The one comparison: NULL on either side is false, otherwise `op_` on
+  /// Value::Compare. Column and literal operands are read in place.
+  Result<bool> Test(const Tuple& row) const override {
+    Value lbuf, rbuf;
+    const Value* l = nullptr;
+    const Value* r = nullptr;
+    SSTORE_RETURN_NOT_OK(Fetch(lhs_, row, &lbuf, &l));
+    SSTORE_RETURN_NOT_OK(Fetch(rhs_, row, &rbuf, &r));
+    if (l->is_null() || r->is_null()) return false;
+    return Holds(op_, l->Compare(*r));
+  }
+
   std::string ToString() const override {
-    return "(" + lhs_->ToString() + " " + CmpOpName(op_) + " " +
-           rhs_->ToString() + ")";
+    return "(" + lhs_.expr->ToString() + " " + CmpOpName(op_) + " " +
+           rhs_.expr->ToString() + ")";
   }
 
   bool AsColumnEquality(size_t* col, const Value** lit) const override {
     if (op_ != CmpOp::kEq) return false;
-    const auto* c = dynamic_cast<const ColExpr*>(lhs_.get());
-    const auto* v = dynamic_cast<const LitExpr*>(rhs_.get());
-    if (c == nullptr || v == nullptr) {
-      c = dynamic_cast<const ColExpr*>(rhs_.get());
-      v = dynamic_cast<const LitExpr*>(lhs_.get());
-    }
-    if (c == nullptr || v == nullptr) return false;
-    *col = c->index();
-    *lit = &v->value();
+    const Operand* c = &lhs_;
+    const Operand* v = &rhs_;
+    if (c->lit != nullptr) std::swap(c, v);
+    if (c->col == nullptr || v->lit == nullptr) return false;
+    *col = c->col->index();
+    *lit = v->lit;
     return true;
   }
 
  private:
+  /// An operand and, when it is a column or a literal, that node, found
+  /// once at construction.
+  struct Operand {
+    ExprPtr expr;
+    const ColExpr* col = nullptr;
+    const Value* lit = nullptr;
+  };
+
+  static Operand Classify(ExprPtr e) {
+    Operand o;
+    o.col = dynamic_cast<const ColExpr*>(e.get());
+    if (const auto* l = dynamic_cast<const LitExpr*>(e.get())) {
+      o.lit = &l->value();
+    }
+    o.expr = std::move(e);
+    return o;
+  }
+
+  /// Points `*out` at the operand's value for `row`: into the row or the
+  /// literal when it can, else at `*buf` holding the operand's Eval.
+  static Status Fetch(const Operand& o, const Tuple& row, Value* buf,
+                      const Value** out) {
+    if (o.lit != nullptr) {
+      *out = o.lit;
+    } else if (o.col != nullptr) {
+      if (o.col->index() >= row.size()) {
+        return ColumnOutOfRange(o.col->index(), row);
+      }
+      *out = &row[o.col->index()];
+    } else {
+      SSTORE_ASSIGN_OR_RETURN(*buf, o.expr->Eval(row));
+      *out = buf;
+    }
+    return Status::OK();
+  }
+
   CmpOp op_;
-  ExprPtr lhs_;
-  ExprPtr rhs_;
+  Operand lhs_;
+  Operand rhs_;
 };
 
 const char* ArithOpName(ArithOp op) {
@@ -194,20 +239,22 @@ class LogicExpr : public Expr {
       : op_(op), lhs_(std::move(lhs)), rhs_(std::move(rhs)) {}
 
   Result<Value> Eval(const Tuple& row) const override {
-    SSTORE_ASSIGN_OR_RETURN(bool l, EvalAsBool(lhs_, row));
+    SSTORE_ASSIGN_OR_RETURN(bool out, Test(row));
+    return Value::BigInt(out ? 1 : 0);
+  }
+
+  /// Each operand is tested as a predicate; AND and OR short-circuit.
+  Result<bool> Test(const Tuple& row) const override {
+    SSTORE_ASSIGN_OR_RETURN(bool l, lhs_->Test(row));
     switch (op_) {
       case LogicOp::kNot:
-        return Value::BigInt(l ? 0 : 1);
-      case LogicOp::kAnd: {
-        if (!l) return Value::BigInt(0);  // short-circuit
-        SSTORE_ASSIGN_OR_RETURN(bool r, EvalAsBool(rhs_, row));
-        return Value::BigInt(r ? 1 : 0);
-      }
-      case LogicOp::kOr: {
-        if (l) return Value::BigInt(1);
-        SSTORE_ASSIGN_OR_RETURN(bool r, EvalAsBool(rhs_, row));
-        return Value::BigInt(r ? 1 : 0);
-      }
+        return !l;
+      case LogicOp::kAnd:
+        if (!l) return false;
+        return rhs_->Test(row);
+      case LogicOp::kOr:
+        if (l) return true;
+        return rhs_->Test(row);
     }
     return Status::Internal("unreachable logic op");
   }
@@ -225,13 +272,6 @@ class LogicExpr : public Expr {
   }
 
  private:
-  static Result<bool> EvalAsBool(const ExprPtr& e, const Tuple& row) {
-    SSTORE_ASSIGN_OR_RETURN(Value v, e->Eval(row));
-    if (v.is_null()) return false;
-    SSTORE_ASSIGN_OR_RETURN(double d, v.ToNumeric());
-    return d != 0.0;
-  }
-
   LogicOp op_;
   ExprPtr lhs_;
   ExprPtr rhs_;
@@ -284,12 +324,16 @@ ExprPtr IsNull(ExprPtr operand) {
   return std::make_shared<IsNullExpr>(std::move(operand));
 }
 
-Result<bool> EvalPredicate(const ExprPtr& expr, const Tuple& row) {
-  if (expr == nullptr) return true;
-  SSTORE_ASSIGN_OR_RETURN(Value v, expr->Eval(row));
+Result<bool> Expr::Test(const Tuple& row) const {
+  SSTORE_ASSIGN_OR_RETURN(Value v, Eval(row));
   if (v.is_null()) return false;
   SSTORE_ASSIGN_OR_RETURN(double d, v.ToNumeric());
   return d != 0.0;
+}
+
+Result<bool> EvalPredicate(const ExprPtr& expr, const Tuple& row) {
+  if (expr == nullptr) return true;
+  return expr->Test(row);
 }
 
 }  // namespace sstore

@@ -26,6 +26,12 @@ class Expr {
   virtual Result<Value> Eval(const Tuple& row) const = 0;
   virtual std::string ToString() const = 0;
 
+  /// Predicate entry point: Eval, then truthiness (NULL is false, a number
+  /// is true when non-zero, any other value is an error). Comparisons and
+  /// logic answer it without building the intermediate Value; the result
+  /// and status code are the same either way.
+  virtual Result<bool> Test(const Tuple& row) const;
+
   /// Access-path hook: true when this expression is `column = literal` in
   /// either operand order, with `*col` and `*lit` set to its parts. `*lit`
   /// points into this expression and lives as long as it does.

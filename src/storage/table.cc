@@ -236,17 +236,6 @@ Status Table::SetActive(RowId rid, bool active) {
   return Status::OK();
 }
 
-void Table::ForEach(
-    const std::function<bool(RowId, const Tuple&, const RowMeta&)>& fn,
-    bool include_staged) const {
-  for (RowId rid = 0; rid < slots_.size(); ++rid) {
-    const Slot& slot = slots_[rid];
-    if (!slot.row.has_value()) continue;
-    if (!include_staged && !slot.meta.active) continue;
-    if (!fn(rid, *slot.row, slot.meta)) return;
-  }
-}
-
 std::vector<RowId> Table::RowIdsBySeq(bool include_staged) const {
   std::vector<RowId> out;
   out.reserve(live_count_);

@@ -2,7 +2,6 @@
 #define SSTORE_STORAGE_TABLE_H_
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <optional>
 #include <string>
@@ -142,9 +141,17 @@ class Table {
 
   /// Visits live rows in slot order. When `include_staged` is false (the
   /// default for query execution), staged rows are skipped per the paper's
-  /// window-staging visibility rule. Return false from `fn` to stop early.
-  void ForEach(const std::function<bool(RowId, const Tuple&, const RowMeta&)>& fn,
-               bool include_staged = false) const;
+  /// window-staging visibility rule. `fn(RowId, const Tuple&, const
+  /// RowMeta&)` returns false to stop early.
+  template <typename Fn>
+  void ForEach(Fn&& fn, bool include_staged = false) const {
+    for (RowId rid = 0; rid < slots_.size(); ++rid) {
+      const Slot& slot = slots_[rid];
+      if (!slot.row.has_value()) continue;
+      if (!include_staged && !slot.meta.active) continue;
+      if (!fn(rid, *slot.row, slot.meta)) return;
+    }
+  }
 
   /// Live row ids sorted by arrival sequence (oldest first). Streams and
   /// windows use this for order-sensitive operations.

@@ -4,6 +4,18 @@
 
 namespace sstore {
 
+namespace {
+
+/// Trims `rows`, (seq, RowId) pairs, to the `n` with the smallest seq, in
+/// ascending seq order.
+void KeepOldest(std::vector<std::pair<uint64_t, RowId>>* rows, size_t n) {
+  n = std::min(n, rows->size());
+  std::partial_sort(rows->begin(), rows->begin() + n, rows->end());
+  rows->resize(n);
+}
+
+}  // namespace
+
 Status WindowManager::DefineWindow(const WindowSpec& spec) {
   if (spec.size <= 0 || spec.slide <= 0) {
     return Status::InvalidArgument("window size and slide must be positive");
@@ -11,9 +23,17 @@ Status WindowManager::DefineWindow(const WindowSpec& spec) {
   if (spec.slide > spec.size) {
     return Status::InvalidArgument("window slide must not exceed size");
   }
-  if (spec.kind == WindowKind::kTimeBased &&
-      spec.ts_column >= spec.schema.num_columns()) {
-    return Status::OutOfRange("window timestamp column out of range");
+  if (spec.kind == WindowKind::kTimeBased) {
+    if (spec.ts_column >= spec.schema.num_columns()) {
+      return Status::OutOfRange("window timestamp column out of range");
+    }
+    ValueType ts_type = spec.schema.column(spec.ts_column).type;
+    if (!IsIntLike(ts_type)) {
+      return Status::InvalidArgument(
+          std::string("window timestamp column must be BIGINT or TIMESTAMP, "
+                      "not ") +
+          ValueTypeToString(ts_type));
+    }
   }
   if (HasWindow(spec.name)) {
     return Status::AlreadyExists("window '" + spec.name + "' already defined");
@@ -59,6 +79,8 @@ Status WindowManager::Insert(Executor& exec, const std::string& window,
   for (const Tuple& row : rows) {
     int64_t ts = 0;
     if (w.spec.kind == WindowKind::kTimeBased) {
+      // A valid row has the timestamp column, holding an integer or NULL.
+      SSTORE_RETURN_NOT_OK(w.table->schema().ValidateTuple(row));
       const Value& tv = row[w.spec.ts_column];
       if (tv.is_null()) {
         return Status::InvalidArgument("null timestamp for time-based window");
@@ -80,36 +102,39 @@ Status WindowManager::Insert(Executor& exec, const std::string& window,
 
 Status WindowManager::SlideTupleBased(Executor& exec, WindowState& w) {
   // Window statistics are tracked in table metadata (active/staged counts),
-  // so deciding whether to slide is O(1).
+  // so deciding whether to slide is O(1). The first window forms once
+  // `size` rows have arrived, and it has formed exactly when a row is
+  // active: read off the table, that state rolls back with an aborted
+  // transaction's rows.
   size_t staged = w.table->staged_count();
-  size_t threshold =
-      w.primed ? static_cast<size_t>(w.spec.slide)
-               : static_cast<size_t>(w.spec.size);  // first full window
+  size_t threshold = w.table->active_count() > 0
+                         ? static_cast<size_t>(w.spec.slide)
+                         : static_cast<size_t>(w.spec.size);
   if (staged < threshold) return Status::OK();
 
-  std::vector<RowId> by_seq = w.table->RowIdsBySeq(/*include_staged=*/true);
-  // Expire the oldest `slide` active tuples (none before the first window).
-  if (w.primed) {
-    int64_t to_expire = w.spec.slide;
-    for (RowId rid : by_seq) {
-      if (to_expire == 0) break;
-      SSTORE_ASSIGN_OR_RETURN(const RowMeta* meta, w.table->GetMeta(rid));
-      if (!meta->active) continue;
-      SSTORE_RETURN_NOT_OK(exec.DeleteRow(w.table, rid));
-      --to_expire;
-    }
+  // One pass splits the rows by state; a partial sort by seq then picks the
+  // oldest `slide` active rows to expire (none before the first window) and
+  // the oldest `threshold` staged rows to activate. Both go in arrival
+  // order, as a full sort by seq would have them, so the undo log records
+  // the same mutations in the same order.
+  std::vector<std::pair<uint64_t, RowId>> active;
+  std::vector<std::pair<uint64_t, RowId>> arrived;
+  active.reserve(w.table->active_count());
+  arrived.reserve(staged);
+  w.table->ForEach(
+      [&](RowId rid, const Tuple&, const RowMeta& meta) {
+        (meta.active ? active : arrived).emplace_back(meta.seq, rid);
+        return true;
+      },
+      /*include_staged=*/true);
+  KeepOldest(&active, static_cast<size_t>(w.spec.slide));
+  KeepOldest(&arrived, threshold);
+  for (const auto& row : active) {
+    SSTORE_RETURN_NOT_OK(exec.DeleteRow(w.table, row.second));
   }
-  // Activate the oldest `threshold` staged tuples in arrival order.
-  int64_t to_activate = static_cast<int64_t>(threshold);
-  for (RowId rid : by_seq) {
-    if (to_activate == 0) break;
-    Result<const RowMeta*> meta = w.table->GetMeta(rid);
-    if (!meta.ok()) continue;  // expired above
-    if ((*meta)->active) continue;
-    SSTORE_RETURN_NOT_OK(exec.SetActive(w.table, rid, true));
-    --to_activate;
+  for (const auto& row : arrived) {
+    SSTORE_RETURN_NOT_OK(exec.SetActive(w.table, row.second, true));
   }
-  w.primed = true;
   ++w.slides;
   return FireSlideTriggers(exec, w);
 }

@@ -50,7 +50,8 @@ class WindowManager {
   WindowManager& operator=(const WindowManager&) = delete;
 
   /// Creates the backing kWindow table and registers the spec. Fails with
-  /// kInvalidArgument on non-positive size/slide or slide > size.
+  /// kInvalidArgument on non-positive size/slide, slide > size, or a
+  /// time-based window whose timestamp column is not BIGINT/TIMESTAMP.
   Status DefineWindow(const WindowSpec& spec);
 
   bool HasWindow(const std::string& name) const {
@@ -65,14 +66,17 @@ class WindowManager {
 
   /// Inserts tuples into the window as staged rows, sliding as the spec
   /// dictates. Must be called by the owning procedure's TE; mutations are
-  /// undo-logged through `exec`.
+  /// undo-logged through `exec`. A row that does not fit the window's
+  /// schema fails with kInvalidArgument, which aborts the transaction.
   Status Insert(Executor& exec, const std::string& window,
                 const std::vector<Tuple>& rows);
 
   /// The active (visible) window contents in arrival order.
   Result<std::vector<Tuple>> ActiveContents(const std::string& window) const;
 
-  /// How many times `window` has slid since definition.
+  /// How many times `window` has slid since definition. A slide inside a
+  /// transaction that later aborts still counts: the undo log restores the
+  /// window's rows, not this counter.
   Result<int64_t> SlideCount(const std::string& window) const;
 
   /// Scoping check used by the partition's table-access guard: OK when
@@ -84,8 +88,6 @@ class WindowManager {
     WindowSpec spec;
     Table* table = nullptr;
     int64_t slides = 0;
-    /// Tuple-based: true once the first full window has formed.
-    bool primed = false;
     /// Time-based: exclusive upper bound of the current window.
     int64_t next_slide_ts = 0;
     bool ts_initialized = false;

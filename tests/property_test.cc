@@ -5,6 +5,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <deque>
 #include <limits>
 #include <map>
 #include <optional>
@@ -811,6 +812,107 @@ TEST(UniqueIndexTest, RejectsEqualKeysOfOtherTypes) {
             StatusCode::kConstraintViolation);
   EXPECT_EQ(*d.IndexLookup("pk", {Value::BigInt(0)}), std::vector<RowId>{zero});
 }
+
+// ---- Tuple-based windows vs a deque model ------------------------------
+
+/// A tuple-based window as two queues of values in arrival order: the
+/// window's active rows and the rows staged behind it.
+struct WindowModel {
+  std::deque<int64_t> active;
+  std::deque<int64_t> staged;
+  int64_t slides = 0;
+
+  void Insert(int64_t v, size_t size, size_t slide) {
+    staged.push_back(v);
+    size_t threshold = active.empty() ? size : slide;
+    if (staged.size() < threshold) return;
+    for (size_t i = 0; i < slide && !active.empty(); ++i) active.pop_front();
+    for (size_t i = 0; i < threshold; ++i) {
+      active.push_back(staged.front());
+      staged.pop_front();
+    }
+    ++slides;
+  }
+};
+
+/// Column 0 of `table`'s rows in the given state, in arrival order.
+std::vector<int64_t> WindowColumn(const Table& table, bool active) {
+  std::vector<std::pair<uint64_t, int64_t>> rows;
+  table.ForEach(
+      [&](RowId, const Tuple& row, const RowMeta& meta) {
+        if (meta.active == active) rows.emplace_back(meta.seq, row[0].as_int64());
+        return true;
+      },
+      /*include_staged=*/true);
+  std::sort(rows.begin(), rows.end());
+  std::vector<int64_t> out;
+  for (const auto& r : rows) out.push_back(r.second);
+  return out;
+}
+
+class WindowDifferentialTest : public ::testing::TestWithParam<uint64_t> {};
+
+TEST_P(WindowDifferentialTest, TupleWindowMatchesDequeModelThroughAborts) {
+  // Expiry frees slots that later rows reuse, and an aborted slide puts
+  // expired rows back into their old slots, so slot order and arrival
+  // order part ways; the slide must go by arrival order all the same.
+  Rng rng(GetParam());
+  for (int trial = 0; trial < 8; ++trial) {
+    size_t size = static_cast<size_t>(rng.NextRange(1, 9));
+    size_t slide = static_cast<size_t>(rng.NextRange(1, static_cast<int64_t>(size)));
+    if (trial % 4 == 0) slide = 1;
+    if (trial % 4 == 1) slide = size;  // tumbling
+    SStore store;
+    WindowSpec spec;
+    spec.name = "w";
+    spec.schema = Schema({{"x", ValueType::kBigInt}});
+    spec.size = static_cast<int64_t>(size);
+    spec.slide = static_cast<int64_t>(slide);
+    ASSERT_TRUE(store.windows().DefineWindow(spec).ok());
+    const Table& table = **store.catalog().GetTable("w");
+
+    WindowModel model;
+    int64_t next = 0;
+    for (int step = 0; step < 80; ++step) {
+      std::string at = "seed " + std::to_string(GetParam()) + " size " +
+                       std::to_string(size) + " slide " +
+                       std::to_string(slide) + " step " + std::to_string(step);
+      UndoLog undo;
+      Executor exec(&undo);
+      WindowModel attempt = model;
+      std::vector<Tuple> rows;
+      int n = static_cast<int>(rng.NextRange(1, static_cast<int64_t>(size) + 2));
+      for (int i = 0; i < n; ++i) {
+        rows.push_back({Value::BigInt(next)});
+        attempt.Insert(next++, size, slide);
+      }
+      ASSERT_TRUE(store.windows().Insert(exec, "w", rows).ok()) << at;
+      if (rng.NextBool(0.3)) {
+        ASSERT_TRUE(undo.Rollback().ok()) << at;
+        model.slides = attempt.slides;  // the counter is not rolled back
+      } else {
+        undo.Release();
+        model = attempt;
+      }
+
+      std::vector<int64_t> want_active(model.active.begin(), model.active.end());
+      Result<std::vector<Tuple>> contents = store.windows().ActiveContents("w");
+      ASSERT_TRUE(contents.ok()) << at;
+      std::vector<int64_t> got_active;
+      for (const Tuple& row : *contents) got_active.push_back(row[0].as_int64());
+      ASSERT_EQ(got_active, want_active) << at;
+      ASSERT_EQ(WindowColumn(table, /*active=*/true), want_active) << at;
+      ASSERT_EQ(WindowColumn(table, /*active=*/false),
+                std::vector<int64_t>(model.staged.begin(), model.staged.end()))
+          << at;
+      ASSERT_EQ(table.staged_count(), model.staged.size()) << at;
+      ASSERT_EQ(*store.windows().SlideCount("w"), model.slides) << at;
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, WindowDifferentialTest,
+                         ::testing::Values(3ull, 99ull, 31337ull));
 
 TEST(RandomWorkflowScheduleTest, RandomDagsAlwaysProduceCorrectSchedules) {
   // Generate random 4-node DAGs, deploy them with pass-through procedures,

@@ -203,6 +203,72 @@ TEST_F(WindowTest, TimeBasedWindowSlidesOnTimestamps) {
   EXPECT_GT(*store_.windows().SlideCount("tw"), 0);
 }
 
+TEST_F(WindowTest, TimeBasedWindowNeedsAnIntegerTimestampColumn) {
+  WindowSpec spec;
+  spec.name = "tw";
+  spec.kind = WindowKind::kTimeBased;
+  spec.size = 10;
+  spec.slide = 1;
+  spec.ts_column = 0;
+  spec.schema = Schema({{"ts", ValueType::kDouble}});
+  EXPECT_EQ(store_.windows().DefineWindow(spec).code(),
+            StatusCode::kInvalidArgument);
+  spec.schema = Schema({{"ts", ValueType::kString}});
+  EXPECT_EQ(store_.windows().DefineWindow(spec).code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_FALSE(store_.windows().HasWindow("tw"));
+  spec.schema = Schema({{"ts", ValueType::kBigInt}});
+  EXPECT_TRUE(store_.windows().DefineWindow(spec).ok());
+}
+
+TEST_F(WindowTest, TimeBasedInsertRejectsMalformedRows) {
+  WindowSpec spec;
+  spec.name = "tw";
+  spec.schema = Schema({{"x", ValueType::kBigInt}, {"ts", ValueType::kTimestamp}});
+  spec.kind = WindowKind::kTimeBased;
+  spec.size = 10;
+  spec.slide = 1;
+  spec.ts_column = 1;
+  ASSERT_TRUE(store_.windows().DefineWindow(spec).ok());
+  // Too short to hold the timestamp column: reading it would run off the row.
+  EXPECT_EQ(store_.windows().Insert(exec_, "tw", {Num(1)}).code(),
+            StatusCode::kInvalidArgument);
+  // A DOUBLE or STRING timestamp has no int64 to read.
+  EXPECT_EQ(store_.windows()
+                .Insert(exec_, "tw", {{Value::BigInt(1), Value::Double(2.5)}})
+                .code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(store_.windows()
+                .Insert(exec_, "tw", {{Value::BigInt(1), Value::String("t")}})
+                .code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ((*store_.catalog().GetTable("tw"))->row_count(), 0u);
+  EXPECT_EQ(*store_.windows().SlideCount("tw"), 0);
+}
+
+TEST_F(WindowTest, MalformedTimeBasedRowAbortsItsTransaction) {
+  WindowSpec spec;
+  spec.name = "tw";
+  spec.schema = Schema({{"x", ValueType::kBigInt}, {"ts", ValueType::kTimestamp}});
+  spec.kind = WindowKind::kTimeBased;
+  spec.size = 10;
+  spec.slide = 1;
+  spec.ts_column = 1;
+  spec.owner_proc = "owner";
+  ASSERT_TRUE(store_.windows().DefineWindow(spec).ok());
+  // One good row, then a short one: the whole transaction rolls back.
+  auto insert = std::make_shared<LambdaProcedure>([this](ProcContext& ctx) {
+    return store_.windows().Insert(
+        ctx.exec(), "tw", {{Value::BigInt(1), Value::Timestamp(5)}, Num(2)});
+  });
+  ASSERT_TRUE(
+      store_.partition().RegisterProcedure("owner", SpKind::kBorder, insert).ok());
+  TxnOutcome out = store_.partition().ExecuteSync("owner", {}, 1);
+  EXPECT_FALSE(out.committed());
+  EXPECT_EQ(out.status.code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ((*store_.catalog().GetTable("tw"))->row_count(), 0u);
+}
+
 TEST_F(WindowTest, ScopingDeniesForeignProcedure) {
   ASSERT_TRUE(store_.windows().DefineWindow(Spec(3, 1)).ok());
   auto access_w = std::make_shared<LambdaProcedure>([](ProcContext& ctx) {

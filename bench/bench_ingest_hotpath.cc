@@ -7,14 +7,15 @@
 //   BM_SubmitPerInvocation   — the baseline: one TxnTicket (allocation +
 //                              mutex/cv) per invocation, waited per batch.
 //   BM_SubmitBatch           — batch-at-a-time: one BatchTicket per batch of
-//                              K invocations over the MPSC ring.
+//                              K invocations, enqueued under one lock.
 //   BM_InjectPerInvocation / — the same pair through StreamInjector (batch
 //   BM_InjectBatch             ids assigned, border SP committed).
 //   BM_ClusterIngest         — P producer threads feeding N partitions
 //                              through a keyed ClusterInjector, per-
 //                              invocation vs batched.
 //   BM_BackpressureCpu       — producer CPU burned while throttled at a
-//                              queue-depth limit: blocking cv vs yield-spin.
+//                              queue-depth limit (the producer blocks on
+//                              the partition's condition variable).
 //
 // The acceptance gate for PR 2 compares BM_SubmitBatch against
 // BM_SubmitPerInvocation (items_per_second, same machine): batched must be
@@ -54,7 +55,6 @@
 
 namespace {
 
-using sstore::BackpressureMode;
 using sstore::BatchTicketPtr;
 using sstore::Cluster;
 using sstore::ClusterInjector;
@@ -256,7 +256,7 @@ void BM_ClusterIngest(benchmark::State& state) {
                           kItemsPerProducer);
 }
 
-// ---- Backpressure CPU: blocking vs spinning --------------------------------
+// ---- Backpressure CPU ------------------------------------------------------
 
 #ifdef __linux__
 double ThreadCpuSeconds() {
@@ -272,7 +272,6 @@ double ThreadCpuSeconds() { return 0.0; }
 #endif
 
 void BM_BackpressureCpu(benchmark::State& state) {
-  const bool blocking = state.range(0) != 0;
   constexpr int kItems = 2'000;
 
   double cpu_frac_sum = 0;
@@ -291,8 +290,6 @@ void BM_BackpressureCpu(benchmark::State& state) {
     store.Start();
     StreamInjector::Options opts;
     opts.max_queue_depth = 8;
-    opts.backpressure =
-        blocking ? BackpressureMode::kBlock : BackpressureMode::kSpin;
     StreamInjector injector(&store.partition(), "slow", opts);
     state.ResumeTiming();
 
@@ -316,8 +313,8 @@ void BM_BackpressureCpu(benchmark::State& state) {
     store.Stop();
     state.ResumeTiming();
   }
-  // Producer CPU per wall second while throttled: ~0 for blocking, ~1 for
-  // the spin mode (modulo what the single worker core steals).
+  // Producer CPU per wall second while throttled: near 0, since the
+  // producer sleeps until the worker retires work.
   state.counters["producer_cpu_frac"] =
       cpu_frac_sum / static_cast<double>(state.iterations());
   state.SetItemsProcessed(state.iterations() * kItems);
@@ -325,8 +322,13 @@ void BM_BackpressureCpu(benchmark::State& state) {
 
 }  // namespace
 
-BENCHMARK(BM_SubmitPerInvocation)->ArgName("batch")->Arg(64)->Arg(512);
-BENCHMARK(BM_SubmitBatch)->ArgName("batch")->Arg(64)->Arg(512);
+BENCHMARK(BM_SubmitPerInvocation)
+    ->ArgName("batch")
+    ->Arg(1)
+    ->Arg(16)
+    ->Arg(64)
+    ->Arg(512);
+BENCHMARK(BM_SubmitBatch)->ArgName("batch")->Arg(1)->Arg(16)->Arg(64)->Arg(512);
 BENCHMARK(BM_InjectPerInvocation)->ArgName("batch")->Arg(64)->Arg(512);
 BENCHMARK(BM_InjectBatch)->ArgName("batch")->Arg(64)->Arg(512);
 BENCHMARK(BM_ClusterIngest)
@@ -341,9 +343,6 @@ BENCHMARK(BM_ClusterIngest)
     ->UseRealTime()
     ->Iterations(1);
 BENCHMARK(BM_BackpressureCpu)
-    ->ArgName("blocking")
-    ->Arg(0)
-    ->Arg(1)
     ->Unit(benchmark::kMillisecond)
     ->UseRealTime()
     ->Iterations(3);

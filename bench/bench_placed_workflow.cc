@@ -169,8 +169,7 @@ void BM_PlacedPipeline(benchmark::State& state) {
   cluster.Deploy(topo).ok();
   cluster.Start();
   StreamInjector injector(&cluster.partition(0), "ingest",
-                          StreamInjector::Options{4096,
-                                                  BackpressureMode::kBlock});
+                          StreamInjector::Options{4096});
 
   std::deque<TicketPtr> window;
   int64_t i = 0;

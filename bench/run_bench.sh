@@ -17,7 +17,7 @@
 # Acceptance gates (checked by eye / by the driver):
 #   bench_ingest_hotpath:  items_per_second of BM_SubmitBatch >= 2x
 #     BM_SubmitPerInvocation at the same batch arg, and
-#     BM_BackpressureCpu/blocking:1 producer_cpu_frac near 0.
+#     BM_BackpressureCpu producer_cpu_frac near 0.
 #   bench_multipart_txn:  BM_MultiPartitionTransfer completes in both modes
 #     (atomicity machinery on the hot path), and BM_GlobalOrderPipelined
 #     items_per_second exceeds the synchronous 2PC mode.

@@ -8,7 +8,6 @@
 #include <memory>
 #include <mutex>
 #include <string>
-#include <thread>
 #include <utility>
 #include <vector>
 
@@ -80,10 +79,9 @@ class ClusterBatchTicket {
 /// (cross-partition order is unconstrained — that is the shared-nothing
 /// bargain).
 ///
-/// `Options::max_queue_depth` bounds each partition's request backlog; in
-/// the default kBlock mode a throttled producer sleeps on the owning
-/// partition's condition variable instead of spinning. Zero disables
-/// backpressure.
+/// `Options::max_queue_depth` bounds each partition's request backlog; a
+/// throttled producer sleeps on the owning partition's condition variable
+/// instead of spinning. Zero disables backpressure.
 class ClusterInjector {
  public:
   struct Options {
@@ -91,7 +89,6 @@ class ClusterInjector {
     int key_column = 0;
     /// Per-partition backpressure limit; 0 = unbounded.
     size_t max_queue_depth = 0;
-    BackpressureMode backpressure = BackpressureMode::kBlock;
   };
 
   ClusterInjector(Cluster* cluster, std::string border_proc)
@@ -124,7 +121,7 @@ class ClusterInjector {
       Lane& lane = LaneOf(p);
       std::lock_guard<std::mutex> hold(lane.mu);
       int64_t batch_id = lane.next_batch_id++;
-      // kSpillWhenFull: never block on a full ring while holding the lane
+      // kSpillWhenFull: never block on a full queue while holding the lane
       // (other producers for this partition would stall behind the mutex)
       // or the routing view (the rebalance flip waits on it). Backpressure
       // for injectors is the Throttle() depth limit above.
@@ -265,14 +262,7 @@ class ClusterInjector {
   // concurrently-throttled producers is unspecified either way; the lane
   // lock still guarantees that batch-id order equals queue order.
   void Throttle(Partition& partition) {
-    if (options_.max_queue_depth == 0) return;
-    if (options_.backpressure == BackpressureMode::kBlock) {
-      partition.WaitForQueueBelow(options_.max_queue_depth);
-      return;
-    }
-    while (partition.QueueDepth() >= options_.max_queue_depth) {
-      std::this_thread::yield();
-    }
+    partition.WaitForQueueBelow(options_.max_queue_depth);
   }
 
   Cluster* cluster_;

@@ -55,7 +55,7 @@ Status InstallChannelConsumerSupport(SStore& store, const ChannelSpec& spec);
 /// boundary stream and forwards each batch to the consumer stage's
 /// partition(s) through the generated `__chan_ingest_<stream>` border
 /// procedure — one logged, replayable transaction per delivery, riding the
-/// existing MPSC request ring.
+/// partition's existing request queue.
 ///
 /// Ordering (paper §2.2, the stream-order constraint): each producer
 /// partition is one *lane*; forwarding happens on that partition's single

@@ -1,6 +1,7 @@
 #include "engine/partition.h"
 
 #include <chrono>
+#include <iterator>
 #include <utility>
 
 namespace sstore {
@@ -79,7 +80,8 @@ void BatchTicket::SetOnComplete(std::function<void()> fn) {
 Partition::Partition(int partition_id, size_t queue_capacity)
     : partition_id_(partition_id),
       ee_(&catalog_),
-      ring_(queue_capacity == 0 ? kDefaultQueueCapacity : queue_capacity) {}
+      capacity_(queue_capacity == 0 ? kDefaultQueueCapacity
+                                    : queue_capacity) {}
 
 Partition::~Partition() { Stop(); }
 
@@ -109,26 +111,6 @@ bool Partition::HasProcedure(const std::string& name) const {
 
 // ---- Queue plumbing --------------------------------------------------------
 
-void Partition::WakeConsumer() {
-  // Full fence so this load cannot be ordered before the task publish: the
-  // parking worker stores parked_ (seq_cst) and then re-checks the queue, so
-  // either we observe parked_ == true here, or the worker's re-check
-  // observes our publish — never both misses. The timed park below is a
-  // second line of defense, not the correctness argument.
-  std::atomic_thread_fence(std::memory_order_seq_cst);
-  if (parked_.load(std::memory_order_seq_cst)) {
-    std::lock_guard<std::mutex> lock(park_mu_);
-    park_cv_.notify_one();
-  }
-}
-
-void Partition::NotifyBackpressure() {
-  if (bp_waiters_.load(std::memory_order_seq_cst) > 0) {
-    std::lock_guard<std::mutex> lock(bp_mu_);
-    bp_cv_.notify_all();
-  }
-}
-
 void Partition::NoteWatermark() {
   uint64_t depth = QueueDepth();
   uint64_t cur = queue_hwm_.load(std::memory_order_relaxed);
@@ -138,131 +120,68 @@ void Partition::NoteWatermark() {
   }
 }
 
-void Partition::PushTaskBack(Task&& task, EnqueuePolicy policy) {
-  // Once items have spilled to the overflow lane, later enqueues must follow
-  // them there or FIFO order would invert (ring items are consumed first).
-  if (overflow_size_.load(std::memory_order_acquire) > 0) {
-    std::lock_guard<std::mutex> lock(lanes_mu_);
-    if (!overflow_.empty()) {
-      overflow_.push_back(std::move(task));
-      overflow_size_.store(overflow_.size(), std::memory_order_release);
-      NoteWatermark();
-      WakeConsumer();
-      return;
+template <typename Fill>
+void Partition::PushBack(size_t count, EnqueuePolicy policy, Fill&& fill) {
+  std::unique_lock<std::mutex> lock(queue_mu_);
+  for (size_t i = 0; i < count; ++i) {
+    if (policy == EnqueuePolicy::kBlockWhenFull && accepting_ &&
+        depth_.load(std::memory_order_seq_cst) >= capacity_) {
+      // Full while the worker runs: sleep until it retires work. Tasks this
+      // call already appended must not wait behind our wait.
+      producer_blocks_.fetch_add(1, std::memory_order_relaxed);
+      if (worker_waiting_) work_cv_.notify_one();
+      WaitForDepthBelow(lock, capacity_);
     }
+    queue_.emplace_back();
+    fill(queue_.back(), i);
+    depth_.fetch_add(1, std::memory_order_seq_cst);
   }
-  // While blocked on a full ring, the producer stays registered in
-  // bp_waiters_ until its task is safely enqueued (ring or spill) — Stop()
-  // waits for the count to drain before placing the stop sentinel, so a
-  // pre-Stop task can never be ordered after the sentinel and stranded.
-  bool registered = false;
-  while (!ring_.TryPush(std::move(task))) {
-    if (policy == EnqueuePolicy::kSpillWhenFull ||
-        !accepting_.load(std::memory_order_seq_cst)) {
-      // Spill instead of waiting: the caller must not block here (it holds
-      // its own lock), or the worker is stopped/stopping/inline and blocking
-      // would deadlock. The overflow is the queue's logical tail — order
-      // holds.
-      {
-        std::lock_guard<std::mutex> lock(lanes_mu_);
-        overflow_.push_back(std::move(task));
-        overflow_size_.store(overflow_.size(), std::memory_order_release);
-      }
-      if (registered) bp_waiters_.fetch_sub(1, std::memory_order_seq_cst);
-      NoteWatermark();
-      WakeConsumer();
-      return;
-    }
-    // Ring full while the worker runs: block until it frees a slot. This is
-    // the bounded-memory backpressure mode — the producer sleeps instead of
-    // spinning.
-    producer_blocks_.fetch_add(1, std::memory_order_relaxed);
-    auto has_space = [this] {
-      return ring_.SizeApprox() < ring_.capacity() ||
-             !accepting_.load(std::memory_order_seq_cst);
-    };
-    std::unique_lock<std::mutex> lock(bp_mu_);
-    if (!registered) {
-      bp_waiters_.fetch_add(1, std::memory_order_seq_cst);
-      registered = true;
-    }
-    // The timeout is a backstop only; the worker notifies as it frees slots.
-    while (!has_space()) {
-      bp_cv_.wait_for(lock, std::chrono::milliseconds(10));
-    }
-  }
-  if (registered) bp_waiters_.fetch_sub(1, std::memory_order_seq_cst);
   NoteWatermark();
-  WakeConsumer();
+  if (worker_waiting_) work_cv_.notify_one();
 }
 
-bool Partition::PopTask(Task* out) {
-  // Front lane first: PE-triggered TEs preempt all queued client work.
-  if (front_size_.load(std::memory_order_acquire) > 0) {
-    std::lock_guard<std::mutex> lock(lanes_mu_);
-    if (!front_lane_.empty()) {
-      *out = std::move(front_lane_.front());
-      front_lane_.pop_front();
-      front_size_.store(front_lane_.size(), std::memory_order_release);
-      return true;
-    }
+void Partition::WaitForDepthBelow(std::unique_lock<std::mutex>& lock,
+                                  size_t limit) {
+  // seq_cst on depth_waiters_ and depth_: either RunAndRetire sees this
+  // waiter and notifies under queue_mu_, or the predicate sees its decrement.
+  depth_waiters_.fetch_add(1, std::memory_order_seq_cst);
+  space_cv_.wait(lock, [this, limit] {
+    return !accepting_ || depth_.load(std::memory_order_seq_cst) < limit;
+  });
+  if (depth_waiters_.fetch_sub(1, std::memory_order_seq_cst) == 1 &&
+      !accepting_) {
+    space_cv_.notify_all();  // the last waiter out releases Stop()
   }
-  if (ring_.TryPop(out)) {
-    // A ring slot was freed; blocked producers can make progress.
-    NotifyBackpressure();
-    return true;
-  }
-  if (overflow_size_.load(std::memory_order_acquire) > 0) {
-    std::lock_guard<std::mutex> lock(lanes_mu_);
-    if (!overflow_.empty()) {
-      *out = std::move(overflow_.front());
-      overflow_.pop_front();
-      overflow_size_.store(overflow_.size(), std::memory_order_release);
-      return true;
-    }
-  }
-  return false;
 }
 
-bool Partition::QueueEmpty() const {
-  return front_size_.load(std::memory_order_acquire) == 0 && ring_.Empty() &&
-         overflow_size_.load(std::memory_order_acquire) == 0;
+void Partition::RunAndRetire(Task& task) {
+  RunTask(task);
+  // Retired only after RunTask's side effects (commit hooks, PE-trigger
+  // enqueues) are done, so "depth == 0" really means idle.
+  depth_.fetch_sub(1, std::memory_order_seq_cst);
+  if (depth_waiters_.load(std::memory_order_seq_cst) > 0) {
+    std::lock_guard<std::mutex> lock(queue_mu_);
+    space_cv_.notify_all();
+  }
 }
 
 size_t Partition::QueueDepth() const {
-  return front_size_.load(std::memory_order_acquire) + ring_.SizeApprox() +
-         overflow_size_.load(std::memory_order_acquire) +
-         inflight_.load(std::memory_order_acquire);
+  return depth_.load(std::memory_order_seq_cst);
 }
 
 void Partition::WaitForQueueBelow(size_t limit) {
   if (limit == 0) return;
   if (QueueDepth() < limit) return;
   producer_blocks_.fetch_add(1, std::memory_order_relaxed);
-  auto below = [this, limit] {
-    return QueueDepth() < limit ||
-           !accepting_.load(std::memory_order_seq_cst);
-  };
-  std::unique_lock<std::mutex> lock(bp_mu_);
-  bp_waiters_.fetch_add(1, std::memory_order_seq_cst);
-  while (!below()) {
-    bp_cv_.wait_for(lock, std::chrono::milliseconds(10));
-  }
-  bp_waiters_.fetch_sub(1, std::memory_order_seq_cst);
+  std::unique_lock<std::mutex> lock(queue_mu_);
+  WaitForDepthBelow(lock, limit);
 }
 
 void Partition::WaitIdle() {
   if (!running()) return;
   if (QueueDepth() == 0) return;
-  auto idle = [this] {
-    return QueueDepth() == 0 || !accepting_.load(std::memory_order_seq_cst);
-  };
-  std::unique_lock<std::mutex> lock(bp_mu_);
-  bp_waiters_.fetch_add(1, std::memory_order_seq_cst);
-  while (!idle()) {
-    bp_cv_.wait_for(lock, std::chrono::milliseconds(10));
-  }
-  bp_waiters_.fetch_sub(1, std::memory_order_seq_cst);
+  std::unique_lock<std::mutex> lock(queue_mu_);
+  WaitForDepthBelow(lock, 1);
 }
 
 // ---- Client API ------------------------------------------------------------
@@ -291,12 +210,13 @@ int64_t Partition::SampleStamp() {
 
 TicketPtr Partition::SubmitAsync(Invocation inv, EnqueuePolicy policy) {
   auto ticket = std::make_shared<TxnTicket>();
-  Task task;
-  task.inv = std::move(inv);
-  task.ticket = ticket;
-  task.sample_ts = SampleStamp();
+  const int64_t stamp = SampleStamp();
   client_requests_.fetch_add(1, std::memory_order_relaxed);
-  PushTaskBack(std::move(task), policy);
+  PushBack(1, policy, [&](Task& task, size_t) {
+    task.inv = std::move(inv);
+    task.ticket = ticket;
+    task.sample_ts = stamp;
+  });
   return ticket;
 }
 
@@ -309,15 +229,13 @@ BatchTicketPtr Partition::SubmitBatchAsync(std::vector<Invocation> batch,
   // a sample measures submit→batch-complete (FIFO makes the last task the
   // one that resolves the ticket).
   const int64_t stamp = SampleStamp();
-  uint32_t index = 0;
-  for (Invocation& inv : batch) {
-    Task task;
-    task.inv = std::move(inv);
+  const size_t last = batch.size() - 1;
+  PushBack(batch.size(), policy, [&](Task& task, size_t i) {
+    task.inv = std::move(batch[i]);
     task.batch = ticket;
-    task.batch_index = index++;
-    if (index == batch.size()) task.sample_ts = stamp;
-    PushTaskBack(std::move(task), policy);
-  }
+    task.batch_index = static_cast<uint32_t>(i);
+    if (i == last) task.sample_ts = stamp;
+  });
   return ticket;
 }
 
@@ -362,11 +280,11 @@ TicketPtr Partition::SubmitNestedAsync(std::vector<Invocation> children) {
         Status::InvalidArgument("nested transaction needs children"), {}, 0});
     return ticket;
   }
-  Task task;
-  task.children = std::move(children);
-  task.ticket = ticket;
   client_requests_.fetch_add(1, std::memory_order_relaxed);
-  PushTaskBack(std::move(task));
+  PushBack(1, EnqueuePolicy::kBlockWhenFull, [&](Task& task, size_t) {
+    task.children = std::move(children);
+    task.ticket = ticket;
+  });
   return ticket;
 }
 
@@ -387,31 +305,25 @@ TxnOutcome Partition::ExecuteNestedSync(std::vector<Invocation> children) {
 }
 
 void Partition::EnqueueFront(Invocation inv) {
-  {
-    std::lock_guard<std::mutex> lock(lanes_mu_);
-    Task task;
-    task.inv = std::move(inv);
-    front_lane_.push_front(std::move(task));
-    front_size_.store(front_lane_.size(), std::memory_order_release);
-  }
+  // Worker thread (or inline mode) only, so the worker-local head needs no
+  // lock: the newest front push runs next, ahead of everything queued.
+  local_.emplace_front();
+  local_.front().inv = std::move(inv);
+  depth_.fetch_add(1, std::memory_order_seq_cst);
   internal_requests_.fetch_add(1, std::memory_order_relaxed);
   NoteWatermark();
-  WakeConsumer();
 }
 
 void Partition::EnqueueBack(Invocation inv) {
-  Task task;
-  task.inv = std::move(inv);
   internal_requests_.fetch_add(1, std::memory_order_relaxed);
-  PushTaskBack(std::move(task));
+  PushBack(1, EnqueuePolicy::kBlockWhenFull,
+           [&](Task& task, size_t) { task.inv = std::move(inv); });
 }
 
 void Partition::SubmitClosure(std::function<void(Partition&)> fn,
                               EnqueuePolicy policy) {
-  Task task;
-  task.fn = std::move(fn);
   internal_requests_.fetch_add(1, std::memory_order_relaxed);
-  PushTaskBack(std::move(task), policy);
+  PushBack(1, policy, [&](Task& task, size_t) { task.fn = std::move(fn); });
 }
 
 // ---- Multi-partition participation ----------------------------------------
@@ -547,80 +459,64 @@ Status Partition::AppendCheckpointMark(uint64_t checkpoint_id) {
 
 void Partition::Start() {
   if (running()) return;
-  accepting_.store(true, std::memory_order_seq_cst);
+  {
+    std::lock_guard<std::mutex> lock(queue_mu_);
+    accepting_ = true;
+  }
   worker_ = std::thread([this] { WorkerLoop(); });
 }
 
 void Partition::Stop() {
   if (!running()) return;
-  // Stop accepting first so producers blocked on a full ring wake and spill
-  // to the overflow lane instead of waiting on a worker that is exiting.
-  accepting_.store(false, std::memory_order_seq_cst);
-  // Wait for every already-blocked producer to deregister before enqueueing
-  // the stop sentinel: their tasks predate this Stop() and must land ahead
-  // of the sentinel (a blocked producer that spilled *after* the sentinel
-  // would leave its ticket unfulfilled forever). Waiters exit promptly once
-  // woken — this loop is bounded by their wakeup latency.
-  while (bp_waiters_.load(std::memory_order_seq_cst) > 0) {
-    {
-      std::lock_guard<std::mutex> lock(bp_mu_);
-      bp_cv_.notify_all();
-    }
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  {
+    std::unique_lock<std::mutex> lock(queue_mu_);
+    // Producers blocked on a full queue wake and append without waiting;
+    // their tasks predate this Stop() and must land ahead of the sentinel,
+    // so wait for every depth waiter to leave before pushing it.
+    accepting_ = false;
+    space_cv_.notify_all();
+    space_cv_.wait(lock, [this] {
+      return depth_waiters_.load(std::memory_order_seq_cst) == 0;
+    });
+    queue_.emplace_back().stop = true;
+    if (worker_waiting_) work_cv_.notify_one();
   }
-  Task stop_task;
-  stop_task.stop = true;
-  PushTaskBack(std::move(stop_task));
   worker_.join();
 }
 
 void Partition::WorkerLoop() {
   while (true) {
-    Task task;
-    // Marked in flight *before* popping so no observer can see the queue
-    // shrink without the popped task counted — "depth == 0" means idle.
-    inflight_.store(1, std::memory_order_seq_cst);
-    if (!PopTask(&task)) {
-      inflight_.store(0, std::memory_order_seq_cst);
-      NotifyBackpressure();
-      // Idle moment: group-commit boundary. Flush the log so no durable
-      // record is delayed past the queue running dry. Fall through to park
-      // either way: a *failing* flush (disk full, fsync error) freezes the
-      // log with a sticky error — the next transaction's LogCommit reports
-      // it and aborts, so the worker never busy-loops on a dead disk.
-      if (log_ != nullptr && log_->pending() > 0) {
+    if (local_.empty()) {
+      std::unique_lock<std::mutex> lock(queue_mu_);
+      if (queue_.empty() && log_ != nullptr && log_->pending() > 0) {
+        // Idle moment: group-commit boundary. Flush the log so no durable
+        // record is delayed past the queue running dry. Wait for work
+        // either way: a *failing* flush (disk full, fsync error) freezes the
+        // log with a sticky error — the next transaction's LogCommit reports
+        // it and aborts, so the worker never busy-loops on a dead disk.
+        lock.unlock();
         log_->Flush().ok();
+        lock.lock();
       }
-      // Park until a producer publishes work: we store parked_ (seq_cst) and
-      // re-check the queue; WakeConsumer's fence-then-load guarantees a
-      // publisher either sees parked_ or is seen by the re-check.
-      parked_.store(true, std::memory_order_seq_cst);
-      if (!QueueEmpty()) {
-        parked_.store(false, std::memory_order_relaxed);
-        continue;
-      }
-      {
-        std::unique_lock<std::mutex> lock(park_mu_);
-        // Timeout is a backstop; producers notify after publishing.
-        while (QueueEmpty()) {
-          park_cv_.wait_for(lock, std::chrono::milliseconds(10));
-        }
-      }
-      parked_.store(false, std::memory_order_relaxed);
-      continue;
+      worker_waiting_ = true;
+      work_cv_.wait(lock, [this] { return !queue_.empty(); });
+      worker_waiting_ = false;
+      local_.swap(queue_);
     }
-    if (task.stop) {
-      inflight_.store(0, std::memory_order_seq_cst);
-      NotifyBackpressure();
-      if (log_ != nullptr) log_->Flush().ok();
-      return;
-    }
-    RunTask(task);
-    // Cleared only after RunTask's side effects (commit hooks, PE-trigger
-    // enqueues) are done, so "depth == 0" really means idle.
-    inflight_.store(0, std::memory_order_seq_cst);
-    NotifyBackpressure();
+    Task task = std::move(local_.front());
+    local_.pop_front();
+    if (task.stop) break;
+    RunAndRetire(task);
   }
+  {
+    // Tasks behind the sentinel go back to the head of the shared queue, for
+    // a restart or DrainQueueInline.
+    std::lock_guard<std::mutex> lock(queue_mu_);
+    queue_.insert(queue_.begin(), std::make_move_iterator(local_.begin()),
+                  std::make_move_iterator(local_.end()));
+    local_.clear();
+  }
+  if (log_ != nullptr) log_->Flush().ok();
 }
 
 void Partition::RunTask(Task& task) {
@@ -821,10 +717,15 @@ TxnOutcome Partition::RunInline(Invocation inv) {
 
 size_t Partition::DrainQueueInline() {
   size_t executed = 0;
-  Task task;
-  while (PopTask(&task)) {
-    if (task.stop) continue;
-    RunTask(task);
+  while (true) {
+    if (local_.empty()) {
+      std::lock_guard<std::mutex> lock(queue_mu_);
+      if (queue_.empty()) break;
+      local_.swap(queue_);
+    }
+    Task task = std::move(local_.front());
+    local_.pop_front();
+    RunAndRetire(task);
     ++executed;
   }
   return executed;

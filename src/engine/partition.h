@@ -14,7 +14,6 @@
 
 #include "common/status.h"
 #include "engine/execution_engine.h"
-#include "engine/mpsc_queue.h"
 #include "engine/procedure.h"
 #include "engine/txn.h"
 #include "log/command_log.h"
@@ -58,14 +57,15 @@ struct PartitionInstruments {
   uint32_t trace_sample_every = 0;
 };
 
-/// What an enqueue does when the request ring is full while the worker runs.
+/// What an enqueue does when the request queue is at capacity while the
+/// worker runs.
 enum class EnqueuePolicy {
-  /// Sleep until the worker frees a slot — the bounded-memory default.
+  /// Sleep until the worker retires work — the bounded-memory default.
   kBlockWhenFull,
-  /// Append to the (mutex-protected, unbounded) overflow lane instead of
-  /// waiting. For callers that must not stall while holding their own locks
-  /// — e.g. ClusterInjector's batch-id lanes — and that apply backpressure
-  /// separately via WaitForQueueBelow. FIFO order is preserved.
+  /// Append past the capacity instead of waiting. For callers that must not
+  /// stall while holding their own locks — e.g. ClusterInjector's batch-id
+  /// lanes — and that apply backpressure separately via WaitForQueueBelow.
+  /// FIFO order is preserved.
   kSpillWhenFull,
 };
 
@@ -156,24 +156,19 @@ using CommitHook =
 /// transactions serially (paper §3.1: single-sited transactions run serially,
 /// eliminating fine-grained locks and latches).
 ///
-/// The request queue is a bounded MPSC ring buffer: client enqueues are
-/// lock-free in the common case (one CAS + one release store, no allocation
-/// beyond the caller's params), and when the ring fills, producers *block* on
-/// a condition variable instead of spinning — bounded memory and ~0% spin CPU
-/// under overload. Two mutex-protected side lanes complete the picture:
-///
-///  - front lane: EnqueueFront fast-tracks PE-triggered transactions ahead of
-///    all queued client work (the streaming scheduler, paper §3.2.4). It is
-///    unbounded and never blocks, because it is called from commit hooks on
-///    the worker thread itself.
-///  - overflow lane: producers that find the ring full while the partition is
-///    not accepting (worker stopped/stopping, or inline mode) append here
-///    instead of blocking forever. Consumption order is front lane, then
-///    ring, then overflow — overall FIFO is preserved because the overflow
-///    only receives items while it is the newest tail of the queue.
+/// The request queue is one deque under one mutex. Producers append under
+/// the lock (a whole batch per acquisition); the worker swaps the shared
+/// deque into a worker-local one and runs those tasks without the lock.
+/// `queue_capacity` bounds the depth: under kBlockWhenFull a producer that
+/// finds the queue full sleeps until the worker retires work, so memory
+/// stays bounded and a throttled producer burns no CPU. EnqueueFront
+/// fast-tracks PE-triggered transactions onto the front of the worker-local
+/// deque, ahead of all queued client work (the streaming scheduler, paper
+/// §3.2.4); it never blocks, because it is called from commit hooks on the
+/// worker thread itself.
 class Partition {
  public:
-  /// Ring capacity used when the caller passes 0.
+  /// Queue capacity used when the caller passes 0.
   static constexpr size_t kDefaultQueueCapacity = 4096;
 
   explicit Partition(int partition_id = 0, size_t queue_capacity = 0);
@@ -219,7 +214,10 @@ class Partition {
 
   // ---- Internal API (worker thread: PE triggers; or inline mode) ----
 
-  /// Streaming-scheduler fast-track: enqueue at the *front* of the queue.
+  /// Streaming-scheduler fast-track: enqueue at the *front* of the queue,
+  /// so the newest front enqueue runs next. Touches the worker-local head
+  /// without a lock, so only the worker thread (a commit hook) or an inline
+  /// caller may call it.
   void EnqueueFront(Invocation inv);
   /// Internal enqueue preserving FIFO order.
   void EnqueueBack(Invocation inv);
@@ -229,7 +227,7 @@ class Partition {
   /// cross-partition coordinator parks a participant between prepare and
   /// decision here, and the coordinated checkpoint pauses every worker at a
   /// barrier closure). No ticket; completion is whatever the closure signals.
-  /// Callers that must not stall on a full ring — e.g. Cluster::Rebalance
+  /// Callers that must not stall on a full queue — e.g. Cluster::Rebalance
   /// submitting barrier closures while holding the routing lock every
   /// producer needs to make progress — pass kSpillWhenFull.
   void SubmitClosure(std::function<void(Partition&)> fn,
@@ -310,6 +308,10 @@ class Partition {
   // ---- Lifecycle ----
 
   void Start();
+  /// Runs every request queued before the call, then joins the worker.
+  /// Producers blocked on a full queue are released first, and their
+  /// requests run before the worker exits; requests submitted after that
+  /// stay queued for a restart or DrainQueueInline().
   void Stop();
   bool running() const { return worker_.joinable(); }
 
@@ -324,8 +326,7 @@ class Partition {
 
   // ---- Backpressure (any thread) ----
 
-  /// Blocks until QueueDepth() < limit, the same condition the injectors'
-  /// legacy spin loop polled — but sleeping on a condition variable the
+  /// Blocks until QueueDepth() < limit, sleeping on a condition variable the
   /// worker signals as it retires work. Returns immediately when `limit` is
   /// 0 or the partition is not accepting work (worker stopped/stopping), so
   /// a producer can never deadlock against a dead worker.
@@ -372,7 +373,7 @@ class Partition {
     /// admission control reads this to see how close the partition runs to
     /// its bound.
     uint64_t queue_high_watermark = 0;
-    /// Times a producer blocked (full ring, or an injector's depth limit).
+    /// Times a producer blocked (full queue, or an injector's depth limit).
     uint64_t producer_blocks = 0;
   };
   /// Point-in-time snapshot (counters are updated from several threads).
@@ -392,7 +393,7 @@ class Partition {
   /// Cluster::WaitIdle and client backpressure rely on.
   size_t QueueDepth() const;
 
-  size_t queue_capacity() const { return ring_.capacity(); }
+  size_t queue_capacity() const { return capacity_; }
 
  private:
   struct Task {
@@ -436,20 +437,19 @@ class Partition {
   Status LogCommit(const TransactionExecution& te, SpKind kind);
   void FireCommitHooks(const TransactionExecution& te);
 
-  /// FIFO enqueue: ring fast path; when full, blocks while accepting (under
-  /// kBlockWhenFull) and spills to the overflow lane otherwise. Updates the
-  /// depth watermark and wakes the consumer.
-  void PushTaskBack(Task&& task,
-                    EnqueuePolicy policy = EnqueuePolicy::kBlockWhenFull);
-  /// Consumer-side dequeue: front lane, then ring, then overflow.
-  bool PopTask(Task* out);
-  bool QueueEmpty() const;
+  /// FIFO enqueue of `count` tasks, each built in place by `fill(task, i)`,
+  /// under one lock acquisition. Under kBlockWhenFull a producer that finds
+  /// the queue at capacity while the worker is accepting waits for space.
+  template <typename Fill>
+  void PushBack(size_t count, EnqueuePolicy policy, Fill&& fill);
+  /// Runs one task and retires it from the depth count. Worker thread, or
+  /// inline mode.
+  void RunAndRetire(Task& task);
+  /// Waits (holding `lock` on queue_mu_) until QueueDepth() < limit or the
+  /// partition stops accepting. The waiter is counted in depth_waiters_, so
+  /// the worker notifies as depth falls and Stop() waits for it to leave.
+  void WaitForDepthBelow(std::unique_lock<std::mutex>& lock, size_t limit);
   void NoteWatermark();
-  /// Wakes the worker if it is parked waiting for work.
-  void WakeConsumer();
-  /// Wakes producers blocked on backpressure (full ring, depth limits,
-  /// WaitIdle) when waiters are registered.
-  void NotifyBackpressure();
 
   int partition_id_;
   Catalog catalog_;
@@ -465,36 +465,27 @@ class Partition {
 
   // ---- Request queue ----
 
-  BoundedMpscQueue<Task> ring_;
-  /// Guards both side lanes; taken only for PE-trigger fast-tracks and
-  /// overflow spills, never on the client fast path.
-  mutable std::mutex lanes_mu_;
-  std::deque<Task> front_lane_;
-  std::deque<Task> overflow_;
-  std::atomic<size_t> front_size_{0};
-  std::atomic<size_t> overflow_size_{0};
-
-  /// True while the worker is running and not stopping. Producers blocked on
-  /// a full ring spill to the overflow lane instead of waiting when false.
-  std::atomic<bool> accepting_{false};
-  /// 1 while the worker is executing a dequeued task (see QueueDepth).
-  std::atomic<size_t> inflight_{0};
-
-  /// Consumer parking: the worker sets parked_ (seq_cst) before sleeping and
-  /// re-checks the queue; a producer publishes, issues a full fence, then
-  /// reads parked_ (WakeConsumer) — so the push is either seen by the
-  /// worker's re-check or the producer sees parked_ and notifies. The park
-  /// itself is a timed wait as a belt-and-braces backstop.
-  std::atomic<bool> parked_{false};
-  std::mutex park_mu_;
-  std::condition_variable park_cv_;
-
-  /// Backpressure waiters (blocked producers, WaitForQueueBelow, WaitIdle).
-  /// The waiter count gates notification so the worker pays one relaxed load
-  /// per task when nobody is blocked.
-  std::atomic<size_t> bp_waiters_{0};
-  std::mutex bp_mu_;
-  std::condition_variable bp_cv_;
+  const size_t capacity_;
+  /// Guards queue_, accepting_ and worker_waiting_.
+  std::mutex queue_mu_;
+  /// Shared FIFO tail every producer appends to.
+  std::deque<Task> queue_;
+  /// Worker-local head: the worker swaps queue_ in here when it runs dry.
+  /// Touched only by the worker thread (or the inline caller).
+  std::deque<Task> local_;
+  /// True while the worker is running and not stopping. Producers never wait
+  /// for space when false: they append past the capacity instead.
+  bool accepting_ = false;
+  /// Set while the worker waits on work_cv_, so producers notify only then.
+  bool worker_waiting_ = false;
+  std::condition_variable work_cv_;
+  /// Queued plus executing tasks; decremented only after a task has run, so
+  /// depth 0 means the partition is truly idle.
+  std::atomic<size_t> depth_{0};
+  /// Threads waiting on space_cv_ for the depth to fall (blocked producers,
+  /// WaitForQueueBelow, WaitIdle). The worker notifies only while non-zero.
+  std::atomic<size_t> depth_waiters_{0};
+  std::condition_variable space_cv_;
 
   std::thread worker_;
 

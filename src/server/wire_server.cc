@@ -49,7 +49,7 @@ struct Connection {
   /// socket accepts everything — the per-connection reuse the hot path needs.
   ByteWriter wrbuf;
   size_t wr_off = 0;
-  /// kSubmit frames handed to a partition ring and not yet answered.
+  /// kSubmit frames handed to a partition queue and not yet answered.
   size_t inflight = 0;
   bool read_open = true;
   bool want_write = false;
@@ -340,7 +340,7 @@ class EventLoop {
           }
           // Answered in-line like kPong: the cluster's typed stats and
           // then the server's are read at this moment, so the reply is a
-          // live view without touching any partition ring. Counted before
+          // live view without touching any partition queue. Counted before
           // rendering so the snapshot includes the request it is answering.
           server_->stats_requests_.fetch_add(1, std::memory_order_relaxed);
           {
@@ -370,13 +370,13 @@ class EventLoop {
 
   /// Admission control + batched submit. Routing and enqueues happen under
   /// ONE RoutingView, with the spill policy — this loop must never block on
-  /// a full ring (the view blocks a concurrent Rebalance flip, and blocking
+  /// a full queue (the view blocks a concurrent Rebalance flip, and blocking
   /// here would head-of-line-block every connection pinned to the loop).
   /// Bounded memory comes from shedding instead: a frame is answered kBusy
   /// when the connection is over its in-flight cap or the target partition's
-  /// ring is already at capacity (the queue-depth signal behind the blocking
-  /// backpressure stats), so the overflow lane never holds more than the
-  /// admitted in-flight frames.
+  /// queue is already at capacity (the queue-depth signal behind the
+  /// blocking backpressure stats), so what lands past the capacity never
+  /// exceeds the admitted in-flight frames.
   void SubmitRequests(const ConnectionPtr& conn,
                       std::vector<WireRequest> reqs) {
     struct Group {
@@ -411,7 +411,7 @@ class EventLoop {
         Partition& part = cluster_->partition(p);
         // Saturation counts what this very pass is already adding: a whole
         // coalesced backlog lands at once, and admitting it all against the
-        // ring's pre-pass depth would push the overflow lane unboundedly.
+        // queue's pre-pass depth would push it past capacity unboundedly.
         auto git = groups.find(p);
         size_t building = git == groups.end() ? 0 : git->second.invs.size();
         if (part.QueueDepth() + building >= part.queue_capacity()) {

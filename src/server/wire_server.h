@@ -33,7 +33,7 @@ struct Connection;
 /// Dataflow per readable connection: the loop drains the socket's whole
 /// readable backlog, decodes every complete frame, and submits them as ONE
 /// batch per touched partition (`Partition::SubmitBatchAsync`, spill policy —
-/// the loop never blocks on a full ring). The batch ticket's completion hook
+/// the loop never blocks on a full queue). The batch ticket's completion hook
 /// (fired on the partition worker after the last invocation commits/aborts)
 /// hands the ticket back to the loop through an eventfd; the loop then
 /// encodes all of that batch's responses into the connection's write buffer
@@ -46,9 +46,9 @@ struct Connection;
 ///    submitted-but-unanswered; excess frames are answered kBusy immediately
 ///    instead of buffering without bound;
 ///  - partition saturation: when a request routes to a partition whose
-///    request ring is already at capacity (the same queue-depth signal the
+///    request queue is already at capacity (the same queue-depth signal the
 ///    blocking backpressure stats watch), it is shed with kBusy rather than
-///    spilled — the overflow lane stays bounded by
+///    spilled — what lands past the capacity stays bounded by
 ///    connections × max_inflight_per_conn.
 /// kBusy is an explicit retry-after signal; the client library surfaces it
 /// (`WireResult::busy`) rather than retrying silently.
@@ -96,7 +96,7 @@ class WireServer {
     /// sheds instead of growing the backlog behind a paused cluster.
     uint64_t busy_during_checkpoint = 0;
     uint64_t batches_submitted = 0;  // BatchTickets handed to partitions
-    uint64_t requests_submitted = 0;  // kSubmit frames that reached a ring
+    uint64_t requests_submitted = 0;  // kSubmit frames that reached a queue
     uint64_t protocol_errors = 0;
     /// kStats frames answered (the live metrics endpoint, e.g. sstore_top).
     uint64_t stats_requests = 0;

@@ -4,7 +4,6 @@
 #include <atomic>
 #include <cstdint>
 #include <string>
-#include <thread>
 #include <utility>
 #include <vector>
 
@@ -12,16 +11,6 @@
 #include "engine/partition.h"
 
 namespace sstore {
-
-/// How an injector waits when the partition's queue is at its depth limit.
-enum class BackpressureMode {
-  /// Sleep on the partition's condition variable until the worker retires
-  /// enough work — ~0% CPU while throttled. The default.
-  kBlock,
-  /// Busy-spin with yield(), the pre-batching behavior. Kept for latency
-  /// experiments: a spinning producer reacts a context switch sooner.
-  kSpin,
-};
 
 /// The stream injection module (paper §3.2, Figure 4): prepares atomic
 /// batches from a push-based source and invokes the workflow's border stored
@@ -32,17 +21,15 @@ enum class BackpressureMode {
 ///
 /// With `Options::max_queue_depth` set, injection applies backpressure while
 /// the partition's request queue is at the limit, so an overloaded engine
-/// bounds its memory instead of growing its backlog without limit. In the
-/// default kBlock mode the producer sleeps and the worker wakes it (and a
-/// stopped worker releases it — no deadlock); kSpin preserves the old
-/// yield-loop, which requires a running worker.
+/// bounds its memory instead of growing its backlog without limit. The
+/// producer sleeps and the worker wakes it (and a stopped worker releases
+/// it — no deadlock).
 class StreamInjector {
  public:
   struct Options {
     /// Maximum request-queue depth before injection throttles; 0 disables
     /// backpressure.
     size_t max_queue_depth = 0;
-    BackpressureMode backpressure = BackpressureMode::kBlock;
   };
 
   StreamInjector(Partition* partition, std::string border_proc)
@@ -99,19 +86,9 @@ class StreamInjector {
   void ResumeBatchIdsAt(int64_t next) { next_batch_id_.store(next); }
 
   size_t max_queue_depth() const { return options_.max_queue_depth; }
-  BackpressureMode backpressure() const { return options_.backpressure; }
 
  private:
-  void Throttle() {
-    if (options_.max_queue_depth == 0) return;
-    if (options_.backpressure == BackpressureMode::kBlock) {
-      partition_->WaitForQueueBelow(options_.max_queue_depth);
-      return;
-    }
-    while (partition_->QueueDepth() >= options_.max_queue_depth) {
-      std::this_thread::yield();
-    }
-  }
+  void Throttle() { partition_->WaitForQueueBelow(options_.max_queue_depth); }
 
   Partition* partition_;
   std::string border_proc_;

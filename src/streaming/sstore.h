@@ -44,7 +44,7 @@ class SStore {
     size_t group_commit_size = 1;
     bool log_sync = true;
     RecoveryMode recovery_mode = RecoveryMode::kStrong;
-    /// Request-ring capacity (bounds the request backlog; producers block
+    /// Request-queue capacity (bounds the request backlog; producers block
     /// when full). 0 = Partition::kDefaultQueueCapacity.
     size_t queue_capacity = 0;
   };

@@ -1,6 +1,7 @@
-// Tests for the batch-at-a-time submission hot path: the bounded MPSC ring
-// queue, BatchTicket group completion, blocking backpressure, and the
-// EnqueueFront fast-track over a full ring.
+// Tests for the batch-at-a-time submission hot path: the partition's bounded
+// request queue (per-producer FIFO, Stop() with blocked producers),
+// BatchTicket group completion, blocking backpressure, and the EnqueueFront
+// fast-track over a full queue.
 
 #include <atomic>
 #include <chrono>
@@ -14,7 +15,6 @@
 #include "cluster/cluster.h"
 #include "cluster/cluster_injector.h"
 #include "cluster/topology.h"
-#include "engine/mpsc_queue.h"
 #include "engine/partition.h"
 #include "streaming/injector.h"
 #include "streaming/sstore.h"
@@ -23,66 +23,6 @@ namespace sstore {
 namespace {
 
 Schema NumSchema() { return Schema({{"v", ValueType::kBigInt}}); }
-
-// ---- BoundedMpscQueue unit tests -------------------------------------------
-
-TEST(MpscQueueTest, FifoSingleProducer) {
-  BoundedMpscQueue<int> q(8);
-  for (int i = 0; i < 8; ++i) EXPECT_TRUE(q.TryPush(int(i)));
-  int overflow = 99;
-  EXPECT_FALSE(q.TryPush(std::move(overflow)));  // full at capacity
-  int out = -1;
-  for (int i = 0; i < 8; ++i) {
-    ASSERT_TRUE(q.TryPop(&out));
-    EXPECT_EQ(out, i);
-  }
-  EXPECT_FALSE(q.TryPop(&out));  // empty
-}
-
-TEST(MpscQueueTest, CapacityRoundsUpToPowerOfTwo) {
-  BoundedMpscQueue<int> q(5);
-  EXPECT_EQ(q.capacity(), 8u);
-  BoundedMpscQueue<int> q2(0);
-  EXPECT_GE(q2.capacity(), 2u);
-}
-
-TEST(MpscQueueTest, MultiProducerPreservesPerProducerFifo) {
-  // Each producer pushes (producer_id, seq) with seq ascending; the single
-  // consumer must observe every producer's own sequence in order — the
-  // queue-level guarantee behind per-key stream order.
-  constexpr int kProducers = 4;
-  constexpr int kPerProducer = 5000;
-  BoundedMpscQueue<std::pair<int, int>> q(64);
-
-  std::vector<std::thread> producers;
-  for (int p = 0; p < kProducers; ++p) {
-    producers.emplace_back([&q, p] {
-      for (int s = 0; s < kPerProducer; ++s) {
-        std::pair<int, int> item{p, s};
-        while (!q.TryPush(std::move(item))) {
-          item = {p, s};  // TryPush does not consume on failure; be explicit
-          std::this_thread::yield();
-        }
-      }
-    });
-  }
-
-  std::vector<int> next_seq(kProducers, 0);
-  int popped = 0;
-  std::pair<int, int> item;
-  while (popped < kProducers * kPerProducer) {
-    if (!q.TryPop(&item)) {
-      std::this_thread::yield();
-      continue;
-    }
-    ASSERT_EQ(item.second, next_seq[item.first])
-        << "producer " << item.first << " reordered";
-    ++next_seq[item.first];
-    ++popped;
-  }
-  for (auto& t : producers) t.join();
-  EXPECT_TRUE(q.Empty());
-}
 
 // ---- Partition fixtures ----------------------------------------------------
 
@@ -192,7 +132,7 @@ TEST_F(HotPathTest, BatchSubmissionPreservesOrder) {
 // ---- Blocking backpressure -------------------------------------------------
 
 TEST(BackpressureTest, ProducerBlocksOnFullRingAndResumesOnDrain) {
-  // Tiny ring so the producer hits the wall deterministically. The first
+  // Tiny queue so the producer hits the wall deterministically. The first
   // transaction parks the worker on a promise, so the queue cannot drain
   // until we release it.
   Partition part(/*partition_id=*/0, /*queue_capacity=*/4);
@@ -209,7 +149,7 @@ TEST(BackpressureTest, ProducerBlocksOnFullRingAndResumesOnDrain) {
                   .ok());
   part.Start();
 
-  constexpr int kSubmits = 16;  // 4x the ring capacity
+  constexpr int kSubmits = 16;  // 4x the queue capacity
   std::atomic<int> submitted{0};
   std::thread producer([&] {
     for (int i = 0; i < kSubmits; ++i) {
@@ -218,8 +158,8 @@ TEST(BackpressureTest, ProducerBlocksOnFullRingAndResumesOnDrain) {
     }
   });
 
-  // The producer must stall well short of kSubmits (ring capacity 4 plus
-  // the one in flight plus one mid-push).
+  // The producer must stall well short of kSubmits (queue capacity 4,
+  // counting the one in flight).
   std::this_thread::sleep_for(std::chrono::milliseconds(100));
   EXPECT_LT(submitted.load(), kSubmits);
 
@@ -235,8 +175,8 @@ TEST(BackpressureTest, ProducerBlocksOnFullRingAndResumesOnDrain) {
 }
 
 TEST(BackpressureTest, StopWakesBlockedProducersNoDeadlock) {
-  // Producers blocked on a full ring (and on an injector depth limit) must
-  // be released when the worker stops — they spill to the overflow lane
+  // Producers blocked on a full queue (and on an injector depth limit) must
+  // be released when the worker stops — they append past the capacity
   // instead of waiting on a dead consumer.
   SStore::Options opts;
   opts.queue_capacity = 4;
@@ -258,7 +198,6 @@ TEST(BackpressureTest, StopWakesBlockedProducersNoDeadlock) {
 
   StreamInjector::Options inj_opts;
   inj_opts.max_queue_depth = 2;
-  inj_opts.backpressure = BackpressureMode::kBlock;
   StreamInjector injector(&store.partition(), "slow", inj_opts);
 
   constexpr int kInjects = 32;
@@ -290,7 +229,6 @@ TEST(BackpressureTest, BlockingThrottleBoundsQueueDepth) {
 
   StreamInjector::Options opts;
   opts.max_queue_depth = kMaxDepth;
-  opts.backpressure = BackpressureMode::kBlock;
   StreamInjector injector(&store.partition(), "slow", opts);
   std::vector<TicketPtr> tickets;
   for (int i = 0; i < 64; ++i) {
@@ -322,13 +260,172 @@ TEST(BackpressureTest, WaitIdleReturnsWhenQueueDrains) {
   part.Stop();
 }
 
+// ---- Queue order under concurrency ----------------------------------------
+
+/// Registers "rec": records (producer, seq) from its two BIGINT params. A
+/// producer of -1 is a gate: it signals `entered` and waits on `opened`.
+/// The log is written by whichever thread runs the partition's tasks.
+void RegisterRecorder(Partition& part,
+                      std::vector<std::pair<int64_t, int64_t>>* log,
+                      std::promise<void>* entered = nullptr,
+                      std::shared_future<void> opened = {}) {
+  ASSERT_TRUE(part.RegisterProcedure(
+                      "rec", SpKind::kOltp,
+                      std::make_shared<LambdaProcedure>(
+                          [log, entered, opened](ProcContext& ctx) {
+                            int64_t producer = ctx.params()[0].as_int64();
+                            if (producer < 0) {
+                              entered->set_value();
+                              opened.wait();
+                              return Status::OK();
+                            }
+                            log->push_back(
+                                {producer, ctx.params()[1].as_int64()});
+                            return Status::OK();
+                          }))
+                  .ok());
+}
+
+Invocation Rec(int64_t producer, int64_t seq) {
+  return Invocation{"rec", {Value::BigInt(producer), Value::BigInt(seq)}, 0};
+}
+
+/// Each producer's sequence ran exactly once and in order.
+void ExpectPerProducerFifo(const std::vector<std::pair<int64_t, int64_t>>& log,
+                           int producers, int per_producer) {
+  ASSERT_EQ(log.size(), static_cast<size_t>(producers * per_producer));
+  std::vector<int64_t> next(producers, 0);
+  for (const auto& [producer, seq] : log) {
+    ASSERT_GE(producer, 0);
+    ASSERT_LT(producer, producers);
+    ASSERT_EQ(seq, next[producer]) << "producer " << producer << " reordered";
+    ++next[producer];
+  }
+}
+
+TEST(QueueOrderTest, PerProducerFifoAcrossSubmitPaths) {
+  // Four producers at capacity 8 mix single submits, batches and spills;
+  // the worker must see each producer's own sequence in order, once each —
+  // the queue-level guarantee behind per-key stream order.
+  constexpr int kProducers = 4;
+  constexpr int kPerProducer = 3000;
+  Partition part(/*partition_id=*/0, /*queue_capacity=*/8);
+  std::vector<std::pair<int64_t, int64_t>> log;
+  RegisterRecorder(part, &log);
+  part.Start();
+
+  std::vector<std::vector<TicketPtr>> tickets(kProducers);
+  std::vector<std::vector<BatchTicketPtr>> batches(kProducers);
+  std::vector<std::thread> producers;
+  for (int p = 0; p < kProducers; ++p) {
+    producers.emplace_back([&, p] {
+      int seq = 0;
+      for (int round = 0; seq < kPerProducer; ++round) {
+        const EnqueuePolicy policy = round % 4 == 3
+                                         ? EnqueuePolicy::kSpillWhenFull
+                                         : EnqueuePolicy::kBlockWhenFull;
+        if (round % 2 == 0) {
+          tickets[p].push_back(part.SubmitAsync(Rec(p, seq++), policy));
+          continue;
+        }
+        // Batches of up to 16 (twice the capacity), so a blocking batch
+        // always waits for space at least once.
+        std::vector<Invocation> batch;
+        for (int i = 0; i < 16 && seq < kPerProducer; ++i) {
+          batch.push_back(Rec(p, seq++));
+        }
+        batches[p].push_back(part.SubmitBatchAsync(std::move(batch), policy));
+      }
+    });
+  }
+  for (auto& t : producers) t.join();
+  for (const auto& per : tickets) {
+    for (const TicketPtr& t : per) ASSERT_TRUE(t->Wait().committed());
+  }
+  for (const auto& per : batches) {
+    for (const BatchTicketPtr& b : per) {
+      b->Wait();
+      EXPECT_TRUE(b->all_committed());
+    }
+  }
+  part.Stop();
+  ExpectPerProducerFifo(log, kProducers, kPerProducer);
+  EXPECT_GE(part.stats().producer_blocks, 1u);
+  EXPECT_EQ(part.QueueDepth(), 0u);
+}
+
+TEST(BackpressureTest, StopReleasesProducersBlockedOnFullQueue) {
+  // The worker is wedged on a gate with the queue at capacity and three
+  // producers blocked. Stop() must release them before the worker can
+  // retire anything; every submitted request still runs exactly once and in
+  // producer order — ahead of the stop, or in DrainQueueInline after it.
+  constexpr int kProducers = 3;
+  constexpr int kBlocked = 6;  // per producer, submitted while blocking
+  constexpr int kLate = 2;     // per producer, submitted once Stop() began
+  constexpr int kPerProducer = kBlocked + kLate;
+  Partition part(/*partition_id=*/0, /*queue_capacity=*/4);
+  std::vector<std::pair<int64_t, int64_t>> log;
+  std::promise<void> entered;
+  std::promise<void> gate;
+  RegisterRecorder(part, &log, &entered, gate.get_future().share());
+  part.Start();
+
+  TicketPtr gate_ticket = part.SubmitAsync(Rec(-1, 0));
+  entered.get_future().wait();
+
+  std::vector<std::vector<TicketPtr>> tickets(kProducers);
+  std::vector<std::thread> producers;
+  for (int p = 0; p < kProducers; ++p) {
+    producers.emplace_back([&, p] {
+      for (int s = 0; s < kBlocked; ++s) {
+        tickets[p].push_back(part.SubmitAsync(Rec(p, s)));
+      }
+    });
+  }
+  // Depth stays at the capacity while the gate is shut, so each producer
+  // blocks exactly once.
+  while (part.stats().producer_blocks < kProducers) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  EXPECT_EQ(part.QueueDepth(), 4u);
+
+  std::thread stopper([&] { part.Stop(); });
+  // The producers finish while the worker is still on the gate.
+  for (auto& t : producers) t.join();
+  // Late submits land behind the stop sentinel once Stop() has queued it
+  // (the pause makes that the likely order; either order is correct). The
+  // worker hands them back to the queue for DrainQueueInline.
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  for (int p = 0; p < kProducers; ++p) {
+    for (int s = kBlocked; s < kPerProducer; ++s) {
+      tickets[p].push_back(part.SubmitAsync(Rec(p, s)));
+    }
+  }
+  gate.set_value();
+  stopper.join();
+  EXPECT_FALSE(part.running());
+  part.DrainQueueInline();
+
+  ASSERT_TRUE(gate_ticket->Wait().committed());
+  for (const auto& per : tickets) {
+    ASSERT_EQ(per.size(), static_cast<size_t>(kPerProducer));
+    for (const TicketPtr& t : per) {
+      TxnOutcome out;
+      ASSERT_TRUE(t->TryGet(&out));
+      EXPECT_TRUE(out.committed());
+    }
+  }
+  ExpectPerProducerFifo(log, kProducers, kPerProducer);
+  EXPECT_EQ(part.QueueDepth(), 0u);
+}
+
 // ---- EnqueueFront fast-track -----------------------------------------------
 
 TEST(FastTrackTest, EnqueueFrontPreemptsFullQueue) {
-  // Fill the ring past capacity (spilling into the overflow lane, since the
-  // worker is not running), then fast-track one invocation from a commit
-  // hook. The front-lane item must run before every backlogged request, and
-  // every spilled request must still execute in FIFO order.
+  // Fill the queue past capacity (no producer waits, since the worker is
+  // not running), then fast-track one invocation from a commit hook. The
+  // front-enqueued item must run before every backlogged request, and the
+  // backlog must still execute in FIFO order.
   Partition part(/*partition_id=*/0, /*queue_capacity=*/4);
   std::vector<int64_t> order;
   ASSERT_TRUE(part.RegisterProcedure(
@@ -345,14 +442,14 @@ TEST(FastTrackTest, EnqueueFrontPreemptsFullQueue) {
       p.EnqueueFront(Invocation{"recorder", {Value::BigInt(-1)}, 0});
     }
   });
-  // 8 submits into a capacity-4 ring: 4 land in the ring, 4 spill.
+  // 8 submits into a capacity-4 queue: 4 of them past the capacity.
   for (int i = 0; i < 8; ++i) {
     part.SubmitAsync(Invocation{"recorder", {Value::BigInt(i)}, 0});
   }
   EXPECT_GE(part.QueueDepth(), 8u);
   part.DrainQueueInline();
   // First client request runs, its hook front-enqueues -1, which preempts
-  // the remaining backlog; the rest keep FIFO order across ring + overflow.
+  // the remaining backlog; the rest keep FIFO order.
   ASSERT_EQ(order.size(), 9u);
   EXPECT_EQ(order[0], 0);
   EXPECT_EQ(order[1], -1);
@@ -467,7 +564,7 @@ TEST(ClusterStatsTest, QueueWatermarksAndBlocksSurfaceAndReset) {
 
   ClusterStats stats = cluster.GatherStats();
   EXPECT_EQ(stats.committed(), 128u);
-  // 64 requests against a ring of 8: the watermark must show a deep queue
+  // 64 requests against a queue of 8: the watermark must show a deep queue
   // and the producer must have blocked at least once.
   EXPECT_GE(stats.max_queue_high_watermark(), 8u);
   EXPECT_GE(stats.producer_blocks(), 1u);

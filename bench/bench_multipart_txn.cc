@@ -7,15 +7,19 @@
 //   BM_SinglePartitionVote     — the baseline: keyed ExecuteSync on the
 //                                owner partition, no coordination.
 //   BM_MultiPartitionTransfer  — one synchronous cross-partition transfer
-//                                per iteration; /0 = 2PC, /1 = global-order.
+//                                per iteration (submit, then wait for the
+//                                decision to be applied everywhere).
 //   BM_GlobalOrderPipelined    — asynchronous transfers with a window of
 //                                outstanding tickets: the deterministic
-//                                sequencer's pipelining advantage over the
-//                                one-round-at-a-time 2PC mode.
+//                                sequencer's pipelining advantage over one
+//                                synchronous transfer at a time.
 //   BM_MixedRatio              — arg% of operations are transfers, the rest
 //                                votes: the shape of a real workload as the
 //                                multi-partition fraction grows (Figure-11
 //                                style scaling pressure).
+//
+// Every benchmark is timed in real time: the work runs on the partition
+// workers, so the main thread's CPU time would overstate throughput.
 //
 // bench/run_bench.sh writes the results to BENCH_pr3.json:
 //   BENCH=bench_multipart_txn bench/run_bench.sh
@@ -36,8 +40,6 @@ namespace {
 
 using sstore::Cluster;
 using sstore::ClusterStats;
-using sstore::CoordinationMode;
-using sstore::CoordinationModeToString;
 using sstore::MultiKeyTicketPtr;
 using sstore::PartitionMap;
 using sstore::VoterClusterApp;
@@ -53,17 +55,11 @@ VoterClusterConfig BenchConfig() {
   return config;
 }
 
-Cluster::Options BenchOpts(CoordinationMode mode) {
+Cluster::Options BenchOpts() {
   Cluster::Options opts;
   opts.num_partitions = kPartitions;
   opts.routing = PartitionMap::Mode::kModulo;
-  opts.coordination = mode;
   return opts;
-}
-
-CoordinationMode ModeOf(int64_t arg) {
-  return arg == 0 ? CoordinationMode::kTwoPhase
-                  : CoordinationMode::kGlobalOrder;
 }
 
 void ReportCoordCounters(benchmark::State& state, Cluster& cluster) {
@@ -74,7 +70,7 @@ void ReportCoordCounters(benchmark::State& state, Cluster& cluster) {
 
 void BM_SinglePartitionVote(benchmark::State& state) {
   VoterClusterConfig config = BenchConfig();
-  Cluster cluster(BenchOpts(CoordinationMode::kTwoPhase));
+  Cluster cluster(BenchOpts());
   cluster.Deploy(BuildVoterClusterDeployment(config)).ok();
   cluster.Start();
   VoterClusterApp app(&cluster, config);
@@ -88,11 +84,11 @@ void BM_SinglePartitionVote(benchmark::State& state) {
   cluster.WaitIdle();
   cluster.Stop();
 }
-BENCHMARK(BM_SinglePartitionVote);
+BENCHMARK(BM_SinglePartitionVote)->UseRealTime();
 
 void BM_MultiPartitionTransfer(benchmark::State& state) {
   VoterClusterConfig config = BenchConfig();
-  Cluster cluster(BenchOpts(ModeOf(state.range(0))));
+  Cluster cluster(BenchOpts());
   cluster.Deploy(BuildVoterClusterDeployment(config)).ok();
   cluster.Start();
   VoterClusterApp app(&cluster, config);
@@ -107,16 +103,15 @@ void BM_MultiPartitionTransfer(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations());
   ReportCoordCounters(state, cluster);
-  state.SetLabel(CoordinationModeToString(ModeOf(state.range(0))));
   cluster.WaitIdle();
   cluster.Stop();
 }
-BENCHMARK(BM_MultiPartitionTransfer)->Arg(0)->Arg(1);
+BENCHMARK(BM_MultiPartitionTransfer)->UseRealTime();
 
 void BM_GlobalOrderPipelined(benchmark::State& state) {
   const size_t kWindow = static_cast<size_t>(state.range(0));
   VoterClusterConfig config = BenchConfig();
-  Cluster cluster(BenchOpts(CoordinationMode::kGlobalOrder));
+  Cluster cluster(BenchOpts());
   cluster.Deploy(BuildVoterClusterDeployment(config)).ok();
   cluster.Start();
   VoterClusterApp app(&cluster, config);
@@ -138,12 +133,12 @@ void BM_GlobalOrderPipelined(benchmark::State& state) {
   cluster.WaitIdle();
   cluster.Stop();
 }
-BENCHMARK(BM_GlobalOrderPipelined)->Arg(4)->Arg(16)->Arg(64);
+BENCHMARK(BM_GlobalOrderPipelined)->Arg(4)->Arg(16)->Arg(64)->UseRealTime();
 
 void BM_MixedRatio(benchmark::State& state) {
   const int64_t mp_percent = state.range(0);
   VoterClusterConfig config = BenchConfig();
-  Cluster cluster(BenchOpts(CoordinationMode::kGlobalOrder));
+  Cluster cluster(BenchOpts());
   cluster.Deploy(BuildVoterClusterDeployment(config)).ok();
   cluster.Start();
   VoterClusterApp app(&cluster, config);
@@ -164,7 +159,13 @@ void BM_MixedRatio(benchmark::State& state) {
   cluster.WaitIdle();
   cluster.Stop();
 }
-BENCHMARK(BM_MixedRatio)->Arg(0)->Arg(1)->Arg(10)->Arg(50)->Arg(100);
+BENCHMARK(BM_MixedRatio)
+    ->Arg(0)
+    ->Arg(1)
+    ->Arg(10)
+    ->Arg(50)
+    ->Arg(100)
+    ->UseRealTime();
 
 }  // namespace
 

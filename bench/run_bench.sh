@@ -18,9 +18,10 @@
 #   bench_ingest_hotpath:  items_per_second of BM_SubmitBatch >= 2x
 #     BM_SubmitPerInvocation at the same batch arg, and
 #     BM_BackpressureCpu producer_cpu_frac near 0.
-#   bench_multipart_txn:  BM_MultiPartitionTransfer completes in both modes
-#     (atomicity machinery on the hot path), and BM_GlobalOrderPipelined
-#     items_per_second exceeds the synchronous 2PC mode.
+#   bench_multipart_txn:  BM_MultiPartitionTransfer completes (atomicity
+#     machinery on the hot path), and BM_GlobalOrderPipelined
+#     items_per_second (real time) exceeds the synchronous
+#     BM_MultiPartitionTransfer's.
 #   bench_placed_workflow:  BM_PlacedPipeline completes with
 #     channel_deliveries == 2x items (both boundaries transported), and the
 #     replicated/placed LinearRoad pair quantifies the channel-hop cost.

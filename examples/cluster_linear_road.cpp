@@ -191,10 +191,9 @@ int main(int argc, char** argv) {
   std::printf("total tolls charged: %.1f\n", tolls);
   if (probes > 0) {
     std::printf(
-        "multi-partition probes: %lld (%s mode; %llu commits, %llu aborts, "
+        "multi-partition probes: %lld (%llu commits, %llu aborts, "
         "avg round %.1f us; last network-wide vehicle count %lld)\n",
         static_cast<long long>(probes),
-        CoordinationModeToString(cluster.coordinator().mode()),
         static_cast<unsigned long long>(stats.coord.commits),
         static_cast<unsigned long long>(stats.coord.aborts),
         stats.coord.avg_round_latency_us(),

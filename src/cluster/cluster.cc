@@ -143,7 +143,6 @@ Cluster::Cluster(const Options& options)
   }
   num_partitions_.store(n, std::memory_order_release);
   TxnCoordinator::Options coord_opts;
-  coord_opts.mode = options_.coordination;
   if (!options_.log_dir.empty()) {
     coord_opts.decision_log_path =
         options_.log_dir + "/" + kDecisionLogName;
@@ -351,7 +350,7 @@ MultiKeyTicketPtr Cluster::SubmitMulti(
   // Routing happens inside the coordinator's admission gate so a concurrent
   // Rebalance — which quiesces that gate before flipping the map — can
   // never interleave between routing and submission.
-  return coordinator_->SubmitMultiRouted(
+  return coordinator_->SubmitMulti(
       [this, proc, ops = std::move(ops)]() mutable {
         RoutingView view = LockRouting();
         std::vector<MultiOp> routed;
@@ -377,17 +376,20 @@ std::vector<TxnOutcome> Cluster::ExecuteOnAll(const std::string& proc,
                                               Tuple params) {
   // One fragment per partition, submitted in partition order — op index i
   // is partition i's fragment, so the returned outcomes are indexed by
-  // partition id. Atomic end to end via the coordinator.
-  std::vector<MultiOp> ops;
-  size_t n = num_partitions();
-  ops.reserve(n);
-  for (size_t p = 0; p < n; ++p) {
-    MultiOp op;
-    op.partition = p;
-    op.inv = Invocation{proc, params, 0};
-    ops.push_back(std::move(op));
-  }
-  return coordinator_->ExecuteMulti(std::move(ops));
+  // partition id. Atomic end to end via the coordinator. The partition
+  // count is read inside the admission gate, like SubmitMulti's routing: a
+  // Rebalance split grows the cluster only while the gate is quiesced, so
+  // an admitted transaction always covers every partition.
+  MultiKeyTicketPtr ticket = coordinator_->SubmitMulti([&] {
+    std::vector<MultiOp> ops(num_partitions());
+    for (size_t p = 0; p < ops.size(); ++p) {
+      ops[p].partition = p;
+      ops[p].inv = Invocation{proc, params, 0};
+    }
+    return ops;
+  });
+  ticket->Wait();
+  return ticket->outcomes();
 }
 
 std::string Cluster::SnapshotPath(const std::string& dir,
@@ -1287,10 +1289,7 @@ MetricsSnapshot Cluster::SnapshotMetrics() const {
   add("sstore_coord_commits_total", MetricKind::kCounter, cs.coord.commits);
   add("sstore_coord_aborts_total", MetricKind::kCounter, cs.coord.aborts);
   out.Add("sstore_coord_round_latency_us_avg", MetricKind::kGauge,
-          cs.coord.rounds == 0
-              ? 0.0
-              : static_cast<double>(cs.coord.round_latency_us_total) /
-                    static_cast<double>(cs.coord.rounds));
+          cs.coord.avg_round_latency_us());
 
   // Durability (lifetime-cumulative; survives ResetStats by design).
   add("sstore_log_records_appended_total", MetricKind::kCounter,

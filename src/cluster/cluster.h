@@ -153,10 +153,6 @@ class Cluster {
     RecoveryMode recovery_mode = RecoveryMode::kStrong;
     /// Per-partition request-ring capacity; 0 = Partition default.
     size_t queue_capacity = 0;
-    /// How multi-partition transactions are coordinated (see
-    /// txn_coord/txn_coordinator.h): classic blocking 2PC, or deterministic
-    /// global order for pipelined multi-partition throughput.
-    CoordinationMode coordination = CoordinationMode::kTwoPhase;
 
     // ---- Observability (src/obs/) ----
     //
@@ -284,14 +280,14 @@ class Cluster {
   // ---- Multi-partition transactions (any thread) ----
 
   /// The coordinator executing multi-key transactions atomically across
-  /// partitions (two-phase commit or deterministic global order, per
-  /// Options::coordination).
+  /// partitions (presumed-abort 2PC in deterministic global order).
   TxnCoordinator& coordinator() { return *coordinator_; }
 
   /// Submits one atomic transaction whose ops are routed by key: each
   /// (key, params) pair becomes a fragment on the key's owning partition,
   /// all fragments commit or all abort. Outcomes are indexed by pair
-  /// submission order.
+  /// submission order. Returns once the fragments are enqueued (on a
+  /// stopped cluster, once the transaction has run inline).
   MultiKeyTicketPtr SubmitMulti(const std::string& proc,
                                 std::vector<std::pair<Value, Tuple>> ops);
 
@@ -303,7 +299,10 @@ class Cluster {
   /// multi-partition transaction: either every partition commits its
   /// fragment or every partition rolls back (an abort vote on one
   /// participant aborts them all). Outcomes are returned indexed by
-  /// partition id, deterministically — outcome[p] is partition p's.
+  /// partition id, deterministically — outcome[p] is partition p's. The
+  /// partition set is read once the transaction is admitted, so a
+  /// concurrent Rebalance split's new partition is either wholly in or the
+  /// split waits for this transaction to finish.
   std::vector<TxnOutcome> ExecuteOnAll(const std::string& proc, Tuple params);
 
   // ---- Coordinated checkpoint & recovery ----

@@ -7,16 +7,6 @@
 
 namespace sstore {
 
-const char* CoordinationModeToString(CoordinationMode mode) {
-  switch (mode) {
-    case CoordinationMode::kTwoPhase:
-      return "2pc";
-    case CoordinationMode::kGlobalOrder:
-      return "global-order";
-  }
-  return "unknown";
-}
-
 // ---- MultiKeyTicket --------------------------------------------------------
 
 void MultiKeyTicket::Wait() {
@@ -111,12 +101,6 @@ class MultiTxnControl {
     return commit_;
   }
 
-  /// The kTwoPhase round lock is held until the decision exists.
-  void WaitDecided() {
-    std::unique_lock<std::mutex> lock(mu_);
-    cv_.wait(lock, [this] { return decided_; });
-  }
-
  private:
   size_t participants_;
   std::function<Status()> durable_commit_;
@@ -140,21 +124,9 @@ TxnCoordinator::TxnCoordinator(std::vector<Partition*> partitions,
                                Options options)
     : partitions_(std::move(partitions)), options_(std::move(options)) {
   if (!options_.decision_log_path.empty()) {
-    CommandLog::Options log_opts;
-    log_opts.path = options_.decision_log_path;
-    log_opts.group_size = 1;  // a decision is durable or it does not exist
-    log_opts.sync = options_.log_sync;
-    log_opts.failpoint_scope = "decision_log";
-    Result<std::unique_ptr<CommandLog>> log = CommandLog::Open(log_opts);
-    if (log.ok()) {
-      decision_log_ = std::move(log).value();
-    } else {
-      // A configured-but-unopenable decision log must not silently demote
-      // the cluster to non-durable decisions: every commit attempt will
-      // surface this error and abort instead (presumed abort everywhere is
-      // still atomic; silent non-durability is not).
-      decision_log_error_ = log.status();
-    }
+    // A failure stays in decision_log_error_ (see OpenDecisionLogLocked).
+    std::lock_guard<std::mutex> lock(decision_log_mu_);
+    OpenDecisionLogLocked(options_.decision_log_path);
   }
 }
 
@@ -179,7 +151,6 @@ Status TxnCoordinator::AppendCommitDecision(int64_t gid) {
 
 void TxnCoordinator::CompleteTxn(bool commit, int64_t start_us) {
   (commit ? commits_ : aborts_).fetch_add(1, std::memory_order_relaxed);
-  rounds_.fetch_add(1, std::memory_order_relaxed);
   int64_t elapsed = clock_.NowMicros() - start_us;
   if (elapsed > 0) {
     round_latency_us_.fetch_add(static_cast<uint64_t>(elapsed),
@@ -200,12 +171,7 @@ void TxnCoordinator::ReleaseGate() {
   gate_cv_.notify_all();
 }
 
-MultiKeyTicketPtr TxnCoordinator::SubmitMulti(std::vector<MultiOp> ops) {
-  return SubmitMultiRouted(
-      [ops = std::move(ops)]() mutable { return std::move(ops); });
-}
-
-MultiKeyTicketPtr TxnCoordinator::SubmitMultiRouted(
+MultiKeyTicketPtr TxnCoordinator::SubmitMulti(
     std::function<std::vector<MultiOp>()> route) {
   // Admission gate first: checkpoints and rebalances quiesce here, and the
   // routing callback must observe the partition map only once this
@@ -269,57 +235,55 @@ MultiKeyTicketPtr TxnCoordinator::SubmitMultiRouted(
     CompleteTxn(commit, start_us);
   };
 
+  // Sequencer critical section: the gid and every participant's enqueue
+  // happen atomically, so per-partition queue order == gid order.
+  std::lock_guard<std::mutex> seq(seq_mu_);
+  int64_t gid = next_gid_.fetch_add(1, std::memory_order_relaxed);
+  ticket->gid_ = gid;
   if (inline_mode) {
-    std::lock_guard<std::mutex> seq(seq_mu_);
-    int64_t gid = next_gid_.fetch_add(1, std::memory_order_relaxed);
-    ticket->gid_ = gid;
     RunInlineMulti(ticket, std::move(frags_of), std::move(ops_of), parts, gid);
     return ticket;
   }
-
-  if (options_.mode == CoordinationMode::kTwoPhase) round_mu_.lock();
-  std::shared_ptr<MultiTxnControl> control;
-  {
-    // Sequencer critical section: the gid and every participant's enqueue
-    // happen atomically, so per-partition queue order == gid order.
-    std::lock_guard<std::mutex> seq(seq_mu_);
-    int64_t gid = next_gid_.fetch_add(1, std::memory_order_relaxed);
-    ticket->gid_ = gid;
-    control = std::make_shared<MultiTxnControl>(
-        parts.size(), [this, gid] { return AppendCommitDecision(gid); });
-    for (size_t p : parts) {
-      partitions_[p]->SubmitClosure(
-          [this, control, ticket, gid, frags = std::move(frags_of[p]),
-           op_idx = std::move(ops_of[p])](Partition& part) mutable {
-            prepares_.fetch_add(frags.size(), std::memory_order_relaxed);
-            Partition::PreparedMulti prepared =
-                part.PrepareMulti(std::move(frags), gid);
-            Status vote = prepared.vote;
-            Status reason;
-            bool commit = control->VoteAndWait(vote, &reason);
-            if (commit) {
-              std::vector<TxnOutcome> outs;
-              outs.reserve(op_idx.size());
-              part.CommitMulti(prepared, gid, &outs);
-              ticket->FulfillParticipant(op_idx, std::move(outs), true,
-                                         Status::OK());
-            } else {
-              part.AbortMulti(prepared, gid);
-              std::vector<TxnOutcome> outs(op_idx.size());
-              for (TxnOutcome& out : outs) {
-                out.status = vote.ok() ? PeerAbort(reason) : vote;
-              }
-              ticket->FulfillParticipant(op_idx, std::move(outs), false,
-                                         reason);
-            }
-          });
-    }
-  }
-  if (options_.mode == CoordinationMode::kTwoPhase) {
-    control->WaitDecided();
-    round_mu_.unlock();
+  auto control = std::make_shared<MultiTxnControl>(
+      parts.size(), [this, gid] { return AppendCommitDecision(gid); });
+  for (size_t p : parts) {
+    partitions_[p]->SubmitClosure(
+        [this, control, ticket, gid, frags = std::move(frags_of[p]),
+         op_idx = std::move(ops_of[p])](Partition& part) mutable {
+          prepares_.fetch_add(frags.size(), std::memory_order_relaxed);
+          Partition::PreparedMulti prepared =
+              part.PrepareMulti(std::move(frags), gid);
+          Status reason;
+          bool commit = control->VoteAndWait(prepared.vote, &reason);
+          ApplyDecision(part, prepared, op_idx, gid, commit, reason,
+                        /*inline_run=*/false, *ticket);
+        });
   }
   return ticket;
+}
+
+void TxnCoordinator::ApplyDecision(Partition& part,
+                                   Partition::PreparedMulti& prepared,
+                                   const std::vector<size_t>& op_idx,
+                                   int64_t gid, bool commit,
+                                   const Status& reason, bool inline_run,
+                                   MultiKeyTicket& ticket) {
+  if (commit) {
+    std::vector<TxnOutcome> outs;
+    outs.reserve(op_idx.size());
+    part.CommitMulti(prepared, gid, &outs);
+    // Commit hooks may have PE-triggered interior work; drain it the
+    // inline way, as Partition::ExecuteSync does.
+    if (inline_run) part.DrainQueueInline();
+    ticket.FulfillParticipant(op_idx, std::move(outs), true, Status::OK());
+    return;
+  }
+  part.AbortMulti(prepared, gid);
+  std::vector<TxnOutcome> outs(op_idx.size());
+  for (TxnOutcome& out : outs) {
+    out.status = prepared.vote.ok() ? PeerAbort(reason) : prepared.vote;
+  }
+  ticket.FulfillParticipant(op_idx, std::move(outs), false, reason);
 }
 
 void TxnCoordinator::RunInlineMulti(
@@ -346,33 +310,9 @@ void TxnCoordinator::RunInlineMulti(
     }
   }
   for (size_t j = 0; j < parts.size(); ++j) {
-    size_t p = parts[j];
-    if (commit) {
-      std::vector<TxnOutcome> outs;
-      outs.reserve(ops_of[p].size());
-      partitions_[p]->CommitMulti(prepared[j], gid, &outs);
-      // Commit hooks may have PE-triggered interior work; drain it the
-      // inline way, as Partition::ExecuteSync does.
-      partitions_[p]->DrainQueueInline();
-      ticket->FulfillParticipant(ops_of[p], std::move(outs), true,
-                                 Status::OK());
-    } else {
-      partitions_[p]->AbortMulti(prepared[j], gid);
-      std::vector<TxnOutcome> outs(ops_of[p].size());
-      for (TxnOutcome& out : outs) {
-        out.status =
-            prepared[j].vote.ok() ? PeerAbort(first_abort) : prepared[j].vote;
-      }
-      ticket->FulfillParticipant(ops_of[p], std::move(outs), false,
-                                 first_abort);
-    }
+    ApplyDecision(*partitions_[parts[j]], prepared[j], ops_of[parts[j]], gid,
+                  commit, first_abort, /*inline_run=*/true, *ticket);
   }
-}
-
-std::vector<TxnOutcome> TxnCoordinator::ExecuteMulti(std::vector<MultiOp> ops) {
-  MultiKeyTicketPtr ticket = SubmitMulti(std::move(ops));
-  ticket->Wait();
-  return ticket->outcomes();
 }
 
 void TxnCoordinator::AddPartition(Partition* partition) {
@@ -402,8 +342,10 @@ Status TxnCoordinator::OpenDecisionLogLocked(const std::string& path) {
   log_opts.failpoint_scope = "decision_log";
   Result<std::unique_ptr<CommandLog>> log = CommandLog::Open(log_opts);
   if (!log.ok()) {
-    // Same fail-loud rule as construction: commit decisions now fail
-    // (aborting their transactions) instead of silently losing durability.
+    // A configured-but-unopenable decision log must not silently demote
+    // the cluster to non-durable decisions: every commit attempt will
+    // surface this error and abort instead (presumed abort everywhere is
+    // still atomic; silent non-durability is not).
     decision_log_error_ = log.status();
     return log.status();
   }
@@ -494,7 +436,6 @@ CoordStats TxnCoordinator::stats() const {
   out.in_doubt_committed = in_doubt_committed_.load(std::memory_order_relaxed);
   out.in_doubt_aborted = in_doubt_aborted_.load(std::memory_order_relaxed);
   out.checkpoints = checkpoints_.load(std::memory_order_relaxed);
-  out.rounds = rounds_.load(std::memory_order_relaxed);
   out.round_latency_us_total =
       round_latency_us_.load(std::memory_order_relaxed);
   return out;
@@ -508,7 +449,6 @@ void TxnCoordinator::ResetStats() {
   in_doubt_committed_.store(0, std::memory_order_relaxed);
   in_doubt_aborted_.store(0, std::memory_order_relaxed);
   checkpoints_.store(0, std::memory_order_relaxed);
-  rounds_.store(0, std::memory_order_relaxed);
   round_latency_us_.store(0, std::memory_order_relaxed);
 }
 

@@ -17,27 +17,6 @@
 
 namespace sstore {
 
-/// How multi-partition transactions are scheduled across participants.
-enum class CoordinationMode {
-  /// Classic blocking two-phase commit: one multi-partition transaction in
-  /// flight at a time (the coordinator holds the round from submission to
-  /// decision). Simple and obviously deadlock-free; the per-round
-  /// quiescence is exactly the multi-partition cost the paper's
-  /// shared-nothing design avoids paying on the hot path.
-  kTwoPhase,
-  /// Deterministic global order: a single sequencer assigns monotonic
-  /// global transaction ids and enqueues every participant's fragments
-  /// under one lock, so all partitions observe multi-partition transactions
-  /// in the same (id) order. Many transactions can then be in flight at
-  /// once without deadlock — the vote barrier of txn `g` is reachable on
-  /// every participant once all txns < g have decided, a total order with
-  /// no cycles. Same atomicity guarantees as kTwoPhase; higher throughput
-  /// under multi-partition load.
-  kGlobalOrder,
-};
-
-const char* CoordinationModeToString(CoordinationMode mode);
-
 /// One fragment of a multi-partition transaction: which partition runs it
 /// and what it runs. The coordinator groups ops by partition; each
 /// participant executes its ops back-to-back as one isolation unit.
@@ -55,13 +34,14 @@ struct CoordStats {
   uint64_t in_doubt_committed = 0;  // resolved commit during recovery
   uint64_t in_doubt_aborted = 0;    // presumed abort during recovery
   uint64_t checkpoints = 0;         // coordinated cluster checkpoints
-  uint64_t rounds = 0;              // completed coordination rounds
   uint64_t round_latency_us_total = 0;  // submit -> all participants applied
 
+  /// Completed coordination rounds: every round ends in one decision.
+  uint64_t rounds() const { return commits + aborts; }
   double avg_round_latency_us() const {
-    return rounds == 0 ? 0.0
-                       : static_cast<double>(round_latency_us_total) /
-                             static_cast<double>(rounds);
+    return rounds() == 0 ? 0.0
+                         : static_cast<double>(round_latency_us_total) /
+                               static_cast<double>(rounds());
   }
 };
 
@@ -148,13 +128,19 @@ class WorkerBarrier {
 /// durable commit decision (every in-doubt fragment re-executes), never a
 /// partial commit.
 ///
+/// Schedule (deterministic global order): a single sequencer assigns
+/// monotonic global transaction ids and enqueues every participant's
+/// fragments under one lock, so all partitions see multi-partition
+/// transactions in the same gid order. Many rounds can be in flight at once
+/// without deadlock: the vote barrier of txn `g` is reachable on every
+/// participant once all txns < g have decided — a total order, no cycles.
+///
 /// When no partition worker is running, transactions execute inline on the
 /// calling thread (sequential prepare/decide/apply) — the same rule as
 /// Partition::RunInline, used by tests and recovery replay.
 class TxnCoordinator {
  public:
   struct Options {
-    CoordinationMode mode = CoordinationMode::kTwoPhase;
     /// When non-empty, commit decisions are force-flushed here before any
     /// participant applies them; recovery reads this to resolve in-doubt
     /// transactions. Empty = decisions are not durable (non-logged cluster).
@@ -168,28 +154,18 @@ class TxnCoordinator {
   TxnCoordinator(const TxnCoordinator&) = delete;
   TxnCoordinator& operator=(const TxnCoordinator&) = delete;
 
-  CoordinationMode mode() const { return options_.mode; }
-  /// Valid only while no multi-partition transaction is in flight.
-  void set_mode(CoordinationMode mode) { options_.mode = mode; }
-
-  /// Submits one atomic multi-partition transaction. Returns immediately in
-  /// kGlobalOrder mode; in kTwoPhase mode returns once the decision is made
-  /// (participants may still be applying — Wait() on the ticket for full
-  /// completion). Ops may target any subset of partitions, repeats allowed.
-  MultiKeyTicketPtr SubmitMulti(std::vector<MultiOp> ops);
-
-  /// Like SubmitMulti, but the ops are produced by `route` *after* the
-  /// admission gate admits the transaction. Keyed callers (Cluster::
-  /// SubmitMulti) route inside the gate so a concurrent Rebalance — which
-  /// quiesces this gate before flipping the partition map — can never
-  /// interleave between routing and submission: an admitted transaction
-  /// either routed before the quiesce (and fully drains before the flip) or
-  /// after the new map was published.
-  MultiKeyTicketPtr SubmitMultiRouted(
-      std::function<std::vector<MultiOp>()> route);
-
-  /// Submit + Wait: outcomes indexed by op submission order.
-  std::vector<TxnOutcome> ExecuteMulti(std::vector<MultiOp> ops);
+  /// Submits one atomic multi-partition transaction whose ops `route`
+  /// produces *after* the admission gate admits it. Returns once every
+  /// participant's fragments are enqueued (on the inline path, once the
+  /// transaction has run); Wait() on the ticket for the outcomes. Ops may
+  /// target any subset of partitions, repeats allowed.
+  ///
+  /// Routing inside the gate is what makes the ops valid: a Rebalance
+  /// quiesces this gate before it flips the partition map or grows the
+  /// cluster, so an admitted transaction either routed before the quiesce
+  /// (and fully drains before the flip) or after the new map — and any new
+  /// partition — was published.
+  MultiKeyTicketPtr SubmitMulti(std::function<std::vector<MultiOp>()> route);
 
   /// Registers a partition spun up by Cluster::Rebalance. Call only while
   /// the gate is quiesced (no multi-partition transaction in flight reads
@@ -255,6 +231,15 @@ class TxnCoordinator {
   Status AppendCommitDecision(int64_t gid);
   /// Shared open path for construction-time, rotation, and re-attach.
   Status OpenDecisionLogLocked(const std::string& path);
+  /// Applies the decision on one participant and fills its op slots in
+  /// `ticket`: commit runs CommitMulti (on the inline path also draining
+  /// the PE-triggered work its commit hooks queued, as no worker will);
+  /// abort rolls back and gives each op the participant's own failure if
+  /// it voted abort, else a peer abort carrying `reason`.
+  static void ApplyDecision(Partition& part, Partition::PreparedMulti& prepared,
+                            const std::vector<size_t>& op_idx, int64_t gid,
+                            bool commit, const Status& reason, bool inline_run,
+                            MultiKeyTicket& ticket);
   /// Ticket-completion callback: stats + in-flight bookkeeping.
   void CompleteTxn(bool commit, int64_t start_us);
   /// Sequential prepare/decide/apply on the calling thread (no workers).
@@ -274,12 +259,9 @@ class TxnCoordinator {
   std::mutex decision_log_mu_;
 
   /// Sequencer: gid assignment and fragment enqueue are atomic so every
-  /// partition sees multi-partition transactions in gid order (the
-  /// kGlobalOrder invariant; harmless in kTwoPhase).
+  /// partition sees multi-partition transactions in gid order.
   std::mutex seq_mu_;
   std::atomic<int64_t> next_gid_{1};
-  /// kTwoPhase round lock, held submission -> decision.
-  std::mutex round_mu_;
 
   /// Admission gate for checkpoint quiescence.
   std::mutex gate_mu_;
@@ -296,7 +278,6 @@ class TxnCoordinator {
   std::atomic<uint64_t> in_doubt_committed_{0};
   std::atomic<uint64_t> in_doubt_aborted_{0};
   std::atomic<uint64_t> checkpoints_{0};
-  std::atomic<uint64_t> rounds_{0};
   std::atomic<uint64_t> round_latency_us_{0};
 };
 

@@ -17,6 +17,7 @@
 #include <cstdint>
 #include <filesystem>
 #include <map>
+#include <optional>
 #include <set>
 #include <string>
 #include <thread>
@@ -365,6 +366,52 @@ TEST(RebalanceTest, StoppedClusterExecuteSyncStillRunsInline) {
   TxnOutcome out = cluster.ExecuteSync("put", KeyVal(7, 70), Value::BigInt(7));
   EXPECT_TRUE(out.committed()) << out.status.ToString();
   EXPECT_EQ(AllRows(cluster, "kv").size(), 1u);
+}
+
+TEST(RebalanceTest, ExecuteOnAllAdmittedDuringSplitCoversTheNewPartition) {
+  // "Run on every partition" must read the partition set inside the
+  // coordinator's admission gate: a split closes that gate before it grows
+  // the cluster, so a transaction parked at the gate runs on the grown one.
+  Topology topo = KvTopology();
+  topo.RegisterProcedure(
+      "whoami", SpKind::kOltp,
+      std::make_shared<LambdaProcedure>([](ProcContext& ctx) {
+        ctx.EmitOutput({Value::BigInt(ctx.partition()->partition_id())});
+        return Status::OK();
+      }));
+  Cluster cluster(2);
+  ASSERT_TRUE(cluster.Deploy(std::move(topo)).ok());
+  cluster.Start();
+
+  // The held view blocks the split's flip after it has closed the gate.
+  std::optional<Cluster::RoutingView> view(cluster.LockRouting());
+  Status split_st;
+  std::thread splitter([&] {
+    split_st = cluster.Rebalance(SplitPlan(0, MakeDir("on_all_split_ckpt")));
+  });
+  while (cluster.coordinator().TryQuiesceBegin(0)) {
+    // Not closed by the split yet: reopen the gate and look again.
+    cluster.coordinator().QuiesceEnd();
+    std::this_thread::yield();
+  }
+  std::vector<TxnOutcome> outs;
+  std::thread caller([&] { outs = cluster.ExecuteOnAll("whoami", {}); });
+  // Give the caller time to reach the closed gate; the outcome must not
+  // depend on whether it got there before the split grew the cluster.
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  view.reset();
+  splitter.join();
+  caller.join();
+
+  ASSERT_TRUE(split_st.ok()) << split_st.ToString();
+  ASSERT_EQ(cluster.num_partitions(), 3u);
+  ASSERT_EQ(outs.size(), 3u);
+  for (size_t p = 0; p < outs.size(); ++p) {
+    ASSERT_TRUE(outs[p].committed()) << outs[p].status.ToString();
+    ASSERT_EQ(outs[p].output.size(), 1u);
+    EXPECT_EQ(outs[p].output[0][0].as_int64(), static_cast<int64_t>(p));
+  }
+  cluster.Stop();
 }
 
 TEST(RebalanceTest, MergeDrainsAndRetiresThePartition) {

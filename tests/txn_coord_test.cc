@@ -8,6 +8,7 @@
 #include <set>
 #include <string>
 #include <thread>
+#include <tuple>
 #include <vector>
 
 #include "cluster/cluster.h"
@@ -32,14 +33,12 @@ std::string MakeDir(const std::string& name) {
   return path;
 }
 
-Cluster::Options ClusterOpts(int partitions, CoordinationMode mode,
-                             const std::string& log_dir = "") {
+Cluster::Options ClusterOpts(int partitions, const std::string& log_dir = "") {
   Cluster::Options opts;
   opts.num_partitions = partitions;
   // Modulo routing: contestant c is owned by partition c % N, so tests can
   // pick cross-partition pairs deterministically.
   opts.routing = PartitionMap::Mode::kModulo;
-  opts.coordination = mode;
   opts.log_dir = log_dir;
   opts.log_sync = false;  // durability content, not fsync latency, under test
   return opts;
@@ -55,62 +54,56 @@ VoterClusterConfig SmallConfig() {
 // ---- Atomic commit across partitions ----
 
 TEST(TxnCoordTest, CommitAppliesOnAllPartitions) {
-  for (CoordinationMode mode :
-       {CoordinationMode::kTwoPhase, CoordinationMode::kGlobalOrder}) {
-    Cluster cluster(ClusterOpts(4, mode));
-    VoterClusterConfig config = SmallConfig();
-    ASSERT_TRUE(cluster.Deploy(BuildVoterClusterDeployment(config)).ok());
-    cluster.Start();
-    VoterClusterApp app(&cluster, config);
+  Cluster cluster(ClusterOpts(4));
+  VoterClusterConfig config = SmallConfig();
+  ASSERT_TRUE(cluster.Deploy(BuildVoterClusterDeployment(config)).ok());
+  cluster.Start();
+  VoterClusterApp app(&cluster, config);
 
-    // Contestants 0 and 1 live on partitions 0 and 1 (modulo routing).
-    ASSERT_NE(app.OwnerOf(0), app.OwnerOf(1));
-    std::vector<TxnOutcome> outs = app.Transfer(0, 1, 30);
-    ASSERT_EQ(outs.size(), 2u);
-    EXPECT_TRUE(outs[0].committed()) << outs[0].status.ToString();
-    EXPECT_TRUE(outs[1].committed()) << outs[1].status.ToString();
-    cluster.WaitIdle();
-    EXPECT_EQ(*app.Count(0), 70);
-    EXPECT_EQ(*app.Count(1), 130);
-    EXPECT_TRUE(app.CheckInvariant().ok());
+  // Contestants 0 and 1 live on partitions 0 and 1 (modulo routing).
+  ASSERT_NE(app.OwnerOf(0), app.OwnerOf(1));
+  std::vector<TxnOutcome> outs = app.Transfer(0, 1, 30);
+  ASSERT_EQ(outs.size(), 2u);
+  EXPECT_TRUE(outs[0].committed()) << outs[0].status.ToString();
+  EXPECT_TRUE(outs[1].committed()) << outs[1].status.ToString();
+  cluster.WaitIdle();
+  EXPECT_EQ(*app.Count(0), 70);
+  EXPECT_EQ(*app.Count(1), 130);
+  EXPECT_TRUE(app.CheckInvariant().ok());
 
-    ClusterStats stats = cluster.GatherStats();
-    EXPECT_EQ(stats.coord.multi_txns, 1u);
-    EXPECT_EQ(stats.coord.commits, 1u);
-    EXPECT_EQ(stats.coord.aborts, 0u);
-    EXPECT_EQ(stats.coord.prepares, 2u);
-    EXPECT_EQ(stats.coord.rounds, 1u);
-    cluster.Stop();
-  }
+  ClusterStats stats = cluster.GatherStats();
+  EXPECT_EQ(stats.coord.multi_txns, 1u);
+  EXPECT_EQ(stats.coord.commits, 1u);
+  EXPECT_EQ(stats.coord.aborts, 0u);
+  EXPECT_EQ(stats.coord.prepares, 2u);
+  EXPECT_EQ(stats.coord.rounds(), 1u);
+  cluster.Stop();
 }
 
 TEST(TxnCoordTest, AbortOnOneParticipantRollsBackAll) {
-  for (CoordinationMode mode :
-       {CoordinationMode::kTwoPhase, CoordinationMode::kGlobalOrder}) {
-    Cluster cluster(ClusterOpts(4, mode));
-    VoterClusterConfig config = SmallConfig();
-    ASSERT_TRUE(cluster.Deploy(BuildVoterClusterDeployment(config)).ok());
-    cluster.Start();
-    VoterClusterApp app(&cluster, config);
+  Cluster cluster(ClusterOpts(4));
+  VoterClusterConfig config = SmallConfig();
+  ASSERT_TRUE(cluster.Deploy(BuildVoterClusterDeployment(config)).ok());
+  cluster.Start();
+  VoterClusterApp app(&cluster, config);
 
-    // The subtract fragment aborts (only 100 votes available); the add
-    // fragment on the peer partition prepared successfully and must roll
-    // back.
-    std::vector<TxnOutcome> outs = app.Transfer(0, 1, 1000);
-    ASSERT_EQ(outs.size(), 2u);
-    EXPECT_FALSE(outs[0].committed());
-    EXPECT_FALSE(outs[1].committed());
-    EXPECT_TRUE(outs[0].status.IsAborted()) << outs[0].status.ToString();
-    cluster.WaitIdle();
-    EXPECT_EQ(*app.Count(0), 100);
-    EXPECT_EQ(*app.Count(1), 100);
-    EXPECT_TRUE(app.CheckInvariant().ok());
+  // The subtract fragment aborts (only 100 votes available); the add
+  // fragment on the peer partition prepared successfully and must roll
+  // back.
+  std::vector<TxnOutcome> outs = app.Transfer(0, 1, 1000);
+  ASSERT_EQ(outs.size(), 2u);
+  EXPECT_FALSE(outs[0].committed());
+  EXPECT_FALSE(outs[1].committed());
+  EXPECT_TRUE(outs[0].status.IsAborted()) << outs[0].status.ToString();
+  cluster.WaitIdle();
+  EXPECT_EQ(*app.Count(0), 100);
+  EXPECT_EQ(*app.Count(1), 100);
+  EXPECT_TRUE(app.CheckInvariant().ok());
 
-    ClusterStats stats = cluster.GatherStats();
-    EXPECT_EQ(stats.coord.aborts, 1u);
-    EXPECT_EQ(stats.coord.commits, 0u);
-    cluster.Stop();
-  }
+  ClusterStats stats = cluster.GatherStats();
+  EXPECT_EQ(stats.coord.aborts, 1u);
+  EXPECT_EQ(stats.coord.commits, 0u);
+  cluster.Stop();
 }
 
 /// A probe procedure that *first mutates* and then aborts on one designated
@@ -143,7 +136,7 @@ size_t ProbeLogRows(Cluster& cluster, size_t p) {
 }
 
 TEST(TxnCoordTest, ExecuteOnAllIsAtomicAndIndexedByPartition) {
-  Cluster cluster(ClusterOpts(3, CoordinationMode::kTwoPhase));
+  Cluster cluster(ClusterOpts(3));
   ASSERT_TRUE(cluster.Deploy(ProbeTopology()).ok());
   cluster.Start();
 
@@ -175,7 +168,7 @@ TEST(TxnCoordTest, ExecuteOnAllIsAtomicAndIndexedByPartition) {
 }
 
 TEST(TxnCoordTest, InlineModeWorksBeforeStart) {
-  Cluster cluster(ClusterOpts(2, CoordinationMode::kTwoPhase));
+  Cluster cluster(ClusterOpts(2));
   ASSERT_TRUE(cluster.Deploy(ProbeTopology()).ok());
   // No Start(): the coordinator runs the sequential inline protocol.
   std::vector<TxnOutcome> outs =
@@ -189,7 +182,7 @@ TEST(TxnCoordTest, InlineModeWorksBeforeStart) {
 }
 
 TEST(TxnCoordTest, MultipleFragmentsOnOneParticipant) {
-  Cluster cluster(ClusterOpts(4, CoordinationMode::kTwoPhase));
+  Cluster cluster(ClusterOpts(4));
   VoterClusterConfig config = SmallConfig();
   ASSERT_TRUE(cluster.Deploy(BuildVoterClusterDeployment(config)).ok());
   cluster.Start();
@@ -215,35 +208,45 @@ TEST(TxnCoordTest, MultipleFragmentsOnOneParticipant) {
 
 // ---- Deterministic global order ----
 
-TEST(TxnCoordTest, DeterministicOrderMatchesTwoPhaseResults) {
+TEST(TxnCoordTest, WorkerPathMatchesInlinePathResults) {
+  // The same votes and transfers through the worker path (started cluster:
+  // fragments queued, votes at the rendezvous) and through the inline path
+  // (never-started cluster: sequential prepare/decide/apply) must decide
+  // alike and leave the same counts.
   VoterClusterConfig config = SmallConfig();
-  auto run = [&config](CoordinationMode mode) {
-    Cluster cluster(ClusterOpts(4, mode));
+  auto run = [&config](bool start) {
+    Cluster cluster(ClusterOpts(4));
     EXPECT_TRUE(cluster.Deploy(BuildVoterClusterDeployment(config)).ok());
-    cluster.Start();
+    if (start) cluster.Start();
     VoterClusterApp app(&cluster, config);
     for (int i = 0; i < 40; ++i) app.Vote(i % config.num_contestants);
-    // Mix of committing and aborting transfers, same sequence both modes.
-    app.Transfer(0, 1, 25);
-    app.Transfer(1, 2, 60);
-    app.Transfer(2, 3, 10000);  // aborts: insufficient votes
-    app.Transfer(3, 0, 5);
-    app.Transfer(5, 6, 101);
+    // Mix of committing and aborting transfers, same sequence both paths.
+    std::vector<int64_t> results;
+    for (auto [from, to, n] : {std::tuple<int64_t, int64_t, int64_t>{0, 1, 25},
+                               {1, 2, 60},
+                               {2, 3, 10000},  // aborts: insufficient votes
+                               {3, 0, 5},
+                               {5, 6, 101}}) {
+      results.push_back(app.Transfer(from, to, n)[0].committed() ? 1 : 0);
+    }
     cluster.WaitIdle();
-    std::vector<int64_t> counts;
     for (int64_t c = 0; c < config.num_contestants; ++c) {
-      counts.push_back(*app.Count(c));
+      results.push_back(*app.Count(c));
     }
     EXPECT_TRUE(app.CheckInvariant().ok());
     cluster.Stop();
-    return counts;
+    return results;
   };
-  EXPECT_EQ(run(CoordinationMode::kTwoPhase),
-            run(CoordinationMode::kGlobalOrder));
+  std::vector<int64_t> worker = run(/*start=*/true);
+  std::vector<int64_t> inline_run = run(/*start=*/false);
+  EXPECT_EQ(worker, inline_run);
+  // The aborting transfer did abort, and not every transfer did.
+  EXPECT_EQ(worker[2], 0);
+  EXPECT_EQ(worker[0], 1);
 }
 
 TEST(TxnCoordTest, GlobalOrderConcurrentTransfersKeepInvariant) {
-  Cluster cluster(ClusterOpts(4, CoordinationMode::kGlobalOrder));
+  Cluster cluster(ClusterOpts(4));
   VoterClusterConfig config = SmallConfig();
   config.initial_votes = 10000;
   ASSERT_TRUE(cluster.Deploy(BuildVoterClusterDeployment(config)).ok());
@@ -283,7 +286,7 @@ TEST(TxnCoordTest, CheckpointBarrierVsConcurrentBatchSubmission) {
   VoterClusterConfig config = SmallConfig();
   config.initial_votes = 10000;
 
-  Cluster cluster(ClusterOpts(4, CoordinationMode::kGlobalOrder));
+  Cluster cluster(ClusterOpts(4));
   ASSERT_TRUE(cluster.Deploy(BuildVoterClusterDeployment(config)).ok());
   cluster.Start();
   VoterClusterApp app(&cluster, config);
@@ -326,7 +329,7 @@ TEST(TxnCoordTest, CheckpointBarrierVsConcurrentBatchSubmission) {
   // Restore the cut alone (no logs): the invariant ties the vote counters
   // to the contestant counts, so a cut through half a vote or half a
   // transfer would show up as a mismatch.
-  Cluster recovered(ClusterOpts(4, CoordinationMode::kGlobalOrder));
+  Cluster recovered(ClusterOpts(4));
   ASSERT_TRUE(recovered.Deploy(BuildVoterClusterDeployment(config)).ok());
   Status st = recovered.Recover(ckpt_dir, "");
   ASSERT_TRUE(st.ok()) << st.ToString();
@@ -344,7 +347,7 @@ TEST(TxnCoordTest, KillAndRecoverRestoresConsistentCut) {
   std::vector<int64_t> live_counts;
   int64_t live_vote_txns = 0;
   {
-    Cluster cluster(ClusterOpts(4, CoordinationMode::kTwoPhase, log_dir));
+    Cluster cluster(ClusterOpts(4, log_dir));
     ASSERT_TRUE(cluster.Deploy(BuildVoterClusterDeployment(config)).ok());
     cluster.Start();
     VoterClusterApp app(&cluster, config);
@@ -370,7 +373,7 @@ TEST(TxnCoordTest, KillAndRecoverRestoresConsistentCut) {
 
   // Recovery cluster: same topology, no log_dir (attaching logs would truncate
   // the very files being replayed).
-  Cluster recovered(ClusterOpts(4, CoordinationMode::kTwoPhase));
+  Cluster recovered(ClusterOpts(4));
   ASSERT_TRUE(recovered.Deploy(BuildVoterClusterDeployment(config)).ok());
   Status st = recovered.Recover(ckpt_dir, log_dir);
   ASSERT_TRUE(st.ok()) << st.ToString();
@@ -389,7 +392,7 @@ TEST(TxnCoordTest, KillAndRecoverRestoresConsistentCut) {
   // instead of clobbering checkpoint 1's snapshot files in place; a second
   // recovery from the new manifest sees the same state.
   ASSERT_TRUE(recovered.Checkpoint(ckpt_dir).ok());
-  Cluster third(ClusterOpts(4, CoordinationMode::kTwoPhase));
+  Cluster third(ClusterOpts(4));
   ASSERT_TRUE(third.Deploy(BuildVoterClusterDeployment(config)).ok());
   ASSERT_TRUE(third.Recover(ckpt_dir, "").ok());
   VoterClusterApp third_app(&third, config);
@@ -407,7 +410,7 @@ TEST(TxnCoordTest, InDoubtTxnResolvedFromCoordinatorDecisionLog) {
   std::string ckpt_abort = MakeDir("ckpt_indoubt_abort");
   auto write_cut = [&](const std::string& dir) {
     // Stopped-cluster checkpoint: snapshots + manifest for checkpoint id 1.
-    Cluster cluster(ClusterOpts(4, CoordinationMode::kTwoPhase));
+    Cluster cluster(ClusterOpts(4));
     ASSERT_TRUE(cluster.Deploy(BuildVoterClusterDeployment(config)).ok());
     ASSERT_TRUE(cluster.Checkpoint(dir).ok());
   };
@@ -456,7 +459,7 @@ TEST(TxnCoordTest, InDoubtTxnResolvedFromCoordinatorDecisionLog) {
     // fragment must re-execute.
     std::string log_dir = MakeDir("logs_indoubt_commit");
     craft_logs(log_dir, /*decided_commit=*/true);
-    Cluster recovered(ClusterOpts(4, CoordinationMode::kTwoPhase));
+    Cluster recovered(ClusterOpts(4));
     ASSERT_TRUE(recovered.Deploy(BuildVoterClusterDeployment(config)).ok());
     Status st = recovered.Recover(ckpt_commit, log_dir);
     ASSERT_TRUE(st.ok()) << st.ToString();
@@ -470,7 +473,7 @@ TEST(TxnCoordTest, InDoubtTxnResolvedFromCoordinatorDecisionLog) {
     // No durable decision: presumed abort.
     std::string log_dir = MakeDir("logs_indoubt_abort");
     craft_logs(log_dir, /*decided_commit=*/false);
-    Cluster recovered(ClusterOpts(4, CoordinationMode::kTwoPhase));
+    Cluster recovered(ClusterOpts(4));
     ASSERT_TRUE(recovered.Deploy(BuildVoterClusterDeployment(config)).ok());
     Status st = recovered.Recover(ckpt_abort, log_dir);
     ASSERT_TRUE(st.ok()) << st.ToString();
@@ -485,7 +488,7 @@ TEST(TxnCoordTest, InDoubtTxnResolvedFromCoordinatorDecisionLog) {
 // ---- Stats ----
 
 TEST(TxnCoordTest, CoordStatsSurfacedAndReset) {
-  Cluster cluster(ClusterOpts(4, CoordinationMode::kTwoPhase));
+  Cluster cluster(ClusterOpts(4));
   VoterClusterConfig config = SmallConfig();
   ASSERT_TRUE(cluster.Deploy(BuildVoterClusterDeployment(config)).ok());
   cluster.Start();
@@ -499,13 +502,13 @@ TEST(TxnCoordTest, CoordStatsSurfacedAndReset) {
   EXPECT_EQ(stats.coord.commits, 1u);
   EXPECT_EQ(stats.coord.aborts, 1u);
   EXPECT_EQ(stats.coord.prepares, 4u);
-  EXPECT_EQ(stats.coord.rounds, 2u);
+  EXPECT_EQ(stats.coord.rounds(), 2u);
   EXPECT_GE(stats.coord.avg_round_latency_us(), 0.0);
 
   cluster.ResetStats();
   ClusterStats after = cluster.GatherStats();
   EXPECT_EQ(after.coord.multi_txns, 0u);
-  EXPECT_EQ(after.coord.rounds, 0u);
+  EXPECT_EQ(after.coord.rounds(), 0u);
   EXPECT_EQ(after.coord.round_latency_us_total, 0u);
   cluster.Stop();
 }

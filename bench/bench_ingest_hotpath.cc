@@ -14,7 +14,7 @@
 //                              through a keyed ClusterInjector, per-
 //                              invocation vs batched.
 //   BM_BackpressureCpu       — producer CPU burned while throttled at a
-//                              queue-depth limit (the producer blocks on
+//                              full queue (capacity 8; the producer blocks on
 //                              the partition's condition variable).
 //
 // The acceptance gate for PR 2 compares BM_SubmitBatch against
@@ -277,7 +277,9 @@ void BM_BackpressureCpu(benchmark::State& state) {
   double cpu_frac_sum = 0;
   for (auto _ : state) {
     state.PauseTiming();
-    SStore store;
+    SStore::Options store_opts;
+    store_opts.queue_capacity = 8;
+    SStore store(store_opts);
     // Slow consumer: the producer spends nearly all wall time throttled.
     store.partition()
         .RegisterProcedure("slow", SpKind::kBorder,
@@ -288,9 +290,7 @@ void BM_BackpressureCpu(benchmark::State& state) {
                            }))
         .ok();
     store.Start();
-    StreamInjector::Options opts;
-    opts.max_queue_depth = 8;
-    StreamInjector injector(&store.partition(), "slow", opts);
+    StreamInjector injector(&store.partition(), "slow");
     state.ResumeTiming();
 
     double cpu = 0, wall = 0;

@@ -144,7 +144,6 @@ void BM_ReplicatedPipeline(benchmark::State& state) {
   cluster.Start();
   ClusterInjector::Options inj_opts;
   inj_opts.key_column = 0;
-  inj_opts.max_queue_depth = 4096;
   ClusterInjector injector(&cluster, "ingest", inj_opts);
 
   std::deque<TicketPtr> window;
@@ -168,8 +167,7 @@ void BM_PlacedPipeline(benchmark::State& state) {
       Placement::Pinned(0), Placement::Pinned(1), Placement::Pinned(2));
   cluster.Deploy(topo).ok();
   cluster.Start();
-  StreamInjector injector(&cluster.partition(0), "ingest",
-                          StreamInjector::Options{4096});
+  StreamInjector injector(&cluster.partition(0), "ingest");
 
   std::deque<TicketPtr> window;
   int64_t i = 0;
@@ -201,7 +199,6 @@ void RunLinearRoad(benchmark::State& state, Cluster& cluster,
   cluster.Start();
   ClusterInjector::Options inj_opts;
   inj_opts.key_column = 2;  // x-way
-  inj_opts.max_queue_depth = 4096;
   ClusterInjector injector(&cluster, "position_report", inj_opts);
   LinearRoadGenerator gen(config);
   std::vector<PositionReport> second = gen.NextSecond();

@@ -96,7 +96,6 @@ void SeedKeys(ClusterInjector& injector) {
 void IngestLoop(benchmark::State& state, Cluster& cluster) {
   ClusterInjector::Options opts;
   opts.key_column = 0;
-  opts.max_queue_depth = 4096;
   ClusterInjector injector(&cluster, "put", opts);
   int64_t items = 0;
   int64_t val = 0;

@@ -109,7 +109,6 @@ int main(int argc, char** argv) {
   // --- Keyed injection: column 2 of a position report is the x-way. ---
   ClusterInjector::Options inj_opts;
   inj_opts.key_column = 2;
-  inj_opts.max_queue_depth = 4096;  // bound each partition's backlog
   ClusterInjector injector(&cluster, "position_report", inj_opts);
 
   LinearRoadGenerator gen(config);

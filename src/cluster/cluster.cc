@@ -3,6 +3,7 @@
 #include <sys/stat.h>
 #include <unistd.h>
 
+#include <array>
 #include <cstdio>
 #include <mutex>
 #include <set>
@@ -206,54 +207,13 @@ Status Cluster::Deploy(const Topology& topology) {
   return Status::OK();
 }
 
-TicketPtr Cluster::SubmitAsync(Invocation inv, const Value& key) {
-  // Route + enqueue under one view, spilling instead of blocking (blocking
-  // under the shared routing lock could deadlock the rebalance flip against
-  // a worker commit hook). Backpressure waits happen between views.
-  for (;;) {
-    size_t p;
-    {
-      RoutingView view = LockRouting();
-      p = view.map().PartitionOf(key);
-      Partition& part = stores_[p]->partition();
-      // Not running (a rebalance target before its cutover Start): spill —
-      // WaitForQueueBelow has no worker to wake it and returns immediately.
-      if (!part.running() || part.QueueDepth() < part.queue_capacity()) {
-        return part.SubmitAsync(std::move(inv), EnqueuePolicy::kSpillWhenFull);
-      }
-    }
-    Partition& part = stores_[p]->partition();
-    part.WaitForQueueBelow(part.queue_capacity());
-  }
-}
-
-TicketPtr Cluster::SubmitAsync(Invocation inv) {
-  for (;;) {
-    size_t p;
-    {
-      RoutingView view = LockRouting();
-      p = view.map().PartitionOfId(inv.batch_id);
-      Partition& part = stores_[p]->partition();
-      if (!part.running() || part.QueueDepth() < part.queue_capacity()) {
-        return part.SubmitAsync(std::move(inv), EnqueuePolicy::kSpillWhenFull);
-      }
-    }
-    Partition& part = stores_[p]->partition();
-    part.WaitForQueueBelow(part.queue_capacity());
-  }
-}
-
 TxnOutcome Cluster::ExecuteSync(const std::string& proc, Tuple params,
                                 const Value& key, int64_t batch_id) {
-  for (;;) {
-    size_t p;
-    TicketPtr ticket;
-    bool inline_mode = false;
-    {
-      RoutingView view = LockRouting();
-      p = view.map().PartitionOf(key);
-      Partition& part = stores_[p]->partition();
-      if (!part.running()) {
+  size_t p = 0;
+  bool inline_mode = false;
+  TicketPtr ticket = AdmitRouted(
+      [&](const PartitionMap& map) {
+        p = map.PartitionOf(key);
         // Inline only when the whole cluster is down (seeding,
         // single-threaded tests, recovery replay). A single stopped
         // partition on an otherwise running cluster is the live-rebalance
@@ -261,83 +221,60 @@ TxnOutcome Cluster::ExecuteSync(const std::string& proc, Tuple params,
         // the control thread, so executing inline here would race that;
         // spill-enqueue instead and Wait() until the cutover starts it.
         inline_mode = true;
-        size_t n = view.map().num_partitions();
-        for (size_t q = 0; q < n && inline_mode; ++q) {
+        for (size_t q = 0; q < map.num_partitions() && inline_mode; ++q) {
           inline_mode = !stores_[q]->partition().running();
         }
-      }
-      // A not-running partition on a live cluster (the rebalance window)
-      // has no worker to signal backpressure — spill unconditionally, the
-      // pre-rebalancing overflow semantics for a stopped worker.
-      if (!inline_mode && (!part.running() ||
-                           part.QueueDepth() < part.queue_capacity())) {
-        ticket = part.SubmitAsync(Invocation{proc, std::move(params), batch_id},
-                                  EnqueuePolicy::kSpillWhenFull);
-      }
-    }
-    Partition& part = stores_[p]->partition();
-    if (inline_mode) {
-      // Partition::ExecuteSync runs the invocation inline on this thread
-      // and drains the PE cascades it triggers. No concurrent flip exists
-      // to race — Rebalance on a stopped cluster runs on the control
-      // thread, which is us.
-      return part.ExecuteSync(proc, std::move(params), batch_id);
-    }
-    if (ticket != nullptr) {
-      TxnOutcome outcome = ticket->Wait();
-      // The modeled client<->PE round trip (paper Figures 6/8): a
-      // synchronous cluster client pays it exactly as a single-partition
-      // one does.
-      part.PayClientRoundTrip();
-      return outcome;
-    }
-    // Backpressure outside the view, then re-route.
-    part.WaitForQueueBelow(part.queue_capacity());
+        return std::array<size_t, 1>{p};
+      },
+      [&]() -> TicketPtr {
+        if (inline_mode) return nullptr;
+        return partition(p).SubmitAsync(
+            Invocation{proc, std::move(params), batch_id},
+            EnqueuePolicy::kSpillWhenFull);
+      });
+  Partition& part = partition(p);
+  if (ticket == nullptr) {
+    // Partition::ExecuteSync runs the invocation inline on this thread and
+    // drains the PE cascades it triggers, outside the view. No concurrent
+    // flip exists to race — Rebalance on a stopped cluster runs on the
+    // control thread, which is us.
+    return part.ExecuteSync(proc, std::move(params), batch_id);
   }
-}
-
-TicketPtr Cluster::SubmitToPartition(size_t p, Invocation inv) {
-  return stores_[p]->partition().SubmitAsync(std::move(inv));
+  TxnOutcome outcome = ticket->Wait();
+  // The modeled client<->PE round trip (paper Figures 6/8): a synchronous
+  // cluster client pays it exactly as a single-partition one does.
+  part.PayClientRoundTrip();
+  return outcome;
 }
 
 std::vector<BatchTicketPtr> Cluster::SubmitBatchAsync(
     std::vector<Invocation> invs) {
-  for (;;) {
-    size_t saturated = static_cast<size_t>(-1);
-    {
-      RoutingView view = LockRouting();
-      size_t n = view.map().num_partitions();
-      // Route by index first; invocations only move on a committing pass.
-      std::vector<std::vector<size_t>> routed(n);
-      for (size_t i = 0; i < invs.size(); ++i) {
-        routed[view.map().PartitionOfId(invs[i].batch_id)].push_back(i);
-      }
-      for (size_t p = 0; p < n && saturated == static_cast<size_t>(-1); ++p) {
-        if (routed[p].empty()) continue;
-        Partition& part = stores_[p]->partition();
-        // Not-running partitions spill regardless (no worker to wait on).
-        if (part.running() && part.QueueDepth() >= part.queue_capacity()) {
-          saturated = p;
+  // Invocation indices per partition; invocations move only once admitted.
+  std::vector<std::vector<size_t>> routed;
+  std::vector<size_t> touched;
+  return AdmitRouted(
+      [&](const PartitionMap& map) -> const std::vector<size_t>& {
+        routed.assign(map.num_partitions(), {});
+        touched.clear();
+        for (size_t i = 0; i < invs.size(); ++i) {
+          size_t p = map.PartitionOfId(invs[i].batch_id);
+          if (routed[p].empty()) touched.push_back(p);
+          routed[p].push_back(i);
         }
-      }
-      if (saturated == static_cast<size_t>(-1)) {
+        return touched;
+      },
+      [&] {
         std::vector<BatchTicketPtr> tickets;
-        for (size_t p = 0; p < n; ++p) {
-          if (routed[p].empty()) continue;
+        tickets.reserve(touched.size());
+        for (size_t p : touched) {
           std::vector<Invocation> batch;
           batch.reserve(routed[p].size());
           for (size_t i : routed[p]) batch.push_back(std::move(invs[i]));
-          tickets.push_back(stores_[p]->partition().SubmitBatchAsync(
+          tickets.push_back(partition(p).SubmitBatchAsync(
               std::move(batch), EnqueuePolicy::kSpillWhenFull));
         }
         return tickets;
-      }
-    }
-    // A target is at capacity: wait outside the view, then re-route (the
-    // map may have moved on while we slept).
-    Partition& part = stores_[saturated]->partition();
-    part.WaitForQueueBelow(part.queue_capacity());
-  }
+      });
 }
 
 BatchTicketPtr Cluster::SubmitBatchToPartition(size_t p,

@@ -122,7 +122,7 @@ struct ClusterStats {
   uint64_t max_queue_high_watermark() const {
     return txn.queue_high_watermark;
   }
-  /// Total producer blocking events (full ring or injector depth limit).
+  /// Total producer blocking events (a full queue, at queue_capacity).
   uint64_t producer_blocks() const { return txn.producer_blocks; }
 };
 
@@ -190,9 +190,10 @@ class Cluster {
   /// A stable view of the routing table: holds the shared side of the
   /// routing lock, so a concurrent Rebalance cannot flip the map while the
   /// view lives. Every keyed route + enqueue pair must happen under one
-  /// view (the keyed entry points below do this internally). NEVER block
-  /// while holding a view — the rebalance flip waits on it exclusively,
-  /// and workers take views in commit hooks.
+  /// view (the routed entry points below and ClusterInjector do this
+  /// through one admission helper). NEVER block while holding a view — the
+  /// rebalance flip waits on it exclusively, and workers take views in
+  /// commit hooks.
   class RoutingView {
    public:
     const PartitionMap& map() const { return *map_; }
@@ -251,29 +252,23 @@ class Cluster {
     return map_.PartitionOf(key);
   }
 
-  /// Routes by the designated key value: hashes `key` to the owning
-  /// partition and enqueues there.
-  TicketPtr SubmitAsync(Invocation inv, const Value& key);
-
-  /// Routes by batch id when the workload has no natural key column.
-  TicketPtr SubmitAsync(Invocation inv);
-
   /// Keyed submit + wait (the H-Store client pattern, against one owner).
+  /// Blocks while the owner's queue is at capacity; on a wholly stopped
+  /// cluster runs inline on the caller.
   TxnOutcome ExecuteSync(const std::string& proc, Tuple params,
                          const Value& key, int64_t batch_id = 0);
 
-  /// Explicit placement, for callers that already know the owner.
-  TicketPtr SubmitToPartition(size_t p, Invocation inv);
-
   // ---- Batched submission (any thread) ----
 
-  /// Routes each invocation by its batch id (the unkeyed SubmitAsync rule),
-  /// groups per owning partition, and submits one batch per partition — one
-  /// completion ticket per touched partition instead of per invocation.
+  /// Routes each invocation by its batch id (for workloads with no natural
+  /// key column), groups per owning partition, and submits one batch per
+  /// partition — one completion ticket per touched partition instead of per
+  /// invocation. Blocks while a touched partition's queue is at capacity.
   /// Tickets come back in partition order of first touch.
   std::vector<BatchTicketPtr> SubmitBatchAsync(std::vector<Invocation> invs);
 
-  /// Explicit placement of a whole batch on one partition.
+  /// Explicit placement of a whole batch on one partition (blocks at
+  /// capacity like Partition::SubmitBatchAsync).
   BatchTicketPtr SubmitBatchToPartition(size_t p,
                                         std::vector<Invocation> invs);
 
@@ -536,6 +531,39 @@ class Cluster {
   /// store's partition (growing trace_rings_ on demand). Called wherever a
   /// store is created: construction, Rebalance split, Recover regrow.
   void InstrumentStore(SStore& store, size_t p);
+
+  friend class ClusterInjector;
+
+  /// Routed admission — the one place that knows the protocol. Under one
+  /// RoutingView, `route(map)` routes the work (keeping whatever the
+  /// enqueue needs) and returns the ids of the partitions it touches. When
+  /// each of them is below its queue_capacity() or not running (a
+  /// rebalance target before its cutover Start has no worker to wait on),
+  /// `enqueue()` runs under that same view and returns the result; it must
+  /// enqueue with EnqueuePolicy::kSpillWhenFull, since blocking under a
+  /// view could deadlock the rebalance flip. Otherwise the view is dropped,
+  /// the producer sleeps until the saturated partition drains below
+  /// capacity, and the work is routed afresh — the map may have moved.
+  /// Producers that pass the check together may each overshoot the
+  /// capacity by what they admit.
+  template <typename Route, typename Enqueue>
+  auto AdmitRouted(Route&& route, Enqueue&& enqueue) {
+    for (;;) {
+      Partition* saturated = nullptr;
+      {
+        RoutingView view = LockRouting();
+        for (size_t p : route(view.map())) {
+          Partition& part = partition(p);
+          if (part.running() && part.QueueDepth() >= part.queue_capacity()) {
+            saturated = &part;
+            break;
+          }
+        }
+        if (saturated == nullptr) return enqueue();
+      }
+      saturated->WaitForQueueBelow();
+    }
+  }
 
   Options options_;
 

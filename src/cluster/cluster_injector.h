@@ -4,7 +4,6 @@
 #include <array>
 #include <atomic>
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -67,11 +66,12 @@ class ClusterBatchTicket {
 /// The designated key column (`Options::key_column`) is read from each batch
 /// tuple and routed through the cluster's PartitionMap; same key, same
 /// partition — until a `Cluster::Rebalance` re-homes the key's range. The
-/// injector follows the live map: every injection routes and enqueues under
-/// one `Cluster::RoutingView`, so the owner cannot flip between the two,
-/// and a partition added by a split gets a fresh batch-id lane starting at
-/// 1 — each partition's border SP still sees strictly increasing ids
-/// (§2.2 per-lane order), whichever map version routed them.
+/// injector follows the live map: every injection goes through the
+/// cluster's routed admission, which routes and enqueues under one
+/// `Cluster::RoutingView`, so the owner cannot flip between the two, and a
+/// partition added by a split gets a fresh batch-id lane starting at 1 —
+/// each partition's border SP still sees strictly increasing ids (§2.2
+/// per-lane order), whichever map version routed them.
 ///
 /// Batch ids are allocated per partition under a per-partition lane lock
 /// held across id assignment *and* enqueue, so concurrent producers cannot
@@ -79,16 +79,14 @@ class ClusterBatchTicket {
 /// (cross-partition order is unconstrained — that is the shared-nothing
 /// bargain).
 ///
-/// `Options::max_queue_depth` bounds each partition's request backlog; a
-/// throttled producer sleeps on the owning partition's condition variable
-/// instead of spinning. Zero disables backpressure.
+/// Backpressure is the partitions' `queue_capacity`: a producer whose
+/// target partition is full sleeps on its condition variable, outside the
+/// lane and the view, then re-routes.
 class ClusterInjector {
  public:
   struct Options {
     /// Column of the batch tuple whose value routes the batch.
     int key_column = 0;
-    /// Per-partition backpressure limit; 0 = unbounded.
-    size_t max_queue_depth = 0;
   };
 
   ClusterInjector(Cluster* cluster, std::string border_proc)
@@ -107,28 +105,23 @@ class ClusterInjector {
   }
 
   /// Non-blocking injection routed by the batch's key column against the
-  /// live partition map.
+  /// live partition map — it blocks only while the owner's queue is full.
   TicketPtr InjectAsync(Tuple batch) {
-    for (;;) {
-      // Throttle against the probable owner first, with no locks held —
-      // backpressure can sleep a long time, and sleeping under the routing
-      // view would stall a rebalance flip.
-      size_t probe = RouteOf(batch);
-      Throttle(cluster_->partition(probe));
-      Cluster::RoutingView view = cluster_->LockRouting();
-      size_t p = RouteOf(batch, view.map());
-      if (p != probe) continue;  // the map moved while we slept; re-throttle
-      Lane& lane = LaneOf(p);
-      std::lock_guard<std::mutex> hold(lane.mu);
-      int64_t batch_id = lane.next_batch_id++;
-      // kSpillWhenFull: never block on a full queue while holding the lane
-      // (other producers for this partition would stall behind the mutex)
-      // or the routing view (the rebalance flip waits on it). Backpressure
-      // for injectors is the Throttle() depth limit above.
-      return cluster_->partition(p).SubmitAsync(
-          Invocation{border_proc_, std::move(batch), batch_id},
-          EnqueuePolicy::kSpillWhenFull);
-    }
+    size_t p = 0;
+    return cluster_->AdmitRouted(
+        [&](const PartitionMap& map) {
+          p = RouteOf(batch, map);
+          return std::array<size_t, 1>{p};
+        },
+        [&] {
+          // The lane lock is held across id assignment and the (spilling,
+          // never blocking) enqueue.
+          Lane& lane = LaneOf(p);
+          std::lock_guard<std::mutex> hold(lane.mu);
+          return cluster_->partition(p).SubmitAsync(
+              Invocation{border_proc_, std::move(batch), lane.next_batch_id++},
+              EnqueuePolicy::kSpillWhenFull);
+        });
   }
 
   /// Batch-at-a-time injection: splits the batch by key, then submits one
@@ -136,53 +129,36 @@ class ClusterInjector {
   /// allocation and one completion signal per partition instead of per
   /// tuple. Per-partition batch ids remain consecutive and ordered.
   ClusterBatchTicket InjectBatchAsync(std::vector<Tuple> batches) {
-    for (;;) {
-      // Backpressure pass against the probable owners, before any lock the
-      // enqueue needs. The map version ties the two passes together: if a
-      // rebalance flips routing while we sleep at a throttle, the split
-      // below would hit partitions whose depth was never checked — retry
-      // instead (the same race InjectAsync handles by re-routing).
-      uint64_t throttled_version = 0;
-      if (options_.max_queue_depth != 0) {
-        std::map<size_t, bool> touched;
-        {
-          Cluster::RoutingView view = cluster_->LockRouting();
-          throttled_version = view.map().version();
-          for (const Tuple& batch : batches) {
-            touched[RouteOf(batch, view.map())] = true;
+    // Tuple indices per partition; tuples move only once admitted.
+    std::vector<std::vector<size_t>> routed;
+    std::vector<size_t> touched;
+    return cluster_->AdmitRouted(
+        [&](const PartitionMap& map) -> const std::vector<size_t>& {
+          routed.assign(map.num_partitions(), {});
+          touched.clear();
+          for (size_t i = 0; i < batches.size(); ++i) {
+            size_t p = RouteOf(batches[i], map);
+            if (routed[p].empty()) touched.push_back(p);
+            routed[p].push_back(i);
           }
-        }
-        for (const auto& [p, unused] : touched) {
-          (void)unused;
-          Throttle(cluster_->partition(p));
-        }
-      }
-      Cluster::RoutingView view = cluster_->LockRouting();
-      if (options_.max_queue_depth != 0 &&
-          view.map().version() != throttled_version) {
-        continue;  // the map moved while we slept; re-route and re-throttle
-      }
-      std::map<size_t, std::vector<Invocation>> per_partition;
-      for (Tuple& batch : batches) {
-        size_t p = RouteOf(batch, view.map());
-        per_partition[p].push_back(
-            Invocation{border_proc_, std::move(batch), /*batch_id=*/0});
-      }
-      ClusterBatchTicket ticket;
-      for (auto& [p, invs] : per_partition) {
-        Partition& partition = cluster_->partition(p);
-        Lane& lane = LaneOf(p);
-        std::lock_guard<std::mutex> hold(lane.mu);
-        for (Invocation& inv : invs) {
-          inv.batch_id = lane.next_batch_id++;
-        }
-        // kSpillWhenFull: see InjectAsync — no blocking under the lane or
-        // the routing view.
-        ticket.tickets_.push_back(partition.SubmitBatchAsync(
-            std::move(invs), EnqueuePolicy::kSpillWhenFull));
-      }
-      return ticket;
-    }
+          return touched;
+        },
+        [&] {
+          ClusterBatchTicket ticket;
+          for (size_t p : touched) {
+            Lane& lane = LaneOf(p);
+            std::lock_guard<std::mutex> hold(lane.mu);
+            std::vector<Invocation> invs;
+            invs.reserve(routed[p].size());
+            for (size_t i : routed[p]) {
+              invs.push_back(Invocation{border_proc_, std::move(batches[i]),
+                                        lane.next_batch_id++});
+            }
+            ticket.tickets_.push_back(cluster_->partition(p).SubmitBatchAsync(
+                std::move(invs), EnqueuePolicy::kSpillWhenFull));
+          }
+          return ticket;
+        });
   }
 
   /// Blocking injection: waits for the border transaction to commit on the
@@ -246,23 +222,6 @@ class ClusterInjector {
       return 0;
     }
     return map.PartitionOf(batch[column]);
-  }
-
-  size_t RouteOf(const Tuple& batch) const {
-    size_t column = static_cast<size_t>(options_.key_column);
-    if (column >= batch.size()) return 0;
-    return cluster_->PartitionOf(batch[column]);
-  }
-
-  // Throttle *before* taking the lane lock or the routing view: a producer
-  // stuck at the limit must not block stats readers, the lane, or a
-  // rebalance flip across a long wait. Concurrent producers racing past
-  // the check can overshoot the limit by at most the producer count —
-  // backpressure is a bound on growth, not an exact ceiling. Order among
-  // concurrently-throttled producers is unspecified either way; the lane
-  // lock still guarantees that batch-id order equals queue order.
-  void Throttle(Partition& partition) {
-    partition.WaitForQueueBelow(options_.max_queue_depth);
   }
 
   Cluster* cluster_;

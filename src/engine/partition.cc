@@ -55,18 +55,18 @@ void BatchTicket::Fulfill(size_t index, TxnOutcome outcome) {
   outcomes_[index] = std::move(outcome);
   (ok ? committed_ : aborted_).fetch_add(1, std::memory_order_release);
   if (remaining_.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-    std::function<void()> callback;
+    CompletionHook callback;
     {
       std::lock_guard<std::mutex> lock(mu_);
       done_ = true;
       callback = std::move(on_complete_);
     }
     cv_.notify_all();
-    if (callback) callback();
+    if (callback) callback(std::move(outcomes_));
   }
 }
 
-void BatchTicket::SetOnComplete(std::function<void()> fn) {
+void BatchTicket::SetOnComplete(CompletionHook fn) {
   {
     std::lock_guard<std::mutex> lock(mu_);
     if (!done_) {
@@ -74,7 +74,7 @@ void BatchTicket::SetOnComplete(std::function<void()> fn) {
       return;
     }
   }
-  fn();  // already complete — the registering thread runs it
+  fn(std::move(outcomes_));  // already complete — the caller runs it
 }
 
 Partition::Partition(int partition_id, size_t queue_capacity)
@@ -127,8 +127,11 @@ void Partition::PushBack(size_t count, EnqueuePolicy policy, Fill&& fill) {
     if (policy == EnqueuePolicy::kBlockWhenFull && accepting_ &&
         depth_.load(std::memory_order_seq_cst) >= capacity_) {
       // Full while the worker runs: sleep until it retires work. Tasks this
-      // call already appended must not wait behind our wait.
+      // call already appended must not wait behind our wait. The full depth
+      // is the high-water mark — the worker may drain below it before the
+      // batch's last append.
       producer_blocks_.fetch_add(1, std::memory_order_relaxed);
+      NoteWatermark();
       if (worker_waiting_) work_cv_.notify_one();
       WaitForDepthBelow(lock, capacity_);
     }
@@ -169,12 +172,11 @@ size_t Partition::QueueDepth() const {
   return depth_.load(std::memory_order_seq_cst);
 }
 
-void Partition::WaitForQueueBelow(size_t limit) {
-  if (limit == 0) return;
-  if (QueueDepth() < limit) return;
+void Partition::WaitForQueueBelow() {
+  if (QueueDepth() < capacity_) return;
   producer_blocks_.fetch_add(1, std::memory_order_relaxed);
   std::unique_lock<std::mutex> lock(queue_mu_);
-  WaitForDepthBelow(lock, limit);
+  WaitForDepthBelow(lock, capacity_);
 }
 
 void Partition::WaitIdle() {
@@ -464,6 +466,7 @@ void Partition::Start() {
     accepting_ = true;
   }
   worker_ = std::thread([this] { WorkerLoop(); });
+  running_.store(true, std::memory_order_release);
 }
 
 void Partition::Stop() {
@@ -482,6 +485,7 @@ void Partition::Stop() {
     if (worker_waiting_) work_cv_.notify_one();
   }
   worker_.join();
+  running_.store(false, std::memory_order_release);
 }
 
 void Partition::WorkerLoop() {

@@ -63,9 +63,11 @@ enum class EnqueuePolicy {
   /// Sleep until the worker retires work — the bounded-memory default.
   kBlockWhenFull,
   /// Append past the capacity instead of waiting. For callers that must not
-  /// stall while holding their own locks — e.g. ClusterInjector's batch-id
-  /// lanes — and that apply backpressure separately via WaitForQueueBelow.
-  /// FIFO order is preserved.
+  /// stall while holding their own locks: the cluster's routed admission
+  /// (under a routing view and, for ClusterInjector, a batch-id lane) waits
+  /// for room beforehand, outside those locks, via WaitForQueueBelow; the
+  /// rebalance flip and the wire server's event loop never wait (the server
+  /// sheds kBusy at capacity instead). FIFO order is preserved.
   kSpillWhenFull,
 };
 
@@ -122,11 +124,15 @@ class BatchTicket {
   /// Registers `fn` to run — on the worker thread that fulfills the final
   /// invocation — once the whole batch is complete; when the batch already
   /// completed, runs it inline on the caller. At most one callback per
-  /// ticket. This is how completion gets back onto an event loop without a
-  /// waiter thread: the serving layer's hook posts the ticket to the
-  /// connection's I/O loop, so `fn` must not block (it runs inside the
-  /// partition worker's commit path).
-  void SetOnComplete(std::function<void()> fn);
+  /// ticket. The outcomes are handed to `fn` (moved out: outcomes() is
+  /// empty afterwards), so the hook never needs to own its ticket — a
+  /// closure that did would form a shared_ptr cycle that leaks whenever
+  /// the batch is dropped unrun. This is how completion gets back onto an
+  /// event loop without a waiter thread: the serving layer's hook posts the
+  /// outcomes to the connection's I/O loop, so `fn` must not block (it runs
+  /// inside the partition worker's commit path).
+  using CompletionHook = std::function<void(std::vector<TxnOutcome>)>;
+  void SetOnComplete(CompletionHook fn);
 
  private:
   friend class Partition;
@@ -141,7 +147,7 @@ class BatchTicket {
   std::mutex mu_;
   std::condition_variable cv_;
   bool done_;
-  std::function<void()> on_complete_;
+  CompletionHook on_complete_;
 };
 
 using BatchTicketPtr = std::shared_ptr<BatchTicket>;
@@ -313,7 +319,9 @@ class Partition {
   /// requests run before the worker exits; requests submitted after that
   /// stay queued for a restart or DrainQueueInline().
   void Stop();
-  bool running() const { return worker_.joinable(); }
+  /// Any thread: a routed producer reads it while the owner Start()s a
+  /// rebalance target, so it is a flag rather than worker_.joinable().
+  bool running() const { return running_.load(std::memory_order_acquire); }
 
   /// Executes an invocation synchronously on the calling thread, bypassing
   /// the queue. Valid only when the worker is not running (recovery replay,
@@ -326,11 +334,11 @@ class Partition {
 
   // ---- Backpressure (any thread) ----
 
-  /// Blocks until QueueDepth() < limit, sleeping on a condition variable the
-  /// worker signals as it retires work. Returns immediately when `limit` is
-  /// 0 or the partition is not accepting work (worker stopped/stopping), so
+  /// Blocks until QueueDepth() < queue_capacity(), sleeping on a condition
+  /// variable the worker signals as it retires work. Returns immediately
+  /// when the partition is not accepting work (worker stopped/stopping), so
   /// a producer can never deadlock against a dead worker.
-  void WaitForQueueBelow(size_t limit);
+  void WaitForQueueBelow();
 
   /// Blocks until the partition is truly idle (QueueDepth() == 0) or the
   /// worker stops. When the worker is not running, returns immediately —
@@ -373,7 +381,7 @@ class Partition {
     /// admission control reads this to see how close the partition runs to
     /// its bound.
     uint64_t queue_high_watermark = 0;
-    /// Times a producer blocked (full queue, or an injector's depth limit).
+    /// Times a producer blocked on a full queue (at queue_capacity()).
     uint64_t producer_blocks = 0;
   };
   /// Point-in-time snapshot (counters are updated from several threads).
@@ -488,6 +496,8 @@ class Partition {
   std::condition_variable space_cv_;
 
   std::thread worker_;
+  /// Whether worker_ holds a live thread; written by Start()/Stop() only.
+  std::atomic<bool> running_{false};
 
   /// Folds a closing log's counters into the retired totals (log_stats()).
   void RetireLogCounters(const CommandLog& log);

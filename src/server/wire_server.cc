@@ -71,8 +71,8 @@ using ConnectionPtr = std::shared_ptr<Connection>;
 /// partition worker back to the connection's loop.
 struct Completion {
   ConnectionPtr conn;
-  BatchTicketPtr ticket;
-  std::vector<uint64_t> request_ids;  // aligned with ticket->outcomes()
+  std::vector<uint64_t> request_ids;
+  std::vector<TxnOutcome> outcomes;  // aligned with request_ids
 };
 
 /// The loop's cross-thread mailbox, shared-owned so a ticket completion can
@@ -431,14 +431,15 @@ class EventLoop {
         size_t count = g.invs.size();
         BatchTicketPtr ticket = cluster_->partition(p).SubmitBatchAsync(
             std::move(g.invs), EnqueuePolicy::kSpillWhenFull);
-        Completion completion{conn, ticket, std::move(g.ids)};
         // Weak capture: the partition worker may fire this after the
         // connection died and the drained loop was destroyed (see
-        // LoopMailbox) — it must never dereference the EventLoop.
+        // LoopMailbox) — it must never dereference the EventLoop. The hook
+        // holds no ticket: the outcomes are handed over when it fires.
         ticket->SetOnComplete(
-            [weak = std::weak_ptr<LoopMailbox>(mailbox_),
-             completion = std::move(completion)]() mutable {
-              PostCompletion(weak, std::move(completion));
+            [weak = std::weak_ptr<LoopMailbox>(mailbox_), conn,
+             ids = std::move(g.ids)](std::vector<TxnOutcome> outcomes) mutable {
+              PostCompletion(weak, Completion{std::move(conn), std::move(ids),
+                                              std::move(outcomes)});
             });
         server_->batches_submitted_.fetch_add(1, std::memory_order_relaxed);
         server_->requests_submitted_.fetch_add(count,
@@ -457,10 +458,9 @@ class EventLoop {
       ConnectionPtr& conn = completion.conn;
       conn->inflight -= completion.request_ids.size();
       if (conn->closed) continue;  // peer gone; outcomes are discarded
-      const std::vector<TxnOutcome>& outcomes =
-          completion.ticket->outcomes();
       for (size_t i = 0; i < completion.request_ids.size(); ++i) {
-        EncodeResult(&conn->wrbuf, completion.request_ids[i], outcomes[i]);
+        EncodeResult(&conn->wrbuf, completion.request_ids[i],
+                     completion.outcomes[i]);
       }
       server_->responses_sent_.fetch_add(completion.request_ids.size(),
                                          std::memory_order_relaxed);

@@ -35,7 +35,7 @@ struct Connection;
 /// batch per touched partition (`Partition::SubmitBatchAsync`, spill policy —
 /// the loop never blocks on a full queue). The batch ticket's completion hook
 /// (fired on the partition worker after the last invocation commits/aborts)
-/// hands the ticket back to the loop through an eventfd; the loop then
+/// hands the outcomes back to the loop through an eventfd; the loop then
 /// encodes all of that batch's responses into the connection's write buffer
 /// and flushes with one write. Request/response cost is therefore amortized
 /// exactly like the in-process batched path PR 2 measured — syscalls, ticket

@@ -19,31 +19,19 @@ namespace sstore {
 /// The border SP receives the input tuple as its parameters — exactly what
 /// the command log records, so both recovery modes can re-ingest the batch.
 ///
-/// With `Options::max_queue_depth` set, injection applies backpressure while
-/// the partition's request queue is at the limit, so an overloaded engine
-/// bounds its memory instead of growing its backlog without limit. The
-/// producer sleeps and the worker wakes it (and a stopped worker releases
-/// it — no deadlock).
+/// Backpressure is the partition's own: injection enqueues with
+/// kBlockWhenFull, so while the request queue is at `queue_capacity` the
+/// producer sleeps until the worker retires work (and a stopped worker
+/// releases it — no deadlock). An overloaded engine bounds its memory
+/// instead of growing its backlog without limit.
 class StreamInjector {
  public:
-  struct Options {
-    /// Maximum request-queue depth before injection throttles; 0 disables
-    /// backpressure.
-    size_t max_queue_depth = 0;
-  };
-
   StreamInjector(Partition* partition, std::string border_proc)
       : partition_(partition), border_proc_(std::move(border_proc)) {}
 
-  StreamInjector(Partition* partition, std::string border_proc,
-                 Options options)
-      : partition_(partition),
-        border_proc_(std::move(border_proc)),
-        options_(options) {}
-
-  /// Non-blocking injection (the paper's asynchronous, non-blocking client).
+  /// Non-blocking injection (the paper's asynchronous, non-blocking client)
+  /// — it blocks only while the partition's queue is full.
   TicketPtr InjectAsync(Tuple batch) {
-    Throttle();
     int64_t batch_id = next_batch_id_.fetch_add(1);
     return partition_->SubmitAsync(
         Invocation{border_proc_, std::move(batch), batch_id});
@@ -52,10 +40,7 @@ class StreamInjector {
   /// Batch-at-a-time injection: one border invocation per tuple, all sharing
   /// one completion ticket — a single allocation and a single wait for the
   /// whole group. Batch ids stay consecutive and in submission order.
-  /// Backpressure is applied once per call, so the queue may transiently
-  /// exceed the limit by the batch size.
   BatchTicketPtr InjectBatchAsync(std::vector<Tuple> batches) {
-    Throttle();
     int64_t first_id =
         next_batch_id_.fetch_add(static_cast<int64_t>(batches.size()));
     std::vector<Invocation> invocations;
@@ -69,7 +54,6 @@ class StreamInjector {
 
   /// Blocking injection: waits for the border transaction to commit.
   TxnOutcome InjectSync(Tuple batch) {
-    Throttle();
     int64_t batch_id = next_batch_id_.fetch_add(1);
     return partition_->ExecuteSync(border_proc_, std::move(batch), batch_id);
   }
@@ -85,14 +69,9 @@ class StreamInjector {
   /// seeds this from its own durable offset.
   void ResumeBatchIdsAt(int64_t next) { next_batch_id_.store(next); }
 
-  size_t max_queue_depth() const { return options_.max_queue_depth; }
-
  private:
-  void Throttle() { partition_->WaitForQueueBelow(options_.max_queue_depth); }
-
   Partition* partition_;
   std::string border_proc_;
-  Options options_;
   std::atomic<int64_t> next_batch_id_{1};
 };
 

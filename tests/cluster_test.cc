@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
 #include <cstdint>
+#include <future>
 #include <map>
 #include <set>
 #include <thread>
@@ -301,7 +304,10 @@ TEST(ClusterInjectorTest, ConcurrentProducersKeepPerPartitionBatchIdsInOrder) {
   constexpr int kKeysPerThread = 8;
   constexpr int kSeqsPerKey = 25;
 
-  Cluster cluster(4);
+  Cluster::Options cluster_opts;
+  cluster_opts.num_partitions = 4;
+  cluster_opts.queue_capacity = 64;
+  Cluster cluster(cluster_opts);
   ASSERT_TRUE(cluster.Deploy(BuildKeyedChain()).ok());
   std::vector<std::vector<int64_t>> border_batch_ids(cluster.num_partitions());
   for (size_t p = 0; p < cluster.num_partitions(); ++p) {
@@ -316,7 +322,6 @@ TEST(ClusterInjectorTest, ConcurrentProducersKeepPerPartitionBatchIdsInOrder) {
 
   ClusterInjector::Options opts;
   opts.key_column = 0;
-  opts.max_queue_depth = 64;
   ClusterInjector injector(&cluster, "ingest", opts);
   std::vector<std::thread> producers;
   for (int t = 0; t < kThreads; ++t) {
@@ -349,6 +354,64 @@ TEST(ClusterInjectorTest, ConcurrentProducersKeepPerPartitionBatchIdsInOrder) {
   }
   EXPECT_EQ(total, kThreads * kKeysPerThread * kSeqsPerKey);
   EXPECT_EQ(injector.batches_injected(), total);
+}
+
+TEST(ClusterInjectorTest, DefaultInjectorIsBoundedByQueueCapacity) {
+  // An injector with default Options has no depth knob of its own: the
+  // partition's queue_capacity bounds it like every other producer. The
+  // worker parks on its first border transaction, so nothing drains until
+  // the gate opens and unbounded injection would pile all 256 requests up.
+  constexpr size_t kCapacity = 8;
+  constexpr int kProducers = 4;
+  constexpr int kInjectsPerProducer = 64;
+  std::promise<void> gate;
+  std::shared_future<void> opened = gate.get_future().share();
+  Topology topo("gated");
+  topo.RegisterProcedure("ingest", SpKind::kBorder,
+                         std::make_shared<LambdaProcedure>(
+                             [opened](ProcContext&) {
+                               opened.wait();
+                               return Status::OK();
+                             }));
+  Cluster::Options cluster_opts;
+  cluster_opts.queue_capacity = kCapacity;
+  Cluster cluster(cluster_opts);
+  ASSERT_TRUE(cluster.Deploy(topo).ok());
+  cluster.Start();
+
+  ClusterInjector injector(&cluster, "ingest");
+  Partition& part = cluster.partition(0);
+  std::atomic<size_t> max_depth{0};
+  std::vector<std::vector<TicketPtr>> tickets(kProducers);
+  std::vector<std::thread> producers;
+  for (int t = 0; t < kProducers; ++t) {
+    producers.emplace_back([&, t] {
+      for (int i = 0; i < kInjectsPerProducer; ++i) {
+        tickets[t].push_back(injector.InjectAsync(KeyVal(i, t)));
+        size_t depth = part.QueueDepth();
+        size_t seen = max_depth.load();
+        while (depth > seen && !max_depth.compare_exchange_weak(seen, depth)) {
+        }
+      }
+    });
+  }
+  // Let the producers run into the full queue, then release the worker.
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  EXPECT_LE(part.QueueDepth(), kCapacity + kProducers - 1);
+  gate.set_value();
+  for (auto& t : producers) t.join();
+  for (auto& list : tickets) {
+    for (auto& ticket : list) ASSERT_TRUE(ticket->Wait().committed());
+  }
+  cluster.WaitIdle();
+  cluster.Stop();
+
+  // Each producer checks for room and then enqueues without holding the
+  // queue lock in between, so producers that pass the check together may
+  // each land one request past the capacity — never more.
+  EXPECT_LE(max_depth.load(), kCapacity + kProducers - 1);
+  EXPECT_GE(cluster.GatherStats().producer_blocks(), 1u);
+  EXPECT_EQ(injector.batches_injected(), kProducers * kInjectsPerProducer);
 }
 
 TEST(ClusterStatsTest, AggregationSumsPerPartitionAndResetClears) {

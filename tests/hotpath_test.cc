@@ -175,11 +175,11 @@ TEST(BackpressureTest, ProducerBlocksOnFullRingAndResumesOnDrain) {
 }
 
 TEST(BackpressureTest, StopWakesBlockedProducersNoDeadlock) {
-  // Producers blocked on a full queue (and on an injector depth limit) must
-  // be released when the worker stops — they append past the capacity
-  // instead of waiting on a dead consumer.
+  // Producers blocked on a full queue — here an injector's, whose bound is
+  // the partition's capacity — must be released when the worker stops:
+  // they append past the capacity instead of waiting on a dead consumer.
   SStore::Options opts;
-  opts.queue_capacity = 4;
+  opts.queue_capacity = 2;
   SStore store(opts);
   std::promise<void> gate;
   std::shared_future<void> opened = gate.get_future().share();
@@ -196,9 +196,7 @@ TEST(BackpressureTest, StopWakesBlockedProducersNoDeadlock) {
                   .ok());
   store.Start();
 
-  StreamInjector::Options inj_opts;
-  inj_opts.max_queue_depth = 2;
-  StreamInjector injector(&store.partition(), "slow", inj_opts);
+  StreamInjector injector(&store.partition(), "slow");
 
   constexpr int kInjects = 32;
   std::thread producer([&] {
@@ -206,7 +204,7 @@ TEST(BackpressureTest, StopWakesBlockedProducersNoDeadlock) {
       injector.InjectAsync({Value::BigInt(i)});
     }
   });
-  // Let the producer wedge against the depth limit, then stop the store
+  // Let the producer wedge against the full queue, then stop the store
   // with the worker still parked on the gate. Unfulfilled tickets are
   // abandoned; the assertion is that join() returns.
   std::this_thread::sleep_for(std::chrono::milliseconds(50));
@@ -218,7 +216,9 @@ TEST(BackpressureTest, StopWakesBlockedProducersNoDeadlock) {
 
 TEST(BackpressureTest, BlockingThrottleBoundsQueueDepth) {
   constexpr size_t kMaxDepth = 4;
-  SStore store;
+  SStore::Options store_opts;
+  store_opts.queue_capacity = kMaxDepth;
+  SStore store(store_opts);
   auto slow = std::make_shared<LambdaProcedure>([](ProcContext&) {
     std::this_thread::sleep_for(std::chrono::microseconds(100));
     return Status::OK();
@@ -227,14 +227,12 @@ TEST(BackpressureTest, BlockingThrottleBoundsQueueDepth) {
       store.partition().RegisterProcedure("slow", SpKind::kBorder, slow).ok());
   store.Start();
 
-  StreamInjector::Options opts;
-  opts.max_queue_depth = kMaxDepth;
-  StreamInjector injector(&store.partition(), "slow", opts);
+  StreamInjector injector(&store.partition(), "slow");
   std::vector<TicketPtr> tickets;
   for (int i = 0; i < 64; ++i) {
     tickets.push_back(injector.InjectAsync({Value::BigInt(i)}));
-    // A single producer enqueues only after depth < limit, so the queue
-    // never exceeds the limit right after an inject returns.
+    // A single producer enqueues only after depth < capacity, so the queue
+    // never exceeds the capacity right after an inject returns.
     EXPECT_LE(store.partition().QueueDepth(), kMaxDepth);
   }
   for (auto& t : tickets) ASSERT_TRUE(t->Wait().committed());

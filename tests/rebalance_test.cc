@@ -296,12 +296,14 @@ TEST(RebalanceTest, SplitUnderConcurrentKeyedLoad) {
   constexpr int kKeys = 97;
   std::string ckpt_dir = MakeDir("split_load_ckpt");
 
-  Cluster cluster(2);
+  Cluster::Options cluster_opts;
+  cluster_opts.num_partitions = 2;
+  cluster_opts.queue_capacity = 512;
+  Cluster cluster(cluster_opts);
   ASSERT_TRUE(cluster.Deploy(KvTopology()).ok());
   cluster.Start();
   ClusterInjector::Options opts;
   opts.key_column = 0;
-  opts.max_queue_depth = 512;
   ClusterInjector injector(&cluster, "put", opts);
 
   std::vector<std::thread> producers;

@@ -617,7 +617,9 @@ TEST(InjectorTest, AssignsMonotoneBatchIds) {
 
 TEST(InjectorTest, BackpressureBoundsQueueDepth) {
   constexpr size_t kMaxDepth = 4;
-  SStore store;
+  SStore::Options store_opts;
+  store_opts.queue_capacity = kMaxDepth;
+  SStore store(store_opts);
   // A border SP slow enough that an unthrottled producer would outrun the
   // worker and grow the queue. No interior SPs, so queue depth is driven by
   // client injections alone.
@@ -628,15 +630,13 @@ TEST(InjectorTest, BackpressureBoundsQueueDepth) {
   ASSERT_TRUE(store.partition().RegisterProcedure("slow", SpKind::kBorder, slow).ok());
   store.Start();
 
-  StreamInjector::Options opts;
-  opts.max_queue_depth = kMaxDepth;
-  StreamInjector injector(&store.partition(), "slow", opts);
+  StreamInjector injector(&store.partition(), "slow");
   std::vector<TicketPtr> tickets;
   for (int i = 0; i < 100; ++i) {
     tickets.push_back(injector.InjectAsync(Num(i)));
-    // InjectAsync only enqueues once the depth has dropped below the limit,
-    // so right after it returns the queue holds at most kMaxDepth requests
-    // (the worker can only have shrunk it since).
+    // InjectAsync only enqueues once the depth has dropped below the
+    // partition's capacity, so right after it returns the queue holds at
+    // most kMaxDepth requests (the worker can only have shrunk it since).
     EXPECT_LE(store.partition().QueueDepth(), kMaxDepth);
   }
   for (auto& t : tickets) ASSERT_TRUE(t->Wait().committed());

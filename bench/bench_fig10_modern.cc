@@ -54,14 +54,22 @@ void BM_SStore(benchmark::State& state) {
   std::vector<Tuple> votes = MakeVotes(validate);
   for (auto _ : state) {
     state.PauseTiming();
-    SStore::Options opts;
-    opts.log_path = "/tmp/sstore_fig10.log";  // transactional version: logging on
-    opts.group_commit_size = 64;
+    sstore::CommandLog::Options log_opts;
+    // Transactional version: logging on.
+    log_opts.path = "/tmp/sstore_fig10.log";
+    log_opts.group_size = 64;
     // All three systems persist asynchronously in this comparison (Storm
     // logs async, Spark checkpoints async); fsync latency would only add a
     // constant that obscures the compute-side shapes.
-    opts.log_sync = false;
-    SStore store(opts);
+    log_opts.sync = false;
+    auto log = sstore::CommandLog::Open(log_opts);
+    if (!log.ok()) {
+      state.SkipWithError("command log open failed");
+      return;
+    }
+    SStore store;
+    store.partition().AttachCommandLog(std::move(log).value(),
+                                       sstore::RecoveryMode::kStrong);
     VoterConfig config;
     config.validate_votes = validate;
     config.delete_every = 1'000'000;

@@ -1,15 +1,19 @@
 // Fault tolerance walkthrough (paper §2.4 / §3.2.5): run a streaming
-// workflow with command logging, "crash", then recover with either strong
-// recovery (exact pre-crash state; every TE logged and replayed with PE
-// triggers disabled) or weak recovery (upstream backup: only border TEs
-// logged; interior TEs regenerate through PE triggers during replay).
+// workflow on a one-partition cluster with command logging, checkpoint,
+// "crash", then recover with either strong recovery (exact pre-crash state;
+// every TE logged and replayed with PE triggers disabled) or weak recovery
+// (upstream backup: only border TEs logged; interior TEs regenerate through
+// PE triggers during replay).
 //
 // Run: ./build/examples/fault_tolerance [strong|weak]
+
+#include <sys/stat.h>
 
 #include <cstdio>
 #include <cstring>
 #include <memory>
 
+#include "cluster/cluster.h"
 #include "cluster/topology.h"
 #include "query/expr.h"
 #include "streaming/injector.h"
@@ -21,8 +25,8 @@ namespace {
 
 // A tiny bank-deposit pipeline: deposits stream in; the interior SP applies
 // them to an accounts table. One topology describes the app; recovery
-// re-applies it to a blank store before replay — exactly why the builder
-// records steps instead of executing them ad hoc.
+// re-deploys it onto a blank one-partition cluster before replay — exactly
+// why the builder records steps instead of executing them ad hoc.
 Topology BuildBankTopology() {
   Schema deposit({{"account", ValueType::kBigInt}, {"amount", ValueType::kBigInt}});
   Topology topo("bank");
@@ -67,10 +71,6 @@ Topology BuildBankTopology() {
   return topo;
 }
 
-Status SetupApp(SStore& store) {
-  return BuildBankTopology().ApplyTo(store, /*p=*/0);
-}
-
 int64_t TotalBalance(SStore& store) {
   Table* accounts = *store.catalog().GetTable("accounts");
   int64_t total = 0;
@@ -89,44 +89,57 @@ int main(int argc, char** argv) {
     mode = RecoveryMode::kStrong;
   }
   const char* mode_name = mode == RecoveryMode::kStrong ? "strong" : "weak";
-  const char* log_path = "/tmp/sstore_example.log";
-  const char* snap_path = "/tmp/sstore_example.snap";
+  const char* ckpt_dir = "/tmp/sstore_example_ckpt";
+  const char* log_dir = "/tmp/sstore_example_logs";
+  ::mkdir(ckpt_dir, 0755);
+  ::mkdir(log_dir, 0755);
+  const Topology bank = BuildBankTopology();
+  Cluster::Options opts;  // one partition
+  opts.recovery_mode = mode;
 
   int64_t expected = 0;
   {
-    SStore::Options opts;
-    opts.log_path = log_path;
-    opts.recovery_mode = mode;
-    SStore live(opts);
-    if (!SetupApp(live).ok()) return 1;
-    if (!live.Checkpoint(snap_path).ok()) return 1;
+    Cluster::Options live_opts = opts;
+    live_opts.log_dir = log_dir;
+    Cluster live(live_opts);
+    Status st = live.Deploy(bank);
+    if (st.ok()) st = live.Checkpoint(ckpt_dir);
+    if (!st.ok()) {
+      std::fprintf(stderr, "setup failed: %s\n", st.ToString().c_str());
+      return 1;
+    }
 
-    StreamInjector injector(&live.partition(), "ingest");
+    StreamInjector injector(&live.partition(0), "ingest");
     for (int i = 1; i <= 100; ++i) {
       injector.InjectSync({Value::BigInt(i % 4), Value::BigInt(i)});
       expected += i;
     }
     std::printf("pre-crash:  total balance = %lld (log: %llu records)\n",
-                static_cast<long long>(TotalBalance(live)),
+                static_cast<long long>(TotalBalance(live.store(0))),
                 static_cast<unsigned long long>(
-                    live.partition().command_log()->records_appended()));
-    live.partition().DetachCommandLog().ok();
-    // The process "crashes" here: all in-memory state is lost.
+                    live.GatherStats().log.records_appended));
+    // The process "crashes" here: all in-memory state is lost; the
+    // checkpoint in ckpt_dir and the command log in log_dir survive.
   }
 
-  SStore recovered;
-  if (!SetupApp(recovered).ok()) return 1;
-  Status st = recovered.Recover(snap_path, log_path, mode);
+  // Same partition count, same topology, same recovery mode, no log_dir:
+  // Recover replays the surviving log, then re-arms a fresh one.
+  Cluster recovered(opts);
+  Status st = recovered.Deploy(bank);
+  if (st.ok()) st = recovered.Recover(ckpt_dir, log_dir);
   if (!st.ok()) {
     std::fprintf(stderr, "recovery failed: %s\n", st.ToString().c_str());
     return 1;
   }
-  int64_t after = TotalBalance(recovered);
+  int64_t after = TotalBalance(recovered.store(0));
+  const RecoverStats rs = recovered.GatherStats().recover;
   std::printf("post-crash: total balance = %lld after %s recovery "
-              "(%zu records replayed, %zu residual triggers)\n",
+              "(%llu records replayed, %llu residual triggers, "
+              "replay %llu us)\n",
               static_cast<long long>(after), mode_name,
-              recovered.recovery().replay_stats().records_replayed,
-              recovered.recovery().replay_stats().residual_triggers);
+              static_cast<unsigned long long>(rs.records_replayed),
+              static_cast<unsigned long long>(rs.residual_triggers),
+              static_cast<unsigned long long>(rs.replay_us));
   std::printf("%s\n", after == expected ? "state matches exactly-once semantics"
                                         : "STATE MISMATCH");
   return after == expected ? 0 : 1;

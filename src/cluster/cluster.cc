@@ -139,7 +139,7 @@ Cluster::Cluster(const Options& options)
   // slot array under concurrent partition(p) readers.
   stores_.reserve(kMaxClusterPartitions);
   for (size_t p = 0; p < n; ++p) {
-    stores_.push_back(MakeStore(p, /*attach_log=*/true));
+    stores_.push_back(MakeStore(p));
     InstrumentStore(*stores_.back(), p);
   }
   num_partitions_.store(n, std::memory_order_release);
@@ -160,17 +160,24 @@ Cluster::Cluster(int num_partitions) : Cluster(WithPartitions(num_partitions)) {
 
 Cluster::~Cluster() { Stop(); }
 
-std::unique_ptr<SStore> Cluster::MakeStore(size_t p, bool attach_log) const {
+std::unique_ptr<SStore> Cluster::MakeStore(size_t p) const {
   SStore::Options store_opts;
   store_opts.partition_id = static_cast<int>(p);
   store_opts.queue_capacity = options_.queue_capacity;
-  if (attach_log && !options_.log_dir.empty()) {
-    store_opts.log_path = LogPath(options_.log_dir, log_epoch_, p);
-    store_opts.group_commit_size = options_.group_commit_size;
-    store_opts.log_sync = options_.log_sync;
-    store_opts.recovery_mode = options_.recovery_mode;
-  }
   return std::make_unique<SStore>(store_opts);
+}
+
+Status Cluster::AttachLog(SStore& store, size_t p, const std::string& log_dir,
+                          uint64_t epoch) const {
+  if (log_dir.empty()) return Status::OK();
+  CommandLog::Options log_opts;
+  log_opts.path = LogPath(log_dir, epoch, p);
+  log_opts.group_size = options_.group_commit_size;
+  log_opts.sync = options_.log_sync;
+  SSTORE_ASSIGN_OR_RETURN(std::unique_ptr<CommandLog> log,
+                          CommandLog::Open(log_opts));
+  store.partition().AttachCommandLog(std::move(log), options_.recovery_mode);
+  return Status::OK();
 }
 
 Status Cluster::Deploy(const Topology& topology) {
@@ -189,6 +196,12 @@ Status Cluster::Deploy(const Topology& topology) {
           std::to_string(placement->partition) + " of a " +
           std::to_string(stores_.size()) + "-partition cluster");
     }
+  }
+  // A log that cannot open fails the deploy before anything is applied,
+  // instead of leaving the cluster silently non-durable.
+  for (size_t p = 0; p < stores_.size(); ++p) {
+    SSTORE_RETURN_NOT_OK(
+        AttachLog(*stores_[p], p, options_.log_dir, log_epoch_));
   }
   for (size_t p = 0; p < stores_.size(); ++p) {
     Status s = topology.ApplyTo(*stores_[p], p);
@@ -640,7 +653,9 @@ Status Cluster::Rebalance(const RebalancePlan& plan,
       if (n >= kMaxClusterPartitions) {
         return Status::InvalidArgument("cluster is at its partition ceiling");
       }
-      new_store = MakeStore(target, /*attach_log=*/true);
+      new_store = MakeStore(target);
+      SSTORE_RETURN_NOT_OK(
+          AttachLog(*new_store, target, options_.log_dir, log_epoch_));
       Status deployed = deployed_.has_value()
                             ? deployed_->ApplyTo(*new_store, target)
                             : Status::OK();
@@ -831,7 +846,7 @@ Status Cluster::Recover(const std::string& dir, const std::string& log_dir) {
           "recovering a grown cluster needs Deploy() before Recover()");
     }
     for (size_t p = stores_.size(); p < manifest_partitions; ++p) {
-      std::unique_ptr<SStore> store = MakeStore(p, /*attach_log=*/false);
+      std::unique_ptr<SStore> store = MakeStore(p);
       Status deployed = deployed_->ApplyTo(*store, p);
       if (!deployed.ok()) {
         return Status(deployed.code(), "deploying recovered partition " +
@@ -874,8 +889,9 @@ Status Cluster::Recover(const std::string& dir, const std::string& log_dir) {
     }
   }
 
-  uint64_t in_doubt_committed = 0;
-  uint64_t in_doubt_aborted = 0;
+  WallClock clock;
+  RecoverStats stats;
+  int64_t replay_start = clock.NowMicros();
   for (size_t p = 0; p < stores_.size(); ++p) {
     std::string log_path;
     if (!log_dir.empty()) {
@@ -890,15 +906,18 @@ Status Cluster::Recover(const std::string& dir, const std::string& log_dir) {
     replay.snapshot_base_resolver = [this, &dir, p](uint64_t base_id) {
       return SnapshotPath(dir, base_id, p);
     };
+    RecoveryManager& recovery = stores_[p]->recovery();
     SSTORE_RETURN_NOT_OK(
-        stores_[p]->Recover(SnapshotPath(dir, checkpoint_id, p), log_path,
-                            options_.recovery_mode, replay));
-    const RecoveryManager::ReplayStats& rs =
-        stores_[p]->recovery().replay_stats();
-    in_doubt_committed += rs.in_doubt_committed;
-    in_doubt_aborted += rs.in_doubt_aborted;
+        recovery.Recover(SnapshotPath(dir, checkpoint_id, p), log_path,
+                         options_.recovery_mode, replay));
+    const RecoveryManager::ReplayStats& rs = recovery.replay_stats();
+    stats.records_replayed += rs.records_replayed;
+    stats.residual_triggers += rs.residual_triggers;
+    stats.in_doubt_committed += rs.in_doubt_committed;
+    stats.in_doubt_aborted += rs.in_doubt_aborted;
   }
-  coordinator_->NoteInDoubt(in_doubt_committed, in_doubt_aborted);
+  stats.replay_us = static_cast<uint64_t>(clock.NowMicros() - replay_start);
+  coordinator_->NoteInDoubt(stats.in_doubt_committed, stats.in_doubt_aborted);
   // New global txn ids must not collide with decisions already on disk,
   // and a post-recovery Checkpoint() must not reuse (and clobber) the
   // snapshot files the manifest still points at.
@@ -917,6 +936,7 @@ Status Cluster::Recover(const std::string& dir, const std::string& log_dir) {
   // fresh checkpoint of the exact replayed state (before channel
   // reconciliation mutates anything), attach fresh epoch command logs and
   // a fresh decision log, and only then delete the epoch just replayed.
+  int64_t rearm_start = clock.NowMicros();
   if (!log_dir.empty()) {
     uint64_t new_epoch = next_checkpoint_id_++;
     Status st;
@@ -938,18 +958,10 @@ Status Cluster::Recover(const std::string& dir, const std::string& log_dir) {
     // which replays as empty — nothing has committed since).
     if (st.ok()) {
       for (size_t p = 0; p < stores_.size() && st.ok(); ++p) {
-        CommandLog::Options log_opts;
-        log_opts.path = LogPath(log_dir, new_epoch, p);
-        log_opts.group_size = options_.group_commit_size;
-        log_opts.sync = options_.log_sync;
-        Result<std::unique_ptr<CommandLog>> log = CommandLog::Open(log_opts);
-        if (!log.ok()) {
-          st = log.status();
-          break;
+        st = AttachLog(*stores_[p], p, log_dir, new_epoch);
+        if (st.ok()) {
+          st = stores_[p]->partition().AppendCheckpointMark(new_epoch);
         }
-        stores_[p]->partition().AttachCommandLog(std::move(log).value(),
-                                                 options_.recovery_mode);
-        st = stores_[p]->partition().AppendCheckpointMark(new_epoch);
       }
     }
     if (st.ok()) {
@@ -979,6 +991,11 @@ Status Cluster::Recover(const std::string& dir, const std::string& log_dir) {
             TableBaseline{new_epoch, (*table)->version()};
       }
     }
+    stats.rearm_us = static_cast<uint64_t>(clock.NowMicros() - rearm_start);
+  }
+  {
+    std::lock_guard<std::mutex> lock(stats_mu_);
+    last_recover_ = stats;
   }
 
   // Channel reconciliation: any raw boundary-stream batch the replay left
@@ -1115,6 +1132,7 @@ ClusterStats Cluster::GatherStats() const {
   }
   std::lock_guard<std::mutex> lock(stats_mu_);
   if (checkpointer_ != nullptr) out.checkpoint = checkpointer_->stats();
+  out.recover = last_recover_;
   return out;
 }
 
@@ -1136,6 +1154,7 @@ void Cluster::ResetStats() {
   {
     std::lock_guard<std::mutex> lock(stats_mu_);
     if (checkpointer_ != nullptr) checkpointer_->ResetStats();
+    last_recover_ = RecoverStats{};
     hooks.reserve(reset_hooks_.size());
     for (const auto& entry : reset_hooks_) hooks.push_back(entry.second);
   }
@@ -1264,6 +1283,18 @@ MetricsSnapshot Cluster::SnapshotMetrics() const {
       cs.checkpoint.max_barrier_pause_us);
   add("sstore_checkpoint_tables_delta_total", MetricKind::kCounter,
       cs.checkpoint.tables_delta_total);
+
+  // The last Recover (zeros until one ran).
+  add("sstore_recover_replay_us", MetricKind::kGauge, cs.recover.replay_us);
+  add("sstore_recover_rearm_us", MetricKind::kGauge, cs.recover.rearm_us);
+  add("sstore_recover_records_replayed", MetricKind::kGauge,
+      cs.recover.records_replayed);
+  add("sstore_recover_residual_triggers", MetricKind::kGauge,
+      cs.recover.residual_triggers);
+  add("sstore_recover_in_doubt_committed", MetricKind::kGauge,
+      cs.recover.in_doubt_committed);
+  add("sstore_recover_in_doubt_aborted", MetricKind::kGauge,
+      cs.recover.in_doubt_aborted);
 
   // Per-partition samples for skew analysis (sstore_top's table).
   for (size_t p = 0; p < n; ++p) {

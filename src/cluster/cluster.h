@@ -81,12 +81,24 @@ struct CheckpointReport {
   uint64_t snapshot_bytes = 0;
 };
 
+/// Observability record of the last Cluster::Recover. Replay (snapshot
+/// restore, log replay, residual triggers) and the re-arming cut are timed
+/// apart, so a recovery-time measurement (Figure 9b) can report replay alone.
+struct RecoverStats {
+  uint64_t replay_us = 0;
+  uint64_t rearm_us = 0;  // zero when Recover ran without a log_dir
+  uint64_t records_replayed = 0;
+  uint64_t residual_triggers = 0;
+  uint64_t in_doubt_committed = 0;  // in-doubt multi-partition txns
+  uint64_t in_doubt_aborted = 0;    // resolved commit / abort
+};
+
 /// Aggregate statistics snapshot of a Cluster — the one typed read API for
 /// its counters, and what Cluster::SnapshotMetrics renders: the
 /// partition-engine counters (Partition::Stats) and the execution-engine
 /// counters (EngineStats), both summed into cluster totals and kept
 /// per-partition for skew analysis, plus the coordinator, command-log,
-/// stream-channel and background-checkpointer counters.
+/// stream-channel, background-checkpointer and last-recovery counters.
 ///
 /// Snapshots are consistent when taken while the cluster is idle (after
 /// WaitIdle() or Stop()); under load they are a live approximation, same as
@@ -110,6 +122,8 @@ struct ClusterStats {
   StreamChannel::Stats channel;
   /// Background checkpointer counters (all zero until StartCheckpointer).
   Checkpointer::Stats checkpoint;
+  /// The last Recover's record (zero until one ran; ResetStats clears it).
+  RecoverStats recover;
   std::vector<Partition::Stats> per_partition;
   std::vector<EngineStats> per_partition_engine;
   std::vector<LogStats> per_partition_log;
@@ -146,7 +160,8 @@ class Cluster {
   struct Options {
     int num_partitions = 1;
     PartitionMap::Mode routing = PartitionMap::Mode::kHash;
-    /// When non-empty, partition p logs to `<log_dir>/partition-<p>.log`.
+    /// When non-empty, partition p logs to `<log_dir>/partition-<p>.log`,
+    /// opened by Deploy (see there).
     std::string log_dir;
     size_t group_commit_size = 1;
     bool log_sync = true;
@@ -233,7 +248,8 @@ class Cluster {
   /// all deployed or the cluster should be discarded (deployment is not
   /// transactional across partitions). A cluster deploys once: Rebalance
   /// and Recover rebuild partitions from the one retained topology, so a
-  /// second Deploy returns kAlreadyExists.
+  /// second Deploy returns kAlreadyExists. With a log_dir, a command log
+  /// that cannot open fails the deploy before any slice is applied.
   Status Deploy(const Topology& topology);
 
   /// The live cross-partition stream transports of the deployed topology
@@ -372,8 +388,10 @@ class Cluster {
   /// the manifest). Call on a freshly constructed cluster (the *original*
   /// partition count, same Deploy()ed topology, *no* log_dir in its
   /// Options — attaching logs would truncate the files being replayed)
-  /// before Start(). An empty `log_dir` restores the snapshots only. The
-  /// manifest's log epoch selects which rotation's files are replayed.
+  /// before Start(), with the recovery_mode the logs were written under.
+  /// An empty `log_dir` restores the snapshots only. The manifest's log
+  /// epoch selects which rotation's files are replayed. Replay runs inline,
+  /// each record paying the partition's modeled client round trip.
   ///
   /// When the checkpoint was cut after a Rebalance split grew the cluster,
   /// the manifest records more partitions than were constructed: Recover
@@ -456,8 +474,9 @@ class Cluster {
 
   /// Resets *every* stats epoch the cluster knows about in one sweep: the
   /// partition-engine, execution-engine, coordinator, stream-channel and
-  /// checkpointer counters, the latency histogram, and — via the reset
-  /// hooks — external subsystems such as an attached WireServer. The one
+  /// checkpointer counters, the last-recovery record, the latency
+  /// histogram, and — via the reset hooks — external subsystems such as
+  /// an attached WireServer. The one
   /// deliberate exception: LogStats stay lifetime-cumulative (the
   /// checkpointer's log-bytes trigger and rotation-epoch accounting depend
   /// on monotonic totals), so a GatherStats() after a quiesced ResetStats()
@@ -507,10 +526,15 @@ class Cluster {
   /// pre-rotation name `coord-decisions.log`).
   std::string DecisionLogPath(const std::string& log_dir,
                               uint64_t epoch) const;
-  /// Constructs the store for partition `p` with the cluster's options.
-  /// `attach_log` false is for Recover, whose stores must not truncate the
-  /// files about to be replayed.
-  std::unique_ptr<SStore> MakeStore(size_t p, bool attach_log) const;
+  /// Constructs the store for partition `p` with the cluster's options,
+  /// without a log.
+  std::unique_ptr<SStore> MakeStore(size_t p) const;
+  /// The one place a partition log is opened (Deploy, a Rebalance split
+  /// target, Recover's re-arm): partition p's log for rotation `epoch`
+  /// under `log_dir`, with the Options' group size, sync and recovery mode.
+  /// A no-op for an empty `log_dir`.
+  Status AttachLog(SStore& store, size_t p, const std::string& log_dir,
+                   uint64_t epoch) const;
   /// Shared Checkpoint/TryCheckpoint body: expects control_mu_ held and the
   /// coordinator quiesced; parks the workers, runs CheckpointAtBarrier,
   /// releases, un-quiesces. Always ends the quiesce.
@@ -627,8 +651,10 @@ class Cluster {
 
   /// Guards the reset hooks, and checkpointer_ against the off-thread stats
   /// readers (a kStats request on a wire I/O thread) while StartCheckpointer
-  /// replaces it. The owning thread reads checkpointer_ without it.
+  /// replaces it, and last_recover_. The owning thread reads checkpointer_
+  /// without it.
   mutable std::mutex stats_mu_;
+  RecoverStats last_recover_;
   uint64_t next_reset_hook_ = 1;
   std::map<uint64_t, std::function<void()>> reset_hooks_;
 

@@ -263,14 +263,15 @@ void Partition::PayClientRoundTrip() const {
 TxnOutcome Partition::ExecuteSync(const std::string& proc, Tuple params,
                                   int64_t batch_id) {
   Invocation inv{proc, std::move(params), batch_id};
-  if (!running()) {
+  TxnOutcome outcome;
+  if (running()) {
+    outcome = SubmitAsync(std::move(inv))->Wait();
+  } else {
     // Inline mode for single-threaded tests and recovery replay: run the
     // transaction and then drain anything PE triggers enqueued.
-    TxnOutcome outcome = RunInline(std::move(inv));
+    outcome = RunInline(std::move(inv));
     DrainQueueInline();
-    return outcome;
   }
-  TxnOutcome outcome = SubmitAsync(std::move(inv))->Wait();
   SpendClientRoundTrip(client_rtt_micros_);
   return outcome;
 }
@@ -759,42 +760,35 @@ void Partition::ResetStats() {
 
 void Partition::AttachCommandLog(std::unique_ptr<CommandLog> log,
                                  RecoveryMode mode) {
+  std::lock_guard<std::mutex> lock(log_mu_);
   log_ = std::move(log);
   recovery_mode_ = mode;
 }
 
 Status Partition::DetachCommandLog() {
+  std::lock_guard<std::mutex> lock(log_mu_);
   if (log_ == nullptr) return Status::OK();
-  RetireLogCounters(*log_);
+  retired_log_ += log_->stats();
   Status st = log_->Close();
   log_.reset();
   return st;
 }
 
 Status Partition::RotateCommandLog(const std::string& new_path) {
+  std::lock_guard<std::mutex> lock(log_mu_);
   if (log_ == nullptr) return Status::OK();
   CommandLog::Options opts = log_->options();
   opts.path = new_path;
-  RetireLogCounters(*log_);
+  retired_log_ += log_->stats();
   SSTORE_RETURN_NOT_OK(log_->Close());
   log_.reset();
-  SSTORE_ASSIGN_OR_RETURN(std::unique_ptr<CommandLog> fresh,
-                          CommandLog::Open(opts));
-  log_ = std::move(fresh);
+  SSTORE_ASSIGN_OR_RETURN(log_, CommandLog::Open(opts));
   return Status::OK();
 }
 
-void Partition::RetireLogCounters(const CommandLog& log) {
-  retired_log_records_.fetch_add(log.records_appended(),
-                                 std::memory_order_relaxed);
-  retired_log_flushes_.fetch_add(log.flush_count(), std::memory_order_relaxed);
-  retired_log_bytes_.fetch_add(log.bytes_written(), std::memory_order_relaxed);
-}
-
 LogStats Partition::log_stats() const {
-  LogStats out{retired_log_records_.load(std::memory_order_relaxed),
-               retired_log_flushes_.load(std::memory_order_relaxed),
-               retired_log_bytes_.load(std::memory_order_relaxed)};
+  std::lock_guard<std::mutex> lock(log_mu_);
+  LogStats out = retired_log_;
   if (log_ != nullptr) out += log_->stats();
   return out;
 }

@@ -291,9 +291,10 @@ class Partition {
 
   /// Models the client<->PE round-trip cost of a real deployment (network
   /// stack + client-side serialization). Applied on the *caller's* side of
-  /// every synchronous execution when the worker thread is running; the
-  /// engine itself is never slowed. Figures 6/8/9(b) use this: H-Store-style
-  /// clients pay it once per transaction, S-Store's PE triggers never do.
+  /// every Partition::ExecuteSync, run by the worker or inline (the
+  /// recovery replay client); the engine itself is never slowed. Figures
+  /// 6/8/9(b) use this: H-Store-style clients pay it once per transaction,
+  /// S-Store's PE triggers never do.
   /// Default 0 (pure thread handoff).
   void SetClientRoundTripMicros(int64_t micros) { client_rtt_micros_ = micros; }
   int64_t client_round_trip_micros() const { return client_rtt_micros_; }
@@ -499,16 +500,16 @@ class Partition {
   /// Whether worker_ holds a live thread; written by Start()/Stop() only.
   std::atomic<bool> running_{false};
 
-  /// Folds a closing log's counters into the retired totals (log_stats()).
-  void RetireLogCounters(const CommandLog& log);
-
+  /// Guards replacing log_ (attach, detach, rotate) and retired_log_
+  /// against off-thread log_stats() readers (the checkpointer, a kStats
+  /// request). The worker appends through log_ without it: the log is only
+  /// replaced while the worker is parked or stopped.
+  mutable std::mutex log_mu_;
   std::unique_ptr<CommandLog> log_;
   RecoveryMode recovery_mode_ = RecoveryMode::kStrong;
   /// Durability counters of logs already rotated away or detached, so
   /// log_stats() stays cumulative across checkpoint rotations.
-  std::atomic<uint64_t> retired_log_records_{0};
-  std::atomic<uint64_t> retired_log_flushes_{0};
-  std::atomic<uint64_t> retired_log_bytes_{0};
+  LogStats retired_log_;
 
   int64_t next_txn_id_ = 1;
   int64_t client_rtt_micros_ = 0;

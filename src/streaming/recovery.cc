@@ -4,10 +4,6 @@
 
 namespace sstore {
 
-Status RecoveryManager::Checkpoint(const std::string& snapshot_path) {
-  return SnapshotManager::WriteSnapshot(snapshot_path, partition_->catalog());
-}
-
 Status RecoveryManager::Recover(const std::string& snapshot_path,
                                 const std::string& log_path,
                                 RecoveryMode mode,
@@ -29,7 +25,7 @@ Status RecoveryManager::Recover(const std::string& snapshot_path,
     // log is read (paper §3.2.5, weak recovery).
     SSTORE_ASSIGN_OR_RETURN(size_t fired, triggers_->FireResidualTriggers());
     stats_.residual_triggers += fired;
-    DrainTriggered();
+    partition_->DrainQueueInline();
   }
 
   if (!log_path.empty()) {
@@ -45,7 +41,7 @@ Status RecoveryManager::Recover(const std::string& snapshot_path,
     SSTORE_ASSIGN_OR_RETURN(size_t fired, triggers_->FireResidualTriggers());
     stats_.residual_triggers += fired;
   }
-  DrainTriggered();
+  partition_->DrainQueueInline();
   return Status::OK();
 }
 
@@ -76,22 +72,21 @@ Status RecoveryManager::ReplayLog(const std::string& log_path,
   // and the first record): nothing committed past the cut, nothing to do.
   if (records.empty()) return Status::OK();
 
-  // Replay starts after the coordinated-checkpoint cut, if one is named.
+  // Replay starts after the coordinated-checkpoint cut: the *last* mark
+  // carrying its id.
   size_t start = 0;
-  if (replay.from_checkpoint_id != 0) {
-    bool found = false;
-    for (size_t i = 0; i < records.size(); ++i) {
-      if (records[i].type() == LogRecordType::kCheckpointMark &&
-          records[i].global_txn_id ==
-              static_cast<int64_t>(replay.from_checkpoint_id)) {
-        start = i + 1;
-        found = true;  // keep scanning: the *last* matching mark wins
-      }
+  bool found = false;
+  for (size_t i = 0; i < records.size(); ++i) {
+    if (records[i].type() == LogRecordType::kCheckpointMark &&
+        records[i].global_txn_id ==
+            static_cast<int64_t>(replay.from_checkpoint_id)) {
+      start = i + 1;
+      found = true;
     }
-    if (!found) {
-      return Status::Corruption("log has no checkpoint mark for id " +
-                                std::to_string(replay.from_checkpoint_id));
-    }
+  }
+  if (!found) {
+    return Status::Corruption("log has no checkpoint mark for id " +
+                              std::to_string(replay.from_checkpoint_id));
   }
 
   // Multi-partition fragments (kPrepare) apply at their decision mark.
@@ -145,16 +140,6 @@ Status RecoveryManager::ReplayLog(const std::string& log_path,
     }
   }
   return Status::OK();
-}
-
-void RecoveryManager::DrainTriggered() {
-  if (!partition_->running()) {
-    partition_->DrainQueueInline();
-    return;
-  }
-  // Sleeps on the partition's idle condition variable; the worker signals
-  // as it retires the last triggered TE (no sleep-poll).
-  partition_->WaitIdle();
 }
 
 }  // namespace sstore

@@ -13,8 +13,10 @@
 
 namespace sstore {
 
-/// Orchestrates checkpointing and the two crash-recovery modes of paper
-/// §3.2.5 over a partition:
+/// Runs the two crash-recovery modes of paper §3.2.5 over one partition.
+/// Cluster::Recover drives it for every partition of a coordinated
+/// checkpoint, with the workers stopped; Cluster::Checkpoint writes the
+/// snapshots and log cuts it reads.
 ///
 /// - Strong recovery: every committed transaction is in the command log.
 ///   PE triggers are disabled, the snapshot is applied, the log is replayed
@@ -32,10 +34,6 @@ class RecoveryManager {
   RecoveryManager(Partition* partition, TriggerManager* triggers)
       : partition_(partition), triggers_(triggers) {}
 
-  /// Writes a transaction-consistent snapshot of the partition's catalog.
-  /// Must run from the worker thread or while the worker is stopped.
-  Status Checkpoint(const std::string& snapshot_path);
-
   struct ReplayStats {
     size_t records_replayed = 0;
     size_t residual_triggers = 0;
@@ -49,10 +47,9 @@ class RecoveryManager {
 
   /// Cluster-coordinated replay parameters (see Cluster::Recover).
   struct ReplayOptions {
-    /// When non-zero, replay starts after the *last* kCheckpointMark record
-    /// carrying this id (the coordinated-checkpoint cut); a log without
-    /// that mark is corrupt. Zero replays the whole log (the legacy
-    /// single-store flow, whose snapshot precedes every record).
+    /// Replay starts after the *last* kCheckpointMark record carrying this
+    /// id (the coordinated-checkpoint cut; ids start at 1). A non-empty log
+    /// without that mark is corrupt.
     uint64_t from_checkpoint_id = 0;
     /// Global txn ids the coordinator decided to commit; resolves in-doubt
     /// kPrepare tails. Null == presume abort for every in-doubt txn.
@@ -63,16 +60,12 @@ class RecoveryManager {
     SnapshotBaseResolver snapshot_base_resolver;
   };
 
-  /// Recovers a freshly re-created partition (DDL, procedures, workflow
-  /// already deployed; no data) from `snapshot_path` + `log_path`. The mode
-  /// must match what the partition logged with before the crash. An empty
-  /// `log_path` restores the snapshot only (checkpoint-without-logging).
+  /// Recovers a freshly re-created, stopped partition (DDL, procedures,
+  /// workflow already deployed; no data) from `snapshot_path` + `log_path`.
+  /// The mode must match what the partition logged with before the crash.
+  /// An empty `log_path` restores the snapshot only.
   Status Recover(const std::string& snapshot_path, const std::string& log_path,
                  RecoveryMode mode, const ReplayOptions& replay);
-  Status Recover(const std::string& snapshot_path, const std::string& log_path,
-                 RecoveryMode mode) {
-    return Recover(snapshot_path, log_path, mode, ReplayOptions());
-  }
 
   const ReplayStats& replay_stats() const { return stats_; }
 
@@ -81,8 +74,6 @@ class RecoveryManager {
                    const ReplayOptions& replay);
   /// Executes one logged transaction through the replay client.
   void ReplayRecord(const LogRecord& record);
-  /// Runs everything PE triggers enqueued until the partition queue is dry.
-  void DrainTriggered();
 
   Partition* partition_;
   TriggerManager* triggers_;

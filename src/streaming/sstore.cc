@@ -16,23 +16,6 @@ SStore::SStore(const Options& options)
       [wm](const Table& table, const std::string& proc_name) {
         return wm->CheckAccess(table, proc_name);
       });
-
-  if (!options.log_path.empty()) {
-    CommandLog::Options log_opts;
-    log_opts.path = options.log_path;
-    log_opts.group_size = options.group_commit_size;
-    log_opts.sync = options.log_sync;
-    Result<std::unique_ptr<CommandLog>> log = CommandLog::Open(log_opts);
-    if (log.ok()) {
-      partition_.AttachCommandLog(std::move(log).value(),
-                                  options.recovery_mode);
-    } else {
-      // The constructor cannot fail; record the error so callers (and the
-      // cluster) can detect a store that is running without its log
-      // instead of silently losing durability.
-      log_attach_status_ = log.status();
-    }
-  }
 }
 
 SStore::~SStore() { Stop(); }

@@ -186,6 +186,7 @@ Status RunWireSchedule(const Schedule& s, const std::string& tag) {
   opts.num_partitions = 2;
   opts.routing = PartitionMap::Mode::kModulo;
   opts.log_sync = false;
+  opts.recovery_mode = s.recovery_mode;
 
   int64_t acked = 0;
   for (int gen = 0; gen < s.generations; ++gen) {
@@ -378,6 +379,7 @@ Status RunChannelSchedule(const Schedule& s, const std::string& tag) {
   opts.num_partitions = 2;
   opts.routing = PartitionMap::Mode::kModulo;
   opts.log_sync = false;
+  opts.recovery_mode = s.recovery_mode;
 
   std::vector<int64_t> committed;  // keys whose ingest txn committed
   int64_t next_key = 0;
@@ -445,6 +447,7 @@ std::string Schedule::Spec() const {
 
 std::string Schedule::Describe() const {
   std::string out = wire_flavor ? "wire" : "channel";
+  out += recovery_mode == RecoveryMode::kWeak ? " weak" : " strong";
   out += " gens=" + std::to_string(generations);
   if (wire_flavor) {
     out += " clients=" + std::to_string(clients);
@@ -460,6 +463,10 @@ Schedule MakeSchedule(uint64_t seed) {
   Rng rng(seed);
   Schedule s;
   s.seed = seed;
+  // Its own stream: the draws below do not depend on it.
+  Rng mode_rng(seed ^ 0x5bd1e9955bd1e995ull);
+  s.recovery_mode =
+      mode_rng.NextBool(0.5) ? RecoveryMode::kWeak : RecoveryMode::kStrong;
   s.wire_flavor = rng.NextBool(0.65);
   s.generations = 2 + static_cast<int>(rng.NextBounded(2));
   if (s.wire_flavor) {

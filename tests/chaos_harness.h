@@ -54,6 +54,10 @@ struct Schedule {
   int generations = 2;  // crash -> Recover cycles before the final verify
   bool with_checkpointer = false;
   bool with_rebalance = false;  // wire flavor only: concurrent split
+  /// The mode the live clusters log under and the recovered ones replay
+  /// with (paper §3.2.5). Drawn from its own hash of the seed, independent
+  /// of every other field.
+  RecoveryMode recovery_mode = RecoveryMode::kStrong;
   std::vector<FaultPick> picks;
 
   /// The picks in SSTORE_FAILPOINTS syntax ("site=action@skipxcount;...").

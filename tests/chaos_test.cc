@@ -390,6 +390,18 @@ TEST_F(ChaosTest, RebalanceCrashBeforeManifestRecoversToOldMap) {
 
 // ---- The randomized schedule sweep ----
 
+TEST(ChaosScheduleTest, DefaultSweepRunsBothRecoveryModes) {
+  int weak = 0;
+  for (uint64_t i = 0; i < 20; ++i) {
+    if (chaos::MakeSchedule(0xC0FFEEull + i).recovery_mode ==
+        RecoveryMode::kWeak) {
+      ++weak;
+    }
+  }
+  EXPECT_GT(weak, 0);
+  EXPECT_LT(weak, 20);
+}
+
 TEST_F(ChaosTest, SeededRandomizedSchedules) {
   uint64_t replay_seed = 0;
   if (chaos::EnvSeed(&replay_seed)) {

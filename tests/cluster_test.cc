@@ -1,6 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <sys/stat.h>
+#include <unistd.h>
+
 #include <atomic>
+#include <cstdio>
 #include <chrono>
 #include <cstdint>
 #include <future>
@@ -193,6 +197,106 @@ TEST(ClusterTest, DeployFailureNamesThePartition) {
   Status s = cluster.Deploy(bad);
   ASSERT_FALSE(s.ok());
   EXPECT_NE(s.message().find("partition 0"), std::string::npos);
+}
+
+std::string MakeDir(const std::string& name) {
+  static const std::string pid = std::to_string(::getpid());
+  std::string path = ::testing::TempDir() + "/sstore_cluster_" + pid + "_" +
+                     name;
+  ::mkdir(path.c_str(), 0755);
+  return path;
+}
+
+// ---- A command log that cannot open fails loudly ----
+
+TEST(ClusterDurabilityTest, DeployFailsWhenACommandLogCannotOpen) {
+  Cluster::Options opts;
+  opts.num_partitions = 2;
+  // Under a directory that does not exist: no partition log can open.
+  opts.log_dir = MakeDir("log_open") + "/missing/logs";
+  Cluster cluster(opts);
+  Status st = cluster.Deploy(BuildKeyedChain());
+  ASSERT_EQ(st.code(), StatusCode::kIOError) << st.ToString();
+  EXPECT_NE(st.message().find(opts.log_dir), std::string::npos)
+      << st.ToString();
+  // Nothing was applied: no partition has the chain's table.
+  for (size_t p = 0; p < 2; ++p) {
+    EXPECT_FALSE(cluster.store(p).catalog().GetTable("sink").ok());
+  }
+}
+
+TEST(ClusterDurabilityTest, SplitFailsBeforeCutoverWhenTargetLogCannotOpen) {
+  static int run = 0;  // a fresh directory per run (--gtest_repeat)
+  const std::string name = "split_log_" + std::to_string(run++);
+  std::string base = MakeDir(name);
+  std::string log_dir = MakeDir(name + "/logs");
+  std::string ckpt_dir = MakeDir(name + "/ckpt");
+  Cluster::Options opts;
+  opts.num_partitions = 1;
+  opts.log_dir = log_dir;
+  opts.log_sync = false;
+  Cluster cluster(opts);
+  ASSERT_TRUE(cluster.Deploy(BuildKeyedChain()).ok());
+  const uint64_t version = cluster.partition_map().version();
+  // The open log keeps its descriptor, but the split target's log cannot
+  // be created once its directory is gone.
+  ASSERT_EQ(std::rename(log_dir.c_str(), (base + "/moved").c_str()), 0);
+
+  RebalancePlan plan;
+  plan.kind = RebalancePlan::Kind::kSplit;
+  plan.source = 0;
+  plan.keyed_tables = {{"sink", 0}};
+  plan.checkpoint_dir = ckpt_dir;
+  Status st = cluster.Rebalance(plan);
+  ASSERT_EQ(st.code(), StatusCode::kIOError) << st.ToString();
+  EXPECT_NE(st.message().find(log_dir), std::string::npos) << st.ToString();
+  // Failed before the cutover: same partitions, same map, no manifest.
+  EXPECT_EQ(cluster.num_partitions(), 1u);
+  EXPECT_EQ(cluster.partition_map().version(), version);
+  struct stat manifest;
+  EXPECT_NE(::stat((ckpt_dir + "/CHECKPOINT").c_str(), &manifest), 0);
+}
+
+TEST(ClusterDurabilityTest, StatsReadersRaceLogRotationSafely) {
+  // A stats reader (the checkpointer's log-bytes poll, a kStats request)
+  // runs while checkpoints rotate every partition's log: it must neither
+  // touch a log being replaced nor see a rotation half done.
+  Cluster::Options opts;
+  opts.num_partitions = 2;
+  opts.log_dir = MakeDir("rotate_race_logs");
+  opts.log_sync = false;
+  std::string ckpt_dir = MakeDir("rotate_race_ckpt");
+  Cluster cluster(opts);
+  ASSERT_TRUE(cluster.Deploy(BuildKeyedChain()).ok());
+  cluster.Start();
+  std::atomic<bool> done{false};
+  std::atomic<bool> monotonic{true};
+  std::thread reader([&] {
+    uint64_t last = 0;
+    while (!done.load()) {
+      uint64_t now = cluster.GatherStats().log.records_appended;
+      if (now < last) monotonic = false;
+      last = now;
+    }
+  });
+  int64_t batch_id = 1;
+  for (int round = 0; round < 20; ++round) {
+    for (int64_t key = 0; key < 4; ++key) {
+      EXPECT_TRUE(cluster
+                      .ExecuteSync("ingest", KeyVal(key, round),
+                                   Value::BigInt(key), batch_id++)
+                      .committed());
+    }
+    EXPECT_TRUE(cluster.Checkpoint(ckpt_dir).ok());
+  }
+  done = true;
+  reader.join();
+  cluster.WaitIdle();
+  cluster.Stop();
+  EXPECT_TRUE(monotonic.load());
+  // 80 border + 80 interior records, plus two checkpoint marks per
+  // partition per checkpoint (the cut and the rotated epoch's first record).
+  EXPECT_EQ(cluster.GatherStats().log.records_appended, 160u + 20u * 2u * 2u);
 }
 
 TEST(ClusterTest, ExecuteSyncRoutesToTheKeyOwner) {

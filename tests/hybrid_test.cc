@@ -303,11 +303,15 @@ TEST(AbortMidWorkflowTest, DownstreamNotTriggeredAndStateRolledBack) {
 }
 
 TEST(GroupCommitIntegrationTest, TicketsFulfilledAfterIdleFlush) {
-  SStore::Options opts;
-  opts.log_path = ::testing::TempDir() + "/group_commit_int.log";
-  opts.group_commit_size = 128;  // larger than the submission count
-  opts.log_sync = false;
-  SStore store(opts);
+  CommandLog::Options log_opts;
+  log_opts.path = ::testing::TempDir() + "/group_commit_int.log";
+  log_opts.group_size = 128;  // larger than the submission count
+  log_opts.sync = false;
+  Result<std::unique_ptr<CommandLog>> log = CommandLog::Open(log_opts);
+  ASSERT_TRUE(log.ok()) << log.status().ToString();
+  SStore store;
+  store.partition().AttachCommandLog(std::move(log).value(),
+                                     RecoveryMode::kStrong);
   ASSERT_TRUE(store.catalog().CreateTable("t", NumSchema()).ok());
   auto append = std::make_shared<LambdaProcedure>([](ProcContext& ctx) {
     SSTORE_ASSIGN_OR_RETURN(Table * t, ctx.table("t"));
@@ -323,7 +327,7 @@ TEST(GroupCommitIntegrationTest, TicketsFulfilledAfterIdleFlush) {
   store.Stop();
   // Stop() flushes the tail of the group.
   ASSERT_TRUE(store.partition().DetachCommandLog().ok());
-  EXPECT_EQ((*CommandLog::ReadAll(opts.log_path)).size(), 10u);
+  EXPECT_EQ((*CommandLog::ReadAll(log_opts.path)).size(), 10u);
 }
 
 }  // namespace

@@ -488,53 +488,63 @@ TEST(PlacedDeployTest, KeyedConsumerSplitsDeliveriesByKeyColumn) {
 TEST(PlacedRecoveryTest, KillAndRecoverReplaysPlacedTopologyToSameCut) {
   constexpr int kBefore = 30;
   constexpr int kAfter = 30;
-  std::string ckpt_dir = MakeDir("placed_ckpt");
-  std::string log_dir = MakeDir("placed_logs");
-
   Topology placed = BuildPipeline(
       Placement::Pinned(0), Placement::Pinned(1), Placement::Pinned(2));
 
-  std::vector<Tuple> live_sink;
-  {
+  // Both recovery modes, the same mode on the logging and the recovered
+  // cluster. Under kWeak the interior stages are unlogged and regenerate
+  // from the border records, re-emitting onto the boundary streams; the
+  // consumers' durable cursors must still land on the same cut.
+  for (RecoveryMode mode : {RecoveryMode::kStrong, RecoveryMode::kWeak}) {
+    const std::string tag = mode == RecoveryMode::kStrong ? "strong" : "weak";
+    SCOPED_TRACE(tag);
+    std::string ckpt_dir = MakeDir("placed_ckpt_" + tag);
+    std::string log_dir = MakeDir("placed_logs_" + tag);
     Cluster::Options opts;
     opts.num_partitions = 3;
-    opts.log_dir = log_dir;
+    opts.recovery_mode = mode;
     opts.log_sync = false;
-    Cluster cluster(opts);
-    ASSERT_TRUE(cluster.Deploy(placed).ok());
-    cluster.Start();
-    StreamInjector inject(&cluster.partition(0), "ingest");
-    for (int i = 0; i < kBefore; ++i) inject.InjectAsync(KeyVal(i, i));
-    cluster.WaitIdle();
-    ASSERT_TRUE(cluster.Checkpoint(ckpt_dir).ok());
-    // Post-checkpoint tail: replay + channel reconciliation must
-    // reconstruct exactly this.
-    for (int i = kBefore; i < kBefore + kAfter; ++i) {
-      inject.InjectAsync(KeyVal(i, i));
+
+    std::vector<Tuple> live_sink;
+    {
+      Cluster::Options live_opts = opts;
+      live_opts.log_dir = log_dir;
+      Cluster cluster(live_opts);
+      ASSERT_TRUE(cluster.Deploy(placed).ok());
+      cluster.Start();
+      StreamInjector inject(&cluster.partition(0), "ingest");
+      for (int i = 0; i < kBefore; ++i) inject.InjectAsync(KeyVal(i, i));
+      cluster.WaitIdle();
+      ASSERT_TRUE(cluster.Checkpoint(ckpt_dir).ok());
+      // Post-checkpoint tail: replay + channel reconciliation must
+      // reconstruct exactly this.
+      for (int i = kBefore; i < kBefore + kAfter; ++i) {
+        inject.InjectAsync(KeyVal(i, i));
+      }
+      cluster.WaitIdle();
+      live_sink = SinkRows(cluster.store(2));
+      cluster.Stop();
+      // "Crash": only checkpoint + logs survive.
     }
-    cluster.WaitIdle();
-    live_sink = SinkRows(cluster.store(2));
-    cluster.Stop();
-    // "Crash": only checkpoint + logs survive.
-  }
-  ASSERT_EQ(live_sink.size(), static_cast<size_t>(kBefore + kAfter));
+    ASSERT_EQ(live_sink.size(), static_cast<size_t>(kBefore + kAfter));
 
-  Cluster recovered(3);
-  ASSERT_TRUE(recovered.Deploy(placed).ok());
-  Status st = recovered.Recover(ckpt_dir, log_dir);
-  ASSERT_TRUE(st.ok()) << st.ToString();
-  recovered.Start();
-  recovered.WaitIdle();
-  recovered.Stop();
+    Cluster recovered(opts);
+    ASSERT_TRUE(recovered.Deploy(placed).ok());
+    Status st = recovered.Recover(ckpt_dir, log_dir);
+    ASSERT_TRUE(st.ok()) << st.ToString();
+    recovered.Start();
+    recovered.WaitIdle();
+    recovered.Stop();
 
-  std::vector<Tuple> recovered_sink = SinkRows(recovered.store(2));
-  ASSERT_EQ(recovered_sink.size(), live_sink.size());
-  for (size_t i = 0; i < live_sink.size(); ++i) {
-    EXPECT_EQ(recovered_sink[i], live_sink[i]) << "sink row " << i;
+    std::vector<Tuple> recovered_sink = SinkRows(recovered.store(2));
+    ASSERT_EQ(recovered_sink.size(), live_sink.size());
+    for (size_t i = 0; i < live_sink.size(); ++i) {
+      EXPECT_EQ(recovered_sink[i], live_sink[i]) << "sink row " << i;
+    }
+    // The terminal stream replays whole as well (it was never drained).
+    EXPECT_EQ((*recovered.store(2).streams().Drain("sOut")).size(),
+              static_cast<size_t>(kBefore + kAfter));
   }
-  // The terminal stream replays whole as well (it was never drained).
-  EXPECT_EQ((*recovered.store(2).streams().Drain("sOut")).size(),
-            static_cast<size_t>(kBefore + kAfter));
 }
 
 TEST(PlacedRecoveryTest, ReconciliationReforwardsUndeliveredBatches) {

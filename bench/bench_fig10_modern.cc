@@ -62,14 +62,13 @@ void BM_SStore(benchmark::State& state) {
     // logs async, Spark checkpoints async); fsync latency would only add a
     // constant that obscures the compute-side shapes.
     log_opts.sync = false;
-    auto log = sstore::CommandLog::Open(log_opts);
-    if (!log.ok()) {
+    SStore store;
+    if (!store.partition()
+             .AttachCommandLog(log_opts, sstore::RecoveryMode::kStrong)
+             .ok()) {
       state.SkipWithError("command log open failed");
       return;
     }
-    SStore store;
-    store.partition().AttachCommandLog(std::move(log).value(),
-                                       sstore::RecoveryMode::kStrong);
     VoterConfig config;
     config.validate_votes = validate;
     config.delete_every = 1'000'000;

@@ -74,9 +74,12 @@ Status WriteManifest(const std::string& dir, uint64_t checkpoint_id,
   return Status::OK();
 }
 
-Status ReadManifest(const std::string& dir, uint64_t* checkpoint_id,
-                    size_t* partitions, uint64_t* log_epoch,
-                    std::optional<PartitionMap>* map) {
+/// Reads what WriteManifest writes: the header line, checkpoint id,
+/// partition count, log epoch and the partition-map block of the cut. Every
+/// field is required; a missing or malformed one is kCorruption.
+Result<PartitionMap> ReadManifest(const std::string& dir,
+                                  uint64_t* checkpoint_id, size_t* partitions,
+                                  uint64_t* log_epoch) {
   std::string path = dir + "/" + kManifestName;
   std::FILE* f = std::fopen(path.c_str(), "r");
   if (f == nullptr) {
@@ -91,35 +94,27 @@ Status ReadManifest(const std::string& dir, uint64_t* checkpoint_id,
   std::fclose(f);
 
   unsigned long long id = 0;
+  unsigned long long epoch = 0;
   size_t n = 0;
   int version = 0;
   int matched = std::sscanf(text.c_str(),
                             "sstore-cluster-checkpoint %d\ncheckpoint_id %llu\n"
-                            "partitions %zu\n",
-                            &version, &id, &n);
-  if (matched != 3 || version != 1) {
+                            "partitions %zu\nlog_epoch %llu\n",
+                            &version, &id, &n, &epoch);
+  if (matched != 4 || version != 1) {
     return Status::Corruption("malformed checkpoint manifest at " + path);
   }
-  // Optional (absent in pre-rotation manifests): which log rotation epoch
-  // pairs with this checkpoint.
-  unsigned long long epoch = 0;
-  size_t at = text.find("log_epoch ");
-  if (at != std::string::npos) {
-    std::sscanf(text.c_str() + at, "log_epoch %llu", &epoch);
+  Result<PartitionMap> map = PartitionMap::Decode(text);
+  if (map.status().code() == StatusCode::kNotFound) {
+    return Status::Corruption("checkpoint manifest at " + path +
+                              " records no partition map");
   }
-  // Optional (absent in pre-rebalancing manifests): the partition map of
-  // the cut. Recovery adopts it wholesale when present.
-  map->reset();
-  Result<PartitionMap> decoded = PartitionMap::Decode(text);
-  if (decoded.ok()) {
-    *map = std::move(decoded).value();
-  } else if (decoded.status().code() != StatusCode::kNotFound) {
-    return decoded.status();
+  if (map.ok()) {
+    *checkpoint_id = id;
+    *partitions = n;
+    *log_epoch = epoch;
   }
-  *checkpoint_id = id;
-  *partitions = n;
-  *log_epoch = epoch;
-  return Status::OK();
+  return map;
 }
 
 }  // namespace
@@ -147,8 +142,8 @@ Cluster::Cluster(const Options& options)
   if (!options_.log_dir.empty()) {
     coord_opts.decision_log_path =
         options_.log_dir + "/" + kDecisionLogName;
-    coord_opts.log_sync = options_.log_sync;
   }
+  coord_opts.log_sync = options_.log_sync;
   std::vector<Partition*> partitions;
   partitions.reserve(n);
   for (auto& store : stores_) partitions.push_back(&store->partition());
@@ -167,17 +162,14 @@ std::unique_ptr<SStore> Cluster::MakeStore(size_t p) const {
   return std::make_unique<SStore>(store_opts);
 }
 
-Status Cluster::AttachLog(SStore& store, size_t p, const std::string& log_dir,
-                          uint64_t epoch) const {
-  if (log_dir.empty()) return Status::OK();
+Status Cluster::AttachLog(SStore& store, size_t p, uint64_t epoch) const {
+  if (options_.log_dir.empty()) return Status::OK();
   CommandLog::Options log_opts;
-  log_opts.path = LogPath(log_dir, epoch, p);
+  log_opts.path = LogPath(options_.log_dir, epoch, p);
   log_opts.group_size = options_.group_commit_size;
   log_opts.sync = options_.log_sync;
-  SSTORE_ASSIGN_OR_RETURN(std::unique_ptr<CommandLog> log,
-                          CommandLog::Open(log_opts));
-  store.partition().AttachCommandLog(std::move(log), options_.recovery_mode);
-  return Status::OK();
+  return store.partition().AttachCommandLog(std::move(log_opts),
+                                            options_.recovery_mode);
 }
 
 Status Cluster::Deploy(const Topology& topology) {
@@ -200,8 +192,7 @@ Status Cluster::Deploy(const Topology& topology) {
   // A log that cannot open fails the deploy before anything is applied,
   // instead of leaving the cluster silently non-durable.
   for (size_t p = 0; p < stores_.size(); ++p) {
-    SSTORE_RETURN_NOT_OK(
-        AttachLog(*stores_[p], p, options_.log_dir, log_epoch_));
+    SSTORE_RETURN_NOT_OK(AttachLog(*stores_[p], p, log_epoch_));
   }
   for (size_t p = 0; p < stores_.size(); ++p) {
     Status s = topology.ApplyTo(*stores_[p], p);
@@ -437,15 +428,11 @@ Status Cluster::CheckpointAtBarrier(const std::string& dir,
   // multi-partition decision can be made) until the barrier releases and
   // the coordinator un-quiesces. The reverse order would let workers keep
   // committing into files no durable manifest references. Old-epoch files
-  // are deleted only after everything above stuck.
+  // are deleted only after everything above stuck. Every partition of a
+  // logged cluster rotates, including in Recover's re-arm, whose
+  // partitions have no log yet.
   uint64_t prev_epoch = log_epoch_;
-  bool will_rotate = false;
-  if (st.ok() && !options_.log_dir.empty()) {
-    for (auto& store : stores_) {
-      will_rotate =
-          will_rotate || store->partition().command_log() != nullptr;
-    }
-  }
+  const bool will_rotate = !options_.log_dir.empty();
   if (st.ok()) {
     // The manifest records the routing table, making the rename above the
     // atomic commit point of a rebalance cutover.
@@ -464,17 +451,16 @@ Status Cluster::CheckpointAtBarrier(const std::string& dir,
   if (st.ok()) st = failpoint::Check("checkpoint.after_manifest");
   if (st.ok() && will_rotate) {
     for (size_t p = 0; p < stores_.size() && st.ok(); ++p) {
-      Partition& partition = stores_[p]->partition();
-      if (partition.command_log() == nullptr) continue;
-      st = partition.RotateCommandLog(
-          LogPath(options_.log_dir, checkpoint_id, p));
-      if (st.ok()) st = partition.AppendCheckpointMark(checkpoint_id);
+      st = AttachLog(*stores_[p], p, checkpoint_id);
+      if (st.ok()) {
+        st = stores_[p]->partition().AppendCheckpointMark(checkpoint_id);
+      }
     }
     // The decision log rotates with the partition logs: the quiesced
     // coordinator guarantees no transaction spans the cut, so pre-cut
     // decisions are subsumed by the snapshots.
     if (st.ok()) {
-      st = coordinator_->RotateDecisionLog(
+      st = coordinator_->AttachDecisionLog(
           DecisionLogPath(options_.log_dir, checkpoint_id));
     }
     if (st.ok()) {
@@ -484,9 +470,9 @@ Status Cluster::CheckpointAtBarrier(const std::string& dir,
       }
       std::remove(DecisionLogPath(options_.log_dir, prev_epoch).c_str());
     }
-    // A rotation failure leaves this partition unable to log (its old file
-    // must not be truncated by reopening); the error is returned and the
-    // cluster should be treated as needing recovery.
+    // A rotation failure leaves the failing partition's old log attached
+    // but closed (Partition::AttachCommandLog): its logged commits abort
+    // until the cluster is recovered, and the error is returned.
   }
   if (st.ok()) {
     for (size_t p = 0; p < stores_.size(); ++p) {
@@ -654,8 +640,7 @@ Status Cluster::Rebalance(const RebalancePlan& plan,
         return Status::InvalidArgument("cluster is at its partition ceiling");
       }
       new_store = MakeStore(target);
-      SSTORE_RETURN_NOT_OK(
-          AttachLog(*new_store, target, options_.log_dir, log_epoch_));
+      SSTORE_RETURN_NOT_OK(AttachLog(*new_store, target, log_epoch_));
       Status deployed = deployed_.has_value()
                             ? deployed_->ApplyTo(*new_store, target)
                             : Status::OK();
@@ -822,10 +807,10 @@ Status Cluster::Recover(const std::string& dir, const std::string& log_dir) {
   uint64_t checkpoint_id = 0;
   size_t manifest_partitions = 0;
   uint64_t manifest_epoch = 0;
-  std::optional<PartitionMap> manifest_map;
-  SSTORE_RETURN_NOT_OK(
+  SSTORE_ASSIGN_OR_RETURN(
+      PartitionMap manifest_map,
       ReadManifest(dir, &checkpoint_id, &manifest_partitions,
-                   &manifest_epoch, &manifest_map));
+                   &manifest_epoch));
   if (manifest_partitions < stores_.size()) {
     return Status::Corruption(
         "checkpoint has " + std::to_string(manifest_partitions) +
@@ -836,11 +821,6 @@ Status Cluster::Recover(const std::string& dir, const std::string& log_dir) {
     // missing partitions exactly as Rebalance did — same store options (no
     // log: recovery must not truncate files about to be replayed), same
     // deployed slice — before restoring.
-    if (!manifest_map.has_value()) {
-      return Status::Corruption(
-          "checkpoint grew to " + std::to_string(manifest_partitions) +
-          " partitions but records no partition map");
-    }
     if (!deployed_.has_value()) {
       return Status::InvalidArgument(
           "recovering a grown cluster needs Deploy() before Recover()");
@@ -860,15 +840,15 @@ Status Cluster::Recover(const std::string& dir, const std::string& log_dir) {
       for (auto& channel : channels_) channel->OnPartitionAdded(p);
     }
   }
-  if (manifest_map.has_value()) {
-    if (manifest_map->num_partitions() != stores_.size()) {
-      return Status::Corruption(
-          "manifest partition map covers " +
-          std::to_string(manifest_map->num_partitions()) +
-          " partitions, checkpoint has " + std::to_string(stores_.size()));
-    }
+  if (manifest_map.num_partitions() != stores_.size()) {
+    return Status::Corruption(
+        "manifest partition map covers " +
+        std::to_string(manifest_map.num_partitions()) +
+        " partitions, checkpoint has " + std::to_string(stores_.size()));
+  }
+  {
     std::unique_lock<std::shared_mutex> route(route_mu_);
-    map_ = *manifest_map;
+    map_ = std::move(manifest_map);
   }
 
   // Replaying a producer's log re-fires its commit hooks; the emissions it
@@ -932,64 +912,19 @@ Status Cluster::Recover(const std::string& dir, const std::string& log_dir) {
 
   // ---- Re-arm durability (composable recovery). ----
   // Without this, a recovered cluster would run with no logs attached: the
-  // first kill-recover works, the second loses everything since. Cut a
-  // fresh checkpoint of the exact replayed state (before channel
-  // reconciliation mutates anything), attach fresh epoch command logs and
-  // a fresh decision log, and only then delete the epoch just replayed.
+  // first kill-recover works, the second loses everything since. The
+  // re-arm is one ordinary checkpoint cut of the exact replayed state
+  // (before channel reconciliation mutates anything): snapshots, a
+  // manifest naming the new epoch, fresh epoch command logs and decision
+  // log, and only then the replayed epoch's files deleted. The workers are
+  // stopped, so the cut needs no barrier.
   int64_t rearm_start = clock.NowMicros();
   if (!log_dir.empty()) {
-    uint64_t new_epoch = next_checkpoint_id_++;
-    Status st;
-    for (size_t p = 0; p < stores_.size() && st.ok(); ++p) {
-      st = SnapshotManager::WriteSnapshot(SnapshotPath(dir, new_epoch, p),
-                                          stores_[p]->catalog());
-    }
-    if (st.ok()) {
-      std::string map_block;
-      {
-        std::shared_lock<std::shared_mutex> lock(route_mu_);
-        map_block = map_.Encode();
-      }
-      st = WriteManifest(dir, new_epoch, stores_.size(), new_epoch,
-                         map_block);
-    }
-    // The manifest naming the new epoch is durable; a kill from here on
-    // recovers from the fresh cut (with an absent or mark-only log suffix,
-    // which replays as empty — nothing has committed since).
-    if (st.ok()) {
-      for (size_t p = 0; p < stores_.size() && st.ok(); ++p) {
-        st = AttachLog(*stores_[p], p, log_dir, new_epoch);
-        if (st.ok()) {
-          st = stores_[p]->partition().AppendCheckpointMark(new_epoch);
-        }
-      }
-    }
-    if (st.ok()) {
-      st = coordinator_->AttachDecisionLog(DecisionLogPath(log_dir, new_epoch),
-                                           options_.log_sync);
-    }
+    options_.log_dir = log_dir;
+    Status st = CheckpointAtBarrier(dir, nullptr);
     if (!st.ok()) {
       return Status(st.code(),
                     "re-arming durability after recovery: " + st.message());
-    }
-    // The replayed epoch is subsumed by the fresh cut.
-    for (size_t p = 0; p < stores_.size(); ++p) {
-      std::remove(LogPath(log_dir, manifest_epoch, p).c_str());
-    }
-    std::remove(DecisionLogPath(log_dir, manifest_epoch).c_str());
-    log_epoch_ = new_epoch;
-    options_.log_dir = log_dir;
-    // Seed the delta tracking: this cut wrote every table in full, so the
-    // next checkpoint can already reference cold tables.
-    snapshot_baseline_dir_ = dir;
-    snapshot_baselines_.assign(stores_.size(), {});
-    for (size_t p = 0; p < stores_.size(); ++p) {
-      for (const std::string& name : stores_[p]->catalog().TableNames()) {
-        Result<Table*> table = stores_[p]->catalog().GetTable(name);
-        if (!table.ok()) continue;
-        snapshot_baselines_[p][name] =
-            TableBaseline{new_epoch, (*table)->version()};
-      }
     }
     stats.rearm_us = static_cast<uint64_t>(clock.NowMicros() - rearm_start);
   }

@@ -405,13 +405,16 @@ class Cluster {
   /// are released — the placed workflow replays to the same consistent cut
   /// as a replicated one.
   ///
-  /// Recovery is *composable*: after replay, a non-empty `log_dir` is
-  /// re-armed — a fresh checkpoint of the recovered state is cut into
-  /// `dir`, fresh epoch command logs and a fresh decision log are attached
-  /// (with the Options' group_commit_size / log_sync / recovery_mode), and
-  /// the replayed epoch's files are deleted. The recovered cluster is again
-  /// fully durable: kill -> Recover -> kill -> Recover converges instead of
-  /// losing everything after the first cut.
+  /// Recovery is *composable*: after replay, a non-empty `log_dir` becomes
+  /// the cluster's log directory and durability is re-armed by one ordinary
+  /// checkpoint cut into `dir` (CheckpointAtBarrier, the workers being
+  /// stopped): full snapshots of the recovered state, a manifest naming a
+  /// fresh epoch, fresh epoch command logs and decision log (with the
+  /// Options' group_commit_size / log_sync / recovery_mode), then the
+  /// replayed epoch's files deleted. It hits the same failpoint sites as a
+  /// live checkpoint, and a kill inside it recovers the same way. The
+  /// recovered cluster is again fully durable: kill -> Recover -> kill ->
+  /// Recover converges instead of losing everything after the first cut.
   Status Recover(const std::string& dir, const std::string& log_dir);
 
   // ---- Live rebalancing ----
@@ -530,11 +533,12 @@ class Cluster {
   /// without a log.
   std::unique_ptr<SStore> MakeStore(size_t p) const;
   /// The one place a partition log is opened (Deploy, a Rebalance split
-  /// target, Recover's re-arm): partition p's log for rotation `epoch`
-  /// under `log_dir`, with the Options' group size, sync and recovery mode.
-  /// A no-op for an empty `log_dir`.
-  Status AttachLog(SStore& store, size_t p, const std::string& log_dir,
-                   uint64_t epoch) const;
+  /// target, and every checkpoint cut's rotation, Recover's re-arm
+  /// included): partition p's log for rotation `epoch` under the Options'
+  /// log_dir, with its group size, sync and recovery mode, replacing the
+  /// partition's current log (Partition::AttachCommandLog). A no-op for a
+  /// cluster without a log_dir.
+  Status AttachLog(SStore& store, size_t p, uint64_t epoch) const;
   /// Shared Checkpoint/TryCheckpoint body: expects control_mu_ held and the
   /// coordinator quiesced; parks the workers, runs CheckpointAtBarrier,
   /// releases, un-quiesces. Always ends the quiesce.
@@ -542,9 +546,11 @@ class Cluster {
   /// Returns non-OK unless every partition is running or every partition is
   /// stopped (a mixed cluster has no consistent barrier).
   Status CheckUniformlyRunning(size_t* running_count) const;
-  /// The checkpoint body: marks, snapshots, manifest (with the current
-  /// map), log + decision-log rotation. Requires every worker parked at a
-  /// barrier or stopped, and the coordinator quiesced.
+  /// The checkpoint body and the one epoch cut: marks, snapshots, manifest
+  /// (with the current map), log + decision-log rotation, old-epoch files
+  /// deleted. Live checkpoints, a Rebalance cutover and Recover's re-arm
+  /// all cut through here. Requires every worker parked at a barrier or
+  /// stopped, and no multi-partition transaction in flight.
   Status CheckpointAtBarrier(const std::string& dir, CheckpointReport* report);
   /// Moves rows of `plan.keyed_tables` off `plan.source` to wherever the
   /// (already published) map now routes their key. Requires workers parked

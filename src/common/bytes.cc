@@ -1,5 +1,7 @@
 #include "common/bytes.h"
 
+#include <algorithm>
+
 namespace sstore {
 
 void ByteWriter::PutValue(const Value& v) {
@@ -103,7 +105,9 @@ Result<Value> ByteReader::GetValue() {
 Result<Tuple> ByteReader::GetTuple() {
   SSTORE_ASSIGN_OR_RETURN(uint32_t n, GetU32());
   Tuple t;
-  t.reserve(n);
+  // Every value takes at least one byte: never reserve past the buffer for
+  // a count read from it (a corrupt count then fails as an underrun).
+  t.reserve(std::min<size_t>(n, remaining()));
   for (uint32_t i = 0; i < n; ++i) {
     SSTORE_ASSIGN_OR_RETURN(Value v, GetValue());
     t.push_back(std::move(v));
@@ -114,7 +118,7 @@ Result<Tuple> ByteReader::GetTuple() {
 Result<std::vector<Tuple>> ByteReader::GetTuples() {
   SSTORE_ASSIGN_OR_RETURN(uint32_t n, GetU32());
   std::vector<Tuple> ts;
-  ts.reserve(n);
+  ts.reserve(std::min<size_t>(n, remaining()));
   for (uint32_t i = 0; i < n; ++i) {
     SSTORE_ASSIGN_OR_RETURN(Tuple t, GetTuple());
     ts.push_back(std::move(t));

@@ -533,10 +533,8 @@ void Partition::RunTask(Task& task) {
   }
   TxnOutcome outcome;
   if (task.children.empty()) {
-    TransactionExecution* te = nullptr;
     if (task.sample_ts == 0) {
-      outcome = ExecuteInvocation(std::move(task.inv), &te,
-                                  /*defer_commit_side_effects=*/false);
+      outcome = ExecuteInvocation(std::move(task.inv));
     } else {
       // Sampled invocation: time the stages. The scratch lives on this
       // frame; active_span_ exposes it to ExecuteInvocation's stamps.
@@ -545,8 +543,7 @@ void Partition::RunTask(Task& task) {
       if (task.sample_ts < 0 && instruments_.trace != nullptr) {
         active_span_ = &scratch;
       }
-      outcome = ExecuteInvocation(std::move(task.inv), &te,
-                                  /*defer_commit_side_effects=*/false);
+      outcome = ExecuteInvocation(std::move(task.inv));
       active_span_ = nullptr;
       scratch.txn_id = outcome.txn_id;
       FinishSampledTask(task.sample_ts, dequeue_us, scratch);
@@ -616,9 +613,7 @@ void Partition::RunTask(Task& task) {
   }
 }
 
-TxnOutcome Partition::ExecuteInvocation(Invocation&& inv,
-                                        TransactionExecution** te_out,
-                                        bool defer_commit_side_effects) {
+TxnOutcome Partition::ExecuteInvocation(Invocation&& inv) {
   TxnOutcome outcome;
   auto it = procs_.find(inv.proc);
   if (it == procs_.end()) {
@@ -630,7 +625,6 @@ TxnOutcome Partition::ExecuteInvocation(Invocation&& inv,
   // copied.
   TransactionExecution te(next_txn_id_++, std::move(inv.proc),
                           std::move(inv.params), inv.batch_id);
-  if (te_out != nullptr) *te_out = &te;
   ProcContext ctx(this, &ee_, &te);
   Status st = it->second.proc->Run(ctx);
   outcome.txn_id = te.txn_id();
@@ -641,24 +635,22 @@ TxnOutcome Partition::ExecuteInvocation(Invocation&& inv,
     outcome.status = undo_st.ok() ? st : undo_st;
     return outcome;
   }
-  if (!defer_commit_side_effects) {
-    Status log_st = LogCommit(te, it->second.kind);
-    if (active_span_ != nullptr && log_ != nullptr) {
-      active_span_->log_done_us = TraceNowMicros();
-    }
-    if (!log_st.ok()) {
-      te.undo().Rollback().ok();
-      aborted_.fetch_add(1, std::memory_order_relaxed);
-      outcome.status = log_st;
-      return outcome;
-    }
-    te.undo().Release();
-    committed_.fetch_add(1, std::memory_order_relaxed);
-    outcome.output = std::move(te.output());
-    FireCommitHooks(te);
-    if (active_span_ != nullptr) {
-      active_span_->hooks_done_us = TraceNowMicros();
-    }
+  Status log_st = LogCommit(te, it->second.kind);
+  if (active_span_ != nullptr && log_ != nullptr) {
+    active_span_->log_done_us = TraceNowMicros();
+  }
+  if (!log_st.ok()) {
+    te.undo().Rollback().ok();
+    aborted_.fetch_add(1, std::memory_order_relaxed);
+    outcome.status = log_st;
+    return outcome;
+  }
+  te.undo().Release();
+  committed_.fetch_add(1, std::memory_order_relaxed);
+  outcome.output = std::move(te.output());
+  FireCommitHooks(te);
+  if (active_span_ != nullptr) {
+    active_span_->hooks_done_us = TraceNowMicros();
   }
   return outcome;
 }
@@ -715,9 +707,7 @@ void Partition::FinishSampledTask(int64_t sample_ts, int64_t dequeue_us,
 }
 
 TxnOutcome Partition::RunInline(Invocation inv) {
-  TransactionExecution* te = nullptr;
-  return ExecuteInvocation(std::move(inv), &te,
-                           /*defer_commit_side_effects=*/false);
+  return ExecuteInvocation(std::move(inv));
 }
 
 size_t Partition::DrainQueueInline() {
@@ -758,11 +748,18 @@ void Partition::ResetStats() {
   producer_blocks_.store(0, std::memory_order_relaxed);
 }
 
-void Partition::AttachCommandLog(std::unique_ptr<CommandLog> log,
-                                 RecoveryMode mode) {
+Status Partition::AttachCommandLog(CommandLog::Options options,
+                                   RecoveryMode mode) {
   std::lock_guard<std::mutex> lock(log_mu_);
+  // Either failure below leaves the old log attached and closed (see the
+  // header): logged commits then abort rather than go unlogged.
+  if (log_ != nullptr) SSTORE_RETURN_NOT_OK(log_->Close());
+  SSTORE_ASSIGN_OR_RETURN(std::unique_ptr<CommandLog> log,
+                          CommandLog::Open(std::move(options)));
+  if (log_ != nullptr) retired_log_ += log_->stats();
   log_ = std::move(log);
   recovery_mode_ = mode;
+  return Status::OK();
 }
 
 Status Partition::DetachCommandLog() {
@@ -772,18 +769,6 @@ Status Partition::DetachCommandLog() {
   Status st = log_->Close();
   log_.reset();
   return st;
-}
-
-Status Partition::RotateCommandLog(const std::string& new_path) {
-  std::lock_guard<std::mutex> lock(log_mu_);
-  if (log_ == nullptr) return Status::OK();
-  CommandLog::Options opts = log_->options();
-  opts.path = new_path;
-  retired_log_ += log_->stats();
-  SSTORE_RETURN_NOT_OK(log_->Close());
-  log_.reset();
-  SSTORE_ASSIGN_OR_RETURN(log_, CommandLog::Open(opts));
-  return Status::OK();
 }
 
 LogStats Partition::log_stats() const {

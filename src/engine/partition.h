@@ -348,19 +348,20 @@ class Partition {
 
   // ---- Durability ----
 
-  /// Attaches a command log. `mode` selects which SpKinds get logged.
-  void AttachCommandLog(std::unique_ptr<CommandLog> log, RecoveryMode mode);
+  /// The one attach path: opens a command log at `options.path` (`mode`
+  /// selects which SpKinds get logged) and replaces the current log, if
+  /// any, after flushing and closing it; the replaced log's counters are
+  /// retired into log_stats(). The checkpoint cut rotates logs through
+  /// here. When the old log cannot close or the new one cannot open, the
+  /// old log stays attached but closed: every later logged commit aborts
+  /// with "command log is closed" instead of being acked unlogged, until
+  /// the cluster is recovered. The log is single-writer: call while the
+  /// worker is stopped or parked at a barrier (or from the worker itself).
+  Status AttachCommandLog(CommandLog::Options options, RecoveryMode mode);
   CommandLog* command_log() { return log_.get(); }
   RecoveryMode recovery_mode() const { return recovery_mode_; }
-  /// Detaches and closes the current command log (used before replay).
+  /// Detaches and closes the current command log.
   Status DetachCommandLog();
-
-  /// Flushes and closes the current log, then attaches a fresh one at
-  /// `new_path` with the same group-commit/sync options (log truncation at
-  /// a checkpoint cut). The log is single-writer: call from the worker
-  /// thread, or — as the coordinated checkpoint does — while the worker is
-  /// parked at a barrier or stopped. No-op without an attached log.
-  Status RotateCommandLog(const std::string& new_path);
 
   /// Durability counters, cumulative across rotation epochs (the current
   /// log's live counters plus every previously rotated/detached log's
@@ -437,11 +438,8 @@ class Partition {
                          const TraceScratch& scratch);
   /// Executes one invocation, consuming it (params move into the TE — no
   /// copy on the hot path); on commit appends to the command log (by policy)
-  /// and fires commit hooks. `defer_commit_side_effects` is used by nested
-  /// execution to postpone logging/hooks until the whole group is known to
-  /// commit.
-  TxnOutcome ExecuteInvocation(Invocation&& inv, TransactionExecution** te_out,
-                               bool defer_commit_side_effects);
+  /// and fires commit hooks.
+  TxnOutcome ExecuteInvocation(Invocation&& inv);
   bool ShouldLog(SpKind kind) const;
   Status LogCommit(const TransactionExecution& te, SpKind kind);
   void FireCommitHooks(const TransactionExecution& te);
@@ -500,7 +498,7 @@ class Partition {
   /// Whether worker_ holds a live thread; written by Start()/Stop() only.
   std::atomic<bool> running_{false};
 
-  /// Guards replacing log_ (attach, detach, rotate) and retired_log_
+  /// Guards replacing log_ (attach, detach) and retired_log_
   /// against off-thread log_stats() readers (the checkpointer, a kStats
   /// request). The worker appends through log_ without it: the log is only
   /// replaced while the worker is parked or stopped.

@@ -117,8 +117,6 @@ class CommandLog {
 
   Status Close();
 
-  const Options& options() const { return options_; }
-
   // Counters are atomics so observability (ClusterStats) can read them live
   // from other threads while the single writer appends.
   uint64_t records_appended() const {

@@ -4,6 +4,7 @@
 
 #include <atomic>
 #include <cstdio>
+#include <map>
 #include <set>
 #include <vector>
 
@@ -14,11 +15,10 @@ namespace sstore {
 
 namespace {
 
-// v1: every table serialized inline, no per-table framing.
-constexpr uint64_t kSnapshotMagic = 0x53534e415053484full;  // "SSNAPSHO"
-// v2: per-table entries are (full | reference-to-earlier-checkpoint), full
-// entries length-prefixed so readers can skip without deserializing.
-constexpr uint64_t kSnapshotMagicV2 = 0x53534e4150533032ull;  // "SSNAPS02"
+// Per-table entries are (full | reference-to-earlier-checkpoint), full
+// entries length-prefixed so readers can skip without deserializing. The
+// "02" is the format version; no other version is written or read.
+constexpr uint64_t kSnapshotMagic = 0x53534e4150533032ull;  // "SSNAPS02"
 
 constexpr uint8_t kEntryFull = 0;
 constexpr uint8_t kEntryRef = 1;
@@ -30,9 +30,12 @@ Result<std::vector<uint8_t>> ReadFileBytes(const std::string& path) {
   if (f == nullptr) {
     return Status::IOError("cannot open snapshot at " + path);
   }
-  std::fseek(f, 0, SEEK_END);
-  long size = std::ftell(f);
-  std::fseek(f, 0, SEEK_SET);
+  long size = -1;
+  if (std::fseek(f, 0, SEEK_END) == 0) size = std::ftell(f);
+  if (size < 0 || std::fseek(f, 0, SEEK_SET) != 0) {
+    std::fclose(f);
+    return Status::IOError("cannot size snapshot at " + path);
+  }
   std::vector<uint8_t> bytes(static_cast<size_t>(size));
   if (size > 0 && std::fread(bytes.data(), 1, bytes.size(), f) != bytes.size()) {
     std::fclose(f);
@@ -96,74 +99,90 @@ Status WriteFileDurable(const std::string& path,
   return Status::OK();
 }
 
-/// Restores the named tables (full entries only) from a v2 base snapshot.
-Status RestoreTablesFromBase(const std::string& path,
-                             const std::set<std::string>& wanted,
-                             Catalog* catalog) {
+/// A snapshot's references: base checkpoint id -> the tables it holds.
+using SnapshotRefs = std::map<uint64_t, std::set<std::string>>;
+
+/// The one snapshot reader, for a checkpoint's own file and for the delta
+/// bases its references name. Each entry is a table name, its kind, and
+/// either a reference (base checkpoint id) or a full, length-prefixed body.
+/// A full entry is restored into `catalog` when `wanted` is null or names
+/// it, and skipped by its length otherwise; its body must decode to exactly
+/// its length. References are collected into `refs`; a base file is read
+/// with a null `refs`, and a reference to a wanted table there is
+/// corruption (the tracker only references a checkpoint that wrote the
+/// table in full). Returns the names restored or referenced. Anything the
+/// writer does not produce (another magic, an unknown entry kind, a short
+/// body, trailing bytes) is kCorruption.
+Result<std::set<std::string>> ReadEntries(const std::string& path,
+                                          const std::set<std::string>* wanted,
+                                          Catalog* catalog,
+                                          SnapshotRefs* refs) {
   SSTORE_ASSIGN_OR_RETURN(std::vector<uint8_t> bytes, ReadFileBytes(path));
   ByteReader in(bytes);
   SSTORE_ASSIGN_OR_RETURN(uint64_t magic, in.GetU64());
-  if (magic != kSnapshotMagicV2) {
-    return Status::Corruption("delta base snapshot " + path +
-                              " is not a v2 snapshot");
+  if (magic != kSnapshotMagic) {
+    return Status::Corruption("bad snapshot magic in " + path);
   }
-  SSTORE_ASSIGN_OR_RETURN(uint64_t epoch, in.GetU64());
-  (void)epoch;
+  SSTORE_RETURN_NOT_OK(in.GetU64().status());  // epoch
   SSTORE_ASSIGN_OR_RETURN(uint32_t n, in.GetU32());
-  size_t found = 0;
-  for (uint32_t i = 0; i < n && found < wanted.size(); ++i) {
+  std::set<std::string> names;
+  for (uint32_t i = 0; i < n; ++i) {
     SSTORE_ASSIGN_OR_RETURN(std::string name, in.GetString());
     SSTORE_ASSIGN_OR_RETURN(uint8_t kind, in.GetU8());
     SSTORE_ASSIGN_OR_RETURN(uint8_t entry, in.GetU8());
+    const bool want = wanted == nullptr || wanted->count(name) != 0;
     if (entry == kEntryRef) {
       SSTORE_ASSIGN_OR_RETURN(uint64_t base, in.GetU64());
-      (void)base;
-      if (wanted.count(name) != 0) {
-        // By construction the tracker only refs a checkpoint that wrote the
-        // table full; a ref-of-a-ref means the tracking state is corrupt.
+      if (refs != nullptr) {
+        (*refs)[base].insert(name);
+        names.insert(name);
+      } else if (want) {
         return Status::Corruption("delta base snapshot " + path +
                                   " holds table '" + name +
                                   "' as a reference, not a full copy");
       }
       continue;
     }
+    if (entry != kEntryFull) {
+      return Status::Corruption("unknown entry kind for table '" + name +
+                                "' in snapshot " + path);
+    }
     SSTORE_ASSIGN_OR_RETURN(uint32_t len, in.GetU32());
     if (in.remaining() < len) {
-      return Status::Corruption("truncated table entry in snapshot " + path);
+      return Status::Corruption("truncated table entry '" + name +
+                                "' in snapshot " + path);
     }
-    if (wanted.count(name) == 0) {
-      SSTORE_RETURN_NOT_OK(in.Skip(len));
-      continue;
+    if (want) {
+      SSTORE_ASSIGN_OR_RETURN(Table * table, catalog->GetTable(name));
+      if (static_cast<uint8_t>(table->kind()) != kind) {
+        return Status::Corruption("snapshot table kind mismatch for '" +
+                                  name + "'");
+      }
+      ByteReader body(bytes.data() + (bytes.size() - in.remaining()), len);
+      SSTORE_RETURN_NOT_OK(table->DeserializeContentsFrom(&body));
+      if (!body.AtEnd()) {
+        return Status::Corruption("table entry '" + name + "' in snapshot " +
+                                  path + " is longer than its contents");
+      }
+      names.insert(name);
     }
-    SSTORE_ASSIGN_OR_RETURN(Table * table, catalog->GetTable(name));
-    if (static_cast<uint8_t>(table->kind()) != kind) {
-      return Status::Corruption("snapshot table kind mismatch for '" + name +
-                                "'");
-    }
-    SSTORE_RETURN_NOT_OK(table->DeserializeContentsFrom(&in));
-    ++found;
+    SSTORE_RETURN_NOT_OK(in.Skip(len));
   }
-  if (found != wanted.size()) {
-    return Status::Corruption("delta base snapshot " + path + " lacks " +
-                              std::to_string(wanted.size() - found) +
-                              " referenced table(s)");
+  if (!in.AtEnd()) {
+    return Status::Corruption("trailing bytes after the last entry of " +
+                              path);
   }
-  return Status::OK();
+  return names;
 }
 
 }  // namespace
-
-Status SnapshotManager::WriteSnapshot(const std::string& path,
-                                      const Catalog& catalog) {
-  return WriteSnapshot(path, catalog, nullptr, nullptr);
-}
 
 Status SnapshotManager::WriteSnapshot(const std::string& path,
                                       const Catalog& catalog,
                                       const SnapshotDeltaSpec* delta,
                                       SnapshotWriteStats* stats) {
   ByteWriter out;
-  out.PutU64(kSnapshotMagicV2);
+  out.PutU64(kSnapshotMagic);
   out.PutU64(g_snapshot_epoch.fetch_add(1));
   std::vector<std::string> names = catalog.TableNames();
   out.PutU32(static_cast<uint32_t>(names.size()));
@@ -202,79 +221,32 @@ Status SnapshotManager::WriteSnapshot(const std::string& path,
 }
 
 Status SnapshotManager::RestoreSnapshot(const std::string& path,
-                                        Catalog* catalog) {
-  return RestoreSnapshot(path, catalog, SnapshotBaseResolver());
-}
-
-Status SnapshotManager::RestoreSnapshot(const std::string& path,
                                         Catalog* catalog,
                                         const SnapshotBaseResolver& resolver) {
-  SSTORE_ASSIGN_OR_RETURN(std::vector<uint8_t> bytes, ReadFileBytes(path));
-  ByteReader in(bytes);
-  SSTORE_ASSIGN_OR_RETURN(uint64_t magic, in.GetU64());
-  bool v2 = magic == kSnapshotMagicV2;
-  if (!v2 && magic != kSnapshotMagic) {
-    return Status::Corruption("bad snapshot magic");
+  SnapshotRefs refs;
+  SSTORE_ASSIGN_OR_RETURN(std::set<std::string> restored,
+                          ReadEntries(path, nullptr, catalog, &refs));
+  if (!refs.empty() && !resolver) {
+    return Status::InvalidArgument(
+        "snapshot " + path +
+        " holds delta references but no base resolver was provided");
   }
-  SSTORE_ASSIGN_OR_RETURN(uint64_t epoch, in.GetU64());
-  (void)epoch;
-  SSTORE_ASSIGN_OR_RETURN(uint32_t n, in.GetU32());
-
-  std::vector<std::string> restored;
-  // checkpoint id -> tables to pull from that base file.
-  std::map<uint64_t, std::set<std::string>> refs;
-  for (uint32_t i = 0; i < n; ++i) {
-    SSTORE_ASSIGN_OR_RETURN(std::string name, in.GetString());
-    SSTORE_ASSIGN_OR_RETURN(uint8_t kind, in.GetU8());
-    uint8_t entry = kEntryFull;
-    if (v2) {
-      SSTORE_ASSIGN_OR_RETURN(entry, in.GetU8());
-    }
-    if (entry == kEntryRef) {
-      SSTORE_ASSIGN_OR_RETURN(uint64_t base, in.GetU64());
-      if (!resolver) {
-        return Status::InvalidArgument(
-            "snapshot holds delta reference for table '" + name +
-            "' but no base resolver was provided");
-      }
-      refs[base].insert(name);
-      restored.push_back(name);
-      continue;
-    }
-    if (v2) {
-      SSTORE_ASSIGN_OR_RETURN(uint32_t len, in.GetU32());
-      if (in.remaining() < len) {
-        return Status::Corruption("truncated table entry in snapshot");
-      }
-    }
-    SSTORE_ASSIGN_OR_RETURN(Table * table, catalog->GetTable(name));
-    if (static_cast<uint8_t>(table->kind()) != kind) {
-      return Status::Corruption("snapshot table kind mismatch for '" + name +
-                                "'");
-    }
-    SSTORE_RETURN_NOT_OK(table->DeserializeContentsFrom(&in));
-    restored.push_back(name);
-  }
-
   for (const auto& [base, wanted] : refs) {
-    SSTORE_RETURN_NOT_OK(
-        RestoreTablesFromBase(resolver(base), wanted, catalog));
+    std::string base_path = resolver(base);
+    SSTORE_ASSIGN_OR_RETURN(std::set<std::string> found,
+                            ReadEntries(base_path, &wanted, catalog, nullptr));
+    if (found.size() != wanted.size()) {
+      return Status::Corruption("delta base snapshot " + base_path + " lacks " +
+                                std::to_string(wanted.size() - found.size()) +
+                                " referenced table(s)");
+    }
   }
 
-  // Clear tables that existed at snapshot-restore time but were empty /
-  // absent in the snapshot.
+  // Tables in the catalog but absent from the snapshot are cleared.
   for (const std::string& name : catalog->TableNames()) {
-    bool in_snapshot = false;
-    for (const std::string& r : restored) {
-      if (r == name) {
-        in_snapshot = true;
-        break;
-      }
-    }
-    if (!in_snapshot) {
-      SSTORE_ASSIGN_OR_RETURN(Table * table, catalog->GetTable(name));
-      table->Clear();
-    }
+    if (restored.count(name) != 0) continue;
+    SSTORE_ASSIGN_OR_RETURN(Table * table, catalog->GetTable(name));
+    table->Clear();
   }
   return Status::OK();
 }
@@ -283,8 +255,8 @@ Result<uint64_t> SnapshotManager::ReadEpoch(const std::string& path) {
   SSTORE_ASSIGN_OR_RETURN(std::vector<uint8_t> bytes, ReadFileBytes(path));
   ByteReader in(bytes);
   SSTORE_ASSIGN_OR_RETURN(uint64_t magic, in.GetU64());
-  if (magic != kSnapshotMagic && magic != kSnapshotMagicV2) {
-    return Status::Corruption("bad snapshot magic");
+  if (magic != kSnapshotMagic) {
+    return Status::Corruption("bad snapshot magic in " + path);
   }
   return in.GetU64();
 }

@@ -37,6 +37,13 @@ using SnapshotBaseResolver = std::function<std::string(uint64_t)>;
 /// transaction-consistent snapshots, paper §3.1). A snapshot captures every
 /// table's live rows and row metadata; indexes are rebuilt on restore.
 ///
+/// One on-disk format (magic "SSNAPS02"): a header, then one entry per
+/// table — name, table kind, and either a full length-prefixed body or a
+/// reference to the earlier checkpoint that holds the table in full. One
+/// reader serves a checkpoint's file and its delta bases; it accepts only
+/// what WriteSnapshot writes, and anything else (another magic, an unknown
+/// entry kind, a truncated or overlong body, trailing bytes) is kCorruption.
+///
 /// Failure model: every write/fsync/rename is checked and surfaced as a
 /// Status (never a silent short file), publication is atomic via temp +
 /// rename, and the failpoint sites `snapshot.write` / `snapshot.rename`
@@ -45,28 +52,23 @@ using SnapshotBaseResolver = std::function<std::string(uint64_t)>;
 class SnapshotManager {
  public:
   /// Serializes every table of `catalog` to `path` (atomic via temp+rename).
-  static Status WriteSnapshot(const std::string& path, const Catalog& catalog);
-
-  /// Delta-capable overload: tables listed in `delta` are written as
-  /// references to the checkpoint file that last serialized them in full.
-  /// Either out-param may be null; a null `delta` writes everything full.
+  /// Tables listed in `delta` are written as references to the checkpoint
+  /// file that last serialized them in full; a null `delta` writes
+  /// everything full. `stats`, when non-null, receives what was written.
   static Status WriteSnapshot(const std::string& path, const Catalog& catalog,
-                              const SnapshotDeltaSpec* delta,
-                              SnapshotWriteStats* stats);
+                              const SnapshotDeltaSpec* delta = nullptr,
+                              SnapshotWriteStats* stats = nullptr);
 
   /// Restores table contents from `path` into `catalog`. Every table named
   /// in the snapshot must already exist (schema is part of the DDL, which —
   /// as in H-Store — is re-created by the application before recovery) and
   /// must match the snapshotted schema. Tables in the catalog but absent
-  /// from the snapshot are cleared. Fails on reference entries (a delta
-  /// snapshot needs the resolver overload).
-  static Status RestoreSnapshot(const std::string& path, Catalog* catalog);
-
-  /// Delta-capable overload: reference entries are resolved through
+  /// from the snapshot are cleared. Reference entries are resolved through
   /// `resolver` — each referenced checkpoint's file is opened and the
-  /// table's full copy restored from there.
+  /// table's full copy restored from there; without a resolver a delta
+  /// snapshot is InvalidArgument.
   static Status RestoreSnapshot(const std::string& path, Catalog* catalog,
-                                const SnapshotBaseResolver& resolver);
+                                const SnapshotBaseResolver& resolver = {});
 
   /// The monotone snapshot epoch embedded in the file, used by tests.
   static Result<uint64_t> ReadEpoch(const std::string& path);

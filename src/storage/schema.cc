@@ -1,5 +1,7 @@
 #include "storage/schema.h"
 
+#include <algorithm>
+
 namespace sstore {
 
 Result<size_t> Schema::ColumnIndex(const std::string& name) const {
@@ -40,7 +42,7 @@ void Schema::SerializeTo(ByteWriter* out) const {
 Result<Schema> Schema::DeserializeFrom(ByteReader* in) {
   SSTORE_ASSIGN_OR_RETURN(uint32_t n, in->GetU32());
   std::vector<Column> cols;
-  cols.reserve(n);
+  cols.reserve(std::min<size_t>(n, in->remaining()));  // n is untrusted
   for (uint32_t i = 0; i < n; ++i) {
     SSTORE_ASSIGN_OR_RETURN(std::string name, in->GetString());
     SSTORE_ASSIGN_OR_RETURN(uint8_t type, in->GetU8());

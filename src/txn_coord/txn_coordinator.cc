@@ -124,9 +124,8 @@ TxnCoordinator::TxnCoordinator(std::vector<Partition*> partitions,
                                Options options)
     : partitions_(std::move(partitions)), options_(std::move(options)) {
   if (!options_.decision_log_path.empty()) {
-    // A failure stays in decision_log_error_ (see OpenDecisionLogLocked).
-    std::lock_guard<std::mutex> lock(decision_log_mu_);
-    OpenDecisionLogLocked(options_.decision_log_path);
+    // A failure stays in decision_log_error_ (see AttachDecisionLog).
+    AttachDecisionLog(options_.decision_log_path).ok();
   }
 }
 
@@ -319,21 +318,8 @@ void TxnCoordinator::AddPartition(Partition* partition) {
   partitions_.push_back(partition);
 }
 
-Status TxnCoordinator::RotateDecisionLog(const std::string& new_path) {
+Status TxnCoordinator::AttachDecisionLog(const std::string& path) {
   std::lock_guard<std::mutex> lock(decision_log_mu_);
-  if (decision_log_ == nullptr && options_.decision_log_path.empty()) {
-    return Status::OK();  // decisions were never durable; nothing to rotate
-  }
-  return OpenDecisionLogLocked(new_path);
-}
-
-Status TxnCoordinator::AttachDecisionLog(const std::string& path, bool sync) {
-  std::lock_guard<std::mutex> lock(decision_log_mu_);
-  options_.log_sync = sync;
-  return OpenDecisionLogLocked(path);
-}
-
-Status TxnCoordinator::OpenDecisionLogLocked(const std::string& path) {
   decision_log_.reset();  // flush + close the finished epoch (if any)
   CommandLog::Options log_opts;
   log_opts.path = path;
@@ -351,7 +337,6 @@ Status TxnCoordinator::OpenDecisionLogLocked(const std::string& path) {
   }
   decision_log_ = std::move(log).value();
   decision_log_error_ = Status::OK();
-  options_.decision_log_path = path;
   return Status::OK();
 }
 

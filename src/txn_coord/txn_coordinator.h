@@ -196,20 +196,15 @@ class TxnCoordinator {
   static Result<std::vector<int64_t>> ReadCommittedGids(
       const std::string& decision_log_path);
 
-  /// Closes the current decision log and starts a fresh one at `new_path`
-  /// (the checkpoint-epoch rotation, mirroring Partition::RotateCommandLog).
-  /// Decisions for transactions that completed before the checkpoint cut
-  /// are subsumed by the snapshots — the quiesced gate guarantees no
-  /// in-flight transaction spans the rotation — so only post-cut decisions
-  /// need the new file. No-op when decisions are not durable.
-  Status RotateDecisionLog(const std::string& new_path);
-
-  /// Attaches (or re-attaches) a decision log on a coordinator constructed
-  /// without one — the composable-recovery path: a recovered cluster's
-  /// coordinator starts logless (its options carried no decision_log_path,
-  /// since opening would truncate the file being replayed) and becomes
-  /// durable again by attaching a fresh epoch file here.
-  Status AttachDecisionLog(const std::string& path, bool sync);
+  /// The one attach path for the decision log: closes the current one (if
+  /// any) and starts a fresh file at `path`, with the Options' log_sync.
+  /// The checkpoint cut calls it with the new epoch's file, both on a live
+  /// cluster and in Recover's re-arm. Decisions for transactions that
+  /// completed before the cut are subsumed by the snapshots — the quiesced
+  /// gate guarantees no in-flight transaction spans it — so only post-cut
+  /// decisions need the new file. A file that cannot open is kept in
+  /// decision_log_error_: every later commit decision aborts.
+  Status AttachDecisionLog(const std::string& path);
 
   /// Restart the sequencer above every gid seen in recovered logs so new
   /// transactions never collide with old decision records.
@@ -229,8 +224,6 @@ class TxnCoordinator {
   /// Force-flushes a commit decision for `gid`; OK when decisions are not
   /// durable. Any-thread safe (the last voter runs on a partition worker).
   Status AppendCommitDecision(int64_t gid);
-  /// Shared open path for construction-time, rotation, and re-attach.
-  Status OpenDecisionLogLocked(const std::string& path);
   /// Applies the decision on one participant and fills its op slots in
   /// `ticket`: commit runs CommitMulti (on the inline path also draining
   /// the PE-triggered work its commit hooks queued, as no worker will);

@@ -257,6 +257,46 @@ TEST(ClusterDurabilityTest, SplitFailsBeforeCutoverWhenTargetLogCannotOpen) {
   EXPECT_NE(::stat((ckpt_dir + "/CHECKPOINT").c_str(), &manifest), 0);
 }
 
+TEST(ClusterDurabilityTest, CommitAfterFailedRotationAborts) {
+  static int run = 0;  // a fresh directory per run (--gtest_repeat)
+  const std::string name = "rotate_fail_" + std::to_string(run++);
+  std::string base = MakeDir(name);
+  std::string log_dir = MakeDir(name + "/logs");
+  std::string ckpt_dir = MakeDir(name + "/ckpt");
+  Cluster::Options opts;
+  opts.num_partitions = 1;
+  opts.log_dir = log_dir;
+  opts.log_sync = false;
+  Cluster cluster(opts);
+  ASSERT_TRUE(cluster.Deploy(BuildKeyedChain()).ok());
+  cluster.Start();
+  ASSERT_TRUE(
+      cluster.ExecuteSync("ingest", KeyVal(1, 1), Value::BigInt(1), 1)
+          .committed());
+  cluster.WaitIdle();
+  // The next epoch's log cannot be created once its directory is gone.
+  ASSERT_EQ(std::rename(log_dir.c_str(), (base + "/moved").c_str()), 0);
+  Status st = cluster.Checkpoint(ckpt_dir);
+  ASSERT_EQ(st.code(), StatusCode::kIOError) << st.ToString();
+  EXPECT_NE(st.message().find("partition-0.e1.log"), std::string::npos)
+      << st.ToString();
+
+  // The manifest already names epoch 1, so a commit acked now would be lost
+  // by a crash. The old log stays attached but closed: commits abort.
+  EXPECT_NE(cluster.partition(0).command_log(), nullptr);
+  TxnOutcome next =
+      cluster.ExecuteSync("ingest", KeyVal(2, 2), Value::BigInt(2), 2);
+  EXPECT_FALSE(next.committed());
+  EXPECT_EQ(next.status.code(), StatusCode::kIOError)
+      << next.status.ToString();
+  EXPECT_NE(next.status.message().find("command log is closed"),
+            std::string::npos)
+      << next.status.ToString();
+  cluster.WaitIdle();
+  cluster.Stop();
+  EXPECT_EQ(SinkRows(cluster.store(0)).size(), 1u);
+}
+
 TEST(ClusterDurabilityTest, StatsReadersRaceLogRotationSafely) {
   // A stats reader (the checkpointer's log-bytes poll, a kStats request)
   // runs while checkpoints rotate every partition's log: it must neither

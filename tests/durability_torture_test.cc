@@ -16,6 +16,7 @@
 
 #include <chrono>
 #include <cstdint>
+#include <cstdio>
 #include <cstdlib>
 #include <map>
 #include <memory>
@@ -331,6 +332,69 @@ enum class FireVia {
   kCheckpoint,  // a Checkpoint() call (snapshot/manifest/barrier paths)
 };
 
+Cluster::Options CrashClusterOptions() {
+  Cluster::Options opts;
+  opts.num_partitions = 2;
+  opts.routing = PartitionMap::Mode::kModulo;
+  opts.log_sync = false;
+  return opts;
+}
+
+VoterClusterConfig CrashVoterConfig() {
+  VoterClusterConfig config;
+  config.num_contestants = 8;
+  config.initial_votes = 100;
+  return config;
+}
+
+/// Generation-1 workload: committed votes, a clean checkpoint, then a
+/// post-checkpoint tail including a cross-partition transfer, so replay
+/// must compose snapshot + log + decision log. Adds the acked votes to
+/// `*committed`.
+void IngestAroundCheckpoint(Cluster& cluster, VoterClusterApp& app,
+                            const VoterClusterConfig& config,
+                            const std::string& ckpt_dir, int64_t* committed) {
+  for (int i = 0; i < 16; ++i) {
+    if (app.Vote(i % config.num_contestants).committed()) ++*committed;
+  }
+  ASSERT_TRUE(cluster.Checkpoint(ckpt_dir).ok());
+  for (int i = 0; i < 16; ++i) {
+    if (app.Vote(i % config.num_contestants).committed()) ++*committed;
+  }
+  int64_t from = 0, to = 0;
+  if (app.PickCrossPartitionPair(&from, &to)) {
+    app.Transfer(from, to, 5);
+  }
+  cluster.WaitIdle();
+}
+
+/// A fresh cluster recovers from the last kill and must hold exactly the
+/// `*committed` acked votes. With `more_votes` > 0 it then ingests that many
+/// (the re-armed fresh logs must capture them, counted into `*committed`)
+/// and dies again with NO checkpoint.
+void RecoverToAckedCut(const std::string& site, const std::string& ckpt_dir,
+                       const std::string& log_dir, int64_t* committed,
+                       int more_votes) {
+  VoterClusterConfig config = CrashVoterConfig();
+  Cluster recovered(CrashClusterOptions());
+  VoterClusterApp app(&recovered, config);
+  ASSERT_TRUE(recovered.Deploy(BuildVoterClusterDeployment(config)).ok());
+  Status st = recovered.Recover(ckpt_dir, log_dir);
+  ASSERT_TRUE(st.ok()) << site << ": " << st.ToString();
+  ASSERT_TRUE(app.CheckInvariant().ok()) << site;
+  Result<int64_t> txns = app.TotalVoteTxns();
+  ASSERT_TRUE(txns.ok());
+  EXPECT_EQ(*txns, *committed) << site << ": recovered cut != acked commits";
+  if (more_votes == 0) return;
+
+  recovered.Start();
+  for (int i = 0; i < more_votes; ++i) {
+    if (app.Vote(i % config.num_contestants).committed()) ++*committed;
+  }
+  recovered.WaitIdle();
+  recovered.Stop();
+}
+
 /// One full torture scenario: ingest committed work, checkpoint cleanly,
 /// ingest more, arm `site`, drive it to fire, simulate the kill, then prove
 /// two *composed* recoveries converge to exactly the acked-committed cut:
@@ -340,41 +404,21 @@ void RunCrashScenario(const std::string& tag, const std::string& site,
                       failpoint::Action action, FireVia fire) {
   std::string ckpt_dir = MakeDir(tag + "_ckpt");
   std::string log_dir = MakeDir(tag + "_logs");
-  VoterClusterConfig config;
-  config.num_contestants = 8;
-  config.initial_votes = 100;
-
-  Cluster::Options opts;
-  opts.num_partitions = 2;
-  opts.routing = PartitionMap::Mode::kModulo;
-  opts.log_sync = false;
+  VoterClusterConfig config = CrashVoterConfig();
 
   int64_t committed = 0;  // votes the client saw acked before each kill
   {
-    Cluster::Options live_opts = opts;
+    Cluster::Options live_opts = CrashClusterOptions();
     live_opts.log_dir = log_dir;
     Cluster cluster(live_opts);
     VoterClusterApp app(&cluster, config);
     ASSERT_TRUE(cluster.Deploy(BuildVoterClusterDeployment(config)).ok());
     cluster.Start();
-
-    for (int i = 0; i < 16; ++i) {
-      if (app.Vote(i % config.num_contestants).committed()) ++committed;
-    }
-    ASSERT_TRUE(cluster.Checkpoint(ckpt_dir).ok());
-
-    // Post-checkpoint tail, including a cross-partition transfer, so replay
-    // must compose snapshot + log + decision log.
-    for (int i = 0; i < 16; ++i) {
-      if (app.Vote(i % config.num_contestants).committed()) ++committed;
-    }
-    int64_t from = 0, to = 0;
-    if (app.PickCrossPartitionPair(&from, &to)) {
-      app.Transfer(from, to, 5);
-    }
-    cluster.WaitIdle();
+    ASSERT_NO_FATAL_FAILURE(
+        IngestAroundCheckpoint(cluster, app, config, ckpt_dir, &committed));
 
     failpoint::Activate(site, action);
+    int64_t from = 0, to = 0;
     switch (fire) {
       case FireVia::kVotes:
         // The vote that hits the armed site aborts (not acked, not
@@ -408,38 +452,53 @@ void RunCrashScenario(const std::string& tag, const std::string& site,
 
   // Generation 2: recover, verify the exact acked cut, ingest more (the
   // re-armed fresh logs must capture it), die again with NO checkpoint.
-  {
-    Cluster recovered(opts);
-    VoterClusterApp app(&recovered, config);
-    ASSERT_TRUE(recovered.Deploy(BuildVoterClusterDeployment(config)).ok());
-    Status st = recovered.Recover(ckpt_dir, log_dir);
-    ASSERT_TRUE(st.ok()) << site << ": " << st.ToString();
-    ASSERT_TRUE(app.CheckInvariant().ok()) << site;
-    Result<int64_t> txns = app.TotalVoteTxns();
-    ASSERT_TRUE(txns.ok());
-    EXPECT_EQ(*txns, committed) << site << ": recovered cut != acked commits";
-
-    recovered.Start();
-    for (int i = 0; i < 10; ++i) {
-      if (app.Vote(i % config.num_contestants).committed()) ++committed;
-    }
-    recovered.WaitIdle();
-    recovered.Stop();
-  }
-
+  RecoverToAckedCut(site, ckpt_dir, log_dir, &committed, 10);
+  if (::testing::Test::HasFatalFailure()) return;
   // Generation 3: recovery composes — the second kill recovers too, and
   // still equals the acked total across both generations.
+  RecoverToAckedCut(site, ckpt_dir, log_dir, &committed, 0);
+}
+
+/// A kill *inside* Recover's re-arm: gen-1 dies without a fault, gen-2's
+/// Recover dies at `site` while it cuts the fresh epoch, and gen-3 must
+/// still recover exactly the acked cut — the re-arm is an ordinary
+/// checkpoint cut, so it inherits the checkpoint's crash safety — and then
+/// compose once more (gen-4).
+void RunRearmCrashScenario(const std::string& tag, const std::string& site) {
+  std::string ckpt_dir = MakeDir(tag + "_ckpt");
+  std::string log_dir = MakeDir(tag + "_logs");
+  VoterClusterConfig config = CrashVoterConfig();
+
+  int64_t committed = 0;
   {
-    Cluster recovered(opts);
+    Cluster::Options live_opts = CrashClusterOptions();
+    live_opts.log_dir = log_dir;
+    Cluster cluster(live_opts);
+    VoterClusterApp app(&cluster, config);
+    ASSERT_TRUE(cluster.Deploy(BuildVoterClusterDeployment(config)).ok());
+    cluster.Start();
+    ASSERT_NO_FATAL_FAILURE(
+        IngestAroundCheckpoint(cluster, app, config, ckpt_dir, &committed));
+    cluster.Stop();
+  }
+
+  {
+    Cluster recovered(CrashClusterOptions());
     VoterClusterApp app(&recovered, config);
     ASSERT_TRUE(recovered.Deploy(BuildVoterClusterDeployment(config)).ok());
+    failpoint::Activate(site, failpoint::Action::kCrash);
     Status st = recovered.Recover(ckpt_dir, log_dir);
-    ASSERT_TRUE(st.ok()) << site << ": " << st.ToString();
-    ASSERT_TRUE(app.CheckInvariant().ok()) << site;
-    Result<int64_t> txns = app.TotalVoteTxns();
-    ASSERT_TRUE(txns.ok());
-    EXPECT_EQ(*txns, committed) << site << ": gen-3 cut != gen-2 acked";
+    EXPECT_FALSE(st.ok()) << site << ": the re-arm should have died";
+    EXPECT_NE(st.message().find("re-arming durability after recovery"),
+              std::string::npos)
+        << st.ToString();
+    EXPECT_GE(failpoint::Hits(site), 1u) << site << " never evaluated";
   }
+  failpoint::ResetAll();
+
+  RecoverToAckedCut(site, ckpt_dir, log_dir, &committed, 10);
+  if (::testing::Test::HasFatalFailure()) return;
+  RecoverToAckedCut(site, ckpt_dir, log_dir, &committed, 0);
 }
 
 TEST_F(FailpointGuard, CrashAtCommandLogAppend) {
@@ -498,6 +557,20 @@ TEST_F(FailpointGuard, CrashAfterManifestCommitBeforeRotation) {
   // correct, because nothing could commit while the barrier held.
   RunCrashScenario("after_man", "checkpoint.after_manifest",
                    failpoint::Action::kCrash, FireVia::kCheckpoint);
+}
+
+TEST_F(FailpointGuard, CrashAtSnapshotWriteDuringRecover) {
+  RunRearmCrashScenario("rearm_snap", "snapshot.write");
+}
+
+TEST_F(FailpointGuard, CrashAtManifestRenameDuringRecover) {
+  RunRearmCrashScenario("rearm_man", "manifest.rename");
+}
+
+TEST_F(FailpointGuard, CrashAfterManifestDuringRecover) {
+  // The re-arm's manifest names an epoch whose logs were never opened:
+  // gen-3 replays the fresh cut's snapshots with an empty suffix.
+  RunRearmCrashScenario("rearm_after_man", "checkpoint.after_manifest");
 }
 
 // ---- Delta snapshots ----
@@ -571,6 +644,65 @@ TEST_F(FailpointGuard, DeltaSnapshotSkipsUnchangedTablesAndRecovers) {
   Status bare = SnapshotManager::RestoreSnapshot(
       dir + "/ckpt-3-partition-0.snap", &ref_store.catalog());
   EXPECT_FALSE(bare.ok());
+}
+
+// ---- The manifest reader accepts only what WriteManifest writes ----
+
+/// Cuts a checkpoint of a one-partition cluster into `dir`, rewrites its
+/// manifest with every line containing `drop` (or, with a non-empty
+/// `replacement`, replaces those lines), and returns what Recover says.
+Status RecoverFromEditedManifest(const std::string& dir,
+                                 const std::string& drop,
+                                 const std::string& replacement) {
+  Cluster::Options opts;
+  opts.num_partitions = 1;
+  {
+    Cluster cluster(opts);
+    EXPECT_TRUE(cluster.Deploy(HotColdTopology()).ok());
+    EXPECT_TRUE(cluster.Checkpoint(dir).ok());
+  }
+  std::string path = dir + "/CHECKPOINT";
+  std::FILE* in = std::fopen(path.c_str(), "r");
+  EXPECT_NE(in, nullptr);
+  if (in == nullptr) return Status::IOError("no manifest");
+  std::string edited;
+  bool matched = false;
+  char line[256];
+  while (std::fgets(line, sizeof(line), in) != nullptr) {
+    if (std::string(line).find(drop) == std::string::npos) {
+      edited += line;
+    } else {
+      matched = true;
+      edited += replacement;
+    }
+  }
+  std::fclose(in);
+  EXPECT_TRUE(matched) << "manifest has no line with '" << drop << "'";
+  std::FILE* out = std::fopen(path.c_str(), "w");
+  EXPECT_NE(out, nullptr);
+  if (out == nullptr) return Status::IOError("cannot rewrite manifest");
+  std::fputs(edited.c_str(), out);
+  std::fclose(out);
+
+  Cluster recovered(opts);
+  EXPECT_TRUE(recovered.Deploy(HotColdTopology()).ok());
+  return recovered.Recover(dir, "");
+}
+
+TEST_F(FailpointGuard, ManifestWithoutLogEpochIsCorruption) {
+  Status missing =
+      RecoverFromEditedManifest(MakeDir("man_no_epoch"), "log_epoch", "");
+  EXPECT_EQ(missing.code(), StatusCode::kCorruption) << missing.ToString();
+  Status garbled = RecoverFromEditedManifest(MakeDir("man_bad_epoch"),
+                                             "log_epoch", "log_epoch x\n");
+  EXPECT_EQ(garbled.code(), StatusCode::kCorruption) << garbled.ToString();
+}
+
+TEST_F(FailpointGuard, ManifestWithoutPartitionMapIsCorruption) {
+  Status st = RecoverFromEditedManifest(MakeDir("man_no_map"), "map_", "");
+  EXPECT_EQ(st.code(), StatusCode::kCorruption) << st.ToString();
+  EXPECT_NE(st.message().find("records no partition map"), std::string::npos)
+      << st.ToString();
 }
 
 // ---- Composed recovery of a placed topology (exactly-once channels) ----

@@ -3,7 +3,9 @@
 #include <atomic>
 #include <cstdio>
 #include <thread>
+#include <vector>
 
+#include "common/bytes.h"
 #include "engine/partition.h"
 #include "engine/procedure.h"
 #include "log/command_log.h"
@@ -477,6 +479,113 @@ TEST(SnapshotTest, EpochIncreases) {
   EXPECT_LT(*SnapshotManager::ReadEpoch(p1), *SnapshotManager::ReadEpoch(p2));
 }
 
+void WriteBytes(const std::string& path, const std::vector<uint8_t>& bytes) {
+  std::FILE* f = std::fopen(path.c_str(), "wb");
+  ASSERT_NE(f, nullptr);
+  ASSERT_EQ(std::fwrite(bytes.data(), 1, bytes.size(), f), bytes.size());
+  ASSERT_EQ(std::fclose(f), 0);
+}
+
+TEST(SnapshotTest, RejectsTheRetiredV1Format) {
+  // The unframed v1 layout ("SSNAPSHO", then each table inline) is no
+  // longer written, so the reader refuses it instead of guessing.
+  Catalog cat;
+  Table* t = *cat.CreateTable("t", KvSchema());
+  ASSERT_TRUE(t->Insert({Value::BigInt(1), Value::BigInt(2)}).ok());
+  ByteWriter v1;
+  v1.PutU64(0x53534e415053484full);  // "SSNAPSHO"
+  v1.PutU64(1);
+  v1.PutU32(1);
+  v1.PutString("t");
+  v1.PutU8(static_cast<uint8_t>(t->kind()));
+  t->SerializeTo(&v1);
+  std::string path = TempPath("snap_v1.bin");
+  ASSERT_NO_FATAL_FAILURE(WriteBytes(path, v1.data()));
+
+  Catalog fresh;
+  Table* t2 = *fresh.CreateTable("t", KvSchema());
+  EXPECT_EQ(SnapshotManager::RestoreSnapshot(path, &fresh).code(),
+            StatusCode::kCorruption);
+  EXPECT_EQ(t2->row_count(), 0u);
+  EXPECT_EQ(SnapshotManager::ReadEpoch(path).status().code(),
+            StatusCode::kCorruption);
+}
+
+TEST(SnapshotTest, HugeCountsInAnEntryAreCorruptionNotACrash) {
+  // A length-prefixed entry whose body claims 2^32-1 columns (or values in
+  // a row) must fail on the bytes actually present, not try to allocate
+  // for the claimed count first.
+  Catalog cat;
+  Table* t = *cat.CreateTable("t", KvSchema());
+  for (bool in_schema : {true, false}) {
+    ByteWriter body;
+    if (in_schema) {
+      body.PutU32(0xFFFFFFFFu);  // column count
+    } else {
+      t->schema().SerializeTo(&body);
+      body.PutU64(1);            // next_seq
+      body.PutU32(1);            // rows
+      body.PutU32(0xFFFFFFFFu);  // values in the row
+    }
+    ByteWriter file;
+    file.PutU64(0x53534e4150533032ull);  // "SSNAPS02"
+    file.PutU64(1);
+    file.PutU32(1);
+    file.PutString("t");
+    file.PutU8(static_cast<uint8_t>(t->kind()));
+    file.PutU8(0);  // full entry
+    file.PutU32(static_cast<uint32_t>(body.data().size()));
+    file.PutBytes(body.data().data(), body.data().size());
+    std::string path = TempPath("snap_huge_count.bin");
+    ASSERT_NO_FATAL_FAILURE(WriteBytes(path, file.data()));
+    EXPECT_EQ(SnapshotManager::RestoreSnapshot(path, &cat).code(),
+              StatusCode::kCorruption)
+        << (in_schema ? "column count" : "row arity");
+  }
+}
+
+TEST(SnapshotTest, DeltaBaseTruncatedMidEntryIsCorruption) {
+  // "cold" dominates the base file, so cutting it in half lands inside
+  // cold's full entry; the delta snapshot references exactly that entry.
+  Catalog cat;
+  Table* cold = *cat.CreateTable("cold", KvSchema());
+  for (int i = 0; i < 200; ++i) {
+    ASSERT_TRUE(cold->Insert({Value::BigInt(i), Value::BigInt(i)}).ok());
+  }
+  Table* hot = *cat.CreateTable("hot", KvSchema());
+  ASSERT_TRUE(hot->Insert({Value::BigInt(1), Value::BigInt(1)}).ok());
+  std::string base = TempPath("snap_base_1.bin");
+  std::string delta = TempPath("snap_base_2.bin");
+  ASSERT_TRUE(SnapshotManager::WriteSnapshot(base, cat).ok());
+  SnapshotDeltaSpec spec;
+  spec.unchanged["cold"] = 1;
+  ASSERT_TRUE(
+      SnapshotManager::WriteSnapshot(delta, cat, &spec, nullptr).ok());
+  SnapshotBaseResolver resolver = [&](uint64_t) { return base; };
+
+  Catalog intact;
+  ASSERT_TRUE(intact.CreateTable("cold", KvSchema()).ok());
+  ASSERT_TRUE(intact.CreateTable("hot", KvSchema()).ok());
+  ASSERT_TRUE(SnapshotManager::RestoreSnapshot(delta, &intact, resolver).ok());
+  EXPECT_EQ((*intact.GetTable("cold"))->row_count(), 200u);
+
+  std::FILE* f = std::fopen(base.c_str(), "rb");
+  ASSERT_NE(f, nullptr);
+  std::vector<uint8_t> bytes(1 << 16);
+  bytes.resize(std::fread(bytes.data(), 1, bytes.size(), f));
+  std::fclose(f);
+  ASSERT_GT(bytes.size(), 1000u);
+  bytes.resize(bytes.size() / 2);
+  ASSERT_NO_FATAL_FAILURE(WriteBytes(base, bytes));
+
+  Catalog fresh;
+  ASSERT_TRUE(fresh.CreateTable("cold", KvSchema()).ok());
+  ASSERT_TRUE(fresh.CreateTable("hot", KvSchema()).ok());
+  Status st = SnapshotManager::RestoreSnapshot(delta, &fresh, resolver);
+  EXPECT_EQ(st.code(), StatusCode::kCorruption) << st.ToString();
+  EXPECT_NE(st.message().find("cold"), std::string::npos) << st.ToString();
+}
+
 TEST(SnapshotTest, MissingFileIsIOError) {
   Catalog cat;
   EXPECT_EQ(SnapshotManager::RestoreSnapshot("/nonexistent/x.bin", &cat).code(),
@@ -488,8 +597,7 @@ TEST_F(EngineTest, LoggingPolicyStrongLogsEverything) {
   CommandLog::Options opts;
   opts.path = path;
   opts.sync = false;
-  part_.AttachCommandLog(std::move(CommandLog::Open(opts)).value(),
-                         RecoveryMode::kStrong);
+  ASSERT_TRUE(part_.AttachCommandLog(opts, RecoveryMode::kStrong).ok());
   ASSERT_TRUE(part_.ExecuteSync("put", {Value::BigInt(1), Value::BigInt(1)})
                   .committed());
   ASSERT_TRUE(part_.DetachCommandLog().ok());
@@ -501,8 +609,7 @@ TEST_F(EngineTest, AbortedTxnNotLogged) {
   CommandLog::Options opts;
   opts.path = path;
   opts.sync = false;
-  part_.AttachCommandLog(std::move(CommandLog::Open(opts)).value(),
-                         RecoveryMode::kStrong);
+  ASSERT_TRUE(part_.AttachCommandLog(opts, RecoveryMode::kStrong).ok());
   part_.ExecuteSync("fail_after_write", {Value::BigInt(1), Value::BigInt(1)});
   ASSERT_TRUE(part_.DetachCommandLog().ok());
   EXPECT_EQ((*CommandLog::ReadAll(path)).size(), 0u);
@@ -521,8 +628,7 @@ TEST(LoggingPolicyTest, WeakModeSkipsInteriorProcs) {
   CommandLog::Options opts;
   opts.path = path;
   opts.sync = false;
-  part.AttachCommandLog(std::move(CommandLog::Open(opts)).value(),
-                        RecoveryMode::kWeak);
+  ASSERT_TRUE(part.AttachCommandLog(opts, RecoveryMode::kWeak).ok());
   ASSERT_TRUE(part.ExecuteSync("border", {}, 1).committed());
   ASSERT_TRUE(part.ExecuteSync("interior", {}, 1).committed());
   ASSERT_TRUE(part.ExecuteSync("oltp", {}).committed());

@@ -307,11 +307,10 @@ TEST(GroupCommitIntegrationTest, TicketsFulfilledAfterIdleFlush) {
   log_opts.path = ::testing::TempDir() + "/group_commit_int.log";
   log_opts.group_size = 128;  // larger than the submission count
   log_opts.sync = false;
-  Result<std::unique_ptr<CommandLog>> log = CommandLog::Open(log_opts);
-  ASSERT_TRUE(log.ok()) << log.status().ToString();
   SStore store;
-  store.partition().AttachCommandLog(std::move(log).value(),
-                                     RecoveryMode::kStrong);
+  Status attached =
+      store.partition().AttachCommandLog(log_opts, RecoveryMode::kStrong);
+  ASSERT_TRUE(attached.ok()) << attached.ToString();
   ASSERT_TRUE(store.catalog().CreateTable("t", NumSchema()).ok());
   auto append = std::make_shared<LambdaProcedure>([](ProcContext& ctx) {
     SSTORE_ASSIGN_OR_RETURN(Table * t, ctx.table("t"));

@@ -16,6 +16,15 @@
 //     The trending board: `Aggregate` over a 100-row window with ~50
 //     distinct contestants, `GROUP BY id`, COUNT, `ORDER BY cnt DESC, id
 //     LIMIT 3`.
+//   BM_GroupByTopNStringKey, BM_GroupByTopNWindow1000
+//     The same query with a STRING group key ("contestant_<id>"), and over
+//     a 1000-row window (all 64 contestants present).
+//   BM_VoteRowBytes
+//     Inserts 60,000 rows of the voter's `votes` schema, with its unique
+//     `by_phone` and non-unique `by_contestant` indexes, into a fresh
+//     table once. `bytes_per_row` is the process's VmRSS growth over those
+//     inserts divided by the row count (freed heap is trimmed first): what
+//     a stored vote costs in memory, slot, row and index entries together.
 //   BM_TupleWindowSlide
 //     The trending window's per-vote step: `WindowManager::Insert` of one
 //     row into a full tuple-based window of 100 rows sliding by 1, so every
@@ -27,7 +36,15 @@
 
 #include <benchmark/benchmark.h>
 
+#if defined(__GLIBC__)
+#include <malloc.h>
+#endif
+
 #include <cstdint>
+#include <cstdio>
+#include <cstdlib>
+#include <cstring>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -59,6 +76,68 @@ using sstore::Value;
 using sstore::ValueType;
 using sstore::WindowKind;
 using sstore::WindowSpec;
+
+/// This process's resident set size in bytes (VmRSS), or -1 if unreadable.
+int64_t ResidentBytes() {
+  std::FILE* f = std::fopen("/proc/self/status", "r");
+  if (f == nullptr) return -1;
+  char line[256];
+  int64_t kb = -1;
+  while (std::fgets(line, sizeof(line), f) != nullptr) {
+    if (std::strncmp(line, "VmRSS:", 6) == 0) {
+      kb = std::strtoll(line + 6, nullptr, 10);
+      break;
+    }
+  }
+  std::fclose(f);
+  return kb < 0 ? -1 : kb * 1024;
+}
+
+// Registered first, so it runs before the other benchmarks have grown and
+// fragmented the heap.
+void BM_VoteRowBytes(benchmark::State& state) {
+  constexpr int64_t kRows = 60000;
+  std::unique_ptr<Table> table;  // torn down outside the timed loop
+  for (auto _ : state) {
+    state.PauseTiming();
+    table = std::make_unique<Table>(
+        "votes", Schema({{"phone", ValueType::kBigInt},
+                         {"contestant_id", ValueType::kBigInt},
+                         {"ts", ValueType::kTimestamp}}));
+    Table& votes = *table;
+    if (!votes.CreateIndex("by_phone", {"phone"}, true).ok() ||
+        !votes.CreateIndex("by_contestant", {"contestant_id"}, false).ok()) {
+      state.SkipWithError("index creation failed");
+      return;
+    }
+#if defined(__GLIBC__)
+    malloc_trim(0);
+#endif
+    int64_t before = ResidentBytes();
+    state.ResumeTiming();
+    for (int64_t r = 0; r < kRows; ++r) {
+      if (!votes
+               .Insert({Value::BigInt(5550000000 + r), Value::BigInt(r % 6),
+                        Value::Timestamp(r * 100)})
+               .ok()) {
+        state.SkipWithError("vote insert failed");
+        return;
+      }
+    }
+    state.PauseTiming();
+    int64_t after = ResidentBytes();
+    if (before < 0 || after < 0) {
+      state.SkipWithError("VmRSS unreadable");
+      return;
+    }
+    state.counters["bytes_per_row"] =
+        static_cast<double>(after - before) / static_cast<double>(kRows);
+    benchmark::DoNotOptimize(votes.row_count());
+    state.ResumeTiming();
+  }
+  state.SetItemsProcessed(state.iterations() * kRows);
+}
+BENCHMARK(BM_VoteRowBytes)->Iterations(1);
 
 void BM_UpdateByKey(benchmark::State& state) {
   const int64_t rows = state.range(0);
@@ -127,11 +206,16 @@ void BM_TopNScan(benchmark::State& state) {
 }
 BENCHMARK(BM_TopNScan);
 
-void BM_GroupByTopN(benchmark::State& state) {
-  Table window("w_trending", Schema({{"contestant_id", ValueType::kBigInt}}));
+void GroupByTopN(benchmark::State& state, int rows, bool string_key) {
+  Table window("w_trending",
+               Schema({{"contestant_id", string_key ? ValueType::kString
+                                                    : ValueType::kBigInt}}));
   Rng rng(11);
-  for (int r = 0; r < 100; ++r) {
-    if (!window.Insert({Value::BigInt(rng.NextRange(0, 63))}).ok()) {
+  for (int r = 0; r < rows; ++r) {
+    int64_t id = rng.NextRange(0, 63);
+    Value key = string_key ? Value::String("contestant_" + std::to_string(id))
+                           : Value::BigInt(id);
+    if (!window.Insert({key}).ok()) {
       state.SkipWithError("seed insert failed");
       return;
     }
@@ -153,7 +237,16 @@ void BM_GroupByTopN(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations());
 }
+void BM_GroupByTopN(benchmark::State& state) { GroupByTopN(state, 100, false); }
 BENCHMARK(BM_GroupByTopN);
+void BM_GroupByTopNStringKey(benchmark::State& state) {
+  GroupByTopN(state, 100, true);
+}
+BENCHMARK(BM_GroupByTopNStringKey);
+void BM_GroupByTopNWindow1000(benchmark::State& state) {
+  GroupByTopN(state, 1000, false);
+}
+BENCHMARK(BM_GroupByTopNWindow1000);
 
 void BM_TupleWindowSlide(benchmark::State& state) {
   SStore store;

@@ -1,5 +1,6 @@
 #include "cluster/cluster.h"
 
+#include <dirent.h>
 #include <sys/stat.h>
 #include <unistd.h>
 
@@ -30,6 +31,94 @@ constexpr char kDecisionLogName[] = "coord-decisions.log";
 bool FileExists(const std::string& path) {
   struct stat st;
   return ::stat(path.c_str(), &st) == 0;
+}
+
+/// Consumes `lit` at name[*pos...]; false when it is not there.
+bool Literal(const std::string& name, size_t* pos, const char* lit) {
+  size_t n = std::char_traits<char>::length(lit);
+  if (name.compare(*pos, n, lit) != 0) return false;
+  *pos += n;
+  return true;
+}
+
+/// Consumes the decimal number at name[*pos...] into `*out`; false when no
+/// digit is there or it overflows.
+bool Number(const std::string& name, size_t* pos, uint64_t* out) {
+  size_t start = *pos;
+  uint64_t v = 0;
+  for (; *pos < name.size() && name[*pos] >= '0' && name[*pos] <= '9'; ++*pos) {
+    if (__builtin_mul_overflow(v, 10, &v) ||
+        __builtin_add_overflow(v, static_cast<uint64_t>(name[*pos] - '0'),
+                               &v)) {
+      return false;
+    }
+  }
+  *out = v;
+  return *pos > start;
+}
+
+/// The checkpoint id and partition of a snapshot file name,
+/// `ckpt-<id>-partition-<p>.snap`; false for any other name.
+bool ParseSnapshotName(const std::string& name, uint64_t* id, uint64_t* p) {
+  size_t pos = 0;
+  return Literal(name, &pos, "ckpt-") && Number(name, &pos, id) &&
+         Literal(name, &pos, "-partition-") && Number(name, &pos, p) &&
+         Literal(name, &pos, ".snap") && pos == name.size();
+}
+
+/// The rotation epoch of a command-log or decision-log file name,
+/// `partition-<p>[.e<epoch>].log` or `coord-decisions[.e<epoch>].log`
+/// (no `.e` part: epoch 0); false for any other name.
+bool ParseLogEpoch(const std::string& name, uint64_t* epoch) {
+  size_t pos = 0;
+  uint64_t p = 0;
+  if (!(Literal(name, &pos, "partition-") && Number(name, &pos, &p)) &&
+      !Literal(name, &pos, "coord-decisions")) {
+    return false;
+  }
+  *epoch = 0;
+  if (Literal(name, &pos, ".e") && !Number(name, &pos, epoch)) return false;
+  return Literal(name, &pos, ".log") && pos == name.size();
+}
+
+/// The names of the entries of `dir` (none when it cannot be read).
+std::vector<std::string> ListDir(const std::string& dir) {
+  std::vector<std::string> names;
+  DIR* d = ::opendir(dir.c_str());
+  if (d == nullptr) return names;
+  while (const struct dirent* e = ::readdir(d)) names.emplace_back(e->d_name);
+  ::closedir(d);
+  return names;
+}
+
+/// Run once cut `checkpoint_id` has committed (manifest durable, logs
+/// rotated to its epoch): deletes what no recovery can read any more. In
+/// `dir` that is every snapshot file that is neither the cut's own nor one
+/// of its partition's delta bases (`specs[p]`); in `log_dir`, when set,
+/// every command log and decision log of an earlier epoch. So files a
+/// crash orphaned — between a manifest rename and the old epoch's
+/// deletion, or by a cut that never committed — go with the next cut.
+void DeleteDeadFiles(const std::string& dir, uint64_t checkpoint_id,
+                     const std::vector<SnapshotDeltaSpec>& specs,
+                     const std::string& log_dir) {
+  for (const std::string& name : ListDir(dir)) {
+    uint64_t id = 0, p = 0;
+    if (!ParseSnapshotName(name, &id, &p) || id == checkpoint_id) continue;
+    bool base = false;
+    if (p < specs.size()) {
+      for (const auto& [table, base_id] : specs[p].unchanged) {
+        if (base_id == id) base = true;
+      }
+    }
+    if (!base) std::remove((dir + "/" + name).c_str());
+  }
+  if (log_dir.empty()) return;
+  for (const std::string& name : ListDir(log_dir)) {
+    uint64_t epoch = 0;
+    if (ParseLogEpoch(name, &epoch) && epoch < checkpoint_id) {
+      std::remove((log_dir + "/" + name).c_str());
+    }
+  }
 }
 
 /// The manifest names the one complete checkpoint in `dir`; it is written
@@ -428,10 +517,9 @@ Status Cluster::CheckpointAtBarrier(const std::string& dir,
   // multi-partition decision can be made) until the barrier releases and
   // the coordinator un-quiesces. The reverse order would let workers keep
   // committing into files no durable manifest references. Old-epoch files
-  // are deleted only after everything above stuck. Every partition of a
-  // logged cluster rotates, including in Recover's re-arm, whose
-  // partitions have no log yet.
-  uint64_t prev_epoch = log_epoch_;
+  // are deleted only after everything above stuck (DeleteDeadFiles). Every
+  // partition of a logged cluster rotates, including in Recover's re-arm,
+  // whose partitions have no log yet.
   const bool will_rotate = !options_.log_dir.empty();
   if (st.ok()) {
     // The manifest records the routing table, making the rename above the
@@ -463,13 +551,7 @@ Status Cluster::CheckpointAtBarrier(const std::string& dir,
       st = coordinator_->AttachDecisionLog(
           DecisionLogPath(options_.log_dir, checkpoint_id));
     }
-    if (st.ok()) {
-      log_epoch_ = checkpoint_id;
-      for (size_t p = 0; p < stores_.size(); ++p) {
-        std::remove(LogPath(options_.log_dir, prev_epoch, p).c_str());
-      }
-      std::remove(DecisionLogPath(options_.log_dir, prev_epoch).c_str());
-    }
+    if (st.ok()) log_epoch_ = checkpoint_id;
     // A rotation failure leaves the failing partition's old log attached
     // but closed (Partition::AttachCommandLog): its logged commits abort
     // until the cluster is recovered, and the error is returned.
@@ -483,6 +565,7 @@ Status Cluster::CheckpointAtBarrier(const std::string& dir,
       }
     }
     if (report != nullptr) *report = local;
+    DeleteDeadFiles(dir, checkpoint_id, specs, options_.log_dir);
   }
   return st;
 }
@@ -777,8 +860,8 @@ Status Cluster::MigrateKeyedRows(const RebalancePlan& plan,
         },
         /*include_staged=*/true);
     for (const auto& [rid, owner] : movers) {
-      Result<const RowMeta*> meta = src_table.GetMeta(rid);
-      RowMeta row_meta = meta.ok() ? **meta : RowMeta{};
+      Result<RowMeta> meta = src_table.GetMeta(rid);
+      RowMeta row_meta = meta.ok() ? *meta : RowMeta{};
       Result<Table*> dst = stores_[owner]->catalog().GetTable(table_name);
       if (!dst.ok()) {
         return Status(dst.status().code(),

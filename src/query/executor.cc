@@ -2,6 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <functional>
+#include <limits>
 #include <numeric>
 
 namespace sstore {
@@ -51,7 +54,7 @@ bool IsNaN(const Value& v) {
 /// with any other NaN. Value::Compare finds NaN equal to every number, which
 /// is no strict weak order; this one is, so heap selection and a stable sort
 /// agree on it.
-int OrderCompare(const Value& a, const Value& b) {
+inline int OrderCompare(const Value& a, const Value& b) {
   if (IsIntLike(a.type()) && IsIntLike(b.type())) return a.Compare(b);
   bool a_nan = IsNaN(a);
   bool b_nan = IsNaN(b);
@@ -74,37 +77,227 @@ int RowCompare(const Value* a, const Value* b,
   return 0;
 }
 
+/// The ORDER BY keys of `rows` as int64 images, row-major, when every key
+/// value is BIGINT or TIMESTAMP; a descending key is bit-flipped (`~x`
+/// reverses the order of every int64). Empty when some key value is of
+/// another type.
+std::vector<int64_t> IntKeys(const std::vector<const Value*>& rows,
+                             const std::vector<OrderBySpec>& keys) {
+  std::vector<int64_t> ints;
+  ints.reserve(rows.size() * keys.size());
+  for (const Value* row : rows) {
+    for (const OrderBySpec& key : keys) {
+      const Value& v = row[key.column];
+      if (!IsIntLike(v.type())) return {};
+      int64_t x = v.as_int64();
+      ints.push_back(key.descending ? ~x : x);
+    }
+  }
+  return ints;
+}
+
 /// The one ordering step of Scan and Aggregate: orders `rows` (pointers to
 /// each row's first value) by `keys`, ties kept in input order, and keeps
-/// the first `limit` of them (all when unset). When the limit cuts, a heap
-/// selection over positions finds the survivors; its output equals a stable
-/// sort truncated to `limit`, row for row.
+/// the first `limit` of them (all when unset). Positions break ties, which
+/// makes the order total. A limit that cuts runs one heap selection
+/// (std::partial_sort), whose output equals the stable order truncated;
+/// it compares each row about once, so it reads keys through RowCompare.
+/// A full order compares each row ~log n times, so when IntKeys has int64
+/// images of every key it sorts on those.
 void OrderRows(std::vector<const Value*>* rows,
                const std::vector<OrderBySpec>& keys,
                std::optional<size_t> limit) {
   size_t n = rows->size();
   size_t keep = limit.has_value() ? std::min(*limit, n) : n;
-  if (keys.empty() || keep == 0) {
+  if (keys.empty() || keep == 0 || n == 1) {
     rows->resize(keep);
     return;
   }
-  if (keep == n) {
-    std::stable_sort(rows->begin(), rows->end(),
-                     [&](const Value* a, const Value* b) {
-                       return RowCompare(a, b, keys) < 0;
-                     });
-    return;
-  }
+  auto row_less = [&](size_t i, size_t j) {
+    int c = RowCompare((*rows)[i], (*rows)[j], keys);
+    return c != 0 ? c < 0 : i < j;
+  };
   std::vector<size_t> pos(n);
   std::iota(pos.begin(), pos.end(), size_t{0});
-  std::partial_sort(pos.begin(), pos.begin() + keep, pos.end(),
-                    [&](size_t i, size_t j) {
-                      int c = RowCompare((*rows)[i], (*rows)[j], keys);
-                      return c != 0 ? c < 0 : i < j;
-                    });
-  std::vector<const Value*> top(keep);
-  for (size_t r = 0; r < keep; ++r) top[r] = (*rows)[pos[r]];
-  rows->swap(top);
+  if (keep < n) {
+    std::partial_sort(pos.begin(), pos.begin() + keep, pos.end(), row_less);
+    pos.resize(keep);
+  } else if (std::vector<int64_t> ints = IntKeys(*rows, keys); !ints.empty()) {
+    const size_t k = keys.size();
+    std::sort(pos.begin(), pos.end(), [&](size_t i, size_t j) {
+      const int64_t* a = &ints[i * k];
+      const int64_t* b = &ints[j * k];
+      for (size_t c = 0; c < k; ++c) {
+        if (a[c] != b[c]) return a[c] < b[c];
+      }
+      return i < j;
+    });
+  } else {
+    std::sort(pos.begin(), pos.end(), row_less);
+  }
+  std::vector<const Value*> out(pos.size());
+  for (size_t r = 0; r < pos.size(); ++r) out[r] = (*rows)[pos[r]];
+  rows->swap(out);
+}
+
+/// splitmix64's finalizer: spreads every input bit over the whole word.
+uint64_t Mix(uint64_t x) {
+  x ^= x >> 30;
+  x *= 0xbf58476d1ce4e5b9ull;
+  x ^= x >> 27;
+  x *= 0x94d049bb133111ebull;
+  return x ^ (x >> 31);
+}
+
+/// A grouping hash that agrees with `OrderCompare == 0`: a number hashes by
+/// its double image (so BIGINT 5, TIMESTAMP 5 and 5.0 meet, and so do 0.0
+/// and -0.0), every NaN hashes alike, and a string or NULL by value. Keys
+/// that share a hash still go through OrderCompare, so a collision — say
+/// two int64s above 2^53 with one double image — never merges two groups.
+inline uint64_t GroupHash(const Value& v) {
+  double d = 0;
+  switch (v.type()) {
+    case ValueType::kNull:
+      return 0x6a09e667f3bcc909ull;
+    case ValueType::kString:
+      return Mix(std::hash<std::string>{}(v.as_string()));
+    case ValueType::kDouble:
+      d = v.as_double();
+      if (std::isnan(d)) return 0xbb67ae8584caa73bull;
+      if (d == 0.0) d = 0.0;  // -0.0 hashes as 0.0
+      break;
+    case ValueType::kBigInt:
+    case ValueType::kTimestamp:
+      d = static_cast<double>(v.as_int64());
+      break;
+  }
+  uint64_t bits = 0;
+  std::memcpy(&bits, &d, sizeof(bits));
+  return Mix(bits);
+}
+
+/// One GROUP BY group: its first row in slot order (whose key values the
+/// output keeps), its key hash and how many rows it holds.
+struct Group {
+  const Value* first;
+  uint64_t hash;
+  int64_t rows;
+};
+
+/// The groups of a GROUP BY in first-seen order, found through a flat
+/// open-addressing table of group ids + 1 (0 marks an empty slot), probed
+/// linearly and doubled at half load. A probe compares stored hashes first
+/// and the key columns, with OrderCompare, only on a hash match.
+class GroupTable {
+ public:
+  /// `cols` (the group-by columns) must outlive the table; `expected` rows
+  /// size the first allocation.
+  GroupTable(const std::vector<size_t>& cols, size_t expected) : cols_(cols) {
+    size_t cap = 16;
+    while (cap < 2 * std::min<size_t>(expected, 64)) cap *= 2;
+    slots_.resize(cap);
+    groups_.reserve(cap / 2);
+  }
+
+  /// The id of the group `row` falls in, opening a new one if none matches.
+  size_t FindOrAdd(const Value* row) {
+    uint64_t hash = 0;
+    for (size_t c : cols_) {
+      hash = (hash ^ GroupHash(row[c])) * 0x9e3779b97f4a7c15ull;
+    }
+    size_t mask = slots_.size() - 1;
+    size_t s = hash & mask;
+    for (; slots_[s] != 0; s = (s + 1) & mask) {
+      Group& g = groups_[slots_[s] - 1];
+      if (g.hash == hash && SameKey(g.first, row)) return slots_[s] - 1;
+    }
+    groups_.push_back(Group{row, hash, 0});
+    slots_[s] = static_cast<uint32_t>(groups_.size());
+    if (2 * groups_.size() > slots_.size()) Grow();
+    return groups_.size() - 1;
+  }
+
+  std::vector<Group>& groups() { return groups_; }
+
+ private:
+  bool SameKey(const Value* a, const Value* b) const {
+    for (size_t c : cols_) {
+      if (OrderCompare(a[c], b[c]) != 0) return false;
+    }
+    return true;
+  }
+
+  void Grow() {
+    std::vector<uint32_t> grown(2 * slots_.size());
+    size_t mask = grown.size() - 1;
+    for (size_t g = 0; g < groups_.size(); ++g) {
+      size_t s = groups_[g].hash & mask;
+      while (grown[s] != 0) s = (s + 1) & mask;
+      grown[s] = static_cast<uint32_t>(g + 1);
+    }
+    slots_.swap(grown);
+  }
+
+  const std::vector<size_t>& cols_;
+  std::vector<uint32_t> slots_;
+  std::vector<Group> groups_;
+};
+
+/// The running state of one non-COUNT aggregate over one group.
+struct AggState {
+  int64_t non_null = 0;  // non-NULL inputs folded
+  double sum = 0;
+  bool sum_is_int = true;
+  __int128 isum = 0;  // exact for any row count a table can hold
+  Value min, max;
+};
+
+/// Folds one input value into `st`. SUM and AVG reject a non-numeric
+/// value.
+Status FoldValue(AggFunc func, const Value& v, AggState* st) {
+  if (v.is_null()) return Status::OK();
+  ++st->non_null;
+  Result<double> num = v.ToNumeric();
+  if (!num.ok() && (func == AggFunc::kSum || func == AggFunc::kAvg)) {
+    return num.status();
+  }
+  if (num.ok()) {
+    st->sum += *num;
+    if (IsIntLike(v.type())) {
+      st->isum += v.as_int64();
+    } else {
+      st->sum_is_int = false;
+    }
+  }
+  if (st->non_null == 1) {
+    st->min = v;
+    st->max = v;
+  } else {
+    if (v.Compare(st->min) < 0) st->min = v;
+    if (v.Compare(st->max) > 0) st->max = v;
+  }
+  return Status::OK();
+}
+
+/// The output value of a non-COUNT aggregate (NULL over no non-NULL input).
+/// An all-BIGINT SUM outside the int64 range is kOutOfRange.
+Result<Value> AggResult(AggFunc func, const AggState& st) {
+  if (st.non_null == 0) return Value::Null();
+  switch (func) {
+    case AggFunc::kSum:
+      if (!st.sum_is_int) return Value::Double(st.sum);
+      if (st.isum < std::numeric_limits<int64_t>::min() ||
+          st.isum > std::numeric_limits<int64_t>::max()) {
+        return Status::OutOfRange("SUM overflows BIGINT");
+      }
+      return Value::BigInt(static_cast<int64_t>(st.isum));
+    case AggFunc::kAvg:
+      return Value::Double(st.sum / static_cast<double>(st.non_null));
+    case AggFunc::kMin:
+      return st.min;
+    default:
+      return st.max;
+  }
 }
 
 /// How many rows a scan of `table` visits: the upper bound on its matches.
@@ -118,6 +311,12 @@ template <typename Fn>
 Status ForEachMatch(const Table& table, const ExprPtr& predicate,
                     bool include_staged, Fn fn) {
   Status err = Status::OK();
+  if (predicate == nullptr) {
+    table.ForEach([&](RowId rid, const Tuple& row,
+                      const RowMeta&) { return fn(rid, row); },
+                  include_staged);
+    return err;
+  }
   table.ForEach(
       [&](RowId rid, const Tuple& row, const RowMeta&) {
         Result<bool> match = EvalPredicate(predicate, row);
@@ -170,8 +369,8 @@ Result<std::vector<RowId>> MatchingRows(const Table& table,
     std::vector<RowId> candidates = idx->Lookup({*key});
     std::sort(candidates.begin(), candidates.end());
     for (RowId rid : candidates) {
-      SSTORE_ASSIGN_OR_RETURN(const RowMeta* meta, table.GetMeta(rid));
-      if (!include_staged && !meta->active) continue;
+      SSTORE_ASSIGN_OR_RETURN(RowMeta meta, table.GetMeta(rid));
+      if (!include_staged && !meta.active) continue;
       SSTORE_ASSIGN_OR_RETURN(const Tuple* row, table.Get(rid));
       SSTORE_ASSIGN_OR_RETURN(bool match, EvalPredicate(predicate, *row));
       if (match) out.push_back(rid);
@@ -235,8 +434,8 @@ Result<std::vector<Tuple>> Executor::IndexScan(
                           table->IndexLookup(index_name, key));
   std::vector<Tuple> out;
   for (RowId rid : rids) {
-    SSTORE_ASSIGN_OR_RETURN(const RowMeta* meta, table->GetMeta(rid));
-    if (!meta->active) continue;  // staged rows invisible to queries
+    SSTORE_ASSIGN_OR_RETURN(RowMeta meta, table->GetMeta(rid));
+    if (!meta.active) continue;  // staged rows invisible to queries
     SSTORE_ASSIGN_OR_RETURN(const Tuple* row, table->Get(rid));
     SSTORE_ASSIGN_OR_RETURN(bool match, EvalPredicate(residual, *row));
     if (!match) continue;
@@ -276,124 +475,74 @@ Result<std::vector<Tuple>> Executor::Aggregate(const AggregateSpec& spec) const 
   size_t width = spec.group_by.size() + spec.aggregates.size();
   SSTORE_RETURN_NOT_OK(ValidateOrderBy(spec.order_by, width));
 
-  std::vector<const Value*> rows;
-  rows.reserve(VisibleRows(*spec.table, spec.include_staged));
-  SSTORE_RETURN_NOT_OK(ForEachMatch(*spec.table, spec.predicate,
-                                    spec.include_staged,
-                                    [&](RowId, const Tuple& row) {
-                                      rows.push_back(row.data());
-                                      return true;
-                                    }));
-
-  struct AggState {
-    int64_t count = 0;         // rows seen (for COUNT / AVG denominators)
-    int64_t non_null = 0;      // non-null inputs for this aggregate
-    double sum = 0;
-    bool sum_is_int = true;
-    int64_t isum = 0;
-    Value min, max;
-  };
-  std::vector<AggState> states(spec.aggregates.size());
-  // Group g's output row is cells[g * width, (g + 1) * width). There is at
-  // most one group per row, and one even over no rows.
-  std::vector<Value> cells;
-  cells.reserve(std::max<size_t>(rows.size(), 1) * width);
-  size_t groups = 0;
-
-  // Folds rows[begin, end) — one group, in slot order — into an output row.
-  auto fold = [&](size_t begin, size_t end) -> Status {
-    std::fill(states.begin(), states.end(), AggState{});
-    for (size_t r = begin; r < end; ++r) {
-      for (size_t i = 0; i < spec.aggregates.size(); ++i) {
-        const AggExpr& a = spec.aggregates[i];
-        AggState& st = states[i];
-        ++st.count;
-        if (a.func == AggFunc::kCount) continue;
-        const Value& v = rows[r][a.column];
-        if (v.is_null()) continue;
-        ++st.non_null;
-        Result<double> num = v.ToNumeric();
-        if (!num.ok() &&
-            (a.func == AggFunc::kSum || a.func == AggFunc::kAvg)) {
-          return num.status();
-        }
-        if (num.ok()) {
-          st.sum += *num;
-          if (IsIntLike(v.type())) {
-            st.isum += v.as_int64();
-          } else {
-            st.sum_is_int = false;
-          }
-        }
-        if (st.non_null == 1) {
-          st.min = v;
-          st.max = v;
-        } else {
-          if (v.Compare(st.min) < 0) st.min = v;
-          if (v.Compare(st.max) > 0) st.max = v;
-        }
-      }
+  // Only the non-COUNT aggregates keep per-group state; COUNT reads the
+  // group's row count.
+  std::vector<size_t> folded;
+  for (size_t i = 0; i < spec.aggregates.size(); ++i) {
+    if (spec.aggregates[i].func != AggFunc::kCount) folded.push_back(i);
+  }
+  // Group g's states are states[g * folded.size(), (g + 1) * folded.size()).
+  GroupTable table(spec.group_by,
+                   spec.group_by.empty()
+                       ? 0
+                       : VisibleRows(*spec.table, spec.include_staged));
+  std::vector<Group>& groups = table.groups();
+  std::vector<AggState> states;
+  // Folds one row into group g; false (with `err` set) stops the scan.
+  Status err = Status::OK();
+  auto fold = [&](size_t g, const Value* row) {
+    ++groups[g].rows;
+    if (folded.empty()) return true;
+    states.resize(groups.size() * folded.size());
+    for (size_t j = 0; j < folded.size(); ++j) {
+      const AggExpr& a = spec.aggregates[folded[j]];
+      err = FoldValue(a.func, row[a.column], &states[g * folded.size() + j]);
+      if (!err.ok()) return false;
     }
-    for (size_t c : spec.group_by) cells.push_back(rows[begin][c]);
-    for (size_t i = 0; i < spec.aggregates.size(); ++i) {
-      const AggState& st = states[i];
-      switch (spec.aggregates[i].func) {
-        case AggFunc::kCount:
-          cells.push_back(Value::BigInt(st.count));
-          break;
-        case AggFunc::kSum:
-          if (st.non_null == 0) {
-            cells.push_back(Value::Null());
-          } else if (st.sum_is_int) {
-            cells.push_back(Value::BigInt(st.isum));
-          } else {
-            cells.push_back(Value::Double(st.sum));
-          }
-          break;
-        case AggFunc::kAvg:
-          cells.push_back(st.non_null == 0
-                              ? Value::Null()
-                              : Value::Double(
-                                    st.sum / static_cast<double>(st.non_null)));
-          break;
-        case AggFunc::kMin:
-          cells.push_back(st.non_null == 0 ? Value::Null() : st.min);
-          break;
-        case AggFunc::kMax:
-          cells.push_back(st.non_null == 0 ? Value::Null() : st.max);
-          break;
-      }
-    }
-    ++groups;
-    return Status::OK();
+    return true;
   };
-
   if (spec.group_by.empty()) {
     // Global aggregation: one group, even over no rows.
-    SSTORE_RETURN_NOT_OK(fold(0, rows.size()));
-  } else {
-    // Sort-based grouping: a stable sort on the group-by columns makes each
-    // group one run of rows, still in slot order within the run.
-    std::vector<OrderBySpec> group_keys;
-    group_keys.reserve(spec.group_by.size());
-    for (size_t c : spec.group_by) group_keys.push_back({c, false});
-    std::stable_sort(rows.begin(), rows.end(),
-                     [&](const Value* a, const Value* b) {
-                       return RowCompare(a, b, group_keys) < 0;
-                     });
-    size_t end = 0;
-    for (size_t begin = 0; begin < rows.size(); begin = end) {
-      for (end = begin + 1;
-           end < rows.size() && RowCompare(rows[begin], rows[end], group_keys) == 0;
-           ++end) {
+    groups.push_back(Group{nullptr, 0, 0});
+    states.resize(folded.size());
+  }
+  SSTORE_RETURN_NOT_OK(ForEachMatch(
+      *spec.table, spec.predicate, spec.include_staged,
+      [&](RowId, const Tuple& row) {
+        const Value* r = row.data();
+        return fold(spec.group_by.empty() ? 0 : table.FindOrAdd(r), r);
+      }));
+  SSTORE_RETURN_NOT_OK(err);
+
+  // Group g's output row is cells[g * width, (g + 1) * width).
+  std::vector<Value> cells;
+  cells.reserve(groups.size() * width);
+  for (size_t g = 0; g < groups.size(); ++g) {
+    for (size_t c : spec.group_by) cells.push_back(groups[g].first[c]);
+    const AggState* st = states.data() + g * folded.size();
+    for (const AggExpr& a : spec.aggregates) {
+      if (a.func == AggFunc::kCount) {
+        cells.push_back(Value::BigInt(groups[g].rows));
+      } else {
+        SSTORE_ASSIGN_OR_RETURN(Value v, AggResult(a.func, *st++));
+        cells.push_back(std::move(v));
       }
-      SSTORE_RETURN_NOT_OK(fold(begin, end));
     }
   }
 
-  std::vector<const Value*> order(groups);
-  for (size_t g = 0; g < groups; ++g) order[g] = cells.data() + g * width;
-  OrderRows(&order, spec.order_by, spec.limit);
+  // ORDER BY, then the group-by columns it does not name, ascending: groups
+  // tied on every ORDER BY key come out ascending by group key.
+  std::vector<OrderBySpec> with_ties;
+  for (size_t i = 0; i < spec.group_by.size(); ++i) {
+    if (std::none_of(spec.order_by.begin(), spec.order_by.end(),
+                     [i](const OrderBySpec& k) { return k.column == i; })) {
+      if (with_ties.empty()) with_ties = spec.order_by;
+      with_ties.push_back({i, false});
+    }
+  }
+  std::vector<const Value*> order(groups.size());
+  for (size_t g = 0; g < groups.size(); ++g) order[g] = cells.data() + g * width;
+  OrderRows(&order, with_ties.empty() ? spec.order_by : with_ties, spec.limit);
   std::vector<Tuple> out;
   out.reserve(order.size());
   for (const Value* row : order) out.emplace_back(row, row + width);
@@ -452,8 +601,7 @@ Result<size_t> Executor::Delete(Table* table, const ExprPtr& predicate,
 }
 
 Status Executor::DeleteRow(Table* table, RowId rid) const {
-  SSTORE_ASSIGN_OR_RETURN(const RowMeta* meta_ptr, table->GetMeta(rid));
-  RowMeta meta = *meta_ptr;
+  SSTORE_ASSIGN_OR_RETURN(RowMeta meta, table->GetMeta(rid));
   SSTORE_ASSIGN_OR_RETURN(Tuple before, table->Delete(rid));
   if (mlog_ != nullptr) {
     mlog_->RecordDelete(table, rid, std::move(before), meta);
@@ -489,8 +637,8 @@ Result<size_t> Executor::Update(Table* table, const ExprPtr& predicate,
 }
 
 Status Executor::SetActive(Table* table, RowId rid, bool active) const {
-  SSTORE_ASSIGN_OR_RETURN(const RowMeta* meta, table->GetMeta(rid));
-  bool was = meta->active;
+  SSTORE_ASSIGN_OR_RETURN(RowMeta meta, table->GetMeta(rid));
+  bool was = meta.active;
   if (was == active) return Status::OK();
   SSTORE_RETURN_NOT_OK(table->SetActive(rid, active));
   if (mlog_ != nullptr) mlog_->RecordActivate(table, rid, was);

@@ -53,7 +53,9 @@ struct AggExpr {
 /// output is ascending by group key; with it, groups tied on every ORDER BY
 /// key keep that ascending order, and a limit keeps the first rows of it.
 /// With no group_by columns, exactly one row is produced (even over an empty
-/// input, SQL-style: COUNT=0, SUM/MIN/MAX/AVG=NULL).
+/// input, SQL-style: COUNT=0, SUM/MIN/MAX/AVG=NULL). SUM over BIGINT/TIMESTAMP
+/// inputs only is a BIGINT, and kOutOfRange when it leaves the int64 range;
+/// one DOUBLE input makes it a DOUBLE.
 struct AggregateSpec {
   Table* table = nullptr;
   ExprPtr predicate;

@@ -30,7 +30,7 @@ size_t HashIndex::KeyHash(const Tuple& row) const {
 }
 
 bool HashIndex::RowHasKey(RowId rid, const Tuple& key, bool key_is_row) const {
-  const Tuple& stored = *table_->slots_[rid].row;
+  const Tuple& stored = table_->slots_[rid].row;
   for (size_t i = 0; i < key_columns_.size(); ++i) {
     size_t c = key_columns_[i];
     if (!stored[c].Equals(key[key_is_row ? c : i])) return false;
@@ -100,6 +100,29 @@ bool SameKey(const HashIndex& idx, const Tuple& a, const Tuple& b, bool exact) {
 
 }  // namespace
 
+Table::SlotStore::~SlotStore() {
+  Clear();
+  for (Slot* segment : segments_) ::operator delete(segment);
+}
+
+RowId Table::SlotStore::Append() {
+  RowId rid = size_;
+  size_t s = Segment(rid);
+  if (s == segments_.size()) {
+    segments_.reserve(s + 1);  // so the push_back cannot throw and leak
+    segments_.push_back(
+        static_cast<Slot*>(::operator new(SegmentSize(s) * sizeof(Slot))));
+  }
+  new (&segments_[s][Offset(rid)]) Slot();
+  ++size_;
+  return rid;
+}
+
+void Table::SlotStore::Clear() {
+  for (RowId rid = 0; rid < size_; ++rid) (*this)[rid].~Slot();
+  size_ = 0;
+}
+
 Table::Table(std::string name, Schema schema, TableKind kind)
     : name_(std::move(name)), schema_(std::move(schema)), kind_(kind) {}
 
@@ -125,13 +148,12 @@ Result<RowId> Table::Insert(Tuple row, RowMeta meta) {
     rid = free_list_.back();
     free_list_.pop_back();
   } else {
-    rid = slots_.size();
-    slots_.emplace_back();
+    rid = slots_.Append();
   }
   Slot& slot = slots_[rid];
   for (const auto& idx : indexes_) idx->Add(row, rid);
   slot.row = std::move(row);
-  slot.meta = meta;
+  slot.SetLive(meta);
   ++live_count_;
   if (meta.active) ++active_count_;
   ++version_;
@@ -139,23 +161,23 @@ Result<RowId> Table::Insert(Tuple row, RowMeta meta) {
 }
 
 Result<Tuple> Table::Delete(RowId rid) {
-  if (rid >= slots_.size() || !slots_[rid].row.has_value()) {
+  if (rid >= slots_.size() || !slots_[rid].live()) {
     return Status::NotFound("no row " + std::to_string(rid) + " in table '" +
                             name_ + "'");
   }
   Slot& slot = slots_[rid];
-  for (const auto& idx : indexes_) idx->Remove(*slot.row, rid);
-  Tuple out = std::move(*slot.row);
-  slot.row.reset();
+  for (const auto& idx : indexes_) idx->Remove(slot.row, rid);
+  Tuple out = std::move(slot.row);  // leaves slot.row empty
   --live_count_;
-  if (slot.meta.active) --active_count_;
+  if (slot.active()) --active_count_;
+  slot.bits = 0;
   free_list_.push_back(rid);
   ++version_;
   return out;
 }
 
 Result<Tuple> Table::Update(RowId rid, Tuple row) {
-  if (rid >= slots_.size() || !slots_[rid].row.has_value()) {
+  if (rid >= slots_.size() || !slots_[rid].live()) {
     return Status::NotFound("no row " + std::to_string(rid) + " in table '" +
                             name_ + "'");
   }
@@ -163,7 +185,7 @@ Result<Tuple> Table::Update(RowId rid, Tuple row) {
   Slot& slot = slots_[rid];
   // Unique check must ignore this row's own current key.
   for (const auto& idx : indexes_) {
-    if (!idx->unique() || SameKey(*idx, *slot.row, row, /*exact=*/false)) {
+    if (!idx->unique() || SameKey(*idx, slot.row, row, /*exact=*/false)) {
       continue;
     }
     if (idx->ContainsKeyOf(row)) {
@@ -174,11 +196,11 @@ Result<Tuple> Table::Update(RowId rid, Tuple row) {
   }
   // An index whose key the update leaves untouched keeps its entry.
   for (const auto& idx : indexes_) {
-    if (SameKey(*idx, *slot.row, row, /*exact=*/true)) continue;
-    idx->Remove(*slot.row, rid);
+    if (SameKey(*idx, slot.row, row, /*exact=*/true)) continue;
+    idx->Remove(slot.row, rid);
     idx->Add(row, rid);
   }
-  Tuple before = std::move(*slot.row);
+  Tuple before = std::move(slot.row);
   slot.row = std::move(row);
   ++version_;
   return before;
@@ -188,7 +210,7 @@ Status Table::UndoDeleteAt(RowId rid, Tuple row, RowMeta meta) {
   if (rid >= slots_.size()) {
     return Status::Internal("undo targets slot beyond table size");
   }
-  if (slots_[rid].row.has_value()) {
+  if (slots_[rid].live()) {
     return Status::Internal("undo targets an occupied slot");
   }
   auto it = std::find(free_list_.begin(), free_list_.end(), rid);
@@ -199,7 +221,7 @@ Status Table::UndoDeleteAt(RowId rid, Tuple row, RowMeta meta) {
   for (const auto& idx : indexes_) idx->Add(row, rid);
   Slot& slot = slots_[rid];
   slot.row = std::move(row);
-  slot.meta = meta;
+  slot.SetLive(meta);
   ++live_count_;
   if (meta.active) ++active_count_;
   ++version_;
@@ -207,29 +229,29 @@ Status Table::UndoDeleteAt(RowId rid, Tuple row, RowMeta meta) {
 }
 
 Result<const Tuple*> Table::Get(RowId rid) const {
-  if (rid >= slots_.size() || !slots_[rid].row.has_value()) {
+  if (rid >= slots_.size() || !slots_[rid].live()) {
     return Status::NotFound("no row " + std::to_string(rid) + " in table '" +
                             name_ + "'");
   }
-  return &*slots_[rid].row;
+  return &slots_[rid].row;
 }
 
-Result<const RowMeta*> Table::GetMeta(RowId rid) const {
-  if (rid >= slots_.size() || !slots_[rid].row.has_value()) {
+Result<RowMeta> Table::GetMeta(RowId rid) const {
+  if (rid >= slots_.size() || !slots_[rid].live()) {
     return Status::NotFound("no row " + std::to_string(rid) + " in table '" +
                             name_ + "'");
   }
-  return &slots_[rid].meta;
+  return slots_[rid].meta();
 }
 
 Status Table::SetActive(RowId rid, bool active) {
-  if (rid >= slots_.size() || !slots_[rid].row.has_value()) {
+  if (rid >= slots_.size() || !slots_[rid].live()) {
     return Status::NotFound("no row " + std::to_string(rid) + " in table '" +
                             name_ + "'");
   }
-  RowMeta& meta = slots_[rid].meta;
-  if (meta.active != active) {
-    meta.active = active;
+  Slot& slot = slots_[rid];
+  if (slot.active() != active) {
+    slot.SetActive(active);
     active_count_ += active ? 1 : -1;
     ++version_;
   }
@@ -246,14 +268,14 @@ std::vector<RowId> Table::RowIdsBySeq(bool include_staged) const {
       },
       include_staged);
   std::sort(out.begin(), out.end(), [this](RowId a, RowId b) {
-    return slots_[a].meta.seq < slots_[b].meta.seq;
+    return slots_[a].seq() < slots_[b].seq();
   });
   return out;
 }
 
 size_t Table::Clear() {
   size_t removed = live_count_;
-  slots_.clear();
+  slots_.Clear();
   free_list_.clear();
   live_count_ = 0;
   active_count_ = 0;
@@ -338,6 +360,11 @@ Status Table::DeserializeContentsFrom(ByteReader* in) {
                               schema_.ToString());
   }
   SSTORE_ASSIGN_OR_RETURN(uint64_t next_seq, in->GetU64());
+  if (next_seq > kSeqLimit) {
+    return Status::Corruption("snapshot of table '" + name_ +
+                              "' has next sequence " +
+                              std::to_string(next_seq) + " past 2^62");
+  }
   SSTORE_ASSIGN_OR_RETURN(uint32_t n, in->GetU32());
   Clear();
   for (uint32_t i = 0; i < n; ++i) {
@@ -345,11 +372,16 @@ Status Table::DeserializeContentsFrom(ByteReader* in) {
     RowMeta meta;
     SSTORE_ASSIGN_OR_RETURN(meta.batch_id, in->GetI64());
     SSTORE_ASSIGN_OR_RETURN(meta.seq, in->GetU64());
+    if (meta.seq >= next_seq) {
+      return Status::Corruption("snapshot row of table '" + name_ +
+                                "' has sequence " + std::to_string(meta.seq) +
+                                " at or past the table's next sequence");
+    }
     SSTORE_ASSIGN_OR_RETURN(uint8_t active, in->GetU8());
     meta.active = active != 0;
     SSTORE_ASSIGN_OR_RETURN(RowId rid, Insert(std::move(row), meta));
     // Insert overwrites seq; restore the snapshotted arrival order.
-    slots_[rid].meta.seq = meta.seq;
+    slots_[rid].SetLive(meta);
   }
   next_seq_ = next_seq;
   return Status::OK();

@@ -1,9 +1,9 @@
 #ifndef SSTORE_STORAGE_TABLE_H_
 #define SSTORE_STORAGE_TABLE_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <memory>
-#include <optional>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -96,7 +96,9 @@ class HashIndex {
 };
 
 /// In-memory row store with stable slots, free-list reuse, inline-maintained
-/// hash indexes, and per-row stream/window metadata. Tables are single-
+/// hash indexes, and per-row stream/window metadata. Slots never move: a
+/// `const Tuple*` from Get stays valid until that row is deleted or
+/// updated, however many rows are inserted after it. Tables are single-
 /// partition objects: all access happens on the owning partition's thread
 /// (H-Store's serial execution model), so there is no internal locking.
 class Table {
@@ -134,7 +136,8 @@ class Table {
 
   /// Returns the row at `rid`, or kNotFound when the slot is empty.
   Result<const Tuple*> Get(RowId rid) const;
-  Result<const RowMeta*> GetMeta(RowId rid) const;
+  /// Returns a copy of the metadata of the row at `rid` (kNotFound as Get).
+  Result<RowMeta> GetMeta(RowId rid) const;
 
   /// Flips the window staging flag of one row.
   Status SetActive(RowId rid, bool active);
@@ -145,12 +148,10 @@ class Table {
   /// RowMeta&)` returns false to stop early.
   template <typename Fn>
   void ForEach(Fn&& fn, bool include_staged = false) const {
-    for (RowId rid = 0; rid < slots_.size(); ++rid) {
-      const Slot& slot = slots_[rid];
-      if (!slot.row.has_value()) continue;
-      if (!include_staged && !slot.meta.active) continue;
-      if (!fn(rid, *slot.row, slot.meta)) return;
-    }
+    slots_.ForEachSlot([&](RowId rid, const Slot& slot) {
+      if (!slot.live() || (!include_staged && !slot.active())) return true;
+      return fn(rid, slot.row, slot.meta());
+    });
   }
 
   /// Live row ids sorted by arrival sequence (oldest first). Streams and
@@ -202,9 +203,82 @@ class Table {
  private:
   friend class HashIndex;  // reads candidate rows straight from slots_
 
+  /// Sequences stay below this bound (a slot packs them into 62 bits).
+  static constexpr uint64_t kSeqLimit = uint64_t{1} << 62;
+
+  /// One row slot in 40 bytes: the row, its batch id, and its arrival
+  /// sequence packed with the staging flag and a live bit, as
+  /// `seq << 2 | active << 1 | live`. A free slot holds an empty row and a
+  /// clear live bit. Sequences stay below kSeqLimit.
   struct Slot {
-    std::optional<Tuple> row;
-    RowMeta meta;
+    static constexpr uint64_t kLive = 1;
+    static constexpr uint64_t kActive = 2;
+
+    Tuple row;
+    int64_t batch_id = 0;
+    uint64_t bits = 0;
+
+    bool live() const { return (bits & kLive) != 0; }
+    bool active() const { return (bits & kActive) != 0; }
+    uint64_t seq() const { return bits >> 2; }
+    RowMeta meta() const { return RowMeta{batch_id, seq(), active()}; }
+    /// Marks the slot live with `meta`'s batch id, sequence and flag.
+    void SetLive(const RowMeta& meta) {
+      batch_id = meta.batch_id;
+      bits = meta.seq << 2 | (meta.active ? kActive : 0) | kLive;
+    }
+    void SetActive(bool on) { bits = on ? bits | kActive : bits & ~kActive; }
+  };
+  static_assert(sizeof(Slot) == sizeof(Tuple) + 16, "a slot is 40 bytes");
+
+  /// The slot array, in segments of 64, 64, 128, 256, ... slots: segment
+  /// s > 0 holds RowIds [2^(s+5), 2^(s+6)). A segment is allocated raw when
+  /// the first of its slots is appended and each slot is constructed as it
+  /// is appended, so growth copies no slot, a slot never moves, and the
+  /// pages past the last slot are never written.
+  class SlotStore {
+   public:
+    SlotStore() = default;
+    ~SlotStore();
+    SlotStore(const SlotStore&) = delete;
+    SlotStore& operator=(const SlotStore&) = delete;
+
+    size_t size() const { return size_; }
+    Slot& operator[](RowId rid) { return segments_[Segment(rid)][Offset(rid)]; }
+    const Slot& operator[](RowId rid) const {
+      return segments_[Segment(rid)][Offset(rid)];
+    }
+    /// Constructs a free slot at RowId size() and returns its id.
+    RowId Append();
+    /// Destroys every slot; the segments stay allocated for reuse.
+    void Clear();
+
+    /// Calls `fn(rid, slot)` on every slot in RowId order until it returns
+    /// false.
+    template <typename Fn>
+    void ForEachSlot(Fn&& fn) const {
+      RowId base = 0;
+      for (size_t s = 0; base < size_; ++s) {
+        const Slot* segment = segments_[s];
+        RowId end = std::min<RowId>(size_, base + SegmentSize(s));
+        for (RowId rid = base; rid < end; ++rid) {
+          if (!fn(rid, segment[rid - base])) return;
+        }
+        base = end;
+      }
+    }
+
+   private:
+    static size_t SegmentSize(size_t s) { return s == 0 ? 64 : size_t{32} << s; }
+    static size_t Segment(RowId rid) {
+      return rid < 64 ? 0 : 58 - static_cast<size_t>(__builtin_clzll(rid));
+    }
+    static size_t Offset(RowId rid) {
+      return rid < 64 ? rid : rid - (RowId{1} << (63 - __builtin_clzll(rid)));
+    }
+
+    std::vector<Slot*> segments_;
+    size_t size_ = 0;
   };
 
   Status CheckUniqueForInsert(const Tuple& row) const;
@@ -212,7 +286,7 @@ class Table {
   std::string name_;
   Schema schema_;
   TableKind kind_;
-  std::vector<Slot> slots_;
+  SlotStore slots_;
   std::vector<RowId> free_list_;
   size_t live_count_ = 0;
   size_t active_count_ = 0;

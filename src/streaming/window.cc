@@ -152,7 +152,7 @@ Status WindowManager::SlideTimeBased(Executor& exec, WindowState& w,
     // already older than the window start (late arrivals past the slide).
     std::vector<RowId> by_seq = w.table->RowIdsBySeq(/*include_staged=*/true);
     for (RowId rid : by_seq) {
-      SSTORE_ASSIGN_OR_RETURN(const RowMeta* meta, w.table->GetMeta(rid));
+      SSTORE_ASSIGN_OR_RETURN(RowMeta meta, w.table->GetMeta(rid));
       SSTORE_ASSIGN_OR_RETURN(const Tuple* row, w.table->Get(rid));
       int64_t ts = (*row)[w.spec.ts_column].as_int64();
       if (ts >= window_end) continue;  // belongs to a future window
@@ -160,7 +160,7 @@ Status WindowManager::SlideTimeBased(Executor& exec, WindowState& w,
         SSTORE_RETURN_NOT_OK(exec.DeleteRow(w.table, rid));
         continue;
       }
-      if (!meta->active) {
+      if (!meta.active) {
         SSTORE_RETURN_NOT_OK(exec.SetActive(w.table, rid, true));
       }
     }

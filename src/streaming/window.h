@@ -39,9 +39,13 @@ struct WindowSpec {
 /// removed, staged tuples activate, and any attached slide triggers run
 /// inside the EE within the same transaction.
 ///
-/// Window statistics (active/staged counts, slide cursors) live in table
-/// metadata, which is what gives S-Store its ~2x advantage over a manual
-/// metadata-table implementation (Figure 7).
+/// Window bookkeeping never goes through a metadata table: the active and
+/// staged counts are the backing table's own counters (Table::active_count,
+/// staged_count), each row's staging flag and arrival order sit in its
+/// slot (RowMeta), and the slide cursors (slide count, the time-based
+/// window's next boundary) live in this manager's WindowState. That is
+/// what gives S-Store its ~2x advantage over a manual metadata-table
+/// implementation (Figure 7).
 class WindowManager {
  public:
   explicit WindowManager(ExecutionEngine* ee) : ee_(ee) {}

@@ -11,9 +11,11 @@
 
 #include <gtest/gtest.h>
 
+#include <dirent.h>
 #include <sys/stat.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
@@ -464,7 +466,8 @@ void RunCrashScenario(const std::string& tag, const std::string& site,
 /// still recover exactly the acked cut — the re-arm is an ordinary
 /// checkpoint cut, so it inherits the checkpoint's crash safety — and then
 /// compose once more (gen-4).
-void RunRearmCrashScenario(const std::string& tag, const std::string& site) {
+void RunRearmCrashScenario(const std::string& tag, const std::string& site,
+                           int64_t* acked = nullptr) {
   std::string ckpt_dir = MakeDir(tag + "_ckpt");
   std::string log_dir = MakeDir(tag + "_logs");
   VoterClusterConfig config = CrashVoterConfig();
@@ -499,6 +502,7 @@ void RunRearmCrashScenario(const std::string& tag, const std::string& site) {
   RecoverToAckedCut(site, ckpt_dir, log_dir, &committed, 10);
   if (::testing::Test::HasFatalFailure()) return;
   RecoverToAckedCut(site, ckpt_dir, log_dir, &committed, 0);
+  if (acked != nullptr) *acked = committed;
 }
 
 TEST_F(FailpointGuard, CrashAtCommandLogAppend) {
@@ -571,6 +575,74 @@ TEST_F(FailpointGuard, CrashAfterManifestDuringRecover) {
   // The re-arm's manifest names an epoch whose logs were never opened:
   // gen-3 replays the fresh cut's snapshots with an empty suffix.
   RunRearmCrashScenario("rearm_after_man", "checkpoint.after_manifest");
+}
+
+std::vector<std::string> DirEntries(const std::string& dir) {
+  std::vector<std::string> names;
+  DIR* d = ::opendir(dir.c_str());
+  if (d == nullptr) return names;
+  while (const struct dirent* e = ::readdir(d)) {
+    std::string name = e->d_name;
+    if (name != "." && name != "..") names.push_back(name);
+  }
+  ::closedir(d);
+  std::sort(names.begin(), names.end());
+  return names;
+}
+
+TEST_F(FailpointGuard, NextCutDeletesFilesACrashOrphaned) {
+  // The crash sequence leaves snapshots of four cuts and the epoch logs a
+  // kill after the manifest rename stranded. One more cut must leave only
+  // what its manifest can reach: its own snapshots, the delta bases they
+  // reference, and its epoch's logs.
+  const std::string site = "checkpoint.after_manifest";
+  int64_t committed = 0;
+  ASSERT_NO_FATAL_FAILURE(RunRearmCrashScenario("gc", site, &committed));
+  std::string ckpt_dir = TempPath("gc_ckpt");
+  std::string log_dir = TempPath("gc_logs");
+  VoterClusterConfig config = CrashVoterConfig();
+  uint64_t cut = 0;
+  {
+    Cluster cluster(CrashClusterOptions());
+    VoterClusterApp app(&cluster, config);
+    ASSERT_TRUE(cluster.Deploy(BuildVoterClusterDeployment(config)).ok());
+    ASSERT_TRUE(cluster.Recover(ckpt_dir, log_dir).ok());
+    cluster.Start();
+    for (int i = 0; i < 8; ++i) {
+      if (app.Vote(i % config.num_contestants).committed()) ++committed;
+    }
+    cluster.WaitIdle();
+    CheckpointReport report;
+    ASSERT_TRUE(cluster.Checkpoint(ckpt_dir, &report).ok());
+    cut = report.checkpoint_id;
+    cluster.Stop();
+  }
+
+  // Recover's re-arm cut `cut - 1` may still serve as a delta base; no
+  // earlier snapshot may survive.
+  std::string c = std::to_string(cut);
+  std::string base = std::to_string(cut - 1);
+  std::vector<std::string> snaps;
+  for (const std::string& name : DirEntries(ckpt_dir)) {
+    if (name == "CHECKPOINT") continue;
+    snaps.push_back(name);
+    bool live = false;
+    for (const std::string& id : {c, base}) {
+      for (const char* p : {"0", "1"}) {
+        live |= name == "ckpt-" + id + "-partition-" + p + ".snap";
+      }
+    }
+    EXPECT_TRUE(live) << "dead checkpoint file " << name;
+  }
+  EXPECT_GE(snaps.size(), 2u);
+  EXPECT_TRUE(FileExists(ckpt_dir + "/ckpt-" + c + "-partition-0.snap"));
+  EXPECT_TRUE(FileExists(ckpt_dir + "/ckpt-" + c + "-partition-1.snap"));
+  EXPECT_EQ(DirEntries(log_dir),
+            (std::vector<std::string>{"coord-decisions.e" + c + ".log",
+                                      "partition-0.e" + c + ".log",
+                                      "partition-1.e" + c + ".log"}));
+
+  RecoverToAckedCut(site, ckpt_dir, log_dir, &committed, 0);
 }
 
 // ---- Delta snapshots ----

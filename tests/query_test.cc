@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "query/executor.h"
 #include "query/expr.h"
 #include "storage/table.h"
@@ -245,6 +247,37 @@ TEST_F(QueryTest, AggregateGroupByWithOrderAndLimit) {
   EXPECT_EQ((*rows)[0][0], Value::BigInt(0));
   EXPECT_EQ((*rows)[0][1], Value::BigInt(4));
   EXPECT_EQ((*rows)[1][1], Value::BigInt(3));
+}
+
+TEST_F(QueryTest, AggregateSumOutsideInt64IsOutOfRange) {
+  // A BIGINT SUM that leaves the int64 range fails the query rather than
+  // wrapping; MIN, MAX and AVG over the same values still answer.
+  Table big("big", VoteSchema());
+  const int64_t kMax = std::numeric_limits<int64_t>::max();
+  ASSERT_TRUE(big.Insert({Value::BigInt(kMax), Value::BigInt(0),
+                          Value::String("MA")})
+                  .ok());
+  ASSERT_TRUE(big.Insert({Value::BigInt(1), Value::BigInt(0),
+                          Value::String("MA")})
+                  .ok());
+  AggregateSpec spec;
+  spec.table = &big;
+  spec.group_by = {1};
+  spec.aggregates = {{AggFunc::kSum, 0}};
+  EXPECT_EQ(exec_.Aggregate(spec).status().code(), StatusCode::kOutOfRange);
+  spec.aggregates = {{AggFunc::kMin, 0}, {AggFunc::kMax, 0}, {AggFunc::kAvg, 0}};
+  Result<std::vector<Tuple>> rows = exec_.Aggregate(spec);
+  ASSERT_TRUE(rows.ok()) << rows.status().ToString();
+  EXPECT_EQ((*rows)[0][1], Value::BigInt(1));
+  EXPECT_EQ((*rows)[0][2], Value::BigInt(kMax));
+  // Back in range after a negative input: the int64 total is exact.
+  ASSERT_TRUE(big.Insert({Value::BigInt(-2), Value::BigInt(0),
+                          Value::String("MA")})
+                  .ok());
+  spec.aggregates = {{AggFunc::kSum, 0}};
+  rows = exec_.Aggregate(spec);
+  ASSERT_TRUE(rows.ok()) << rows.status().ToString();
+  EXPECT_EQ((*rows)[0][1], Value::BigInt(kMax - 1));
 }
 
 TEST_F(QueryTest, AggregateWithPredicate) {

@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "common/bytes.h"
 #include "storage/catalog.h"
 #include "storage/schema.h"
@@ -90,7 +93,7 @@ TEST(TableTest, SequenceMonotone) {
   Table t("t", TwoColSchema());
   RowId a = *t.Insert(Row(1, "a"));
   RowId b = *t.Insert(Row(2, "b"));
-  EXPECT_LT((*t.GetMeta(a))->seq, (*t.GetMeta(b))->seq);
+  EXPECT_LT(t.GetMeta(a)->seq, t.GetMeta(b)->seq);
 }
 
 TEST(TableTest, StagingCounts) {
@@ -264,12 +267,81 @@ TEST(TableTest, UndoDeleteRestoresSlotAndIndexes) {
   Table t("t", TwoColSchema());
   ASSERT_TRUE(t.CreateIndex("pk", {"id"}, true).ok());
   RowId rid = *t.Insert(Row(1, "a"));
-  RowMeta meta = *(*t.GetMeta(rid));
+  RowMeta meta = *t.GetMeta(rid);
   Tuple before = *t.Delete(rid);
   ASSERT_TRUE(t.UndoDeleteAt(rid, before, meta).ok());
   EXPECT_EQ(t.row_count(), 1u);
   EXPECT_EQ((*t.IndexLookup("pk", {Value::BigInt(1)})).size(), 1u);
-  EXPECT_EQ((*t.GetMeta(rid))->seq, meta.seq);
+  EXPECT_EQ(t.GetMeta(rid)->seq, meta.seq);
+}
+
+TEST(TableTest, SlotsAcrossSegmentBoundaries) {
+  // Slots live in segments of 64, 64, 128, ... rows: RowIds 63/64 and
+  // 127/128 straddle the first two boundaries.
+  Table t("t", TwoColSchema());
+  ASSERT_TRUE(t.CreateIndex("pk", {"id"}, /*unique=*/true).ok());
+  const Tuple* first = *t.Get(*t.Insert(Row(0, "zero")));
+  std::vector<const Tuple*> rows = {first};
+  for (int64_t i = 1; i < 200; ++i) {
+    RowMeta meta;
+    meta.batch_id = i;
+    meta.active = i % 2 == 0;
+    Result<RowId> rid = t.Insert(Row(i, "r" + std::to_string(i)), meta);
+    ASSERT_TRUE(rid.ok());
+    ASSERT_EQ(*rid, static_cast<RowId>(i));
+    rows.push_back(*t.Get(*rid));
+  }
+  // A row pointer taken before 199 more inserts still reads its row.
+  EXPECT_EQ((*first)[1], Value::String("zero"));
+  for (RowId rid : {63, 64, 65, 127, 128, 129}) {
+    Result<const Tuple*> row = t.Get(rid);
+    ASSERT_TRUE(row.ok()) << rid;
+    EXPECT_EQ(*row, rows[rid]) << rid;
+    EXPECT_EQ((**row)[0], Value::BigInt(static_cast<int64_t>(rid)));
+    Result<RowMeta> meta = t.GetMeta(rid);
+    ASSERT_TRUE(meta.ok()) << rid;
+    EXPECT_EQ(meta->batch_id, static_cast<int64_t>(rid));
+    EXPECT_EQ(meta->seq, rid + 1);
+    EXPECT_EQ(meta->active, rid % 2 == 0);
+  }
+  std::vector<RowId> visited;
+  t.ForEach(
+      [&](RowId rid, const Tuple& row, const RowMeta& meta) {
+        EXPECT_EQ(row[0], Value::BigInt(static_cast<int64_t>(rid)));
+        EXPECT_EQ(meta.batch_id, static_cast<int64_t>(rid));
+        visited.push_back(rid);
+        return true;
+      },
+      /*include_staged=*/true);
+  ASSERT_EQ(visited.size(), 200u);
+  for (size_t i = 0; i < visited.size(); ++i) EXPECT_EQ(visited[i], i);
+
+  // Delete on both sides of the second boundary, then undo one of them.
+  RowMeta meta128 = *t.GetMeta(128);
+  Result<Tuple> gone = t.Delete(128);
+  ASSERT_TRUE(gone.ok());
+  ASSERT_TRUE(t.Delete(127).ok());
+  EXPECT_TRUE(t.Get(128).status().IsNotFound());
+  EXPECT_TRUE(t.GetMeta(127).status().IsNotFound());
+  EXPECT_TRUE(t.Get(129).ok());
+  visited.clear();
+  t.ForEach(
+      [&](RowId rid, const Tuple&, const RowMeta&) {
+        if (rid >= 126 && rid <= 129) visited.push_back(rid);
+        return true;
+      },
+      /*include_staged=*/true);
+  EXPECT_EQ(visited, (std::vector<RowId>{126, 129}));
+  ASSERT_TRUE(t.UndoDeleteAt(128, *gone, meta128).ok());
+  EXPECT_EQ((**t.Get(128))[1], Value::String("r128"));
+  EXPECT_EQ(t.GetMeta(128)->seq, meta128.seq);
+  EXPECT_EQ(t.GetMeta(128)->active, true);
+  EXPECT_EQ(*t.IndexLookup("pk", {Value::BigInt(128)}),
+            (std::vector<RowId>{128}));
+  EXPECT_EQ(t.row_count(), 199u);
+  EXPECT_EQ(t.active_count(), 100u);
+  // The free slot at 127 is reused before the store grows.
+  EXPECT_EQ(*t.Insert(Row(1000, "reuse")), 127u);
 }
 
 TEST(TableTest, SerializeRoundTripPreservesMetaAndOrder) {
@@ -292,8 +364,8 @@ TEST(TableTest, SerializeRoundTripPreservesMetaAndOrder) {
   EXPECT_EQ(t2.active_count(), 1u);
   EXPECT_EQ(t2.next_seq(), t.next_seq());
   std::vector<RowId> ids = t2.RowIdsBySeq(true);
-  EXPECT_EQ((*t2.GetMeta(ids[0]))->batch_id, 7);
-  EXPECT_EQ((*t2.GetMeta(ids[1]))->batch_id, 8);
+  EXPECT_EQ(t2.GetMeta(ids[0])->batch_id, 7);
+  EXPECT_EQ(t2.GetMeta(ids[1])->batch_id, 8);
 }
 
 TEST(TableTest, DeserializeSchemaMismatchIsCorruption) {

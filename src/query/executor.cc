@@ -481,36 +481,30 @@ Result<std::vector<Tuple>> Executor::Aggregate(const AggregateSpec& spec) const 
   for (size_t i = 0; i < spec.aggregates.size(); ++i) {
     if (spec.aggregates[i].func != AggFunc::kCount) folded.push_back(i);
   }
-  // Group g's states are states[g * folded.size(), (g + 1) * folded.size()).
   GroupTable table(spec.group_by,
-                   spec.group_by.empty()
-                       ? 0
-                       : VisibleRows(*spec.table, spec.include_staged));
+                   VisibleRows(*spec.table, spec.include_staged));
   std::vector<Group>& groups = table.groups();
-  std::vector<AggState> states;
-  // Folds one row into group g; false (with `err` set) stops the scan.
+  // Without group-by columns every row falls in one group, opened here so
+  // that it exists even over no rows.
+  if (spec.group_by.empty()) table.FindOrAdd(nullptr);
+  // Group g's states are states[g * folded.size(), (g + 1) * folded.size()).
+  std::vector<AggState> states(groups.size() * folded.size());
   Status err = Status::OK();
-  auto fold = [&](size_t g, const Value* row) {
-    ++groups[g].rows;
-    if (folded.empty()) return true;
-    states.resize(groups.size() * folded.size());
-    for (size_t j = 0; j < folded.size(); ++j) {
-      const AggExpr& a = spec.aggregates[folded[j]];
-      err = FoldValue(a.func, row[a.column], &states[g * folded.size() + j]);
-      if (!err.ok()) return false;
-    }
-    return true;
-  };
-  if (spec.group_by.empty()) {
-    // Global aggregation: one group, even over no rows.
-    groups.push_back(Group{nullptr, 0, 0});
-    states.resize(folded.size());
-  }
   SSTORE_RETURN_NOT_OK(ForEachMatch(
       *spec.table, spec.predicate, spec.include_staged,
-      [&](RowId, const Tuple& row) {
-        const Value* r = row.data();
-        return fold(spec.group_by.empty() ? 0 : table.FindOrAdd(r), r);
+      [&](RowId, const Tuple& tuple) {
+        const Value* row = tuple.data();
+        size_t g = table.FindOrAdd(row);
+        ++groups[g].rows;
+        if (folded.empty()) return true;
+        states.resize(groups.size() * folded.size());
+        for (size_t j = 0; j < folded.size(); ++j) {
+          const AggExpr& a = spec.aggregates[folded[j]];
+          err = FoldValue(a.func, row[a.column],
+                          &states[g * folded.size() + j]);
+          if (!err.ok()) return false;  // stops the scan
+        }
+        return true;
       }));
   SSTORE_RETURN_NOT_OK(err);
 

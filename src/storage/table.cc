@@ -23,10 +23,10 @@ Tuple HashIndex::ExtractKey(const Tuple& row) const {
   return key;
 }
 
-size_t HashIndex::KeyHash(const Tuple& row) const {
+uint32_t HashIndex::KeyHash(const Tuple& row) const {
   size_t h = kTupleHashSeed;
   for (size_t c : key_columns_) h = HashCombine(h, row[c]);
-  return h;
+  return Hash32(h);
 }
 
 bool HashIndex::RowHasKey(RowId rid, const Tuple& key, bool key_is_row) const {
@@ -41,41 +41,99 @@ bool HashIndex::RowHasKey(RowId rid, const Tuple& key, bool key_is_row) const {
 std::vector<RowId> HashIndex::Lookup(const Tuple& key) const {
   std::vector<RowId> out;
   if (key.size() != key_columns_.size()) return out;
-  auto [lo, hi] = map_.equal_range(HashTuple(key));
-  for (auto it = lo; it != hi; ++it) {
-    if (RowHasKey(it->second, key, /*key_is_row=*/false)) {
-      out.push_back(it->second);
+  uint32_t hash = Hash32(HashTuple(key));
+  for (uint32_t e = Head(hash); e != kNone; e = entries_[e].next) {
+    const Entry& entry = entries_[e];
+    if (entry.hash == hash && RowHasKey(entry.rid, key, /*key_is_row=*/false)) {
+      out.push_back(entry.rid);
     }
   }
   return out;
 }
 
-bool HashIndex::AnyRowHasKey(size_t hash, const Tuple& key,
+bool HashIndex::AnyRowHasKey(uint32_t hash, const Tuple& key,
                              bool key_is_row) const {
-  auto [lo, hi] = map_.equal_range(hash);
-  for (auto it = lo; it != hi; ++it) {
-    if (RowHasKey(it->second, key, key_is_row)) return true;
+  for (uint32_t e = Head(hash); e != kNone; e = entries_[e].next) {
+    const Entry& entry = entries_[e];
+    if (entry.hash == hash && RowHasKey(entry.rid, key, key_is_row)) {
+      return true;
+    }
   }
   return false;
 }
 
 bool HashIndex::Contains(const Tuple& key) const {
   return key.size() == key_columns_.size() &&
-         AnyRowHasKey(HashTuple(key), key, /*key_is_row=*/false);
+         AnyRowHasKey(Hash32(HashTuple(key)), key, /*key_is_row=*/false);
 }
 
 bool HashIndex::ContainsKeyOf(const Tuple& row) const {
   return AnyRowHasKey(KeyHash(row), row, /*key_is_row=*/true);
 }
 
-void HashIndex::Remove(const Tuple& row, RowId rid) {
-  auto [lo, hi] = map_.equal_range(KeyHash(row));
-  for (auto it = lo; it != hi; ++it) {
-    if (it->second == rid) {
-      map_.erase(it);
-      return;
-    }
+void HashIndex::Add(const Tuple& row, RowId rid) {
+  if (count_ >= buckets_.size()) Grow();
+  uint32_t e = free_;
+  if (e != kNone) {
+    free_ = entries_[e].next;
+  } else {
+    e = static_cast<uint32_t>(entries_.Append());
   }
+  uint32_t hash = KeyHash(row);
+  uint32_t& head = Head(hash);
+  entries_[e] = Entry{hash, head, rid};
+  head = e;
+  ++count_;
+}
+
+void HashIndex::Remove(const Tuple& row, RowId rid) {
+  if (buckets_.empty()) return;
+  uint32_t hash = KeyHash(row);
+  for (uint32_t* link = &Head(hash); *link != kNone;
+       link = &entries_[*link].next) {
+    Entry& entry = entries_[*link];
+    if (entry.rid != rid) continue;
+    uint32_t e = *link;
+    *link = entry.next;
+    entry.next = free_;
+    free_ = e;
+    --count_;
+    return;
+  }
+}
+
+void HashIndex::Clear() {
+  entries_.Clear();
+  buckets_.clear();
+  shift_ = 32;
+  free_ = kNone;
+  count_ = 0;
+}
+
+void HashIndex::Grow() {
+  if (buckets_.empty()) {
+    buckets_.assign(16, kNone);
+    shift_ = 28;
+    return;
+  }
+  std::vector<uint32_t> grown(2 * buckets_.size(), kNone);
+  for (size_t b = 0; b < buckets_.size(); ++b) {
+    // Each entry of bucket b goes to 2b or 2b + 1 (the next hash bit down),
+    // appended at that chain's tail, so both chains keep their order.
+    uint32_t* tail[2] = {&grown[2 * b], &grown[2 * b + 1]};
+    for (uint32_t e = buckets_[b]; e != kNone;) {
+      Entry& entry = entries_[e];
+      uint32_t next = entry.next;
+      uint32_t** to = &tail[(entry.hash >> (shift_ - 1)) & 1];
+      **to = e;
+      *to = &entry.next;
+      e = next;
+    }
+    *tail[0] = kNone;
+    *tail[1] = kNone;
+  }
+  buckets_.swap(grown);
+  --shift_;
 }
 
 namespace {
@@ -99,29 +157,6 @@ bool SameKey(const HashIndex& idx, const Tuple& a, const Tuple& b, bool exact) {
 }
 
 }  // namespace
-
-Table::SlotStore::~SlotStore() {
-  Clear();
-  for (Slot* segment : segments_) ::operator delete(segment);
-}
-
-RowId Table::SlotStore::Append() {
-  RowId rid = size_;
-  size_t s = Segment(rid);
-  if (s == segments_.size()) {
-    segments_.reserve(s + 1);  // so the push_back cannot throw and leak
-    segments_.push_back(
-        static_cast<Slot*>(::operator new(SegmentSize(s) * sizeof(Slot))));
-  }
-  new (&segments_[s][Offset(rid)]) Slot();
-  ++size_;
-  return rid;
-}
-
-void Table::SlotStore::Clear() {
-  for (RowId rid = 0; rid < size_; ++rid) (*this)[rid].~Slot();
-  size_ = 0;
-}
 
 Table::Table(std::string name, Schema schema, TableKind kind)
     : name_(std::move(name)), schema_(std::move(schema)), kind_(kind) {}

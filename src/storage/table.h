@@ -4,8 +4,8 @@
 #include <algorithm>
 #include <cstdint>
 #include <memory>
+#include <new>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "common/bytes.h"
@@ -42,14 +42,90 @@ struct RowMeta {
 
 class Table;
 
+/// A growable array whose elements never move: segments of 64, 64, 128,
+/// 256, ... elements (segment s > 0 holds indexes [2^(s+5), 2^(s+6))). A
+/// segment is allocated raw when its first element is appended, and each
+/// element is constructed as it is appended, so growth copies nothing, a
+/// reference stays valid until Clear, and the pages past the last element
+/// are never written. The table's slots and its indexes' entries live in
+/// one each.
+template <typename T>
+class SegmentedArray {
+ public:
+  SegmentedArray() = default;
+  ~SegmentedArray() {
+    Clear();
+    for (T* segment : segments_) ::operator delete(segment);
+  }
+  SegmentedArray(const SegmentedArray&) = delete;
+  SegmentedArray& operator=(const SegmentedArray&) = delete;
+
+  size_t size() const { return size_; }
+  T& operator[](size_t i) { return segments_[Segment(i)][Offset(i)]; }
+  const T& operator[](size_t i) const {
+    return segments_[Segment(i)][Offset(i)];
+  }
+
+  /// Constructs a T() at index size() and returns that index.
+  size_t Append() {
+    size_t i = size_;
+    size_t s = Segment(i);
+    if (s == segments_.size()) {
+      segments_.reserve(s + 1);  // so the push_back cannot throw and leak
+      segments_.push_back(
+          static_cast<T*>(::operator new(SegmentSize(s) * sizeof(T))));
+    }
+    new (&segments_[s][Offset(i)]) T();
+    ++size_;
+    return i;
+  }
+
+  /// Destroys every element; the segments stay allocated for reuse.
+  void Clear() {
+    for (size_t i = 0; i < size_; ++i) (*this)[i].~T();
+    size_ = 0;
+  }
+
+  /// Calls `fn(i, element)` on every element in index order until it
+  /// returns false.
+  template <typename Fn>
+  void ForEach(Fn&& fn) const {
+    size_t base = 0;
+    for (size_t s = 0; base < size_; ++s) {
+      const T* segment = segments_[s];
+      size_t end = std::min(size_, base + SegmentSize(s));
+      for (size_t i = base; i < end; ++i) {
+        if (!fn(i, segment[i - base])) return;
+      }
+      base = end;
+    }
+  }
+
+ private:
+  static size_t SegmentSize(size_t s) { return s == 0 ? 64 : size_t{32} << s; }
+  static size_t Segment(size_t i) {
+    return i < 64 ? 0 : 58 - static_cast<size_t>(__builtin_clzll(i));
+  }
+  static size_t Offset(size_t i) {
+    return i < 64 ? i : i - (size_t{1} << (63 - __builtin_clzll(i)));
+  }
+
+  std::vector<T*> segments_;
+  size_t size_ = 0;
+};
+
 /// A secondary hash index over a subset of columns. Maintained inline by the
 /// owning table on every mutation. Unique indexes reject duplicate keys with
 /// kConstraintViolation before the table is modified.
 ///
-/// An entry holds only the key's hash (HashTuple of the key columns) and the
-/// RowId; the key itself stays in the table's row. Every probe re-checks each
-/// candidate's key columns in its slot with Value::Equals, so a hash
-/// collision never yields a wrong row.
+/// An entry is 16 bytes: 32 bits of the key's hash, the link to the next
+/// entry in its bucket's chain, and the RowId; the key itself stays in the
+/// table's row. Entries live in a SegmentedArray and never move; buckets
+/// are 32-bit chain heads, doubled at load 1, and a removed entry is reused.
+/// Every probe re-checks each candidate's key columns in its slot with
+/// Value::Equals, so a hash collision never yields a wrong row. Rows with
+/// equal keys come back newest first. An index holds fewer than 2^32 - 1
+/// entries.
 class HashIndex {
  public:
   HashIndex(const Table* table, std::string name,
@@ -68,31 +144,57 @@ class HashIndex {
   /// All row ids matching `key` (empty vector when none).
   std::vector<RowId> Lookup(const Tuple& key) const;
   bool Contains(const Tuple& key) const;
-  size_t EntryCount() const { return map_.size(); }
+  size_t EntryCount() const { return count_; }
 
  private:
   friend class Table;
 
-  /// HashTuple(ExtractKey(row)), computed in place.
-  size_t KeyHash(const Tuple& row) const;
+  struct Entry {
+    uint32_t hash;  // Hash32 of the row's key
+    uint32_t next;  // next entry in the bucket's chain, or kNone
+    RowId rid;
+  };
+  static constexpr uint32_t kNone = ~uint32_t{0};
+
+  /// The 32 bits of a key hash (HashTuple of the key columns) an entry
+  /// keeps: the high half of its product with the golden-ratio constant,
+  /// so they depend on every bit of the key hash. A bucket is their top
+  /// bits.
+  static uint32_t Hash32(size_t key_hash) {
+    return static_cast<uint32_t>((key_hash * 0x9e3779b97f4a7c15ull) >> 32);
+  }
+  /// The chain head of `hash`'s bucket; buckets_ must not be empty.
+  uint32_t& Head(uint32_t hash) { return buckets_[hash >> shift_]; }
+  uint32_t Head(uint32_t hash) const {
+    return buckets_.empty() ? kNone : buckets_[hash >> shift_];
+  }
+  /// Hash32 of HashTuple(ExtractKey(row)), computed in place.
+  uint32_t KeyHash(const Tuple& row) const;
   /// Whether the row at `rid` (which must be live) agrees with `key`, given
   /// as a key tuple (`key_is_row` false) or as a full row.
   bool RowHasKey(RowId rid, const Tuple& key, bool key_is_row) const;
   /// Whether an entry under `hash` is a row that has `key` (as above).
-  bool AnyRowHasKey(size_t hash, const Tuple& key, bool key_is_row) const;
+  bool AnyRowHasKey(uint32_t hash, const Tuple& key, bool key_is_row) const;
   /// Whether an indexed row agrees with `row` on every key column.
   bool ContainsKeyOf(const Tuple& row) const;
 
   // Mutation hooks called by Table; neither checks uniqueness.
-  void Add(const Tuple& row, RowId rid) { map_.emplace(KeyHash(row), rid); }
+  void Add(const Tuple& row, RowId rid);
   void Remove(const Tuple& row, RowId rid);
-  void Clear() { map_.clear(); }
+  void Clear();
+  /// Doubles the buckets (16 at first). Bucket b splits into 2b and 2b + 1
+  /// with each chain's order kept.
+  void Grow();
 
   const Table* table_;
   std::string name_;
   std::vector<size_t> key_columns_;
   bool unique_;
-  std::unordered_multimap<size_t, RowId> map_;  // key hash -> row
+  SegmentedArray<Entry> entries_;
+  std::vector<uint32_t> buckets_;  // chain heads; a power-of-two count
+  int shift_ = 32;                 // 32 - log2(buckets_.size())
+  uint32_t free_ = kNone;          // chain of removed entries, via next
+  size_t count_ = 0;               // entries in buckets
 };
 
 /// In-memory row store with stable slots, free-list reuse, inline-maintained
@@ -148,7 +250,7 @@ class Table {
   /// RowMeta&)` returns false to stop early.
   template <typename Fn>
   void ForEach(Fn&& fn, bool include_staged = false) const {
-    slots_.ForEachSlot([&](RowId rid, const Slot& slot) {
+    slots_.ForEach([&](RowId rid, const Slot& slot) {
       if (!slot.live() || (!include_staged && !slot.active())) return true;
       return fn(rid, slot.row, slot.meta());
     });
@@ -231,62 +333,12 @@ class Table {
   };
   static_assert(sizeof(Slot) == sizeof(Tuple) + 16, "a slot is 40 bytes");
 
-  /// The slot array, in segments of 64, 64, 128, 256, ... slots: segment
-  /// s > 0 holds RowIds [2^(s+5), 2^(s+6)). A segment is allocated raw when
-  /// the first of its slots is appended and each slot is constructed as it
-  /// is appended, so growth copies no slot, a slot never moves, and the
-  /// pages past the last slot are never written.
-  class SlotStore {
-   public:
-    SlotStore() = default;
-    ~SlotStore();
-    SlotStore(const SlotStore&) = delete;
-    SlotStore& operator=(const SlotStore&) = delete;
-
-    size_t size() const { return size_; }
-    Slot& operator[](RowId rid) { return segments_[Segment(rid)][Offset(rid)]; }
-    const Slot& operator[](RowId rid) const {
-      return segments_[Segment(rid)][Offset(rid)];
-    }
-    /// Constructs a free slot at RowId size() and returns its id.
-    RowId Append();
-    /// Destroys every slot; the segments stay allocated for reuse.
-    void Clear();
-
-    /// Calls `fn(rid, slot)` on every slot in RowId order until it returns
-    /// false.
-    template <typename Fn>
-    void ForEachSlot(Fn&& fn) const {
-      RowId base = 0;
-      for (size_t s = 0; base < size_; ++s) {
-        const Slot* segment = segments_[s];
-        RowId end = std::min<RowId>(size_, base + SegmentSize(s));
-        for (RowId rid = base; rid < end; ++rid) {
-          if (!fn(rid, segment[rid - base])) return;
-        }
-        base = end;
-      }
-    }
-
-   private:
-    static size_t SegmentSize(size_t s) { return s == 0 ? 64 : size_t{32} << s; }
-    static size_t Segment(RowId rid) {
-      return rid < 64 ? 0 : 58 - static_cast<size_t>(__builtin_clzll(rid));
-    }
-    static size_t Offset(RowId rid) {
-      return rid < 64 ? rid : rid - (RowId{1} << (63 - __builtin_clzll(rid)));
-    }
-
-    std::vector<Slot*> segments_;
-    size_t size_ = 0;
-  };
-
   Status CheckUniqueForInsert(const Tuple& row) const;
 
   std::string name_;
   Schema schema_;
   TableKind kind_;
-  SlotStore slots_;
+  SegmentedArray<Slot> slots_;
   std::vector<RowId> free_list_;
   size_t live_count_ = 0;
   size_t active_count_ = 0;

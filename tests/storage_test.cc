@@ -344,6 +344,28 @@ TEST(TableTest, SlotsAcrossSegmentBoundaries) {
   EXPECT_EQ(*t.Insert(Row(1000, "reuse")), 127u);
 }
 
+TEST(TableTest, NonUniqueLookupReturnsNewestFirstAcrossGrowth) {
+  // 40 rows under one key, interleaved with 60 under others, grow the
+  // index's buckets from 16 to 128; deletes free entries that later
+  // inserts reuse. Equal keys still come back newest first.
+  Table t("t", TwoColSchema());
+  ASSERT_TRUE(t.CreateIndex("by_name", {"name"}, /*unique=*/false).ok());
+  std::vector<RowId> same;
+  for (int64_t i = 0; i < 100; ++i) {
+    bool hot = i % 5 < 2;
+    Result<RowId> rid = t.Insert(Row(i, hot ? "hot" : "k" + std::to_string(i)));
+    ASSERT_TRUE(rid.ok());
+    if (hot) same.push_back(*rid);
+  }
+  for (RowId rid : {same[3], same[10]}) ASSERT_TRUE(t.Delete(rid).ok());
+  same.erase(same.begin() + 10);
+  same.erase(same.begin() + 3);
+  for (int64_t i = 100; i < 103; ++i) same.push_back(*t.Insert(Row(i, "hot")));
+  std::vector<RowId> newest_first(same.rbegin(), same.rend());
+  EXPECT_EQ(*t.IndexLookup("by_name", {Value::String("hot")}), newest_first);
+  EXPECT_EQ((*t.GetIndex("by_name"))->EntryCount(), 101u);
+}
+
 TEST(TableTest, SerializeRoundTripPreservesMetaAndOrder) {
   Table t("s", TwoColSchema(), TableKind::kStream);
   RowMeta m1;

@@ -33,54 +33,6 @@ bool FileExists(const std::string& path) {
   return ::stat(path.c_str(), &st) == 0;
 }
 
-/// Consumes `lit` at name[*pos...]; false when it is not there.
-bool Literal(const std::string& name, size_t* pos, const char* lit) {
-  size_t n = std::char_traits<char>::length(lit);
-  if (name.compare(*pos, n, lit) != 0) return false;
-  *pos += n;
-  return true;
-}
-
-/// Consumes the decimal number at name[*pos...] into `*out`; false when no
-/// digit is there or it overflows.
-bool Number(const std::string& name, size_t* pos, uint64_t* out) {
-  size_t start = *pos;
-  uint64_t v = 0;
-  for (; *pos < name.size() && name[*pos] >= '0' && name[*pos] <= '9'; ++*pos) {
-    if (__builtin_mul_overflow(v, 10, &v) ||
-        __builtin_add_overflow(v, static_cast<uint64_t>(name[*pos] - '0'),
-                               &v)) {
-      return false;
-    }
-  }
-  *out = v;
-  return *pos > start;
-}
-
-/// The checkpoint id and partition of a snapshot file name,
-/// `ckpt-<id>-partition-<p>.snap`; false for any other name.
-bool ParseSnapshotName(const std::string& name, uint64_t* id, uint64_t* p) {
-  size_t pos = 0;
-  return Literal(name, &pos, "ckpt-") && Number(name, &pos, id) &&
-         Literal(name, &pos, "-partition-") && Number(name, &pos, p) &&
-         Literal(name, &pos, ".snap") && pos == name.size();
-}
-
-/// The rotation epoch of a command-log or decision-log file name,
-/// `partition-<p>[.e<epoch>].log` or `coord-decisions[.e<epoch>].log`
-/// (no `.e` part: epoch 0); false for any other name.
-bool ParseLogEpoch(const std::string& name, uint64_t* epoch) {
-  size_t pos = 0;
-  uint64_t p = 0;
-  if (!(Literal(name, &pos, "partition-") && Number(name, &pos, &p)) &&
-      !Literal(name, &pos, "coord-decisions")) {
-    return false;
-  }
-  *epoch = 0;
-  if (Literal(name, &pos, ".e") && !Number(name, &pos, epoch)) return false;
-  return Literal(name, &pos, ".log") && pos == name.size();
-}
-
 /// The names of the entries of `dir` (none when it cannot be read).
 std::vector<std::string> ListDir(const std::string& dir) {
   std::vector<std::string> names;
@@ -89,36 +41,6 @@ std::vector<std::string> ListDir(const std::string& dir) {
   while (const struct dirent* e = ::readdir(d)) names.emplace_back(e->d_name);
   ::closedir(d);
   return names;
-}
-
-/// Run once cut `checkpoint_id` has committed (manifest durable, logs
-/// rotated to its epoch): deletes what no recovery can read any more. In
-/// `dir` that is every snapshot file that is neither the cut's own nor one
-/// of its partition's delta bases (`specs[p]`); in `log_dir`, when set,
-/// every command log and decision log of an earlier epoch. So files a
-/// crash orphaned — between a manifest rename and the old epoch's
-/// deletion, or by a cut that never committed — go with the next cut.
-void DeleteDeadFiles(const std::string& dir, uint64_t checkpoint_id,
-                     const std::vector<SnapshotDeltaSpec>& specs,
-                     const std::string& log_dir) {
-  for (const std::string& name : ListDir(dir)) {
-    uint64_t id = 0, p = 0;
-    if (!ParseSnapshotName(name, &id, &p) || id == checkpoint_id) continue;
-    bool base = false;
-    if (p < specs.size()) {
-      for (const auto& [table, base_id] : specs[p].unchanged) {
-        if (base_id == id) base = true;
-      }
-    }
-    if (!base) std::remove((dir + "/" + name).c_str());
-  }
-  if (log_dir.empty()) return;
-  for (const std::string& name : ListDir(log_dir)) {
-    uint64_t epoch = 0;
-    if (ParseLogEpoch(name, &epoch) && epoch < checkpoint_id) {
-      std::remove((log_dir + "/" + name).c_str());
-    }
-  }
 }
 
 /// The manifest names the one complete checkpoint in `dir`; it is written
@@ -443,6 +365,42 @@ std::string Cluster::DecisionLogPath(const std::string& log_dir,
   return log_dir + "/coord-decisions.e" + std::to_string(epoch) + ".log";
 }
 
+void Cluster::DeleteDeadFiles(const std::string& dir, uint64_t checkpoint_id,
+                              const std::vector<SnapshotDeltaSpec>& specs) const {
+  // sscanf pulls the numbers out of a name; the name is one of ours only
+  // when the path builder rebuilds it exactly.
+  for (const std::string& name : ListDir(dir)) {
+    unsigned long long id = 0;
+    size_t p = 0;
+    if (std::sscanf(name.c_str(), "ckpt-%llu-partition-%zu", &id, &p) != 2 ||
+        SnapshotPath(dir, id, p) != dir + "/" + name || id == checkpoint_id) {
+      continue;
+    }
+    bool base = false;
+    if (p < specs.size()) {
+      for (const auto& [table, base_id] : specs[p].unchanged) {
+        if (base_id == id) base = true;
+      }
+    }
+    if (!base) std::remove((dir + "/" + name).c_str());
+  }
+  const std::string& log_dir = options_.log_dir;
+  if (log_dir.empty()) return;
+  for (const std::string& name : ListDir(log_dir)) {
+    const std::string path = log_dir + "/" + name;
+    unsigned long long epoch = 0;  // a name without `.e<epoch>` is epoch 0
+    size_t p = 0;
+    bool ours = false;
+    if (std::sscanf(name.c_str(), "partition-%zu.e%llu", &p, &epoch) >= 1) {
+      ours = LogPath(log_dir, epoch, p) == path;
+    } else {
+      std::sscanf(name.c_str(), "coord-decisions.e%llu", &epoch);
+      ours = DecisionLogPath(log_dir, epoch) == path;
+    }
+    if (ours && epoch < checkpoint_id) std::remove(path.c_str());
+  }
+}
+
 Status Cluster::CheckpointAtBarrier(const std::string& dir,
                                     CheckpointReport* report) {
   // A simulated kill while every worker sits parked: nothing of this
@@ -565,7 +523,7 @@ Status Cluster::CheckpointAtBarrier(const std::string& dir,
       }
     }
     if (report != nullptr) *report = local;
-    DeleteDeadFiles(dir, checkpoint_id, specs, options_.log_dir);
+    DeleteDeadFiles(dir, checkpoint_id, specs);
   }
   return st;
 }

@@ -17,6 +17,7 @@
 #include "cluster/stream_channel.h"
 #include "cluster/topology.h"
 #include "common/status.h"
+#include "log/snapshot.h"
 #include "engine/partition.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -529,6 +530,17 @@ class Cluster {
   /// pre-rotation name `coord-decisions.log`).
   std::string DecisionLogPath(const std::string& log_dir,
                               uint64_t epoch) const;
+  /// Run once cut `checkpoint_id` has committed (manifest durable, logs
+  /// rotated to its epoch): deletes what no recovery can read any more. In
+  /// `dir` that is every snapshot file that is neither the cut's own nor
+  /// one of its partition's delta bases (`specs[p]`); in the Options'
+  /// log_dir, every command log and decision log of an earlier epoch. So
+  /// files a crash orphaned — between a manifest rename and the old
+  /// epoch's deletion, or by a cut that never committed — go with the next
+  /// cut. A file counts as a snapshot or log only when SnapshotPath,
+  /// LogPath or DecisionLogPath rebuilds its name exactly.
+  void DeleteDeadFiles(const std::string& dir, uint64_t checkpoint_id,
+                       const std::vector<SnapshotDeltaSpec>& specs) const;
   /// Constructs the store for partition `p` with the cluster's options,
   /// without a log.
   std::unique_ptr<SStore> MakeStore(size_t p) const;

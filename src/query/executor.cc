@@ -77,33 +77,11 @@ int RowCompare(const Value* a, const Value* b,
   return 0;
 }
 
-/// The ORDER BY keys of `rows` as int64 images, row-major, when every key
-/// value is BIGINT or TIMESTAMP; a descending key is bit-flipped (`~x`
-/// reverses the order of every int64). Empty when some key value is of
-/// another type.
-std::vector<int64_t> IntKeys(const std::vector<const Value*>& rows,
-                             const std::vector<OrderBySpec>& keys) {
-  std::vector<int64_t> ints;
-  ints.reserve(rows.size() * keys.size());
-  for (const Value* row : rows) {
-    for (const OrderBySpec& key : keys) {
-      const Value& v = row[key.column];
-      if (!IsIntLike(v.type())) return {};
-      int64_t x = v.as_int64();
-      ints.push_back(key.descending ? ~x : x);
-    }
-  }
-  return ints;
-}
-
 /// The one ordering step of Scan and Aggregate: orders `rows` (pointers to
 /// each row's first value) by `keys`, ties kept in input order, and keeps
 /// the first `limit` of them (all when unset). Positions break ties, which
 /// makes the order total. A limit that cuts runs one heap selection
-/// (std::partial_sort), whose output equals the stable order truncated;
-/// it compares each row about once, so it reads keys through RowCompare.
-/// A full order compares each row ~log n times, so when IntKeys has int64
-/// images of every key it sorts on those.
+/// (std::partial_sort), whose output equals the stable order truncated.
 void OrderRows(std::vector<const Value*>* rows,
                const std::vector<OrderBySpec>& keys,
                std::optional<size_t> limit) {
@@ -122,16 +100,6 @@ void OrderRows(std::vector<const Value*>* rows,
   if (keep < n) {
     std::partial_sort(pos.begin(), pos.begin() + keep, pos.end(), row_less);
     pos.resize(keep);
-  } else if (std::vector<int64_t> ints = IntKeys(*rows, keys); !ints.empty()) {
-    const size_t k = keys.size();
-    std::sort(pos.begin(), pos.end(), [&](size_t i, size_t j) {
-      const int64_t* a = &ints[i * k];
-      const int64_t* b = &ints[j * k];
-      for (size_t c = 0; c < k; ++c) {
-        if (a[c] != b[c]) return a[c] < b[c];
-      }
-      return i < j;
-    });
   } else {
     std::sort(pos.begin(), pos.end(), row_less);
   }

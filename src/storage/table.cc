@@ -176,6 +176,10 @@ Status Table::CheckUniqueForInsert(const Tuple& row) const {
 Result<RowId> Table::Insert(Tuple row, RowMeta meta) {
   SSTORE_RETURN_NOT_OK(schema_.ValidateTuple(row));
   SSTORE_RETURN_NOT_OK(CheckUniqueForInsert(row));
+  if (next_seq_ >= kSeqLimit) {
+    return Status::OutOfRange("table '" + name_ +
+                              "' has used every row sequence below 2^62");
+  }
 
   meta.seq = next_seq_++;
   RowId rid;

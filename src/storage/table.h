@@ -222,6 +222,7 @@ class Table {
   size_t staged_count() const { return live_count_ - active_count_; }
 
   /// Inserts a row (validated against the schema and all unique indexes).
+  /// kOutOfRange once the table has used every sequence below 2^62.
   Result<RowId> Insert(Tuple row) { return Insert(std::move(row), RowMeta{}); }
   Result<RowId> Insert(Tuple row, RowMeta meta);
 

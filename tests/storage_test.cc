@@ -400,6 +400,24 @@ TEST(TableTest, DeserializeSchemaMismatchIsCorruption) {
   EXPECT_EQ(other.DeserializeContentsFrom(&r).code(), StatusCode::kCorruption);
 }
 
+TEST(TableTest, InsertPastTheSequenceLimitIsOutOfRange) {
+  // A slot packs the sequence into 62 bits: once the table's next sequence
+  // reaches 2^62, an insert fails instead of wrapping to sequence 0.
+  ByteWriter w;
+  TwoColSchema().SerializeTo(&w);
+  w.PutU64((uint64_t{1} << 62) - 1);  // next sequence
+  w.PutU32(0);                        // no rows
+  Table t("t", TwoColSchema());
+  ByteReader r(w.data());
+  ASSERT_TRUE(t.DeserializeContentsFrom(&r).ok());
+  Result<RowId> last = t.Insert(Row(1, "a"));
+  ASSERT_TRUE(last.ok());
+  EXPECT_EQ(t.GetMeta(*last)->seq, (uint64_t{1} << 62) - 1);
+  EXPECT_EQ(t.Insert(Row(2, "b")).status().code(), StatusCode::kOutOfRange);
+  EXPECT_EQ(t.row_count(), 1u);
+  EXPECT_EQ(t.RowIdsBySeq(true), std::vector<RowId>{*last});
+}
+
 TEST(TableTest, ClearResetsEverything) {
   Table t("t", TwoColSchema());
   ASSERT_TRUE(t.CreateIndex("pk", {"id"}, true).ok());

@@ -24,13 +24,13 @@ std::vector<uint64_t> LogBytesPerPartition(Cluster& cluster) {
 }
 }  // namespace
 
-Checkpointer::Checkpointer(Cluster* cluster, const Options& options)
-    : cluster_(cluster), options_(options) {}
+Checkpointer::Checkpointer(Cluster* cluster) : cluster_(cluster) {}
 
 Checkpointer::~Checkpointer() { Stop(); }
 
-void Checkpointer::Start() {
+void Checkpointer::Start(const Options& options) {
   if (running()) return;
+  options_ = options;
   stop_.store(false, std::memory_order_release);
   requested_.store(false, std::memory_order_release);
   {
@@ -69,11 +69,6 @@ bool Checkpointer::WaitForCompletions(uint64_t count, uint64_t timeout_ms) {
 Checkpointer::Stats Checkpointer::stats() const {
   std::lock_guard<std::mutex> lock(mu_);
   return stats_;
-}
-
-void Checkpointer::ResetStats() {
-  std::lock_guard<std::mutex> lock(mu_);
-  stats_ = Stats{};
 }
 
 Status Checkpointer::last_error() const {

@@ -30,6 +30,10 @@ class Cluster;
 /// max) and retry; the trigger condition is latched, so a deferred
 /// checkpoint still happens as soon as the cluster lets it.
 ///
+/// The Cluster owns one Checkpointer for its whole life; each
+/// StartCheckpointer starts the same object with new options, so the
+/// counters only go up across Stop/Start cycles.
+///
 /// Thread-safety: Start/Stop are for the owning thread (Cluster lifecycle);
 /// stats() is readable from any thread.
 class Checkpointer {
@@ -68,13 +72,15 @@ class Checkpointer {
     uint64_t tables_delta_total = 0;  // tables written as delta references
   };
 
-  Checkpointer(Cluster* cluster, const Options& options);
+  explicit Checkpointer(Cluster* cluster);
   ~Checkpointer();
 
   Checkpointer(const Checkpointer&) = delete;
   Checkpointer& operator=(const Checkpointer&) = delete;
 
-  void Start();
+  /// Starts the loop with `options` (validated by Cluster::StartCheckpointer).
+  /// No-op while running.
+  void Start(const Options& options);
   void Stop();
   bool running() const { return running_.load(std::memory_order_acquire); }
 
@@ -82,16 +88,14 @@ class Checkpointer {
   /// checkpoint regardless of cadence/bytes. Returns immediately.
   void Request();
 
-  /// Blocks until at least `count` checkpoints completed since Start().
-  /// Test/ops helper; returns false if the checkpointer stopped first.
+  /// Blocks until at least `count` checkpoints completed over the
+  /// checkpointer's life (stats().completed >= count). Test/ops helper;
+  /// returns false if the checkpointer stopped first.
   bool WaitForCompletions(uint64_t count, uint64_t timeout_ms);
 
+  /// Counters accumulated since construction; max_barrier_pause_us is the
+  /// lifetime maximum.
   Stats stats() const;
-  /// Zeroes the counters (part of Cluster::ResetStats's one consistent
-  /// reset sweep). The bytes-trigger baseline and the sticky last_error()
-  /// are NOT reset — they are control state, not statistics. Don't call
-  /// concurrently with WaitForCompletions (its completion target would move).
-  void ResetStats();
   /// Last non-Unavailable error a checkpoint attempt returned (sticky until
   /// a later attempt succeeds).
   Status last_error() const;
@@ -103,6 +107,7 @@ class Checkpointer {
   bool BytesTriggerFired();
 
   Cluster* cluster_;
+  /// Set by Start while the loop thread is not running; read by the loop.
   Options options_;
 
   std::thread thread_;

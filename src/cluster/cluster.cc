@@ -1008,22 +1008,14 @@ Status Cluster::StartCheckpointer(const Checkpointer::Options& options) {
         "checkpointer needs a cadence or a log-bytes threshold (it would "
         "otherwise only fire on Request())");
   }
-  if (checkpointer_ != nullptr && checkpointer_->running()) {
+  if (checkpointer_.running()) {
     return Status::AlreadyExists("checkpointer already running");
   }
-  {
-    // The previous (stopped) checkpointer dies here, under the lock, so a
-    // concurrent GatherStats never reads it after it is freed.
-    std::lock_guard<std::mutex> lock(stats_mu_);
-    checkpointer_ = std::make_unique<Checkpointer>(this, options);
-  }
-  checkpointer_->Start();
+  checkpointer_.Start(options);
   return Status::OK();
 }
 
-void Cluster::StopCheckpointer() {
-  if (checkpointer_ != nullptr) checkpointer_->Stop();
-}
+void Cluster::StopCheckpointer() { checkpointer_.Stop(); }
 
 bool Cluster::running() const {
   size_t n = num_partitions();
@@ -1076,7 +1068,7 @@ ClusterStats Cluster::GatherStats() const {
   for (size_t p = 0; p < n; ++p) {
     SStore& s = const_cast<SStore&>(*stores_[p]);
     const Partition::Stats ps = s.partition().stats();
-    const EngineStats& es = s.ee().stats();
+    const EngineStats es = s.ee().stats();
     const LogStats ls = s.partition().log_stats();
     out.per_partition.push_back(ps);
     out.per_partition_engine.push_back(es);
@@ -1106,47 +1098,10 @@ ClusterStats Cluster::GatherStats() const {
     out.channel.redeliveries_suppressed += one.redeliveries_suppressed;
     out.channel.delivery_failures += one.delivery_failures;
   }
+  out.checkpoint = checkpointer_.stats();
   std::lock_guard<std::mutex> lock(stats_mu_);
-  if (checkpointer_ != nullptr) out.checkpoint = checkpointer_->stats();
   out.recover = last_recover_;
   return out;
-}
-
-void Cluster::ResetStats() {
-  size_t n = num_partitions();
-  for (size_t p = 0; p < n; ++p) {
-    stores_[p]->partition().ResetStats();
-    stores_[p]->ee().ResetStats();
-  }
-  coordinator_->ResetStats();
-  // One consistent reset epoch: the channel and checkpointer counters, the
-  // latency histogram and the hooked subsystems (WireServer) reset in the
-  // same sweep. LogStats deliberately stay cumulative — see the header.
-  for (auto& channel : channels_) channel->ResetStats();
-  txn_latency_.Reset();
-  // Copy the hooks under the lock but run them outside it, so a hook is
-  // free to re-enter the cluster.
-  std::vector<std::function<void()>> hooks;
-  {
-    std::lock_guard<std::mutex> lock(stats_mu_);
-    if (checkpointer_ != nullptr) checkpointer_->ResetStats();
-    last_recover_ = RecoverStats{};
-    hooks.reserve(reset_hooks_.size());
-    for (const auto& entry : reset_hooks_) hooks.push_back(entry.second);
-  }
-  for (const auto& hook : hooks) hook();
-}
-
-uint64_t Cluster::AddResetHook(std::function<void()> hook) {
-  std::lock_guard<std::mutex> lock(stats_mu_);
-  uint64_t handle = next_reset_hook_++;
-  reset_hooks_.emplace(handle, std::move(hook));
-  return handle;
-}
-
-void Cluster::RemoveResetHook(uint64_t handle) {
-  std::lock_guard<std::mutex> lock(stats_mu_);
-  reset_hooks_.erase(handle);
 }
 
 void Cluster::InstrumentStore(SStore& store, size_t p) {
@@ -1223,7 +1178,7 @@ MetricsSnapshot Cluster::SnapshotMetrics() const {
   out.Add("sstore_coord_round_latency_us_avg", MetricKind::kGauge,
           cs.coord.avg_round_latency_us());
 
-  // Durability (lifetime-cumulative; survives ResetStats by design).
+  // Durability (cumulative across rotation epochs).
   add("sstore_log_records_appended_total", MetricKind::kCounter,
       cs.log.records_appended);
   add("sstore_log_flushes_total", MetricKind::kCounter, cs.log.flush_count);

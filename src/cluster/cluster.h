@@ -2,7 +2,6 @@
 #define SSTORE_CLUSTER_CLUSTER_H_
 
 #include <atomic>
-#include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -121,9 +120,10 @@ struct ClusterStats {
   /// Stream-channel delivery counters summed across the deployed channels
   /// (all zero when the deploy has none).
   StreamChannel::Stats channel;
-  /// Background checkpointer counters (all zero until StartCheckpointer).
+  /// Background checkpointer counters over the cluster's life (all zero
+  /// until StartCheckpointer; they survive Stop/Start cycles).
   Checkpointer::Stats checkpoint;
-  /// The last Recover's record (zero until one ran; ResetStats clears it).
+  /// The last Recover's record (zero until one ran).
   RecoverStats recover;
   std::vector<Partition::Stats> per_partition;
   std::vector<EngineStats> per_partition_engine;
@@ -133,7 +133,7 @@ struct ClusterStats {
   uint64_t aborted() const { return txn.aborted; }
   /// Total durable-flush (fsync) operations across the cluster.
   uint64_t flush_count() const { return log.flush_count; }
-  /// Deepest request backlog any partition saw since the last reset.
+  /// Deepest request backlog any partition saw over the cluster's life.
   uint64_t max_queue_high_watermark() const {
     return txn.queue_high_watermark;
   }
@@ -373,14 +373,14 @@ class Cluster {
 
   // ---- Background checkpointer ----
 
-  /// Starts the background checkpoint thread (see cluster/checkpointer.h).
+  /// Starts the background checkpoint thread (see cluster/checkpointer.h)
+  /// with `options`, on the one Checkpointer the cluster owns for its life.
   /// Call after Start(); Stop()/~Cluster stop it first, before the workers,
   /// so a barrier never races shutdown.
   Status StartCheckpointer(const Checkpointer::Options& options);
   void StopCheckpointer();
-  /// Null when StartCheckpointer was never called. The pointer changes on
-  /// each StartCheckpointer; like Start/Stop, for the owning thread.
-  Checkpointer* checkpointer() { return checkpointer_.get(); }
+  /// Never null; the same object for the cluster's life.
+  Checkpointer* checkpointer() { return &checkpointer_; }
 
   /// Restores every partition to the consistent cut of the last checkpoint
   /// in `dir`, then replays each partition's post-checkpoint log suffix
@@ -474,25 +474,9 @@ class Cluster {
   // ---- Stats ----
 
   /// Aggregates every subsystem's counters (see ClusterStats). Any thread.
+  /// Every counter only goes up from construction (high-watermarks are
+  /// lifetime maxima), so rates are deltas between two reads.
   ClusterStats GatherStats() const;
-
-  /// Resets *every* stats epoch the cluster knows about in one sweep: the
-  /// partition-engine, execution-engine, coordinator, stream-channel and
-  /// checkpointer counters, the last-recovery record, the latency
-  /// histogram, and — via the reset hooks — external subsystems such as
-  /// an attached WireServer. The one
-  /// deliberate exception: LogStats stay lifetime-cumulative (the
-  /// checkpointer's log-bytes trigger and rotation-epoch accounting depend
-  /// on monotonic totals), so a GatherStats() after a quiesced ResetStats()
-  /// reflects only work submitted in between for everything *except* `log`.
-  void ResetStats();
-
-  /// Reset hook: ResetStats() runs it after the cluster's own counters, so
-  /// a component outside the cluster (WireServer) resets in the same sweep.
-  /// A component that can die before the cluster must remove its hook
-  /// first. Returns the handle for RemoveResetHook.
-  uint64_t AddResetHook(std::function<void()> hook);
-  void RemoveResetHook(uint64_t handle);
 
   // ---- Observability ----
 
@@ -667,19 +651,15 @@ class Cluster {
   /// kBusy while it is up instead of queueing behind the barrier.
   std::atomic<bool> checkpoint_gate_closed_{false};
 
-  /// Guards the reset hooks, and checkpointer_ against the off-thread stats
-  /// readers (a kStats request on a wire I/O thread) while StartCheckpointer
-  /// replaces it, and last_recover_. The owning thread reads checkpointer_
-  /// without it.
+  /// Guards last_recover_ against the off-thread stats readers (a kStats
+  /// request on a wire I/O thread).
   mutable std::mutex stats_mu_;
   RecoverStats last_recover_;
-  uint64_t next_reset_hook_ = 1;
-  std::map<uint64_t, std::function<void()>> reset_hooks_;
 
-  /// Background checkpoint thread; declared last so it is destroyed first
+  /// Background checkpoint driver; declared last so it is destroyed first
   /// (its loop references everything above). Stop() halts it before the
   /// workers so an in-flight barrier completes or aborts cleanly.
-  std::unique_ptr<Checkpointer> checkpointer_;
+  Checkpointer checkpointer_{this};
 };
 
 }  // namespace sstore

@@ -392,11 +392,4 @@ StreamChannel::Stats StreamChannel::stats() const {
   return out;
 }
 
-void StreamChannel::ResetStats() {
-  deliveries_.store(0, std::memory_order_relaxed);
-  rows_forwarded_.store(0, std::memory_order_relaxed);
-  redeliveries_suppressed_.store(0, std::memory_order_relaxed);
-  delivery_failures_.store(0, std::memory_order_relaxed);
-}
-
 }  // namespace sstore

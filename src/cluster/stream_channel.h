@@ -126,9 +126,6 @@ class StreamChannel {
   const ChannelSpec& spec() const { return spec_; }
   int64_t EncodeBatchId(int64_t producer_batch, size_t lane) const;
   Stats stats() const;
-  /// Zeroes the delivery counters (part of Cluster::ResetStats's one
-  /// consistent reset sweep). Does not touch in-flight delivery state.
-  void ResetStats();
 
  private:
   struct Delivery {

@@ -43,7 +43,24 @@ uint64_t FrameEnvelope(ByteWriter* message) {
   return checksum;
 }
 
+/// The engine's counters have one writer (the worker thread), so a relaxed
+/// load+store is enough to keep concurrent stats() reads defined.
+void Bump(std::atomic<uint64_t>& counter, uint64_t n) {
+  counter.store(counter.load(std::memory_order_relaxed) + n,
+                std::memory_order_relaxed);
+}
+
 }  // namespace
+
+EngineStats ExecutionEngine::stats() const {
+  EngineStats out;
+  out.boundary_crossings = boundary_crossings_.load(std::memory_order_relaxed);
+  out.boundary_bytes = boundary_bytes_.load(std::memory_order_relaxed);
+  out.fragments_executed = fragments_executed_.load(std::memory_order_relaxed);
+  out.ee_trigger_firings = ee_trigger_firings_.load(std::memory_order_relaxed);
+  out.gc_deleted_rows = gc_deleted_rows_.load(std::memory_order_relaxed);
+  return out;
+}
 
 Result<std::vector<Tuple>> ExecutionEngine::InvokeFromPE(
     const std::string& name, const Tuple& params, MutationLog* mlog) {
@@ -72,8 +89,8 @@ Result<std::vector<Tuple>> ExecutionEngine::InvokeFromPE(
   ByteReader resp_reader(response_bytes);
   SSTORE_ASSIGN_OR_RETURN(std::vector<Tuple> out, resp_reader.GetTuples());
 
-  ++stats_.boundary_crossings;
-  stats_.boundary_bytes += request_bytes.size() + response_bytes.size();
+  Bump(boundary_crossings_, 1);
+  Bump(boundary_bytes_, request_bytes.size() + response_bytes.size());
   return out;
 }
 
@@ -83,7 +100,7 @@ Result<std::vector<Tuple>> ExecutionEngine::InvokeInEngine(
   if (it == fragments_.end()) {
     return Status::NotFound("no fragment named '" + name + "'");
   }
-  ++stats_.fragments_executed;
+  Bump(fragments_executed_, 1);
   Executor exec(mlog);
   return it->second(*this, exec, params);
 }
@@ -151,7 +168,7 @@ Status ExecutionEngine::FireTriggersAndGc(const std::string& table_name,
 
   Tuple trigger_params = {Value::BigInt(batch_id)};
   for (const std::string& frag : it->second) {
-    ++stats_.ee_trigger_firings;
+    Bump(ee_trigger_firings_, 1);
     SSTORE_ASSIGN_OR_RETURN(std::vector<Tuple> ignored,
                             InvokeInEngine(frag, trigger_params, mlog));
     (void)ignored;
@@ -171,7 +188,7 @@ Status ExecutionEngine::FireTriggersAndGc(const std::string& table_name,
     for (RowId rid : victims) {
       SSTORE_RETURN_NOT_OK(exec.DeleteRow(table, rid));
     }
-    stats_.gc_deleted_rows += victims.size();
+    Bump(gc_deleted_rows_, victims.size());
   }
   return Status::OK();
 }

@@ -1,6 +1,7 @@
 #ifndef SSTORE_ENGINE_EXECUTION_ENGINE_H_
 #define SSTORE_ENGINE_EXECUTION_ENGINE_H_
 
+#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -42,7 +43,7 @@ struct EngineStats {
 /// S-Store's EE triggers and stream garbage collection (§3.2).
 ///
 /// Single-threaded by design: one EE per partition, always driven by the
-/// partition's worker thread.
+/// partition's worker thread. stats() alone is readable from any thread.
 class ExecutionEngine {
  public:
   explicit ExecutionEngine(Catalog* catalog) : catalog_(catalog) {}
@@ -103,8 +104,8 @@ class ExecutionEngine {
                      int64_t batch_id, MutationLog* mlog,
                      bool fire_triggers = true);
 
-  const EngineStats& stats() const { return stats_; }
-  void ResetStats() { stats_ = EngineStats{}; }
+  /// Point-in-time snapshot of counters that only go up.
+  EngineStats stats() const;
 
  private:
   /// Shared tail of both InsertBatch forms: EE-trigger cascade + auto-GC.
@@ -118,7 +119,13 @@ class ExecutionEngine {
   std::unordered_map<std::string, FragmentFn> fragments_;
   std::unordered_map<std::string, std::vector<std::string>> insert_triggers_;
   std::unordered_map<std::string, bool> auto_gc_;
-  EngineStats stats_;
+  // Written only by the worker thread, read by stats() from any thread (a
+  // kStats request on a wire I/O thread).
+  std::atomic<uint64_t> boundary_crossings_{0};
+  std::atomic<uint64_t> boundary_bytes_{0};
+  std::atomic<uint64_t> fragments_executed_{0};
+  std::atomic<uint64_t> ee_trigger_firings_{0};
+  std::atomic<uint64_t> gc_deleted_rows_{0};
 };
 
 }  // namespace sstore

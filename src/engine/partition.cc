@@ -334,39 +334,8 @@ void Partition::SubmitClosure(std::function<void(Partition&)> fn,
 Partition::PreparedMulti Partition::PrepareMulti(
     std::vector<Invocation> fragments, int64_t global_txn_id) {
   PreparedMulti out;
-  size_t failed_executions = 0;  // fragments that ran and then aborted
-  for (Invocation& frag : fragments) {
-    auto it = procs_.find(frag.proc);
-    if (it == procs_.end()) {
-      out.vote = Status::NotFound("no procedure named '" + frag.proc + "'");
-      break;
-    }
-    auto te = std::make_unique<TransactionExecution>(
-        next_txn_id_++, std::move(frag.proc), std::move(frag.params),
-        frag.batch_id);
-    ProcContext ctx(this, &ee_, te.get());
-    Status st = it->second.proc->Run(ctx);
-    if (!st.ok()) {
-      te->undo().Rollback().ok();
-      failed_executions = 1;
-      out.vote = st;
-      break;
-    }
-    out.kinds.push_back(it->second.kind);
-    out.tes.push_back(std::move(te));
-  }
-  if (!out.vote.ok()) {
-    for (auto it = out.tes.rbegin(); it != out.tes.rend(); ++it) {
-      (*it)->undo().Rollback().ok();
-    }
-    // Count only fragments that actually executed; those past the failure
-    // never ran.
-    aborted_.fetch_add(out.tes.size() + failed_executions,
-                       std::memory_order_relaxed);
-    out.tes.clear();
-    out.kinds.clear();
-    return out;
-  }
+  out.vote = ExecuteGroup(fragments, &out);
+  if (!out.vote.ok()) return out;
   // Durable prepare: every fragment is logged regardless of SpKind/recovery
   // mode — the atomicity machinery needs the complete fragment set to
   // re-execute a committed-in-doubt transaction. Flushed before the vote.
@@ -389,16 +358,45 @@ Partition::PreparedMulti Partition::PrepareMulti(
     }
     if (log_st.ok()) log_st = log_->Flush();
     if (!log_st.ok()) {
-      for (auto it = out.tes.rbegin(); it != out.tes.rend(); ++it) {
-        (*it)->undo().Rollback().ok();
-      }
-      aborted_.fetch_add(out.tes.size(), std::memory_order_relaxed);
-      out.tes.clear();
-      out.kinds.clear();
+      AbortGroup(&out);
       out.vote = log_st;
     }
   }
   return out;
+}
+
+Status Partition::ExecuteGroup(std::vector<Invocation>& invs,
+                               PreparedMulti* group) {
+  for (Invocation& inv : invs) {
+    auto it = procs_.find(inv.proc);
+    if (it == procs_.end()) {
+      AbortGroup(group);
+      return Status::NotFound("no procedure named '" + inv.proc + "'");
+    }
+    auto te = std::make_unique<TransactionExecution>(
+        next_txn_id_++, std::move(inv.proc), std::move(inv.params),
+        inv.batch_id);
+    ProcContext ctx(this, &ee_, te.get());
+    Status st = it->second.proc->Run(ctx);
+    group->kinds.push_back(it->second.kind);
+    group->tes.push_back(std::move(te));
+    if (!st.ok()) {
+      // The failed invocation ran, so it rolls back and counts with the
+      // rest; those past it never ran and are not counted.
+      AbortGroup(group);
+      return st;
+    }
+  }
+  return Status::OK();
+}
+
+void Partition::AbortGroup(PreparedMulti* group) {
+  for (auto it = group->tes.rbegin(); it != group->tes.rend(); ++it) {
+    (*it)->undo().Rollback().ok();
+  }
+  aborted_.fetch_add(group->tes.size(), std::memory_order_relaxed);
+  group->tes.clear();
+  group->kinds.clear();
 }
 
 void Partition::CommitMulti(PreparedMulti& prepared, int64_t global_txn_id,
@@ -432,12 +430,7 @@ void Partition::CommitMulti(PreparedMulti& prepared, int64_t global_txn_id,
 }
 
 void Partition::AbortMulti(PreparedMulti& prepared, int64_t global_txn_id) {
-  for (auto it = prepared.tes.rbegin(); it != prepared.tes.rend(); ++it) {
-    (*it)->undo().Rollback().ok();
-  }
-  aborted_.fetch_add(prepared.tes.size(), std::memory_order_relaxed);
-  prepared.tes.clear();
-  prepared.kinds.clear();
+  AbortGroup(&prepared);
   // The mark lets replay drop already-durable kPrepare records promptly
   // instead of carrying them to the in-doubt resolution at log end.
   if (log_ != nullptr) {
@@ -554,55 +547,28 @@ void Partition::RunTask(Task& task) {
     // known; commit-side effects (log records, PE triggers) apply in order
     // only after every child has committed.
     nested_groups_.fetch_add(1, std::memory_order_relaxed);
-    std::vector<std::unique_ptr<TransactionExecution>> tes;
-    Status failure = Status::OK();
-    for (Invocation& child : task.children) {
-      auto it = procs_.find(child.proc);
-      if (it == procs_.end()) {
-        failure = Status::NotFound("no procedure named '" + child.proc + "'");
-        break;
-      }
-      auto te = std::make_unique<TransactionExecution>(
-          next_txn_id_++, std::move(child.proc), std::move(child.params),
-          child.batch_id);
-      ProcContext ctx(this, &ee_, te.get());
-      Status st = it->second.proc->Run(ctx);
-      if (!st.ok()) {
-        te->undo().Rollback().ok();
-        failure = st;
-        break;
-      }
-      tes.push_back(std::move(te));
+    PreparedMulti group;
+    outcome.status = ExecuteGroup(task.children, &group);
+    for (size_t i = 0; outcome.status.ok() && i < group.tes.size(); ++i) {
+      outcome.status = LogCommit(*group.tes[i], group.kinds[i]);
     }
-    if (!failure.ok()) {
-      // Roll back already-executed children, newest first.
-      for (auto it = tes.rbegin(); it != tes.rend(); ++it) {
-        (*it)->undo().Rollback().ok();
-      }
-      aborted_.fetch_add(task.children.size(), std::memory_order_relaxed);
-      outcome.status = failure;
+    if (!outcome.status.ok()) {
+      // A failed child or log append aborts the whole group (ExecuteGroup
+      // has already emptied it on a failed child). Records appended for
+      // earlier children stay in the log: the log is not group-atomic.
+      AbortGroup(&group);
     } else {
-      for (auto& te : tes) {
-        SpKind kind = procs_.find(te->proc_name())->second.kind;
-        Status log_st = LogCommit(*te, kind);
-        if (!log_st.ok()) {
-          outcome.status = log_st;
-          break;
+      for (auto& te : group.tes) {
+        te->undo().Release();
+        committed_.fetch_add(1, std::memory_order_relaxed);
+        outcome.txn_id = te->txn_id();
+        for (Tuple& row : te->output()) {
+          outcome.output.push_back(std::move(row));
         }
       }
-      if (outcome.status.ok()) {
-        for (auto& te : tes) {
-          te->undo().Release();
-          committed_.fetch_add(1, std::memory_order_relaxed);
-          outcome.txn_id = te->txn_id();
-          for (Tuple& row : te->output()) {
-            outcome.output.push_back(std::move(row));
-          }
-        }
-        // Hooks fire after the whole group committed, preserving the
-        // nested transaction's isolation unit.
-        for (auto& te : tes) FireCommitHooks(*te);
-      }
+      // Hooks fire after the whole group committed, preserving the
+      // nested transaction's isolation unit.
+      for (auto& te : group.tes) FireCommitHooks(*te);
     }
   }
 
@@ -736,16 +702,6 @@ Partition::Stats Partition::stats() const {
   out.queue_high_watermark = queue_hwm_.load(std::memory_order_relaxed);
   out.producer_blocks = producer_blocks_.load(std::memory_order_relaxed);
   return out;
-}
-
-void Partition::ResetStats() {
-  committed_.store(0, std::memory_order_relaxed);
-  aborted_.store(0, std::memory_order_relaxed);
-  nested_groups_.store(0, std::memory_order_relaxed);
-  client_requests_.store(0, std::memory_order_relaxed);
-  internal_requests_.store(0, std::memory_order_relaxed);
-  queue_hwm_.store(0, std::memory_order_relaxed);
-  producer_blocks_.store(0, std::memory_order_relaxed);
 }
 
 Status Partition::AttachCommandLog(CommandLog::Options options,

@@ -379,7 +379,7 @@ class Partition {
     uint64_t client_requests = 0;
     uint64_t internal_requests = 0;
     uint64_t nested_groups = 0;
-    /// Deepest QueueDepth() observed at enqueue since the last reset —
+    /// Deepest QueueDepth() observed at enqueue over the partition's life —
     /// admission control reads this to see how close the partition runs to
     /// its bound.
     uint64_t queue_high_watermark = 0;
@@ -388,7 +388,6 @@ class Partition {
   };
   /// Point-in-time snapshot (counters are updated from several threads).
   Stats stats() const;
-  void ResetStats();
 
   /// Installs the observability hooks (histogram + trace ring). Call before
   /// Start() or while the worker is stopped — the struct is read without
@@ -440,6 +439,14 @@ class Partition {
   /// copy on the hot path); on commit appends to the command log (by policy)
   /// and fires commit hooks.
   TxnOutcome ExecuteInvocation(Invocation&& inv);
+  /// Runs `invs` back to back as one isolation unit (a nested group or a
+  /// multi-partition slice), consuming them and appending each executed TE
+  /// and its kind to `group`. On the first failure the group is aborted
+  /// (AbortGroup) and the cause returned.
+  Status ExecuteGroup(std::vector<Invocation>& invs, PreparedMulti* group);
+  /// Rolls back every TE in `group` newest first, counts each as aborted,
+  /// and empties the group.
+  void AbortGroup(PreparedMulti* group);
   bool ShouldLog(SpKind kind) const;
   Status LogCommit(const TransactionExecution& te, SpKind kind);
   void FireCommitHooks(const TransactionExecution& te);

@@ -49,15 +49,6 @@ LatencyHistogram::Snapshot LatencyHistogram::snapshot() const {
   return out;
 }
 
-void LatencyHistogram::Reset() {
-  for (Shard& s : shards_) {
-    for (auto& b : s.buckets) b.store(0, std::memory_order_relaxed);
-    s.count.store(0, std::memory_order_relaxed);
-    s.sum.store(0, std::memory_order_relaxed);
-    s.max.store(0, std::memory_order_relaxed);
-  }
-}
-
 int64_t LatencyHistogram::Snapshot::Percentile(double p) const {
   if (count == 0) return 0;
   if (p <= 0) p = 0;

@@ -49,12 +49,8 @@ class LatencyHistogram {
                         : static_cast<double>(sum) / static_cast<double>(count);
     }
   };
+  /// Everything recorded since construction.
   Snapshot snapshot() const;
-
-  /// Zeroes every shard. Not atomic with respect to concurrent Record():
-  /// a racing sample may survive into the next epoch or be lost — the same
-  /// semantics as every other stats reset here.
-  void Reset();
 
  private:
   struct alignas(64) Shard {

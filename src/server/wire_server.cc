@@ -23,6 +23,16 @@ namespace server_internal {
 
 namespace {
 
+/// Pending-connection queue length passed to listen().
+constexpr int kListenBacklog = 128;
+
+/// Unflushed response bytes a connection may accumulate before it is closed
+/// as overloaded. The in-flight cap bounds kResult responses, but
+/// kBusy/kPong are generated without consuming an in-flight slot — a peer
+/// that writes requests and never reads responses would otherwise grow the
+/// write buffer without bound.
+constexpr size_t kMaxUnflushedBytes = 4 << 20;
+
 Status SetNonBlocking(int fd) {
   int flags = fcntl(fd, F_GETFL, 0);
   if (flags < 0 || fcntl(fd, F_SETFL, flags | O_NONBLOCK) < 0) {
@@ -522,8 +532,7 @@ class EventLoop {
     // an in-flight slot — a peer that keeps writing requests without reading
     // responses would grow this buffer without bound. Past the threshold the
     // peer is overloading us: close instead of buffering.
-    if (!conn->closed &&
-        buf.size() - conn->wr_off > server_->options_.max_unflushed_bytes) {
+    if (!conn->closed && buf.size() - conn->wr_off > kMaxUnflushedBytes) {
       server_->overload_closed_.fetch_add(1, std::memory_order_relaxed);
       CloseConn(conn);
     }
@@ -667,7 +676,7 @@ Status WireServer::Start() {
     return Status::IOError("getsockname failed");
   }
   port_ = ntohs(addr.sin_port);
-  if (::listen(listen_fd_, options_.listen_backlog) < 0) {
+  if (::listen(listen_fd_, server_internal::kListenBacklog) < 0) {
     ::close(listen_fd_);
     listen_fd_ = -1;
     return Status::IOError("listen failed");
@@ -688,8 +697,6 @@ Status WireServer::Start() {
   running_.store(true, std::memory_order_release);
   for (auto& loop : loops_) loop->StartThread();
   acceptor_ = std::thread([this] { AcceptLoop(); });
-  // Join the one-sweep reset semantics of Cluster::ResetStats while serving.
-  reset_hook_handle_ = cluster_->AddResetHook([this] { ResetStats(); });
   return Status::OK();
 }
 
@@ -720,9 +727,6 @@ void WireServer::AcceptLoop() {
 
 void WireServer::Stop() {
   if (!running_.exchange(false, std::memory_order_acq_rel)) return;
-  // Unregister before tearing anything down: the cluster must never call
-  // into a stopping server's hook once Stop returns.
-  cluster_->RemoveResetHook(reset_hook_handle_);
   if (acceptor_.joinable()) acceptor_.join();
   if (listen_fd_ >= 0) {
     ::close(listen_fd_);
@@ -764,22 +768,6 @@ WireServer::Stats WireServer::stats() const {
   out.overload_closed = overload_closed_.load(std::memory_order_relaxed);
   out.max_conn_inflight = max_conn_inflight_.load(std::memory_order_relaxed);
   return out;
-}
-
-void WireServer::ResetStats() {
-  connections_accepted_.store(0, std::memory_order_relaxed);
-  // connections_active_ is live occupancy, not a cumulative counter — a
-  // reset would corrupt the accept/close bookkeeping.
-  frames_received_.store(0, std::memory_order_relaxed);
-  responses_sent_.store(0, std::memory_order_relaxed);
-  busy_shed_.store(0, std::memory_order_relaxed);
-  busy_during_checkpoint_.store(0, std::memory_order_relaxed);
-  batches_submitted_.store(0, std::memory_order_relaxed);
-  requests_submitted_.store(0, std::memory_order_relaxed);
-  protocol_errors_.store(0, std::memory_order_relaxed);
-  stats_requests_.store(0, std::memory_order_relaxed);
-  overload_closed_.store(0, std::memory_order_relaxed);
-  max_conn_inflight_.store(0, std::memory_order_relaxed);
 }
 
 void WireServer::AppendMetrics(MetricsSnapshot* out) const {

@@ -69,22 +69,15 @@ class WireServer {
     int num_io_threads = 1;
     /// Frames per connection submitted but not yet answered before kBusy.
     size_t max_inflight_per_conn = 1024;
-    /// Unflushed response bytes a connection may accumulate before it is
-    /// closed as overloaded. The in-flight cap bounds kResult responses, but
-    /// kBusy/kPong are generated without consuming an in-flight slot — a
-    /// peer that writes requests and never reads responses would otherwise
-    /// grow the write buffer without bound.
-    size_t max_unflushed_bytes = 4 << 20;
-    int listen_backlog = 128;
     /// Stop() waits this long for the loss-free drain handshake (responses
     /// flushed, peers hang up) before closing abruptly. A peer that never
     /// closes can delay Stop() by at most this much.
     int drain_timeout_ms = 5000;
   };
 
-  /// Counters accumulate from construction until ResetStats() — which
-  /// Cluster::ResetStats() also runs while the server is up — and are
-  /// readable live. connections_active is live occupancy and never resets.
+  /// Counters only go up from construction and are readable live;
+  /// connections_active is live occupancy, max_conn_inflight a lifetime
+  /// maximum.
   struct Stats {
     uint64_t connections_accepted = 0;
     uint64_t connections_active = 0;
@@ -101,7 +94,7 @@ class WireServer {
     /// kStats frames answered (the live metrics endpoint, e.g. sstore_top).
     uint64_t stats_requests = 0;
     /// Connections closed because their unflushed write buffer exceeded
-    /// Options::max_unflushed_bytes (peer stopped reading responses).
+    /// 4 MiB (peer stopped reading responses).
     uint64_t overload_closed = 0;
     /// Highest submitted-but-unanswered count any connection reached —
     /// never exceeds Options::max_inflight_per_conn.
@@ -128,10 +121,6 @@ class WireServer {
   uint16_t port() const { return port_; }
 
   Stats stats() const;
-
-  /// Zeroes every counter. Registered as a reset hook with the cluster
-  /// while running, so Cluster::ResetStats() sweeps these too.
-  void ResetStats();
 
  private:
   friend class server_internal::EventLoop;
@@ -164,10 +153,6 @@ class WireServer {
   std::atomic<uint64_t> stats_requests_{0};
   std::atomic<uint64_t> overload_closed_{0};
   std::atomic<uint64_t> max_conn_inflight_{0};
-
-  /// Cluster reset-hook handle, valid only while running (Start adds, Stop
-  /// removes — the cluster must not call into a dead server).
-  uint64_t reset_hook_handle_ = 0;
 };
 
 }  // namespace sstore

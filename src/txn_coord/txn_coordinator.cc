@@ -426,15 +426,4 @@ CoordStats TxnCoordinator::stats() const {
   return out;
 }
 
-void TxnCoordinator::ResetStats() {
-  multi_txns_.store(0, std::memory_order_relaxed);
-  prepares_.store(0, std::memory_order_relaxed);
-  commits_.store(0, std::memory_order_relaxed);
-  aborts_.store(0, std::memory_order_relaxed);
-  in_doubt_committed_.store(0, std::memory_order_relaxed);
-  in_doubt_aborted_.store(0, std::memory_order_relaxed);
-  checkpoints_.store(0, std::memory_order_relaxed);
-  round_latency_us_.store(0, std::memory_order_relaxed);
-}
-
 }  // namespace sstore

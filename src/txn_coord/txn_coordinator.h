@@ -214,7 +214,6 @@ class TxnCoordinator {
   // ---- Stats ----
 
   CoordStats stats() const;
-  void ResetStats();
 
  private:
   MultiKeyTicketPtr ErrorTicket(size_t num_ops, Status status);

@@ -581,20 +581,6 @@ TEST(ClusterStatsTest, AggregationSumsPerPartitionAndResetClears) {
   EXPECT_EQ(stats.committed(), committed_sum);
   EXPECT_EQ(stats.committed(), 200u);  // 100 border + 100 interior
   EXPECT_EQ(stats.engine.gc_deleted_rows, gc_sum);
-
-  // Consistent reset: partition-engine and execution-engine counters clear
-  // together, on every partition.
-  cluster.ResetStats();
-  ClusterStats after = cluster.GatherStats();
-  EXPECT_EQ(after.committed(), 0u);
-  EXPECT_EQ(after.txn.client_requests, 0u);
-  EXPECT_EQ(after.txn.internal_requests, 0u);
-  EXPECT_EQ(after.engine.fragments_executed, 0u);
-  EXPECT_EQ(after.engine.gc_deleted_rows, 0u);
-  for (size_t p = 0; p < 4; ++p) {
-    EXPECT_EQ(after.per_partition[p].committed, 0u);
-    EXPECT_EQ(after.per_partition_engine[p].gc_deleted_rows, 0u);
-  }
   cluster.Stop();
 }
 

@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "common/bytes.h"
+#include "common/failpoint.h"
 #include "engine/partition.h"
 #include "engine/procedure.h"
 #include "log/command_log.h"
@@ -613,6 +614,27 @@ TEST_F(EngineTest, AbortedTxnNotLogged) {
   part_.ExecuteSync("fail_after_write", {Value::BigInt(1), Value::BigInt(1)});
   ASSERT_TRUE(part_.DetachCommandLog().ok());
   EXPECT_EQ((*CommandLog::ReadAll(path)).size(), 0u);
+}
+
+// The second child's log append fails after both children ran: the group
+// is one unit, so the first child's write must unwind too.
+TEST_F(EngineTest, NestedGroupRollsBackWhenAChildsLogAppendFails) {
+  CommandLog::Options opts;
+  opts.path = TempPath("nested_append_fail.log");
+  opts.sync = false;
+  ASSERT_TRUE(part_.AttachCommandLog(opts, RecoveryMode::kStrong).ok());
+  failpoint::Activate("command_log.append", failpoint::Action::kError,
+                      /*skip=*/1);
+  std::vector<Invocation> children = {
+      {"put", {Value::BigInt(1), Value::BigInt(1)}, 0},
+      {"put", {Value::BigInt(2), Value::BigInt(2)}, 0}};
+  TxnOutcome out = part_.ExecuteNestedSync(children);
+  failpoint::ResetAll();
+  EXPECT_EQ(out.status.code(), StatusCode::kIOError);
+  EXPECT_EQ((*part_.catalog().GetTable("kv"))->row_count(), 0u);
+  EXPECT_EQ(part_.stats().committed, 0u);
+  EXPECT_EQ(part_.stats().aborted, 2u);
+  ASSERT_TRUE(part_.DetachCommandLog().ok());
 }
 
 TEST(LoggingPolicyTest, WeakModeSkipsInteriorProcs) {

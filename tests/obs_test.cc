@@ -1,9 +1,10 @@
 // Observability layer (src/obs/ + its cluster/server integration): histogram
 // correctness under concurrency, snapshot/exposition round trips, the golden
 // metric-name contract, the kStats wire round trip (live counters must match
-// client-observed commits), trace span dumps, the one-sweep
-// Cluster::ResetStats semantics and its reset-hook lifecycle, and kStats
-// polls racing a checkpointer restart. Run in isolation with `ctest -L obs`.
+// client-observed commits), trace span dumps, snapshots that outlive a wire
+// server, stats reads racing the partition worker's engine counters, and
+// kStats polls racing checkpointer restarts without a counter going down.
+// Run in isolation with `ctest -L obs`.
 
 #include <gtest/gtest.h>
 #include <sys/stat.h>
@@ -26,6 +27,7 @@
 #include "obs/trace.h"
 #include "server/client.h"
 #include "server/wire_server.h"
+#include "workloads/microbench.h"
 #include "workloads/voter_cluster.h"
 
 namespace sstore {
@@ -69,8 +71,6 @@ TEST(LatencyHistogramTest, NegativeValuesClampAndResetZeroes) {
   h.Record(0);
   EXPECT_EQ(h.snapshot().count, 2u);
   EXPECT_EQ(h.snapshot().sum, 0u);
-  h.Reset();
-  EXPECT_EQ(h.snapshot().count, 0u);
   EXPECT_EQ(h.snapshot().max, 0);
 }
 
@@ -319,46 +319,8 @@ TEST(ClusterObsTest, TraceDumpIsChromeTracingJson) {
             0u);
 }
 
-// Satellite: ResetStats must sweep the registry, wire-server counters, and
-// the latency histogram in one pass (LogStats deliberately excluded — they
-// are lifetime-cumulative, see cluster.h).
-TEST(ClusterObsTest, ResetStatsSweepsRegistryWireAndHistogram) {
-  ObsHarness h(2);
-  auto client = h.Connect();
-  h.Vote(client.get(), 100);
-  h.cluster.WaitIdle();
-
-  EXPECT_GT(h.server.stats().frames_received, 0u);
-  ASSERT_NE(h.cluster.txn_latency_histogram(), nullptr);
-  EXPECT_GT(h.cluster.txn_latency_histogram()->snapshot().count, 0u);
-
-  h.cluster.ResetStats();
-
-  EXPECT_EQ(h.server.stats().frames_received, 0u);
-  EXPECT_EQ(h.server.stats().requests_submitted, 0u);
-  EXPECT_EQ(h.cluster.txn_latency_histogram()->snapshot().count, 0u);
-  ClusterStats cs = h.cluster.GatherStats();
-  EXPECT_EQ(cs.txn.committed, 0u);
-
-  // The wire endpoint reflects the sweep immediately.
-  std::map<std::string, double> m = FetchParsed(client.get());
-  EXPECT_EQ(m.at("sstore_txn_committed_total"), 0.0);
-  EXPECT_EQ(m.at("sstore_wire_requests_submitted_total"), 0.0);
-}
-
-TEST(ClusterObsTest, ResetHooksRunOncePerSweepUntilRemoved) {
-  Cluster cluster(ObsClusterOpts(1));
-  int hook_runs = 0;
-  uint64_t handle = cluster.AddResetHook([&hook_runs] { ++hook_runs; });
-  cluster.ResetStats();
-  EXPECT_EQ(hook_runs, 1);
-  cluster.RemoveResetHook(handle);
-  cluster.ResetStats();
-  EXPECT_EQ(hook_runs, 1);
-}
-
-// A stopped and destroyed WireServer has removed its reset hook: the next
-// sweep and snapshot must not touch it (ASan turns a stale hook into a
+// A stopped and destroyed WireServer leaves nothing behind in the cluster:
+// the next snapshot must not touch it (ASan turns a stale reference into a
 // heap-use-after-free here).
 TEST(ClusterObsTest, ResetAndSnapshotAfterWireServerDestroyed) {
   Cluster cluster(ObsClusterOpts(2));
@@ -375,11 +337,43 @@ TEST(ClusterObsTest, ResetAndSnapshotAfterWireServerDestroyed) {
   server->Stop();
   server.reset();
 
-  cluster.ResetStats();
   MetricsSnapshot snap = cluster.SnapshotMetrics();
   EXPECT_EQ(snap.Find("sstore_wire_frames_received_total"), nullptr);
   EXPECT_EQ(snap.Value("sstore_partitions"), 2.0);
   EXPECT_EQ(snap.Value("sstore_txn_committed_total", -1), 0.0);
+  cluster.Stop();
+}
+
+// The execution engine's counters are written by the partition worker and
+// read by whichever thread takes a snapshot (in production a kStats request
+// on a wire I/O thread): TSan reports plain counters here as a data race.
+TEST(ClusterObsTest, EngineCountersReadWhileWorkerFiresEeTriggers) {
+  Cluster cluster(1);
+  constexpr int kStages = 3;
+  constexpr int kTxns = 2000;
+  ASSERT_TRUE(EeTriggerChain::SetupSStore(&cluster.store(0), kStages).ok());
+  cluster.Start();
+  std::atomic<bool> done{false};
+  std::thread producer([&] {
+    std::vector<TicketPtr> tickets;
+    tickets.reserve(kTxns);
+    for (int i = 0; i < kTxns; ++i) {
+      tickets.push_back(cluster.partition(0).SubmitAsync(
+          Invocation{"ingest_s", {Value::BigInt(i)}, i + 1}));
+    }
+    for (auto& t : tickets) EXPECT_TRUE(t->Wait().committed());
+    done.store(true);
+  });
+  int polls = 0;
+  while (!done.load()) {
+    cluster.SnapshotMetrics();
+    ++polls;
+  }
+  producer.join();
+  EXPECT_GT(polls, 0);
+  EXPECT_EQ(
+      cluster.SnapshotMetrics().Value("sstore_engine_ee_trigger_firings_total"),
+      static_cast<double>(kStages * kTxns));
   cluster.Stop();
 }
 
@@ -409,9 +403,9 @@ TEST(ClusterObsTest, SnapshotNamesAreStatsNamesMinusWire) {
   EXPECT_GT(local.size(), 30u);
 }
 
-// StartCheckpointer replaces the checkpointer a kStats request on a wire
-// I/O thread reads; polls racing Stop/Start cycles must never see a freed
-// one (TSan reports an unguarded pointer as a data race).
+// A kStats request on a wire I/O thread reads the checkpointer's counters
+// while the owning thread cycles it through Stop/Start: the reads must stay
+// race-free (TSan), and the counters must never go down across a restart.
 TEST(ClusterObsTest, StatsPollsSurviveCheckpointerRestarts) {
   ObsHarness h(2);
   std::string dir = ::testing::TempDir() + "/sstore_obs_" +
@@ -426,9 +420,13 @@ TEST(ClusterObsTest, StatsPollsSurviveCheckpointerRestarts) {
   std::atomic<int> polls{0};
   std::thread poller([&] {
     auto client = h.Connect();
+    double last_completed = 0;
     while (!done.load()) {
       std::map<std::string, double> m = FetchParsed(client.get());
       EXPECT_EQ(m.count("sstore_checkpoint_completed_total"), 1u);
+      double completed = m["sstore_checkpoint_completed_total"];
+      EXPECT_GE(completed, last_completed);
+      last_completed = completed;
       polls.fetch_add(1);
     }
   });
@@ -436,15 +434,26 @@ TEST(ClusterObsTest, StatsPollsSurviveCheckpointerRestarts) {
   constexpr int kCycles = 40;
   auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(10);
   int cycles = 0;
+  uint64_t completed = 0;
   while (cycles < kCycles || (polls.load() < kCycles &&
                                std::chrono::steady_clock::now() < deadline)) {
     Status st = h.cluster.StartCheckpointer(copts);
     EXPECT_TRUE(st.ok()) << st.ToString();
     if (!st.ok()) break;
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    EXPECT_GE(h.cluster.GatherStats().checkpoint.completed, completed)
+        << "restart " << cycles << " zeroed the checkpoint counters";
+    if (cycles == 0) {
+      // At least one completion before the first restart, so a restart
+      // that zeroes the counters shows.
+      EXPECT_TRUE(h.cluster.checkpointer()->WaitForCompletions(1, 20000));
+    } else {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
     h.cluster.StopCheckpointer();
+    completed = h.cluster.GatherStats().checkpoint.completed;
     ++cycles;
   }
+  EXPECT_GE(completed, 1u);
   done.store(true);
   poller.join();
   EXPECT_GE(polls.load(), kCycles);

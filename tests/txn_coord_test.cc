@@ -504,12 +504,6 @@ TEST(TxnCoordTest, CoordStatsSurfacedAndReset) {
   EXPECT_EQ(stats.coord.prepares, 4u);
   EXPECT_EQ(stats.coord.rounds(), 2u);
   EXPECT_GE(stats.coord.avg_round_latency_us(), 0.0);
-
-  cluster.ResetStats();
-  ClusterStats after = cluster.GatherStats();
-  EXPECT_EQ(after.coord.multi_txns, 0u);
-  EXPECT_EQ(after.coord.rounds(), 0u);
-  EXPECT_EQ(after.coord.round_latency_us_total, 0u);
   cluster.Stop();
 }
 

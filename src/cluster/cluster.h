@@ -460,9 +460,6 @@ class Cluster {
   void Stop();
   bool running() const;
 
-  /// Sum of all partition request-queue depths (approximate).
-  size_t TotalQueueDepth();
-
   /// Blocks until every partition's queue is empty (all submitted work and
   /// the PE-triggered interiors it cascaded into have drained). Sleeps on
   /// each partition's idle condition variable — no spinning. With channels
@@ -504,6 +501,9 @@ class Cluster {
   std::string DumpTraceJson() const;
 
  private:
+  /// Sum of all partition request-queue depths (approximate); WaitIdle's
+  /// loop condition.
+  size_t TotalQueueDepth();
   std::string SnapshotPath(const std::string& dir, uint64_t checkpoint_id,
                            size_t p) const;
   /// Partition p's command-log path for one rotation epoch (epoch 0 is the

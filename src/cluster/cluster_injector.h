@@ -167,12 +167,6 @@ class ClusterInjector {
     return InjectAsync(std::move(batch))->Wait();
   }
 
-  /// Partition a batch with this key column value would be routed to (a
-  /// snapshot — a concurrent rebalance may move it).
-  size_t RouteOfKey(const Value& key) const {
-    return cluster_->PartitionOf(key);
-  }
-
   /// Total batches injected across all partitions.
   int64_t batches_injected() const {
     int64_t total = 0;

@@ -47,30 +47,6 @@ bool PartitionMap::OwnsKeys(size_t p) const {
   return false;
 }
 
-std::vector<PartitionMap::Range> PartitionMap::Ranges() const {
-  std::vector<Range> out;
-  for (size_t b = 0; b < buckets_.size(); ++b) {
-    const auto& table = buckets_[b];
-    for (size_t i = 0; i < table.size(); ++i) {
-      Range r;
-      r.bucket = b;
-      r.begin = table[i].first;
-      r.end = i + 1 < table.size() ? table[i + 1].first - 1 : UINT64_MAX;
-      r.owner = table[i].second;
-      out.push_back(r);
-    }
-  }
-  return out;
-}
-
-std::vector<PartitionMap::Range> PartitionMap::OwnedRanges(size_t p) const {
-  std::vector<Range> out;
-  for (Range& r : Ranges()) {
-    if (r.owner == p) out.push_back(r);
-  }
-  return out;
-}
-
 Result<PartitionMap> PartitionMap::WithSplit(size_t source,
                                              size_t target) const {
   if (source >= num_partitions_) {

@@ -55,15 +55,6 @@ class PartitionMap {
  public:
   enum class Mode { kHash, kModulo };
 
-  /// One contiguous slice of a bucket's sub-point space. `end` is
-  /// inclusive (the top range of a bucket ends at UINT64_MAX).
-  struct Range {
-    size_t bucket = 0;
-    uint64_t begin = 0;
-    uint64_t end = 0;
-    size_t owner = 0;
-  };
-
   explicit PartitionMap(size_t num_partitions, Mode mode = Mode::kHash);
 
   /// Partition ids in use, *including* retired ones (a merged-away
@@ -103,11 +94,6 @@ class PartitionMap {
   /// Does any key route to `p`? False for a freshly split-off target that
   /// was never assigned, and for a partition retired by WithMerge.
   bool OwnsKeys(size_t p) const;
-
-  /// Every range of every bucket, in (bucket, begin) order.
-  std::vector<Range> Ranges() const;
-  /// The ranges owned by one partition.
-  std::vector<Range> OwnedRanges(size_t p) const;
 
   // ---- Rebalancing refinements (pure: return the successor map) ----
 

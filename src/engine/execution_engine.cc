@@ -118,21 +118,7 @@ Status ExecutionEngine::AttachInsertTrigger(const std::string& table_name,
     return Status::NotFound("no fragment named '" + fragment_name + "'");
   }
   insert_triggers_[table_name].push_back(fragment_name);
-  // A stream fully consumed by its EE triggers is garbage-collected by
-  // default; callers with PE triggers downstream override this.
-  if (auto_gc_.find(table_name) == auto_gc_.end()) {
-    auto_gc_[table_name] = true;
-  }
   return Status::OK();
-}
-
-size_t ExecutionEngine::TriggerCount(const std::string& table_name) const {
-  auto it = insert_triggers_.find(table_name);
-  return it == insert_triggers_.end() ? 0 : it->second.size();
-}
-
-void ExecutionEngine::SetAutoGc(const std::string& table_name, bool enabled) {
-  auto_gc_[table_name] = enabled;
 }
 
 Status ExecutionEngine::InsertBatch(const std::string& table_name,
@@ -175,21 +161,17 @@ Status ExecutionEngine::FireTriggersAndGc(const std::string& table_name,
   }
 
   // Automatic garbage collection (paper §3.2.3): the batch has now been
-  // seen by every attached trigger.
-  auto gc = auto_gc_.find(table_name);
-  if (gc != auto_gc_.end() && gc->second) {
-    // Delete exactly the rows of this batch.
-    Executor exec(mlog);
-    std::vector<RowId> victims;
-    table->ForEach([&](RowId rid, const Tuple&, const RowMeta& meta) {
-      if (meta.batch_id == batch_id) victims.push_back(rid);
-      return true;
-    });
-    for (RowId rid : victims) {
-      SSTORE_RETURN_NOT_OK(exec.DeleteRow(table, rid));
-    }
-    Bump(gc_deleted_rows_, victims.size());
+  // seen by every attached trigger, so delete exactly its rows.
+  Executor exec(mlog);
+  std::vector<RowId> victims;
+  table->ForEach([&](RowId rid, const Tuple&, const RowMeta& meta) {
+    if (meta.batch_id == batch_id) victims.push_back(rid);
+    return true;
+  });
+  for (RowId rid : victims) {
+    SSTORE_RETURN_NOT_OK(exec.DeleteRow(table, rid));
   }
+  Bump(gc_deleted_rows_, victims.size());
   return Status::OK();
 }
 

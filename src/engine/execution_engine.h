@@ -78,22 +78,16 @@ class ExecutionEngine {
 
   /// Attaches a fragment to a stream table: when an atomic batch is inserted
   /// into `table_name` (via InsertBatch), `fragment_name` runs inside the EE
-  /// with params = (batch_id), within the same transaction.
+  /// with params = (batch_id), within the same transaction. A table with EE
+  /// triggers is fully consumed by them: each inserted batch is deleted
+  /// right after all attached triggers have fired — the paper's automatic
+  /// garbage collection, which replaces H-Store's explicit DELETE statements.
   Status AttachInsertTrigger(const std::string& table_name,
                              const std::string& fragment_name);
 
-  /// Number of EE triggers attached to a table.
-  size_t TriggerCount(const std::string& table_name) const;
-
-  /// Controls stream GC: when true (set for streams fully consumed by their
-  /// EE triggers), the inserted batch is deleted right after all attached
-  /// triggers have fired — the paper's automatic garbage collection, which
-  /// replaces H-Store's explicit DELETE statements.
-  void SetAutoGc(const std::string& table_name, bool enabled);
-
   /// Inserts an atomic batch into a stream/base table. If `fire_triggers` is
   /// true and EE triggers are attached, they execute within the same
-  /// transaction (cascading), then auto-GC reclaims the batch when enabled.
+  /// transaction (cascading), then auto-GC reclaims the batch.
   Status InsertBatch(const std::string& table_name, const std::vector<Tuple>& rows,
                      int64_t batch_id, MutationLog* mlog,
                      bool fire_triggers = true);
@@ -118,7 +112,6 @@ class ExecutionEngine {
   uint64_t benchmark_checksum_ = 0;
   std::unordered_map<std::string, FragmentFn> fragments_;
   std::unordered_map<std::string, std::vector<std::string>> insert_triggers_;
-  std::unordered_map<std::string, bool> auto_gc_;
   // Written only by the worker thread, read by stats() from any thread (a
   // kStats request on a wire I/O thread).
   std::atomic<uint64_t> boundary_crossings_{0};

@@ -278,29 +278,20 @@ TxnOutcome Partition::ExecuteSync(const std::string& proc, Tuple params,
 
 TicketPtr Partition::SubmitNestedAsync(std::vector<Invocation> children) {
   auto ticket = std::make_shared<TxnTicket>();
-  if (children.empty()) {
-    ticket->Fulfill(TxnOutcome{
-        Status::InvalidArgument("nested transaction needs children"), {}, 0});
-    return ticket;
-  }
   client_requests_.fetch_add(1, std::memory_order_relaxed);
   PushBack(1, EnqueuePolicy::kBlockWhenFull, [&](Task& task, size_t) {
-    task.children = std::move(children);
-    task.ticket = ticket;
+    task.fn = [ticket, children = std::move(children)](Partition& p) mutable {
+      ticket->Fulfill(p.RunNestedGroup(std::move(children)));
+    };
   });
   return ticket;
 }
 
 TxnOutcome Partition::ExecuteNestedSync(std::vector<Invocation> children) {
   if (!running()) {
-    Task task;
-    task.children = std::move(children);
-    task.ticket = std::make_shared<TxnTicket>();
-    RunTask(task);
+    TxnOutcome outcome = RunNestedGroup(std::move(children));
     DrainQueueInline();
-    TxnOutcome out;
-    task.ticket->TryGet(&out);
-    return out;
+    return outcome;
   }
   TxnOutcome outcome = SubmitNestedAsync(std::move(children))->Wait();
   SpendClientRoundTrip(client_rtt_micros_);
@@ -329,7 +320,34 @@ void Partition::SubmitClosure(std::function<void(Partition&)> fn,
   PushBack(1, policy, [&](Task& task, size_t) { task.fn = std::move(fn); });
 }
 
-// ---- Multi-partition participation ----------------------------------------
+// ---- Groups: multi-partition slices and nested transactions -------------
+
+namespace {
+
+// The one builder for records that carry a transaction: a kTxn commit
+// record, or a kPrepare record of group `group_id` (a coordinator gid, or a
+// nested group's negative partition-local id).
+LogRecord CommandRecord(const TransactionExecution& te, SpKind kind,
+                        LogRecordType type, int64_t group_id) {
+  LogRecord record;
+  record.txn_id = te.txn_id();
+  record.proc = te.proc_name();
+  record.params = te.params();
+  record.batch_id = te.batch_id();
+  record.sp_kind = static_cast<uint8_t>(kind);
+  record.record_type = static_cast<uint8_t>(type);
+  record.global_txn_id = group_id;
+  return record;
+}
+
+LogRecord MarkRecord(LogRecordType type, int64_t id) {
+  LogRecord mark;
+  mark.record_type = static_cast<uint8_t>(type);
+  mark.global_txn_id = id;
+  return mark;
+}
+
+}  // namespace
 
 Partition::PreparedMulti Partition::PrepareMulti(
     std::vector<Invocation> fragments, int64_t global_txn_id) {
@@ -343,18 +361,10 @@ Partition::PreparedMulti Partition::PrepareMulti(
   // coordinator cannot have logged a commit decision for an unvoted txn.
   if (log_ != nullptr) {
     Status log_st;
-    for (size_t i = 0; i < out.tes.size(); ++i) {
-      const TransactionExecution& te = *out.tes[i];
-      LogRecord record;
-      record.txn_id = te.txn_id();
-      record.proc = te.proc_name();
-      record.params = te.params();
-      record.batch_id = te.batch_id();
-      record.sp_kind = static_cast<uint8_t>(out.kinds[i]);
-      record.record_type = static_cast<uint8_t>(LogRecordType::kPrepare);
-      record.global_txn_id = global_txn_id;
-      log_st = log_->Append(record);
-      if (!log_st.ok()) break;
+    for (size_t i = 0; log_st.ok() && i < out.tes.size(); ++i) {
+      log_st = log_->Append(CommandRecord(*out.tes[i], out.kinds[i],
+                                          LogRecordType::kPrepare,
+                                          global_txn_id));
     }
     if (log_st.ok()) log_st = log_->Flush();
     if (!log_st.ok()) {
@@ -363,6 +373,50 @@ Partition::PreparedMulti Partition::PrepareMulti(
     }
   }
   return out;
+}
+
+TxnOutcome Partition::RunNestedGroup(std::vector<Invocation> children) {
+  TxnOutcome outcome;
+  if (children.empty()) {
+    outcome.status =
+        Status::InvalidArgument("nested transaction needs children");
+    return outcome;
+  }
+  nested_groups_.fetch_add(1, std::memory_order_relaxed);
+  PreparedMulti group;
+  outcome.status = ExecuteGroup(children, &group);
+  if (!outcome.status.ok()) return outcome;
+  // The group is one unit in the log as well: its records share one
+  // partition-local negative id (coordinator gids start at 1) and replay
+  // applies them only at the closing kCommitMark, so a group torn before
+  // its mark replays as an in-doubt abort. Weak mode skips interior
+  // children, as for single transactions.
+  const int64_t group_id = -group.tes.front()->txn_id();
+  bool logged = false;
+  for (size_t i = 0; outcome.status.ok() && i < group.tes.size(); ++i) {
+    if (!ShouldLog(group.kinds[i])) continue;
+    outcome.status =
+        log_->Append(CommandRecord(*group.tes[i], group.kinds[i],
+                                   LogRecordType::kPrepare, group_id));
+    logged = true;
+  }
+  // No coordinator holds this group's decision: the mark is the commit, so
+  // a mark that cannot be appended aborts the group.
+  if (outcome.status.ok() && logged) {
+    outcome.status =
+        log_->Append(MarkRecord(LogRecordType::kCommitMark, group_id));
+  }
+  if (!outcome.status.ok()) {
+    AbortGroup(&group);
+    return outcome;
+  }
+  std::vector<TxnOutcome> children_out;
+  CommitGroup(group, &children_out);
+  for (TxnOutcome& child : children_out) {
+    outcome.txn_id = child.txn_id;
+    for (Tuple& row : child.output) outcome.output.push_back(std::move(row));
+  }
+  return outcome;
 }
 
 Status Partition::ExecuteGroup(std::vector<Invocation>& invs,
@@ -399,34 +453,33 @@ void Partition::AbortGroup(PreparedMulti* group) {
   group->kinds.clear();
 }
 
+void Partition::CommitGroup(PreparedMulti& group,
+                            std::vector<TxnOutcome>* outcomes) {
+  for (auto& te : group.tes) {
+    te->undo().Release();
+    committed_.fetch_add(1, std::memory_order_relaxed);
+    TxnOutcome out;
+    out.txn_id = te->txn_id();
+    out.output = std::move(te->output());
+    outcomes->push_back(std::move(out));
+  }
+  // Hooks fire after the whole group committed, preserving its isolation
+  // unit: PE-triggered cascades start only once every member is in.
+  for (auto& te : group.tes) FireCommitHooks(*te);
+  group.tes.clear();
+  group.kinds.clear();
+}
+
 void Partition::CommitMulti(PreparedMulti& prepared, int64_t global_txn_id,
                             std::vector<TxnOutcome>* outcomes) {
   if (log_ != nullptr) {
-    LogRecord mark;
-    mark.record_type = static_cast<uint8_t>(LogRecordType::kCommitMark);
-    mark.global_txn_id = global_txn_id;
     // Deliberate discard: the global decision is already durable in the
     // coordinator's decision log; this mark only speeds up replay. A failed
     // append freezes the log (sticky error), so the next LogCommit/Flush on
     // this partition surfaces the fault — it is delayed, never lost.
-    log_->Append(mark).ok();
+    log_->Append(MarkRecord(LogRecordType::kCommitMark, global_txn_id)).ok();
   }
-  for (auto& te : prepared.tes) {
-    te->undo().Release();
-    committed_.fetch_add(1, std::memory_order_relaxed);
-    if (outcomes != nullptr) {
-      TxnOutcome out;
-      out.txn_id = te->txn_id();
-      out.output = std::move(te->output());
-      outcomes->push_back(std::move(out));
-    }
-  }
-  // Hooks after the whole slice committed — same isolation-unit rule as
-  // nested transactions; PE-triggered cascades of a multi fragment start
-  // only once the global decision is commit.
-  for (auto& te : prepared.tes) FireCommitHooks(*te);
-  prepared.tes.clear();
-  prepared.kinds.clear();
+  CommitGroup(prepared, outcomes);
 }
 
 void Partition::AbortMulti(PreparedMulti& prepared, int64_t global_txn_id) {
@@ -434,22 +487,18 @@ void Partition::AbortMulti(PreparedMulti& prepared, int64_t global_txn_id) {
   // The mark lets replay drop already-durable kPrepare records promptly
   // instead of carrying them to the in-doubt resolution at log end.
   if (log_ != nullptr) {
-    LogRecord mark;
-    mark.record_type = static_cast<uint8_t>(LogRecordType::kAbortMark);
-    mark.global_txn_id = global_txn_id;
     // Deliberate discard (presumed abort): replay treats an undecided
     // prepare as aborted anyway, and a failed append leaves the log with a
     // sticky error the next durable operation reports.
-    log_->Append(mark).ok();
+    log_->Append(MarkRecord(LogRecordType::kAbortMark, global_txn_id)).ok();
   }
 }
 
 Status Partition::AppendCheckpointMark(uint64_t checkpoint_id) {
   if (log_ == nullptr) return Status::OK();
-  LogRecord mark;
-  mark.record_type = static_cast<uint8_t>(LogRecordType::kCheckpointMark);
-  mark.global_txn_id = static_cast<int64_t>(checkpoint_id);
-  SSTORE_RETURN_NOT_OK(log_->Append(mark));
+  SSTORE_RETURN_NOT_OK(
+      log_->Append(MarkRecord(LogRecordType::kCheckpointMark,
+                              static_cast<int64_t>(checkpoint_id))));
   return log_->Flush();
 }
 
@@ -519,59 +568,27 @@ void Partition::WorkerLoop() {
 
 void Partition::RunTask(Task& task) {
   if (task.fn) {
-    // Closure task: the participant protocol or a checkpoint barrier. The
-    // closure owns its own completion signaling; tickets don't apply.
+    // Closure task: the participant protocol, a nested group or a
+    // checkpoint barrier. The closure owns its own completion signaling.
     task.fn(*this);
     return;
   }
   TxnOutcome outcome;
-  if (task.children.empty()) {
-    if (task.sample_ts == 0) {
-      outcome = ExecuteInvocation(std::move(task.inv));
-    } else {
-      // Sampled invocation: time the stages. The scratch lives on this
-      // frame; active_span_ exposes it to ExecuteInvocation's stamps.
-      const int64_t dequeue_us = TraceNowMicros();
-      TraceScratch scratch;
-      if (task.sample_ts < 0 && instruments_.trace != nullptr) {
-        active_span_ = &scratch;
-      }
-      outcome = ExecuteInvocation(std::move(task.inv));
-      active_span_ = nullptr;
-      scratch.txn_id = outcome.txn_id;
-      FinishSampledTask(task.sample_ts, dequeue_us, scratch);
-    }
+  if (task.sample_ts == 0) {
+    outcome = ExecuteInvocation(std::move(task.inv));
   } else {
-    // Nested transaction (paper §2.3): children run back-to-back; commit is
-    // all-or-nothing. Undo logs are retained until the group outcome is
-    // known; commit-side effects (log records, PE triggers) apply in order
-    // only after every child has committed.
-    nested_groups_.fetch_add(1, std::memory_order_relaxed);
-    PreparedMulti group;
-    outcome.status = ExecuteGroup(task.children, &group);
-    for (size_t i = 0; outcome.status.ok() && i < group.tes.size(); ++i) {
-      outcome.status = LogCommit(*group.tes[i], group.kinds[i]);
+    // Sampled invocation: time the stages. The scratch lives on this
+    // frame; active_span_ exposes it to ExecuteInvocation's stamps.
+    const int64_t dequeue_us = TraceNowMicros();
+    TraceScratch scratch;
+    if (task.sample_ts < 0 && instruments_.trace != nullptr) {
+      active_span_ = &scratch;
     }
-    if (!outcome.status.ok()) {
-      // A failed child or log append aborts the whole group (ExecuteGroup
-      // has already emptied it on a failed child). Records appended for
-      // earlier children stay in the log: the log is not group-atomic.
-      AbortGroup(&group);
-    } else {
-      for (auto& te : group.tes) {
-        te->undo().Release();
-        committed_.fetch_add(1, std::memory_order_relaxed);
-        outcome.txn_id = te->txn_id();
-        for (Tuple& row : te->output()) {
-          outcome.output.push_back(std::move(row));
-        }
-      }
-      // Hooks fire after the whole group committed, preserving the
-      // nested transaction's isolation unit.
-      for (auto& te : group.tes) FireCommitHooks(*te);
-    }
+    outcome = ExecuteInvocation(std::move(task.inv));
+    active_span_ = nullptr;
+    scratch.txn_id = outcome.txn_id;
+    FinishSampledTask(task.sample_ts, dequeue_us, scratch);
   }
-
   if (task.ticket != nullptr) {
     task.ticket->Fulfill(std::move(outcome));
   } else if (task.batch != nullptr) {
@@ -629,13 +646,7 @@ bool Partition::ShouldLog(SpKind kind) const {
 
 Status Partition::LogCommit(const TransactionExecution& te, SpKind kind) {
   if (!ShouldLog(kind)) return Status::OK();
-  LogRecord record;
-  record.txn_id = te.txn_id();
-  record.proc = te.proc_name();
-  record.params = te.params();
-  record.batch_id = te.batch_id();
-  record.sp_kind = static_cast<uint8_t>(kind);
-  return log_->Append(record);
+  return log_->Append(CommandRecord(te, kind, LogRecordType::kTxn, 0));
 }
 
 void Partition::FireCommitHooks(const TransactionExecution& te) {

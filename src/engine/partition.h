@@ -214,7 +214,9 @@ class Partition {
 
   /// Submits a nested transaction (paper §2.3): the children execute
   /// back-to-back as one isolation unit; if any child aborts, all children
-  /// roll back; commit hooks and log records apply only when all commit.
+  /// roll back; commit hooks apply only when all commit. The group is one
+  /// unit in the command log too: kPrepare records under a negative
+  /// partition-local id, closed by a kCommitMark (RunNestedGroup).
   TicketPtr SubmitNestedAsync(std::vector<Invocation> children);
   TxnOutcome ExecuteNestedSync(std::vector<Invocation> children);
 
@@ -406,11 +408,10 @@ class Partition {
 
  private:
   struct Task {
-    Invocation inv;                    // the common, single-invocation case
-    std::vector<Invocation> children;  // non-empty == nested transaction
+    Invocation inv;                      // the single-invocation case
     std::function<void(Partition&)> fn;  // non-null == closure task
-    TicketPtr ticket;                  // null for internal / batched work
-    BatchTicketPtr batch;              // shared by every task of one batch
+    TicketPtr ticket;                    // null for internal / batched work
+    BatchTicketPtr batch;                // shared by every task of one batch
     uint32_t batch_index = 0;
     bool stop = false;
     /// Observability stamp set at submit: 0 = unsampled; >0 = submit time
@@ -447,6 +448,16 @@ class Partition {
   /// Rolls back every TE in `group` newest first, counts each as aborted,
   /// and empties the group.
   void AbortGroup(PreparedMulti* group);
+  /// Releases every TE's undo in `group`, counts each as committed, appends
+  /// each outcome to `outcomes` in group order, then fires the commit hooks
+  /// in the same order, and empties the group.
+  void CommitGroup(PreparedMulti& group, std::vector<TxnOutcome>* outcomes);
+  /// A nested transaction on the worker thread (or inline while stopped):
+  /// ExecuteGroup, one kPrepare per child ShouldLog selects, all under the
+  /// negated txn id of the first child, then a kCommitMark that decides the
+  /// group (a failed append aborts it), then CommitGroup. The outcome
+  /// carries the last child's txn id and every child's output in order.
+  TxnOutcome RunNestedGroup(std::vector<Invocation> children);
   bool ShouldLog(SpKind kind) const;
   Status LogCommit(const TransactionExecution& te, SpKind kind);
   void FireCommitHooks(const TransactionExecution& te);

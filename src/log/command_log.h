@@ -18,9 +18,12 @@ namespace sstore {
 /// the cross-partition coordinator (src/txn_coord) writes a presumed-abort
 /// two-phase-commit trail into each participant's log:
 /// - kPrepare: a fragment of multi-partition transaction `global_txn_id`
-///   executed here and is ready to commit (durable *before* the vote).
-/// - kCommitMark / kAbortMark: this partition learned the decision. Replay
-///   applies buffered kPrepare records at the kCommitMark position.
+///   executed here and is ready to commit (durable *before* the vote), or
+///   a child of a nested transaction whose group id is negative
+///   (partition-local; coordinator gids start at 1).
+/// - kCommitMark / kAbortMark: this partition learned the decision (for a
+///   nested group, the kCommitMark *is* the decision). Replay applies
+///   buffered kPrepare records at the kCommitMark position.
 /// - kCheckpointMark: a coordinated cluster checkpoint cut the log here;
 ///   recovery from that checkpoint replays only records after the mark.
 /// A kPrepare with no following mark is *in doubt*: recovery resolves it
@@ -42,8 +45,9 @@ struct LogRecord {
   int64_t batch_id = 0;
   uint8_t sp_kind = 0;  // SpKind as logged (OLTP / border / interior)
   uint8_t record_type = 0;  // LogRecordType
-  /// Coordinator-assigned id for multi-partition records (kPrepare and the
-  /// decision marks); the checkpoint id for kCheckpointMark; 0 otherwise.
+  /// Group id of kPrepare records and decision marks (a coordinator gid,
+  /// or a nested group's negative id); the checkpoint id for
+  /// kCheckpointMark; 0 otherwise.
   int64_t global_txn_id = 0;
 
   LogRecordType type() const { return static_cast<LogRecordType>(record_type); }

@@ -792,6 +792,12 @@ void WireServer::AppendMetrics(MetricsSnapshot* out) const {
       st.protocol_errors);
   add("sstore_wire_stats_requests_total", MetricKind::kCounter,
       st.stats_requests);
+  add("sstore_wire_busy_during_checkpoint_total", MetricKind::kCounter,
+      st.busy_during_checkpoint);
+  add("sstore_wire_overload_closed_total", MetricKind::kCounter,
+      st.overload_closed);
+  add("sstore_wire_max_conn_inflight", MetricKind::kGauge,
+      st.max_conn_inflight);
 }
 
 }  // namespace sstore

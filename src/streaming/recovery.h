@@ -38,9 +38,9 @@ class RecoveryManager {
     size_t records_replayed = 0;
     size_t residual_triggers = 0;
     size_t replay_failures = 0;
-    /// Multi-partition transactions whose log ended after kPrepare with no
-    /// decision mark, resolved commit (coordinator decision log) or abort
-    /// (presumed abort).
+    /// Groups whose log ended after kPrepare with no decision mark,
+    /// resolved commit (coordinator decision log) or abort (presumed abort;
+    /// always so for a nested group's negative id).
     size_t in_doubt_committed = 0;
     size_t in_doubt_aborted = 0;
   };

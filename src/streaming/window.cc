@@ -48,14 +48,6 @@ Status WindowManager::DefineWindow(const WindowSpec& spec) {
   return Status::OK();
 }
 
-Result<const WindowSpec*> WindowManager::GetSpec(const std::string& name) const {
-  auto it = windows_.find(name);
-  if (it == windows_.end()) {
-    return Status::NotFound("no window named '" + name + "'");
-  }
-  return &it->second.spec;
-}
-
 Status WindowManager::AttachSlideTrigger(const std::string& window,
                                          const std::string& fragment_name) {
   auto it = windows_.find(window);

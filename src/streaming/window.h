@@ -61,7 +61,6 @@ class WindowManager {
   bool HasWindow(const std::string& name) const {
     return windows_.find(name) != windows_.end();
   }
-  Result<const WindowSpec*> GetSpec(const std::string& name) const;
 
   /// Attaches an EE trigger fired on every slide of `window`, with params =
   /// (slide_generation). The fragment must already be registered in the EE.

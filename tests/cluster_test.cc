@@ -558,7 +558,7 @@ TEST(ClusterInjectorTest, DefaultInjectorIsBoundedByQueueCapacity) {
   EXPECT_EQ(injector.batches_injected(), kProducers * kInjectsPerProducer);
 }
 
-TEST(ClusterStatsTest, AggregationSumsPerPartitionAndResetClears) {
+TEST(ClusterStatsTest, AggregationSumsPerPartition) {
   Cluster cluster(4);
   ASSERT_TRUE(cluster.Deploy(BuildKeyedChain()).ok());
   cluster.Start();

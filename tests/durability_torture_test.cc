@@ -325,6 +325,115 @@ TEST_F(FailpointGuard, TornFlushLeavesTailReadTolerantRecovers) {
   EXPECT_EQ(tolerant->records[1], TxnRecord(2));
 }
 
+// ---- Nested groups in the command log ----
+//
+// A nested transaction (paper §2.3) is one unit in the log: its children's
+// kPrepare records share a negative partition-local id and replay applies
+// them only at the group's kCommitMark, like a multi-partition slice.
+
+Topology NestedKvTopology() {
+  auto put = std::make_shared<LambdaProcedure>([](ProcContext& ctx) -> Status {
+    SSTORE_ASSIGN_OR_RETURN(Table * kv, ctx.table("kv"));
+    SSTORE_ASSIGN_OR_RETURN(RowId rid, ctx.exec().Insert(kv, ctx.params()));
+    (void)rid;
+    return Status::OK();
+  });
+  Topology topo("nested_kv");
+  topo.CreateTable("kv", KeyValSchema())
+      .RegisterProcedure("put", SpKind::kOltp, put);
+  return topo;
+}
+
+std::vector<Invocation> TwoPuts() {
+  return {{"put", KeyVal(1, 10), 0}, {"put", KeyVal(2, 20), 0}};
+}
+
+/// Runs `children` as one nested group on a logged one-partition cluster
+/// (group commit 1) after an empty checkpoint, with the command-log append
+/// armed `crash_at_skip` when >= 0, then recovers the artifacts into
+/// `recovered`.
+void RunNestedGroupAndRecover(const std::string& name, int crash_at_skip,
+                              Cluster* recovered) {
+  std::string ckpt_dir = MakeDir(name + "_ckpt");
+  std::string log_dir = MakeDir(name + "_logs");
+  Cluster::Options opts;
+  opts.num_partitions = 1;
+  opts.group_commit_size = 1;
+  opts.log_sync = false;
+  {
+    Cluster::Options live_opts = opts;
+    live_opts.log_dir = log_dir;
+    Cluster live(live_opts);
+    ASSERT_TRUE(live.Deploy(NestedKvTopology()).ok());
+    ASSERT_TRUE(live.Checkpoint(ckpt_dir).ok());
+    if (crash_at_skip >= 0) {
+      failpoint::Activate("command_log.append", failpoint::Action::kCrash,
+                          crash_at_skip);
+    }
+    TxnOutcome out = live.partition(0).ExecuteNestedSync(TwoPuts());
+    EXPECT_EQ(out.committed(), crash_at_skip < 0) << out.status.ToString();
+  }  // "crash"
+  failpoint::ResetAll();
+  ASSERT_TRUE(recovered->Deploy(NestedKvTopology()).ok());
+  Status st = recovered->Recover(ckpt_dir, log_dir);
+  ASSERT_TRUE(st.ok()) << st.ToString();
+}
+
+// The kill lands on the second child's append: the first child's kPrepare
+// is durable with no mark after it, so replay drops the whole group.
+TEST_F(FailpointGuard, TornNestedGroupRecoversNoneOfItsRows) {
+  Cluster recovered(1);
+  RunNestedGroupAndRecover("nested_torn", /*crash_at_skip=*/1, &recovered);
+  EXPECT_EQ((*recovered.store(0).catalog().GetTable("kv"))->row_count(), 0u);
+  const RecoverStats rs = recovered.GatherStats().recover;
+  EXPECT_EQ(rs.in_doubt_aborted, 1u);
+  EXPECT_EQ(rs.records_replayed, 0u);
+}
+
+TEST_F(FailpointGuard, CommittedNestedGroupReplaysBothChildren) {
+  Cluster recovered(1);
+  RunNestedGroupAndRecover("nested_committed", /*crash_at_skip=*/-1,
+                           &recovered);
+  EXPECT_EQ(TableRows(recovered.store(0), "kv"),
+            (std::vector<Tuple>{KeyVal(1, 10), KeyVal(2, 20)}));
+  const RecoverStats rs = recovered.GatherStats().recover;
+  EXPECT_EQ(rs.records_replayed, 2u);
+  EXPECT_EQ(rs.in_doubt_aborted, 0u);
+}
+
+// Weak recovery logs a nested group's border child but not its interior
+// one, as for single transactions; the group still closes with its mark.
+TEST_F(FailpointGuard, WeakNestedGroupLogsOnlyItsBorderChild) {
+  Partition part;
+  auto noop = std::make_shared<LambdaProcedure>(
+      [](ProcContext&) { return Status::OK(); });
+  ASSERT_TRUE(part.RegisterProcedure("border", SpKind::kBorder, noop).ok());
+  ASSERT_TRUE(part.RegisterProcedure("interior", SpKind::kInterior, noop).ok());
+  std::string path = TempPath("nested_weak.log");
+  CommandLog::Options opts;
+  opts.path = path;
+  opts.sync = false;
+  ASSERT_TRUE(part.AttachCommandLog(opts, RecoveryMode::kWeak).ok());
+  TxnOutcome out =
+      part.ExecuteNestedSync({{"border", {}, 1}, {"interior", {}, 1}});
+  ASSERT_TRUE(out.committed()) << out.status.ToString();
+  ASSERT_TRUE(part.DetachCommandLog().ok());
+
+  Result<std::vector<LogRecord>> records = CommandLog::ReadAll(path);
+  ASSERT_TRUE(records.ok()) << records.status().ToString();
+  ASSERT_EQ(records->size(), 2u);
+  const LogRecord& prepare = (*records)[0];
+  const LogRecord& mark = (*records)[1];
+  EXPECT_EQ(prepare.type(), LogRecordType::kPrepare);
+  EXPECT_EQ(prepare.proc, "border");
+  EXPECT_EQ(mark.type(), LogRecordType::kCommitMark);
+  // One negative partition-local id for the group: the first child's
+  // txn id, negated, so it never meets a coordinator gid (>= 1).
+  EXPECT_EQ(prepare.global_txn_id, -prepare.txn_id);
+  EXPECT_EQ(mark.global_txn_id, prepare.global_txn_id);
+  EXPECT_LT(mark.global_txn_id, 0);
+}
+
 // ---- Kill-at-every-site crash matrix over the voter cluster ----
 
 /// How a scenario drives the armed site to fire.

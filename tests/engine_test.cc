@@ -342,25 +342,6 @@ TEST_F(FragmentTest, EeTriggerCascadeAndAutoGc) {
   EXPECT_EQ(part_.ee().stats().gc_deleted_rows, 2u);
 }
 
-TEST_F(FragmentTest, AutoGcCanBeDisabled) {
-  Catalog& cat = part_.catalog();
-  ASSERT_TRUE(cat.CreateTable("s1", KvSchema(), TableKind::kStream).ok());
-  ASSERT_TRUE(part_.ee()
-                  .RegisterFragment("noop",
-                                    [](ExecutionEngine&, Executor&,
-                                       const Tuple&) -> Result<std::vector<Tuple>> {
-                                      return std::vector<Tuple>{};
-                                    })
-                  .ok());
-  ASSERT_TRUE(part_.ee().AttachInsertTrigger("s1", "noop").ok());
-  part_.ee().SetAutoGc("s1", false);
-  ASSERT_TRUE(part_.ee()
-                  .InsertBatch("s1", {{Value::BigInt(1), Value::BigInt(1)}}, 1,
-                               nullptr)
-                  .ok());
-  EXPECT_EQ((*cat.GetTable("s1"))->row_count(), 1u);
-}
-
 TEST(CommandLogTest, AppendFlushReadRoundTrip) {
   std::string path = TempPath("cmd_roundtrip.log");
   CommandLog::Options opts;

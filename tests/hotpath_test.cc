@@ -537,7 +537,7 @@ TEST(BatchInjectTest, ClusterInjectorBatchRoutesByKeyAndKeepsLaneOrder) {
 
 // ---- ClusterStats watermarks ----------------------------------------------
 
-TEST(ClusterStatsTest, QueueWatermarksAndBlocksSurfaceAndReset) {
+TEST(ClusterStatsTest, QueueWatermarksAndBlocksSurface) {
   Cluster::Options copts;
   copts.num_partitions = 2;
   copts.queue_capacity = 8;

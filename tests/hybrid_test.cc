@@ -131,7 +131,10 @@ TEST_F(ConservationFixture, OltpAuditsNeverSeePartialWorkflows) {
 
 TEST_F(ConservationFixture, NestedRoundsStayAtomicUnderConcurrentAudits) {
   // Run rounds as nested transactions (ingest+apply in one isolation unit)
-  // from a second client while auditing.
+  // from a second client while auditing. Triggers would also fire an
+  // `apply`, so they are disabled for this test's manual pairing — once,
+  // before the worker starts, since the worker reads the flag.
+  store_.triggers().SetPeTriggersEnabled(false);
   store_.Start();
   std::atomic<bool> stop{false};
   std::atomic<int> violations{0};
@@ -144,9 +147,7 @@ TEST_F(ConservationFixture, NestedRoundsStayAtomicUnderConcurrentAudits) {
     }
   });
   for (int i = 1; i <= 100; ++i) {
-    // Manual nested round: emit + apply as a unit (triggers also fire an
-    // `apply`, so disable them for this test's manual pairing).
-    store_.triggers().SetPeTriggersEnabled(false);
+    // Manual nested round: emit + apply as a unit.
     TxnOutcome out = store_.partition().ExecuteNestedSync(
         {{"ingest", Num(i), i}, {"apply", {}, i}});
     ASSERT_TRUE(out.committed());

@@ -65,7 +65,7 @@ TEST(LatencyHistogramTest, CountSumMaxExactPercentilesBucketed) {
   EXPECT_LT(s2.Percentile(75), 2048);
 }
 
-TEST(LatencyHistogramTest, NegativeValuesClampAndResetZeroes) {
+TEST(LatencyHistogramTest, NegativeValuesClampToZero) {
   LatencyHistogram h;
   h.Record(-5);
   h.Record(0);
@@ -322,7 +322,7 @@ TEST(ClusterObsTest, TraceDumpIsChromeTracingJson) {
 // A stopped and destroyed WireServer leaves nothing behind in the cluster:
 // the next snapshot must not touch it (ASan turns a stale reference into a
 // heap-use-after-free here).
-TEST(ClusterObsTest, ResetAndSnapshotAfterWireServerDestroyed) {
+TEST(ClusterObsTest, SnapshotAfterWireServerDestroyed) {
   Cluster cluster(ObsClusterOpts(2));
   VoterClusterConfig config{16, 1000};
   ASSERT_TRUE(cluster.Deploy(BuildVoterClusterDeployment(config)).ok());

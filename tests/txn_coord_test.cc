@@ -487,7 +487,7 @@ TEST(TxnCoordTest, InDoubtTxnResolvedFromCoordinatorDecisionLog) {
 
 // ---- Stats ----
 
-TEST(TxnCoordTest, CoordStatsSurfacedAndReset) {
+TEST(TxnCoordTest, CoordStatsSurfaced) {
   Cluster cluster(ClusterOpts(4));
   VoterClusterConfig config = SmallConfig();
   ASSERT_TRUE(cluster.Deploy(BuildVoterClusterDeployment(config)).ok());

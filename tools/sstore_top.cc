@@ -119,12 +119,16 @@ void Render(const MetricMap& m, const MetricMap& prev, bool have_prev,
       Get(m, "sstore_txn_latency_us{quantile=\"1\"}"),
       Get(m, "sstore_txn_latency_us_count"));
   std::printf(
-      "  log: group-commit x%.1f  %.0f flushes  |  wire: busy-shed %.0f  "
-      "proto-errs %.0f\n",
+      "  log: group-commit x%.1f  %.0f flushes  |  wire: busy-shed %.0f "
+      "(%.0f in checkpoints)  proto-errs %.0f  overload-closed %.0f  "
+      "max-inflight %.0f\n",
       Get(m, "sstore_log_group_commit_ratio"),
       Get(m, "sstore_log_flushes_total"),
       Get(m, "sstore_wire_busy_shed_total"),
-      Get(m, "sstore_wire_protocol_errors_total"));
+      Get(m, "sstore_wire_busy_during_checkpoint_total"),
+      Get(m, "sstore_wire_protocol_errors_total"),
+      Get(m, "sstore_wire_overload_closed_total"),
+      Get(m, "sstore_wire_max_conn_inflight"));
   std::printf(
       "  checkpoint: %.0f completed  last pause %.0f us  max pause %.0f us\n",
       Get(m, "sstore_checkpoint_completed_total"),

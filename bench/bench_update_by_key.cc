@@ -9,9 +9,17 @@
 //              matching row; 0: no index, so every update scans the table.
 //     With the index the cost per update is flat in the row count; without
 //     it the cost grows linearly with the table.
+//   BM_CountWithPredicate
+//     `Count` over the 64-row contestants table with `active = 1`: the
+//     compiled filter alone, one comparison per row.
 //   BM_TopNScan
 //     The leaderboard's top-3: `Scan` of 64 contestants with a predicate,
 //     a projection and `ORDER BY cnt DESC, id LIMIT 3`.
+//   BM_LeaderboardTopBottom
+//     Both of the voter's `RecomputeTopBottom` scans (top-3 and bottom-3 of
+//     the active contestants by count, ties by id) over counts that follow
+//     the live vote skew (count proportional to id + 1, so in slot order
+//     every row beats the current top-3), with their results checked.
 //   BM_GroupByTopN
 //     The trending board: `Aggregate` over a 100-row window with ~50
 //     distinct contestants, `GROUP BY id`, COUNT, `ORDER BY cnt DESC, id
@@ -32,7 +40,8 @@
 //     undo-logged as in a transaction.
 //
 //   BENCH=bench_update_by_key bench/run_bench.sh
-// `--smoke` (CI) maps to a short --benchmark_min_time run.
+// `--smoke` (CI) maps to a short --benchmark_min_time run. The process
+// exits 1 when any benchmark failed its own result check.
 
 #include <benchmark/benchmark.h>
 
@@ -57,6 +66,15 @@
 #include "streaming/sstore.h"
 
 namespace {
+
+/// Set when a benchmark fails its result check; main's exit status.
+bool g_failed = false;
+
+/// SkipWithError that also fails the run.
+void Fail(benchmark::State& state, const char* why) {
+  g_failed = true;
+  state.SkipWithError(why);
+}
 
 using sstore::Add;
 using sstore::AggFunc;
@@ -107,7 +125,7 @@ void BM_VoteRowBytes(benchmark::State& state) {
     Table& votes = *table;
     if (!votes.CreateIndex("by_phone", {"phone"}, true).ok() ||
         !votes.CreateIndex("by_contestant", {"contestant_id"}, false).ok()) {
-      state.SkipWithError("index creation failed");
+      Fail(state, "index creation failed");
       return;
     }
 #if defined(__GLIBC__)
@@ -120,14 +138,14 @@ void BM_VoteRowBytes(benchmark::State& state) {
                .Insert({Value::BigInt(5550000000 + r), Value::BigInt(r % 6),
                         Value::Timestamp(r * 100)})
                .ok()) {
-        state.SkipWithError("vote insert failed");
+        Fail(state, "vote insert failed");
         return;
       }
     }
     state.PauseTiming();
     int64_t after = ResidentBytes();
     if (before < 0 || after < 0) {
-      state.SkipWithError("VmRSS unreadable");
+      Fail(state, "VmRSS unreadable");
       return;
     }
     state.counters["bytes_per_row"] =
@@ -145,12 +163,12 @@ void BM_UpdateByKey(benchmark::State& state) {
   Table table("contestants", Schema({{"contestant_id", ValueType::kBigInt},
                                      {"vote_count", ValueType::kBigInt}}));
   if (indexed && !table.CreateIndex("pk", {"contestant_id"}, true).ok()) {
-    state.SkipWithError("index creation failed");
+    Fail(state, "index creation failed");
     return;
   }
   for (int64_t r = 0; r < rows; ++r) {
     if (!table.Insert({Value::BigInt(r), Value::BigInt(0)}).ok()) {
-      state.SkipWithError("seed insert failed");
+      Fail(state, "seed insert failed");
       return;
     }
   }
@@ -161,7 +179,7 @@ void BM_UpdateByKey(benchmark::State& state) {
                          {{1, Add(Col(1), LitInt(1))}});
     benchmark::DoNotOptimize(n);
     if (!n.ok() || *n != 1) {
-      state.SkipWithError("update did not hit exactly one row");
+      Fail(state, "update did not hit exactly one row");
       return;
     }
     key = key + 1 == rows ? 0 : key + 1;
@@ -170,22 +188,56 @@ void BM_UpdateByKey(benchmark::State& state) {
 }
 BENCHMARK(BM_UpdateByKey)->ArgsProduct({{64, 4096}, {0, 1}});
 
-void BM_TopNScan(benchmark::State& state) {
-  Table table("contestants", Schema({{"contestant_id", ValueType::kBigInt},
-                                     {"name", ValueType::kString},
-                                     {"active", ValueType::kBigInt},
-                                     {"vote_count", ValueType::kBigInt}}));
-  Rng rng(7);
+/// The voter's contestants table: 64 active contestants whose vote
+/// counts are `count(id)`.
+template <typename CountOf>
+bool FillContestants(Table* table, CountOf count) {
   for (int64_t c = 0; c < 64; ++c) {
-    // Counts with ties, as a running vote has.
     if (!table
-             .Insert({Value::BigInt(c),
-                      Value::String("contestant_" + std::to_string(c)),
-                      Value::BigInt(1), Value::BigInt(rng.NextRange(0, 40))})
+             ->Insert({Value::BigInt(c),
+                       Value::String("contestant_" + std::to_string(c)),
+                       Value::BigInt(1), Value::BigInt(count(c))})
              .ok()) {
-      state.SkipWithError("seed insert failed");
+      return false;
+    }
+  }
+  return true;
+}
+
+Schema ContestantsSchema() {
+  return Schema({{"contestant_id", ValueType::kBigInt},
+                 {"name", ValueType::kString},
+                 {"active", ValueType::kBigInt},
+                 {"vote_count", ValueType::kBigInt}});
+}
+
+void BM_CountWithPredicate(benchmark::State& state) {
+  Table table("contestants", ContestantsSchema());
+  if (!FillContestants(&table, [](int64_t c) { return c; })) {
+    Fail(state, "seed insert failed");
+    return;
+  }
+  Executor exec;
+  for (auto _ : state) {
+    auto n = exec.Count(&table, Eq(Col(2), LitInt(1)));
+    benchmark::DoNotOptimize(n);
+    if (!n.ok() || *n != 64) {
+      Fail(state, "count did not see the 64 active contestants");
       return;
     }
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_CountWithPredicate);
+
+void BM_TopNScan(benchmark::State& state) {
+  Table table("contestants", ContestantsSchema());
+  Rng rng(7);
+  // Counts with ties, as a running vote has.
+  if (!FillContestants(&table,
+                       [&rng](int64_t) { return rng.NextRange(0, 40); })) {
+    Fail(state, "seed insert failed");
+    return;
   }
   Executor exec;
   ScanSpec spec;
@@ -198,13 +250,49 @@ void BM_TopNScan(benchmark::State& state) {
     auto rows = exec.Scan(spec);
     benchmark::DoNotOptimize(rows);
     if (!rows.ok() || rows->size() != 3) {
-      state.SkipWithError("top-3 scan did not return 3 rows");
+      Fail(state, "top-3 scan did not return 3 rows");
       return;
     }
   }
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_TopNScan);
+
+void BM_LeaderboardTopBottom(benchmark::State& state) {
+  Table table("contestants", ContestantsSchema());
+  if (!FillContestants(&table, [](int64_t c) { return 10 * (c + 1); })) {
+    Fail(state, "seed insert failed");
+    return;
+  }
+  Executor exec;
+  ScanSpec spec;
+  spec.table = &table;
+  spec.predicate = Eq(Col(2), LitInt(1));
+  spec.projection = {0, 3};
+  spec.limit = 3;
+  const std::vector<int64_t> want_top = {63, 62, 61};
+  const std::vector<int64_t> want_bottom = {0, 1, 2};
+  auto ids = [](const std::vector<Tuple>& rows) {
+    std::vector<int64_t> out;
+    for (const Tuple& row : rows) out.push_back(row[0].as_int64());
+    return out;
+  };
+  for (auto _ : state) {
+    spec.order_by = {{1, /*descending=*/true}, {0, false}};
+    auto top = exec.Scan(spec);
+    spec.order_by = {{1, false}, {0, false}};
+    auto bottom = exec.Scan(spec);
+    benchmark::DoNotOptimize(top);
+    benchmark::DoNotOptimize(bottom);
+    if (!top.ok() || !bottom.ok() || ids(*top) != want_top ||
+        ids(*bottom) != want_bottom) {
+      Fail(state, "top-3 or bottom-3 is not the reference's");
+      return;
+    }
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_LeaderboardTopBottom);
 
 void GroupByTopN(benchmark::State& state, int rows, bool string_key) {
   Table window("w_trending",
@@ -216,7 +304,7 @@ void GroupByTopN(benchmark::State& state, int rows, bool string_key) {
     Value key = string_key ? Value::String("contestant_" + std::to_string(id))
                            : Value::BigInt(id);
     if (!window.Insert({key}).ok()) {
-      state.SkipWithError("seed insert failed");
+      Fail(state, "seed insert failed");
       return;
     }
   }
@@ -231,7 +319,7 @@ void GroupByTopN(benchmark::State& state, int rows, bool string_key) {
     auto rows = exec.Aggregate(spec);
     benchmark::DoNotOptimize(rows);
     if (!rows.ok() || rows->size() != 3) {
-      state.SkipWithError("trending top-3 did not return 3 rows");
+      Fail(state, "trending top-3 did not return 3 rows");
       return;
     }
   }
@@ -257,7 +345,7 @@ void BM_TupleWindowSlide(benchmark::State& state) {
   spec.size = 100;
   spec.slide = 1;
   if (!store.windows().DefineWindow(spec).ok()) {
-    state.SkipWithError("window definition failed");
+    Fail(state, "window definition failed");
     return;
   }
   Rng rng(13);
@@ -266,7 +354,7 @@ void BM_TupleWindowSlide(benchmark::State& state) {
     if (!store.windows()
              .Insert(fill, "w_trending", {{Value::BigInt(rng.NextRange(0, 63))}})
              .ok()) {
-      state.SkipWithError("seed insert failed");
+      Fail(state, "seed insert failed");
       return;
     }
   }
@@ -276,14 +364,14 @@ void BM_TupleWindowSlide(benchmark::State& state) {
     std::vector<Tuple> row = {{Value::BigInt(rng.NextRange(0, 63))}};
     sstore::Status st = store.windows().Insert(exec, "w_trending", row);
     if (!st.ok()) {
-      state.SkipWithError("window insert failed");
+      Fail(state, "window insert failed");
       return;
     }
     undo.Release();
   }
   auto slides = store.windows().SlideCount("w_trending");
   if (!slides.ok() || *slides != state.iterations() + 1) {
-    state.SkipWithError("the window did not slide once per insert");
+    Fail(state, "the window did not slide once per insert");
     return;
   }
   state.SetItemsProcessed(state.iterations());
@@ -310,5 +398,5 @@ int main(int argc, char** argv) {
   benchmark::Initialize(&new_argc, args.data());
   if (benchmark::ReportUnrecognizedArguments(new_argc, args.data())) return 1;
   benchmark::RunSpecifiedBenchmarks();
-  return 0;
+  return g_failed ? 1 : 0;
 }

@@ -936,6 +936,7 @@ Status Cluster::Recover(const std::string& dir, const std::string& log_dir) {
     stats.residual_triggers += rs.residual_triggers;
     stats.in_doubt_committed += rs.in_doubt_committed;
     stats.in_doubt_aborted += rs.in_doubt_aborted;
+    stats.torn_nested_groups += rs.torn_nested_groups;
   }
   stats.replay_us = static_cast<uint64_t>(clock.NowMicros() - replay_start);
   coordinator_->NoteInDoubt(stats.in_doubt_committed, stats.in_doubt_aborted);
@@ -1226,6 +1227,8 @@ MetricsSnapshot Cluster::SnapshotMetrics() const {
       cs.recover.in_doubt_committed);
   add("sstore_recover_in_doubt_aborted", MetricKind::kGauge,
       cs.recover.in_doubt_aborted);
+  add("sstore_recover_torn_nested_groups", MetricKind::kGauge,
+      cs.recover.torn_nested_groups);
 
   // Per-partition samples for skew analysis (sstore_top's table).
   for (size_t p = 0; p < n; ++p) {

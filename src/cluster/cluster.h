@@ -91,6 +91,7 @@ struct RecoverStats {
   uint64_t residual_triggers = 0;
   uint64_t in_doubt_committed = 0;  // in-doubt multi-partition txns
   uint64_t in_doubt_aborted = 0;    // resolved commit / abort
+  uint64_t torn_nested_groups = 0;  // nested groups dropped, unmarked
 };
 
 /// Aggregate statistics snapshot of a Cluster — the one typed read API for

@@ -37,6 +37,10 @@ const char* ValueTypeToString(ValueType type) {
   return "UNKNOWN";
 }
 
+void Value::Unref(const StringRep* rep) noexcept {
+  if (rep->refs.fetch_sub(1) == 1) delete rep;
+}
+
 Result<double> Value::ToNumeric() const {
   switch (type()) {
     case ValueType::kBigInt:

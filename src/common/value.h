@@ -1,12 +1,10 @@
 #ifndef SSTORE_COMMON_VALUE_H_
 #define SSTORE_COMMON_VALUE_H_
 
+#include <atomic>
 #include <cstdint>
-#include <memory>
 #include <string>
-#include <type_traits>
 #include <utility>
-#include <variant>
 #include <vector>
 
 #include "common/status.h"
@@ -37,39 +35,73 @@ inline bool IsIntLike(ValueType t) {
 /// same type; cross-type comparison between kBigInt/kTimestamp and kDouble is
 /// performed numerically, any other cross-type comparison orders by type tag.
 ///
-/// A Value is 24 bytes: a std::variant whose alternative index *is* the
-/// ValueType (kTimestamp is its own alternative, so no separate tag byte).
-/// A STRING holds an immutable, shared buffer: copying a string value copies
-/// a pointer, and no copy can change what another one reads.
+/// A Value is 16 bytes: an 8-byte payload (the int64, the double, or a
+/// STRING's buffer pointer) and the ValueType tag. A STRING points to an
+/// immutable buffer with an atomic reference count: copying a string value
+/// copies a pointer and bumps the count, no copy can change what another one
+/// reads, and copies may be released on different threads.
 class Value {
  public:
   /// Constructs a NULL value.
-  Value() = default;
+  Value() noexcept : v_{}, type_(ValueType::kNull) {}
+  Value(const Value& other) noexcept : v_(other.v_), type_(other.type_) {
+    if (type_ == ValueType::kString) v_.str->Ref();
+  }
+  Value(Value&& other) noexcept : v_(other.v_), type_(other.type_) {
+    other.type_ = ValueType::kNull;
+  }
+  Value& operator=(const Value& other) noexcept {
+    // Referenced before Release, so self-assignment keeps the buffer.
+    if (other.type_ == ValueType::kString) other.v_.str->Ref();
+    Release();
+    v_ = other.v_;
+    type_ = other.type_;
+    return *this;
+  }
+  Value& operator=(Value&& other) noexcept {
+    if (this != &other) {
+      Release();
+      v_ = other.v_;
+      type_ = other.type_;
+      other.type_ = ValueType::kNull;
+    }
+    return *this;
+  }
+  ~Value() { Release(); }
 
   static Value Null() { return Value(); }
   static Value BigInt(int64_t v) {
-    return Value(std::in_place_type<int64_t>, v);
+    Value out;
+    out.v_.i = v;
+    out.type_ = ValueType::kBigInt;
+    return out;
   }
-  static Value Double(double v) { return Value(std::in_place_type<double>, v); }
+  static Value Double(double v) {
+    Value out;
+    out.v_.d = v;
+    out.type_ = ValueType::kDouble;
+    return out;
+  }
   static Value String(std::string v) {
-    return Value(std::in_place_type<StringPtr>,
-                 std::make_shared<const std::string>(std::move(v)));
+    Value out;
+    out.v_.str = new StringRep(std::move(v));
+    out.type_ = ValueType::kString;
+    return out;
   }
   static Value Timestamp(int64_t micros) {
-    return Value(std::in_place_type<Micros>, Micros{micros});
+    Value out = BigInt(micros);
+    out.type_ = ValueType::kTimestamp;
+    return out;
   }
 
-  ValueType type() const { return static_cast<ValueType>(data_.index()); }
-  bool is_null() const { return std::holds_alternative<std::monostate>(data_); }
+  ValueType type() const { return type_; }
+  bool is_null() const { return type_ == ValueType::kNull; }
 
   /// Accessors. Calling the wrong accessor for the stored type is a
   /// programming error; as_int64 works for both kBigInt and kTimestamp.
-  int64_t as_int64() const {
-    if (const auto* v = std::get_if<int64_t>(&data_)) return *v;
-    return std::get<Micros>(data_).v;
-  }
-  double as_double() const { return std::get<double>(data_); }
-  const std::string& as_string() const { return *std::get<StringPtr>(data_); }
+  int64_t as_int64() const { return v_.i; }
+  double as_double() const { return v_.d; }
+  const std::string& as_string() const { return v_.str->str; }
 
   /// Numeric view: kBigInt/kTimestamp widened to double, kDouble as-is.
   /// Returns an error for strings and NULL.
@@ -80,8 +112,7 @@ class Value {
   /// pair goes to CompareMixed.
   int Compare(const Value& other) const {
     if (IsIntLike(type()) && IsIntLike(other.type())) {
-      int64_t a = IntBits(), b = other.IntBits();
-      return (a > b) - (a < b);
+      return (v_.i > other.v_.i) - (v_.i < other.v_.i);
     }
     return CompareMixed(other);
   }
@@ -104,34 +135,32 @@ class Value {
   }
 
  private:
-  /// The TIMESTAMP alternative: an int64 that is a distinct variant type.
-  struct Micros {
-    int64_t v;
+  /// A STRING's shared buffer. It is never written after construction.
+  struct StringRep {
+    explicit StringRep(std::string s) : str(std::move(s)) {}
+    void Ref() const { refs.fetch_add(1); }
+    std::string str;
+    mutable std::atomic<size_t> refs{1};
   };
-  using StringPtr = std::shared_ptr<const std::string>;
-  // Alternative i holds ValueType i, so type() is the variant's index.
-  using Rep = std::variant<std::monostate, int64_t, double, StringPtr, Micros>;
-  template <ValueType t>
-  using Alt = std::variant_alternative_t<static_cast<size_t>(t), Rep>;
-  static_assert(std::is_same_v<Alt<ValueType::kNull>, std::monostate> &&
-                std::is_same_v<Alt<ValueType::kBigInt>, int64_t> &&
-                std::is_same_v<Alt<ValueType::kDouble>, double> &&
-                std::is_same_v<Alt<ValueType::kString>, StringPtr> &&
-                std::is_same_v<Alt<ValueType::kTimestamp>, Micros>);
 
-  template <typename T, typename Arg>
-  Value(std::in_place_type_t<T> alt, Arg&& v)
-      : data_(alt, std::forward<Arg>(v)) {}
-
-  /// The int64 of a value known to be BIGINT or TIMESTAMP.
-  int64_t IntBits() const {
-    return std::holds_alternative<int64_t>(data_)
-               ? *std::get_if<int64_t>(&data_)
-               : std::get_if<Micros>(&data_)->v;
+  /// Drops this value's reference to its string buffer, if it holds one.
+  void Release() noexcept {
+    if (type_ == ValueType::kString) Unref(v_.str);
   }
+  /// Drops one reference to `rep`; the last one frees it.
+  static void Unref(const StringRep* rep) noexcept;
+
   int CompareMixed(const Value& other) const;
 
-  Rep data_;
+  /// The payload; copied whole, as the union object, so no copy reads a
+  /// member that is not the active one.
+  union Payload {
+    int64_t i;  // kBigInt, kTimestamp
+    double d;
+    const StringRep* str;
+  };
+  Payload v_;
+  ValueType type_;
 };
 
 /// A row: a flat sequence of values. Schema interpretation lives in

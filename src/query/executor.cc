@@ -77,35 +77,122 @@ int RowCompare(const Value* a, const Value* b,
   return 0;
 }
 
-/// The one ordering step of Scan and Aggregate: orders `rows` (pointers to
-/// each row's first value) by `keys`, ties kept in input order, and keeps
-/// the first `limit` of them (all when unset). Positions break ties, which
-/// makes the order total. A limit that cuts runs one heap selection
-/// (std::partial_sort), whose output equals the stable order truncated.
-void OrderRows(std::vector<const Value*>* rows,
-               const std::vector<OrderBySpec>& keys,
-               std::optional<size_t> limit) {
-  size_t n = rows->size();
-  size_t keep = limit.has_value() ? std::min(*limit, n) : n;
-  if (keys.empty() || keep == 0 || n == 1) {
-    rows->resize(keep);
-    return;
+/// Bounded selection, the one `ORDER BY ... LIMIT k` step of Scan and
+/// Aggregate. Offered items in input order, it keeps the first `k` of them
+/// under the three-way order `cmp` on `nkeys` ORDER BY keys, ties in offer
+/// order, in a k-entry heap whose top is the worst entry kept.
+///
+/// `image(item, i, &key)` sets `key` to an int64 that orders as the item's
+/// key i does, when that key is BIGINT or TIMESTAMP (false otherwise).
+/// Entries keep the images of their leading kImaged keys, are ordered on
+/// their common leading images first, and only when those tie and some key
+/// is left does `cmp` run. An item that loses to the top on its first key's
+/// image costs one integer comparison. TakeSorted yields exactly the first
+/// k items of the stable order of everything offered.
+constexpr uint32_t kImaged = 2;
+
+template <typename T, typename Cmp, typename Image>
+class TopK {
+ public:
+  TopK(size_t k, size_t nkeys, Cmp cmp, Image image)
+      : k_(k), nkeys_(static_cast<uint32_t>(nkeys)), cmp_(cmp), image_(image) {
+    heap_.reserve(k);
   }
-  auto row_less = [&](size_t i, size_t j) {
-    int c = RowCompare((*rows)[i], (*rows)[j], keys);
-    return c != 0 ? c < 0 : i < j;
+
+  void Offer(T item) {
+    uint32_t pos = offered_++;
+    if (heap_.size() == k_) {
+      int64_t first = 0;
+      if (k_ == 0 || (heap_.front().imaged != 0 && image_(item, 0, &first) &&
+                      first > heap_.front().image[0])) {
+        return;  // worse than the top on the first key
+      }
+    }
+    Entry e;
+    e.item = item;
+    e.pos = pos;
+    e.imaged = 0;
+    while (e.imaged < std::min(nkeys_, kImaged) &&
+           image_(item, e.imaged, &e.image[e.imaged])) {
+      ++e.imaged;
+    }
+    if (heap_.size() < k_) {
+      Store(e, &heap_.emplace_back());
+      std::push_heap(heap_.begin(), heap_.end(), Less());
+    } else if (Before(e, heap_.front())) {
+      ReplaceTop(e);
+    }
+  }
+
+  /// Calls `fn(item)` on the kept items, best first.
+  template <typename Fn>
+  void TakeSorted(Fn fn) {
+    std::sort_heap(heap_.begin(), heap_.end(), Less());
+    for (const Entry& e : heap_) fn(e.item);
+  }
+
+ private:
+  struct Entry {
+    T item;
+    uint32_t pos;     // offer order: the last tie-break
+    uint32_t imaged;  // leading keys with an image
+    int64_t image[kImaged] = {};
   };
-  std::vector<size_t> pos(n);
-  std::iota(pos.begin(), pos.end(), size_t{0});
-  if (keep < n) {
-    std::partial_sort(pos.begin(), pos.begin() + keep, pos.end(), row_less);
-    pos.resize(keep);
-  } else {
-    std::sort(pos.begin(), pos.end(), row_less);
+
+  /// Puts `e` in the top's place and sifts it down to where it belongs.
+  void ReplaceTop(const Entry& e) {
+    size_t n = heap_.size();
+    size_t at = 0;
+    for (size_t child = 1; child < n; child = 2 * at + 1) {
+      if (child + 1 < n && Before(heap_[child], heap_[child + 1])) ++child;
+      if (!Before(e, heap_[child])) break;
+      heap_[at] = heap_[child];
+      at = child;
+    }
+    Store(e, &heap_[at]);
   }
-  std::vector<const Value*> out(pos.size());
-  for (size_t r = 0; r < pos.size(); ++r) out[r] = (*rows)[pos[r]];
-  rows->swap(out);
+
+  /// `*to = e`, field by field: `e` was just built field by field, and a
+  /// whole-struct copy reads it back in wider loads than it was written
+  /// with, which stalls store forwarding on every offer that is kept.
+  static void Store(const Entry& e, Entry* to) {
+    to->item = e.item;
+    to->pos = e.pos;
+    to->imaged = e.imaged;
+    for (uint32_t i = 0; i < kImaged; ++i) to->image[i] = e.image[i];
+  }
+
+  /// Whether `a` comes before `b`: on their common leading images, then by
+  /// `cmp` when keys are left, then in offer order.
+  bool Before(const Entry& a, const Entry& b) const {
+    uint32_t common = std::min(a.imaged, b.imaged);
+    if (common > 0 && a.image[0] != b.image[0]) {
+      return a.image[0] < b.image[0];
+    }
+    if (common > 1 && a.image[1] != b.image[1]) {
+      return a.image[1] < b.image[1];
+    }
+    int c = common == nkeys_ ? 0 : cmp_(a.item, b.item);
+    return c != 0 ? c < 0 : a.pos < b.pos;
+  }
+  auto Less() const {
+    return [this](const Entry& a, const Entry& b) { return Before(a, b); };
+  }
+
+  size_t k_;
+  uint32_t nkeys_;
+  Cmp cmp_;
+  Image image_;
+  uint32_t offered_ = 0;
+  std::vector<Entry> heap_;
+};
+
+/// A TopK image of `v` under an ORDER BY key: its int64, bit-flipped when
+/// the key is descending (~ reverses the order and cannot overflow).
+inline bool KeyImage(const Value& v, bool descending, int64_t* out) {
+  if (!IsIntLike(v.type())) return false;
+  *out = descending ? ~v.as_int64() : v.as_int64();
+  return true;
 }
 
 /// splitmix64's finalizer: spreads every input bit over the whole word.
@@ -147,47 +234,93 @@ inline uint64_t GroupHash(const Value& v) {
 /// One GROUP BY group: its first row in slot order (whose key values the
 /// output keeps), its key hash and how many rows it holds.
 struct Group {
-  const Value* first;
-  uint64_t hash;
-  int64_t rows;
+  const Value* first = nullptr;
+  uint64_t hash = 0;
+  int64_t rows = 0;
 };
 
 /// The groups of a GROUP BY in first-seen order, found through a flat
-/// open-addressing table of group ids + 1 (0 marks an empty slot), probed
-/// linearly and doubled at half load. A probe compares stored hashes first
-/// and the key columns, with OrderCompare, only on a hash match.
+/// open-addressing table of group ids + 1 (0 marks an empty slot), indexed
+/// by a key hash's top bits, probed linearly and doubled at half load. A
+/// probe compares stored hashes first and the key columns, with
+/// OrderCompare, only on a hash match. With one group-by column declared
+/// BIGINT or TIMESTAMP, whose non-NULL values compare as their int64s, the
+/// hash is the int64 times an odd constant: a bijection, so equal hashes are
+/// equal keys and no key column is read again; NULL keeps its own group
+/// outside the slots.
 class GroupTable {
  public:
-  /// `cols` (the group-by columns) must outlive the table; `expected` rows
-  /// size the first allocation.
-  GroupTable(const std::vector<size_t>& cols, size_t expected) : cols_(cols) {
+  /// `cols` (the group-by columns of `schema`) must outlive the table;
+  /// `expected` rows size the first allocation.
+  GroupTable(const Schema& schema, const std::vector<size_t>& cols,
+             size_t expected)
+      : cols_(cols),
+        int_key_(cols.size() == 1 && IsIntLike(schema.column(cols[0]).type)) {
     size_t cap = 16;
-    while (cap < 2 * std::min<size_t>(expected, 64)) cap *= 2;
+    shift_ = 60;
+    while (cap < 2 * std::min<size_t>(expected, 64)) {
+      cap *= 2;
+      --shift_;
+    }
     slots_.resize(cap);
     groups_.reserve(cap / 2);
   }
 
   /// The id of the group `row` falls in, opening a new one if none matches.
-  size_t FindOrAdd(const Value* row) {
-    uint64_t hash = 0;
-    for (size_t c : cols_) {
-      hash = (hash ^ GroupHash(row[c])) * 0x9e3779b97f4a7c15ull;
+  /// Forced inline: it runs once per row.
+  [[gnu::always_inline]] size_t FindOrAdd(const Value* row) {
+    uint64_t hash;
+    if (int_key_) {
+      const Value& v = row[cols_[0]];
+      if (v.is_null()) return NullGroup(row);
+      hash = static_cast<uint64_t>(v.as_int64()) * kOdd;
+    } else {
+      hash = KeyHash(row);
     }
     size_t mask = slots_.size() - 1;
-    size_t s = hash & mask;
-    for (; slots_[s] != 0; s = (s + 1) & mask) {
-      Group& g = groups_[slots_[s] - 1];
-      if (g.hash == hash && SameKey(g.first, row)) return slots_[s] - 1;
+    for (size_t s = hash >> shift_;; s = (s + 1) & mask) {
+      uint32_t id = slots_[s];
+      if (id == 0) return Add(row, hash, s);
+      if (groups_[id - 1].hash == hash &&
+          (int_key_ || SameKey(groups_[id - 1].first, row))) {
+        return id - 1;
+      }
     }
-    groups_.push_back(Group{row, hash, 0});
-    slots_[s] = static_cast<uint32_t>(groups_.size());
-    if (2 * groups_.size() > slots_.size()) Grow();
-    return groups_.size() - 1;
   }
 
   std::vector<Group>& groups() { return groups_; }
 
  private:
+  static constexpr uint64_t kOdd = 0x9e3779b97f4a7c15ull;
+  static constexpr size_t kNoGroup = ~size_t{0};
+
+  uint64_t KeyHash(const Value* row) const {
+    uint64_t hash = 0;
+    for (size_t c : cols_) hash = (hash ^ GroupHash(row[c])) * kOdd;
+    return hash;
+  }
+
+  /// Opens a group for `row` at empty slot `s`. Its fields are written in
+  /// place: a Group built on the stack and copied whole would be read back
+  /// in wider loads than it was written with, stalling store forwarding.
+  size_t Add(const Value* row, uint64_t hash, size_t s) {
+    Group& g = groups_.emplace_back();
+    g.first = row;
+    g.hash = hash;
+    slots_[s] = static_cast<uint32_t>(groups_.size());
+    if (2 * groups_.size() > slots_.size()) Grow();
+    return groups_.size() - 1;
+  }
+
+  /// The NULL key's group (int keys only), opened on its first row.
+  size_t NullGroup(const Value* row) {
+    if (null_group_ == kNoGroup) {
+      null_group_ = groups_.size();
+      groups_.push_back(Group{row, 0, 0});
+    }
+    return null_group_;
+  }
+
   bool SameKey(const Value* a, const Value* b) const {
     for (size_t c : cols_) {
       if (OrderCompare(a[c], b[c]) != 0) return false;
@@ -197,9 +330,11 @@ class GroupTable {
 
   void Grow() {
     std::vector<uint32_t> grown(2 * slots_.size());
+    --shift_;
     size_t mask = grown.size() - 1;
     for (size_t g = 0; g < groups_.size(); ++g) {
-      size_t s = groups_[g].hash & mask;
+      if (g == null_group_) continue;
+      size_t s = groups_[g].hash >> shift_;
       while (grown[s] != 0) s = (s + 1) & mask;
       grown[s] = static_cast<uint32_t>(g + 1);
     }
@@ -207,6 +342,9 @@ class GroupTable {
   }
 
   const std::vector<size_t>& cols_;
+  const bool int_key_;
+  int shift_;  // 64 - log2(slots_.size())
+  size_t null_group_ = kNoGroup;
   std::vector<uint32_t> slots_;
   std::vector<Group> groups_;
 };
@@ -273,26 +411,20 @@ size_t VisibleRows(const Table& table, bool include_staged) {
   return include_staged ? table.row_count() : table.active_count();
 }
 
-/// Calls `fn(rid, row)` on each live row matching `predicate` (every row if
-/// null), in slot order, until `fn` returns false.
+/// Calls `fn(rid, row)` on each live row matching `filter`, in slot order,
+/// until `fn` returns false. Forced inline, as Table::ForEach is, so each
+/// query's row loop is compiled into the query: an outlined loop reads
+/// every captured variable through its closure's pointers on every row.
 template <typename Fn>
-Status ForEachMatch(const Table& table, const ExprPtr& predicate,
-                    bool include_staged, Fn fn) {
+[[gnu::always_inline]] inline Status ForEachMatch(const Table& table,
+                                                 const Filter& filter,
+                                                 bool include_staged, Fn fn) {
   Status err = Status::OK();
-  if (predicate == nullptr) {
-    table.ForEach([&](RowId rid, const Tuple& row,
-                      const RowMeta&) { return fn(rid, row); },
-                  include_staged);
-    return err;
-  }
+  const bool every_row = filter.empty();
   table.ForEach(
       [&](RowId rid, const Tuple& row, const RowMeta&) {
-        Result<bool> match = EvalPredicate(predicate, row);
-        if (!match.ok()) {
-          err = match.status();
-          return false;
-        }
-        return !*match || fn(rid, row);
+        if (!every_row && !filter.Matches(row, &err)) return err.ok();
+        return fn(rid, row);
       },
       include_staged);
   return err;
@@ -332,21 +464,23 @@ Result<std::vector<RowId>> MatchingRows(const Table& table,
                                         const ExprPtr& predicate,
                                         bool include_staged) {
   std::vector<RowId> out;
+  Filter filter(predicate, table.schema().num_columns());
   const Value* key = nullptr;
   if (const HashIndex* idx = PointIndex(table, predicate, &key)) {
     std::vector<RowId> candidates = idx->Lookup({*key});
     std::sort(candidates.begin(), candidates.end());
+    Status err = Status::OK();
     for (RowId rid : candidates) {
       SSTORE_ASSIGN_OR_RETURN(RowMeta meta, table.GetMeta(rid));
       if (!include_staged && !meta.active) continue;
       SSTORE_ASSIGN_OR_RETURN(const Tuple* row, table.Get(rid));
-      SSTORE_ASSIGN_OR_RETURN(bool match, EvalPredicate(predicate, *row));
-      if (match) out.push_back(rid);
+      if (filter.Matches(*row, &err)) out.push_back(rid);
+      SSTORE_RETURN_NOT_OK(err);
     }
     return out;
   }
   SSTORE_RETURN_NOT_OK(
-      ForEachMatch(table, predicate, include_staged, [&](RowId rid, const Tuple&) {
+      ForEachMatch(table, filter, include_staged, [&](RowId rid, const Tuple&) {
         out.push_back(rid);
         return true;
       }));
@@ -370,21 +504,52 @@ Result<std::vector<Tuple>> Executor::Scan(const ScanSpec& spec) const {
   if (!spec.projection.empty()) {
     for (OrderBySpec& k : keys) k.column = spec.projection[k.column];
   }
+  auto cmp = [&keys](const Value* a, const Value* b) {
+    return RowCompare(a, b, keys);
+  };
+  Filter filter(spec.predicate, spec.table->schema().num_columns());
+  size_t visible = VisibleRows(*spec.table, spec.include_staged);
+  size_t arity = spec.table->schema().num_columns();
+  std::vector<Tuple> out;
+  if (!keys.empty() && spec.limit.has_value() && *spec.limit < visible) {
+    // ORDER BY ... LIMIT k: the filter and the bounded selection in one
+    // pass, and only the kept rows projected.
+    auto image = [&keys](const Value* row, size_t i, int64_t* key) {
+      return KeyImage(row[keys[i].column], keys[i].descending, key);
+    };
+    TopK<const Value*, decltype(cmp), decltype(image)> top(
+        *spec.limit, keys.size(), cmp, image);
+    SSTORE_RETURN_NOT_OK(ForEachMatch(*spec.table, filter, spec.include_staged,
+                                      [&](RowId, const Tuple& row) {
+                                        top.Offer(row.data());
+                                        return true;
+                                      }));
+    out.reserve(*spec.limit);
+    top.TakeSorted([&](const Value* row) {
+      out.push_back(Project(row, arity, spec.projection));
+    });
+    return out;
+  }
   // Without ordering the limit can stop the scan early.
   bool early_limit = keys.empty() && spec.limit.has_value();
   std::vector<const Value*> rows;
-  size_t visible = VisibleRows(*spec.table, spec.include_staged);
   rows.reserve(early_limit ? std::min(*spec.limit, visible) : visible);
   SSTORE_RETURN_NOT_OK(ForEachMatch(
-      *spec.table, spec.predicate, spec.include_staged,
-      [&](RowId, const Tuple& row) {
+      *spec.table, filter, spec.include_staged, [&](RowId, const Tuple& row) {
         rows.push_back(row.data());
         return !(early_limit && rows.size() >= *spec.limit);
       }));
-  OrderRows(&rows, keys, spec.limit);
-  std::vector<Tuple> out;
+  // An unlimited ORDER BY: one full sort, ties kept in slot order.
+  if (!keys.empty()) {
+    std::stable_sort(rows.begin(), rows.end(),
+                     [&](const Value* a, const Value* b) {
+                       return cmp(a, b) < 0;
+                     });
+  }
+  if (spec.limit.has_value() && rows.size() > *spec.limit) {
+    rows.resize(*spec.limit);
+  }
   out.reserve(rows.size());
-  size_t arity = spec.table->schema().num_columns();
   for (const Value* row : rows) {
     out.push_back(Project(row, arity, spec.projection));
   }
@@ -401,13 +566,16 @@ Result<std::vector<Tuple>> Executor::IndexScan(
   SSTORE_ASSIGN_OR_RETURN(std::vector<RowId> rids,
                           table->IndexLookup(index_name, key));
   std::vector<Tuple> out;
+  Filter filter(residual, table->schema().num_columns());
+  Status err = Status::OK();
   for (RowId rid : rids) {
     SSTORE_ASSIGN_OR_RETURN(RowMeta meta, table->GetMeta(rid));
     if (!meta.active) continue;  // staged rows invisible to queries
     SSTORE_ASSIGN_OR_RETURN(const Tuple* row, table->Get(rid));
-    SSTORE_ASSIGN_OR_RETURN(bool match, EvalPredicate(residual, *row));
-    if (!match) continue;
-    out.push_back(Project(row->data(), row->size(), projection));
+    if (filter.Matches(*row, &err)) {
+      out.push_back(Project(row->data(), row->size(), projection));
+    }
+    SSTORE_RETURN_NOT_OK(err);
   }
   return out;
 }
@@ -417,7 +585,8 @@ Result<size_t> Executor::Count(Table* table, const ExprPtr& predicate) const {
     return Status::InvalidArgument("count requires a table");
   }
   size_t n = 0;
-  SSTORE_RETURN_NOT_OK(ForEachMatch(*table, predicate, /*include_staged=*/false,
+  Filter filter(predicate, table->schema().num_columns());
+  SSTORE_RETURN_NOT_OK(ForEachMatch(*table, filter, /*include_staged=*/false,
                                     [&](RowId, const Tuple&) {
                                       ++n;
                                       return true;
@@ -449,7 +618,7 @@ Result<std::vector<Tuple>> Executor::Aggregate(const AggregateSpec& spec) const 
   for (size_t i = 0; i < spec.aggregates.size(); ++i) {
     if (spec.aggregates[i].func != AggFunc::kCount) folded.push_back(i);
   }
-  GroupTable table(spec.group_by,
+  GroupTable table(spec.table->schema(), spec.group_by,
                    VisibleRows(*spec.table, spec.include_staged));
   std::vector<Group>& groups = table.groups();
   // Without group-by columns every row falls in one group, opened here so
@@ -459,7 +628,7 @@ Result<std::vector<Tuple>> Executor::Aggregate(const AggregateSpec& spec) const 
   std::vector<AggState> states(groups.size() * folded.size());
   Status err = Status::OK();
   SSTORE_RETURN_NOT_OK(ForEachMatch(
-      *spec.table, spec.predicate, spec.include_staged,
+      *spec.table, Filter(spec.predicate, arity), spec.include_staged,
       [&](RowId, const Tuple& tuple) {
         const Value* row = tuple.data();
         size_t g = table.FindOrAdd(row);
@@ -476,38 +645,117 @@ Result<std::vector<Tuple>> Executor::Aggregate(const AggregateSpec& spec) const 
       }));
   SSTORE_RETURN_NOT_OK(err);
 
-  // Group g's output row is cells[g * width, (g + 1) * width).
-  std::vector<Value> cells;
-  cells.reserve(groups.size() * width);
+  // Every group's non-COUNT results, so that an error in a group the limit
+  // drops (a SUM overflow) still fails the query. Group g's are
+  // results[g * folded.size(), (g + 1) * folded.size()).
+  std::vector<Value> results;
+  results.reserve(states.size());
   for (size_t g = 0; g < groups.size(); ++g) {
-    for (size_t c : spec.group_by) cells.push_back(groups[g].first[c]);
-    const AggState* st = states.data() + g * folded.size();
-    for (const AggExpr& a : spec.aggregates) {
-      if (a.func == AggFunc::kCount) {
-        cells.push_back(Value::BigInt(groups[g].rows));
-      } else {
-        SSTORE_ASSIGN_OR_RETURN(Value v, AggResult(a.func, *st++));
-        cells.push_back(std::move(v));
-      }
+    for (size_t j = 0; j < folded.size(); ++j) {
+      SSTORE_ASSIGN_OR_RETURN(
+          Value v, AggResult(spec.aggregates[folded[j]].func,
+                             states[g * folded.size() + j]));
+      results.push_back(std::move(v));
     }
   }
 
+  // Output column c of group g, found in the group's state: a key value of
+  // its first row, its row count, or one of its results.
+  struct Cell {
+    enum Kind : uint8_t { kKey, kCount, kResult } kind;
+    size_t index;  // the row's column (kKey) or the result's slot (kResult)
+  };
+  std::vector<Cell> cells(width);
+  for (size_t i = 0, j = 0; i < width; ++i) {
+    if (i < spec.group_by.size()) {
+      cells[i] = {Cell::kKey, spec.group_by[i]};
+    } else if (spec.aggregates[i - spec.group_by.size()].func ==
+               AggFunc::kCount) {
+      cells[i] = {Cell::kCount, 0};
+    } else {
+      cells[i] = {Cell::kResult, j++};
+    }
+  }
+  auto value_of = [&](const Cell& cell, uint32_t g) -> const Value& {
+    return cell.kind == Cell::kKey ? groups[g].first[cell.index]
+                                   : results[g * folded.size() + cell.index];
+  };
   // ORDER BY, then the group-by columns it does not name, ascending: groups
   // tied on every ORDER BY key come out ascending by group key.
-  std::vector<OrderBySpec> with_ties;
+  struct SortKey {
+    Cell cell;
+    bool descending;
+  };
+  std::vector<SortKey> keys;
+  for (const OrderBySpec& k : spec.order_by) {
+    keys.push_back({cells[k.column], k.descending});
+  }
   for (size_t i = 0; i < spec.group_by.size(); ++i) {
     if (std::none_of(spec.order_by.begin(), spec.order_by.end(),
                      [i](const OrderBySpec& k) { return k.column == i; })) {
-      if (with_ties.empty()) with_ties = spec.order_by;
-      with_ties.push_back({i, false});
+      keys.push_back({cells[i], false});
     }
   }
-  std::vector<const Value*> order(groups.size());
-  for (size_t g = 0; g < groups.size(); ++g) order[g] = cells.data() + g * width;
-  OrderRows(&order, with_ties.empty() ? spec.order_by : with_ties, spec.limit);
+  auto cmp = [&](uint32_t a, uint32_t b) {
+    for (const SortKey& k : keys) {
+      int c;
+      if (k.cell.kind == Cell::kCount) {
+        c = (groups[a].rows > groups[b].rows) -
+            (groups[a].rows < groups[b].rows);
+      } else {
+        c = OrderCompare(value_of(k.cell, a), value_of(k.cell, b));
+      }
+      if (c != 0) return k.descending ? -c : c;
+    }
+    return 0;
+  };
+
+  // Output rows only for the groups kept.
   std::vector<Tuple> out;
+  auto emit = [&](uint32_t g) {
+    Tuple row;
+    row.reserve(width);
+    for (const Cell& cell : cells) {
+      if (cell.kind == Cell::kCount) {
+        row.push_back(Value::BigInt(groups[g].rows));
+      } else {
+        row.push_back(value_of(cell, g));
+      }
+    }
+    out.push_back(std::move(row));
+  };
+  if (!keys.empty() && spec.limit.has_value() && *spec.limit < groups.size()) {
+    auto image = [&](uint32_t g, size_t i, int64_t* key) {
+      const SortKey& k = keys[i];
+      if (k.cell.kind == Cell::kCount) {
+        *key = k.descending ? ~groups[g].rows : groups[g].rows;
+        return true;
+      }
+      return KeyImage(value_of(k.cell, g), k.descending, key);
+    };
+    TopK<uint32_t, decltype(cmp), decltype(image)> top(
+        *spec.limit, keys.size(), cmp, image);
+    for (size_t g = 0; g < groups.size(); ++g) {
+      top.Offer(static_cast<uint32_t>(g));
+    }
+    out.reserve(*spec.limit);
+    top.TakeSorted(emit);
+    return out;
+  }
+  // Group ids are first-seen positions, so they break ties stably.
+  std::vector<uint32_t> order(groups.size());
+  std::iota(order.begin(), order.end(), uint32_t{0});
+  if (!keys.empty()) {
+    std::sort(order.begin(), order.end(), [&](uint32_t a, uint32_t b) {
+      int c = cmp(a, b);
+      return c != 0 ? c < 0 : a < b;
+    });
+  }
+  if (spec.limit.has_value() && order.size() > *spec.limit) {
+    order.resize(*spec.limit);
+  }
   out.reserve(order.size());
-  for (const Value* row : order) out.emplace_back(row, row + width);
+  for (uint32_t g : order) emit(g);
   return out;
 }
 

@@ -15,7 +15,7 @@ Status ColumnOutOfRange(size_t index, const Tuple& row) {
 
 class ColExpr final : public Expr {
  public:
-  explicit ColExpr(size_t index) : index_(index) {}
+  explicit ColExpr(size_t index) : Expr(Shape::kColumn), index_(index) {}
   Result<Value> Eval(const Tuple& row) const override {
     if (index_ >= row.size()) return ColumnOutOfRange(index_, row);
     return row[index_];
@@ -31,7 +31,7 @@ class ColExpr final : public Expr {
 
 class LitExpr final : public Expr {
  public:
-  explicit LitExpr(Value v) : value_(std::move(v)) {}
+  explicit LitExpr(Value v) : Expr(Shape::kLiteral), value_(std::move(v)) {}
   Result<Value> Eval(const Tuple&) const override { return value_; }
   std::string ToString() const override { return value_.ToString(); }
   const Value& value() const { return value_; }
@@ -80,7 +80,8 @@ bool Holds(CmpOp op, int c) {
 class CmpExpr : public Expr {
  public:
   CmpExpr(CmpOp op, ExprPtr lhs, ExprPtr rhs)
-      : op_(op),
+      : Expr(Shape::kCompare),
+        op_(op),
         lhs_(Classify(std::move(lhs))),
         rhs_(Classify(std::move(rhs))) {}
 
@@ -106,6 +107,10 @@ class CmpExpr : public Expr {
            rhs_.expr->ToString() + ")";
   }
 
+  CmpOp op() const { return op_; }
+  const Expr* lhs() const { return lhs_.expr.get(); }
+  const Expr* rhs() const { return rhs_.expr.get(); }
+
   bool AsColumnEquality(size_t* col, const Value** lit) const override {
     if (op_ != CmpOp::kEq) return false;
     const Operand* c = &lhs_;
@@ -128,9 +133,10 @@ class CmpExpr : public Expr {
 
   static Operand Classify(ExprPtr e) {
     Operand o;
-    o.col = dynamic_cast<const ColExpr*>(e.get());
-    if (const auto* l = dynamic_cast<const LitExpr*>(e.get())) {
-      o.lit = &l->value();
+    if (e->shape() == Shape::kColumn) {
+      o.col = static_cast<const ColExpr*>(e.get());
+    } else if (e->shape() == Shape::kLiteral) {
+      o.lit = &static_cast<const LitExpr*>(e.get())->value();
     }
     o.expr = std::move(e);
     return o;
@@ -236,7 +242,8 @@ enum class LogicOp { kAnd, kOr, kNot };
 class LogicExpr : public Expr {
  public:
   LogicExpr(LogicOp op, ExprPtr lhs, ExprPtr rhs)
-      : op_(op), lhs_(std::move(lhs)), rhs_(std::move(rhs)) {}
+      : Expr(Shape::kLogic),
+        op_(op), lhs_(std::move(lhs)), rhs_(std::move(rhs)) {}
 
   Result<Value> Eval(const Tuple& row) const override {
     SSTORE_ASSIGN_OR_RETURN(bool out, Test(row));
@@ -271,6 +278,10 @@ class LogicExpr : public Expr {
     return "?";
   }
 
+  LogicOp op() const { return op_; }
+  const Expr* lhs() const { return lhs_.get(); }
+  const Expr* rhs() const { return rhs_.get(); }
+
  private:
   LogicOp op_;
   ExprPtr lhs_;
@@ -279,7 +290,8 @@ class LogicExpr : public Expr {
 
 class IsNullExpr : public Expr {
  public:
-  explicit IsNullExpr(ExprPtr operand) : operand_(std::move(operand)) {}
+  explicit IsNullExpr(ExprPtr operand)
+      : Expr(Shape::kIsNull), operand_(std::move(operand)) {}
   Result<Value> Eval(const Tuple& row) const override {
     SSTORE_ASSIGN_OR_RETURN(Value v, operand_->Eval(row));
     return Value::BigInt(v.is_null() ? 1 : 0);
@@ -287,6 +299,7 @@ class IsNullExpr : public Expr {
   std::string ToString() const override {
     return operand_->ToString() + " IS NULL";
   }
+  const Expr* operand() const { return operand_.get(); }
 
  private:
   ExprPtr operand_;
@@ -334,6 +347,128 @@ Result<bool> Expr::Test(const Tuple& row) const {
 Result<bool> EvalPredicate(const ExprPtr& expr, const Tuple& row) {
   if (expr == nullptr) return true;
   return expr->Test(row);
+}
+
+Filter::Filter(const ExprPtr& predicate, size_t arity) : arity_(arity) {
+  if (predicate == nullptr) return;
+  root_ = Compile(predicate.get());
+  empty_ = false;
+}
+
+Filter::Operand Filter::Classify(const Expr* e) const {
+  Operand o;
+  if (e->shape() == Expr::Shape::kColumn &&
+      static_cast<const ColExpr*>(e)->index() < arity_) {
+    o.kind = Operand::kColumn;
+    o.column = static_cast<uint32_t>(static_cast<const ColExpr*>(e)->index());
+  } else if (e->shape() == Expr::Shape::kLiteral) {
+    o.kind = Operand::kLiteral;
+    o.lit = &static_cast<const LitExpr*>(e)->value();
+  } else {
+    o.expr = e;  // a column past the arity fails in ColExpr::Eval
+  }
+  return o;
+}
+
+uint32_t Filter::CompileChild(const Expr* e) {
+  Node n = Compile(e);
+  children_.push_back(n);
+  return static_cast<uint32_t>(children_.size() - 1);
+}
+
+Filter::Node Filter::Compile(const Expr* e) {
+  Node n;
+  if (e->shape() == Expr::Shape::kCompare) {
+    const auto* c = static_cast<const CmpExpr*>(e);
+    n.kind = Node::kCmp;
+    for (int sign = -1; sign <= 1; ++sign) {
+      if (Holds(c->op(), sign)) n.accept |= uint8_t{1} << (sign + 1);
+    }
+    n.lhs = Classify(c->lhs());
+    n.rhs = Classify(c->rhs());
+    if (n.lhs.kind == Operand::kLiteral && n.rhs.kind == Operand::kColumn) {
+      // lit OP col == col OP' lit, where OP' swaps less and greater (only
+      // the column can fail, so the order of the reads does not matter).
+      std::swap(n.lhs, n.rhs);
+      n.accept = (n.accept & 2) | (n.accept & 1) << 2 | (n.accept & 4) >> 2;
+    }
+    if (n.lhs.kind == Operand::kColumn && n.rhs.kind == Operand::kColumn) {
+      n.kind = Node::kColCol;
+    } else if (n.lhs.kind == Operand::kColumn &&
+               n.rhs.kind == Operand::kLiteral) {
+      n.kind = IsIntLike(n.rhs.lit->type()) ? Node::kColInt : Node::kColLit;
+      if (n.kind == Node::kColInt) n.imm = n.rhs.lit->as_int64();
+    }
+  } else if (e->shape() == Expr::Shape::kLogic) {
+    const auto* l = static_cast<const LogicExpr*>(e);
+    n.kind = l->op() == LogicOp::kAnd  ? Node::kAnd
+             : l->op() == LogicOp::kOr ? Node::kOr
+                                       : Node::kNot;
+    n.left = CompileChild(l->lhs());
+    if (n.kind != Node::kNot) n.right = CompileChild(l->rhs());
+  } else if (e->shape() == Expr::Shape::kIsNull) {
+    n.kind = Node::kIsNull;
+    n.lhs = Classify(static_cast<const IsNullExpr*>(e)->operand());
+  } else {
+    n.kind = Node::kTruth;
+    n.lhs = Classify(e);
+  }
+  return n;
+}
+
+bool Filter::Fetch(const Operand& o, const Tuple& row, Value* buf,
+                   const Value** out, Status* err) {
+  switch (o.kind) {
+    case Operand::kColumn:
+      *out = &row[o.column];
+      return true;
+    case Operand::kLiteral:
+      *out = o.lit;
+      return true;
+    case Operand::kEval:
+      break;
+  }
+  Result<Value> v = o.expr->Eval(row);
+  if (!v.ok()) {
+    *err = v.status();
+    return false;
+  }
+  *buf = std::move(*v);
+  *out = buf;
+  return true;
+}
+
+bool Filter::EvalOther(const Node& n, const Tuple& row, Status* err) const {
+  switch (n.kind) {
+    case Node::kAnd:
+      return Eval(children_[n.left], row, err) &&
+             Eval(children_[n.right], row, err);
+    case Node::kOr:
+      if (Eval(children_[n.left], row, err)) return true;
+      return err->ok() && Eval(children_[n.right], row, err);
+    case Node::kNot:
+      return !Eval(children_[n.left], row, err) && err->ok();
+    default:
+      break;
+  }
+  Value lbuf, rbuf;
+  const Value* l = nullptr;
+  const Value* r = nullptr;
+  if (!Fetch(n.lhs, row, &lbuf, &l, err)) return false;
+  if (n.kind == Node::kIsNull) return l->is_null();
+  if (n.kind == Node::kTruth) {
+    if (l->is_null()) return false;
+    if (IsIntLike(l->type())) return l->as_int64() != 0;
+    if (l->type() == ValueType::kDouble) return l->as_double() != 0.0;
+    *err = l->ToNumeric().status();
+    return false;
+  }
+  // kCmp: both operands are read before the NULL test, as CmpExpr::Test
+  // does.
+  if (!Fetch(n.rhs, row, &rbuf, &r, err) || l->is_null() || r->is_null()) {
+    return false;
+  }
+  return (n.accept >> (l->Compare(*r) + 1)) & 1;
 }
 
 }  // namespace sstore

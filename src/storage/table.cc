@@ -72,7 +72,7 @@ bool HashIndex::ContainsKeyOf(const Tuple& row) const {
 }
 
 void HashIndex::Add(const Tuple& row, RowId rid) {
-  if (count_ >= buckets_.size()) Grow();
+  if (count_ >= 2 * buckets_.size()) Grow();
   uint32_t e = free_;
   if (e != kNone) {
     free_ = entries_[e].next;
@@ -81,7 +81,7 @@ void HashIndex::Add(const Tuple& row, RowId rid) {
   }
   uint32_t hash = KeyHash(row);
   uint32_t& head = Head(hash);
-  entries_[e] = Entry{hash, head, rid};
+  entries_[e] = Entry{hash, head, static_cast<uint32_t>(rid)};
   head = e;
   ++count_;
 }
@@ -179,6 +179,11 @@ Result<RowId> Table::Insert(Tuple row, RowMeta meta) {
   if (next_seq_ >= kSeqLimit) {
     return Status::OutOfRange("table '" + name_ +
                               "' has used every row sequence below 2^62");
+  }
+
+  if (free_list_.empty() && slots_.size() >= kMaxSlots) {
+    return Status::OutOfRange("table '" + name_ + "' has every slot below " +
+                              std::to_string(kMaxSlots) + " in use");
   }
 
   meta.seq = next_seq_++;

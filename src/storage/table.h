@@ -87,9 +87,10 @@ class SegmentedArray {
   }
 
   /// Calls `fn(i, element)` on every element in index order until it
-  /// returns false.
+  /// returns false. Forced inline, with Table::ForEach, so a caller's loop
+  /// body is compiled into the caller.
   template <typename Fn>
-  void ForEach(Fn&& fn) const {
+  [[gnu::always_inline]] void ForEach(Fn&& fn) const {
     size_t base = 0;
     for (size_t s = 0; base < size_; ++s) {
       const T* segment = segments_[s];
@@ -118,10 +119,12 @@ class SegmentedArray {
 /// owning table on every mutation. Unique indexes reject duplicate keys with
 /// kConstraintViolation before the table is modified.
 ///
-/// An entry is 16 bytes: 32 bits of the key's hash, the link to the next
-/// entry in its bucket's chain, and the RowId; the key itself stays in the
-/// table's row. Entries live in a SegmentedArray and never move; buckets
-/// are 32-bit chain heads, doubled at load 1, and a removed entry is reused.
+/// An entry is 12 bytes: 32 bits of the key's hash, the link to the next
+/// entry in its bucket's chain, and the row's slot index as 32 bits (a
+/// table's slots stay below Table::kMaxSlots, so it fits); the key itself
+/// stays in the table's row. Entries live in a SegmentedArray and never
+/// move; buckets are 32-bit chain heads, doubled at load 2 (two entries per
+/// bucket on average), and a removed entry is reused.
 /// Every probe re-checks each candidate's key columns in its slot with
 /// Value::Equals, so a hash collision never yields a wrong row. Rows with
 /// equal keys come back newest first. An index holds fewer than 2^32 - 1
@@ -152,8 +155,9 @@ class HashIndex {
   struct Entry {
     uint32_t hash;  // Hash32 of the row's key
     uint32_t next;  // next entry in the bucket's chain, or kNone
-    RowId rid;
+    uint32_t rid;   // the row's slot, below Table::kMaxSlots
   };
+  static_assert(sizeof(Entry) == 12, "an index entry is 12 bytes");
   static constexpr uint32_t kNone = ~uint32_t{0};
 
   /// The 32 bits of a key hash (HashTuple of the key columns) an entry
@@ -221,8 +225,13 @@ class Table {
   /// Number of staged (inactive) rows.
   size_t staged_count() const { return live_count_ - active_count_; }
 
+  /// A table holds fewer than this many slots (live rows plus reusable
+  /// free slots), so a slot index fits an index entry's 32 bits.
+  static constexpr uint64_t kMaxSlots = ~uint32_t{0};
+
   /// Inserts a row (validated against the schema and all unique indexes).
-  /// kOutOfRange once the table has used every sequence below 2^62.
+  /// kOutOfRange once the table has used every sequence below 2^62, or
+  /// when the row would need a slot at index kMaxSlots or beyond.
   Result<RowId> Insert(Tuple row) { return Insert(std::move(row), RowMeta{}); }
   Result<RowId> Insert(Tuple row, RowMeta meta);
 
@@ -250,7 +259,8 @@ class Table {
   /// window-staging visibility rule. `fn(RowId, const Tuple&, const
   /// RowMeta&)` returns false to stop early.
   template <typename Fn>
-  void ForEach(Fn&& fn, bool include_staged = false) const {
+  [[gnu::always_inline]] void ForEach(Fn&& fn,
+                                      bool include_staged = false) const {
     slots_.ForEach([&](RowId rid, const Slot& slot) {
       if (!slot.live() || (!include_staged && !slot.active())) return true;
       return fn(rid, slot.row, slot.meta());

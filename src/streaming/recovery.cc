@@ -131,7 +131,9 @@ Status RecoveryManager::ReplayLog(const std::string& log_path,
   for (int64_t gid : pending_order) {
     auto it = pending.find(gid);
     if (it == pending.end()) continue;
-    if (replay.committed_gids != nullptr &&
+    if (gid < 0) {
+      ++stats_.torn_nested_groups;
+    } else if (replay.committed_gids != nullptr &&
         replay.committed_gids->count(gid) != 0) {
       for (const LogRecord& frag : it->second) ReplayRecord(frag);
       ++stats_.in_doubt_committed;

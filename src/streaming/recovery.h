@@ -38,11 +38,15 @@ class RecoveryManager {
     size_t records_replayed = 0;
     size_t residual_triggers = 0;
     size_t replay_failures = 0;
-    /// Groups whose log ended after kPrepare with no decision mark,
-    /// resolved commit (coordinator decision log) or abort (presumed abort;
-    /// always so for a nested group's negative id).
+    /// Multi-partition slices (positive global ids) whose log ended after
+    /// kPrepare with no decision mark, resolved commit (coordinator
+    /// decision log) or abort (presumed abort).
     size_t in_doubt_committed = 0;
     size_t in_doubt_aborted = 0;
+    /// Nested groups (negative partition-local ids) whose log ended after
+    /// kPrepare with no kCommitMark: always dropped, and never the
+    /// coordinator's.
+    size_t torn_nested_groups = 0;
   };
 
   /// Cluster-coordinated replay parameters (see Cluster::Recover).

@@ -121,8 +121,8 @@ TEST(TupleTest, HashAndToString) {
 
 // ---- Value representation ----
 
-// Half the weight of a row cell: the variant index is the type tag.
-static_assert(sizeof(Value) == 24, "a Value is a 24-byte variant");
+// A row cell: an 8-byte payload and the type tag.
+static_assert(sizeof(Value) == 16, "a Value is 16 bytes");
 
 /// A value's type and exact rendering: TupleToString keeps BIGINT 5 and
 /// TIMESTAMP 5 apart ("5" vs "ts:5"), which Value::Equals does not.

@@ -380,14 +380,21 @@ void RunNestedGroupAndRecover(const std::string& name, int crash_at_skip,
 }
 
 // The kill lands on the second child's append: the first child's kPrepare
-// is durable with no mark after it, so replay drops the whole group.
+// is durable with no mark after it, so replay drops the whole group. The
+// group is counted as torn, not as a coordinator in-doubt abort: the
+// coordinator never saw it.
 TEST_F(FailpointGuard, TornNestedGroupRecoversNoneOfItsRows) {
   Cluster recovered(1);
   RunNestedGroupAndRecover("nested_torn", /*crash_at_skip=*/1, &recovered);
   EXPECT_EQ((*recovered.store(0).catalog().GetTable("kv"))->row_count(), 0u);
-  const RecoverStats rs = recovered.GatherStats().recover;
-  EXPECT_EQ(rs.in_doubt_aborted, 1u);
-  EXPECT_EQ(rs.records_replayed, 0u);
+  const ClusterStats stats = recovered.GatherStats();
+  EXPECT_EQ(stats.recover.torn_nested_groups, 1u);
+  EXPECT_EQ(stats.recover.in_doubt_aborted, 0u);
+  EXPECT_EQ(stats.coord.in_doubt_aborted, 0u);
+  EXPECT_EQ(stats.recover.records_replayed, 0u);
+  EXPECT_EQ(recovered.SnapshotMetrics().Value(
+                "sstore_recover_torn_nested_groups", -1),
+            1);
 }
 
 TEST_F(FailpointGuard, CommittedNestedGroupReplaysBothChildren) {

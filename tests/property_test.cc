@@ -8,6 +8,7 @@
 #include <deque>
 #include <limits>
 #include <map>
+#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
@@ -505,15 +506,77 @@ std::vector<OrderBySpec> RandomOrderBy(Rng& rng, size_t width) {
   return out;
 }
 
-ExprPtr RandomFilter(Rng& rng) {
-  switch (rng.NextBounded(4)) {
+/// A literal of any MixedSchema type, NULL, NaN and -0.0 included.
+Value RandomLiteral(Rng& rng) {
+  switch (rng.NextBounded(5)) {
     case 0:
-      return Ge(Col(0), LitInt(0));
+      return Value::Null();
     case 1:
-      return Ne(Col(3), LitString("b"));
+      return Value::BigInt(rng.NextRange(-2, 3));
+    case 2:
+      return Value::Timestamp(rng.NextRange(-2, 3));
+    case 3:
+      return RandomCell(rng, 2);  // a DOUBLE (or NULL)
     default:
-      return nullptr;
+      return RandomCell(rng, 3);  // a STRING (or NULL)
   }
+}
+
+/// An operand of a comparison or IS NULL over MixedSchema rows: a column,
+/// a literal, or arithmetic over the numeric columns. When `may_fail`, a
+/// column now and then lies past the rows' arity and some arithmetic
+/// divides, by a zero at times; otherwise evaluating it never fails.
+ExprPtr RandomOperand(Rng& rng, bool may_fail) {
+  switch (rng.NextBounded(6)) {
+    case 0:
+    case 1:
+    case 2:
+      if (may_fail && rng.NextBool(0.03)) return Col(4 + rng.NextBounded(3));
+      return Col(rng.NextBounded(4));
+    case 3:
+    case 4:
+      return Lit(RandomLiteral(rng));
+    default: {
+      ExprPtr lhs = Col(rng.NextBounded(3));
+      ExprPtr rhs = rng.NextBool(0.5) ? Col(rng.NextBounded(3))
+                                      : LitInt(rng.NextRange(-1, 2));
+      if (may_fail && rng.NextBool(0.3)) return Div(lhs, rhs);
+      return rng.NextBool(0.5) ? Add(lhs, rhs) : Mul(lhs, rhs);
+    }
+  }
+}
+
+/// A random predicate tree of at most `depth` logic levels: comparisons
+/// with all six operators on column/literal/arithmetic operands of every
+/// type, IS NULL, a bare column tested for truth, AND, OR and NOT. Unless
+/// `may_fail`, it evaluates without error on every MixedSchema row (a
+/// STRING column is never tested for truth).
+ExprPtr RandomPredicate(Rng& rng, int depth, bool may_fail) {
+  switch (rng.NextBounded(depth > 0 ? 7 : 4)) {
+    case 0:
+    case 1:
+      return Cmp(static_cast<CmpOp>(rng.NextBounded(6)),
+                 RandomOperand(rng, may_fail), RandomOperand(rng, may_fail));
+    case 2:
+      return IsNull(RandomOperand(rng, may_fail));
+    case 3:
+      return Col(rng.NextBounded(may_fail ? 4 : 3));
+    case 4:
+      return And(RandomPredicate(rng, depth - 1, may_fail),
+                 RandomPredicate(rng, depth - 1, may_fail));
+    case 5:
+      return Or(RandomPredicate(rng, depth - 1, may_fail),
+                RandomPredicate(rng, depth - 1, may_fail));
+    default:
+      return Not(RandomPredicate(rng, depth - 1, may_fail));
+  }
+}
+
+/// A scan's filter for the top-N tests: no predicate a third of the time,
+/// else a random tree that cannot fail.
+ExprPtr RandomFilter(Rng& rng) {
+  if (rng.NextBounded(3) == 0) return nullptr;
+  return RandomPredicate(rng, 2, /*may_fail=*/false);
 }
 
 /// Every live row the spec's filter admits, in slot order.
@@ -783,6 +846,198 @@ TEST_P(TopNDifferentialTest, IntKeyedTablesMatchReferenceSorts) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, TopNDifferentialTest,
                          ::testing::Values(2ull, 11ull, 97ull, 4242ull));
+
+// ---- Compiled predicates vs EvalPredicate, row by row -------------------
+
+/// What the reference filter saw: the matching rows (slot order) and the
+/// first error, which ends the pass.
+struct RefFiltered {
+  Status status;
+  std::vector<Tuple> rows;
+  std::vector<bool> matched;  // per live row visited, in slot order
+};
+
+/// EvalPredicate on each live row in slot order. With `stop_after`, the
+/// pass also ends once that many rows matched (an unordered LIMIT), after
+/// counting at least one.
+RefFiltered RefFilter(const Table& table, const ExprPtr& predicate,
+                      bool include_staged,
+                      std::optional<size_t> stop_after = std::nullopt) {
+  RefFiltered out;
+  table.ForEach(
+      [&](RowId, const Tuple& row, const RowMeta&) {
+        Result<bool> match = EvalPredicate(predicate, row);
+        if (!match.ok()) {
+          out.status = match.status();
+          return false;
+        }
+        out.matched.push_back(*match);
+        if (!*match) return true;
+        out.rows.push_back(row);
+        return !(stop_after.has_value() && out.rows.size() >= *stop_after);
+      },
+      include_staged);
+  return out;
+}
+
+/// A MixedSchema table holding `rows` (false == staged), with a non-unique
+/// index on column 0 when `indexed`, so `a = lit` writes probe it.
+std::unique_ptr<Table> FilledTable(
+    const std::vector<std::pair<Tuple, bool>>& rows, bool indexed) {
+  auto table = std::make_unique<Table>("t", MixedSchema());
+  if (indexed) {
+    EXPECT_TRUE(table->CreateIndex("by_a", {"a"}, false).ok());
+  }
+  Executor exec;
+  for (const auto& [row, active] : rows) {
+    EXPECT_TRUE(exec.Insert(table.get(), row, 0, active).ok());
+  }
+  return table;
+}
+
+class PredicateDifferentialTest : public ::testing::TestWithParam<uint64_t> {};
+
+// Random predicate trees — all six comparisons, column/literal/arithmetic
+// operands of every type with NULL and NaN, AND/OR/NOT, IS NULL, a bare
+// column's truth, a column past the arity and divisions by zero — through
+// every executor entry point that filters, against EvalPredicate row by
+// row: the same rows, and the same status when a row's test fails.
+TEST_P(PredicateDifferentialTest, EveryEntryPointMatchesEvalPredicate) {
+  Rng rng(GetParam());
+  Executor exec;
+  for (int round = 0; round < 40; ++round) {
+    std::vector<std::pair<Tuple, bool>> rows;
+    size_t n = rng.NextBounded(24);
+    for (size_t i = 0; i < n; ++i) {
+      Tuple row;
+      for (size_t c = 0; c < 4; ++c) row.push_back(RandomCell(rng, c));
+      rows.push_back({std::move(row), rng.NextBool(0.8)});
+    }
+    bool indexed = rng.NextBool(0.5);
+    std::unique_ptr<Table> table = FilledTable(rows, indexed);
+    for (int q = 0; q < 12; ++q) {
+      ExprPtr pred = RandomPredicate(rng, 3, /*may_fail=*/true);
+      if (rng.NextBool(0.3)) {
+        // Now and then the point-write shape: `a = literal`.
+        pred = Eq(Col(0), LitInt(rng.NextRange(-2, 3)));
+      }
+      bool staged = rng.NextBool(0.3);
+      std::string at = "seed " + std::to_string(GetParam()) + " round " +
+                       std::to_string(round) + " query " + std::to_string(q) +
+                       " " + pred->ToString();
+      RefFiltered ref = RefFilter(*table, pred, staged);
+
+      // Scan, unordered and unlimited: every match in slot order.
+      ScanSpec spec;
+      spec.table = table.get();
+      spec.predicate = pred;
+      spec.include_staged = staged;
+      Result<std::vector<Tuple>> got = exec.Scan(spec);
+      ASSERT_EQ(got.status().ToString(), ref.status.ToString()) << at;
+      if (got.ok()) {
+        EXPECT_EQ(Render(*got), Render(ref.rows)) << at;
+      }
+
+      // Scan with ORDER BY ... LIMIT: the filter and the bounded selection
+      // in one pass, which sees every row.
+      spec.order_by = RandomOrderBy(rng, 4);
+      if (spec.order_by.empty()) {
+        spec.order_by.push_back({static_cast<size_t>(rng.NextBounded(4)),
+                                 rng.NextBool(0.5)});
+      }
+      spec.limit = rng.NextBounded(n + 2);
+      got = exec.Scan(spec);
+      ASSERT_EQ(got.status().ToString(), ref.status.ToString()) << at;
+      if (got.ok()) {
+        std::vector<Tuple> expected = ref.rows;
+        RefOrder(&expected, spec.order_by, spec.limit);
+        EXPECT_EQ(Render(*got), Render(expected)) << at << " top-N";
+      }
+
+      // Scan with a LIMIT and no ORDER BY stops at the limit-th match.
+      spec.order_by.clear();
+      RefFiltered early = RefFilter(*table, pred, staged, spec.limit);
+      got = exec.Scan(spec);
+      ASSERT_EQ(got.status().ToString(), early.status.ToString()) << at;
+      if (got.ok()) {
+        early.rows.resize(std::min(early.rows.size(), *spec.limit));
+        EXPECT_EQ(Render(*got), Render(early.rows)) << at << " limit";
+      }
+
+      // Count, over active rows only.
+      RefFiltered active = RefFilter(*table, pred, false);
+      Result<size_t> count = exec.Count(table.get(), pred);
+      ASSERT_EQ(count.status().ToString(), active.status.ToString()) << at;
+      if (count.ok()) {
+        EXPECT_EQ(*count, active.rows.size()) << at << " count";
+      }
+
+      // Aggregate: GROUP BY a random column, COUNT, top-N by count.
+      AggregateSpec agg;
+      agg.table = table.get();
+      agg.predicate = pred;
+      agg.include_staged = staged;
+      agg.group_by = {static_cast<size_t>(rng.NextBounded(4))};
+      agg.aggregates = {{AggFunc::kCount, 0}};
+      agg.order_by = {{1, true}};
+      agg.limit = rng.NextBounded(4);
+      Result<std::vector<Tuple>> grouped = exec.Aggregate(agg);
+      ASSERT_EQ(grouped.status().ToString(), ref.status.ToString()) << at;
+      if (grouped.ok()) {
+        std::vector<Tuple> expected =
+            RefAggregate(ref.rows, agg.group_by, agg.aggregates);
+        RefOrder(&expected, agg.order_by, agg.limit);
+        EXPECT_EQ(RenderAggregate(*grouped, agg),
+                  RenderAggregate(expected, agg))
+            << at << " aggregate";
+      }
+
+      // Delete and Update, each on a fresh copy: all or nothing.
+      std::vector<std::string> unmatched, updated;
+      size_t visited = 0;
+      table->ForEach(
+          [&](RowId rid, const Tuple& row, const RowMeta& meta) {
+            bool visible = staged || meta.active;
+            bool hit = visible && ref.status.ok() && ref.matched[visited];
+            if (visible) ++visited;
+            std::string tail = meta.active ? "" : " staged";
+            if (!hit) {
+              unmatched.push_back(std::to_string(rid) + " " +
+                                  TupleToString(row) + tail);
+            }
+            Tuple next = row;
+            if (hit && !next[0].is_null()) {
+              next[0] = Value::BigInt(next[0].as_int64() + 1);
+            }
+            updated.push_back(std::to_string(rid) + " " + TupleToString(next) +
+                              tail);
+            return true;
+          },
+          /*include_staged=*/true);
+      std::unique_ptr<Table> victim = FilledTable(rows, indexed);
+      std::vector<std::string> before = SlotContents(*victim);
+      Result<size_t> deleted = exec.Delete(victim.get(), pred, staged);
+      ASSERT_EQ(deleted.status().ToString(), ref.status.ToString()) << at;
+      EXPECT_EQ(SlotContents(*victim), deleted.ok() ? unmatched : before)
+          << at << " delete";
+      if (deleted.ok()) {
+        EXPECT_EQ(*deleted, ref.rows.size()) << at;
+      }
+      std::unique_ptr<Table> target = FilledTable(rows, indexed);
+      Result<size_t> changed = exec.Update(
+          target.get(), pred, {{0, Add(Col(0), LitInt(1))}}, staged);
+      ASSERT_EQ(changed.status().ToString(), ref.status.ToString()) << at;
+      EXPECT_EQ(SlotContents(*target), changed.ok() ? updated : before)
+          << at << " update";
+      if (changed.ok()) {
+        EXPECT_EQ(*changed, ref.rows.size()) << at;
+      }
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, PredicateDifferentialTest,
+                         ::testing::Values(5ull, 19ull, 313ull, 9001ull));
 
 // ---- Key-free hash index entries vs a linear reference -----------------
 

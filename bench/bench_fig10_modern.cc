@@ -80,7 +80,7 @@ void BM_SStore(benchmark::State& state) {
     store.Start();
     state.ResumeTiming();
 
-    std::vector<sstore::TicketPtr> tickets;
+    std::vector<sstore::BatchTicketPtr> tickets;
     tickets.reserve(votes.size());
     for (const Tuple& vote : votes) tickets.push_back(app.InjectVoteAsync(vote));
     for (auto& t : tickets) t->Wait();

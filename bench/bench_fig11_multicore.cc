@@ -84,7 +84,7 @@ void BM_LinearRoadScaling(benchmark::State& state) {
         gen_config.vehicles_per_xway = kVehiclesPerXway;
         gen_config.seed = 1000 + static_cast<uint64_t>(c);
         LinearRoadGenerator gen(gen_config);
-        std::vector<sstore::TicketPtr> tickets;
+        std::vector<sstore::BatchTicketPtr> tickets;
         for (int s = 0; s < kDurationSec; ++s) {
           for (PositionReport r : gen.NextSecond()) {
             r.xway = r.xway * cores + c;

@@ -39,7 +39,7 @@ void BM_PeTriggersSStore(benchmark::State& state) {
     state.ResumeTiming();
 
     // Asynchronous, non-blocking client: PE triggers drive the chain.
-    std::vector<sstore::TicketPtr> tickets;
+    std::vector<sstore::BatchTicketPtr> tickets;
     tickets.reserve(kWorkflowsPerRun);
     for (int i = 0; i < kWorkflowsPerRun; ++i) {
       tickets.push_back(injector.InjectAsync({Value::BigInt(i)}));

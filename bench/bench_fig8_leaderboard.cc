@@ -38,7 +38,7 @@ double DriveSStore(SStore& store, VoterApp& app, int rate) {
   auto deadline = start + std::chrono::duration<double>(kRunSeconds);
   int64_t interval_ns = static_cast<int64_t>(1e9 / rate);
   auto next_send = start;
-  std::vector<sstore::TicketPtr> tickets;
+  std::vector<sstore::BatchTicketPtr> tickets;
   while (std::chrono::steady_clock::now() < deadline) {
     if (std::chrono::steady_clock::now() >= next_send) {
       tickets.push_back(app.InjectVoteAsync(gen.Next()));

@@ -84,7 +84,7 @@ void BM_LoggingThroughput(benchmark::State& state) {
     sstore::Table* done = *cluster.store(0).catalog().GetTable("done");
     state.ResumeTiming();
 
-    std::vector<sstore::TicketPtr> tickets;
+    std::vector<sstore::BatchTicketPtr> tickets;
     for (int i = 0; i < kWorkflowsPerRun; ++i) {
       tickets.push_back(injector.InjectAsync({Value::BigInt(i)}));
     }

@@ -4,8 +4,9 @@
 // queue synchronization, completion signaling.
 //
 // Benchmarks:
-//   BM_SubmitPerInvocation   — the baseline: one TxnTicket (allocation +
-//                              mutex/cv) per invocation, waited per batch.
+//   BM_SubmitPerInvocation   — the baseline: one one-slot BatchTicket
+//                              (allocation + mutex/cv) per invocation,
+//                              waited per batch.
 //   BM_SubmitBatch           — batch-at-a-time: one BatchTicket per batch of
 //                              K invocations, enqueued under one lock.
 //   BM_InjectPerInvocation / — the same pair through StreamInjector (batch
@@ -65,7 +66,6 @@ using sstore::SpKind;
 using sstore::SStore;
 using sstore::Status;
 using sstore::StreamInjector;
-using sstore::TicketPtr;
 using sstore::Topology;
 using sstore::Tuple;
 using sstore::Value;
@@ -107,7 +107,7 @@ void BM_SubmitPerInvocation(benchmark::State& state) {
   obs.Attach(&store);
   store.Start();
 
-  std::vector<TicketPtr> tickets;
+  std::vector<BatchTicketPtr> tickets;
   tickets.reserve(kBatch);
   for (auto _ : state) {
     tickets.clear();
@@ -155,7 +155,7 @@ void BM_InjectPerInvocation(benchmark::State& state) {
   store.Start();
   StreamInjector injector(&store.partition(), "nop");
 
-  std::vector<TicketPtr> tickets;
+  std::vector<BatchTicketPtr> tickets;
   tickets.reserve(kBatch);
   for (auto _ : state) {
     tickets.clear();
@@ -227,10 +227,12 @@ void BM_ClusterIngest(benchmark::State& state) {
                  ++i, ++done) {
               batch.push_back({Value::BigInt(p * kItemsPerProducer + done)});
             }
-            injector.InjectBatchAsync(std::move(batch)).Wait();
+            for (auto& t : injector.InjectBatchAsync(std::move(batch))) {
+              t->Wait();
+            }
           }
         } else {
-          std::vector<TicketPtr> tickets;
+          std::vector<BatchTicketPtr> tickets;
           tickets.reserve(kBatch);
           for (int done = 0; done < kItemsPerProducer;) {
             tickets.clear();

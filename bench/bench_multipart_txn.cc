@@ -38,9 +38,9 @@
 
 namespace {
 
+using sstore::BatchTicketPtr;
 using sstore::Cluster;
 using sstore::ClusterStats;
-using sstore::MultiKeyTicketPtr;
 using sstore::PartitionMap;
 using sstore::VoterClusterApp;
 using sstore::VoterClusterConfig;
@@ -64,7 +64,9 @@ Cluster::Options BenchOpts() {
 
 void ReportCoordCounters(benchmark::State& state, Cluster& cluster) {
   ClusterStats stats = cluster.GatherStats();
-  state.counters["avg_round_us"] = stats.coord.avg_round_latency_us();
+  const auto rounds = cluster.coordinator().round_latency_us().snapshot();
+  state.counters["avg_round_us"] = rounds.Mean();
+  state.counters["p99_round_us"] = static_cast<double>(rounds.Percentile(99));
   state.counters["aborts"] = static_cast<double>(stats.coord.aborts);
 }
 
@@ -116,7 +118,7 @@ void BM_GlobalOrderPipelined(benchmark::State& state) {
   cluster.Start();
   VoterClusterApp app(&cluster, config);
 
-  std::deque<MultiKeyTicketPtr> window;
+  std::deque<BatchTicketPtr> window;
   int64_t i = 0;
   for (auto _ : state) {
     window.push_back(app.TransferAsync(i % config.num_contestants,

@@ -124,7 +124,7 @@ void ReportChannelCounters(benchmark::State& state, Cluster& cluster) {
   state.counters["channel_rows"] = static_cast<double>(channels.rows_forwarded);
 }
 
-void DrainWindow(std::deque<TicketPtr>& window, size_t limit) {
+void DrainWindow(std::deque<BatchTicketPtr>& window, size_t limit) {
   while (window.size() > limit) {
     window.front()->Wait();
     window.pop_front();
@@ -146,7 +146,7 @@ void BM_ReplicatedPipeline(benchmark::State& state) {
   inj_opts.key_column = 0;
   ClusterInjector injector(&cluster, "ingest", inj_opts);
 
-  std::deque<TicketPtr> window;
+  std::deque<BatchTicketPtr> window;
   int64_t i = 0;
   for (auto _ : state) {
     window.push_back(
@@ -169,7 +169,7 @@ void BM_PlacedPipeline(benchmark::State& state) {
   cluster.Start();
   StreamInjector injector(&cluster.partition(0), "ingest");
 
-  std::deque<TicketPtr> window;
+  std::deque<BatchTicketPtr> window;
   int64_t i = 0;
   for (auto _ : state) {
     window.push_back(
@@ -204,7 +204,7 @@ void RunLinearRoad(benchmark::State& state, Cluster& cluster,
   std::vector<PositionReport> second = gen.NextSecond();
   size_t next = 0;
 
-  std::deque<TicketPtr> window;
+  std::deque<BatchTicketPtr> window;
   for (auto _ : state) {
     if (next == second.size()) {
       second = gen.NextSecond();

@@ -90,7 +90,7 @@ void SeedKeys(ClusterInjector& injector) {
   for (int64_t k = 0; k < kKeys; ++k) {
     batch.push_back({Value::BigInt(k), Value::BigInt(k)});
   }
-  injector.InjectBatchAsync(std::move(batch)).Wait();
+  for (auto& t : injector.InjectBatchAsync(std::move(batch))) t->Wait();
 }
 
 void IngestLoop(benchmark::State& state, Cluster& cluster) {
@@ -106,7 +106,7 @@ void IngestLoop(benchmark::State& state, Cluster& cluster) {
       batch.push_back(
           {Value::BigInt((val + i) % kKeys), Value::BigInt(val + i)});
     }
-    injector.InjectBatchAsync(std::move(batch)).Wait();
+    for (auto& t : injector.InjectBatchAsync(std::move(batch))) t->Wait();
     val += kBatch;
     items += kBatch;
   }
@@ -146,7 +146,7 @@ void BM_SplitCutover(benchmark::State& state) {
       for (int64_t k = 0; k < rows; ++k) {
         batch.push_back({Value::BigInt(k), Value::BigInt(k)});
       }
-      injector.InjectBatchAsync(std::move(batch)).Wait();
+      for (auto& t : injector.InjectBatchAsync(std::move(batch))) t->Wait();
     }
     cluster.WaitIdle();
     RebalancePlan plan;

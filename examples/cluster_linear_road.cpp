@@ -112,7 +112,7 @@ int main(int argc, char** argv) {
   ClusterInjector injector(&cluster, "position_report", inj_opts);
 
   LinearRoadGenerator gen(config);
-  std::vector<TicketPtr> tickets;
+  std::vector<BatchTicketPtr> tickets;
   int64_t total_reports = 0;
   int64_t probes = 0;
   int64_t last_probe_total = 0;
@@ -195,7 +195,7 @@ int main(int argc, char** argv) {
         static_cast<long long>(probes),
         static_cast<unsigned long long>(stats.coord.commits),
         static_cast<unsigned long long>(stats.coord.aborts),
-        stats.coord.avg_round_latency_us(),
+        cluster.coordinator().round_latency_us().snapshot().Mean(),
         static_cast<long long>(last_probe_total));
   }
   return total_reports > 0 &&

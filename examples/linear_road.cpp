@@ -37,7 +37,7 @@ int main(int argc, char** argv) {
   store.Start();
 
   LinearRoadGenerator gen(config);
-  std::vector<TicketPtr> tickets;
+  std::vector<BatchTicketPtr> tickets;
   int64_t total_reports = 0;
   for (int s = 0; s < sim_seconds; ++s) {
     for (const PositionReport& r : gen.NextSecond()) {

@@ -50,13 +50,13 @@ int main(int argc, char** argv) {
   store.Start();
   VoteGenerator gen(config, /*seed=*/2026);
   int accepted = 0, rejected = 0;
-  std::vector<TicketPtr> tickets;
+  std::vector<BatchTicketPtr> tickets;
   tickets.reserve(num_votes);
   for (int i = 0; i < num_votes; ++i) {
     tickets.push_back(app.InjectVoteAsync(gen.Next()));
   }
   for (auto& t : tickets) {
-    if (t->Wait().committed()) {
+    if (t->Wait()[0].committed()) {
       ++accepted;
     } else {
       ++rejected;  // duplicate phone or removed contestant

@@ -226,7 +226,7 @@ TxnOutcome Cluster::ExecuteSync(const std::string& proc, Tuple params,
                                 const Value& key, int64_t batch_id) {
   size_t p = 0;
   bool inline_mode = false;
-  TicketPtr ticket = AdmitRouted(
+  BatchTicketPtr ticket = AdmitRouted(
       [&](const PartitionMap& map) {
         p = map.PartitionOf(key);
         // Inline only when the whole cluster is down (seeding,
@@ -241,7 +241,7 @@ TxnOutcome Cluster::ExecuteSync(const std::string& proc, Tuple params,
         }
         return std::array<size_t, 1>{p};
       },
-      [&]() -> TicketPtr {
+      [&]() -> BatchTicketPtr {
         if (inline_mode) return nullptr;
         return partition(p).SubmitAsync(
             Invocation{proc, std::move(params), batch_id},
@@ -255,7 +255,7 @@ TxnOutcome Cluster::ExecuteSync(const std::string& proc, Tuple params,
     // control thread, which is us.
     return part.ExecuteSync(proc, std::move(params), batch_id);
   }
-  TxnOutcome outcome = ticket->Wait();
+  TxnOutcome outcome = ticket->Wait()[0];
   // The modeled client<->PE round trip (paper Figures 6/8): a synchronous
   // cluster client pays it exactly as a single-partition one does.
   part.PayClientRoundTrip();
@@ -297,7 +297,7 @@ BatchTicketPtr Cluster::SubmitBatchToPartition(size_t p,
   return stores_[p]->partition().SubmitBatchAsync(std::move(invs));
 }
 
-MultiKeyTicketPtr Cluster::SubmitMulti(
+BatchTicketPtr Cluster::SubmitMulti(
     const std::string& proc, std::vector<std::pair<Value, Tuple>> ops) {
   // Routing happens inside the coordinator's admission gate so a concurrent
   // Rebalance — which quiesces that gate before flipping the map — can
@@ -319,9 +319,7 @@ MultiKeyTicketPtr Cluster::SubmitMulti(
 
 std::vector<TxnOutcome> Cluster::ExecuteMulti(
     const std::string& proc, std::vector<std::pair<Value, Tuple>> ops) {
-  MultiKeyTicketPtr ticket = SubmitMulti(proc, std::move(ops));
-  ticket->Wait();
-  return ticket->outcomes();
+  return SubmitMulti(proc, std::move(ops))->Wait();
 }
 
 std::vector<TxnOutcome> Cluster::ExecuteOnAll(const std::string& proc,
@@ -332,7 +330,7 @@ std::vector<TxnOutcome> Cluster::ExecuteOnAll(const std::string& proc,
   // count is read inside the admission gate, like SubmitMulti's routing: a
   // Rebalance split grows the cluster only while the gate is quiesced, so
   // an admitted transaction always covers every partition.
-  MultiKeyTicketPtr ticket = coordinator_->SubmitMulti([&] {
+  BatchTicketPtr ticket = coordinator_->SubmitMulti([&] {
     std::vector<MultiOp> ops(num_partitions());
     for (size_t p = 0; p < ops.size(); ++p) {
       ops[p].partition = p;
@@ -340,8 +338,7 @@ std::vector<TxnOutcome> Cluster::ExecuteOnAll(const std::string& proc,
     }
     return ops;
   });
-  ticket->Wait();
-  return ticket->outcomes();
+  return ticket->Wait();
 }
 
 std::string Cluster::SnapshotPath(const std::string& dir,
@@ -1122,12 +1119,15 @@ void Cluster::InstrumentStore(SStore& store, size_t p) {
 
 MetricsSnapshot Cluster::SnapshotMetrics() const {
   MetricsSnapshot out;
-  MetricSample latency;
-  latency.name = "sstore_txn_latency_us";
-  latency.kind = MetricKind::kHistogram;
-  latency.hist = txn_latency_.snapshot();
-  latency.value = static_cast<double>(latency.hist.count);
-  out.samples.push_back(std::move(latency));
+  auto add_histogram = [&out](std::string name, const LatencyHistogram& h) {
+    MetricSample sample;
+    sample.name = std::move(name);
+    sample.kind = MetricKind::kHistogram;
+    sample.hist = h.snapshot();
+    sample.value = static_cast<double>(sample.hist.count);
+    out.samples.push_back(std::move(sample));
+  };
+  add_histogram("sstore_txn_latency_us", txn_latency_);
 
   auto add = [&out](std::string name, MetricKind kind, uint64_t value) {
     out.Add(std::move(name), kind, static_cast<double>(value));
@@ -1176,8 +1176,8 @@ MetricsSnapshot Cluster::SnapshotMetrics() const {
   add("sstore_coord_prepares_total", MetricKind::kCounter, cs.coord.prepares);
   add("sstore_coord_commits_total", MetricKind::kCounter, cs.coord.commits);
   add("sstore_coord_aborts_total", MetricKind::kCounter, cs.coord.aborts);
-  out.Add("sstore_coord_round_latency_us_avg", MetricKind::kGauge,
-          cs.coord.avg_round_latency_us());
+  add_histogram("sstore_coord_round_latency_us",
+                coordinator_->round_latency_us());
 
   // Durability (cumulative across rotation epochs).
   add("sstore_log_records_appended_total", MetricKind::kCounter,

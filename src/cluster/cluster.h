@@ -298,11 +298,11 @@ class Cluster {
 
   /// Submits one atomic transaction whose ops are routed by key: each
   /// (key, params) pair becomes a fragment on the key's owning partition,
-  /// all fragments commit or all abort. Outcomes are indexed by pair
-  /// submission order. Returns once the fragments are enqueued (on a
+  /// all fragments commit or all abort. The ticket has one slot per pair,
+  /// in submission order. Returns once the fragments are enqueued (on a
   /// stopped cluster, once the transaction has run inline).
-  MultiKeyTicketPtr SubmitMulti(const std::string& proc,
-                                std::vector<std::pair<Value, Tuple>> ops);
+  BatchTicketPtr SubmitMulti(const std::string& proc,
+                             std::vector<std::pair<Value, Tuple>> ops);
 
   /// Submit + Wait for the keyed form.
   std::vector<TxnOutcome> ExecuteMulti(

@@ -17,46 +17,6 @@
 
 namespace sstore {
 
-/// Completion handle for one keyed batch injection: the batch was split by
-/// key across partitions, so completion is the conjunction of one
-/// BatchTicket per touched partition (still O(partitions) waits, not
-/// O(tuples)).
-class ClusterBatchTicket {
- public:
-  void Wait() {
-    for (auto& t : tickets_) t->Wait();
-  }
-  bool TryWait() {
-    for (auto& t : tickets_) {
-      if (!t->TryWait()) return false;
-    }
-    return true;
-  }
-  size_t size() const {
-    size_t n = 0;
-    for (auto& t : tickets_) n += t->size();
-    return n;
-  }
-  size_t committed() const {
-    size_t n = 0;
-    for (auto& t : tickets_) n += t->committed();
-    return n;
-  }
-  size_t aborted() const {
-    size_t n = 0;
-    for (auto& t : tickets_) n += t->aborted();
-    return n;
-  }
-  bool all_committed() const { return committed() == size(); }
-
-  /// Per-partition tickets, in partition order of first touch.
-  const std::vector<BatchTicketPtr>& per_partition() const { return tickets_; }
-
- private:
-  friend class ClusterInjector;
-  std::vector<BatchTicketPtr> tickets_;
-};
-
 /// Keyed generalization of StreamInjector (paper §3.2 Figure 4, scaled out
 /// per §4.7): prepares atomic batches and invokes the workflow's border
 /// stored procedure on the partition that *owns the batch's key*, so each
@@ -106,7 +66,8 @@ class ClusterInjector {
 
   /// Non-blocking injection routed by the batch's key column against the
   /// live partition map — it blocks only while the owner's queue is full.
-  TicketPtr InjectAsync(Tuple batch) {
+  /// One-slot ticket.
+  BatchTicketPtr InjectAsync(Tuple batch) {
     size_t p = 0;
     return cluster_->AdmitRouted(
         [&](const PartitionMap& map) {
@@ -127,8 +88,10 @@ class ClusterInjector {
   /// Batch-at-a-time injection: splits the batch by key, then submits one
   /// invocation group per touched partition under its lane lock — one
   /// allocation and one completion signal per partition instead of per
-  /// tuple. Per-partition batch ids remain consecutive and ordered.
-  ClusterBatchTicket InjectBatchAsync(std::vector<Tuple> batches) {
+  /// tuple. Per-partition batch ids remain consecutive and ordered. Tickets
+  /// come back in partition order of first touch, as from
+  /// Cluster::SubmitBatchAsync.
+  std::vector<BatchTicketPtr> InjectBatchAsync(std::vector<Tuple> batches) {
     // Tuple indices per partition; tuples move only once admitted.
     std::vector<std::vector<size_t>> routed;
     std::vector<size_t> touched;
@@ -144,7 +107,8 @@ class ClusterInjector {
           return touched;
         },
         [&] {
-          ClusterBatchTicket ticket;
+          std::vector<BatchTicketPtr> tickets;
+          tickets.reserve(touched.size());
           for (size_t p : touched) {
             Lane& lane = LaneOf(p);
             std::lock_guard<std::mutex> hold(lane.mu);
@@ -154,17 +118,17 @@ class ClusterInjector {
               invs.push_back(Invocation{border_proc_, std::move(batches[i]),
                                         lane.next_batch_id++});
             }
-            ticket.tickets_.push_back(cluster_->partition(p).SubmitBatchAsync(
+            tickets.push_back(cluster_->partition(p).SubmitBatchAsync(
                 std::move(invs), EnqueuePolicy::kSpillWhenFull));
           }
-          return ticket;
+          return tickets;
         });
   }
 
   /// Blocking injection: waits for the border transaction to commit on the
   /// owning partition.
   TxnOutcome InjectSync(Tuple batch) {
-    return InjectAsync(std::move(batch))->Wait();
+    return InjectAsync(std::move(batch))->Wait()[0];
   }
 
   /// Total batches injected across all partitions.

@@ -269,13 +269,12 @@ void StreamChannel::DrainLane(size_t lane) {
       Delivery& front = inflight.front();
       bool all_done = true;
       bool all_committed = true;
-      for (TicketPtr& ticket : front.tickets) {
-        TxnOutcome out;
-        if (!ticket->TryGet(&out)) {
+      for (BatchTicketPtr& ticket : front.tickets) {
+        if (!ticket->TryWait()) {
           all_done = false;
           break;
         }
-        all_committed = all_committed && out.committed();
+        all_committed = all_committed && ticket->outcome(0).committed();
       }
       // FIFO only: an unacked front delivery blocks later ones so the raw
       // batches GC in stream order.

@@ -130,7 +130,7 @@ class StreamChannel {
  private:
   struct Delivery {
     int64_t producer_batch;
-    std::vector<TicketPtr> tickets;  // one per target partition
+    std::vector<BatchTicketPtr> tickets;  // one-slot, one per target partition
   };
   struct Lane {
     std::mutex mu;

@@ -18,31 +18,10 @@ const char* SpKindToString(SpKind kind) {
   return "UNKNOWN";
 }
 
-TxnOutcome TxnTicket::Wait() {
+const std::vector<TxnOutcome>& BatchTicket::Wait() {
   std::unique_lock<std::mutex> lock(mu_);
   cv_.wait(lock, [this] { return done_; });
-  return outcome_;
-}
-
-bool TxnTicket::TryGet(TxnOutcome* out) {
-  std::lock_guard<std::mutex> lock(mu_);
-  if (!done_) return false;
-  *out = outcome_;
-  return true;
-}
-
-void TxnTicket::Fulfill(TxnOutcome outcome) {
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    outcome_ = std::move(outcome);
-    done_ = true;
-  }
-  cv_.notify_all();
-}
-
-void BatchTicket::Wait() {
-  std::unique_lock<std::mutex> lock(mu_);
-  cv_.wait(lock, [this] { return done_; });
+  return outcomes_;
 }
 
 bool BatchTicket::TryWait() {
@@ -50,9 +29,9 @@ bool BatchTicket::TryWait() {
   return done_;
 }
 
-void BatchTicket::Fulfill(size_t index, TxnOutcome outcome) {
+void BatchTicket::Fulfill(size_t slot, TxnOutcome outcome) {
   bool ok = outcome.committed();
-  outcomes_[index] = std::move(outcome);
+  outcomes_[slot] = std::move(outcome);
   (ok ? committed_ : aborted_).fetch_add(1, std::memory_order_release);
   if (remaining_.fetch_sub(1, std::memory_order_acq_rel) == 1) {
     CompletionHook callback;
@@ -210,13 +189,13 @@ int64_t Partition::SampleStamp() {
   return now;
 }
 
-TicketPtr Partition::SubmitAsync(Invocation inv, EnqueuePolicy policy) {
-  auto ticket = std::make_shared<TxnTicket>();
+BatchTicketPtr Partition::SubmitAsync(Invocation inv, EnqueuePolicy policy) {
+  auto ticket = std::make_shared<BatchTicket>(1);
   const int64_t stamp = SampleStamp();
   client_requests_.fetch_add(1, std::memory_order_relaxed);
   PushBack(1, policy, [&](Task& task, size_t) {
     task.inv = std::move(inv);
-    task.ticket = ticket;
+    task.batch = ticket;
     task.sample_ts = stamp;
   });
   return ticket;
@@ -265,7 +244,7 @@ TxnOutcome Partition::ExecuteSync(const std::string& proc, Tuple params,
   Invocation inv{proc, std::move(params), batch_id};
   TxnOutcome outcome;
   if (running()) {
-    outcome = SubmitAsync(std::move(inv))->Wait();
+    outcome = SubmitAsync(std::move(inv))->Wait()[0];
   } else {
     // Inline mode for single-threaded tests and recovery replay: run the
     // transaction and then drain anything PE triggers enqueued.
@@ -276,12 +255,13 @@ TxnOutcome Partition::ExecuteSync(const std::string& proc, Tuple params,
   return outcome;
 }
 
-TicketPtr Partition::SubmitNestedAsync(std::vector<Invocation> children) {
-  auto ticket = std::make_shared<TxnTicket>();
+BatchTicketPtr Partition::SubmitNestedAsync(
+    std::vector<Invocation> children) {
+  auto ticket = std::make_shared<BatchTicket>(1);
   client_requests_.fetch_add(1, std::memory_order_relaxed);
   PushBack(1, EnqueuePolicy::kBlockWhenFull, [&](Task& task, size_t) {
     task.fn = [ticket, children = std::move(children)](Partition& p) mutable {
-      ticket->Fulfill(p.RunNestedGroup(std::move(children)));
+      ticket->Fulfill(0, p.RunNestedGroup(std::move(children)));
     };
   });
   return ticket;
@@ -293,7 +273,7 @@ TxnOutcome Partition::ExecuteNestedSync(std::vector<Invocation> children) {
     DrainQueueInline();
     return outcome;
   }
-  TxnOutcome outcome = SubmitNestedAsync(std::move(children))->Wait();
+  TxnOutcome outcome = SubmitNestedAsync(std::move(children))->Wait()[0];
   SpendClientRoundTrip(client_rtt_micros_);
   return outcome;
 }
@@ -589,9 +569,7 @@ void Partition::RunTask(Task& task) {
     scratch.txn_id = outcome.txn_id;
     FinishSampledTask(task.sample_ts, dequeue_us, scratch);
   }
-  if (task.ticket != nullptr) {
-    task.ticket->Fulfill(std::move(outcome));
-  } else if (task.batch != nullptr) {
+  if (task.batch != nullptr) {
     task.batch->Fulfill(task.batch_index, std::move(outcome));
   }
 }

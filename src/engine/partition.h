@@ -71,32 +71,21 @@ enum class EnqueuePolicy {
   kSpillWhenFull,
 };
 
-/// Completion handle for an asynchronously submitted transaction. The
-/// client blocks in Wait(); the partition worker fulfills it after commit
-/// (and, when logging, after the commit record is durable). This handoff is
-/// the client<->PE round trip whose cost Figures 6 and 8 measure.
-class TxnTicket {
- public:
-  TxnOutcome Wait();
-  bool TryGet(TxnOutcome* out);
-
- private:
-  friend class Partition;
-  void Fulfill(TxnOutcome outcome);
-
-  std::mutex mu_;
-  std::condition_variable cv_;
-  bool done_ = false;
-  TxnOutcome outcome_;
-};
-
-using TicketPtr = std::shared_ptr<TxnTicket>;
-
-/// Completion handle for a whole submitted batch: one allocation and one
-/// mutex/cv for N invocations, instead of N TxnTickets. Each invocation
-/// still commits or aborts independently (a batch is not a nested
-/// transaction); the ticket records every outcome by submission index and
-/// signals once, when the last invocation finishes.
+/// The one completion handle for client-visible work: one allocation and
+/// one mutex/cv for N outcome slots, signalled once, when the last slot is
+/// filled. A single submit (SubmitAsync, a nested group) is a one-slot
+/// ticket; a batch has one slot per invocation, each committing or aborting
+/// independently (a batch is not a nested transaction); a multi-partition
+/// transaction has one slot per op, filled by the participant that ran it.
+/// Waiting on it is the client<->PE round trip whose cost Figures 6 and 8
+/// measure.
+///
+/// Timing: the worker fills a slot when the task that ran it finishes —
+/// after its commit record (if the recovery mode logs one) is appended to
+/// the command log, but not necessarily flushed. With `group_commit_size` 1
+/// every append flushes, so an outcome is durable before it is visible;
+/// with a larger group the record may still sit in the log buffer, and a
+/// crash can lose a commit the client already saw (ROADMAP item 1).
 class BatchTicket {
  public:
   explicit BatchTicket(size_t size)
@@ -105,9 +94,10 @@ class BatchTicket {
   BatchTicket(const BatchTicket&) = delete;
   BatchTicket& operator=(const BatchTicket&) = delete;
 
-  /// Blocks until every invocation in the batch has finished.
-  void Wait();
-  /// Non-blocking: true once every invocation has finished.
+  /// Blocks until every slot is filled; returns outcomes() (empty when a
+  /// completion hook took them).
+  const std::vector<TxnOutcome>& Wait();
+  /// Non-blocking: true once every slot is filled.
   bool TryWait();
 
   size_t size() const { return outcomes_.size(); }
@@ -136,9 +126,11 @@ class BatchTicket {
 
  private:
   friend class Partition;
-  /// Worker thread, once per invocation; `index` slots are distinct so no
-  /// lock is needed until the final completion flips `done_`.
-  void Fulfill(size_t index, TxnOutcome outcome);
+  friend class TxnCoordinator;
+  /// The only place a worker publishes a client-visible outcome. Once per
+  /// slot; slots are distinct so no lock is needed until the final
+  /// completion flips `done_`.
+  void Fulfill(size_t slot, TxnOutcome outcome);
 
   std::vector<TxnOutcome> outcomes_;
   std::atomic<size_t> remaining_;
@@ -196,9 +188,11 @@ class Partition {
 
   // ---- Client API (any thread) ----
 
-  /// Enqueues at the back of the FIFO queue (ordinary client request).
-  TicketPtr SubmitAsync(Invocation inv,
-                        EnqueuePolicy policy = EnqueuePolicy::kBlockWhenFull);
+  /// Enqueues at the back of the FIFO queue (ordinary client request) with a
+  /// one-slot ticket: SubmitBatchAsync of one invocation, without building
+  /// the batch vector.
+  BatchTicketPtr SubmitAsync(
+      Invocation inv, EnqueuePolicy policy = EnqueuePolicy::kBlockWhenFull);
 
   /// Enqueues a whole batch of independent invocations with a single shared
   /// completion ticket: one allocation and one wait for the entire batch.
@@ -216,8 +210,9 @@ class Partition {
   /// back-to-back as one isolation unit; if any child aborts, all children
   /// roll back; commit hooks apply only when all commit. The group is one
   /// unit in the command log too: kPrepare records under a negative
-  /// partition-local id, closed by a kCommitMark (RunNestedGroup).
-  TicketPtr SubmitNestedAsync(std::vector<Invocation> children);
+  /// partition-local id, closed by a kCommitMark (RunNestedGroup). The
+  /// one-slot ticket carries the group's outcome.
+  BatchTicketPtr SubmitNestedAsync(std::vector<Invocation> children);
   TxnOutcome ExecuteNestedSync(std::vector<Invocation> children);
 
   // ---- Internal API (worker thread: PE triggers; or inline mode) ----
@@ -408,11 +403,10 @@ class Partition {
 
  private:
   struct Task {
-    Invocation inv;                      // the single-invocation case
+    Invocation inv;
     std::function<void(Partition&)> fn;  // non-null == closure task
-    TicketPtr ticket;                    // null for internal / batched work
-    BatchTicketPtr batch;                // shared by every task of one batch
-    uint32_t batch_index = 0;
+    BatchTicketPtr batch;                // null for internal work
+    uint32_t batch_index = 0;            // this invocation's slot in `batch`
     bool stop = false;
     /// Observability stamp set at submit: 0 = unsampled; >0 = submit time
     /// (µs, trace timebase) of a latency-sampled invocation; <0 = negated

@@ -30,8 +30,8 @@ class StreamInjector {
       : partition_(partition), border_proc_(std::move(border_proc)) {}
 
   /// Non-blocking injection (the paper's asynchronous, non-blocking client)
-  /// — it blocks only while the partition's queue is full.
-  TicketPtr InjectAsync(Tuple batch) {
+  /// — it blocks only while the partition's queue is full. One-slot ticket.
+  BatchTicketPtr InjectAsync(Tuple batch) {
     int64_t batch_id = next_batch_id_.fetch_add(1);
     return partition_->SubmitAsync(
         Invocation{border_proc_, std::move(batch), batch_id});

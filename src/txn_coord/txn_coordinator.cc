@@ -7,40 +7,6 @@
 
 namespace sstore {
 
-// ---- MultiKeyTicket --------------------------------------------------------
-
-void MultiKeyTicket::Wait() {
-  std::unique_lock<std::mutex> lock(mu_);
-  cv_.wait(lock, [this] { return done_; });
-}
-
-bool MultiKeyTicket::TryWait() {
-  std::lock_guard<std::mutex> lock(mu_);
-  return done_;
-}
-
-void MultiKeyTicket::FulfillParticipant(const std::vector<size_t>& op_indices,
-                                        std::vector<TxnOutcome> outs,
-                                        bool commit, Status decision_status) {
-  // Op slots are disjoint across participants; no lock needed until the
-  // final completion flips done_ (the BatchTicket rule).
-  for (size_t i = 0; i < op_indices.size(); ++i) {
-    outcomes_[op_indices[i]] = std::move(outs[i]);
-  }
-  bool last = remaining_.fetch_sub(1, std::memory_order_acq_rel) == 1;
-  if (!last) return;
-  bool decided_commit;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    committed_ = commit;
-    status_ = std::move(decision_status);
-    decided_commit = committed_;
-    done_ = true;
-  }
-  cv_.notify_all();
-  if (on_complete_) on_complete_(decided_commit);
-}
-
 // ---- WorkerBarrier ---------------------------------------------------------
 
 void WorkerBarrier::ArriveAndWait() {
@@ -68,11 +34,13 @@ namespace {
 /// VoteAndWait from their worker threads; the last voter computes the
 /// decision, makes a commit durable through `durable_commit`, and wakes the
 /// rest. A durable-commit failure demotes the decision to abort — an
-/// un-loggable decision must never be applied anywhere.
+/// un-loggable decision must never be applied anywhere. After applying the
+/// decision each participant calls Applied(); it returns true for the last.
 class MultiTxnControl {
  public:
   MultiTxnControl(size_t participants, std::function<Status()> durable_commit)
       : participants_(participants),
+        unapplied_(participants),
         durable_commit_(std::move(durable_commit)) {}
 
   /// Returns the decision (true == commit); `abort_reason` is the first
@@ -101,8 +69,13 @@ class MultiTxnControl {
     return commit_;
   }
 
+  bool Applied() {
+    return unapplied_.fetch_sub(1, std::memory_order_acq_rel) == 1;
+  }
+
  private:
   size_t participants_;
+  std::atomic<size_t> unapplied_;
   std::function<Status()> durable_commit_;
   std::mutex mu_;
   std::condition_variable cv_;
@@ -131,12 +104,23 @@ TxnCoordinator::TxnCoordinator(std::vector<Partition*> partitions,
 
 TxnCoordinator::~TxnCoordinator() = default;
 
-MultiKeyTicketPtr TxnCoordinator::ErrorTicket(size_t num_ops, Status status) {
-  auto ticket = std::make_shared<MultiKeyTicket>(num_ops, 0);
-  for (TxnOutcome& out : ticket->outcomes_) out.status = status;
-  ticket->done_ = true;
-  ticket->status_ = std::move(status);
+BatchTicketPtr TxnCoordinator::ErrorTicket(size_t num_ops,
+                                           const Status& status) {
+  auto ticket = std::make_shared<BatchTicket>(num_ops);
+  for (size_t i = 0; i < num_ops; ++i) {
+    TxnOutcome out;
+    out.status = status;
+    ticket->Fulfill(i, std::move(out));
+  }
   return ticket;
+}
+
+void TxnCoordinator::FulfillOps(BatchTicket& ticket,
+                                const std::vector<size_t>& op_idx,
+                                std::vector<TxnOutcome> outs) {
+  for (size_t i = 0; i < op_idx.size(); ++i) {
+    ticket.Fulfill(op_idx[i], std::move(outs[i]));
+  }
 }
 
 Status TxnCoordinator::AppendCommitDecision(int64_t gid) {
@@ -150,16 +134,8 @@ Status TxnCoordinator::AppendCommitDecision(int64_t gid) {
 
 void TxnCoordinator::CompleteTxn(bool commit, int64_t start_us) {
   (commit ? commits_ : aborts_).fetch_add(1, std::memory_order_relaxed);
-  int64_t elapsed = clock_.NowMicros() - start_us;
-  if (elapsed > 0) {
-    round_latency_us_.fetch_add(static_cast<uint64_t>(elapsed),
-                                std::memory_order_relaxed);
-  }
-  {
-    std::lock_guard<std::mutex> lock(gate_mu_);
-    --in_flight_;
-  }
-  gate_cv_.notify_all();
+  round_latency_us_.Record(clock_.NowMicros() - start_us);
+  ReleaseGate();
 }
 
 void TxnCoordinator::ReleaseGate() {
@@ -170,7 +146,7 @@ void TxnCoordinator::ReleaseGate() {
   gate_cv_.notify_all();
 }
 
-MultiKeyTicketPtr TxnCoordinator::SubmitMulti(
+BatchTicketPtr TxnCoordinator::SubmitMulti(
     std::function<std::vector<MultiOp>()> route) {
   // Admission gate first: checkpoints and rebalances quiesce here, and the
   // routing callback must observe the partition map only once this
@@ -183,8 +159,7 @@ MultiKeyTicketPtr TxnCoordinator::SubmitMulti(
   std::vector<MultiOp> ops = route();
   if (ops.empty()) {
     ReleaseGate();
-    return ErrorTicket(0, Status::InvalidArgument(
-                              "multi-partition transaction needs ops"));
+    return std::make_shared<BatchTicket>(0);
   }
   for (const MultiOp& op : ops) {
     if (op.partition >= partitions_.size()) {
@@ -229,67 +204,63 @@ MultiKeyTicketPtr TxnCoordinator::SubmitMulti(
   multi_txns_.fetch_add(1, std::memory_order_relaxed);
   int64_t start_us = clock_.NowMicros();
 
-  auto ticket = std::make_shared<MultiKeyTicket>(ops.size(), parts.size());
-  ticket->on_complete_ = [this, start_us](bool commit) {
-    CompleteTxn(commit, start_us);
-  };
+  auto ticket = std::make_shared<BatchTicket>(ops.size());
 
   // Sequencer critical section: the gid and every participant's enqueue
   // happen atomically, so per-partition queue order == gid order.
   std::lock_guard<std::mutex> seq(seq_mu_);
   int64_t gid = next_gid_.fetch_add(1, std::memory_order_relaxed);
-  ticket->gid_ = gid;
   if (inline_mode) {
-    RunInlineMulti(ticket, std::move(frags_of), std::move(ops_of), parts, gid);
+    RunInlineMulti(*ticket, std::move(frags_of), ops_of, parts, gid, start_us);
     return ticket;
   }
   auto control = std::make_shared<MultiTxnControl>(
       parts.size(), [this, gid] { return AppendCommitDecision(gid); });
   for (size_t p : parts) {
     partitions_[p]->SubmitClosure(
-        [this, control, ticket, gid, frags = std::move(frags_of[p]),
+        [this, control, ticket, gid, start_us, frags = std::move(frags_of[p]),
          op_idx = std::move(ops_of[p])](Partition& part) mutable {
           prepares_.fetch_add(frags.size(), std::memory_order_relaxed);
           Partition::PreparedMulti prepared =
               part.PrepareMulti(std::move(frags), gid);
           Status reason;
           bool commit = control->VoteAndWait(prepared.vote, &reason);
-          ApplyDecision(part, prepared, op_idx, gid, commit, reason,
-                        /*inline_run=*/false, *ticket);
+          std::vector<TxnOutcome> outs =
+              ApplyDecision(part, prepared, op_idx.size(), gid, commit,
+                            reason, /*inline_run=*/false);
+          // The last participant completes the round before filling its
+          // slots, so a completed ticket implies a released gate.
+          if (control->Applied()) CompleteTxn(commit, start_us);
+          FulfillOps(*ticket, op_idx, std::move(outs));
         });
   }
   return ticket;
 }
 
-void TxnCoordinator::ApplyDecision(Partition& part,
-                                   Partition::PreparedMulti& prepared,
-                                   const std::vector<size_t>& op_idx,
-                                   int64_t gid, bool commit,
-                                   const Status& reason, bool inline_run,
-                                   MultiKeyTicket& ticket) {
+std::vector<TxnOutcome> TxnCoordinator::ApplyDecision(
+    Partition& part, Partition::PreparedMulti& prepared, size_t num_ops,
+    int64_t gid, bool commit, const Status& reason, bool inline_run) {
   if (commit) {
     std::vector<TxnOutcome> outs;
-    outs.reserve(op_idx.size());
+    outs.reserve(num_ops);
     part.CommitMulti(prepared, gid, &outs);
     // Commit hooks may have PE-triggered interior work; drain it the
     // inline way, as Partition::ExecuteSync does.
     if (inline_run) part.DrainQueueInline();
-    ticket.FulfillParticipant(op_idx, std::move(outs), true, Status::OK());
-    return;
+    return outs;
   }
   part.AbortMulti(prepared, gid);
-  std::vector<TxnOutcome> outs(op_idx.size());
+  std::vector<TxnOutcome> outs(num_ops);
   for (TxnOutcome& out : outs) {
     out.status = prepared.vote.ok() ? PeerAbort(reason) : prepared.vote;
   }
-  ticket.FulfillParticipant(op_idx, std::move(outs), false, reason);
+  return outs;
 }
 
 void TxnCoordinator::RunInlineMulti(
-    const MultiKeyTicketPtr& ticket,
-    std::vector<std::vector<Invocation>> frags_of,
-    std::vector<std::vector<size_t>> ops_of, const std::vector<size_t>& parts,
-    int64_t gid) {
+    BatchTicket& ticket, std::vector<std::vector<Invocation>> frags_of,
+    const std::vector<std::vector<size_t>>& ops_of,
+    const std::vector<size_t>& parts, int64_t gid, int64_t start_us) {
   std::vector<Partition::PreparedMulti> prepared(parts.size());
   Status first_abort;
   for (size_t j = 0; j < parts.size(); ++j) {
@@ -308,9 +279,15 @@ void TxnCoordinator::RunInlineMulti(
       first_abort = st;
     }
   }
+  std::vector<std::vector<TxnOutcome>> outs_of(parts.size());
   for (size_t j = 0; j < parts.size(); ++j) {
-    ApplyDecision(*partitions_[parts[j]], prepared[j], ops_of[parts[j]], gid,
-                  commit, first_abort, /*inline_run=*/true, *ticket);
+    outs_of[j] = ApplyDecision(*partitions_[parts[j]], prepared[j],
+                               ops_of[parts[j]].size(), gid, commit,
+                               first_abort, /*inline_run=*/true);
+  }
+  CompleteTxn(commit, start_us);
+  for (size_t j = 0; j < parts.size(); ++j) {
+    FulfillOps(ticket, ops_of[parts[j]], std::move(outs_of[j]));
   }
 }
 
@@ -421,8 +398,6 @@ CoordStats TxnCoordinator::stats() const {
   out.in_doubt_committed = in_doubt_committed_.load(std::memory_order_relaxed);
   out.in_doubt_aborted = in_doubt_aborted_.load(std::memory_order_relaxed);
   out.checkpoints = checkpoints_.load(std::memory_order_relaxed);
-  out.round_latency_us_total =
-      round_latency_us_.load(std::memory_order_relaxed);
   return out;
 }
 

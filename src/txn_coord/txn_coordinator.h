@@ -14,6 +14,7 @@
 #include "common/status.h"
 #include "engine/partition.h"
 #include "log/command_log.h"
+#include "obs/metrics.h"
 
 namespace sstore {
 
@@ -34,64 +35,10 @@ struct CoordStats {
   uint64_t in_doubt_committed = 0;  // resolved commit during recovery
   uint64_t in_doubt_aborted = 0;    // presumed abort during recovery
   uint64_t checkpoints = 0;         // coordinated cluster checkpoints
-  uint64_t round_latency_us_total = 0;  // submit -> all participants applied
 
   /// Completed coordination rounds: every round ends in one decision.
   uint64_t rounds() const { return commits + aborts; }
-  double avg_round_latency_us() const {
-    return rounds() == 0 ? 0.0
-                         : static_cast<double>(round_latency_us_total) /
-                               static_cast<double>(rounds());
-  }
 };
-
-/// Completion handle for one multi-partition transaction (the MultiKey
-/// analogue of BatchTicket): per-op outcomes indexed by submission order,
-/// one decision for the whole transaction, one signal when the last
-/// participant has applied that decision.
-class MultiKeyTicket {
- public:
-  MultiKeyTicket(size_t num_ops, size_t num_participants)
-      : outcomes_(num_ops), remaining_(num_participants) {}
-
-  MultiKeyTicket(const MultiKeyTicket&) = delete;
-  MultiKeyTicket& operator=(const MultiKeyTicket&) = delete;
-
-  /// Blocks until every participant has applied the decision.
-  void Wait();
-  /// Non-blocking completion probe.
-  bool TryWait();
-
-  /// Coordinator-assigned global transaction id.
-  int64_t gid() const { return gid_; }
-
-  /// Decision; valid after Wait() (or once TryWait() returns true).
-  bool committed() const { return committed_; }
-  /// OK on commit; the abort reason otherwise.
-  const Status& status() const { return status_; }
-  /// Per-op outcomes in submission order. On abort, ops on the participant
-  /// that voted abort carry its own failure; the rest carry kAborted.
-  const std::vector<TxnOutcome>& outcomes() const { return outcomes_; }
-
- private:
-  friend class TxnCoordinator;
-  void FulfillParticipant(const std::vector<size_t>& op_indices,
-                          std::vector<TxnOutcome> outs, bool commit,
-                          Status decision_status);
-
-  int64_t gid_ = 0;
-  std::vector<TxnOutcome> outcomes_;
-  std::atomic<size_t> remaining_;
-  std::mutex mu_;
-  std::condition_variable cv_;
-  bool done_ = false;
-  bool committed_ = false;
-  Status status_;
-  /// Invoked once, with the decision, after the last participant applied.
-  std::function<void(bool)> on_complete_;
-};
-
-using MultiKeyTicketPtr = std::shared_ptr<MultiKeyTicket>;
 
 /// Rendezvous used by the coordinated checkpoint: every partition worker
 /// parks in ArriveAndWait() (via a closure task), the checkpoint thread
@@ -157,15 +104,20 @@ class TxnCoordinator {
   /// Submits one atomic multi-partition transaction whose ops `route`
   /// produces *after* the admission gate admits it. Returns once every
   /// participant's fragments are enqueued (on the inline path, once the
-  /// transaction has run); Wait() on the ticket for the outcomes. Ops may
-  /// target any subset of partitions, repeats allowed.
+  /// transaction has run); the ticket has one slot per op, in submission
+  /// order, each filled by the participant that ran the op. On abort, ops
+  /// on a participant that voted abort carry its own failure; the rest
+  /// carry kAborted. The ticket completes only after the round's stats and
+  /// admission-gate release are done. Ops may target any subset of
+  /// partitions, repeats allowed; an empty op list completes at once with
+  /// no outcomes.
   ///
   /// Routing inside the gate is what makes the ops valid: a Rebalance
   /// quiesces this gate before it flips the partition map or grows the
   /// cluster, so an admitted transaction either routed before the quiesce
   /// (and fully drains before the flip) or after the new map — and any new
   /// partition — was published.
-  MultiKeyTicketPtr SubmitMulti(std::function<std::vector<MultiOp>()> route);
+  BatchTicketPtr SubmitMulti(std::function<std::vector<MultiOp>()> route);
 
   /// Registers a partition spun up by Cluster::Rebalance. Call only while
   /// the gate is quiesced (no multi-partition transaction in flight reads
@@ -214,31 +166,41 @@ class TxnCoordinator {
   // ---- Stats ----
 
   CoordStats stats() const;
+  /// Round latency (µs): submit -> every participant applied the decision.
+  const LatencyHistogram& round_latency_us() const {
+    return round_latency_us_;
+  }
 
  private:
-  MultiKeyTicketPtr ErrorTicket(size_t num_ops, Status status);
-  /// Undoes the admission gate's in-flight count on paths that error out
-  /// after admission but before a ticket completion would decrement it.
+  /// A completed ticket whose `num_ops` slots all carry `status`.
+  static BatchTicketPtr ErrorTicket(size_t num_ops, const Status& status);
+  /// Drops the admission gate's in-flight count: once a round's last
+  /// participant has applied the decision, or on a path that errors out
+  /// after admission.
   void ReleaseGate();
   /// Force-flushes a commit decision for `gid`; OK when decisions are not
   /// durable. Any-thread safe (the last voter runs on a partition worker).
   Status AppendCommitDecision(int64_t gid);
-  /// Applies the decision on one participant and fills its op slots in
-  /// `ticket`: commit runs CommitMulti (on the inline path also draining
+  /// Applies the decision on one participant and returns one outcome per
+  /// fragment: commit runs CommitMulti (on the inline path also draining
   /// the PE-triggered work its commit hooks queued, as no worker will);
   /// abort rolls back and gives each op the participant's own failure if
   /// it voted abort, else a peer abort carrying `reason`.
-  static void ApplyDecision(Partition& part, Partition::PreparedMulti& prepared,
-                            const std::vector<size_t>& op_idx, int64_t gid,
-                            bool commit, const Status& reason, bool inline_run,
-                            MultiKeyTicket& ticket);
-  /// Ticket-completion callback: stats + in-flight bookkeeping.
+  static std::vector<TxnOutcome> ApplyDecision(
+      Partition& part, Partition::PreparedMulti& prepared, size_t num_ops,
+      int64_t gid, bool commit, const Status& reason, bool inline_run);
+  /// Fills `ticket`'s slots `op_idx` with one participant's outcomes.
+  static void FulfillOps(BatchTicket& ticket, const std::vector<size_t>& op_idx,
+                         std::vector<TxnOutcome> outs);
+  /// Runs once per round, after every participant applied the decision:
+  /// the decision count, the round latency and the gate release.
   void CompleteTxn(bool commit, int64_t start_us);
   /// Sequential prepare/decide/apply on the calling thread (no workers).
-  void RunInlineMulti(const MultiKeyTicketPtr& ticket,
+  void RunInlineMulti(BatchTicket& ticket,
                       std::vector<std::vector<Invocation>> frags_of,
-                      std::vector<std::vector<size_t>> ops_of,
-                      const std::vector<size_t>& parts, int64_t gid);
+                      const std::vector<std::vector<size_t>>& ops_of,
+                      const std::vector<size_t>& parts, int64_t gid,
+                      int64_t start_us);
 
   std::vector<Partition*> partitions_;
   Options options_;
@@ -270,7 +232,7 @@ class TxnCoordinator {
   std::atomic<uint64_t> in_doubt_committed_{0};
   std::atomic<uint64_t> in_doubt_aborted_{0};
   std::atomic<uint64_t> checkpoints_{0};
-  std::atomic<uint64_t> round_latency_us_{0};
+  LatencyHistogram round_latency_us_;
 };
 
 }  // namespace sstore

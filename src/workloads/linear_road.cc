@@ -364,7 +364,7 @@ Status LinearRoadApp::Setup() {
   return Status::OK();
 }
 
-TicketPtr LinearRoadApp::InjectAsync(const PositionReport& report) {
+BatchTicketPtr LinearRoadApp::InjectAsync(const PositionReport& report) {
   return injector_->InjectAsync(report.ToTuple());
 }
 

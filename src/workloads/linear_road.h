@@ -119,7 +119,7 @@ class LinearRoadApp {
   Status Setup();
 
   /// Injects one report (async); returns the ticket.
-  TicketPtr InjectAsync(const PositionReport& report);
+  BatchTicketPtr InjectAsync(const PositionReport& report);
 
   /// Drains and counts pending toll/accident notifications.
   Result<size_t> DrainNotifications();

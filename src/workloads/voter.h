@@ -68,7 +68,7 @@ class VoterApp {
   Status Setup();
 
   // ---- S-Store mode driving ----
-  TicketPtr InjectVoteAsync(Tuple vote) {
+  BatchTicketPtr InjectVoteAsync(Tuple vote) {
     return injector_->InjectAsync(std::move(vote));
   }
   TxnOutcome InjectVoteSync(Tuple vote) {

@@ -87,8 +87,8 @@ bool VoterClusterApp::PickCrossPartitionPair(int64_t* a, int64_t* b) const {
   return false;
 }
 
-MultiKeyTicketPtr VoterClusterApp::TransferAsync(int64_t from, int64_t to,
-                                                 int64_t n) {
+BatchTicketPtr VoterClusterApp::TransferAsync(int64_t from, int64_t to,
+                                              int64_t n) {
   std::vector<std::pair<Value, Tuple>> ops;
   ops.emplace_back(Value::BigInt(from),
                    Tuple{Value::BigInt(from), Value::BigInt(-n)});
@@ -99,9 +99,7 @@ MultiKeyTicketPtr VoterClusterApp::TransferAsync(int64_t from, int64_t to,
 
 std::vector<TxnOutcome> VoterClusterApp::Transfer(int64_t from, int64_t to,
                                                   int64_t n) {
-  MultiKeyTicketPtr ticket = TransferAsync(from, to, n);
-  ticket->Wait();
-  return ticket->outcomes();
+  return TransferAsync(from, to, n)->Wait();
 }
 
 Result<int64_t> VoterClusterApp::Count(int64_t contestant) const {

@@ -69,7 +69,7 @@ class VoterClusterApp {
   /// Moves `n` votes from one contestant to another atomically; the
   /// fragments run on each contestant's owner partition. Aborts everywhere
   /// if `from` has fewer than `n` votes.
-  MultiKeyTicketPtr TransferAsync(int64_t from, int64_t to, int64_t n);
+  BatchTicketPtr TransferAsync(int64_t from, int64_t to, int64_t n);
   std::vector<TxnOutcome> Transfer(int64_t from, int64_t to, int64_t n);
 
   // ---- Inspection (idle or stopped cluster) ----

@@ -230,7 +230,7 @@ Status RunWireSchedule(const Schedule& s, const std::string& tag) {
       for (int64_t k = 0; k < 24; ++k) {
         batch.push_back({Value::BigInt(k), Value::BigInt(gen)});
       }
-      seeder.InjectBatchAsync(std::move(batch)).Wait();
+      for (auto& t : seeder.InjectBatchAsync(std::move(batch))) t->Wait();
       cluster.WaitIdle();
     }
 

@@ -355,7 +355,7 @@ TEST_F(ChaosTest, RebalanceCrashBeforeManifestRecoversToOldMap) {
     for (int64_t k = 0; k < 24; ++k) {
       batch.push_back({Value::BigInt(k), Value::BigInt(k)});
     }
-    seeder.InjectBatchAsync(std::move(batch)).Wait();
+    for (auto& t : seeder.InjectBatchAsync(std::move(batch))) t->Wait();
     cluster.WaitIdle();
 
     // Crash after the rows migrated but before the manifest rename: the

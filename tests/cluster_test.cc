@@ -394,13 +394,13 @@ TEST(ClusterTest, KeyedWorkloadPreservesPerKeyOrdering) {
   ClusterInjector::Options opts;
   opts.key_column = 0;
   ClusterInjector injector(&cluster, "ingest", opts);
-  std::vector<TicketPtr> tickets;
+  std::vector<BatchTicketPtr> tickets;
   for (int seq = 0; seq < kSeqsPerKey; ++seq) {
     for (int key = 0; key < kKeys; ++key) {
       tickets.push_back(injector.InjectAsync(KeyVal(key, seq)));
     }
   }
-  for (auto& t : tickets) ASSERT_TRUE(t->Wait().committed());
+  for (auto& t : tickets) ASSERT_TRUE(t->Wait()[0].committed());
   cluster.WaitIdle();
   cluster.Stop();
 
@@ -526,7 +526,7 @@ TEST(ClusterInjectorTest, DefaultInjectorIsBoundedByQueueCapacity) {
   ClusterInjector injector(&cluster, "ingest");
   Partition& part = cluster.partition(0);
   std::atomic<size_t> max_depth{0};
-  std::vector<std::vector<TicketPtr>> tickets(kProducers);
+  std::vector<std::vector<BatchTicketPtr>> tickets(kProducers);
   std::vector<std::thread> producers;
   for (int t = 0; t < kProducers; ++t) {
     producers.emplace_back([&, t] {
@@ -545,7 +545,7 @@ TEST(ClusterInjectorTest, DefaultInjectorIsBoundedByQueueCapacity) {
   gate.set_value();
   for (auto& t : producers) t.join();
   for (auto& list : tickets) {
-    for (auto& ticket : list) ASSERT_TRUE(ticket->Wait().committed());
+    for (auto& ticket : list) ASSERT_TRUE(ticket->Wait()[0].committed());
   }
   cluster.WaitIdle();
   cluster.Stop();
@@ -565,9 +565,9 @@ TEST(ClusterStatsTest, AggregationSumsPerPartition) {
   ClusterInjector::Options opts;
   opts.key_column = 0;
   ClusterInjector injector(&cluster, "ingest", opts);
-  std::vector<TicketPtr> tickets;
+  std::vector<BatchTicketPtr> tickets;
   for (int i = 0; i < 100; ++i) tickets.push_back(injector.InjectAsync(KeyVal(i, i)));
-  for (auto& t : tickets) ASSERT_TRUE(t->Wait().committed());
+  for (auto& t : tickets) ASSERT_TRUE(t->Wait()[0].committed());
   cluster.WaitIdle();
 
   ClusterStats stats = cluster.GatherStats();
@@ -602,7 +602,7 @@ TEST(ClusterTest, LinearRoadDeploymentRoutesByXway) {
   inj_opts.key_column = 2;  // xway
   ClusterInjector injector(&cluster, "position_report", inj_opts);
   LinearRoadGenerator gen(config);
-  std::vector<TicketPtr> tickets;
+  std::vector<BatchTicketPtr> tickets;
   int64_t reports = 0;
   for (int s = 0; s < config.duration_sec; ++s) {
     for (const PositionReport& r : gen.NextSecond()) {
@@ -610,7 +610,7 @@ TEST(ClusterTest, LinearRoadDeploymentRoutesByXway) {
       ++reports;
     }
   }
-  for (auto& t : tickets) ASSERT_TRUE(t->Wait().committed());
+  for (auto& t : tickets) ASSERT_TRUE(t->Wait()[0].committed());
   cluster.WaitIdle();
   cluster.Stop();
 

@@ -117,12 +117,12 @@ TEST_F(EngineTest, OutputRowsReturned) {
 
 TEST_F(EngineTest, WorkerThreadExecutesSubmissions) {
   part_.Start();
-  std::vector<TicketPtr> tickets;
+  std::vector<BatchTicketPtr> tickets;
   for (int i = 0; i < 100; ++i) {
     tickets.push_back(part_.SubmitAsync(
         Invocation{"put", {Value::BigInt(i), Value::BigInt(i)}, 0}));
   }
-  for (auto& t : tickets) EXPECT_TRUE(t->Wait().committed());
+  for (auto& t : tickets) EXPECT_TRUE(t->Wait()[0].committed());
   part_.Stop();
   EXPECT_EQ((*part_.catalog().GetTable("kv"))->row_count(), 100u);
 }

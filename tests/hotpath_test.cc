@@ -228,14 +228,14 @@ TEST(BackpressureTest, BlockingThrottleBoundsQueueDepth) {
   store.Start();
 
   StreamInjector injector(&store.partition(), "slow");
-  std::vector<TicketPtr> tickets;
+  std::vector<BatchTicketPtr> tickets;
   for (int i = 0; i < 64; ++i) {
     tickets.push_back(injector.InjectAsync({Value::BigInt(i)}));
     // A single producer enqueues only after depth < capacity, so the queue
     // never exceeds the capacity right after an inject returns.
     EXPECT_LE(store.partition().QueueDepth(), kMaxDepth);
   }
-  for (auto& t : tickets) ASSERT_TRUE(t->Wait().committed());
+  for (auto& t : tickets) ASSERT_TRUE(t->Wait()[0].committed());
   store.Stop();
   EXPECT_GE(store.partition().stats().producer_blocks, 1u);
 }
@@ -312,7 +312,7 @@ TEST(QueueOrderTest, PerProducerFifoAcrossSubmitPaths) {
   RegisterRecorder(part, &log);
   part.Start();
 
-  std::vector<std::vector<TicketPtr>> tickets(kProducers);
+  std::vector<std::vector<BatchTicketPtr>> tickets(kProducers);
   std::vector<std::vector<BatchTicketPtr>> batches(kProducers);
   std::vector<std::thread> producers;
   for (int p = 0; p < kProducers; ++p) {
@@ -338,7 +338,7 @@ TEST(QueueOrderTest, PerProducerFifoAcrossSubmitPaths) {
   }
   for (auto& t : producers) t.join();
   for (const auto& per : tickets) {
-    for (const TicketPtr& t : per) ASSERT_TRUE(t->Wait().committed());
+    for (const BatchTicketPtr& t : per) ASSERT_TRUE(t->Wait()[0].committed());
   }
   for (const auto& per : batches) {
     for (const BatchTicketPtr& b : per) {
@@ -368,10 +368,10 @@ TEST(BackpressureTest, StopReleasesProducersBlockedOnFullQueue) {
   RegisterRecorder(part, &log, &entered, gate.get_future().share());
   part.Start();
 
-  TicketPtr gate_ticket = part.SubmitAsync(Rec(-1, 0));
+  BatchTicketPtr gate_ticket = part.SubmitAsync(Rec(-1, 0));
   entered.get_future().wait();
 
-  std::vector<std::vector<TicketPtr>> tickets(kProducers);
+  std::vector<std::vector<BatchTicketPtr>> tickets(kProducers);
   std::vector<std::thread> producers;
   for (int p = 0; p < kProducers; ++p) {
     producers.emplace_back([&, p] {
@@ -404,13 +404,12 @@ TEST(BackpressureTest, StopReleasesProducersBlockedOnFullQueue) {
   EXPECT_FALSE(part.running());
   part.DrainQueueInline();
 
-  ASSERT_TRUE(gate_ticket->Wait().committed());
+  ASSERT_TRUE(gate_ticket->Wait()[0].committed());
   for (const auto& per : tickets) {
     ASSERT_EQ(per.size(), static_cast<size_t>(kPerProducer));
-    for (const TicketPtr& t : per) {
-      TxnOutcome out;
-      ASSERT_TRUE(t->TryGet(&out));
-      EXPECT_TRUE(out.committed());
+    for (const BatchTicketPtr& t : per) {
+      ASSERT_TRUE(t->TryWait());
+      EXPECT_TRUE(t->outcome(0).committed());
     }
   }
   ExpectPerProducerFifo(log, kProducers, kPerProducer);
@@ -511,10 +510,13 @@ TEST(BatchInjectTest, ClusterInjectorBatchRoutesByKeyAndKeepsLaneOrder) {
     for (int k = 0; k < kKeys; ++k) {
       batch.push_back({Value::BigInt(k), Value::BigInt(r)});
     }
-    ClusterBatchTicket ticket = injector.InjectBatchAsync(std::move(batch));
-    ticket.Wait();
-    EXPECT_TRUE(ticket.all_committed());
-    EXPECT_EQ(ticket.size(), static_cast<size_t>(kKeys));
+    size_t committed = 0;
+    for (const BatchTicketPtr& t :
+         injector.InjectBatchAsync(std::move(batch))) {
+      t->Wait();
+      committed += t->committed();
+    }
+    EXPECT_EQ(committed, static_cast<size_t>(kKeys));
   }
   cluster.WaitIdle();
   cluster.Stop();

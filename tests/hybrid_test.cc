@@ -107,9 +107,9 @@ TEST_F(ConservationFixture, OltpAuditsNeverSeePartialWorkflows) {
       if (out.output[0][0].as_int64() != kTotal) ++violations;
     }
   });
-  std::vector<TicketPtr> tickets;
+  std::vector<BatchTicketPtr> tickets;
   for (int i = 1; i <= 500; ++i) tickets.push_back(injector.InjectAsync(Num(i)));
-  for (auto& t : tickets) ASSERT_TRUE(t->Wait().committed());
+  for (auto& t : tickets) ASSERT_TRUE(t->Wait()[0].committed());
   // On a loaded machine the auditor thread may not have been scheduled yet;
   // let at least one audit commit before stopping it.
   while (audits.load() == 0) {
@@ -210,7 +210,8 @@ TEST(ClientRttTest, RoundTripCostAppliesOnlyToSyncClients) {
   EXPECT_GE(sync_us, kRttMicros);
   // Async submission does not pay the modeled round trip at submit time.
   t0 = std::chrono::steady_clock::now();
-  TicketPtr ticket = store.partition().SubmitAsync(Invocation{"noop", {}, 0});
+  BatchTicketPtr ticket =
+      store.partition().SubmitAsync(Invocation{"noop", {}, 0});
   auto submit_us = std::chrono::duration_cast<std::chrono::microseconds>(
                        std::chrono::steady_clock::now() - t0)
                        .count();

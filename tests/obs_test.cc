@@ -355,13 +355,13 @@ TEST(ClusterObsTest, EngineCountersReadWhileWorkerFiresEeTriggers) {
   cluster.Start();
   std::atomic<bool> done{false};
   std::thread producer([&] {
-    std::vector<TicketPtr> tickets;
+    std::vector<BatchTicketPtr> tickets;
     tickets.reserve(kTxns);
     for (int i = 0; i < kTxns; ++i) {
       tickets.push_back(cluster.partition(0).SubmitAsync(
           Invocation{"ingest_s", {Value::BigInt(i)}, i + 1}));
     }
-    for (auto& t : tickets) EXPECT_TRUE(t->Wait().committed());
+    for (auto& t : tickets) EXPECT_TRUE(t->Wait()[0].committed());
     done.store(true);
   });
   int polls = 0;

@@ -241,7 +241,7 @@ TEST(RebalanceTest, SplitPreservesEveryCommittedRow) {
     for (int64_t k = 0; k < kKeys; ++k) {
       batch.push_back(KeyVal(k, round * kKeys + k));
     }
-    injector.InjectBatchAsync(std::move(batch)).Wait();
+    for (auto& t : injector.InjectBatchAsync(std::move(batch))) t->Wait();
   };
 
   // Reference: the same input stream into an unsplit 2-partition cluster.
@@ -427,7 +427,7 @@ TEST(RebalanceTest, MergeDrainsAndRetiresThePartition) {
   ClusterInjector injector(&cluster, "put");
   std::vector<Tuple> batch;
   for (int64_t k = 0; k < kKeys; ++k) batch.push_back(KeyVal(k, k));
-  injector.InjectBatchAsync(std::move(batch)).Wait();
+  for (auto& t : injector.InjectBatchAsync(std::move(batch))) t->Wait();
   cluster.WaitIdle();
 
   ASSERT_TRUE(cluster.Rebalance(SplitPlan(0, split_dir)).ok());
@@ -480,12 +480,12 @@ TEST(RebalanceTest, KillAroundCutoverRecoversToExactlyOneSideOfTheManifest) {
     ClusterInjector injector(&cluster, "put");
     std::vector<Tuple> batch;
     for (int64_t k = 0; k < kKeys; ++k) batch.push_back(KeyVal(k, k));
-    injector.InjectBatchAsync(std::move(batch)).Wait();
+    for (auto& t : injector.InjectBatchAsync(std::move(batch))) t->Wait();
     cluster.WaitIdle();
     ASSERT_TRUE(cluster.Checkpoint(ckpt_dir).ok());
     std::vector<Tuple> more;
     for (int64_t k = 0; k < kKeys; ++k) more.push_back(KeyVal(k, k + 1000));
-    injector.InjectBatchAsync(std::move(more)).Wait();
+    for (auto& t : injector.InjectBatchAsync(std::move(more))) t->Wait();
     cluster.WaitIdle();
 
     // A kill strictly before the cutover manifest rename leaves exactly the
@@ -498,7 +498,7 @@ TEST(RebalanceTest, KillAroundCutoverRecoversToExactlyOneSideOfTheManifest) {
     ASSERT_TRUE(cluster.Rebalance(SplitPlan(0, ckpt_dir)).ok());
     std::vector<Tuple> after;
     for (int64_t k = 0; k < kKeys; ++k) after.push_back(KeyVal(k, k + 2000));
-    injector.InjectBatchAsync(std::move(after)).Wait();
+    for (auto& t : injector.InjectBatchAsync(std::move(after))) t->Wait();
     cluster.WaitIdle();
     live_rows = AllRows(cluster, "kv");
     cluster.Stop();
@@ -542,7 +542,7 @@ TEST(RebalanceTest, KillAroundCutoverRecoversToExactlyOneSideOfTheManifest) {
     ClusterInjector injector(&recovered, "put");
     std::vector<Tuple> batch;
     for (int64_t k = 0; k < kKeys; ++k) batch.push_back(KeyVal(k, k + 3000));
-    injector.InjectBatchAsync(std::move(batch)).Wait();
+    for (auto& t : injector.InjectBatchAsync(std::move(batch))) t->Wait();
     recovered.WaitIdle();
     recovered.Stop();
     EXPECT_EQ(AllRows(recovered, "kv").size(), live_rows.size() + kKeys);
@@ -621,7 +621,7 @@ TEST(RebalanceTest, CrashAtEverySiteRecoversToExactlyOneSideOfTheCutover) {
       ClusterInjector injector(&cluster, "put");
       std::vector<Tuple> batch;
       for (int64_t k = 0; k < kKeys; ++k) batch.push_back(KeyVal(k, k));
-      injector.InjectBatchAsync(std::move(batch)).Wait();
+      for (auto& t : injector.InjectBatchAsync(std::move(batch))) t->Wait();
       cluster.WaitIdle();
       ASSERT_TRUE(cluster.Checkpoint(ckpt_dir).ok());
 

@@ -500,9 +500,9 @@ TEST_F(ChainFixture, PeTriggersDriveFullWorkflowInline) {
 TEST_F(ChainFixture, PeTriggersDriveFullWorkflowThreaded) {
   store_.Start();
   StreamInjector injector(&store_.partition(), "sp1");
-  std::vector<TicketPtr> tickets;
+  std::vector<BatchTicketPtr> tickets;
   for (int i = 1; i <= 200; ++i) tickets.push_back(injector.InjectAsync(Num(i)));
-  for (auto& t : tickets) ASSERT_TRUE(t->Wait().committed());
+  for (auto& t : tickets) ASSERT_TRUE(t->Wait()[0].committed());
   // Wait for triggered interiors of the last round to finish.
   while (store_.partition().QueueDepth() > 0) {
   }
@@ -536,10 +536,11 @@ TEST_F(ChainFixture, OltpInterleavesWithoutBreakingWorkflowOrder) {
   store_.Start();
   StreamInjector injector(&store_.partition(), "sp1");
   for (int i = 1; i <= 50; ++i) {
-    TicketPtr a = injector.InjectAsync(Num(i));
-    TicketPtr b = store_.partition().SubmitAsync(Invocation{"oltp", Num(i), 0});
-    ASSERT_TRUE(a->Wait().committed());
-    ASSERT_TRUE(b->Wait().committed());
+    BatchTicketPtr a = injector.InjectAsync(Num(i));
+    BatchTicketPtr b =
+        store_.partition().SubmitAsync(Invocation{"oltp", Num(i), 0});
+    ASSERT_TRUE(a->Wait()[0].committed());
+    ASSERT_TRUE(b->Wait()[0].committed());
   }
   while (store_.partition().QueueDepth() > 0) {
   }
@@ -631,7 +632,7 @@ TEST(InjectorTest, BackpressureBoundsQueueDepth) {
   store.Start();
 
   StreamInjector injector(&store.partition(), "slow");
-  std::vector<TicketPtr> tickets;
+  std::vector<BatchTicketPtr> tickets;
   for (int i = 0; i < 100; ++i) {
     tickets.push_back(injector.InjectAsync(Num(i)));
     // InjectAsync only enqueues once the depth has dropped below the
@@ -639,7 +640,7 @@ TEST(InjectorTest, BackpressureBoundsQueueDepth) {
     // most kMaxDepth requests (the worker can only have shrunk it since).
     EXPECT_LE(store.partition().QueueDepth(), kMaxDepth);
   }
-  for (auto& t : tickets) ASSERT_TRUE(t->Wait().committed());
+  for (auto& t : tickets) ASSERT_TRUE(t->Wait()[0].committed());
   store.Stop();
   EXPECT_EQ(injector.batches_injected(), 100);
 }

@@ -4,7 +4,9 @@
 #include <unistd.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
+#include <future>
 #include <set>
 #include <string>
 #include <thread>
@@ -503,7 +505,74 @@ TEST(TxnCoordTest, CoordStatsSurfaced) {
   EXPECT_EQ(stats.coord.aborts, 1u);
   EXPECT_EQ(stats.coord.prepares, 4u);
   EXPECT_EQ(stats.coord.rounds(), 2u);
-  EXPECT_GE(stats.coord.avg_round_latency_us(), 0.0);
+  EXPECT_EQ(cluster.coordinator().round_latency_us().snapshot().count, 2u);
+  cluster.Stop();
+}
+
+// ---- Admission gate ----
+
+// A round holds the admission gate until its last participant has applied
+// the decision, and its ticket completes only after the gate is released:
+// a quiescer that sees the ticket done never waits on that round.
+TEST(TxnCoordTest, GateReleasesOnlyAfterLastParticipantApplies) {
+  Cluster cluster(ClusterOpts(2));
+  VoterClusterConfig config = SmallConfig();
+  ASSERT_TRUE(cluster.Deploy(BuildVoterClusterDeployment(config)).ok());
+  // Partition 1 parks inside its commit hooks — mid-apply — while armed.
+  std::atomic<bool> armed{false};
+  std::promise<void> release_apply;
+  std::shared_future<void> apply_released = release_apply.get_future();
+  cluster.partition(1).AddCommitHook(
+      [&](Partition&, const TransactionExecution& te) {
+        if (armed.load() && te.proc_name() == "vc_adjust") {
+          apply_released.wait();
+        }
+      });
+  cluster.Start();
+  VoterClusterApp app(&cluster, config);
+  TxnCoordinator& coord = cluster.coordinator();
+  ASSERT_EQ(app.OwnerOf(0), 0u);
+  ASSERT_EQ(app.OwnerOf(1), 1u);
+
+  // 1. Participant 1's worker is parked behind a blocking closure, so the
+  // round cannot even vote.
+  std::promise<void> unpark;
+  std::shared_future<void> unparked = unpark.get_future();
+  cluster.partition(1).SubmitClosure(
+      [unparked](Partition&) { unparked.wait(); });
+  BatchTicketPtr first = app.TransferAsync(0, 1, 5);
+  EXPECT_FALSE(coord.TryQuiesceBegin(20));
+  EXPECT_FALSE(first->TryWait());
+  unpark.set_value();
+  EXPECT_TRUE(first->Wait()[0].committed());
+  ASSERT_TRUE(coord.TryQuiesceBegin(0));
+  coord.QuiesceEnd();
+
+  // 2. Participant 0 has applied the commit; participant 1 is still inside
+  // its apply. The gate must stay closed to quiescers.
+  const uint64_t applied_before = cluster.partition(0).stats().committed;
+  armed = true;
+  BatchTicketPtr second = app.TransferAsync(0, 1, 5);
+  auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (cluster.partition(0).stats().committed == applied_before &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  ASSERT_GT(cluster.partition(0).stats().committed, applied_before);
+  EXPECT_FALSE(coord.TryQuiesceBegin(20));
+  EXPECT_FALSE(second->TryWait());
+  release_apply.set_value();
+  const std::vector<TxnOutcome>& outs = second->Wait();
+  ASSERT_EQ(outs.size(), 2u);
+  EXPECT_TRUE(outs[0].committed());
+  EXPECT_TRUE(outs[1].committed());
+  ASSERT_TRUE(coord.TryQuiesceBegin(0));
+  coord.QuiesceEnd();
+
+  cluster.WaitIdle();
+  EXPECT_EQ(*app.Count(0), 90);
+  EXPECT_EQ(*app.Count(1), 110);
+  EXPECT_EQ(cluster.GatherStats().coord.commits, 2u);
   cluster.Stop();
 }
 

@@ -327,8 +327,8 @@ TEST(LinearRoadAppTest, ProcessesTrafficAndRollsUpMinutes) {
   size_t injected = 0;
   for (int s = 0; s < config.duration_sec; ++s) {
     for (const PositionReport& r : gen.NextSecond()) {
-      TicketPtr t = app.InjectAsync(r);
-      ASSERT_TRUE(t->Wait().committed());
+      BatchTicketPtr t = app.InjectAsync(r);
+      ASSERT_TRUE(t->Wait()[0].committed());
       ++injected;
     }
   }
@@ -383,8 +383,8 @@ TEST(LinearRoadAppTest, SegmentCrossingChargesLatestMinuteToll) {
   // First report registers the vehicle in segment 0; the second crosses
   // into segment 1, charging segment 0's toll.
   store.Start();
-  ASSERT_TRUE(app.InjectAsync(report(0, 0))->Wait().committed());
-  ASSERT_TRUE(app.InjectAsync(report(1, 1))->Wait().committed());
+  ASSERT_TRUE(app.InjectAsync(report(0, 0))->Wait()[0].committed());
+  ASSERT_TRUE(app.InjectAsync(report(1, 1))->Wait()[0].committed());
   while (store.partition().QueueDepth() > 0) {
     std::this_thread::yield();
   }
@@ -405,13 +405,13 @@ TEST(LinearRoadAppTest, StoppedVehiclesCreateAndClearAccidents) {
   // Two vehicles stopped in the same segment -> accident.
   PositionReport a{10, 1, 0, 0, 7, 0};
   PositionReport b{10, 2, 0, 1, 7, 0};
-  ASSERT_TRUE(app.InjectAsync(a)->Wait().committed());
-  ASSERT_TRUE(app.InjectAsync(b)->Wait().committed());
+  ASSERT_TRUE(app.InjectAsync(a)->Wait()[0].committed());
+  ASSERT_TRUE(app.InjectAsync(b)->Wait()[0].committed());
   EXPECT_EQ(*app.OpenAccidents(), 1u);
 
   // A third report in a following minute clears the stale accident via SP2.
   PositionReport c{70, 1, 0, 0, 8, 20};
-  ASSERT_TRUE(app.InjectAsync(c)->Wait().committed());
+  ASSERT_TRUE(app.InjectAsync(c)->Wait()[0].committed());
   while (store.partition().QueueDepth() > 0) {
     std::this_thread::yield();
   }

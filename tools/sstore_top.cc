@@ -119,6 +119,12 @@ void Render(const MetricMap& m, const MetricMap& prev, bool have_prev,
       Get(m, "sstore_txn_latency_us{quantile=\"1\"}"),
       Get(m, "sstore_txn_latency_us_count"));
   std::printf(
+      "  coord round us: p50 %.0f  p99 %.0f  max %.0f  (n=%.0f)\n",
+      Get(m, "sstore_coord_round_latency_us{quantile=\"0.5\"}"),
+      Get(m, "sstore_coord_round_latency_us{quantile=\"0.99\"}"),
+      Get(m, "sstore_coord_round_latency_us{quantile=\"1\"}"),
+      Get(m, "sstore_coord_round_latency_us_count"));
+  std::printf(
       "  log: group-commit x%.1f  %.0f flushes  |  wire: busy-shed %.0f "
       "(%.0f in checkpoints)  proto-errs %.0f  overload-closed %.0f  "
       "max-inflight %.0f\n",

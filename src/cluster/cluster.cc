@@ -11,6 +11,7 @@
 #include <thread>
 #include <utility>
 
+#include "common/bytes.h"
 #include "common/clock.h"
 #include "common/failpoint.h"
 #include "log/snapshot.h"
@@ -43,88 +44,64 @@ std::vector<std::string> ListDir(const std::string& dir) {
   return names;
 }
 
-/// The manifest names the one complete checkpoint in `dir`; it is written
-/// atomically (temp + rename) after every snapshot is on disk, so a crash
-/// mid-checkpoint leaves the previous manifest — and the previous consistent
-/// cut — intact. Since the manifest also records the partition map, that
-/// rename is the atomic commit point of a rebalance cutover: recovery lands
-/// on either the pre- or post-rebalance map, never between.
+/// The manifest names the one complete checkpoint in `dir`: one frame
+/// (common/bytes.h) whose payload is the checkpoint id, the log epoch and
+/// the partition map, whose partition count is the checkpoint's. It is
+/// published with WriteFileAtomic after every snapshot is on disk, so a
+/// crash mid-checkpoint leaves the previous manifest — and the previous
+/// consistent cut — intact. Since the manifest also records the partition
+/// map, that rename is the atomic commit point of a rebalance cutover:
+/// recovery lands on either the pre- or post-rebalance map, never between.
+constexpr uint32_t kManifestMagic = 0x53434b50;  // "SCKP"
+
 Status WriteManifest(const std::string& dir, uint64_t checkpoint_id,
-                     size_t partitions, uint64_t log_epoch,
-                     const std::string& map_block) {
-  std::string tmp = dir + "/" + kManifestName + ".tmp";
-  std::string final_path = dir + "/" + kManifestName;
-  SSTORE_RETURN_NOT_OK(failpoint::Check("manifest.write"));
-  std::FILE* f = std::fopen(tmp.c_str(), "w");
-  if (f == nullptr) {
-    return Status::IOError("cannot write checkpoint manifest at " + tmp);
-  }
-  // Same durability discipline as SnapshotManager::WriteSnapshot: the
-  // rename must never publish a short or non-durable file over the last
-  // good manifest.
-  int written = std::fprintf(f, "sstore-cluster-checkpoint 1\n"
-                             "checkpoint_id %llu\npartitions %zu\n"
-                             "log_epoch %llu\n%s",
-                             static_cast<unsigned long long>(checkpoint_id),
-                             partitions,
-                             static_cast<unsigned long long>(log_epoch),
-                             map_block.c_str());
-  bool ok = written > 0 && std::fflush(f) == 0 && ::fsync(fileno(f)) == 0;
-  ok = (std::fclose(f) == 0) && ok;
-  if (!ok) {
-    std::remove(tmp.c_str());
-    return Status::IOError("cannot flush checkpoint manifest at " + tmp);
-  }
-  // A crash here (failpoint or real) leaves a complete temp file that is
-  // never renamed: recovery still reads the previous manifest.
-  SSTORE_RETURN_NOT_OK(failpoint::Check("manifest.rename"));
-  if (std::rename(tmp.c_str(), final_path.c_str()) != 0) {
-    return Status::IOError("cannot publish checkpoint manifest at " +
-                           final_path);
-  }
-  return Status::OK();
+                     uint64_t log_epoch, const PartitionMap& map) {
+  ByteWriter payload;
+  payload.PutU64(checkpoint_id);
+  payload.PutU64(log_epoch);
+  map.EncodeTo(&payload);
+  ByteWriter file;
+  file.PutFrame(kManifestMagic, payload.data());
+  return WriteFileAtomic(dir + "/" + kManifestName, file.data(), "manifest");
 }
 
-/// Reads what WriteManifest writes: the header line, checkpoint id,
-/// partition count, log epoch and the partition-map block of the cut. Every
-/// field is required; a missing or malformed one is kCorruption.
+/// Reads what WriteManifest writes. The file must be exactly one intact
+/// frame and its payload exactly the three fields; anything else is
+/// kCorruption.
 Result<PartitionMap> ReadManifest(const std::string& dir,
-                                  uint64_t* checkpoint_id, size_t* partitions,
+                                  uint64_t* checkpoint_id,
                                   uint64_t* log_epoch) {
   std::string path = dir + "/" + kManifestName;
-  std::FILE* f = std::fopen(path.c_str(), "r");
-  if (f == nullptr) {
-    return Status::IOError("no checkpoint manifest at " + path);
+  SSTORE_ASSIGN_OR_RETURN(std::vector<uint8_t> bytes, ReadFile(path));
+  ByteReader file(bytes);
+  ByteReader in(nullptr, 0);
+  Status framed = file.NextFrame(kManifestMagic, &in);
+  if (!framed.ok() || !file.AtEnd()) {
+    return Status::Corruption("malformed checkpoint manifest at " + path +
+                              (framed.ok() ? ": trailing bytes"
+                                           : ": " + framed.message()));
   }
-  std::string text;
-  char buf[512];
-  size_t got;
-  while ((got = std::fread(buf, 1, sizeof(buf), f)) > 0) {
-    text.append(buf, got);
+  Result<uint64_t> id = in.GetU64();
+  Result<uint64_t> epoch = in.GetU64();
+  if (!id.ok() || !epoch.ok()) {
+    return Status::Corruption("checkpoint manifest at " + path +
+                              " lacks its checkpoint id or log epoch");
   }
-  std::fclose(f);
-
-  unsigned long long id = 0;
-  unsigned long long epoch = 0;
-  size_t n = 0;
-  int version = 0;
-  int matched = std::sscanf(text.c_str(),
-                            "sstore-cluster-checkpoint %d\ncheckpoint_id %llu\n"
-                            "partitions %zu\nlog_epoch %llu\n",
-                            &version, &id, &n, &epoch);
-  if (matched != 4 || version != 1) {
-    return Status::Corruption("malformed checkpoint manifest at " + path);
-  }
-  Result<PartitionMap> map = PartitionMap::Decode(text);
-  if (map.status().code() == StatusCode::kNotFound) {
+  if (in.AtEnd()) {
     return Status::Corruption("checkpoint manifest at " + path +
                               " records no partition map");
   }
-  if (map.ok()) {
-    *checkpoint_id = id;
-    *partitions = n;
-    *log_epoch = epoch;
+  Result<PartitionMap> map = PartitionMap::DecodeFrom(&in);
+  if (!map.ok()) {
+    return Status::Corruption("checkpoint manifest at " + path + ": " +
+                              map.status().message());
   }
+  if (!in.AtEnd()) {
+    return Status::Corruption("checkpoint manifest at " + path +
+                              " has bytes after its partition map");
+  }
+  *checkpoint_id = *id;
+  *log_epoch = *epoch;
   return map;
 }
 
@@ -479,13 +456,13 @@ Status Cluster::CheckpointAtBarrier(const std::string& dir,
   if (st.ok()) {
     // The manifest records the routing table, making the rename above the
     // atomic commit point of a rebalance cutover.
-    std::string map_block;
+    PartitionMap map(1);
     {
       std::shared_lock<std::shared_mutex> lock(route_mu_);
-      map_block = map_.Encode();
+      map = map_;
     }
-    st = WriteManifest(dir, checkpoint_id, stores_.size(),
-                       will_rotate ? checkpoint_id : log_epoch_, map_block);
+    st = WriteManifest(dir, checkpoint_id,
+                       will_rotate ? checkpoint_id : log_epoch_, map);
   }
   // A kill between the manifest rename and the rotation below: the durable
   // manifest names epoch files that do not exist yet, which replay as an
@@ -843,12 +820,10 @@ Status Cluster::Recover(const std::string& dir, const std::string& log_dir) {
     }
   }
   uint64_t checkpoint_id = 0;
-  size_t manifest_partitions = 0;
   uint64_t manifest_epoch = 0;
-  SSTORE_ASSIGN_OR_RETURN(
-      PartitionMap manifest_map,
-      ReadManifest(dir, &checkpoint_id, &manifest_partitions,
-                   &manifest_epoch));
+  SSTORE_ASSIGN_OR_RETURN(PartitionMap manifest_map,
+                          ReadManifest(dir, &checkpoint_id, &manifest_epoch));
+  const size_t manifest_partitions = manifest_map.num_partitions();
   if (manifest_partitions < stores_.size()) {
     return Status::Corruption(
         "checkpoint has " + std::to_string(manifest_partitions) +
@@ -877,12 +852,6 @@ Status Cluster::Recover(const std::string& dir, const std::string& log_dir) {
       num_partitions_.store(stores_.size(), std::memory_order_release);
       for (auto& channel : channels_) channel->OnPartitionAdded(p);
     }
-  }
-  if (manifest_map.num_partitions() != stores_.size()) {
-    return Status::Corruption(
-        "manifest partition map covers " +
-        std::to_string(manifest_map.num_partitions()) +
-        " partitions, checkpoint has " + std::to_string(stores_.size()));
   }
   {
     std::unique_lock<std::shared_mutex> route(route_mu_);

@@ -2,7 +2,8 @@
 
 #include <cinttypes>
 #include <cstdio>
-#include <sstream>
+
+#include "common/bytes.h"
 
 namespace sstore {
 
@@ -138,70 +139,52 @@ Result<PartitionMap> PartitionMap::WithMerge(size_t source,
   return out;
 }
 
-std::string PartitionMap::Encode() const {
-  std::string out;
-  char line[96];
-  std::snprintf(line, sizeof(line), "map_version %" PRIu64 "\n", version_);
-  out += line;
-  out += std::string("map_mode ") + PartitionMapModeToString(mode_) + "\n";
-  std::snprintf(line, sizeof(line), "map_buckets %zu\n", buckets_.size());
-  out += line;
-  std::snprintf(line, sizeof(line), "map_partitions %zu\n", num_partitions_);
-  out += line;
-  for (size_t b = 0; b < buckets_.size(); ++b) {
-    for (const auto& [start, owner] : buckets_[b]) {
-      std::snprintf(line, sizeof(line), "map_range %zu %" PRIu64 " %zu\n", b,
-                    start, owner);
-      out += line;
+void PartitionMap::EncodeTo(ByteWriter* out) const {
+  out->PutU64(version_);
+  out->PutU8(static_cast<uint8_t>(mode_));
+  out->PutU32(static_cast<uint32_t>(buckets_.size()));
+  out->PutU32(static_cast<uint32_t>(num_partitions_));
+  for (const auto& table : buckets_) {
+    out->PutU32(static_cast<uint32_t>(table.size()));
+    for (const auto& [start, owner] : table) {
+      out->PutU64(start);
+      out->PutU32(static_cast<uint32_t>(owner));
     }
   }
-  return out;
 }
 
-Result<PartitionMap> PartitionMap::Decode(const std::string& text) {
-  uint64_t version = 0;
-  size_t num_buckets = 0;
-  size_t num_partitions = 0;
-  Mode mode = Mode::kHash;
-  bool have_version = false;
-  std::vector<std::vector<std::pair<uint64_t, size_t>>> buckets;
-
-  std::istringstream in(text);
-  std::string line;
-  while (std::getline(in, line)) {
-    char mode_word[16];
-    uint64_t u = 0;
-    size_t a = 0;
-    size_t b = 0;
-    if (std::sscanf(line.c_str(), "map_version %" SCNu64, &u) == 1) {
-      version = u;
-      have_version = true;
-    } else if (std::sscanf(line.c_str(), "map_mode %15s", mode_word) == 1) {
-      mode = std::string(mode_word) == "modulo" ? Mode::kModulo : Mode::kHash;
-    } else if (std::sscanf(line.c_str(), "map_buckets %zu", &a) == 1) {
-      num_buckets = a;
-      buckets.assign(num_buckets, {});
-    } else if (std::sscanf(line.c_str(), "map_partitions %zu", &a) == 1) {
-      num_partitions = a;
-    } else if (std::sscanf(line.c_str(), "map_range %zu %" SCNu64 " %zu", &a,
-                           &u, &b) == 3) {
-      if (a >= buckets.size()) {
-        return Status::Corruption("partition map range names bucket " +
-                                  std::to_string(a) + " of " +
-                                  std::to_string(buckets.size()));
-      }
-      buckets[a].push_back({u, b});
-    }
+Result<PartitionMap> PartitionMap::DecodeFrom(ByteReader* in) {
+  // A range is 12 bytes and a bucket at least a count plus one range: no
+  // count read from the bytes may size an allocation past what is left.
+  constexpr size_t kRangeBytes = 12;
+  SSTORE_ASSIGN_OR_RETURN(uint64_t version, in->GetU64());
+  SSTORE_ASSIGN_OR_RETURN(uint8_t mode, in->GetU8());
+  SSTORE_ASSIGN_OR_RETURN(uint32_t num_buckets, in->GetU32());
+  SSTORE_ASSIGN_OR_RETURN(uint32_t num_partitions, in->GetU32());
+  if (mode != static_cast<uint8_t>(Mode::kHash) &&
+      mode != static_cast<uint8_t>(Mode::kModulo)) {
+    return Status::Corruption("unknown partition map mode " +
+                              std::to_string(mode));
   }
-  if (!have_version) {
-    return Status::NotFound("no partition map block in manifest");
-  }
-  if (num_buckets == 0 || num_partitions == 0 ||
-      num_partitions > kMaxClusterPartitions) {
+  if (version == 0 || num_buckets == 0 || num_partitions == 0 ||
+      num_partitions > kMaxClusterPartitions ||
+      num_buckets > in->remaining() / (4 + kRangeBytes)) {
     return Status::Corruption("malformed partition map header");
   }
+  std::vector<std::vector<std::pair<uint64_t, size_t>>> buckets(num_buckets);
   for (size_t b = 0; b < buckets.size(); ++b) {
+    SSTORE_ASSIGN_OR_RETURN(uint32_t ranges, in->GetU32());
+    if (ranges > in->remaining() / kRangeBytes) {
+      return Status::Corruption("partition map bucket " + std::to_string(b) +
+                                " claims more ranges than it holds");
+    }
     auto& table = buckets[b];
+    table.reserve(ranges);
+    for (uint32_t i = 0; i < ranges; ++i) {
+      SSTORE_ASSIGN_OR_RETURN(uint64_t start, in->GetU64());
+      SSTORE_ASSIGN_OR_RETURN(uint32_t owner, in->GetU32());
+      table.push_back({start, owner});
+    }
     if (table.empty() || table[0].first != 0) {
       return Status::Corruption("partition map bucket " + std::to_string(b) +
                                 " does not start at 0");
@@ -217,7 +200,7 @@ Result<PartitionMap> PartitionMap::Decode(const std::string& text) {
       }
     }
   }
-  PartitionMap out(num_partitions, mode);
+  PartitionMap out(num_partitions, static_cast<Mode>(mode));
   out.version_ = version;
   out.buckets_ = std::move(buckets);
   return out;

@@ -11,6 +11,9 @@
 
 namespace sstore {
 
+class ByteReader;
+class ByteWriter;
+
 /// Hard ceiling on the number of partitions a cluster can grow to at
 /// runtime. It bounds two things at once: the Cluster's store registry is
 /// reserved to this capacity up front (so growing never reallocates under
@@ -45,7 +48,7 @@ inline constexpr size_t kMaxClusterPartitions = 1024;
 /// Every refinement bumps `version()`, which is how injectors and the
 /// cluster detect a concurrent `Cluster::Rebalance`. Maps are plain values:
 /// copyable, comparable by version, and serializable into the checkpoint
-/// manifest (Encode/Decode) so recovery lands on exactly the map the
+/// manifest (EncodeTo/DecodeFrom) so recovery lands on exactly the map the
 /// cutover published.
 ///
 /// Routing stays a pure function of (key, map contents): two maps with
@@ -53,7 +56,8 @@ inline constexpr size_t kMaxClusterPartitions = 1024;
 /// multi-client injection deterministic.
 class PartitionMap {
  public:
-  enum class Mode { kHash, kModulo };
+  /// The values are the mode byte EncodeTo writes.
+  enum class Mode { kHash = 0, kModulo = 1 };
 
   explicit PartitionMap(size_t num_partitions, Mode mode = Mode::kHash);
 
@@ -111,13 +115,15 @@ class PartitionMap {
 
   // ---- Manifest serialization ----
 
-  /// Line-oriented block (`map_version`, `map_mode`, `map_buckets`,
-  /// `map_partitions`, one `map_range` per range) embedded in the cluster
-  /// checkpoint manifest.
-  std::string Encode() const;
-  /// Reconstructs a map from text containing an Encode() block. kNotFound
-  /// when the text has no block (pre-rebalancing manifests).
-  static Result<PartitionMap> Decode(const std::string& text);
+  /// Appends the map to the checkpoint manifest: version (u64), mode (u8),
+  /// bucket and partition counts (u32), then per bucket its range count
+  /// (u32) and each range's start (u64) and owner (u32).
+  void EncodeTo(ByteWriter* out) const;
+  /// Reads what EncodeTo wrote. kCorruption for anything EncodeTo cannot
+  /// produce: an unknown mode byte, zero or too many partitions, a bucket
+  /// whose ranges do not start at 0 or do not ascend, an owner out of
+  /// range, or a count past the bytes left.
+  static Result<PartitionMap> DecodeFrom(ByteReader* in);
 
   /// "v3 hash buckets=2 partitions=3; b1:[0,8000...)→1 [8000...,max]→2".
   std::string Describe() const;

@@ -1,8 +1,30 @@
 #include "common/bytes.h"
 
+#include <fcntl.h>
+#include <sys/stat.h>
+#include <unistd.h>
+
 #include <algorithm>
+#include <cstdio>
+
+#include "common/failpoint.h"
 
 namespace sstore {
+
+namespace {
+
+// Cheap frame checksum (FNV-1a 32-bit). Every step is a bijection of the
+// state for a fixed input byte, so any single-byte change is detected.
+uint32_t Checksum(const uint8_t* data, size_t len) {
+  uint32_t h = 2166136261u;
+  for (size_t i = 0; i < len; ++i) {
+    h ^= data[i];
+    h *= 16777619u;
+  }
+  return h;
+}
+
+}  // namespace
 
 void ByteWriter::PutValue(const Value& v) {
   PutU8(static_cast<uint8_t>(v.type()));
@@ -30,6 +52,30 @@ void ByteWriter::PutTuple(const Tuple& t) {
 void ByteWriter::PutTuples(const std::vector<Tuple>& ts) {
   PutU32(static_cast<uint32_t>(ts.size()));
   for (const Tuple& t : ts) PutTuple(t);
+}
+
+void ByteWriter::PutFrame(uint32_t magic, const std::vector<uint8_t>& payload) {
+  PutU32(magic);
+  PutU32(static_cast<uint32_t>(payload.size()));
+  PutU32(Checksum(payload.data(), payload.size()));
+  PutRaw(payload.data(), payload.size());
+}
+
+Status ByteReader::NextFrame(uint32_t magic, ByteReader* payload) {
+  Result<uint32_t> got = GetU32();
+  if (!got.ok() || *got != magic) return Status::Corruption("bad frame magic");
+  Result<uint32_t> len = GetU32();
+  Result<uint32_t> checksum = GetU32();
+  if (!len.ok() || !checksum.ok() || remaining() < *len) {
+    return Status::Corruption("truncated frame");
+  }
+  const uint8_t* begin = data_ + pos_;
+  if (Checksum(begin, *len) != *checksum) {
+    return Status::Corruption("frame checksum mismatch");
+  }
+  pos_ += *len;
+  *payload = ByteReader(begin, *len);
+  return Status::OK();
 }
 
 Result<uint8_t> ByteReader::GetU8() {
@@ -124,6 +170,78 @@ Result<std::vector<Tuple>> ByteReader::GetTuples() {
     ts.push_back(std::move(t));
   }
   return ts;
+}
+
+Result<std::vector<uint8_t>> ReadFile(const std::string& path) {
+  std::FILE* f = std::fopen(path.c_str(), "rb");
+  if (f == nullptr) return Status::IOError("cannot open " + path);
+  struct stat st;
+  if (::fstat(fileno(f), &st) != 0 || !S_ISREG(st.st_mode)) {
+    std::fclose(f);
+    return Status::IOError(path + " is not a regular file");
+  }
+  std::vector<uint8_t> bytes(static_cast<size_t>(st.st_size));
+  // An empty vector's data() may be null, which fread must not see.
+  size_t got =
+      bytes.empty() ? 0 : std::fread(bytes.data(), 1, bytes.size(), f);
+  std::fclose(f);
+  if (got != bytes.size()) return Status::IOError("short read from " + path);
+  return bytes;
+}
+
+Status WriteFileAtomic(const std::string& path,
+                       const std::vector<uint8_t>& bytes,
+                       const std::string& failpoint_scope) {
+  const std::string tmp = path + ".tmp";
+  const std::string write_site = failpoint_scope + ".write";
+  failpoint::Action a = failpoint::EvaluateFast(write_site);
+  if (a == failpoint::Action::kError) {
+    return Status::IOError("failpoint " + write_site + " injected error");
+  }
+  if (a == failpoint::Action::kTornWrite || a == failpoint::Action::kCrash) {
+    // Simulated kill mid-write: leave a torn temp file (or none). It is
+    // never renamed, so no reader can observe it.
+    if (a == failpoint::Action::kTornWrite) {
+      std::FILE* torn = std::fopen(tmp.c_str(), "wb");
+      if (torn != nullptr) {
+        if (!bytes.empty()) {
+          std::fwrite(bytes.data(), 1, bytes.size() / 2, torn);
+        }
+        std::fclose(torn);
+      }
+    }
+    return Status::IOError("failpoint " + write_site + " injected crash");
+  }
+
+  // Every libc return code is checked: a full disk or a failed fsync is an
+  // IOError, never a silently short file renamed into place.
+  std::FILE* f = std::fopen(tmp.c_str(), "wb");
+  if (f == nullptr) return Status::IOError("cannot create " + tmp);
+  bool ok = (bytes.empty() ||
+             std::fwrite(bytes.data(), 1, bytes.size(), f) == bytes.size()) &&
+            std::fflush(f) == 0 && ::fsync(fileno(f)) == 0;
+  ok = std::fclose(f) == 0 && ok;
+  if (!ok) {
+    std::remove(tmp.c_str());
+    return Status::IOError("cannot write and sync " + tmp);
+  }
+
+  SSTORE_RETURN_NOT_OK(failpoint::Check(failpoint_scope + ".rename"));
+  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
+    return Status::IOError("cannot rename " + tmp + " into place");
+  }
+  // The rename lives in the directory: sync it too, or a power cut can
+  // bring the old file back after the caller moved on. A power cut is not
+  // an in-process fault, so no failpoint can show that loss.
+  size_t slash = path.rfind('/');
+  std::string dir = slash == std::string::npos ? "." : path.substr(0, slash);
+  if (dir.empty()) dir = "/";
+  int fd = ::open(dir.c_str(), O_RDONLY | O_DIRECTORY);
+  if (fd < 0) return Status::IOError("cannot open directory " + dir);
+  bool synced = ::fsync(fd) == 0;
+  ::close(fd);
+  if (!synced) return Status::IOError("cannot sync directory " + dir);
+  return Status::OK();
 }
 
 }  // namespace sstore

@@ -11,9 +11,19 @@
 
 namespace sstore {
 
-/// Append-only binary encoder used by the command log, snapshots, and the
-/// PE<->EE boundary channel (which deliberately serializes every crossing to
-/// model H-Store's JNI boundary).
+// The one codec for durable bytes, and for the PE<->EE boundary channel
+// (which deliberately serializes every crossing to model H-Store's JNI
+// boundary). Every file on disk goes through this header:
+//  - ByteWriter/ByteReader encode and decode the contents: log records,
+//    snapshot entries, the checkpoint manifest and its partition map. The
+//    reader never reads past its buffer; malformed input is kCorruption.
+//  - PutFrame/NextFrame wrap a payload as `magic | len | FNV-1a | payload`.
+//    The command log is a sequence of frames; the manifest is one.
+//  - ReadFile reads a whole regular file; WriteFileAtomic publishes one
+//    (temp file, fsync, rename, fsync of the directory). Snapshots and the
+//    manifest are written this way; the log appends through its own stream.
+
+/// Append-only binary encoder.
 class ByteWriter {
  public:
   ByteWriter() = default;
@@ -31,6 +41,8 @@ class ByteWriter {
   void PutValue(const Value& v);
   void PutTuple(const Tuple& t);
   void PutTuples(const std::vector<Tuple>& ts);
+  /// Appends `magic | u32 len | u32 FNV-1a(payload) | payload`.
+  void PutFrame(uint32_t magic, const std::vector<uint8_t>& payload);
 
   const std::vector<uint8_t>& data() const { return buf_; }
   std::vector<uint8_t> Take() { return std::move(buf_); }
@@ -65,6 +77,12 @@ class ByteReader {
   Result<Tuple> GetTuple();
   Result<std::vector<Tuple>> GetTuples();
 
+  /// Reads one PutFrame(magic, ...) frame and points `*payload` at its
+  /// bytes (a view into this reader's buffer). kCorruption when the bytes
+  /// left do not start with an intact frame: another magic, a length past
+  /// the end, or a checksum mismatch.
+  Status NextFrame(uint32_t magic, ByteReader* payload);
+
   size_t remaining() const { return size_ - pos_; }
   bool AtEnd() const { return pos_ == size_; }
 
@@ -88,6 +106,25 @@ class ByteReader {
   size_t size_;
   size_t pos_ = 0;
 };
+
+/// Reads the whole file at `path`. IOError when it cannot be opened or read,
+/// or is not a regular file (a directory, say).
+Result<std::vector<uint8_t>> ReadFile(const std::string& path);
+
+/// Publishes `bytes` at `path` atomically and durably: write `path.tmp`,
+/// fsync it, rename it over `path`, fsync the directory. A crash leaves
+/// either the old file or the new one, never a short one. The directory
+/// fsync makes the rename itself durable before the caller acts on it (as
+/// LevelDB and RocksDB do after renaming CURRENT): the checkpoint deletes
+/// the previous epoch's logs right after the manifest rename.
+///
+/// Failpoint sites: `<failpoint_scope>.write` (error; torn: half the bytes
+/// reach the temp file; crash: no temp file) and `<failpoint_scope>.rename`
+/// (error, crash). A temp file that was never renamed is invisible to
+/// every reader.
+Status WriteFileAtomic(const std::string& path,
+                       const std::vector<uint8_t>& bytes,
+                       const std::string& failpoint_scope);
 
 }  // namespace sstore
 

@@ -122,33 +122,12 @@ Status ExecutionEngine::AttachInsertTrigger(const std::string& table_name,
 }
 
 Status ExecutionEngine::InsertBatch(const std::string& table_name,
-                                    const std::vector<Tuple>& rows,
-                                    int64_t batch_id, MutationLog* mlog,
-                                    bool fire_triggers) {
+                                    std::vector<Tuple> rows, int64_t batch_id,
+                                    MutationLog* mlog) {
   SSTORE_ASSIGN_OR_RETURN(Table * table, catalog_->GetTable(table_name));
-  Executor exec(mlog);
-  SSTORE_ASSIGN_OR_RETURN(size_t n, exec.InsertMany(table, rows, batch_id));
+  SSTORE_ASSIGN_OR_RETURN(size_t n, Executor(mlog).InsertMany(
+                                        table, std::move(rows), batch_id));
   (void)n;
-  if (!fire_triggers) return Status::OK();
-  return FireTriggersAndGc(table_name, table, batch_id, mlog);
-}
-
-Status ExecutionEngine::InsertBatch(const std::string& table_name,
-                                    std::vector<Tuple>&& rows,
-                                    int64_t batch_id, MutationLog* mlog,
-                                    bool fire_triggers) {
-  SSTORE_ASSIGN_OR_RETURN(Table * table, catalog_->GetTable(table_name));
-  Executor exec(mlog);
-  SSTORE_ASSIGN_OR_RETURN(size_t n,
-                          exec.InsertMany(table, std::move(rows), batch_id));
-  (void)n;
-  if (!fire_triggers) return Status::OK();
-  return FireTriggersAndGc(table_name, table, batch_id, mlog);
-}
-
-Status ExecutionEngine::FireTriggersAndGc(const std::string& table_name,
-                                          Table* table, int64_t batch_id,
-                                          MutationLog* mlog) {
   auto it = insert_triggers_.find(table_name);
   if (it == insert_triggers_.end() || it->second.empty()) return Status::OK();
 

@@ -85,27 +85,17 @@ class ExecutionEngine {
   Status AttachInsertTrigger(const std::string& table_name,
                              const std::string& fragment_name);
 
-  /// Inserts an atomic batch into a stream/base table. If `fire_triggers` is
-  /// true and EE triggers are attached, they execute within the same
-  /// transaction (cascading), then auto-GC reclaims the batch.
-  Status InsertBatch(const std::string& table_name, const std::vector<Tuple>& rows,
-                     int64_t batch_id, MutationLog* mlog,
-                     bool fire_triggers = true);
-
-  /// Move form: the batch's rows are moved into storage (no per-row copy);
-  /// triggers see the batch through the table, never the source vector.
-  Status InsertBatch(const std::string& table_name, std::vector<Tuple>&& rows,
-                     int64_t batch_id, MutationLog* mlog,
-                     bool fire_triggers = true);
+  /// Inserts an atomic batch into a stream/base table; the rows are moved
+  /// into storage. EE triggers attached to the table execute within the
+  /// same transaction (cascading) and see the batch through the table, then
+  /// auto-GC reclaims the batch.
+  Status InsertBatch(const std::string& table_name, std::vector<Tuple> rows,
+                     int64_t batch_id, MutationLog* mlog);
 
   /// Point-in-time snapshot of counters that only go up.
   EngineStats stats() const;
 
  private:
-  /// Shared tail of both InsertBatch forms: EE-trigger cascade + auto-GC.
-  Status FireTriggersAndGc(const std::string& table_name, Table* table,
-                           int64_t batch_id, MutationLog* mlog);
-
   Catalog* catalog_;
   /// Accumulates boundary-envelope checksums so the modeled JNI framing
   /// work is observable and cannot be dead-code eliminated.

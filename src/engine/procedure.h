@@ -54,19 +54,11 @@ class ProcContext {
     return ee_->InvokeFromPE(fragment, params, &te_->undo());
   }
 
-  /// Appends an atomic batch to a stream. EE triggers attached to the stream
-  /// run inside the EE within this transaction; PE triggers attached to it
-  /// fire after this transaction commits. Uses this TE's batch id.
-  Status EmitToStream(const std::string& stream, const std::vector<Tuple>& rows) {
-    SSTORE_RETURN_NOT_OK(
-        ee_->InsertBatch(stream, rows, te_->batch_id(), &te_->undo()));
-    te_->NoteEmit(stream, te_->batch_id());
-    return Status::OK();
-  }
-
-  /// Move form: the rows are moved into the stream table, so a procedure
-  /// that is done with its batch pays no copy on the emit path.
-  Status EmitToStream(const std::string& stream, std::vector<Tuple>&& rows) {
+  /// Appends an atomic batch to a stream; the rows are moved into the stream
+  /// table. EE triggers attached to the stream run inside the EE within
+  /// this transaction; PE triggers attached to it fire after this
+  /// transaction commits. Uses this TE's batch id.
+  Status EmitToStream(const std::string& stream, std::vector<Tuple> rows) {
     SSTORE_RETURN_NOT_OK(ee_->InsertBatch(stream, std::move(rows),
                                           te_->batch_id(), &te_->undo()));
     te_->NoteEmit(stream, te_->batch_id());

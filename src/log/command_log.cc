@@ -2,8 +2,6 @@
 
 #include <unistd.h>
 
-#include <cstring>
-
 #include "common/failpoint.h"
 
 namespace sstore {
@@ -11,16 +9,6 @@ namespace sstore {
 namespace {
 
 constexpr uint32_t kRecordMagic = 0x534c4f47;  // "SLOG"
-
-// Cheap frame checksum (FNV-1a 32-bit) over the record payload.
-uint32_t Checksum(const uint8_t* data, size_t len) {
-  uint32_t h = 2166136261u;
-  for (size_t i = 0; i < len; ++i) {
-    h ^= data[i];
-    h *= 16777619u;
-  }
-  return h;
-}
 
 void EncodeRecord(const LogRecord& r, ByteWriter* out) {
   ByteWriter payload;
@@ -31,11 +19,7 @@ void EncodeRecord(const LogRecord& r, ByteWriter* out) {
   payload.PutU8(r.sp_kind);
   payload.PutU8(r.record_type);
   payload.PutI64(r.global_txn_id);
-  const std::vector<uint8_t>& bytes = payload.data();
-  out->PutU32(kRecordMagic);
-  out->PutU32(static_cast<uint32_t>(bytes.size()));
-  out->PutU32(Checksum(bytes.data(), bytes.size()));
-  for (uint8_t b : bytes) out->PutU8(b);
+  out->PutFrame(kRecordMagic, payload.data());
 }
 
 }  // namespace
@@ -57,8 +41,7 @@ Result<std::unique_ptr<CommandLog>> CommandLog::Open(Options options) {
 
 CommandLog::~CommandLog() { Close().ok(); }
 
-Status CommandLog::Append(const LogRecord& record, bool* flushed) {
-  if (flushed != nullptr) *flushed = false;
+Status CommandLog::Append(const LogRecord& record) {
   if (!error_.ok()) return error_;
   if (file_ == nullptr) {
     return Status::IOError("command log is closed");
@@ -83,9 +66,7 @@ Status CommandLog::Append(const LogRecord& record, bool* flushed) {
   EncodeRecord(record, &buffer_);
   ++pending_;
   records_appended_.fetch_add(1, std::memory_order_relaxed);
-  bool do_flush = pending_ >= options_.group_size;
-  if (flushed != nullptr) *flushed = do_flush;
-  if (do_flush) return Flush();
+  if (pending_ >= options_.group_size) return Flush();
   return Status::OK();
 }
 
@@ -159,88 +140,30 @@ Status CommandLog::Close() {
   return st;
 }
 
-namespace {
-
-Result<std::vector<uint8_t>> ReadLogBytes(const std::string& path) {
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (f == nullptr) {
-    return Status::IOError("cannot open command log at " + path);
-  }
-  std::fseek(f, 0, SEEK_END);
-  long size = std::ftell(f);
-  std::fseek(f, 0, SEEK_SET);
-  std::vector<uint8_t> bytes(static_cast<size_t>(size));
-  if (size > 0 && std::fread(bytes.data(), 1, bytes.size(), f) != bytes.size()) {
-    std::fclose(f);
-    return Status::IOError("short read from command log");
-  }
-  std::fclose(f);
-  return bytes;
-}
-
-// Parses frames until the end of `bytes` or the first invalid byte.
-// `torn_tail` reports whether parsing stopped early; strict callers turn
-// that into kCorruption, tolerant callers accept it as the crash tail.
-Result<std::vector<LogRecord>> ParseRecords(const std::vector<uint8_t>& bytes,
-                                            bool* torn_tail,
-                                            std::string* tail_reason) {
-  *torn_tail = false;
-  std::vector<LogRecord> records;
-  ByteReader reader(bytes);
-  while (!reader.AtEnd()) {
-    Result<uint32_t> magic = reader.GetU32();
-    if (!magic.ok() || *magic != kRecordMagic) {
-      *torn_tail = true;
-      *tail_reason = "bad record magic in command log";
-      return records;
-    }
-    Result<uint32_t> len = reader.GetU32();
-    Result<uint32_t> checksum = reader.GetU32();
-    if (!len.ok() || !checksum.ok() || reader.remaining() < *len) {
-      *torn_tail = true;
-      *tail_reason = "truncated record in command log";
-      return records;
-    }
-    std::vector<uint8_t> payload(*len);
-    for (uint32_t i = 0; i < *len; ++i) payload[i] = *reader.GetU8();
-    if (Checksum(payload.data(), payload.size()) != *checksum) {
-      *torn_tail = true;
-      *tail_reason = "checksum mismatch in command log";
-      return records;
-    }
-    ByteReader pr(payload);
-    LogRecord r;
-    SSTORE_ASSIGN_OR_RETURN(r.txn_id, pr.GetI64());
-    SSTORE_ASSIGN_OR_RETURN(r.proc, pr.GetString());
-    SSTORE_ASSIGN_OR_RETURN(r.params, pr.GetTuple());
-    SSTORE_ASSIGN_OR_RETURN(r.batch_id, pr.GetI64());
-    SSTORE_ASSIGN_OR_RETURN(r.sp_kind, pr.GetU8());
-    SSTORE_ASSIGN_OR_RETURN(r.record_type, pr.GetU8());
-    SSTORE_ASSIGN_OR_RETURN(r.global_txn_id, pr.GetI64());
-    records.push_back(std::move(r));
-  }
-  return records;
-}
-
-}  // namespace
-
-Result<std::vector<LogRecord>> CommandLog::ReadAll(const std::string& path) {
-  SSTORE_ASSIGN_OR_RETURN(std::vector<uint8_t> bytes, ReadLogBytes(path));
-  bool torn = false;
-  std::string reason;
-  SSTORE_ASSIGN_OR_RETURN(std::vector<LogRecord> records,
-                          ParseRecords(bytes, &torn, &reason));
-  if (torn) return Status::Corruption(reason);
-  return records;
-}
-
 Result<CommandLog::TolerantRead> CommandLog::ReadTolerant(
     const std::string& path) {
-  SSTORE_ASSIGN_OR_RETURN(std::vector<uint8_t> bytes, ReadLogBytes(path));
+  SSTORE_ASSIGN_OR_RETURN(std::vector<uint8_t> bytes, ReadFile(path));
   TolerantRead out;
-  std::string reason;
-  SSTORE_ASSIGN_OR_RETURN(out.records,
-                          ParseRecords(bytes, &out.torn_tail, &reason));
+  ByteReader reader(bytes);
+  ByteReader payload(nullptr, 0);
+  while (!reader.AtEnd()) {
+    // The first frame that is not intact ends the log: the tail a crash
+    // mid-flush leaves behind.
+    if (!reader.NextFrame(kRecordMagic, &payload).ok()) {
+      out.torn_tail = true;
+      break;
+    }
+    // An intact frame whose payload does not decode is not a torn tail.
+    LogRecord r;
+    SSTORE_ASSIGN_OR_RETURN(r.txn_id, payload.GetI64());
+    SSTORE_ASSIGN_OR_RETURN(r.proc, payload.GetString());
+    SSTORE_ASSIGN_OR_RETURN(r.params, payload.GetTuple());
+    SSTORE_ASSIGN_OR_RETURN(r.batch_id, payload.GetI64());
+    SSTORE_ASSIGN_OR_RETURN(r.sp_kind, payload.GetU8());
+    SSTORE_ASSIGN_OR_RETURN(r.record_type, payload.GetU8());
+    SSTORE_ASSIGN_OR_RETURN(r.global_txn_id, payload.GetI64());
+    out.records.push_back(std::move(r));
+  }
   return out;
 }
 

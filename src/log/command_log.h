@@ -112,9 +112,8 @@ class CommandLog {
   CommandLog(const CommandLog&) = delete;
   CommandLog& operator=(const CommandLog&) = delete;
 
-  /// Buffers one record. Returns true via `flushed` when the group filled
-  /// and the buffer was made durable as part of this call.
-  Status Append(const LogRecord& record, bool* flushed = nullptr);
+  /// Buffers one record; flushes when the group fills.
+  Status Append(const LogRecord& record);
 
   /// Forces buffered records to durable storage.
   Status Flush();
@@ -141,10 +140,6 @@ class CommandLog {
   /// log is frozen: no further bytes reach disk, including at Close().
   const Status& last_error() const { return error_; }
 
-  /// Reads every record of a closed log file, validating framing and
-  /// checksums; kCorruption on malformed input.
-  static Result<std::vector<LogRecord>> ReadAll(const std::string& path);
-
   /// What a crash-tolerant read recovered: every whole valid record, plus
   /// whether the file ended in a torn/invalid tail (a crash mid-flush — the
   /// normal way a log ends when the process died, per §4.4 group commit:
@@ -154,9 +149,12 @@ class CommandLog {
     bool torn_tail = false;
   };
 
-  /// Like ReadAll, but a malformed suffix ends the log instead of failing
-  /// it: replay after a kill must accept a torn final frame. Reads stop at
-  /// the first invalid byte (standard WAL tail-truncation semantics).
+  /// Reads every record of a log file, validating framing and checksums
+  /// (common/bytes.h frames). A malformed suffix ends the log instead of
+  /// failing it: replay after a kill must accept a torn final frame. Reads
+  /// stop at the first frame that is not intact (standard WAL
+  /// tail-truncation semantics); an intact frame that does not decode as a
+  /// record is kCorruption.
   static Result<TolerantRead> ReadTolerant(const std::string& path);
 
  private:

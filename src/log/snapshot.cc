@@ -1,15 +1,10 @@
 #include "log/snapshot.h"
 
-#include <unistd.h>
-
-#include <atomic>
-#include <cstdio>
 #include <map>
 #include <set>
 #include <vector>
 
 #include "common/bytes.h"
-#include "common/failpoint.h"
 
 namespace sstore {
 
@@ -17,87 +12,11 @@ namespace {
 
 // Per-table entries are (full | reference-to-earlier-checkpoint), full
 // entries length-prefixed so readers can skip without deserializing. The
-// "02" is the format version; no other version is written or read.
-constexpr uint64_t kSnapshotMagic = 0x53534e4150533032ull;  // "SSNAPS02"
+// "03" is the format version; no other version is written or read.
+constexpr uint64_t kSnapshotMagic = 0x53534e4150533033ull;  // "SSNAPS03"
 
 constexpr uint8_t kEntryFull = 0;
 constexpr uint8_t kEntryRef = 1;
-
-std::atomic<uint64_t> g_snapshot_epoch{1};
-
-Result<std::vector<uint8_t>> ReadFileBytes(const std::string& path) {
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (f == nullptr) {
-    return Status::IOError("cannot open snapshot at " + path);
-  }
-  long size = -1;
-  if (std::fseek(f, 0, SEEK_END) == 0) size = std::ftell(f);
-  if (size < 0 || std::fseek(f, 0, SEEK_SET) != 0) {
-    std::fclose(f);
-    return Status::IOError("cannot size snapshot at " + path);
-  }
-  std::vector<uint8_t> bytes(static_cast<size_t>(size));
-  if (size > 0 && std::fread(bytes.data(), 1, bytes.size(), f) != bytes.size()) {
-    std::fclose(f);
-    return Status::IOError("short read from snapshot");
-  }
-  std::fclose(f);
-  return bytes;
-}
-
-/// Durably writes `bytes` to `path` via temp + rename, with the failpoint
-/// sites armed torture tests hit. Every libc return code is checked: a full
-/// disk or failed fsync surfaces as IOError, never as a silently short
-/// (but renamed-into-place) snapshot.
-Status WriteFileDurable(const std::string& path,
-                        const std::vector<uint8_t>& bytes) {
-  std::string tmp = path + ".tmp";
-
-  if (failpoint::AnyActive()) {
-    failpoint::Action a = failpoint::Evaluate("snapshot.write");
-    if (a == failpoint::Action::kError) {
-      return Status::IOError("failpoint snapshot.write injected error");
-    }
-    if (a == failpoint::Action::kTornWrite || a == failpoint::Action::kCrash) {
-      // Simulated kill mid-write: leave a torn temp file (or none). It is
-      // never renamed, so recovery cannot observe it.
-      if (a == failpoint::Action::kTornWrite) {
-        std::FILE* torn = std::fopen(tmp.c_str(), "wb");
-        if (torn != nullptr) {
-          std::fwrite(bytes.data(), 1, bytes.size() / 2, torn);
-          std::fclose(torn);
-        }
-      }
-      return Status::IOError("failpoint snapshot.write injected crash");
-    }
-  }
-
-  std::FILE* f = std::fopen(tmp.c_str(), "wb");
-  if (f == nullptr) {
-    return Status::IOError("cannot create snapshot at " + tmp);
-  }
-  size_t written = std::fwrite(bytes.data(), 1, bytes.size(), f);
-  if (written != bytes.size()) {
-    std::fclose(f);
-    std::remove(tmp.c_str());
-    return Status::IOError("short write to snapshot");
-  }
-  if (std::fflush(f) != 0 || fsync(fileno(f)) != 0) {
-    std::fclose(f);
-    std::remove(tmp.c_str());
-    return Status::IOError("cannot sync snapshot");
-  }
-  if (std::fclose(f) != 0) {
-    std::remove(tmp.c_str());
-    return Status::IOError("cannot close snapshot");
-  }
-
-  SSTORE_RETURN_NOT_OK(failpoint::Check("snapshot.rename"));
-  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-    return Status::IOError("cannot rename snapshot into place");
-  }
-  return Status::OK();
-}
 
 /// A snapshot's references: base checkpoint id -> the tables it holds.
 using SnapshotRefs = std::map<uint64_t, std::set<std::string>>;
@@ -117,13 +36,12 @@ Result<std::set<std::string>> ReadEntries(const std::string& path,
                                           const std::set<std::string>* wanted,
                                           Catalog* catalog,
                                           SnapshotRefs* refs) {
-  SSTORE_ASSIGN_OR_RETURN(std::vector<uint8_t> bytes, ReadFileBytes(path));
+  SSTORE_ASSIGN_OR_RETURN(std::vector<uint8_t> bytes, ReadFile(path));
   ByteReader in(bytes);
   SSTORE_ASSIGN_OR_RETURN(uint64_t magic, in.GetU64());
   if (magic != kSnapshotMagic) {
     return Status::Corruption("bad snapshot magic in " + path);
   }
-  SSTORE_RETURN_NOT_OK(in.GetU64().status());  // epoch
   SSTORE_ASSIGN_OR_RETURN(uint32_t n, in.GetU32());
   std::set<std::string> names;
   for (uint32_t i = 0; i < n; ++i) {
@@ -183,7 +101,6 @@ Status SnapshotManager::WriteSnapshot(const std::string& path,
                                       SnapshotWriteStats* stats) {
   ByteWriter out;
   out.PutU64(kSnapshotMagic);
-  out.PutU64(g_snapshot_epoch.fetch_add(1));
   std::vector<std::string> names = catalog.TableNames();
   out.PutU32(static_cast<uint32_t>(names.size()));
   SnapshotWriteStats local;
@@ -215,7 +132,7 @@ Status SnapshotManager::WriteSnapshot(const std::string& path,
     }
   }
   local.bytes = out.data().size();
-  SSTORE_RETURN_NOT_OK(WriteFileDurable(path, out.data()));
+  SSTORE_RETURN_NOT_OK(WriteFileAtomic(path, out.data(), "snapshot"));
   if (stats != nullptr) *stats = local;
   return Status::OK();
 }
@@ -249,16 +166,6 @@ Status SnapshotManager::RestoreSnapshot(const std::string& path,
     table->Clear();
   }
   return Status::OK();
-}
-
-Result<uint64_t> SnapshotManager::ReadEpoch(const std::string& path) {
-  SSTORE_ASSIGN_OR_RETURN(std::vector<uint8_t> bytes, ReadFileBytes(path));
-  ByteReader in(bytes);
-  SSTORE_ASSIGN_OR_RETURN(uint64_t magic, in.GetU64());
-  if (magic != kSnapshotMagic) {
-    return Status::Corruption("bad snapshot magic in " + path);
-  }
-  return in.GetU64();
 }
 
 }  // namespace sstore

@@ -37,18 +37,17 @@ using SnapshotBaseResolver = std::function<std::string(uint64_t)>;
 /// transaction-consistent snapshots, paper §3.1). A snapshot captures every
 /// table's live rows and row metadata; indexes are rebuilt on restore.
 ///
-/// One on-disk format (magic "SSNAPS02"): a header, then one entry per
+/// One on-disk format (magic "SSNAPS03"): a table count, then one entry per
 /// table — name, table kind, and either a full length-prefixed body or a
 /// reference to the earlier checkpoint that holds the table in full. One
 /// reader serves a checkpoint's file and its delta bases; it accepts only
 /// what WriteSnapshot writes, and anything else (another magic, an unknown
 /// entry kind, a truncated or overlong body, trailing bytes) is kCorruption.
 ///
-/// Failure model: every write/fsync/rename is checked and surfaced as a
-/// Status (never a silent short file), publication is atomic via temp +
-/// rename, and the failpoint sites `snapshot.write` / `snapshot.rename`
-/// (common/failpoint.h) can inject errors, torn temp files, and crashes —
-/// a temp file never renamed is invisible to recovery by construction.
+/// Files are read with ReadFile and published with WriteFileAtomic
+/// (common/bytes.h) under the failpoint scope `snapshot`: the sites
+/// `snapshot.write` / `snapshot.rename` inject errors, torn temp files and
+/// crashes, and a temp file never renamed is invisible to recovery.
 class SnapshotManager {
  public:
   /// Serializes every table of `catalog` to `path` (atomic via temp+rename).
@@ -69,9 +68,6 @@ class SnapshotManager {
   /// snapshot is InvalidArgument.
   static Status RestoreSnapshot(const std::string& path, Catalog* catalog,
                                 const SnapshotBaseResolver& resolver = {});
-
-  /// The monotone snapshot epoch embedded in the file, used by tests.
-  static Result<uint64_t> ReadEpoch(const std::string& path);
 };
 
 }  // namespace sstore

@@ -772,19 +772,7 @@ Result<RowId> Executor::Insert(Table* table, Tuple row, int64_t batch_id,
   return rid;
 }
 
-Result<size_t> Executor::InsertMany(Table* table,
-                                    const std::vector<Tuple>& rows,
-                                    int64_t batch_id, bool active) const {
-  size_t n = 0;
-  for (const Tuple& row : rows) {
-    SSTORE_ASSIGN_OR_RETURN(RowId rid, Insert(table, row, batch_id, active));
-    (void)rid;
-    ++n;
-  }
-  return n;
-}
-
-Result<size_t> Executor::InsertMany(Table* table, std::vector<Tuple>&& rows,
+Result<size_t> Executor::InsertMany(Table* table, std::vector<Tuple> rows,
                                     int64_t batch_id, bool active) const {
   size_t n = 0;
   for (Tuple& row : rows) {
@@ -793,7 +781,6 @@ Result<size_t> Executor::InsertMany(Table* table, std::vector<Tuple>&& rows,
     (void)rid;
     ++n;
   }
-  rows.clear();  // rows are moved-from; don't leave husks for the caller
   return n;
 }
 

@@ -50,15 +50,10 @@ class Executor {
   Result<RowId> Insert(Table* table, Tuple row, int64_t batch_id = 0,
                        bool active = true) const;
 
-  /// Inserts many rows under one batch id. Stops at the first failure with
-  /// mutations so far already recorded in the MutationLog (the transaction
-  /// will roll them back).
-  Result<size_t> InsertMany(Table* table, const std::vector<Tuple>& rows,
-                            int64_t batch_id = 0, bool active = true) const;
-
-  /// Move form: each row is moved into the table — the copy-free write path
-  /// used by stream emission (a border SP's rows reach storage untouched).
-  Result<size_t> InsertMany(Table* table, std::vector<Tuple>&& rows,
+  /// Inserts many rows under one batch id, moving each row into the table.
+  /// Stops at the first failure with mutations so far already recorded in
+  /// the MutationLog (the transaction will roll them back).
+  Result<size_t> InsertMany(Table* table, std::vector<Tuple> rows,
                             int64_t batch_id = 0, bool active = true) const;
 
   /// Deletes all rows matching `predicate` (all rows if null); returns count.

@@ -211,8 +211,7 @@ Status ValidateBody(ProcContext& ctx, const VoterConfig& config,
 /// Update totals, trending window, and all three leaderboards for a batch
 /// of validated contestant ids.
 Status MaintainBody(ProcContext& ctx, SStore* store, const VoterConfig& config,
-                    const std::vector<Tuple>& contestant_rows,
-                    bool sstore_mode) {
+                    std::vector<Tuple> contestant_rows, bool sstore_mode) {
   SSTORE_ASSIGN_OR_RETURN(Table * contestants, ctx.table("contestants"));
   for (const Tuple& row : contestant_rows) {
     SSTORE_ASSIGN_OR_RETURN(
@@ -249,7 +248,7 @@ Status MaintainBody(ProcContext& ctx, SStore* store, const VoterConfig& config,
   SSTORE_RETURN_NOT_OK(
       RecomputeTrending(ctx, sstore_mode ? kTrendingWindow : "t_trending"));
   if (sstore_mode) {
-    return ctx.EmitToStream(kMaintained, contestant_rows);
+    return ctx.EmitToStream(kMaintained, std::move(contestant_rows));
   }
   return Status::OK();
 }
@@ -314,7 +313,8 @@ Status VoterApp::SetupSStoreProcs() {
         SSTORE_ASSIGN_OR_RETURN(
             std::vector<Tuple> rows,
             store->streams().BatchContents(kValidated, ctx.batch_id()));
-        return MaintainBody(ctx, store, config, rows, /*sstore_mode=*/true);
+        return MaintainBody(ctx, store, config, std::move(rows),
+                            /*sstore_mode=*/true);
       })));
 
   SSTORE_RETURN_NOT_OK(store_->partition().RegisterProcedure(
@@ -357,7 +357,8 @@ Status VoterApp::SetupHStoreProcs() {
       "maintain", SpKind::kOltp,
       std::make_shared<LambdaProcedure>([config, store](ProcContext& ctx) {
         std::vector<Tuple> rows = {{ctx.params()[0]}};
-        return MaintainBody(ctx, store, config, rows, /*sstore_mode=*/false);
+        return MaintainBody(ctx, store, config, std::move(rows),
+                            /*sstore_mode=*/false);
       })));
   return store_->partition().RegisterProcedure(
       "lowest", SpKind::kOltp,

@@ -20,6 +20,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <functional>
 #include <map>
 #include <memory>
 #include <string>
@@ -28,6 +29,7 @@
 
 #include "cluster/cluster.h"
 #include "cluster/topology.h"
+#include "common/bytes.h"
 #include "common/failpoint.h"
 #include "log/command_log.h"
 #include "log/snapshot.h"
@@ -54,6 +56,15 @@ std::string MakeDir(const std::string& name) {
 bool FileExists(const std::string& path) {
   struct stat st;
   return ::stat(path.c_str(), &st) == 0;
+}
+
+/// Every record of a log that must end cleanly (no torn tail).
+std::vector<LogRecord> ReadWholeLog(const std::string& path) {
+  Result<CommandLog::TolerantRead> read = CommandLog::ReadTolerant(path);
+  EXPECT_TRUE(read.ok()) << read.status().ToString();
+  if (!read.ok()) return {};
+  EXPECT_FALSE(read->torn_tail) << path;
+  return std::move(read->records);
 }
 
 Schema KeyValSchema() {
@@ -259,10 +270,9 @@ TEST_F(FailpointGuard, CommandLogFlushErrorIsStickyAndFreezesTheFile) {
   failpoint::ResetAll();
 
   // Only the acked prefix survives; the file is cleanly readable.
-  Result<std::vector<LogRecord>> records = CommandLog::ReadAll(path);
-  ASSERT_TRUE(records.ok()) << records.status().ToString();
-  ASSERT_EQ(records->size(), 1u);
-  EXPECT_EQ((*records)[0], TxnRecord(1));
+  std::vector<LogRecord> records = ReadWholeLog(path);
+  ASSERT_EQ(records.size(), 1u);
+  EXPECT_EQ(records[0], TxnRecord(1));
 }
 
 TEST_F(FailpointGuard, CommandLogAppendErrorIsNotSticky) {
@@ -281,10 +291,9 @@ TEST_F(FailpointGuard, CommandLogAppendErrorIsNotSticky) {
   EXPECT_TRUE((*log)->Append(TxnRecord(2)).ok());
   ASSERT_TRUE((*log)->Close().ok());
 
-  Result<std::vector<LogRecord>> records = CommandLog::ReadAll(path);
-  ASSERT_TRUE(records.ok());
-  ASSERT_EQ(records->size(), 1u);
-  EXPECT_EQ((*records)[0], TxnRecord(2));
+  std::vector<LogRecord> records = ReadWholeLog(path);
+  ASSERT_EQ(records.size(), 1u);
+  EXPECT_EQ(records[0], TxnRecord(2));
 }
 
 TEST_F(FailpointGuard, TornFlushLeavesTailReadTolerantRecovers) {
@@ -314,9 +323,7 @@ TEST_F(FailpointGuard, TornFlushLeavesTailReadTolerantRecovers) {
   (void)(*log)->Close();
   failpoint::ResetAll();
 
-  // Strict read refuses the torn file; tolerant read returns the acked
-  // prefix and flags the tail.
-  EXPECT_TRUE(CommandLog::ReadAll(path).status().code() == StatusCode::kCorruption);
+  // The read returns the acked prefix and flags the tail.
   Result<CommandLog::TolerantRead> tolerant = CommandLog::ReadTolerant(path);
   ASSERT_TRUE(tolerant.ok()) << tolerant.status().ToString();
   EXPECT_TRUE(tolerant->torn_tail);
@@ -426,11 +433,10 @@ TEST_F(FailpointGuard, WeakNestedGroupLogsOnlyItsBorderChild) {
   ASSERT_TRUE(out.committed()) << out.status.ToString();
   ASSERT_TRUE(part.DetachCommandLog().ok());
 
-  Result<std::vector<LogRecord>> records = CommandLog::ReadAll(path);
-  ASSERT_TRUE(records.ok()) << records.status().ToString();
-  ASSERT_EQ(records->size(), 2u);
-  const LogRecord& prepare = (*records)[0];
-  const LogRecord& mark = (*records)[1];
+  std::vector<LogRecord> records = ReadWholeLog(path);
+  ASSERT_EQ(records.size(), 2u);
+  const LogRecord& prepare = records[0];
+  const LogRecord& mark = records[1];
   EXPECT_EQ(prepare.type(), LogRecordType::kPrepare);
   EXPECT_EQ(prepare.proc, "border");
   EXPECT_EQ(mark.type(), LogRecordType::kCommitMark);
@@ -661,6 +667,11 @@ TEST_F(FailpointGuard, CrashAtManifestWrite) {
                    FireVia::kCheckpoint);
 }
 
+TEST_F(FailpointGuard, TornWriteAtManifestWrite) {
+  RunCrashScenario("man_torn", "manifest.write",
+                   failpoint::Action::kTornWrite, FireVia::kCheckpoint);
+}
+
 TEST_F(FailpointGuard, CrashAtManifestRename) {
   RunCrashScenario("man_ren", "manifest.rename", failpoint::Action::kCrash,
                    FireVia::kCheckpoint);
@@ -834,63 +845,175 @@ TEST_F(FailpointGuard, DeltaSnapshotSkipsUnchangedTablesAndRecovers) {
   EXPECT_FALSE(bare.ok());
 }
 
-// ---- The manifest reader accepts only what WriteManifest writes ----
+// ---- The durable readers accept only what the writers write ----
 
-/// Cuts a checkpoint of a one-partition cluster into `dir`, rewrites its
-/// manifest with every line containing `drop` (or, with a non-empty
-/// `replacement`, replaces those lines), and returns what Recover says.
-Status RecoverFromEditedManifest(const std::string& dir,
-                                 const std::string& drop,
-                                 const std::string& replacement) {
+/// Cuts a checkpoint of a one-partition cluster into `dir` and returns its
+/// manifest's bytes.
+std::vector<uint8_t> CheckpointManifest(const std::string& dir) {
   Cluster::Options opts;
   opts.num_partitions = 1;
-  {
-    Cluster cluster(opts);
-    EXPECT_TRUE(cluster.Deploy(HotColdTopology()).ok());
-    EXPECT_TRUE(cluster.Checkpoint(dir).ok());
-  }
-  std::string path = dir + "/CHECKPOINT";
-  std::FILE* in = std::fopen(path.c_str(), "r");
-  EXPECT_NE(in, nullptr);
-  if (in == nullptr) return Status::IOError("no manifest");
-  std::string edited;
-  bool matched = false;
-  char line[256];
-  while (std::fgets(line, sizeof(line), in) != nullptr) {
-    if (std::string(line).find(drop) == std::string::npos) {
-      edited += line;
-    } else {
-      matched = true;
-      edited += replacement;
-    }
-  }
-  std::fclose(in);
-  EXPECT_TRUE(matched) << "manifest has no line with '" << drop << "'";
-  std::FILE* out = std::fopen(path.c_str(), "w");
-  EXPECT_NE(out, nullptr);
-  if (out == nullptr) return Status::IOError("cannot rewrite manifest");
-  std::fputs(edited.c_str(), out);
-  std::fclose(out);
+  Cluster cluster(opts);
+  EXPECT_TRUE(cluster.Deploy(HotColdTopology()).ok());
+  EXPECT_TRUE(cluster.Checkpoint(dir).ok());
+  Result<std::vector<uint8_t>> bytes = ReadFile(dir + "/CHECKPOINT");
+  EXPECT_TRUE(bytes.ok()) << bytes.status().ToString();
+  return bytes.ok() ? *bytes : std::vector<uint8_t>{};
+}
 
+/// What Recover says about `dir` once its manifest holds `bytes`.
+Status RecoverWithManifest(const std::string& dir,
+                           const std::vector<uint8_t>& bytes) {
+  EXPECT_TRUE(WriteFileAtomic(dir + "/CHECKPOINT", bytes, "test").ok());
+  Cluster::Options opts;
+  opts.num_partitions = 1;
   Cluster recovered(opts);
   EXPECT_TRUE(recovered.Deploy(HotColdTopology()).ok());
   return recovered.Recover(dir, "");
 }
 
+/// Checkpoints into `dir`, rewrites the manifest's payload with `edit` and
+/// frames it again, so only the payload decoder can catch the edit, and
+/// returns what Recover says.
+Status RecoverFromEditedManifest(
+    const std::string& dir,
+    const std::function<void(std::vector<uint8_t>*)>& edit) {
+  std::vector<uint8_t> bytes = CheckpointManifest(dir);
+  ByteReader file(bytes);
+  Result<uint32_t> magic = file.GetU32();
+  EXPECT_TRUE(magic.ok());
+  constexpr size_t kFrameHeader = 12;  // magic, length, checksum
+  std::vector<uint8_t> payload(bytes.begin() + kFrameHeader, bytes.end());
+  edit(&payload);
+  ByteWriter framed;
+  framed.PutFrame(magic.ok() ? *magic : 0, payload);
+  return RecoverWithManifest(dir, framed.data());
+}
+
 TEST_F(FailpointGuard, ManifestWithoutLogEpochIsCorruption) {
-  Status missing =
-      RecoverFromEditedManifest(MakeDir("man_no_epoch"), "log_epoch", "");
+  // The payload starts with the checkpoint id (8 bytes), then the epoch.
+  Status missing = RecoverFromEditedManifest(
+      MakeDir("man_no_epoch"), [](std::vector<uint8_t>* p) { p->resize(8); });
   EXPECT_EQ(missing.code(), StatusCode::kCorruption) << missing.ToString();
-  Status garbled = RecoverFromEditedManifest(MakeDir("man_bad_epoch"),
-                                             "log_epoch", "log_epoch x\n");
+  Status garbled = RecoverFromEditedManifest(
+      MakeDir("man_bad_epoch"), [](std::vector<uint8_t>* p) { p->resize(12); });
   EXPECT_EQ(garbled.code(), StatusCode::kCorruption) << garbled.ToString();
 }
 
 TEST_F(FailpointGuard, ManifestWithoutPartitionMapIsCorruption) {
-  Status st = RecoverFromEditedManifest(MakeDir("man_no_map"), "map_", "");
+  Status st = RecoverFromEditedManifest(
+      MakeDir("man_no_map"), [](std::vector<uint8_t>* p) { p->resize(16); });
   EXPECT_EQ(st.code(), StatusCode::kCorruption) << st.ToString();
   EXPECT_NE(st.message().find("records no partition map"), std::string::npos)
       << st.ToString();
+}
+
+TEST_F(FailpointGuard, ManifestMapThatEncodeToCannotWriteIsCorruption) {
+  // The map's mode byte follows the ids (16 bytes) and its version (8).
+  Status mode = RecoverFromEditedManifest(
+      MakeDir("man_bad_mode"), [](std::vector<uint8_t>* p) { (*p)[24] = 7; });
+  EXPECT_EQ(mode.code(), StatusCode::kCorruption) << mode.ToString();
+  EXPECT_NE(mode.message().find("mode"), std::string::npos) << mode.ToString();
+  Status trailing = RecoverFromEditedManifest(
+      MakeDir("man_trailing"),
+      [](std::vector<uint8_t>* p) { p->push_back(0); });
+  EXPECT_EQ(trailing.code(), StatusCode::kCorruption) << trailing.ToString();
+  EXPECT_NE(trailing.message().find("after its partition map"),
+            std::string::npos)
+      << trailing.ToString();
+}
+
+TEST_F(FailpointGuard, EveryManifestByteFlipAndTruncationIsCorruption) {
+  std::string dir = MakeDir("man_flips");
+  const std::vector<uint8_t> good = CheckpointManifest(dir);
+  ASSERT_FALSE(good.empty());
+  for (size_t i = 0; i < good.size(); ++i) {
+    for (uint8_t mask : {0x01, 0x80, 0xFF}) {
+      std::vector<uint8_t> flipped = good;
+      flipped[i] ^= mask;
+      Status st = RecoverWithManifest(dir, flipped);
+      EXPECT_EQ(st.code(), StatusCode::kCorruption)
+          << "byte " << i << " ^ " << int{mask} << ": " << st.ToString();
+    }
+  }
+  for (size_t len = 0; len < good.size(); ++len) {
+    std::vector<uint8_t> cut(good.begin(), good.begin() + len);
+    Status st = RecoverWithManifest(dir, cut);
+    EXPECT_EQ(st.code(), StatusCode::kCorruption)
+        << "cut at " << len << ": " << st.ToString();
+  }
+  // The intact manifest still recovers.
+  Status st = RecoverWithManifest(dir, good);
+  EXPECT_TRUE(st.ok()) << st.ToString();
+}
+
+TEST_F(FailpointGuard, DirectoryPathsAreIOErrorNotACrash) {
+  // A directory must never be sized as a file (ext4 reports LLONG_MAX).
+  std::string dir = MakeDir("dir_paths");
+  Catalog catalog;
+  EXPECT_EQ(SnapshotManager::RestoreSnapshot(dir, &catalog).code(),
+            StatusCode::kIOError);
+  EXPECT_EQ(CommandLog::ReadTolerant(dir).status().code(),
+            StatusCode::kIOError);
+
+  // Recover over a manifest that is a directory.
+  std::string ckpt_dir = MakeDir("dir_paths_ckpt");
+  ASSERT_EQ(::mkdir((ckpt_dir + "/CHECKPOINT").c_str(), 0755), 0);
+  Cluster::Options opts;
+  opts.num_partitions = 1;
+  {
+    Cluster recovered(opts);
+    ASSERT_TRUE(recovered.Deploy(HotColdTopology()).ok());
+    Status st = recovered.Recover(ckpt_dir, "");
+    EXPECT_EQ(st.code(), StatusCode::kIOError) << st.ToString();
+  }
+
+  // Recover over a command log that is a directory.
+  std::string log_ckpt = MakeDir("dir_paths_log_ckpt");
+  std::string log_dir = MakeDir("dir_paths_logs");
+  {
+    Cluster::Options logged = opts;
+    logged.log_dir = log_dir;
+    Cluster cluster(logged);
+    ASSERT_TRUE(cluster.Deploy(HotColdTopology()).ok());
+    ASSERT_TRUE(cluster.Checkpoint(log_ckpt).ok());
+  }
+  size_t replaced = 0;
+  for (const std::string& name : DirEntries(log_dir)) {
+    if (name.rfind("partition-0.", 0) != 0) continue;
+    std::string path = log_dir + "/" + name;
+    ASSERT_EQ(std::remove(path.c_str()), 0);
+    ASSERT_EQ(::mkdir(path.c_str(), 0755), 0);
+    ++replaced;
+  }
+  ASSERT_EQ(replaced, 1u);
+  Cluster recovered(opts);
+  ASSERT_TRUE(recovered.Deploy(HotColdTopology()).ok());
+  Status st = recovered.Recover(log_ckpt, log_dir);
+  EXPECT_EQ(st.code(), StatusCode::kIOError) << st.ToString();
+}
+
+TEST(DurableFormatTest, PartitionMapRoundTripsHashModuloSplitAndMerged) {
+  PartitionMap hash(4, PartitionMap::Mode::kHash);
+  PartitionMap modulo(4, PartitionMap::Mode::kModulo);
+  PartitionMap split = *modulo.WithSplit(1, 4);
+  split = *split.WithSplit(4, 5);
+  PartitionMap merged = *split.WithMerge(5, 4);
+  for (const PartitionMap* map : {&hash, &modulo, &split, &merged}) {
+    ByteWriter out;
+    map->EncodeTo(&out);
+    ByteReader in(out.data());
+    Result<PartitionMap> decoded = PartitionMap::DecodeFrom(&in);
+    ASSERT_TRUE(decoded.ok()) << map->Describe() << ": "
+                              << decoded.status().ToString();
+    EXPECT_TRUE(in.AtEnd()) << map->Describe();
+    EXPECT_TRUE(*decoded == *map) << map->Describe();
+    EXPECT_EQ(decoded->Describe(), map->Describe());
+    for (int64_t k = 0; k < 2048; ++k) {
+      ASSERT_EQ(decoded->PartitionOf(Value::BigInt(k)),
+                map->PartitionOf(Value::BigInt(k)))
+          << map->Describe() << " key " << k;
+    }
+  }
 }
 
 // ---- Composed recovery of a placed topology (exactly-once channels) ----

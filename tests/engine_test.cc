@@ -24,6 +24,15 @@ std::string TempPath(const std::string& name) {
   return ::testing::TempDir() + "/" + name;
 }
 
+/// Every record of a log that must end cleanly (no torn tail).
+std::vector<LogRecord> ReadWholeLog(const std::string& path) {
+  Result<CommandLog::TolerantRead> read = CommandLog::ReadTolerant(path);
+  EXPECT_TRUE(read.ok()) << read.status().ToString();
+  if (!read.ok()) return {};
+  EXPECT_FALSE(read->torn_tail) << path;
+  return std::move(read->records);
+}
+
 class EngineTest : public ::testing::Test {
  protected:
   void SetUp() override {
@@ -319,7 +328,7 @@ TEST_F(FragmentTest, EeTriggerCascadeAndAutoGc) {
         return true;
       });
       SSTORE_RETURN_NOT_OK(
-          ee.InsertBatch(to, rows, batch, exec.mutation_log()));
+          ee.InsertBatch(to, std::move(rows), batch, exec.mutation_log()));
       return std::vector<Tuple>{};
     };
   };
@@ -354,11 +363,10 @@ TEST(CommandLogTest, AppendFlushReadRoundTrip) {
   ASSERT_TRUE(log->Append(r2).ok());
   ASSERT_TRUE(log->Close().ok());
 
-  Result<std::vector<LogRecord>> records = CommandLog::ReadAll(path);
-  ASSERT_TRUE(records.ok());
-  ASSERT_EQ(records->size(), 2u);
-  EXPECT_EQ((*records)[0], r1);
-  EXPECT_EQ((*records)[1], r2);
+  std::vector<LogRecord> records = ReadWholeLog(path);
+  ASSERT_EQ(records.size(), 2u);
+  EXPECT_EQ(records[0], r1);
+  EXPECT_EQ(records[1], r2);
 }
 
 TEST(CommandLogTest, GroupCommitBatchesFlushes) {
@@ -369,14 +377,15 @@ TEST(CommandLogTest, GroupCommitBatchesFlushes) {
   opts.sync = false;
   auto log = std::move(CommandLog::Open(opts)).value();
   for (int i = 0; i < 10; ++i) {
-    bool flushed = false;
-    ASSERT_TRUE(log->Append(LogRecord{i, "p", {}, 0, 0}, &flushed).ok());
-    EXPECT_EQ(flushed, (i + 1) % 4 == 0);
+    uint64_t before = log->flush_count();
+    ASSERT_TRUE(log->Append(LogRecord{i, "p", {}, 0, 0}).ok());
+    // The append that fills a group of 4 flushes it; the others buffer.
+    EXPECT_EQ(log->flush_count() - before, (i + 1) % 4 == 0 ? 1u : 0u) << i;
   }
   EXPECT_EQ(log->flush_count(), 2u);
   EXPECT_EQ(log->pending(), 2u);
   ASSERT_TRUE(log->Close().ok());  // flushes the tail
-  EXPECT_EQ((*CommandLog::ReadAll(path)).size(), 10u);
+  EXPECT_EQ(ReadWholeLog(path).size(), 10u);
 }
 
 TEST(CommandLogTest, GroupSizeOneFlushesEveryAppend) {
@@ -398,7 +407,10 @@ TEST(CommandLogTest, CorruptFileDetected) {
   const char junk[] = "not a log";
   std::fwrite(junk, 1, sizeof(junk), f);
   std::fclose(f);
-  EXPECT_EQ(CommandLog::ReadAll(path).status().code(), StatusCode::kCorruption);
+  Result<CommandLog::TolerantRead> read = CommandLog::ReadTolerant(path);
+  ASSERT_TRUE(read.ok()) << read.status().ToString();
+  EXPECT_TRUE(read->torn_tail);
+  EXPECT_TRUE(read->records.empty());
 }
 
 TEST(CommandLogTest, BadOptionsRejected) {
@@ -453,14 +465,6 @@ TEST(SnapshotTest, MissingTableInTargetFails) {
   EXPECT_TRUE(SnapshotManager::RestoreSnapshot(path, &fresh).IsNotFound());
 }
 
-TEST(SnapshotTest, EpochIncreases) {
-  Catalog cat;
-  std::string p1 = TempPath("snap_e1.bin"), p2 = TempPath("snap_e2.bin");
-  ASSERT_TRUE(SnapshotManager::WriteSnapshot(p1, cat).ok());
-  ASSERT_TRUE(SnapshotManager::WriteSnapshot(p2, cat).ok());
-  EXPECT_LT(*SnapshotManager::ReadEpoch(p1), *SnapshotManager::ReadEpoch(p2));
-}
-
 void WriteBytes(const std::string& path, const std::vector<uint8_t>& bytes) {
   std::FILE* f = std::fopen(path.c_str(), "wb");
   ASSERT_NE(f, nullptr);
@@ -469,8 +473,9 @@ void WriteBytes(const std::string& path, const std::vector<uint8_t>& bytes) {
 }
 
 TEST(SnapshotTest, RejectsTheRetiredV1Format) {
-  // The unframed v1 layout ("SSNAPSHO", then each table inline) is no
-  // longer written, so the reader refuses it instead of guessing.
+  // Neither retired layout is written any more, so the reader refuses both
+  // instead of guessing: v1 ("SSNAPSHO": an epoch, then each table inline)
+  // and v2 ("SSNAPS02": an epoch, then framed entries).
   Catalog cat;
   Table* t = *cat.CreateTable("t", KvSchema());
   ASSERT_TRUE(t->Insert({Value::BigInt(1), Value::BigInt(2)}).ok());
@@ -481,16 +486,26 @@ TEST(SnapshotTest, RejectsTheRetiredV1Format) {
   v1.PutString("t");
   v1.PutU8(static_cast<uint8_t>(t->kind()));
   t->SerializeTo(&v1);
-  std::string path = TempPath("snap_v1.bin");
-  ASSERT_NO_FATAL_FAILURE(WriteBytes(path, v1.data()));
-
-  Catalog fresh;
-  Table* t2 = *fresh.CreateTable("t", KvSchema());
-  EXPECT_EQ(SnapshotManager::RestoreSnapshot(path, &fresh).code(),
-            StatusCode::kCorruption);
-  EXPECT_EQ(t2->row_count(), 0u);
-  EXPECT_EQ(SnapshotManager::ReadEpoch(path).status().code(),
-            StatusCode::kCorruption);
+  ByteWriter body;
+  t->SerializeTo(&body);
+  ByteWriter v2;
+  v2.PutU64(0x53534e4150533032ull);  // "SSNAPS02"
+  v2.PutU64(1);
+  v2.PutU32(1);
+  v2.PutString("t");
+  v2.PutU8(static_cast<uint8_t>(t->kind()));
+  v2.PutU8(0);  // full entry
+  v2.PutU32(static_cast<uint32_t>(body.size()));
+  v2.PutBytes(body.data().data(), body.size());
+  for (const ByteWriter* retired : {&v1, &v2}) {
+    std::string path = TempPath("snap_retired.bin");
+    ASSERT_NO_FATAL_FAILURE(WriteBytes(path, retired->data()));
+    Catalog fresh;
+    Table* t2 = *fresh.CreateTable("t", KvSchema());
+    EXPECT_EQ(SnapshotManager::RestoreSnapshot(path, &fresh).code(),
+              StatusCode::kCorruption);
+    EXPECT_EQ(t2->row_count(), 0u);
+  }
 }
 
 TEST(SnapshotTest, HugeCountsInAnEntryAreCorruptionNotACrash) {
@@ -510,8 +525,7 @@ TEST(SnapshotTest, HugeCountsInAnEntryAreCorruptionNotACrash) {
       body.PutU32(0xFFFFFFFFu);  // values in the row
     }
     ByteWriter file;
-    file.PutU64(0x53534e4150533032ull);  // "SSNAPS02"
-    file.PutU64(1);
+    file.PutU64(0x53534e4150533033ull);  // "SSNAPS03"
     file.PutU32(1);
     file.PutString("t");
     file.PutU8(static_cast<uint8_t>(t->kind()));
@@ -583,7 +597,7 @@ TEST_F(EngineTest, LoggingPolicyStrongLogsEverything) {
   ASSERT_TRUE(part_.ExecuteSync("put", {Value::BigInt(1), Value::BigInt(1)})
                   .committed());
   ASSERT_TRUE(part_.DetachCommandLog().ok());
-  EXPECT_EQ((*CommandLog::ReadAll(path)).size(), 1u);
+  EXPECT_EQ(ReadWholeLog(path).size(), 1u);
 }
 
 TEST_F(EngineTest, AbortedTxnNotLogged) {
@@ -594,7 +608,7 @@ TEST_F(EngineTest, AbortedTxnNotLogged) {
   ASSERT_TRUE(part_.AttachCommandLog(opts, RecoveryMode::kStrong).ok());
   part_.ExecuteSync("fail_after_write", {Value::BigInt(1), Value::BigInt(1)});
   ASSERT_TRUE(part_.DetachCommandLog().ok());
-  EXPECT_EQ((*CommandLog::ReadAll(path)).size(), 0u);
+  EXPECT_EQ(ReadWholeLog(path).size(), 0u);
 }
 
 // The second child's log append fails after both children ran: the group
@@ -637,11 +651,10 @@ TEST(LoggingPolicyTest, WeakModeSkipsInteriorProcs) {
   ASSERT_TRUE(part.ExecuteSync("oltp", {}).committed());
   ASSERT_TRUE(part.DetachCommandLog().ok());
 
-  Result<std::vector<LogRecord>> records = CommandLog::ReadAll(path);
-  ASSERT_TRUE(records.ok());
-  ASSERT_EQ(records->size(), 2u);  // border + oltp; interior skipped
-  EXPECT_EQ((*records)[0].proc, "border");
-  EXPECT_EQ((*records)[1].proc, "oltp");
+  std::vector<LogRecord> records = ReadWholeLog(path);
+  ASSERT_EQ(records.size(), 2u);  // border + oltp; interior skipped
+  EXPECT_EQ(records[0].proc, "border");
+  EXPECT_EQ(records[1].proc, "oltp");
 }
 
 TEST(ProcedureKindTest, RegistryReportsKinds) {

@@ -28,6 +28,7 @@
 #include "cluster/partition_map.h"
 #include "cluster/stream_channel.h"
 #include "cluster/topology.h"
+#include "common/bytes.h"
 #include "common/failpoint.h"
 #include "query/expr.h"
 #include "server/client.h"
@@ -215,17 +216,29 @@ TEST(PartitionMapTest, EncodeDecodeRoundTripsRefinedMaps) {
   map = *map.WithSplit(1, 4);
   map = *map.WithMerge(4, 1);
 
-  Result<PartitionMap> decoded = PartitionMap::Decode(map.Encode());
+  ByteWriter out;
+  map.EncodeTo(&out);
+  ByteReader in(out.data());
+  Result<PartitionMap> decoded = PartitionMap::DecodeFrom(&in);
   ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
+  EXPECT_TRUE(in.AtEnd());
   EXPECT_TRUE(*decoded == map);
   for (int64_t k = 0; k < 4096; ++k) {
     EXPECT_EQ(decoded->PartitionOf(Value::BigInt(k)),
               map.PartitionOf(Value::BigInt(k)));
   }
 
-  // Text without a map block is kNotFound (legacy manifests).
-  Result<PartitionMap> none = PartitionMap::Decode("checkpoint_id 7\n");
-  EXPECT_TRUE(none.status().code() == StatusCode::kNotFound);
+  // No bytes at all is no map: kCorruption (there are no legacy manifests
+  // without one to tolerate).
+  ByteReader empty(nullptr, 0);
+  EXPECT_EQ(PartitionMap::DecodeFrom(&empty).status().code(),
+            StatusCode::kCorruption);
+  // The mode byte follows the 8-byte version; 2 names no mode.
+  std::vector<uint8_t> bad_mode = out.data();
+  bad_mode[8] = 2;
+  ByteReader bad(bad_mode);
+  EXPECT_EQ(PartitionMap::DecodeFrom(&bad).status().code(),
+            StatusCode::kCorruption);
 }
 
 // ---- Cluster::Rebalance: live split & merge ----

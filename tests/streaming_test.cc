@@ -433,7 +433,7 @@ class ChainFixture : public ::testing::Test {
       SSTORE_ASSIGN_OR_RETURN(
           std::vector<Tuple> rows,
           store_.streams().BatchContents("s1", ctx.batch_id()));
-      return ctx.EmitToStream("s2", rows);
+      return ctx.EmitToStream("s2", std::move(rows));
     });
     auto sp3 = std::make_shared<LambdaProcedure>([this](ProcContext& ctx) {
       SSTORE_ASSIGN_OR_RETURN(
